@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint vet-configs race check bench bench-compare fuzz-smoke chaos scale-smoke
+.PHONY: build test vet lint vet-configs race check bench bench-compare fuzz-smoke chaos scale-smoke benchmark-module
 
 build:
 	$(GO) build ./...
@@ -31,14 +31,16 @@ race:
 
 # bench smoke-runs every benchmark once (-benchtime=1x): not a timing
 # run, just a guarantee that the evaluation harness keeps compiling and
-# completing. Real measurements use `go test -bench=.` defaults or
-# `hoyanbench -perf`. The incremental-re-verification experiment smokes
-# on the medium preset with one iteration and no snapshot write; real
-# BENCH_PR4.json numbers come from `hoyanbench -exp incremental` on the
-# full preset.
+# completing. Real measurements use `go test -bench=.` defaults,
+# `hoyanbench -perf`, or the pipeline benchmark (benchmark/README.md).
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .
-	$(GO) run ./cmd/hoyanbench -exp incremental -incr-preset medium -incr-iters 1 -incr-out=
+
+# benchmark-module builds, vets and smoke-tests the nested pipeline
+# benchmark (its own Go module, so the root `go test ./...` never sees
+# it) against this tree's signatures.
+benchmark-module:
+	$(GO) vet -C benchmark ./... && $(GO) test -C benchmark ./...
 
 # bench-compare diffs the latest two committed perf snapshots
 # (BENCH_*.json) with per-metric deltas. Advisory: a regression prints
@@ -57,15 +59,11 @@ chaos:
 	$(GO) test -race -run 'Chaos|Session|Resume|Interleaved|LRU|ModelHash' ./internal/dist/
 	$(GO) run ./cmd/hoyanbench -exp recovery -rec-preset small -rec-iters 1 -rec-out=
 
-# scale-smoke bounds the paper-scale modular path: the distributed
-# modular/monolithic equality test under the race detector, then one
-# modular-vs-monolithic experiment iteration on the mid-size preset with
-# no snapshot write (reports are verified identical before any metric is
-# recorded). Real BENCH_PR8.json numbers come from `hoyanbench -exp
-# modular` on the full and xl presets.
+# scale-smoke bounds the paper-scale modular path: the modular plan over
+# remote workers against the monolithic class run, under the race
+# detector.
 scale-smoke:
 	$(GO) test -race -run 'TestRunModularMatchesRunClasses' ./internal/dist/
-	$(GO) run ./cmd/hoyanbench -exp modular -mod-preset medium -mod-out=
 
 # fuzz-smoke runs each fuzz target briefly — enough to replay the corpus
 # and shake out shallow parser regressions without turning CI into a
@@ -79,4 +77,4 @@ fuzz-smoke:
 # race detector and the benchmark smoke. The dist/collector chaos tests
 # run here too — they are deterministic (seeded faultnet, byte-budget
 # fault schedules), so no flake allowance.
-check: vet lint vet-configs race chaos scale-smoke bench bench-compare
+check: vet lint vet-configs race chaos scale-smoke bench benchmark-module bench-compare

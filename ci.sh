@@ -38,13 +38,9 @@ go test -race ./...
 # recovery` on the medium preset.
 go test -race -run 'Chaos|Session|Resume|Interleaved|LRU|ModelHash' ./internal/dist/
 go run ./cmd/hoyanbench -exp recovery -rec-preset small -rec-iters 1 -rec-out=
-# Scale smoke: the distributed modular/monolithic equality test under
-# -race, then one bounded modular-vs-monolithic experiment iteration on
-# the medium preset (reports verified identical before any metric is
-# recorded; no snapshot write). Real BENCH_PR8.json numbers come from
-# `hoyanbench -exp modular` on the full and xl presets.
+# Scale smoke: the modular plan over remote workers against the
+# monolithic class run, under -race.
 go test -race -run 'TestRunModularMatchesRunClasses' ./internal/dist/
-go run ./cmd/hoyanbench -exp modular -mod-preset medium -mod-out=
 # Fuzz smoke: replay the corpus plus a few seconds of mutation on the
 # untrusted-input parsers. Failing inputs minimize into testdata/fuzz and
 # then fail `go test` forever after, so a crash found here stays fixed.
@@ -52,12 +48,14 @@ go test -run='^$' -fuzz=FuzzPortableDecode -fuzztime=10s ./internal/logic/
 go test -run='^$' -fuzz=FuzzCollectorLine -fuzztime=10s ./internal/collector/
 go test -run='^$' -fuzz=FuzzCompiledEval -fuzztime=10s ./internal/qc/
 # Benchmark smoke: one iteration of every benchmark keeps the evaluation
-# harness honest without turning CI into a timing run. The incremental
-# and query experiments smoke on small/medium presets without writing a
-# snapshot; real BENCH numbers come from the full presets.
+# harness honest without turning CI into a timing run. The query
+# experiment smokes on the small preset without writing a snapshot; real
+# BENCH numbers come from the full presets.
 go test -bench=. -benchtime=1x -run='^$' .
-go run ./cmd/hoyanbench -exp incremental -incr-preset medium -incr-iters 1 -incr-out=
 go run ./cmd/hoyanbench -exp query -query-preset small -query-clients 4 -query-duration 2s -query-out=
+# The pipeline benchmark is a Go module of its own, so the root `go test
+# ./...` never builds it: vet and smoke-test it against this tree.
+go vet -C benchmark ./... && go test -C benchmark ./...
 # Perf trajectory: diff the latest two BENCH_*.json snapshots and judge
 # directional metrics against a 25% regression threshold. Advisory by
 # default — snapshot timings come from the machine that recorded them, so

@@ -53,30 +53,37 @@ commands:
                                                 refusals without simulating; exit 1
                                                 on findings (info advisories never
                                                 fail a run), 2 on usage errors
-  sweep   -dir DIR -workers a:p,b:p [-k N]      distributed whole-network sweep
+  sweep   -dir DIR [-k N]                       whole-network sweep: one plan, run
+                                                on in-process executors or remote
+                                                workers; every flag below composes
+                                                with every other
+          [-threads N]                          in-process executors (0 = GOMAXPROCS)
+          [-workers a:p,b:p]                    run the passes on remote hoyanworkers
+                                                instead
           [-retries N] [-req-timeout D] [-dial-timeout D]
-          [-hedge-after D] [-partial]           fault-tolerance knobs
-          [-no-classes]                         one simulation per prefix instead
-                                                of per behavior class
+          [-hedge-after D] [-partial]           fault-tolerance knobs of -workers
+          [-modular]                            per-region passes stitched through
+                                                interface summaries; classes a cut
+                                                cannot express fall back, loudly
           [-baseline FILE]                      incremental re-verification: diff
                                                 against a saved baseline, simulate
                                                 only invalidated classes, replay
-                                                the rest (with -workers, only the
-                                                dirty classes are dispatched)
-          [-save-baseline FILE]                 local sweep that also captures a
-                                                baseline store (reports, taints,
-                                                portable conditions)
-          [-no-incremental]                     ignore -baseline, sweep cold
-          [-audit-sample F] [-threads N]        local sweep knobs: re-simulate a
-                                                fraction of replicas/replays;
-                                                goroutines (0 = GOMAXPROCS)
+                                                the rest
+          [-audit-sample F]                     re-simulate a fraction of replicated
+                                                members and replayed classes and
+                                                fail on divergence
           [-journal FILE]                       crash-safe sweep session: journal
                                                 class completions to FILE so a
-                                                killed coordinator can resume
+                                                killed sweep can resume
           [-resume]                             resume the -journal session:
-                                                replay journaled classes, dispatch
+                                                settle journaled classes, dispatch
                                                 only the remainder
           [-session ID]                         session id recorded in the journal
+          [-save-baseline FILE]                 also capture a baseline store
+                                                (reports, taints, portable
+                                                conditions); needs live whole-WAN
+                                                simulator state, so neither
+                                                -workers nor -modular
 
 exit codes:
   0  verified clean
@@ -109,18 +116,16 @@ func main() {
 	workers := fs.String("workers", "", "comma-separated worker addresses")
 	intents := fs.String("intents", "", "intent file path")
 	dopts := dist.DefaultOptions()
-	retries := fs.Int("retries", dopts.MaxAttempts, "sweep: per-prefix attempts before giving up")
+	retries := fs.Int("retries", dopts.MaxAttempts, "sweep: per-pass attempts before giving up")
 	reqTimeout := fs.Duration("req-timeout", dopts.RequestTimeout, "sweep: per-request deadline")
 	dialTimeout := fs.Duration("dial-timeout", dopts.DialTimeout, "sweep: per-dial deadline")
 	hedgeAfter := fs.Duration("hedge-after", 0, "sweep: re-dispatch stragglers to idle workers after this long (0 = off)")
 	partial := fs.Bool("partial", false, "sweep: report failed prefixes instead of aborting the run")
-	noClasses := fs.Bool("no-classes", false, "sweep: simulate every prefix instead of one representative per behavior class")
 	modular := fs.Bool("modular", false, "sweep: per-region passes stitched through interface summaries, O(WAN/regions) working set (falls back to monolithic, loudly, when no usable cut exists)")
 	baseline := fs.String("baseline", "", "sweep: baseline result store for incremental re-verification")
-	saveBaseline := fs.String("save-baseline", "", "sweep: write a baseline result store after a local sweep")
-	noIncr := fs.Bool("no-incremental", false, "sweep: ignore -baseline and sweep cold")
+	saveBaseline := fs.String("save-baseline", "", "sweep: also capture a baseline result store and write it here")
 	auditSample := fs.Float64("audit-sample", 0, "sweep: fraction of replicated members and cached replays to re-simulate and check")
-	threads := fs.Int("threads", 0, "sweep: local goroutines when no -workers given (0 = GOMAXPROCS)")
+	threads := fs.Int("threads", 0, "sweep: in-process executors when no -workers given (0 = GOMAXPROCS)")
 	jsonOut := fs.Bool("json", false, "vet: emit machine-readable diagnostics instead of text")
 	only := fs.String("only", "", "vet: comma-separated analyzer names to run (default: all)")
 	journal := fs.String("journal", "", "sweep: journal class completions to this file (crash-safe session)")
@@ -381,124 +386,22 @@ func main() {
 			exit(1)
 		}
 	case "sweep":
-		if *saveBaseline != "" && *workers != "" {
-			fail("-save-baseline captures taints and conditions locally; drop -workers")
-		}
-		if *journal != "" && (*workers == "" || *noClasses || *baseline != "") {
-			fail("-journal needs a distributed classed sweep (-workers, no -no-classes/-baseline)")
-		}
 		if *resume && *journal == "" {
 			fail("-resume needs -journal")
 		}
-		if *modular && *saveBaseline != "" {
-			fail("-modular cannot capture a baseline (portable conditions require monolithic simulation)")
-		}
-		if *workers == "" {
-			if *baseline == "" && *saveBaseline == "" && !*modular {
-				fail("missing -workers (local sweeps need -baseline, -save-baseline, or -modular)")
-			}
-			localSweep(net, snap, *k, *noClasses, *noIncr, *modular, *auditSample, *threads, *baseline, *saveBaseline)
-			exit(0)
-		}
-		if *baseline != "" && *noClasses {
-			fmt.Println("note: -no-classes disables incremental replay; sweeping cold")
-		}
-		opts := dist.DefaultOptions()
-		opts.MaxAttempts = *retries
-		opts.RequestTimeout = *reqTimeout
-		opts.DialTimeout = *dialTimeout
-		opts.HedgeAfter = *hedgeAfter
-		opts.AllowPartial = *partial
-		// Always pin the model: multi-session workers (-extra-dirs) hold
-		// several networks, and an unhashed request would silently run
-		// against whichever one is their default.
-		opts.ModelHash = dist.ModelHash(net, snap)
-		coord := &dist.Coordinator{Addrs: strings.Split(*workers, ","), Opts: opts}
-		if *baseline != "" && !*noIncr && !*noClasses {
-			if store := loadBaseline(*baseline); store != nil {
-				distIncrementalSweep(coord, net, snap, *k, store)
-				exit(0)
-			}
-			fmt.Println("no usable baseline; sweeping cold")
-		}
-		if *modular && (*noClasses || *journal != "") {
-			fail("-modular needs a classed sweep without -journal (sessions journal monolithic class completions)")
-		}
-		m, _ := build(snap)
-		var res *dist.Result
-		var err error
-		if *noClasses {
-			var prefixes []string
-			for _, p := range m.AnnouncedPrefixes() {
-				prefixes = append(prefixes, p.String())
-			}
-			res, err = coord.Run(prefixes, *k)
-		} else {
-			classes := m.Classes()
-			jobs := make([][]string, 0, len(classes))
-			total := 0
-			for _, c := range classes {
-				var cl []string
-				for _, p := range c.Members {
-					cl = append(cl, p.String())
-				}
-				total += len(cl)
-				jobs = append(jobs, cl)
-			}
-			switch {
-			case *journal != "":
-				res, err = sessionSweep(coord, jobs, total, *k, *journal, *sessionID, *resume, net, snap)
-			case *modular:
-				res, err = modularSweep(coord, m, classes, jobs, total, *k)
-			default:
-				fmt.Printf("dispatching %d behavior classes for %d prefixes\n", len(jobs), total)
-				res, err = coord.RunClasses(jobs, *k)
-			}
-		}
+		dopts.MaxAttempts = *retries
+		dopts.RequestTimeout = *reqTimeout
+		dopts.DialTimeout = *dialTimeout
+		dopts.HedgeAfter = *hedgeAfter
+		dopts.AllowPartial = *partial
+		rep, err := sweep(net, snap, sweepFlags{
+			k: *k, modular: *modular, auditSample: *auditSample, baseline: *baseline, saveBaseline: *saveBaseline,
+			workers: *workers, threads: *threads, journal: *journal, resume: *resume, session: *sessionID, dist: dopts,
+		})
 		if err != nil {
 			fail(err.Error())
 		}
-		bad := 0
-		for _, p := range sortedPrefixes(res.ByPrefix) {
-			for _, s := range res.ByPrefix[p] {
-				if !s.Reachable {
-					fmt.Printf("[violation] %s unreachable at %s\n", p, s.Router)
-					bad++
-				}
-			}
-		}
-		for _, f := range res.Failed {
-			fmt.Printf("[failed] %s after %d dispatches: %s\n", f.Prefix, f.Dispatches, f.LastError)
-		}
-		if res.Requeued+res.Retried+res.Hedged > 0 {
-			fmt.Printf("resilience: %d jobs re-queued, %d retried, %d hedged\n",
-				res.Requeued, res.Retried, res.Hedged)
-		}
-		if res.Resumed+res.Redispatched > 0 {
-			fmt.Printf("session: %d classes replayed from the journal, %d re-dispatched after the crash\n",
-				res.Resumed, res.Redispatched)
-		}
-		if res.Classes+res.Resumed > 0 {
-			fmt.Printf("distributed sweep: %d/%d prefixes (%d classes, %d replicated) over %d workers, %d violations\n",
-				len(res.ByPrefix), len(res.ByPrefix)+len(res.Failed), res.Classes+res.Resumed, res.Replicated, len(res.Assigned), bad)
-		} else {
-			fmt.Printf("distributed sweep: %d/%d prefixes over %d workers, %d violations\n",
-				len(res.ByPrefix), len(res.ByPrefix)+len(res.Failed), len(res.Assigned), bad)
-		}
-		// Exit codes (documented in usage): incompleteness dominates, so a
-		// -partial run with failed prefixes is 3 even when the completed
-		// subset is clean — CI must not mistake a partial sweep for a
-		// verified network.
-		code := 0
-		if bad > 0 {
-			code = 1
-		}
-		if len(res.Failed) > 0 {
-			code = 3
-		}
-		if code != 0 {
-			exit(code)
-		}
+		exit(printSweep(rep))
 	default:
 		usage()
 	}
@@ -557,17 +460,6 @@ func fail(msg string) {
 	exit(1)
 }
 
-// sortedPrefixes returns the result's prefix keys in sorted order so
-// violation reports print deterministically run to run.
-func sortedPrefixes(byPrefix map[string][]dist.RouterSummary) []string {
-	keys := make([]string, 0, len(byPrefix))
-	for p := range byPrefix {
-		keys = append(keys, p)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 func mustPrefix(s string) netaddr.Prefix {
 	p, err := netaddr.Parse(s)
 	if err != nil {
@@ -581,52 +473,6 @@ func minStr(min, k int) string {
 		return fmt.Sprintf(">%d", k)
 	}
 	return fmt.Sprint(min)
-}
-
-// sessionSweep runs (or resumes) a journaled distributed sweep: every
-// class completion is fsync'd to the journal before it is counted, so a
-// killed coordinator resumes with -resume and re-simulates only the
-// classes the journal does not cover. The journal is removed after a
-// fully successful run and kept (with a hint) otherwise.
-func sessionSweep(coord *dist.Coordinator, jobs [][]string, total, k int,
-	path, id string, resume bool, net *topo.Network, snap config.Snapshot) (*dist.Result, error) {
-	modelHash := dist.ModelHash(net, snap)
-	var s *dist.Session
-	var err error
-	if resume {
-		s, err = dist.Resume(path)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.MatchesClasses(jobs); err != nil {
-			s.Close()
-			return nil, err
-		}
-		fmt.Printf("resuming session %s: %d/%d classes journaled done, %d were in flight at the crash\n",
-			s.ID(), s.Completed(), len(jobs), s.Redispatched())
-	} else {
-		if id == "" {
-			id = fmt.Sprintf("sweep-%d", os.Getpid())
-		}
-		s, err = dist.NewSession(path, id, k, "", modelHash, jobs)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Printf("session %s: dispatching %d behavior classes for %d prefixes (journal %s)\n",
-			id, len(jobs), total, path)
-	}
-	defer s.Close()
-	coord.Opts.Session = s.ID()
-	coord.Opts.ModelHash = modelHash
-	res, err := coord.RunSession(s, k)
-	if err == nil && res != nil && len(res.Failed) == 0 {
-		if rmErr := s.Remove(); rmErr != nil {
-			fmt.Fprintln(os.Stderr, "hoyan: removing completed journal:", rmErr)
-		}
-	} else {
-		fmt.Printf("journal kept at %s; resume with: hoyan sweep ... -journal %s -resume\n", path, path)
-	}
-	return res, err
 }
 
 // loadBaseline loads a result store, degrading the way the operator
@@ -654,142 +500,131 @@ func loadBaseline(path string) *hoyan.ResultStore {
 	return store
 }
 
-// localSweep runs Sweep/SweepBaseline in-process — the only mode that can
-// capture a baseline store (taint sets and portable conditions come from
-// live simulator state, which remote workers do not ship back).
-func localSweep(net *topo.Network, snap config.Snapshot, k int, noClasses, noIncr, modular bool,
-	auditSample float64, threads int, baselinePath, savePath string) {
-	hn := hoyan.NetworkFrom(net, snap)
-	opts := hoyan.Options{K: k, NoClasses: noClasses, NoIncremental: noIncr, Modular: modular, AuditSample: auditSample}
-	if baselinePath != "" {
-		opts.Baseline = loadBaseline(baselinePath)
-		if opts.Baseline == nil {
+// sweepFlags are the sweep command's flags: what to verify (k, modular,
+// baseline, audit sample) and where and how to run it.
+type sweepFlags struct {
+	k            int
+	modular      bool
+	auditSample  float64
+	baseline     string
+	saveBaseline string
+	workers      string // remote worker addresses; empty = in-process executors
+	threads      int
+	journal      string
+	resume       bool
+	session      string
+	dist         dist.Options
+}
+
+// sweep runs the one sweep there is: the flags become properties of one
+// plan (hoyan.Network.SweepOver builds it) and pick the executors it
+// runs on — in-process ones, or remote workers. A baseline store, when
+// asked for, is written before returning.
+func sweep(net *topo.Network, snap config.Snapshot, f sweepFlags) (*hoyan.SweepReport, error) {
+	opts := hoyan.Options{K: f.k, Modular: f.modular, AuditSample: f.auditSample}
+	if f.baseline != "" {
+		if opts.Baseline = loadBaseline(f.baseline); opts.Baseline == nil {
 			fmt.Println("no usable baseline; sweeping cold")
 		}
 	}
-	var (
-		rep   *hoyan.SweepReport
-		store *hoyan.ResultStore
-		err   error
-	)
-	if savePath != "" {
-		rep, store, err = hn.SweepBaseline(opts, threads)
-	} else {
-		rep, err = hn.Sweep(opts, threads)
+	var journal *dist.Session
+	if f.journal != "" {
+		var err error
+		if journal, err = openJournal(net, snap, f); err != nil {
+			return nil, err
+		}
+		defer journal.Close()
+		f.dist.Session = journal.ID()
+	}
+	var pool dist.Pool = dist.Local(f.threads)
+	if f.workers != "" {
+		pool = &dist.Coordinator{Addrs: strings.Split(f.workers, ","), Opts: f.dist}
+	}
+	rep, store, err := hoyan.NetworkFrom(net, snap).SweepOver(opts, pool, journal, f.saveBaseline != "")
+	switch {
+	case journal == nil:
+	case err == nil && len(rep.Run.Failed) == 0:
+		if rmErr := journal.Remove(); rmErr != nil {
+			fmt.Fprintln(os.Stderr, "hoyan: removing completed journal:", rmErr)
+		}
+	default:
+		fmt.Printf("journal kept at %s; resume with: hoyan sweep ... -journal %s -resume\n", f.journal, f.journal)
 	}
 	if err != nil {
-		fail(err.Error())
+		return nil, err
 	}
+	if store != nil {
+		if err := store.Save(f.saveBaseline); err != nil {
+			return nil, err
+		}
+		fmt.Printf("baseline written to %s (%d classes)\n", f.saveBaseline, len(store.Classes))
+	}
+	return rep, nil
+}
+
+// openJournal creates the sweep's session journal, or reopens it with
+// -resume: every class completion is fsync'd to it before it is
+// counted, so a killed sweep resumes by re-simulating only the classes
+// the journal does not cover.
+func openJournal(net *topo.Network, snap config.Snapshot, f sweepFlags) (*dist.Session, error) {
+	if f.resume {
+		s, err := dist.Resume(f.journal)
+		if err == nil {
+			fmt.Printf("resuming session %s: %d/%d classes journaled done, %d were in flight at the crash\n",
+				s.ID(), s.Completed(), len(s.Classes()), s.Redispatched())
+		}
+		return s, err
+	}
+	m, err := core.Assemble(net, snap, behavior.TrueProfiles())
+	if err != nil {
+		return nil, err
+	}
+	var classes [][]string
+	for _, c := range m.Classes() {
+		classes = append(classes, c.MemberStrings())
+	}
+	id := f.session
+	if id == "" {
+		id = fmt.Sprintf("sweep-%d", os.Getpid())
+	}
+	fmt.Printf("session %s: journaling %d behavior classes to %s\n", id, len(classes), f.journal)
+	return dist.NewSession(f.journal, id, f.k, "", dist.ModelHash(net, snap), classes)
+}
+
+// printSweep prints a sweep's report and returns the exit code
+// (documented in usage): incompleteness dominates, so a -partial run
+// with failed prefixes is 3 even when the completed subset is clean — CI
+// must not mistake a partial sweep for a verified network.
+func printSweep(rep *hoyan.SweepReport) int {
 	for _, v := range rep.Violations {
 		fmt.Printf("[violation] %s %s @ %s: %s\n", v.Kind, v.Prefix, v.Router, v.Details)
 	}
 	printInvalidation(rep.Delta, rep.Invalidation)
-	fmt.Println(rep)
-	if savePath != "" {
-		if err := store.Save(savePath); err != nil {
-			fail(err.Error())
-		}
-		fmt.Printf("baseline written to %s (%d classes)\n", savePath, len(store.Classes))
-	}
-	if len(rep.Violations) > 0 {
-		exit(1)
-	}
-}
-
-// modularSweep dispatches each class representative as one home pass
-// plus per-region import passes (dist.RunModular), so every worker holds
-// one region's working set instead of the whole WAN. When the model has
-// no usable cut it falls back — loudly — to the monolithic class run,
-// matching the in-process sweep's refusal contract.
-func modularSweep(coord *dist.Coordinator, m *core.Model, classes []core.PrefixClass,
-	jobs [][]string, total, k int) (*dist.Result, error) {
-	pt, err := core.NewPartition(m)
-	if err != nil {
-		fmt.Printf("note: modular fallback to monolithic: %v\n", err)
-		fmt.Printf("dispatching %d behavior classes for %d prefixes\n", len(jobs), total)
-		return coord.RunClasses(jobs, k)
-	}
-	regions := make([]string, 0, pt.NumRegions())
-	for i := 0; i < pt.NumRegions(); i++ {
-		regions = append(regions, pt.RegionName(i))
-	}
-	mcs := make([]dist.ModularClass, 0, len(classes))
-	for i, cl := range classes {
-		mc := dist.ModularClass{Members: jobs[i]}
-		if hi, herr := pt.FamilyHome(m, cl.Rep); herr == nil {
-			mc.Home = pt.RegionName(hi)
-		} else {
-			fmt.Printf("note: %s falls back to monolithic: %v\n", cl.Rep, herr)
-		}
-		mcs = append(mcs, mc)
-	}
-	// Advisory pre-flight: predict the cut's refusals statically so the
-	// fallback load is visible before a single worker is dispatched.
-	if pred := vet.PredictRefusals(m, k); pred.RefusedClasses() > 0 {
-		fmt.Printf("vet pre-flight: %d of %d classes predicted to refuse the cut and fall back to monolithic\n",
-			pred.RefusedClasses(), len(pred.Classes))
-	}
-	fmt.Printf("dispatching %d behavior classes for %d prefixes across %d regions\n", len(jobs), total, len(regions))
-	res, err := coord.RunModular(mcs, regions, k)
-	if res != nil {
-		fmt.Printf("modular: %d region passes, %d representatives fell back to monolithic\n",
-			res.ModularPasses, res.ModularRefused)
-	}
-	return res, err
-}
-
-// distIncrementalSweep plans invalidation locally against a saved
-// baseline and dispatches only the dirty classes to the workers; clean
-// classes' reports are replayed from the baseline client-side.
-func distIncrementalSweep(coord *dist.Coordinator, net *topo.Network, snap config.Snapshot, k int, store *hoyan.ResultStore) {
-	plan, err := hoyan.NetworkFrom(net, snap).PlanIncremental(hoyan.Options{K: k}, store)
-	if err != nil {
-		fail(err.Error())
-	}
-	printInvalidation(plan.Delta, plan.Stats)
-	dirtyPrefixes := 0
-	for _, job := range plan.DirtyJobs {
-		dirtyPrefixes += len(job)
-	}
-	res := &dist.Result{}
-	if len(plan.DirtyJobs) > 0 {
-		fmt.Printf("dispatching %d invalidated classes for %d prefixes\n", len(plan.DirtyJobs), dirtyPrefixes)
-		if res, err = coord.RunClasses(plan.DirtyJobs, k); err != nil {
-			fail(err.Error())
+	if rep.Modular != nil {
+		for _, note := range rep.Modular.Notes {
+			fmt.Printf("note: %s\n", note)
 		}
 	}
-	bad := 0
-	for _, p := range sortedPrefixes(res.ByPrefix) {
-		for _, s := range res.ByPrefix[p] {
-			if !s.Reachable {
-				fmt.Printf("[violation] %s unreachable at %s\n", p, s.Router)
-				bad++
-			}
-		}
-	}
-	for _, v := range plan.ReplayedViolations {
-		fmt.Printf("[violation] %s unreachable at %s (replayed from baseline)\n", v.Prefix, v.Router)
-		bad++
-	}
-	for _, f := range res.Failed {
-		fmt.Printf("[failed] %s after %d dispatches: %s\n", f.Prefix, f.Dispatches, f.LastError)
-	}
-	if res.Requeued+res.Retried+res.Hedged > 0 {
-		fmt.Printf("resilience: %d jobs re-queued, %d retried, %d hedged\n",
-			res.Requeued, res.Retried, res.Hedged)
-	}
-	fmt.Printf("incremental distributed sweep: %d prefixes simulated in %d classes over %d workers, %d prefixes replayed from %d cached classes, %d violations\n",
-		len(res.ByPrefix), len(plan.DirtyJobs), len(res.Assigned), len(plan.ReplayedSummaries), plan.ReplayedClasses, bad)
 	code := 0
-	if bad > 0 {
+	if len(rep.Violations) > 0 {
 		code = 1
 	}
-	if len(res.Failed) > 0 {
-		code = 3 // partial result: see the exit-code table in usage
+	run := rep.Run
+	for _, f := range run.Failed {
+		fmt.Printf("[failed] %s after %d dispatches: %s\n", f.Prefix, f.Dispatches, f.LastError)
 	}
-	if code != 0 {
-		exit(code)
+	if run.Requeued+run.Retried+run.Hedged > 0 {
+		fmt.Printf("resilience: %d passes re-queued, %d retried, %d hedged\n", run.Requeued, run.Retried, run.Hedged)
 	}
+	if run.Resumed+run.Redispatched > 0 {
+		fmt.Printf("session: %d classes settled from the journal, %d re-dispatched after the crash\n", run.Resumed, run.Redispatched)
+	}
+	if len(run.Failed) > 0 {
+		fmt.Printf("partial: %d prefixes never completed\n", len(run.Failed))
+		code = 3
+	}
+	fmt.Println(rep)
+	return code
 }
 
 // printInvalidation reports what an incremental sweep decided and why.

@@ -5,17 +5,10 @@
 //
 // With -perf LABEL it instead measures the engine's performance
 // trajectory — the Figure 8 per-prefix simulation microbenchmark plus
-// medium- and full-WAN sweep wall-clock (classed by default; -no-classes
-// for the per-prefix baseline) — and records the snapshot under LABEL in
+// medium- and full-WAN sweep wall-clock — and records the snapshot under LABEL in
 // a JSON file (default BENCH_PR3.json), merging with whatever labels are
 // already there. Committing the file after a perf PR keeps a before/after
 // record next to the code.
-//
-// `-exp incremental` measures incremental re-verification: a baseline
-// sweep is captured, one policy change is applied, and the cold re-sweep
-// is timed against the baseline-diffed incremental one. Metrics land in
-// BENCH_PR4.json (-incr-out) as the resweep_full / resweep_incremental
-// groups; -incr-preset/-incr-iters size the run.
 //
 // `-exp recovery` measures coordinator crash recovery: a journaled sweep
 // session is killed once half its classes are durable, resumed from the
@@ -23,15 +16,6 @@
 // unfinished half) is compared against a cold sweep. Metrics land in
 // BENCH_PR6.json (-rec-out) as the recovery_cold / recovery_resumed
 // groups; -rec-preset/-rec-iters size the run.
-//
-// `-exp modular` measures modular per-region verification: the same WAN
-// is swept monolithically and region-by-region (interface summaries,
-// Options.Modular), with wall-clock and peak-memory tracking for both,
-// after verifying the two reports agree verdict for verdict. Metrics
-// land in BENCH_PR8.json (-mod-out) as the sweep_monolithic /
-// sweep_modular groups; -mod-preset/-mod-k size the run ("xl" is the
-// O(1000)-router paper-scale WAN where the working-set gap is the
-// story).
 //
 // `-exp vet` measures the static configuration-analysis plane: one vet
 // pass (all analyzers, min-of-3) against the cold classed sweep it
@@ -69,18 +53,14 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "table1 | table2 | table3 | table4 | table5 | fig7 | fig8-13 | fig14 | fig15-16 | appf | ablations | classes | incremental | recovery | query | modular | vet | all")
+	exp := flag.String("exp", "all", "table1 | table2 | table3 | table4 | table5 | fig7 | fig8-13 | fig14 | fig15-16 | appf | ablations | classes | recovery | query | vet | all")
 	budget := flag.Duration("budget", 60*time.Second, "per-cell budget for baseline comparisons")
 	months := flag.Int("months", 24, "campaign months for fig7")
 	limit := flag.Int("limit", 24, "prefix sample size for full-WAN experiments (0 = all)")
 	perf := flag.String("perf", "", "record a perf-trajectory snapshot under this label and exit")
 	perfout := flag.String("perfout", "BENCH_PR3.json", "perf-trajectory JSON file to merge the snapshot into")
 	workers := flag.Int("workers", 8, "sweep workers for -perf")
-	noClasses := flag.Bool("no-classes", false, "-perf: sweep every prefix instead of one representative per behavior class")
 	auditSample := flag.Float64("audit-sample", 0, "-perf: fully simulate this fraction of non-representative class members and diff against replicated results")
-	incrPreset := flag.String("incr-preset", "full", "incremental experiment: small | medium | full")
-	incrIters := flag.Int("incr-iters", 1, "incremental experiment: repetitions per measurement (min-of-N)")
-	incrOut := flag.String("incr-out", "BENCH_PR4.json", "incremental experiment: JSON snapshot to merge the metrics into (empty = don't write)")
 	recPreset := flag.String("rec-preset", "medium", "recovery experiment: small | medium | full")
 	recIters := flag.Int("rec-iters", 1, "recovery experiment: repetitions per measurement (min-of-N)")
 	recOut := flag.String("rec-out", "BENCH_PR6.json", "recovery experiment: JSON snapshot to merge the metrics into (empty = don't write)")
@@ -89,9 +69,6 @@ func main() {
 	queryDuration := flag.Duration("query-duration", 10*time.Second, "query experiment: load-test length")
 	querySeed := flag.Int64("query-seed", 1, "query experiment: request-mix seed")
 	queryOut := flag.String("query-out", "BENCH_PR7.json", "query experiment: JSON snapshot to merge the metrics into (empty = don't write)")
-	modPreset := flag.String("mod-preset", "full", "modular experiment: small | medium | full | xl")
-	modK := flag.Int("mod-k", 1, "modular experiment: failure budget")
-	modOut := flag.String("mod-out", "BENCH_PR8.json", "modular experiment: JSON snapshot to merge the metrics into (empty = don't write)")
 	vetPreset := flag.String("vet-preset", "xl", "vet experiment: small | medium | full | xl")
 	vetK := flag.Int("vet-k", 3, "vet experiment: failure budget")
 	vetSample := flag.Int("vet-sample", 6, "vet experiment: cold-sweep classes to actually simulate before extrapolating (0 = all)")
@@ -99,7 +76,7 @@ func main() {
 	flag.Parse()
 
 	if *perf != "" {
-		if err := runPerf(*perf, *perfout, *workers, *noClasses, *auditSample); err != nil {
+		if err := runPerf(*perf, *perfout, *workers, *auditSample); err != nil {
 			fmt.Fprintln(os.Stderr, "hoyanbench:", err)
 			os.Exit(1)
 		}
@@ -127,25 +104,6 @@ func main() {
 		{"appf", bench.AppendixFFormulas},
 		{"ablations", func() (bench.Table, error) { return bench.Ablations(gen.Medium(), *limit) }},
 		{"classes", bench.ClassStats},
-		{"incremental", func() (bench.Table, error) {
-			params, err := presetParams(*incrPreset)
-			if err != nil {
-				return bench.Table{}, err
-			}
-			tr := bench.TrackPeak()
-			t, m, err := bench.IncrementalSweep(params, 3, *workers, *incrIters)
-			peak := tr.Stop()
-			if err != nil {
-				return bench.Table{}, err
-			}
-			if *incrOut != "" {
-				if err := writeIncrementalSnapshot(*incrOut, *incrPreset, m, peak); err != nil {
-					return bench.Table{}, err
-				}
-				fmt.Printf("recorded resweep metrics in %s\n", *incrOut)
-			}
-			return t, nil
-		}},
 		{"recovery", func() (bench.Table, error) {
 			params, err := presetParams(*recPreset)
 			if err != nil {
@@ -201,23 +159,6 @@ func main() {
 			}
 			return t, nil
 		}},
-		{"modular", func() (bench.Table, error) {
-			params, err := presetParams(*modPreset)
-			if err != nil {
-				return bench.Table{}, err
-			}
-			t, m, err := bench.ModularSweep(params, *modK, *workers)
-			if err != nil {
-				return bench.Table{}, err
-			}
-			if *modOut != "" {
-				if err := writeModularSnapshot(*modOut, *modPreset, m); err != nil {
-					return bench.Table{}, err
-				}
-				fmt.Printf("recorded modular-verification metrics in %s\n", *modOut)
-			}
-			return t, nil
-		}},
 	}
 
 	ran := false
@@ -243,12 +184,11 @@ func main() {
 
 // runPerf measures the perf-trajectory snapshot and merges it into the
 // JSON file under label.
-func runPerf(label, out string, workers int, noClasses bool, auditSample float64) error {
+func runPerf(label, out string, workers int, auditSample float64) error {
 	snap := map[string]any{
 		"date":       time.Now().UTC().Format(time.RFC3339),
 		"go":         runtime.Version(),
 		"gomaxprocs": runtime.GOMAXPROCS(0),
-		"no_classes": noClasses,
 	}
 
 	// Figure 8 microbenchmark: one per-prefix simulation on the full WAN
@@ -301,7 +241,7 @@ func runPerf(label, out string, workers int, noClasses bool, auditSample float64
 			return err
 		}
 		tr := bench.TrackPeak()
-		rep, err := sweepNetwork(pw).Sweep(hoyan.Options{K: 3, NoClasses: noClasses, AuditSample: auditSample}, workers)
+		rep, err := sweepNetwork(pw).Sweep(hoyan.Options{K: 3, AuditSample: auditSample}, workers)
 		peak := tr.Stop()
 		if err != nil {
 			return err
@@ -350,51 +290,6 @@ func presetParams(name string) (gen.Params, error) {
 		return gen.XL(), nil
 	}
 	return gen.Params{}, fmt.Errorf("unknown preset %q", name)
-}
-
-// writeIncrementalSnapshot merges the incremental-re-verification
-// metrics into the BENCH_PR4-style JSON file: one label per preset,
-// with resweep_full (cold re-sweep of the perturbed WAN) and
-// resweep_incremental (same network, baseline-diffed sweep) groups.
-func writeIncrementalSnapshot(out, preset string, m *bench.IncrementalMetrics, peak bench.PeakMem) error {
-	snap := map[string]any{
-		"date":            time.Now().UTC().Format(time.RFC3339),
-		"go":              runtime.Version(),
-		"gomaxprocs":      runtime.GOMAXPROCS(0),
-		"peak_heap_bytes": peak.HeapAllocBytes,
-		"peak_rss_bytes":  peak.RSSBytes,
-		"perturbation":    m.Perturbation,
-		"resweep_full": map[string]any{
-			"seconds":  m.ColdSeconds,
-			"prefixes": m.Prefixes,
-			"classes":  m.Classes,
-			"workers":  m.Workers,
-			"k":        m.K,
-		},
-		"resweep_incremental": map[string]any{
-			"seconds":          m.IncrementalSeconds,
-			"prefixes":         m.Prefixes,
-			"classes":          m.Classes,
-			"classes_dirty":    m.ClassesDirty,
-			"classes_replayed": m.ClassesReplayed,
-			"replays_audited":  m.ReplaysAudited,
-			"speedup_vs_cold":  m.Speedup,
-			"workers":          m.Workers,
-			"k":                m.K,
-		},
-	}
-	doc := map[string]any{}
-	if raw, err := os.ReadFile(out); err == nil {
-		if err := json.Unmarshal(raw, &doc); err != nil {
-			return fmt.Errorf("%s: %w", out, err)
-		}
-	}
-	doc["resweep-"+preset] = snap
-	enc, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(out, append(enc, '\n'), 0o644)
 }
 
 // writeRecoverySnapshot merges the crash-recovery metrics into the
@@ -468,9 +363,9 @@ func writeQuerySnapshot(out, preset string, m *bench.QueryMetrics, peak bench.Pe
 		"peak_heap_bytes": peak.HeapAllocBytes,
 		"peak_rss_bytes":  peak.RSSBytes,
 		"classes":         m.Classes,
-		"prefixes":   m.Prefixes,
-		"programs":   m.Programs,
-		"k":          m.K,
+		"prefixes":        m.Prefixes,
+		"programs":        m.Programs,
+		"k":               m.K,
 		"query_compile": map[string]any{
 			"sweep_seconds": m.SweepSeconds,
 			"compile_ms":    m.CompileMS,
@@ -551,53 +446,6 @@ func writeVetSnapshot(out, preset string, m *bench.VetMetrics) error {
 		}
 	}
 	doc["vet-"+preset] = snap
-	enc, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(out, append(enc, '\n'), 0o644)
-}
-
-// writeModularSnapshot merges the modular-verification metrics into the
-// BENCH_PR8-style JSON file: one label per preset, with sweep_monolithic
-// and sweep_modular groups measured on the identical WAN (reports
-// verified identical before recording). Peak heap is the sampled
-// live-heap high-water of each sweep's own window; peak RSS is the
-// kernel's process-lifetime VmHWM, so only the first-run (modular)
-// reading is uninflated by the other mode.
-func writeModularSnapshot(out, preset string, m *bench.ModularMetrics) error {
-	snap := map[string]any{
-		"date":       time.Now().UTC().Format(time.RFC3339),
-		"go":         runtime.Version(),
-		"gomaxprocs": runtime.GOMAXPROCS(0),
-		"routers":    m.Routers,
-		"prefixes":   m.Prefixes,
-		"classes":    m.Classes,
-		"regions":    m.Regions,
-		"k":          m.K,
-		"workers":    m.Workers,
-		"sweep_monolithic": map[string]any{
-			"seconds":         m.MonoSeconds,
-			"peak_heap_bytes": m.MonoPeakHeap,
-			"peak_rss_bytes":  m.MonoRSS,
-		},
-		"sweep_modular": map[string]any{
-			"seconds":           m.ModSeconds,
-			"peak_heap_bytes":   m.ModPeakHeap,
-			"peak_rss_bytes":    m.ModRSS,
-			"passes":            m.Passes,
-			"refused":           m.Refused,
-			"speedup_vs_mono":   m.SpeedupTime,
-			"heap_savings_mono": m.SavingsHeap,
-		},
-	}
-	doc := map[string]any{}
-	if raw, err := os.ReadFile(out); err == nil {
-		if err := json.Unmarshal(raw, &doc); err != nil {
-			return fmt.Errorf("%s: %w", out, err)
-		}
-	}
-	doc["modular-"+preset] = snap
 	enc, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		return err

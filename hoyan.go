@@ -150,30 +150,19 @@ type Options struct {
 	DisablePruning bool
 	// DisableSimplify turns off condition simplification.
 	DisableSimplify bool
-	// NoClasses disables prefix behavior-class batching in Sweep: every
-	// announced prefix is simulated individually (the correctness escape
-	// hatch; see DESIGN.md, "Prefix equivalence classes").
-	NoClasses bool
 	// AuditSample is the fraction of non-representative class members a
 	// Sweep fully re-simulates and diffs against their replicated reports,
-	// failing loudly on divergence (0 = no auditing, 1 = every member).
+	// failing loudly on divergence (0 = no auditing, 1 = every member);
+	// an incremental sweep audits the same fraction of its replayed
+	// classes. The sample is seeded, so it is reproducible and independent
+	// of the executors.
 	AuditSample float64
-	// AuditSeed seeds the audit-member selection (0 = a fixed default), so
-	// the chosen set is reproducible and worker-count independent.
-	AuditSeed int64
-	// ResetEvery is how many prefix simulations a sweep worker runs before
-	// recycling its simulator (fresh formula arena, IGP re-seeded from the
-	// shared memo); 0 = the default of 1.
-	ResetEvery int
 	// Baseline, when non-nil, makes Sweep incremental: the current model
 	// is diffed against the baseline's, only behavior classes the delta
 	// can affect are re-simulated, and cached reports are replayed for
 	// the rest (DESIGN.md, "Incremental re-verification"). Produce a
 	// baseline with SweepBaseline.
 	Baseline *ResultStore
-	// NoIncremental ignores Baseline and sweeps cold — the correctness
-	// escape hatch mirroring NoClasses.
-	NoIncremental bool
 	// Modular runs Sweep region by region (DESIGN.md, "Modular
 	// verification"): each prefix family is simulated in its home region
 	// first, the routes it exports across each region cut are captured as

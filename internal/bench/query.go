@@ -75,7 +75,7 @@ func QueryLoad(params gen.Params, k, workers, clients int, duration time.Duratio
 	if err != nil {
 		return Table{}, nil, err
 	}
-	n := liftWAN(w)
+	n := hoyan.NetworkFrom(w.Net, w.Snap)
 	t0 := time.Now()
 	_, store, err := n.SweepBaseline(hoyan.Options{K: k}, workers)
 	if err != nil {

@@ -58,11 +58,7 @@ func RecoverySweep(params gen.Params, k, workers, iters int) (Table, *RecoveryMe
 	}
 	var classes [][]string
 	for _, c := range model.Classes() {
-		var cl []string
-		for _, p := range c.Members {
-			cl = append(cl, p.String())
-		}
-		classes = append(classes, cl)
+		classes = append(classes, c.MemberStrings())
 	}
 	if len(classes) < 2 {
 		return Table{}, nil, fmt.Errorf("recovery experiment needs >=2 classes, got %d", len(classes))
@@ -73,15 +69,14 @@ func RecoverySweep(params gen.Params, k, workers, iters int) (Table, *RecoveryMe
 		return Table{}, nil, err
 	}
 	defer stop()
-	opts := dist.DefaultOptions()
-	opts.ModelHash = dist.ModelHash(w.Net, w.Snap)
-	coord := &dist.Coordinator{Addrs: addrs, Opts: opts}
+	hash := dist.ModelHash(w.Net, w.Snap)
+	coord := &dist.Coordinator{Addrs: addrs}
 
 	var cold *dist.Result
 	coldWall := time.Duration(0)
 	for i := 0; i < iters; i++ {
 		t0 := time.Now()
-		res, err := coord.RunClasses(classes, k)
+		res, err := dist.Run(journaled(classes, k, hash, nil), coord)
 		if err != nil {
 			return Table{}, nil, err
 		}
@@ -105,12 +100,12 @@ func RecoverySweep(params gen.Params, k, workers, iters int) (Table, *RecoveryMe
 	resumedWall := time.Duration(0)
 	for i := 0; i < iters; i++ {
 		journal := filepath.Join(dir, fmt.Sprintf("recovery-%d.journal", i))
-		s, err := dist.NewSession(journal, "bench-recovery", k, "", opts.ModelHash, classes)
+		s, err := dist.NewSession(journal, "bench-recovery", k, "", hash, classes)
 		if err != nil {
 			return Table{}, nil, err
 		}
 		s.KillAfter = kill
-		_, runErr := coord.RunSession(s, k)
+		_, runErr := dist.Run(journaled(classes, k, hash, s), coord)
 		s.Close()
 		if !errors.Is(runErr, dist.ErrSessionKilled) {
 			return Table{}, nil, fmt.Errorf("expected injected coordinator death, got %v", runErr)
@@ -121,7 +116,7 @@ func RecoverySweep(params gen.Params, k, workers, iters int) (Table, *RecoveryMe
 		if err != nil {
 			return Table{}, nil, err
 		}
-		res, err := coord.RunSession(s2, k)
+		res, err := dist.Run(journaled(classes, k, hash, s2), coord)
 		s2.Close()
 		if err != nil {
 			return Table{}, nil, err
@@ -164,6 +159,14 @@ func RecoverySweep(params gen.Params, k, workers, iters int) (Table, *RecoveryMe
 		},
 	}
 	return t, m, nil
+}
+
+// journaled is the monolithic plan of the class partition of the model
+// with the given hash, journaled to s (nil = not journaled).
+func journaled(classes [][]string, k int, hash string, s *dist.Session) *dist.Plan {
+	p := dist.ClassPlan(classes, k)
+	p.ModelHash, p.Journal = hash, s
+	return p
 }
 
 // startPool spins up n in-process dist workers for the WAN and returns

@@ -28,6 +28,16 @@ type PrefixClass struct {
 	Fingerprint string
 }
 
+// MemberStrings renders the members, Rep first, as prefix strings — the
+// form a class takes in a dispatch plan or a session journal.
+func (c PrefixClass) MemberStrings() []string {
+	out := make([]string, len(c.Members))
+	for i, p := range c.Members {
+		out[i] = p.String()
+	}
+	return out
+}
+
 // Classes partitions AnnouncedPrefixes() into behavior classes, computed
 // once per Model from the assembled model only (no simulation). Classes
 // are ordered by the trie order of their representatives.

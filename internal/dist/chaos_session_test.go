@@ -57,11 +57,15 @@ func TestChaosMatrixCoordinatorKillResume(t *testing.T) {
 	}
 	coldBytes := canonicalReport(t, cold)
 
-	modes := []struct {
+	type mode struct {
 		name string
 		cfg  faultnet.Config
 		opts func() Options
-	}{
+		// plan builds the session's plan; nil means the monolithic class
+		// plan.
+		plan func(*testing.T) *Plan
+	}
+	modes := []mode{
 		{name: "clean", cfg: faultnet.Config{Seed: seed}, opts: fastOpts},
 		{name: "latency", cfg: faultnet.Config{Seed: seed, Latency: 2 * time.Millisecond}, opts: fastOpts},
 		{name: "corruption", cfg: faultnet.Config{Seed: seed, CorruptEvery: 977}, opts: fastOpts},
@@ -73,66 +77,90 @@ func TestChaosMatrixCoordinatorKillResume(t *testing.T) {
 		}},
 	}
 	killPoints := []int{1, len(classes) / 2, len(classes) - 1}
-
-	for _, mode := range modes {
+	type cell struct {
+		mode
+		kp int
+	}
+	var cells []cell
+	for _, m := range modes {
 		for _, kp := range killPoints {
-			if kp < 1 || kp >= len(classes) {
-				continue
-			}
-			t.Run(fmt.Sprintf("%s/kill%d", mode.name, kp), func(t *testing.T) {
-				// One faulty worker, one healthy one: every mode can
-				// finish, but the faulty path is exercised throughout.
-				faultAddr, faultStop := startFaultWorker(t, w, mode.cfg)
-				defer faultStop()
-				cleanAddr, cleanStop := startWorkers(t, w, 1)
-				defer cleanStop()
-				coord := &Coordinator{Addrs: []string{faultAddr, cleanAddr[0]}, Opts: mode.opts()}
-
-				journal := filepath.Join(t.TempDir(), "chaos.journal")
-				s1, err := NewSession(journal, "chaos", 2, "", ModelHash(w.Net, w.Snap), classes)
-				if err != nil {
-					t.Fatal(err)
-				}
-				s1.KillAfter = kp
-				_, runErr := coord.RunSession(s1, 2)
-				s1.Close()
-				if !errors.Is(runErr, ErrSessionKilled) {
-					t.Fatalf("seed %d: expected injected coordinator death, got %v", seed, runErr)
-				}
-
-				s2, err := Resume(journal)
-				if err != nil {
-					t.Fatalf("seed %d: resume: %v", seed, err)
-				}
-				defer s2.Close()
-				if err := s2.MatchesClasses(classes); err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
-				}
-				if s2.Completed() != kp {
-					t.Fatalf("seed %d: journal holds %d completions, want exactly %d (fsync-at-class granularity)",
-						seed, s2.Completed(), kp)
-				}
-				res, err := coord.RunSession(s2, 2)
-				if err != nil {
-					t.Fatalf("seed %d: resumed run: %v", seed, err)
-				}
-				// No duplicate dispatch: the resumed run simulates only
-				// what the journal does not cover.
-				if res.Classes != len(classes)-kp {
-					t.Fatalf("seed %d: resumed run dispatched %d classes, want %d (journaled classes must not re-dispatch)",
-						seed, res.Classes, len(classes)-kp)
-				}
-				if res.Resumed != kp {
-					t.Fatalf("seed %d: replayed %d classes from the journal, want %d", seed, res.Resumed, kp)
-				}
-				if s2.Completed() != len(classes) {
-					t.Fatalf("seed %d: journal ends with %d completions, want %d", seed, s2.Completed(), len(classes))
-				}
-				if got := canonicalReport(t, res); string(got) != string(coldBytes) {
-					t.Fatalf("seed %d: resumed sweep is not byte-identical to the uninterrupted run", seed)
-				}
-			})
+			cells = append(cells, cell{m, kp})
 		}
+	}
+	// One modular row: the same journal settles units that took several
+	// region passes each, with no code written for the combination.
+	cells = append(cells, cell{mode{name: "modular", cfg: faultnet.Config{Seed: seed}, opts: fastOpts,
+		plan: func(t *testing.T) *Plan { return modularPlan(t, w, 2) }}, len(classes) / 2})
+
+	for _, c := range cells {
+		kp := c.kp
+		if kp < 1 || kp >= len(classes) {
+			continue
+		}
+		t.Run(fmt.Sprintf("%s/kill%d", c.name, kp), func(t *testing.T) {
+			// One faulty worker, one healthy one: every mode can
+			// finish, but the faulty path is exercised throughout.
+			faultAddr, faultStop := startFaultWorker(t, w, c.cfg)
+			defer faultStop()
+			cleanAddr, cleanStop := startWorkers(t, w, 1)
+			defer cleanStop()
+			coord := &Coordinator{Addrs: []string{faultAddr, cleanAddr[0]}, Opts: c.opts()}
+			plan := func(s *Session) *Plan {
+				if c.plan == nil {
+					return classPlan(classes, 2, s)
+				}
+				p := c.plan(t)
+				p.Journal = s
+				return p
+			}
+
+			journal := filepath.Join(t.TempDir(), "chaos.journal")
+			s1, err := NewSession(journal, "chaos", 2, "", ModelHash(w.Net, w.Snap), classes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s1.KillAfter = kp
+			_, runErr := Run(plan(s1), coord)
+			s1.Close()
+			if !errors.Is(runErr, ErrSessionKilled) {
+				t.Fatalf("seed %d: expected injected coordinator death, got %v", seed, runErr)
+			}
+
+			s2, err := Resume(journal)
+			if err != nil {
+				t.Fatalf("seed %d: resume: %v", seed, err)
+			}
+			defer s2.Close()
+			if err := s2.MatchesClasses(classes); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			if s2.Completed() != kp {
+				t.Fatalf("seed %d: journal holds %d completions, want exactly %d (fsync-at-class granularity)",
+					seed, s2.Completed(), kp)
+			}
+			res, err := Run(plan(s2), coord)
+			if err != nil {
+				t.Fatalf("seed %d: resumed run: %v", seed, err)
+			}
+			// No duplicate dispatch: the resumed run simulates only
+			// what the journal does not cover.
+			if res.Classes != len(classes)-kp {
+				t.Fatalf("seed %d: resumed run dispatched %d classes, want %d (journaled classes must not re-dispatch)",
+					seed, res.Classes, len(classes)-kp)
+			}
+			if res.Resumed != kp {
+				t.Fatalf("seed %d: replayed %d classes from the journal, want %d", seed, res.Resumed, kp)
+			}
+			if s2.Completed() != len(classes) {
+				t.Fatalf("seed %d: journal ends with %d completions, want %d", seed, s2.Completed(), len(classes))
+			}
+			if c.plan != nil && res.ModularPasses == 0 {
+				t.Fatalf("seed %d: the modular row dispatched no region pass", seed)
+			}
+			if got := canonicalReport(t, res); string(got) != string(coldBytes) {
+				t.Fatalf("seed %d: resumed sweep is not byte-identical to the uninterrupted run", seed)
+			}
+		})
 	}
 }
 
@@ -199,10 +227,10 @@ func TestInterleavedSessionsSharedPoolNoCrosstalk(t *testing.T) {
 
 	run := func(hash string, classes [][]string) (*Result, error) {
 		opts := fastOpts()
-		opts.ModelHash = hash
 		opts.Session = "session-" + hash
-		coord := &Coordinator{Addrs: addrs, Opts: opts}
-		return coord.RunClasses(classes, 2)
+		plan := ClassPlan(classes, 2)
+		plan.ModelHash = hash
+		return Run(plan, &Coordinator{Addrs: addrs, Opts: opts})
 	}
 
 	// Each model swept alone is the truth.
@@ -247,10 +275,9 @@ func TestUnknownModelHashIsLoud(t *testing.T) {
 	}
 	addrs, stop := startWorkers(t, wa, 1)
 	defer stop()
-	opts := fastOpts()
-	opts.ModelHash = "deadbeefdeadbeef"
-	coord := &Coordinator{Addrs: addrs, Opts: opts}
-	if _, err := coord.Run([]string{"10.0.0.0/24"}, 2); err == nil {
+	plan := ClassPlan([][]string{{"10.0.0.0/24"}}, 2)
+	plan.ModelHash = "deadbeefdeadbeef"
+	if _, err := Run(plan, &Coordinator{Addrs: addrs, Opts: fastOpts()}); err == nil {
 		t.Fatal("unknown model hash must fail the request")
 	}
 }
@@ -266,10 +293,9 @@ func TestWorkerSharedLRUEvicts(t *testing.T) {
 	defer stop()
 
 	run := func(hash string, classes [][]string) *Result {
-		opts := fastOpts()
-		opts.ModelHash = hash
-		coord := &Coordinator{Addrs: addrs, Opts: opts}
-		res, err := coord.RunClasses(classes, 2)
+		plan := ClassPlan(classes, 2)
+		plan.ModelHash = hash
+		res, err := Run(plan, &Coordinator{Addrs: addrs, Opts: fastOpts()})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -46,7 +46,7 @@ func startFaultWorker(t *testing.T, w *gen.WAN, cfg faultnet.Config) (addr strin
 func responseBytes(t *testing.T, w *gen.WAN, prefix string, k int) int {
 	t.Helper()
 	wk := NewWorker(w.Net, w.Snap)
-	resp := wk.answer(Request{Prefix: prefix, K: k}, map[sharedKey]*connSim{})
+	resp := wk.answer(Request{Prefix: prefix, K: k}, &connSim{}, nil)
 	if resp.Error != "" {
 		t.Fatalf("answer: %s", resp.Error)
 	}
@@ -59,6 +59,16 @@ func responseBytes(t *testing.T, w *gen.WAN, prefix string, k int) int {
 		t.Fatal(err)
 	}
 	return len(rb) + len(qb) + 2 // two newlines
+}
+
+// runPrefixes verifies prefixes one by one — the unclassed run: a plan
+// of singleton classes.
+func runPrefixes(c *Coordinator, prefixes []string, k int) (*Result, error) {
+	classes := make([][]string, len(prefixes))
+	for i, p := range prefixes {
+		classes[i] = []string{p}
+	}
+	return c.RunClasses(classes, k)
 }
 
 func wanPrefixes(w *gen.WAN) []string {
@@ -89,7 +99,7 @@ func TestWorkerConnDeathRequeuesInFlightJobs(t *testing.T) {
 	defer stop()
 
 	coord := &Coordinator{Addrs: []string{addr}, Opts: fastOpts()}
-	res, err := coord.Run(prefixes, 2)
+	res, err := runPrefixes(coord, prefixes, 2)
 	if err != nil {
 		t.Fatalf("run with flaky worker: %v", err)
 	}
@@ -132,7 +142,7 @@ func TestChaosTwoOfFourWorkersDieMidRun(t *testing.T) {
 	}
 
 	coord := &Coordinator{Addrs: addrs, Opts: fastOpts()}
-	res, err := coord.Run(prefixes, 2)
+	res, err := runPrefixes(coord, prefixes, 2)
 	if err != nil {
 		t.Fatalf("run with 2/4 dead workers: %v", err)
 	}
@@ -165,7 +175,7 @@ func TestAllWorkersDeadAllowPartial(t *testing.T) {
 	opts := fastOpts()
 	opts.AllowPartial = true
 	coord := &Coordinator{Addrs: addrs, Opts: opts}
-	res, err := coord.Run(prefixes, 1)
+	res, err := runPrefixes(coord, prefixes, 1)
 	if err != nil {
 		t.Fatalf("AllowPartial must not error: %v", err)
 	}
@@ -186,7 +196,7 @@ func TestAllWorkersDeadAllowPartial(t *testing.T) {
 
 	// The same run without AllowPartial is an error.
 	coord.Opts.AllowPartial = false
-	if _, err := coord.Run(prefixes, 1); err == nil {
+	if _, err := runPrefixes(coord, prefixes, 1); err == nil {
 		t.Fatal("all-dead pool without AllowPartial must error")
 	}
 }
@@ -214,7 +224,7 @@ func TestPartialResultsAfterPermanentWorkerDeath(t *testing.T) {
 	opts := fastOpts()
 	opts.AllowPartial = true
 	coord := &Coordinator{Addrs: []string{addr}, Opts: opts}
-	res, err := coord.Run(prefixes, 2)
+	res, err := runPrefixes(coord, prefixes, 2)
 	if err != nil {
 		t.Fatalf("AllowPartial must not error: %v", err)
 	}
@@ -292,7 +302,7 @@ func TestHedgedRedispatchRescuesStraggler(t *testing.T) {
 	coord := &Coordinator{Addrs: []string{bhAddr, goodAddr}, Opts: opts}
 
 	start := time.Now()
-	res, err := coord.Run(prefixes, 2)
+	res, err := runPrefixes(coord, prefixes, 2)
 	if err != nil {
 		t.Fatalf("hedged run: %v", err)
 	}
@@ -325,7 +335,7 @@ func TestConcurrentConnectionsShareWorkerModel(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			coord := &Coordinator{Addrs: addrs, Opts: fastOpts()}
-			res, err := coord.Run(prefixes, 1)
+			res, err := runPrefixes(coord, prefixes, 1)
 			if err != nil {
 				errs <- err
 				return

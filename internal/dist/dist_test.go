@@ -49,7 +49,7 @@ func TestDistributedSweepMatchesLocal(t *testing.T) {
 		prefixes = append(prefixes, p.String())
 	}
 	coord := &Coordinator{Addrs: addrs}
-	res, err := coord.Run(prefixes, 2)
+	res, err := runPrefixes(coord, prefixes, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,19 +89,19 @@ func TestCoordinatorErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No workers.
-	if _, err := (&Coordinator{}).Run([]string{"10.0.0.0/24"}, 1); err == nil {
+	if _, err := runPrefixes(&Coordinator{}, []string{"10.0.0.0/24"}, 1); err == nil {
 		t.Fatal("no workers must fail")
 	}
 	// Unreachable worker address.
 	bad := &Coordinator{Addrs: []string{"127.0.0.1:1"}}
-	if _, err := bad.Run([]string{"10.0.0.0/24"}, 1); err == nil {
+	if _, err := runPrefixes(bad, []string{"10.0.0.0/24"}, 1); err == nil {
 		t.Fatal("dead worker must surface")
 	}
 	// Bad prefix reaches the worker and comes back as an error.
 	addrs, stop := startWorkers(t, w, 1)
 	defer stop()
 	coord := &Coordinator{Addrs: addrs}
-	if _, err := coord.Run([]string{"not-a-prefix"}, 1); err == nil {
+	if _, err := runPrefixes(coord, []string{"not-a-prefix"}, 1); err == nil {
 		t.Fatal("bad prefix must surface")
 	}
 }
@@ -145,7 +145,7 @@ func TestRunClassesReplicates(t *testing.T) {
 	if classed.Replicated != len(all)-len(classes) {
 		t.Fatalf("replicated %d members, want %d", classed.Replicated, len(all)-len(classes))
 	}
-	plain, err := coord.Run(all, 2)
+	plain, err := runPrefixes(coord, all, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestWorkerReusesSimulatorAcrossPrefixes(t *testing.T) {
 	// (the worker keeps per-connection simulators; closing and reopening
 	// is also fine).
 	for i := 0; i < 2; i++ {
-		res, err := coord.Run(prefixes, 1)
+		res, err := runPrefixes(coord, prefixes, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

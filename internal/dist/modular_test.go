@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"net"
 	"testing"
 
 	"hoyan/internal/behavior"
@@ -9,48 +8,11 @@ import (
 	"hoyan/internal/gen"
 )
 
-// startModularWorkers is startWorkers with MaxShared sized for a modular
-// session: one region Shared per region plus the global Shared the
-// monolithic fallback builds, per failure budget.
-func startModularWorkers(t *testing.T, w *gen.WAN, n, maxShared int) ([]string, func()) {
+// modularPlan builds the modular plan of the WAN's class partition: the
+// partition's regions, and each class homed where its family originates
+// (no home where FamilyHome refuses).
+func modularPlan(t *testing.T, w *gen.WAN, k int) *Plan {
 	t.Helper()
-	var addrs []string
-	var stops []func()
-	for i := 0; i < n; i++ {
-		wk := NewWorker(w.Net, w.Snap)
-		wk.MaxShared = maxShared
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		done := make(chan error, 1)
-		go func() { done <- wk.Serve(ln) }()
-		addrs = append(addrs, ln.Addr().String())
-		stops = append(stops, func() {
-			wk.Close()
-			<-done
-		})
-	}
-	return addrs, func() {
-		for _, s := range stops {
-			s()
-		}
-	}
-}
-
-// TestRunModularMatchesRunClasses checks the distributed modular
-// dispatch against the monolithic class run it replaces: same class
-// partition, same workers, verdict-for-verdict identical summaries. K=1
-// must need no fallback at all; K=3 exercises the refusal path (the
-// AllowASLoop echo routes cross a second cut on gen.Medium, a genuine
-// monolithic behavior the two-round schedule refuses to approximate) and
-// so proves refused representatives land on byte-identical monolithic
-// answers.
-func TestRunModularMatchesRunClasses(t *testing.T) {
-	w, err := gen.Generate(gen.Medium())
-	if err != nil {
-		t.Fatal(err)
-	}
 	model, err := core.Assemble(w.Net, w.Snap, behavior.TrueProfiles())
 	if err != nil {
 		t.Fatal(err)
@@ -59,38 +21,52 @@ func TestRunModularMatchesRunClasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var regions []string
+	p := &Plan{K: k}
 	for i := 0; i < pt.NumRegions(); i++ {
-		regions = append(regions, pt.RegionName(i))
+		p.Regions = append(p.Regions, pt.RegionName(i))
 	}
-
-	var stringClasses [][]string
-	var modClasses []ModularClass
 	for _, cl := range model.Classes() {
-		var ms []string
-		for _, p := range cl.Members {
-			ms = append(ms, p.String())
-		}
-		stringClasses = append(stringClasses, ms)
-		home := ""
+		c := Class{Members: cl.MemberStrings()}
 		if hi, err := pt.FamilyHome(model, cl.Rep); err == nil {
-			home = pt.RegionName(hi)
+			c.Home = pt.RegionName(hi)
 		}
-		modClasses = append(modClasses, ModularClass{Members: ms, Home: home})
+		p.Classes = append(p.Classes, c)
 	}
+	return p
+}
 
-	addrs, stop := startModularWorkers(t, w, 2, len(regions)+4)
+// TestRunModularMatchesRunClasses checks a modular plan over remote
+// workers against the monolithic class run it replaces: same class
+// partition, same workers, verdict-for-verdict identical summaries in
+// the same (node) order. K=1 must need no fallback at all; K=3 exercises
+// the refusal path (the AllowASLoop echo routes cross a second cut on
+// gen.Medium, a genuine monolithic behavior the region passes refuse to
+// approximate) and so proves refused representatives land on
+// byte-identical monolithic answers. The workers run with the default
+// MaxShared: the LRU cap a modular session needs comes from the
+// partition.
+func TestRunModularMatchesRunClasses(t *testing.T) {
+	w, err := gen.Generate(gen.Medium())
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs, stop := startWorkers(t, w, 2)
 	defer stop()
 	coord := &Coordinator{Addrs: addrs}
 
 	for _, k := range []int{1, 3} {
-		mono, err := coord.RunClasses(stringClasses, k)
+		plan := modularPlan(t, w, k)
+		var classes [][]string
+		for _, c := range plan.Classes {
+			classes = append(classes, c.Members)
+		}
+		mono, err := coord.RunClasses(classes, k)
 		if err != nil {
 			t.Fatalf("k=%d: RunClasses: %v", k, err)
 		}
-		mod, err := coord.RunModular(modClasses, regions, k)
+		mod, err := Run(plan, coord)
 		if err != nil {
-			t.Fatalf("k=%d: RunModular: %v", k, err)
+			t.Fatalf("k=%d: modular Run: %v", k, err)
 		}
 		if mod.ModularPasses == 0 {
 			t.Fatalf("k=%d: no modular passes dispatched", k)
@@ -109,14 +85,13 @@ func TestRunModularMatchesRunClasses(t *testing.T) {
 			if !ok {
 				t.Fatalf("k=%d: %s missing from modular result", k, p)
 			}
-			sorted := sortedByRouter(want)
-			if len(got) != len(sorted) {
-				t.Fatalf("k=%d: %s: %d vs %d router summaries", k, p, len(got), len(sorted))
+			if len(got) != len(want) {
+				t.Fatalf("k=%d: %s: %d vs %d router summaries", k, p, len(got), len(want))
 			}
-			for i := range sorted {
-				if got[i] != sorted[i] {
+			for i := range want {
+				if got[i] != want[i] {
 					t.Fatalf("k=%d: %s at %s: modular %+v vs monolithic %+v",
-						k, p, sorted[i].Router, got[i], sorted[i])
+						k, p, want[i].Router, got[i], want[i])
 				}
 			}
 		}

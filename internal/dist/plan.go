@@ -1,0 +1,258 @@
+package dist
+
+import (
+	"fmt"
+	"slices"
+	"strings"
+	"time"
+
+	"hoyan/internal/core"
+)
+
+// Plan is everything one sweep dispatches, whichever executors run it.
+// Its parts are orthogonal by construction: any mix of replayed classes,
+// audits, region passes and a journal is the same scheduler run.
+type Plan struct {
+	// K is the failure budget of every pass (0 adopts the journal's).
+	K int
+	// ModelHash fingerprints (ModelHash) the model the plan verifies.
+	// Remote workers run every pass against the model registered under it
+	// (empty selects their default), and a journal written for another
+	// model refuses the plan, whichever executors run it.
+	ModelHash string
+	// Classes is the dispatch partition.
+	Classes []Class
+	// Regions names the regions of the model's partition, in partition
+	// order. Empty means monolithic: every unit is one whole-WAN pass.
+	Regions []string
+	// Journal, when set, makes the run a crash-safe session: a class
+	// whose report the journal already holds settles from it, and every
+	// other class's report is journaled (and fsync'd) before it settles.
+	Journal *Session
+
+	// Model and Sim bind the plan to an assembled model for in-process
+	// executors (Local); remote workers resolve ModelHash.
+	Model *core.Model
+	Sim   core.Options
+	// Live, when set, sees every pass an in-process executor completes,
+	// with the simulator's Result still valid — what baseline capture
+	// and condition audits need and the wire does not carry. It runs on
+	// the executor's goroutine; an error fails the pass.
+	Live func(u Unit, res *core.Result, resp *Response) error
+}
+
+// ClassPlan is the plain monolithic plan of a class partition (member
+// lists, representative first): nothing replayed, audited or journaled.
+func ClassPlan(classes [][]string, k int) *Plan {
+	p := &Plan{K: k}
+	for _, members := range classes {
+		p.Classes = append(p.Classes, Class{Members: members})
+	}
+	return p
+}
+
+// Class is one prefix behavior class of a plan.
+type Class struct {
+	// Members are the class's prefixes, representative first
+	// (core.Model.Classes order). Only the representative is simulated;
+	// its summaries settle every member.
+	Members []string
+	// Home names the region originating the class's family
+	// (core.Partition.FamilyHome). In a plan with Regions, an empty Home
+	// marks a class the caller already refused — origins spanning
+	// regions, say — which runs as one monolithic pass.
+	Home string
+	// Replayed marks a class the caller settles itself, from the report
+	// its baseline holds: the representative is not simulated and the
+	// class has no entry in Result.ByPrefix. Its Audit prefixes still run.
+	Replayed bool
+	// Audit lists prefixes of the class to simulate in full on the side
+	// — members whose replication, or the representative whose replay,
+	// the caller wants checked. Their summaries land in Result.Audits.
+	Audit []string
+}
+
+// UnitKind classifies a unit of a plan.
+type UnitKind uint8
+
+const (
+	// UnitRep is a class representative: its summaries settle the class.
+	UnitRep UnitKind = iota
+	// UnitAudit is a full simulation on the side, for comparison.
+	UnitAudit
+)
+
+// Unit identifies one prefix simulation of a plan to Plan.Live.
+type Unit struct {
+	Class  int // index into Plan.Classes
+	Kind   UnitKind
+	Prefix string
+}
+
+// unit is the scheduler's state for one prefix simulation: a small pass
+// state machine. A monolithic unit is one pass. A modular unit runs its
+// home region, then every other region in partition order with the home
+// pass's cut summary, one pass at a time; the first refusal discards the
+// region verdicts and re-runs the unit as one monolithic pass. Passes of
+// one unit never overlap, so the passes a plan takes — and which units
+// fall back — do not depend on the executors.
+type unit struct {
+	Unit
+	members []string // prefixes the unit settles (UnitRep); nil for audits
+	home    int      // index of the home region in the plan's Regions; -1 = monolithic from the start
+
+	// The pass state. seq numbers the unit's passes: an answer carrying a
+	// stale seq (a hedge copy the unit no longer waits for) is dropped.
+	seq      int
+	stage    int  // region passes absorbed so far
+	mono     bool // the current pass is monolithic
+	cut      *core.CutSummary
+	verdicts []RouterSummary
+	elapsed  time.Duration
+	refused  string
+
+	// Scheduler bookkeeping, owned by Run's loop.
+	copies     int       // in-flight copies of the current pass
+	since      time.Time // when the current pass was first handed out
+	dispatches int
+	attempts   int // application-level failures of the current pass
+	lastErr    string
+	settled    bool // completed or permanently failed
+	failed     bool
+}
+
+// units expands the plan into its dispatch list: per class, the
+// representative (unless replayed) and then its audits. Empty classes
+// and repeated prefixes are dropped.
+func (p *Plan) units() []*unit {
+	var out []*unit
+	seen := map[string]bool{}
+	add := func(u *unit, c *Class) {
+		if seen[u.Prefix] {
+			return
+		}
+		seen[u.Prefix] = true
+		u.home = slices.Index(p.Regions, c.Home)
+		u.mono = u.home < 0
+		if u.mono && len(p.Regions) > 0 {
+			u.refused = "no home region"
+		}
+		out = append(out, u)
+	}
+	for i := range p.Classes {
+		c := &p.Classes[i]
+		if len(c.Members) == 0 {
+			continue
+		}
+		if !c.Replayed {
+			add(&unit{Unit: Unit{Class: i, Kind: UnitRep, Prefix: c.Members[0]}, members: c.Members}, c)
+		}
+		for _, a := range c.Audit {
+			add(&unit{Unit: Unit{Class: i, Kind: UnitAudit, Prefix: a}}, c)
+		}
+	}
+	return out
+}
+
+// pass is one request to an executor: the unit's current pass.
+type pass struct {
+	u      *unit
+	seq    int
+	region string           // "" = monolithic
+	cut    *core.CutSummary // imported on passes after the home pass
+	hedge  bool
+}
+
+// next returns the unit's current pass.
+func (u *unit) next(regions []string) *pass {
+	ps := &pass{u: u, seq: u.seq}
+	switch {
+	case u.mono:
+	case u.stage == 0:
+		ps.region = regions[u.home]
+	case u.stage <= u.home:
+		ps.region, ps.cut = regions[u.stage-1], u.cut
+	default:
+		ps.region, ps.cut = regions[u.stage], u.cut
+	}
+	return ps
+}
+
+// absorb folds the answer to the unit's current pass into the unit and
+// reports whether the unit is complete; when it is not, its next pass is
+// ready.
+func (u *unit) absorb(resp *Response, regions int, out *Result) (done bool) {
+	u.elapsed += resp.Elapsed
+	if u.mono {
+		u.verdicts = resp.Summaries
+		return true
+	}
+	out.ModularPasses++
+	u.seq++
+	if resp.Refused != "" || (u.stage == 0 && resp.Summary == nil) {
+		u.refused = resp.Refused
+		if u.refused == "" {
+			u.refused = "home pass exported no cut summary"
+		}
+		u.mono, u.cut, u.verdicts = true, nil, nil
+		return false
+	}
+	if u.stage == 0 {
+		u.cut = resp.Summary
+	}
+	u.verdicts = append(u.verdicts, resp.Summaries...)
+	if u.stage++; u.stage < regions {
+		return false
+	}
+	// Region passes answer region by region; the fold wants node order.
+	slices.SortFunc(u.verdicts, func(a, b RouterSummary) int { return int(a.Node) - int(b.Node) })
+	return true
+}
+
+// settle records summaries as the report of every member prefix — the
+// one place a representative is replicated to its class.
+func (r *Result) settle(members []string, summaries []RouterSummary) {
+	for _, m := range members {
+		r.ByPrefix[m] = summaries
+	}
+	r.Replicated += len(members) - 1
+}
+
+// finish turns the scheduler's final unit states into the Result: every
+// completed representative settles its class, audits land on the side,
+// a failed representative fails every member of its class, and refusals
+// are counted. It returns the run's error: nil when nothing failed or
+// partial results are allowed.
+func (r *Result) finish(units []*unit, allowPartial bool) error {
+	for _, u := range units {
+		if u.refused != "" {
+			r.ModularRefused++
+			r.Refusals[u.Prefix] = u.refused
+		}
+		switch {
+		case !u.settled: // the run was aborted first: a crash, not a failure
+		case u.failed:
+			fail := PrefixFailure{Prefix: u.Prefix, Dispatches: u.dispatches, LastError: u.lastErr}
+			if u.members == nil {
+				delete(r.ByPrefix, u.Prefix) // an audit that never ran leaves its prefix unverified
+				r.Failed = append(r.Failed, fail)
+			}
+			for _, m := range u.members {
+				fail.Prefix = m
+				r.Failed = append(r.Failed, fail)
+			}
+		case u.Kind == UnitRep:
+			r.settle(u.members, u.verdicts)
+			r.SimTime[u.Prefix] = u.elapsed
+		default:
+			r.Audits[u.Prefix] = u.verdicts
+		}
+	}
+	slices.SortFunc(r.Failed, func(a, b PrefixFailure) int { return strings.Compare(a.Prefix, b.Prefix) })
+	if len(r.Failed) == 0 || allowPartial {
+		return nil
+	}
+	f := r.Failed[0]
+	return fmt.Errorf("dist: %d/%d prefixes failed (first: %s after %d dispatches: %s)",
+		len(r.Failed), len(r.ByPrefix)+len(r.Failed), f.Prefix, f.Dispatches, f.LastError)
+}

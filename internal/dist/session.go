@@ -9,8 +9,9 @@
 // class's report is durable before the scheduler settles it). Resume
 // reads the journal back, tolerating exactly the damage a crash can
 // cause (a truncated final line), reconstructs the ready queue from the
-// unfinished classes, and RunSession replays completed classes from
-// their journaled reports while re-dispatching only the remainder. The
+// unfinished classes, and Run (with the session as the plan's Journal)
+// settles completed classes from their journaled reports while
+// dispatching only the remainder. The
 // resumed result is byte-identical to an uninterrupted run because
 // per-class reports are deterministic and replication is exact.
 //
@@ -69,9 +70,8 @@ type journalRecord struct {
 }
 
 // Session is a journaled sweep session. Create one with NewSession (or
-// reconstruct a crashed one with Resume), run it with
-// Coordinator.RunSession, and Remove the journal once the sweep fully
-// completed.
+// reconstruct a crashed one with Resume), run it as a Plan's Journal, and
+// Remove the journal once the sweep fully completed.
 type Session struct {
 	// KillAfter, when > 0, aborts the session with ErrSessionKilled after
 	// that many freshly journaled class completions — deterministic
@@ -94,7 +94,7 @@ type Session struct {
 // NewSession creates the journal file (refusing to overwrite an existing
 // one — resume or remove it instead) and writes the fsync'd header.
 // classes is the full dispatch partition, each class's representative
-// first, exactly as Coordinator.RunClasses takes it.
+// first: the Members of the plan's Classes.
 func NewSession(path, id string, k int, optionsHash, modelHash string, classes [][]string) (*Session, error) {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
@@ -214,8 +214,8 @@ func (s *Session) Completed() int {
 }
 
 // Redispatched counts classes that were dispatched but not completed
-// when the journal was last written — in flight at the crash, re-queued
-// by RunSession exactly like a job lost to worker death.
+// when the journal was last written — in flight at the crash, dispatched
+// again on resume exactly like a pass lost to worker death.
 func (s *Session) Redispatched() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -335,83 +335,52 @@ func (s *Session) appendDone(rep string, summaries []RouterSummary) error {
 	return nil
 }
 
-// RunSession runs (or resumes) a journaled sweep session: classes with a
-// journaled report are replayed without touching a worker, the remainder
-// — including anything dispatched but unfinished at a crash — is
-// re-dispatched through the normal resilient scheduler, and every fresh
-// completion is journaled before it is counted. k must match the
-// journal (0 adopts it). The Result covers the whole session: replayed
-// classes (Result.Resumed) plus freshly dispatched ones
-// (Result.Classes), all replicated to members.
-func (c *Coordinator) RunSession(s *Session, k int) (*Result, error) {
-	if s == nil {
-		return nil, fmt.Errorf("dist: nil session")
+// admit opens a run of plan p under the journal: it refuses a plan the
+// journal was not written for (failure budget, model or class partition
+// drifted), settles every class the journal already holds a report for
+// without touching a worker, and returns the failure budget (the
+// journal's, which a plan K of 0 adopts) plus the units still to run —
+// including anything dispatched but unfinished at a crash, re-dispatched
+// exactly like a pass lost to worker death. The audits of a journaled
+// class do not run again.
+func (s *Session) admit(p *Plan, units []*unit, out *Result) (int, []*unit, error) {
+	if p.K != 0 && p.K != s.header.K {
+		return 0, nil, fmt.Errorf("dist: session %s journaled k=%d but the run requested k=%d", s.header.Session, s.header.K, p.K)
 	}
-	if k == 0 {
-		k = s.header.K
+	if p.ModelHash != "" && s.header.Model != "" && p.ModelHash != s.header.Model {
+		return 0, nil, fmt.Errorf("dist: session %s journaled model %s but the plan verifies %s (model changed since the crash?); remove the journal and sweep fresh",
+			s.header.Session, s.header.Model, p.ModelHash)
 	}
-	if k != s.header.K {
-		return nil, fmt.Errorf("dist: session %s journaled k=%d but the run requested k=%d", s.header.Session, s.header.K, k)
+	var classes [][]string
+	for _, c := range p.Classes {
+		if len(c.Members) > 0 {
+			classes = append(classes, c.Members)
+		}
 	}
-	if mh := c.Opts.ModelHash; mh != "" && s.header.Model != "" && mh != s.header.Model {
-		return nil, fmt.Errorf("dist: session %s journaled model %s but the coordinator serves %s", s.header.Session, s.header.Model, mh)
+	if err := s.MatchesClasses(classes); err != nil {
+		return 0, nil, err
 	}
-
-	reps, members, _ := classParts(s.header.Classes)
-	var remaining []string
-	redispatched := 0
 	s.mu.Lock()
-	for _, rep := range reps {
-		if _, ok := s.done[rep]; ok {
+	defer s.mu.Unlock()
+	journaled := map[int]bool{} // by class
+	for _, u := range units {
+		if summ, ok := s.done[u.Prefix]; ok && u.Kind == UnitRep {
+			journaled[u.Class] = true
+			out.settle(u.members, summ)
+			out.Resumed++
+		}
+	}
+	var pending []*unit
+	for _, u := range units {
+		if journaled[u.Class] {
 			continue
 		}
-		remaining = append(remaining, rep)
-		if s.dispatched[rep] {
-			redispatched++
+		pending = append(pending, u)
+		if u.Kind == UnitRep && s.dispatched[u.Prefix] {
+			out.Redispatched++
 		}
 	}
-	s.mu.Unlock()
-
-	var res *Result
-	var runErr error
-	if len(remaining) > 0 {
-		hooks := &runHooks{
-			dispatched: s.appendDispatch,
-			done:       s.appendDone,
-		}
-		res, runErr = c.run(remaining, k, hooks)
-		if res == nil {
-			return nil, runErr
-		}
-	} else {
-		res = &Result{
-			ByPrefix:     map[string][]RouterSummary{},
-			Assigned:     map[string]int{},
-			WorkerErrors: map[string][]string{},
-		}
-	}
-	res.Classes = len(remaining)
-	res.Redispatched = redispatched
-
-	// Replay journaled reports. Iterate reps (deterministic order), not
-	// the done map.
-	s.mu.Lock()
-	for _, rep := range reps {
-		if summ, ok := s.done[rep]; ok {
-			if _, fresh := res.ByPrefix[rep]; !fresh {
-				res.ByPrefix[rep] = summ
-				res.Resumed++
-			}
-		}
-	}
-	s.mu.Unlock()
-	// The counter must reflect journal replays only, not fresh overlaps.
-	res.Resumed = len(reps) - len(remaining)
-
-	if errors.Is(runErr, ErrSessionKilled) {
-		return res, runErr // crashed: no member expansion, no failure report
-	}
-	return expandClasses(res, reps, members, runErr)
+	return s.header.K, pending, nil
 }
 
 // ModelHash fingerprints a (topology, snapshot) pair deterministically:

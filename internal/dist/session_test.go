@@ -23,13 +23,17 @@ func modelClasses(t *testing.T, w *gen.WAN) [][]string {
 	}
 	var classes [][]string
 	for _, c := range model.Classes() {
-		var cl []string
-		for _, p := range c.Members {
-			cl = append(cl, p.String())
-		}
-		classes = append(classes, cl)
+		classes = append(classes, c.MemberStrings())
 	}
 	return classes
+}
+
+// classPlan is the monolithic plan of a class partition, journaled to s
+// (nil for none).
+func classPlan(classes [][]string, k int, s *Session) *Plan {
+	p := ClassPlan(classes, k)
+	p.Journal = s
+	return p
 }
 
 // canonicalReport serializes a result's reports deterministically so two
@@ -232,7 +236,7 @@ func TestRunSessionMatchesRunClasses(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	sessioned, err := coord.RunSession(s, 2)
+	sessioned, err := Run(classPlan(classes, 2, s), coord)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,10 +251,10 @@ func TestRunSessionMatchesRunClasses(t *testing.T) {
 	}
 
 	// k drift against the journal is refused; k=0 adopts the journal's.
-	if _, err := coord.RunSession(s, 3); err == nil {
+	if _, err := Run(classPlan(classes, 3, s), coord); err == nil {
 		t.Fatal("k mismatch must be refused")
 	}
-	again, err := coord.RunSession(s, 0)
+	again, err := Run(classPlan(classes, 0, s), coord)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,438 @@
+package dist
+
+import (
+	"bufio"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"net"
+	"sync"
+	"time"
+
+	"hoyan/internal/behavior"
+	"hoyan/internal/config"
+	"hoyan/internal/core"
+	"hoyan/internal/igp"
+	"hoyan/internal/netaddr"
+	"hoyan/internal/topo"
+)
+
+// DefaultMaxShared is the default cap on resident assembled snapshots
+// (core.Shared entries) per worker — the multi-session LRU size.
+const DefaultMaxShared = 4
+
+// modelSource holds one registered (topology, snapshot) pair and its
+// once-assembled model. Sources are never evicted — only the much larger
+// Shared (model + IGP memo) entries are — so a re-admitted session pays
+// re-assembly, not re-registration.
+type modelSource struct {
+	net  *topo.Network
+	snap config.Snapshot
+	// opts are the simulation options of every Shared built from the
+	// source (K comes from the request).
+	opts core.Options
+
+	once  sync.Once
+	model *core.Model
+	err   error
+
+	// Modular state, derived on the first region request. The partition
+	// is immutable per model; the cut memos (one per failure budget, a
+	// handful in practice) are shared by every region Shared of the model
+	// and never evicted — they are what keeps a region's resident IGP
+	// state at O(region) instead of O(WAN).
+	ptOnce sync.Once
+	pt     *core.Partition
+	ptErr  error
+	cutMu  sync.Mutex
+	cuts   map[int]*igp.Memo // by k
+}
+
+func (ms *modelSource) assemble() (*core.Model, error) {
+	ms.once.Do(func() {
+		ms.model, ms.err = core.Assemble(ms.net, ms.snap, behavior.TrueProfiles())
+	})
+	return ms.model, ms.err
+}
+
+// partition derives (once) the model's region partition; an error means
+// the model has no usable cut and every region request for it fails
+// loudly — plans for such a model carry no regions.
+func (ms *modelSource) partition() (*core.Partition, error) {
+	m, err := ms.assemble()
+	if err != nil {
+		return nil, err
+	}
+	ms.ptOnce.Do(func() {
+		ms.pt, ms.ptErr = core.NewPartition(m)
+	})
+	return ms.pt, ms.ptErr
+}
+
+// cutMemo returns the model's cross-region IGP memo for one failure
+// budget, building it on first use. Callers must have assembled the
+// model (partition() does).
+func (ms *modelSource) cutMemo(opts core.Options, pt *core.Partition) *igp.Memo {
+	ms.cutMu.Lock()
+	defer ms.cutMu.Unlock()
+	if ms.cuts == nil {
+		ms.cuts = map[int]*igp.Memo{}
+	}
+	if memo := ms.cuts[opts.K]; memo != nil {
+		return memo
+	}
+	memo := core.CutMemo(ms.model, opts, pt)
+	ms.cuts[opts.K] = memo
+	return memo
+}
+
+// sharedKey identifies one resident core.Shared: a model (by ModelHash)
+// at one failure budget, either globally (region "") or restricted to
+// one region of the model's partition.
+type sharedKey struct {
+	model  string
+	k      int
+	region string
+}
+
+// sharedEntry is one LRU slot.
+type sharedEntry struct {
+	sh   *core.Shared
+	used int64 // LRU clock tick of the last hit
+}
+
+// Worker serves verification requests for one or more network
+// snapshots. Each snapshot is registered under its ModelHash; requests
+// select one by hash (empty = the default snapshot), so several
+// concurrent sweep sessions — possibly from different coordinators —
+// share one worker pool with no cross-talk. Per (model, k, region) the
+// worker keeps a core.Shared (immutable model + one-time IGP snapshot)
+// in a small LRU, so interleaved sessions never pay per-pass re-assembly
+// while memory stays bounded.
+type Worker struct {
+	// IdleTimeout bounds the wait for the next request on a coordinator
+	// connection; zero waits forever. Set before Serve.
+	IdleTimeout time.Duration
+
+	// MaxShared caps the resident core.Shared entries (the LRU size);
+	// zero means DefaultMaxShared. A model serving region passes raises
+	// the cap to its region count plus two — every region Shared and the
+	// global one of the monolithic fallback — so a modular session never
+	// thrashes. Set before Serve. Evicting an entry only drops the
+	// worker's reference: simulators already built from it on open
+	// connections keep working (Shared is immutable), and the next
+	// request for that key re-assembles.
+	MaxShared int
+
+	sharedMu    sync.Mutex
+	sources     map[string]*modelSource // by ModelHash; "" aliases default
+	defaultHash string
+	shareds     map[sharedKey]*sharedEntry
+	regionFloor int // largest region count + 2 among models serving region passes
+	clock       int64
+	evictions   int
+
+	mu     sync.Mutex
+	ln     net.Listener
+	conns  map[net.Conn]struct{}
+	closed bool
+	wg     sync.WaitGroup
+}
+
+// NewWorker builds a worker over a network, registered as the default
+// model (selected by requests with an empty model hash) and under its
+// ModelHash.
+func NewWorker(n *topo.Network, snap config.Snapshot) *Worker {
+	return newWorker(&modelSource{net: n, snap: snap, opts: core.DefaultOptions()}, ModelHash(n, snap))
+}
+
+// newWorker builds a worker whose default model is src, also registered
+// under hash.
+func newWorker(src *modelSource, hash string) *Worker {
+	return &Worker{
+		conns:       map[net.Conn]struct{}{},
+		sources:     map[string]*modelSource{"": src, hash: src},
+		shareds:     map[sharedKey]*sharedEntry{},
+		defaultHash: hash,
+	}
+}
+
+// AddModel registers an additional network snapshot under its ModelHash
+// and returns the hash. A plan selects it as its ModelHash. Safe to call before Serve; concurrent registration
+// while serving is also safe.
+func (w *Worker) AddModel(n *topo.Network, snap config.Snapshot) string {
+	h := ModelHash(n, snap)
+	w.sharedMu.Lock()
+	defer w.sharedMu.Unlock()
+	if _, ok := w.sources[h]; !ok {
+		w.sources[h] = &modelSource{net: n, snap: snap, opts: core.DefaultOptions()}
+	}
+	return h
+}
+
+// Evictions counts Shared entries dropped by the LRU (observability and
+// tests).
+func (w *Worker) Evictions() int {
+	w.sharedMu.Lock()
+	defer w.sharedMu.Unlock()
+	return w.evictions
+}
+
+// Serve accepts coordinator connections until Close.
+func (w *Worker) Serve(ln net.Listener) error {
+	w.mu.Lock()
+	w.ln = ln
+	w.mu.Unlock()
+	for {
+		conn, err := ln.Accept()
+		if err != nil {
+			w.mu.Lock()
+			closed := w.closed
+			w.mu.Unlock()
+			if closed {
+				w.wg.Wait()
+				return nil
+			}
+			return err
+		}
+		w.mu.Lock()
+		if w.closed {
+			w.mu.Unlock()
+			conn.Close()
+			continue
+		}
+		w.conns[conn] = struct{}{}
+		w.mu.Unlock()
+		w.wg.Add(1)
+		go func() {
+			defer w.wg.Done()
+			defer func() {
+				w.mu.Lock()
+				delete(w.conns, conn)
+				w.mu.Unlock()
+				conn.Close()
+			}()
+			w.handle(conn)
+		}()
+	}
+}
+
+// Close stops the worker gracefully: no new connections are accepted, and
+// open connections stop waiting for further requests (in-flight responses
+// still flush).
+func (w *Worker) Close() error {
+	w.mu.Lock()
+	w.closed = true
+	ln := w.ln
+	for conn := range w.conns {
+		// Unblock pending reads; in-flight writes are unaffected.
+		conn.SetReadDeadline(time.Now())
+	}
+	w.mu.Unlock()
+	if ln != nil {
+		return ln.Close()
+	}
+	return nil
+}
+
+// sharedFor returns the Shared for (model hash, failure budget k,
+// region), assembling it on first use and touching its LRU slot; region
+// "" is the global Shared of a monolithic pass. A region Shared is
+// layered over the model's cut memo, so a worker serving modular passes
+// holds O(WAN/regions) per region instead of O(WAN); pt and ri are the
+// model's partition and the region's index in it (nil, -1 for the global
+// Shared).
+func (w *Worker) sharedFor(model string, k int, region string) (sh *core.Shared, pt *core.Partition, ri int, err error) {
+	w.sharedMu.Lock()
+	src := w.sources[model]
+	w.sharedMu.Unlock()
+	if src == nil {
+		return nil, nil, -1, fmt.Errorf("dist: worker does not hold model %q (default is %s)", model, w.defaultHash)
+	}
+	m, err := src.assemble()
+	if err != nil {
+		return nil, nil, -1, err
+	}
+	opts := src.opts
+	opts.K = k
+	key := sharedKey{model: model, k: k, region: region}
+	if region == "" {
+		return w.cachedShared(key, 0, func() *core.Shared { return core.NewShared(m, opts) }), nil, -1, nil
+	}
+	if pt, err = src.partition(); err != nil {
+		return nil, nil, -1, err
+	}
+	if ri = pt.RegionIndex(region); ri < 0 {
+		return nil, nil, -1, fmt.Errorf("dist: model %q has no region %q", model, region)
+	}
+	cut := src.cutMemo(opts, pt)
+	sh = w.cachedShared(key, pt.NumRegions()+2, func() *core.Shared {
+		return core.NewRegionShared(m, opts, pt, ri, cut)
+	})
+	return sh, pt, ri, nil
+}
+
+// cachedShared looks key up in the LRU, building the Shared on a miss
+// and evicting the stalest entries beyond the cap (MaxShared, raised to
+// floor). The empty default alias resolves to the default hash, so a
+// model is never resident under two keys.
+func (w *Worker) cachedShared(key sharedKey, floor int, build func() *core.Shared) *core.Shared {
+	if key.model == "" {
+		key.model = w.defaultHash
+	}
+	w.sharedMu.Lock()
+	defer w.sharedMu.Unlock()
+	w.clock++
+	w.regionFloor = max(w.regionFloor, floor)
+	if e := w.shareds[key]; e != nil {
+		e.used = w.clock
+		return e.sh
+	}
+	sh := build()
+	w.shareds[key] = &sharedEntry{sh: sh, used: w.clock}
+	limit := w.MaxShared
+	if limit <= 0 {
+		limit = DefaultMaxShared
+	}
+	limit = max(limit, w.regionFloor)
+	for len(w.shareds) > limit {
+		var oldest sharedKey
+		var oldestUsed int64
+		first := true
+		for k2, e2 := range w.shareds {
+			if first || e2.used < oldestUsed ||
+				(e2.used == oldestUsed && lessKey(k2, oldest)) {
+				oldest, oldestUsed, first = k2, e2.used, false
+			}
+		}
+		delete(w.shareds, oldest)
+		w.evictions++
+	}
+	return sh
+}
+
+// lessKey is the deterministic eviction tie-break across equally-stale
+// LRU entries.
+func lessKey(a, b sharedKey) bool {
+	if a.model != b.model {
+		return a.model < b.model
+	}
+	if a.k != b.k {
+		return a.k < b.k
+	}
+	return a.region < b.region
+}
+
+// connSim is an executor's one simulator: derived from the Shared of its
+// last pass and reused while passes stay on that Shared (IGP warmth),
+// replaced when a pass needs another — a different model, budget or
+// region, or the same key re-assembled after an eviction. An executor
+// thus holds one formula arena, however many regions its passes visit.
+type connSim struct {
+	sh  *core.Shared
+	sim *core.Simulator
+	// recycle Resets the simulator before every pass it is reused for.
+	recycle bool
+}
+
+// handle processes one coordinator connection: a stream of requests
+// answered on the connection's simulator.
+func (w *Worker) handle(conn net.Conn) {
+	dec := json.NewDecoder(bufio.NewReader(conn))
+	enc := json.NewEncoder(conn)
+	sim := &connSim{}
+	for {
+		if w.IdleTimeout > 0 {
+			conn.SetReadDeadline(time.Now().Add(w.IdleTimeout))
+		}
+		var req Request
+		if err := dec.Decode(&req); err != nil {
+			return // connection closed, idle too long, or garbage; drop it
+		}
+		// A dead connection ends the handler on every path — an encode
+		// error must not leave us spinning decoding garbage.
+		if err := enc.Encode(w.answer(req, sim, nil)); err != nil {
+			return
+		}
+	}
+}
+
+// answer runs one pass against the model the request names: monolithic,
+// or restricted to the request's region — a home pass (no imported
+// summary) captures the prefix's cut summary into the response, an
+// import pass consumes the request's. A core refusal (*core.UnsoundCut)
+// answers with Refused, not Error — it is deterministic, so the unit
+// falls back to monolithic simulation instead of retrying. live, when
+// non-nil, sees the simulator's Result next to the finished response
+// while it is still valid (until the simulator's next pass); its error
+// becomes the response's.
+func (w *Worker) answer(req Request, cs *connSim, live func(*core.Result, *Response) error) Response {
+	resp := Response{Prefix: req.Prefix, Region: req.Region}
+	fail := func(err error) Response {
+		resp.Error = err.Error()
+		return resp
+	}
+	p, err := netaddr.Parse(req.Prefix)
+	if err != nil {
+		return fail(err)
+	}
+	sh, pt, ri, err := w.sharedFor(req.Model, req.K, req.Region)
+	if err != nil {
+		return fail(err)
+	}
+	switch {
+	case cs.sh != sh:
+		cs.sh, cs.sim = sh, sh.NewSimulator()
+	case cs.recycle:
+		cs.sim.Reset()
+	}
+	t0 := time.Now()
+	var res *core.Result
+	if pt == nil {
+		res, err = cs.sim.Run(p)
+	} else {
+		var cut *core.CutSummary
+		res, cut, err = cs.sim.RunRegion(p, pt, ri, req.Summary)
+		var uc *core.UnsoundCut
+		if errors.As(err, &uc) {
+			resp.Refused = uc.Reason
+			return resp
+		}
+		if req.Summary == nil {
+			resp.Summary = cut
+		}
+	}
+	if err != nil {
+		return fail(err)
+	}
+	resp.Elapsed = time.Since(t0)
+	resp.Summaries = summarize(res, sh.M, p, req.K, pt, ri)
+	if live != nil {
+		if err := live(res, &resp); err != nil {
+			return fail(err)
+		}
+	}
+	return resp
+}
+
+// summarize turns a simulation result into per-router verdicts, in the
+// model's node order, for every BGP speaker — of region ri when pt is
+// non-nil.
+func summarize(res *core.Result, model *core.Model, p netaddr.Prefix, k int, pt *core.Partition, ri int) []RouterSummary {
+	var out []RouterSummary
+	pat := core.AnyRouteTo(p)
+	for _, node := range model.Net.Nodes() {
+		if model.Configs[node.ID].BGP == nil || (pt != nil && pt.RegionOf(node.ID) != ri) {
+			continue
+		}
+		rs := RouterSummary{Router: node.Name, Node: node.ID, Reachable: res.Reachable(node.ID, pat)}
+		if rs.Reachable {
+			rs.MinFailures, _ = res.MinFailuresToLose(node.ID, pat)
+			if rs.MinFailures > k {
+				rs.MinFailures = -1
+			}
+		}
+		out = append(out, rs)
+	}
+	return out
+}

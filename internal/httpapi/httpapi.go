@@ -439,12 +439,10 @@ func (s *Service) handleResweep(w http.ResponseWriter, r *http.Request) {
 		snap = next
 	}
 
-	opts := hoyan.Options{
-		K:             s.k,
-		Baseline:      baseline,
-		NoIncremental: req.NoIncremental,
-		AuditSample:   req.AuditSample,
+	if req.NoIncremental {
+		baseline = nil
 	}
+	opts := hoyan.Options{K: s.k, Baseline: baseline, AuditSample: req.AuditSample}
 	rep, store, err := hoyan.NetworkFrom(s.net, snap).SweepBaseline(opts, req.Workers)
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
@@ -468,7 +466,6 @@ func (s *Service) handleResweep(w http.ResponseWriter, r *http.Request) {
 		s.sim = core.NewSimulator(m, copts)
 		s.cache = map[netaddr.Prefix]*core.Result{}
 	}
-	incremental := baseline != nil && !req.NoIncremental
 	s.baseline = store
 	s.lastInval = rep.Invalidation
 	s.mu.Unlock()
@@ -485,7 +482,7 @@ func (s *Service) handleResweep(w http.ResponseWriter, r *http.Request) {
 
 	resp := ResweepResponse{
 		Session:     si.ID,
-		Incremental: incremental,
+		Incremental: baseline != nil,
 		Prefixes:    len(rep.Prefixes),
 		Classes:     rep.Classes,
 		Replayed:    rep.Replayed,

@@ -1,0 +1,223 @@
+package hoyan
+
+import (
+	"crypto/sha256"
+	"errors"
+	"fmt"
+	"net"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"hoyan/internal/behavior"
+	"hoyan/internal/core"
+	"hoyan/internal/dist"
+	"hoyan/internal/gen"
+)
+
+// reportDigest is the verdict digest of a sweep: every prefix's minimal
+// failure count and weakest router, then every violation, in report
+// order (both are sorted).
+func reportDigest(rep *SweepReport) string {
+	h := sha256.New()
+	for _, p := range rep.Prefixes {
+		fmt.Fprintf(h, "P %s %d %s\n", p.Prefix, p.MinFailures, p.WeakestRouter)
+	}
+	for _, v := range rep.Violations {
+		fmt.Fprintf(h, "V %s %s %s %s\n", v.Prefix, v.Router, v.Kind, v.Details)
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// TestSweepModeMatrix is the orthogonality pin of the sweep plan: every
+// combination of executors {2 in-process, 2 loopback TCP workers} ×
+// {monolithic, modular} × {cold, against a baseline captured before one
+// gen.Perturb edit} × {journal off, on} × {capture off, on} is the same
+// plan run by the same scheduler, so every cell yields the verdict
+// digest of the cold monolithic in-process cell — and a journaled cell
+// resumes to it too, every dispatched class settled from the journal.
+// The only refused cells are baseline capture on remote executors or
+// with region passes: neither the wire nor a region pass carries the
+// whole-WAN taints and conditions a class record holds, and the error
+// says so.
+func TestSweepModeMatrix(t *testing.T) {
+	cases := []struct {
+		name   string
+		params gen.Params
+		k      int
+	}{
+		{"small", gen.Small(), 2},
+		{"medium", gen.Medium(), 1},
+	}
+	for _, tc := range cases {
+		// The medium half runs the same scheduler over more classes and
+		// regions; under the race detector it costs minutes and shows the
+		// detector no interleaving the small half does not.
+		if tc.name != "small" && (testing.Short() || raceEnabled) {
+			continue
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			n, w := wanNetworkFrom(t, tc.params)
+			_, baseline, err := n.SweepBaseline(Options{K: tc.k}, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The edit: the first config perturbation of the series that
+			// dirties some classes and leaves some to replay.
+			edited := false
+			for _, step := range gen.Perturb(w, 3, 6) {
+				if step.Kind == "link" {
+					continue
+				}
+				trial := n.Clone()
+				applyPerturbation(t, trial, step)
+				plan, err := trial.PlanIncremental(Options{K: tc.k}, baseline)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(plan.DirtyJobs) > 0 && plan.ReplayedClasses > 0 {
+					n, edited = trial, true
+					break
+				}
+			}
+			if !edited {
+				t.Fatal("no perturbation both dirties and replays a class")
+			}
+
+			// What the cells share: the edited network's class partition
+			// (the journal header), its hash, and two loopback workers.
+			model, err := core.Assemble(n.net, n.snap, behavior.TrueProfiles())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var classes [][]string
+			for _, c := range model.Classes() {
+				classes = append(classes, c.MemberStrings())
+			}
+			hash := dist.ModelHash(n.net, n.snap)
+			var addrs []string
+			for i := 0; i < 2; i++ {
+				wk := dist.NewWorker(n.net, n.snap)
+				ln, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				done := make(chan error, 1)
+				go func() { done <- wk.Serve(ln) }()
+				defer func() {
+					wk.Close()
+					<-done
+				}()
+				addrs = append(addrs, ln.Addr().String())
+			}
+			pools := []struct {
+				name string
+				pool dist.Pool
+			}{
+				{"in-process", dist.Local(2)},
+				{"tcp", &dist.Coordinator{Addrs: addrs}},
+			}
+
+			ref, err := n.Sweep(Options{K: tc.k}, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := reportDigest(ref)
+
+			for _, pl := range pools {
+				for bits := 0; bits < 16; bits++ {
+					modular, incremental, journaled, capture := bits&1 != 0, bits&2 != 0, bits&4 != 0, bits&8 != 0
+					cell := fmt.Sprintf("%s/modular=%v/baseline=%v/journal=%v/capture=%v",
+						pl.name, modular, incremental, journaled, capture)
+					opts := Options{K: tc.k, Modular: modular}
+					if incremental {
+						opts.Baseline = baseline
+					}
+					path := filepath.Join(t.TempDir(), "sweep.journal")
+					var journal *dist.Session
+					if journaled {
+						if journal, err = dist.NewSession(path, cell, tc.k, "", hash, classes); err != nil {
+							t.Fatal(err)
+						}
+					}
+					rep, store, err := n.SweepOver(opts, pl.pool, journal, capture)
+					if journal != nil {
+						journal.Close()
+					}
+					if capture && (pl.name == "tcp" || modular) {
+						if err == nil || !strings.Contains(err.Error(), "baseline capture requires") {
+							t.Fatalf("%s: want the capture refusal, got %v", cell, err)
+						}
+						continue
+					}
+					if err != nil {
+						t.Fatalf("%s: refused or failed: %v", cell, err)
+					}
+					if got := reportDigest(rep); got != want {
+						t.Fatalf("%s: verdict digest %s, want %s", cell, got, want)
+					}
+					if capture && (store == nil || len(store.Classes) != len(classes)) {
+						t.Fatalf("%s: no complete store captured", cell)
+					}
+					if modular && rep.Modular.Passes == 0 {
+						t.Fatalf("%s: no region pass ran", cell)
+					}
+					if incremental && rep.Replayed == 0 {
+						t.Fatalf("%s: nothing replayed from the baseline", cell)
+					}
+					if !journaled {
+						continue
+					}
+					resumed, err := dist.Resume(path)
+					if err != nil {
+						t.Fatalf("%s: %v", cell, err)
+					}
+					again, _, err := n.SweepOver(opts, pl.pool, resumed, false)
+					resumed.Close()
+					if err != nil {
+						t.Fatalf("%s: resume: %v", cell, err)
+					}
+					if got := reportDigest(again); got != want {
+						t.Fatalf("%s: resumed verdict digest %s, want %s", cell, got, want)
+					}
+					if again.Run.Resumed != rep.Run.Classes || again.Run.Classes != 0 {
+						t.Fatalf("%s: resume settled %d classes from the journal and dispatched %d, want %d and 0",
+							cell, again.Run.Resumed, again.Run.Classes, rep.Run.Classes)
+					}
+				}
+
+				// A journal binds to its model, whichever executors run it: a
+				// sweep killed after one class must not resume once the
+				// network has been edited again, even by an edit (a new link)
+				// that leaves the class partition as it was.
+				later := n.Clone()
+				for _, step := range gen.Perturb(w, 3, 6) {
+					if step.Kind == "link" {
+						applyPerturbation(t, later, step)
+						break
+					}
+				}
+				path := filepath.Join(t.TempDir(), "stale.journal")
+				journal, err := dist.NewSession(path, pl.name+"/stale", tc.k, "", hash, classes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				journal.KillAfter = 1
+				_, _, err = n.SweepOver(Options{K: tc.k}, pl.pool, journal, false)
+				journal.Close()
+				if !errors.Is(err, dist.ErrSessionKilled) {
+					t.Fatalf("%s: want the injected crash, got %v", pl.name, err)
+				}
+				resumed, err := dist.Resume(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, _, err = later.SweepOver(Options{K: tc.k}, pl.pool, resumed, false)
+				resumed.Close()
+				if err == nil || !strings.Contains(err.Error(), "journaled model") {
+					t.Fatalf("%s: resuming a journal against an edited network: want the model refusal, got %v", pl.name, err)
+				}
+			}
+		})
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hoyan/internal/config"
+	"hoyan/internal/dist"
 	"hoyan/internal/gen"
 	"hoyan/internal/netaddr"
 	"hoyan/internal/topo"
@@ -173,15 +174,15 @@ func TestModularRefusesCrossRegionFamily(t *testing.T) {
 
 // TestScanVerdictsAllocBudget measures the //hoyan:hotpath annotation on
 // the summary evaluation path dynamically: scanVerdicts runs once per
-// unit per sweep over every BGP speaker's verdict, and the merge fold
+// prefix per sweep over every BGP speaker's verdict, and the fold's scan
 // must not allocate at all.
 func TestScanVerdictsAllocBudget(t *testing.T) {
-	vs := make([]modVerdict, 512)
+	vs := make([]dist.RouterSummary, 512)
 	for i := range vs {
-		vs[i] = modVerdict{node: topo.NodeID(i), min: i % 5, reachable: i%7 != 0}
+		vs[i] = dist.RouterSummary{Node: topo.NodeID(i), MinFailures: i%5 - 1, Reachable: i%7 != 0}
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		minIdx, nviol := scanVerdicts(vs, 3)
+		minIdx, nviol := scanVerdicts(vs)
 		if minIdx < -1 || nviol < 0 {
 			t.Error("unreachable")
 		}

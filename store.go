@@ -331,7 +331,7 @@ func (st *ResultStore) baselineModel(reg *behavior.Registry) (*core.Model, error
 
 // captureRecord builds the ClassRecord for a freshly simulated class
 // representative. It must run while res is still valid (before the
-// worker's next Simulator.Reset): the taint is copied and the condition
+// simulator's next pass): the taint is copied and the condition
 // exported into a factory-independent Portable here.
 func captureRecord(res *core.Result, m *core.Model, cls core.PrefixClass,
 	sum PrefixSummary, viols []Violation) ClassRecord {
@@ -495,19 +495,26 @@ func planIncremental(model *core.Model, classes []core.PrefixClass,
 	return plan
 }
 
-// IncrementalPlan is the exported planning outcome for dispatchers that
-// run simulations elsewhere (dist.Coordinator): the classes that must be
-// re-simulated, and the cached reports — already rewritten per member —
-// for everything the baseline still covers. cmd/hoyan feeds DirtyJobs to
-// Coordinator.RunClasses so the cluster only sees invalidated work.
+// report replays the record for one member prefix of its class: the
+// stored summary and violations, re-addressed.
+func (rec *ClassRecord) report(prefix string) (PrefixSummary, []Violation) {
+	sum := rec.Summary
+	sum.Prefix = prefix
+	var viols []Violation
+	for _, v := range rec.Violations {
+		v.Prefix = prefix
+		viols = append(viols, v)
+	}
+	return sum, viols
+}
+
+// IncrementalPlan is the exported planning outcome: which classes a
+// sweep against the baseline would re-simulate and how many it would
+// replay, without running any simulation.
 type IncrementalPlan struct {
 	// DirtyJobs lists the classes to re-simulate: members, representative
-	// first, as prefix strings (the dist job format).
+	// first, as prefix strings.
 	DirtyJobs [][]string
-	// ReplayedSummaries and ReplayedViolations are the cached reports of
-	// the clean classes, replicated to every member.
-	ReplayedSummaries  []PrefixSummary
-	ReplayedViolations []Violation
 	// ReplayedClasses counts the clean classes.
 	ReplayedClasses int
 	Stats           *core.InvalidationStats
@@ -515,47 +522,25 @@ type IncrementalPlan struct {
 }
 
 // PlanIncremental diffs the network against a baseline store and splits
-// the behavior classes into dirty jobs and replayable reports without
-// running any simulation. Sweep performs the same planning internally;
-// this entry point exists for distributed dispatch.
+// the behavior classes into dirty and replayable without running any
+// simulation — the planning step of a sweep with Options.Baseline, on
+// its own.
 func (n *Network) PlanIncremental(opts Options, store *ResultStore) (*IncrementalPlan, error) {
 	if len(n.errs) > 0 {
 		return nil, n.errs[0]
 	}
-	if opts.K == 0 {
-		opts.K = 3
-	}
-	reg := opts.Profiles
-	if reg == nil {
-		reg = behavior.TrueProfiles()
-	}
+	opts, reg, _ := opts.resolve()
 	model, err := core.Assemble(n.net, n.snap, reg)
 	if err != nil {
 		return nil, err
 	}
 	classes := model.Classes()
 	plan := planIncremental(model, classes, store, opts, reg)
-	out := &IncrementalPlan{Stats: plan.stats, Delta: plan.delta}
+	out := &IncrementalPlan{Stats: plan.stats, Delta: plan.delta, ReplayedClasses: plan.stats.ClassesReplayed}
 	for i, cls := range classes {
 		if plan.dirty[i] {
-			job := make([]string, len(cls.Members))
-			for j, p := range cls.Members {
-				job[j] = p.String()
-			}
-			out.DirtyJobs = append(out.DirtyJobs, job)
-			continue
+			out.DirtyJobs = append(out.DirtyJobs, cls.MemberStrings())
 		}
-		rec := plan.records[i]
-		for _, p := range cls.Members {
-			s := rec.Summary
-			s.Prefix = p.String()
-			out.ReplayedSummaries = append(out.ReplayedSummaries, s)
-			for _, v := range rec.Violations {
-				v.Prefix = p.String()
-				out.ReplayedViolations = append(out.ReplayedViolations, v)
-			}
-		}
-		out.ReplayedClasses++
 	}
 	return out, nil
 }

@@ -3,14 +3,13 @@ package hoyan
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
+	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"hoyan/internal/behavior"
 	"hoyan/internal/core"
-	"hoyan/internal/netaddr"
+	"hoyan/internal/dist"
 )
 
 // PrefixSummary is the per-prefix outcome of a full sweep.
@@ -24,7 +23,8 @@ type PrefixSummary struct {
 	WeakestRouter string
 	// SimTime is the per-prefix simulation time (the Figure 8 sample).
 	// Class members replicated from a representative report carry the
-	// representative's time.
+	// representative's time, replayed classes the time their baseline
+	// recorded, and journal-resumed classes none.
 	SimTime time.Duration
 }
 
@@ -35,10 +35,10 @@ type SweepReport struct {
 	// BGP-speaking router even with all links up).
 	Violations []Violation
 	Duration   time.Duration
-	Workers    int
+	// Workers is the number of executors the sweep ran on.
+	Workers int
 	// Classes is the size of the dispatch partition: the behavior-class
-	// count, or the prefix count when classing is disabled (Options.
-	// NoClasses). See DESIGN.md, "Prefix equivalence classes".
+	// count. See DESIGN.md, "Prefix equivalence classes".
 	Classes int
 	// Audited counts non-representative class members that were fully
 	// simulated and diffed against their replicated report
@@ -52,39 +52,27 @@ type SweepReport struct {
 	// kind histogram; nil for cold sweeps.
 	Invalidation *core.InvalidationStats
 	// Delta is the model delta an incremental sweep acted on; nil for
-	// cold sweeps (and for baseline-vs-NoClasses runs, which cannot plan).
+	// cold sweeps.
 	Delta *core.ModelDelta
 	// Modular carries the region-partition counters of a modular sweep
 	// (Options.Modular), including every fallback to monolithic
 	// simulation; nil for monolithic sweeps.
 	Modular *ModularStats
+	// Run is the scheduler's own account of the sweep (never nil):
+	// per-executor assignment, resilience counters, journal replays and
+	// — under dist.Options.AllowPartial — the prefixes that never
+	// completed, which are then absent from Prefixes. Classes replayed
+	// from the baseline never reach the scheduler and have no entry in
+	// Run.ByPrefix.
+	Run *dist.Result
 }
 
-// Sweep verifies every announced prefix at every BGP router, sharded over
-// `workers` goroutines — the deployment mode of §8 ("50 threads ... Hoyan
-// could be run in a distributed way"). The model is assembled exactly
-// once and shared read-only across workers together with a snapshot of
-// the IGP shortest-path computations (core.Shared); each worker owns only
-// the cheap mutable half — formula factory, IGP engine, scratch — so the
-// sweep stays embarrassingly parallel like the paper's per-prefix
-// parallelism without re-doing prefix-independent work per goroutine.
-//
-// The unit of work is a prefix behavior class, not a prefix: prefixes the
-// assembled model treats identically (core.Model.Classes) share one
-// representative simulation whose report is replicated to every member.
-// Options.NoClasses restores one-simulation-per-prefix, and
-// Options.AuditSample re-simulates a fraction of the members to check the
-// replication. workers <= 0 uses GOMAXPROCS.
-//
-// With Options.Baseline set (and NoIncremental unset), the sweep is
-// incremental: it diffs the current model against the baseline's,
-// re-simulates only the behavior classes the delta can affect, and
-// replays the baseline's cached reports for the rest. Results are
-// identical to a cold sweep by construction; Options.AuditSample also
-// re-simulates a sample of the replayed classes and fails loudly if a
-// cached report diverges.
+// Sweep verifies every announced prefix at every BGP router on `workers`
+// in-process executors — the deployment mode of §8 ("50 threads ...
+// Hoyan could be run in a distributed way"). workers <= 0 uses
+// GOMAXPROCS. See SweepOver.
 func (n *Network) Sweep(opts Options, workers int) (*SweepReport, error) {
-	rep, _, err := n.sweep(opts, workers, false)
+	rep, _, err := n.SweepOver(opts, dist.Local(workers), nil, false)
 	return rep, err
 }
 
@@ -95,264 +83,212 @@ func (n *Network) Sweep(opts Options, workers int) (*SweepReport, error) {
 // classes carry their baseline records forward unchanged, so a
 // perturbation series pays capture cost only for re-simulated classes.
 func (n *Network) SweepBaseline(opts Options, workers int) (*SweepReport, *ResultStore, error) {
-	return n.sweep(opts, workers, true)
+	return n.SweepOver(opts, dist.Local(workers), nil, true)
 }
 
-// sweepJob is one unit of worker work: a class (or singleton prefix)
-// simulation, or a replay audit of a cached record.
-type sweepJob struct {
-	members []netaddr.Prefix // simulate members[0], replicate to all
-	class   int              // index into classes; -1 when unclassed
-	audit   *ClassRecord     // non-nil: replay audit against this record
-}
-
-func (n *Network) sweep(opts Options, workers int, capture bool) (*SweepReport, *ResultStore, error) {
+// SweepOver is the sweep: build one plan, run the one scheduler
+// (dist.Run) over the pool's executors — dist.Local(n) in-process ones,
+// or the remote workers of a *dist.Coordinator — and fold the verdicts.
+// The model is assembled exactly once; in-process executors share it
+// read-only together with one IGP snapshot per (budget, region)
+// (core.Shared), each owning only the cheap mutable half.
+//
+// The unit of work is a prefix behavior class, not a prefix: prefixes
+// the assembled model treats identically (core.Model.Classes) share one
+// representative simulation whose verdicts settle every member.
+// Everything else is a property of the plan, and the properties compose:
+//
+//   - Options.Baseline makes the sweep incremental: the current model is
+//     diffed against the baseline's, only the classes the delta can
+//     affect are simulated, and the baseline's reports are replayed for
+//     the rest. Results are identical to a cold sweep by construction.
+//   - Options.AuditSample simulates a seeded sample of replicated
+//     members and replayed classes in full and fails loudly when one
+//     diverges from the report it was given.
+//   - Options.Modular runs every simulation as region passes.
+//   - journal makes the sweep a crash-safe session (dist.Session).
+//   - capture returns the baseline store of SweepBaseline.
+//
+// What is refused is refused on one data ground: a class record holds
+// the whole-WAN taint set and portable conditions of a live simulation,
+// which neither the wire (a remote pool) nor a region pass (Modular)
+// carries and a journal being resumed did not keep, so capture needs
+// in-process monolithic passes of every class it records.
+func (n *Network) SweepOver(opts Options, pool dist.Pool, journal *dist.Session, capture bool) (*SweepReport, *ResultStore, error) {
 	if len(n.errs) > 0 {
 		return nil, nil, n.errs[0]
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if opts.K == 0 {
-		opts.K = 3
-	}
-	if capture && opts.NoClasses {
-		return nil, nil, fmt.Errorf("hoyan: baseline capture requires behavior classes (NoClasses is set)")
-	}
-	if capture && opts.Modular {
-		// A class record needs one whole-WAN Result (taint set, portable
-		// conditions over every BGP speaker); region passes cannot supply it.
-		return nil, nil, fmt.Errorf("hoyan: baseline capture requires monolithic simulation (Modular is set)")
-	}
-	reg := opts.Profiles
-	if reg == nil {
-		reg = behavior.TrueProfiles()
-	}
+	_, reg, _ := opts.resolve()
 	model, err := core.Assemble(n.net, n.snap, reg)
 	if err != nil {
 		return nil, nil, err
 	}
-	prefixes := model.AnnouncedPrefixes()
-	rep := &SweepReport{Workers: workers}
-	if len(prefixes) == 0 {
+	return n.sweepClasses(opts, model, model.Classes(), pool, journal, capture)
+}
+
+// resolve fills the option defaults and derives what a sweep hands the
+// core layer: the behavior registry and the simulation options.
+func (o Options) resolve() (Options, *behavior.Registry, core.Options) {
+	if o.K == 0 {
+		o.K = 3
+	}
+	reg := o.Profiles
+	if reg == nil {
+		reg = behavior.TrueProfiles()
+	}
+	copts := core.DefaultOptions()
+	copts.K = o.K
+	if o.DisablePruning {
+		copts.PruneOverK = false
+		copts.PruneImpossible = false
+	}
+	if o.DisableSimplify {
+		copts.Simplify = false
+	}
+	return o, reg, copts
+}
+
+// sweepClasses sweeps the model under a given dispatch partition —
+// model.Classes() in production; the equivalence tests pass singleton
+// classes as the unclassed reference.
+func (n *Network) sweepClasses(opts Options, model *core.Model, classes []core.PrefixClass,
+	pool dist.Pool, journal *dist.Session, capture bool) (*SweepReport, *ResultStore, error) {
+	opts, reg, copts := opts.resolve()
+	_, remote := pool.(*dist.Coordinator)
+	switch {
+	case capture && remote:
+		return nil, nil, fmt.Errorf("hoyan: baseline capture requires in-process executors (the wire does not carry a pass's taint set and conditions)")
+	case capture && opts.Modular:
+		return nil, nil, fmt.Errorf("hoyan: baseline capture requires monolithic simulation (a region pass does not see the whole-WAN taint set and conditions; Modular is set)")
+	case capture && journal != nil && journal.Completed() > 0:
+		return nil, nil, fmt.Errorf("hoyan: baseline capture requires a fresh sweep (the journal being resumed holds verdicts, not the taint sets and conditions of the classes it settles)")
+	}
+	rep := &SweepReport{Classes: len(classes), Run: &dist.Result{}}
+	if len(classes) == 0 {
 		if capture {
 			return rep, newStoreShell(n, opts), nil
 		}
 		return rep, nil, nil
 	}
 
-	var classes []core.PrefixClass
-	if !opts.NoClasses {
-		classes = model.Classes()
-	}
-
 	// Incremental planning: diff against the baseline, split classes into
 	// dirty (simulate) and clean (replay the cached record).
-	var plan *incrementalPlan
-	if opts.Baseline != nil && !opts.NoIncremental {
-		if opts.NoClasses {
-			rep.Invalidation = &core.InvalidationStats{
-				FullInvalidation: true,
-				Notes:            []string{"classing disabled (NoClasses); incremental replay unavailable, sweeping cold"},
-			}
-		} else {
-			plan = planIncremental(model, classes, opts.Baseline, opts, reg)
-			rep.Invalidation = plan.stats
-			rep.Delta = plan.delta
-		}
+	var incr *incrementalPlan
+	if opts.Baseline != nil {
+		incr = planIncremental(model, classes, opts.Baseline, opts, reg)
+		rep.Invalidation, rep.Delta = incr.stats, incr.delta
 	}
 
-	// The dispatch list. Replayed classes contribute no job unless
-	// selected for a replay audit.
-	var jobs []sweepJob
-	seed := opts.AuditSeed
-	if seed == 0 {
-		seed = 1
+	// The plan always names its model: a journal written for another one
+	// must refuse it, and multi-model workers would otherwise run an
+	// unhashed pass against whichever model is their default.
+	plan := &dist.Plan{K: opts.K, ModelHash: dist.ModelHash(n.net, n.snap), Journal: journal,
+		Model: model, Sim: copts, Classes: make([]dist.Class, len(classes))}
+	var homes []string
+	if opts.Modular {
+		rep.Modular, plan.Regions, homes = planModular(model, classes, opts.K)
 	}
-	switch {
-	case opts.NoClasses:
-		for _, p := range prefixes {
-			jobs = append(jobs, sweepJob{members: []netaddr.Prefix{p}, class: -1})
+	// Audit selection comes up front from seeded sources, so the chosen
+	// prefixes do not depend on executor count or scheduling.
+	replayAudits, memberAudits := rand.New(rand.NewSource(2)), rand.New(rand.NewSource(1))
+	for i, cls := range classes {
+		c := &plan.Classes[i]
+		c.Members = cls.MemberStrings()
+		if homes != nil {
+			c.Home = homes[i]
 		}
-	case plan == nil:
-		for i, c := range classes {
-			jobs = append(jobs, sweepJob{members: c.Members, class: i})
-		}
-	default:
-		arng := rand.New(rand.NewSource(seed + 1))
-		for i, c := range classes {
-			if plan.dirty[i] {
-				jobs = append(jobs, sweepJob{members: c.Members, class: i})
-				continue
-			}
-			// Replay the cached record; audit a seeded sample of replays.
-			rec := plan.records[i]
-			for _, p := range c.Members {
-				s := rec.Summary
-				s.Prefix = p.String()
-				rep.Prefixes = append(rep.Prefixes, s)
-				for _, v := range rec.Violations {
-					v.Prefix = p.String()
-					rep.Violations = append(rep.Violations, v)
-				}
-			}
+		switch {
+		case incr != nil && !incr.dirty[i]:
+			c.Replayed = true
 			rep.Replayed++
-			if opts.AuditSample > 0 && arng.Float64() < opts.AuditSample {
-				jobs = append(jobs, sweepJob{members: c.Members, class: i, audit: rec})
+			if opts.AuditSample > 0 && replayAudits.Float64() < opts.AuditSample {
+				c.Audit = c.Members[:1]
 			}
-		}
-	}
-
-	// Member-level audit selection happens up front from a seeded source,
-	// so the chosen members do not depend on worker count or scheduling.
-	audit := map[netaddr.Prefix]bool{}
-	if !opts.NoClasses && opts.AuditSample > 0 {
-		rng := rand.New(rand.NewSource(seed))
-		for _, job := range jobs {
-			if job.audit != nil {
-				continue
-			}
-			for _, p := range job.members[1:] {
-				if rng.Float64() < opts.AuditSample {
-					audit[p] = true
+		case opts.AuditSample > 0:
+			for _, m := range c.Members[1:] {
+				if memberAudits.Float64() < opts.AuditSample {
+					c.Audit = append(c.Audit, m)
 				}
 			}
 		}
 	}
 
-	// Workers beyond the dispatched job count would idle; clamp to what can
-	// actually run in parallel (jobs, not prefixes).
-	if workers > len(jobs) && len(jobs) > 0 {
-		workers = len(jobs)
-	}
-	rep.Workers = workers
-	resetEvery := opts.ResetEvery
-	if resetEvery <= 0 {
-		resetEvery = 1
-	}
-
-	copts := core.DefaultOptions()
-	copts.K = opts.K
-	if opts.DisablePruning {
-		copts.PruneOverK = false
-		copts.PruneImpossible = false
-	}
-	if opts.DisableSimplify {
-		copts.Simplify = false
-	}
-
-	start := time.Now()
+	// What only a live simulation can give: class records, and the
+	// condition half of a replay audit. Each unit's passes run one at a
+	// time and units own distinct slots, so the hook needs no lock.
 	var captured []*ClassRecord
 	if capture {
 		captured = make([]*ClassRecord, len(classes))
 	}
-	type shardResult struct {
-		summaries     []PrefixSummary
-		violations    []Violation
-		audited       int
-		replayAudited int
-		err           error
-	}
-	results := make([]shardResult, workers)
-	switch {
-	case len(jobs) > 0 && opts.Modular:
-		if err := n.sweepModular(model, jobs, audit, opts, copts, workers, resetEvery, rep); err != nil {
-			return nil, nil, err
+	anchored := make([]bool, len(classes))
+	plan.Live = func(u dist.Unit, res *core.Result, resp *dist.Response) error {
+		switch {
+		case u.Kind == dist.UnitRep && captured != nil:
+			sum, viols := foldVerdicts(u.Prefix, resp.Summaries, resp.Elapsed)
+			rec := captureRecord(res, model, classes[u.Class], sum, viols)
+			captured[u.Class] = &rec
+		case u.Kind == dist.UnitAudit && plan.Classes[u.Class].Replayed:
+			ok, err := auditCond(incr.records[u.Class], classes[u.Class], res, resp)
+			anchored[u.Class] = anchored[u.Class] || ok
+			return err
 		}
-	case len(jobs) > 0:
-		shared := core.NewShared(model, copts)
-		var wg sync.WaitGroup
-		for wkr := 0; wkr < workers; wkr++ {
-			wg.Add(1)
-			go func(wkr int) {
-				defer wg.Done()
-				sim := shared.NewSimulator()
-				done := 0
-				// The returned Result is valid only until the next run call
-				// (the simulator recycles its arena); capture and audits use
-				// it immediately.
-				run := func(p netaddr.Prefix) (PrefixSummary, []Violation, *core.Result, error) {
-					// Unrelated prefixes share no conditions, so the formula
-					// arena only grows across runs; periodic resets keep both
-					// memory and hash-cons lookup costs flat. Re-seeding from
-					// the shared IGP memo makes a reset cheap.
-					if done > 0 && done%resetEvery == 0 {
-						sim.Reset()
-					}
-					done++
-					return sweepOne(sim, model, p, opts.K)
-				}
-				for i := wkr; i < len(jobs); i += workers {
-					job := jobs[i]
-					sum, viols, res, err := run(job.members[0])
-					if err != nil {
-						results[wkr].err = err
-						return
-					}
-					if job.audit != nil {
-						if err := auditReplay(job.audit, sum, viols, res, model, job.members[0]); err != nil {
-							results[wkr].err = err
-							return
-						}
-						results[wkr].replayAudited++
-						continue
-					}
-					if plan != nil {
-						// A dirty class re-simulated under an incremental plan:
-						// stamp the sweep-wide counters so the run's Stats are
-						// self-describing (core.Stats.Invalidation).
-						res.Stats.Invalidation = plan.stats
-					}
-					if captured != nil && job.class >= 0 {
-						rec := captureRecord(res, model, classes[job.class], sum, viols)
-						captured[job.class] = &rec
-					}
-					// Replicate the representative's report to every member,
-					// rewriting the prefix name.
-					for _, p := range job.members {
-						s := sum
-						s.Prefix = p.String()
-						results[wkr].summaries = append(results[wkr].summaries, s)
-						for _, v := range viols {
-							v.Prefix = p.String()
-							results[wkr].violations = append(results[wkr].violations, v)
-						}
-					}
-					for _, p := range job.members[1:] {
-						if !audit[p] {
-							continue
-						}
-						asum, aviols, _, err := run(p)
-						if err != nil {
-							results[wkr].err = err
-							return
-						}
-						if err := diffAudit(sum, viols, asum, aviols, job.members[0], p); err != nil {
-							results[wkr].err = err
-							return
-						}
-						results[wkr].audited++
-					}
-				}
-			}(wkr)
-		}
-		wg.Wait()
+		return nil
 	}
 
-	rep.Duration = time.Since(start)
-	rep.Classes = len(classes)
-	if opts.NoClasses {
-		rep.Classes = len(prefixes)
+	start := time.Now()
+	res, err := dist.Run(plan, pool)
+	if err != nil {
+		return nil, nil, err
 	}
-	for _, r := range results {
-		if r.err != nil {
-			return nil, nil, r.err
+	rep.Duration, rep.Workers, rep.Run = time.Since(start), res.Executors, res
+	if ms := rep.Modular; ms != nil {
+		ms.settle(plan, res)
+	}
+
+	// report is the report a prefix of class i settled with: the baseline
+	// record's for a replayed class, else the fold of the verdicts the
+	// scheduler settled (absent when the prefix failed, and was allowed
+	// to: see rep.Run.Failed).
+	report := func(i int, m string) (PrefixSummary, []Violation, bool) {
+		if plan.Classes[i].Replayed {
+			sum, viols := incr.records[i].report(m)
+			return sum, viols, true
 		}
-		rep.Prefixes = append(rep.Prefixes, r.summaries...)
-		rep.Violations = append(rep.Violations, r.violations...)
-		rep.Audited += r.audited
-		if rep.Invalidation != nil {
-			rep.Invalidation.ReplaysAudited += r.replayAudited
+		vs, ok := res.ByPrefix[m]
+		if !ok {
+			return PrefixSummary{}, nil, false
+		}
+		sum, viols := foldVerdicts(m, vs, res.SimTime[plan.Classes[i].Members[0]])
+		return sum, viols, true
+	}
+	for i, c := range plan.Classes {
+		for _, m := range c.Members {
+			if sum, viols, ok := report(i, m); ok {
+				rep.Prefixes = append(rep.Prefixes, sum)
+				rep.Violations = append(rep.Violations, viols...)
+			}
+		}
+		for _, a := range c.Audit {
+			sum, viols, ok := report(i, a)
+			got := res.Audits[a]
+			if !ok || got == nil {
+				continue // never completed, and allowed to
+			}
+			err := diffAudit(a, c.Members[0], sum, viols, got)
+			if !c.Replayed {
+				rep.Audited++
+			} else {
+				rep.Invalidation.ReplaysAudited++
+				switch rec := incr.records[i]; {
+				case err != nil:
+					err = fmt.Errorf("hoyan: incremental replay audit: stale cached report: %w", err)
+				case !remote && rec.Cond != nil && !anchored[i]:
+					err = fmt.Errorf("hoyan: incremental replay audit for %s: no pass covered the condition anchor %q", a, rec.CondRouter)
+				}
+			}
+			if err != nil {
+				return nil, nil, err
+			}
 		}
 	}
 	sort.Slice(rep.Prefixes, func(i, j int) bool { return rep.Prefixes[i].Prefix < rep.Prefixes[j].Prefix })
@@ -368,10 +304,10 @@ func (n *Network) sweep(opts Options, workers int, capture bool) (*SweepReport, 
 		store = newStoreShell(n, opts)
 		for i, cls := range classes {
 			rec := captured[i]
-			if rec == nil && plan != nil && plan.records[i] != nil && !plan.dirty[i] {
+			if rec == nil && plan.Classes[i].Replayed {
 				// Carry the baseline record forward; only the fingerprint
 				// string can have shifted under unrelated edits.
-				carried := *plan.records[i]
+				carried := *incr.records[i]
 				carried.Fingerprint = cls.Fingerprint
 				rec = &carried
 			}
@@ -384,83 +320,88 @@ func (n *Network) sweep(opts Options, workers int, capture bool) (*SweepReport, 
 	return rep, store, nil
 }
 
-// sweepOne simulates one prefix and derives its summary and violations —
-// the same code path whether the prefix is a class representative, a
-// singleton of an unclassed sweep, or an audit re-check of a member. The
-// Result is returned for immediate use (taint capture, condition export,
-// replay audits) and becomes invalid at the simulator's next run/Reset.
-func sweepOne(sim *core.Simulator, m *core.Model, p netaddr.Prefix, k int) (PrefixSummary, []Violation, *core.Result, error) {
-	t0 := time.Now()
-	res, err := sim.Run(p)
-	if err != nil {
-		return PrefixSummary{}, nil, nil, err
+// foldVerdicts folds one prefix's per-router verdicts, in the model's
+// node order, into the report: a violation per unreachable BGP speaker,
+// and the smallest within-budget failure count (the first router in
+// node order wins ties) as the prefix's weak point. Every report — of a
+// simulated, replicated, replayed, resumed or audited prefix, whichever
+// executor answered — comes out of this one fold.
+func foldVerdicts(prefix string, vs []dist.RouterSummary, simTime time.Duration) (PrefixSummary, []Violation) {
+	sum := PrefixSummary{Prefix: prefix, MinFailures: -1, SimTime: simTime}
+	minIdx, nviol := scanVerdicts(vs)
+	if minIdx >= 0 {
+		sum.MinFailures, sum.WeakestRouter = vs[minIdx].MinFailures, vs[minIdx].Router
 	}
-	sum := PrefixSummary{
-		Prefix:      p.String(),
-		MinFailures: -1,
-		SimTime:     time.Since(t0),
+	if nviol == 0 {
+		return sum, nil
 	}
-	var viols []Violation
-	for _, node := range m.Net.Nodes() {
-		if m.Configs[node.ID].BGP == nil {
-			continue
-		}
-		pt := core.AnyRouteTo(p)
-		if !res.Reachable(node.ID, pt) {
+	viols := make([]Violation, 0, nviol)
+	for i := range vs {
+		if !vs[i].Reachable {
 			viols = append(viols, Violation{
-				Kind: "reachability", Prefix: p.String(), Router: node.Name,
+				Kind: "reachability", Prefix: prefix, Router: vs[i].Router,
 				Details: "no route with all links up",
 			})
+		}
+	}
+	return sum, viols
+}
+
+// scanVerdicts selects the weakest in-budget verdict (the index of the
+// first minimal MinFailures among reachable routers; beyond the budget
+// it is -1) and counts violations. It runs once per prefix per sweep
+// over every BGP speaker's verdict, on the summary evaluation path.
+//
+//hoyan:hotpath
+func scanVerdicts(vs []dist.RouterSummary) (minIdx, nviol int) {
+	minIdx = -1
+	for i := range vs {
+		if !vs[i].Reachable {
+			nviol++
 			continue
 		}
-		min, _ := res.MinFailuresToLose(node.ID, pt)
-		if min <= k && (sum.MinFailures == -1 || min < sum.MinFailures) {
-			sum.MinFailures = min
-			sum.WeakestRouter = node.Name
+		if m := vs[i].MinFailures; m >= 0 && (minIdx == -1 || m < vs[minIdx].MinFailures) {
+			minIdx = i
 		}
 	}
-	return sum, viols, res, nil
+	return minIdx, nviol
 }
 
-// auditReplay checks a freshly simulated class representative against
-// the cached record the incremental sweep replayed for its class: the
-// report fields must match, and the stored portable condition DAG must
-// still be equivalent to the fresh reachability condition at the
-// record's anchor router.
-func auditReplay(rec *ClassRecord, sum PrefixSummary, viols []Violation,
-	res *core.Result, m *core.Model, p netaddr.Prefix) error {
-	if err := diffAudit(rec.Summary, rec.Violations, sum, viols, p, p); err != nil {
-		return fmt.Errorf("hoyan: incremental replay audit: stale cached report: %w", err)
+// auditCond is the condition half of a replay audit: when the pass
+// covers the record's anchor router, the stored portable condition DAG
+// must still be equivalent to the fresh reachability condition there.
+// It reports whether the pass covered the anchor.
+func auditCond(rec *ClassRecord, cls core.PrefixClass, res *core.Result, resp *dist.Response) (bool, error) {
+	if rec.Cond == nil {
+		return false, nil
 	}
-	if rec.Cond != nil && rec.CondRouter != "" {
-		node, ok := m.Net.NodeByName(rec.CondRouter)
-		if !ok {
-			return fmt.Errorf("hoyan: incremental replay audit for %s: anchor router %q not in model", p, rec.CondRouter)
-		}
-		fresh := res.ReachCond(node.ID, core.AnyRouteTo(p))
-		imported := rec.Cond.Import(res.Sim.F)
-		if len(imported) != 1 || !res.Sim.F.Equivalent(imported[0], fresh) {
-			return fmt.Errorf("hoyan: incremental replay audit for %s: stored reachability condition at %s no longer equivalent to fresh simulation", p, rec.CondRouter)
-		}
+	i := slices.IndexFunc(resp.Summaries, func(s dist.RouterSummary) bool { return s.Router == rec.CondRouter })
+	if i < 0 {
+		return false, nil // the anchor lies in another region's pass
 	}
-	return nil
+	fresh := res.ReachCond(resp.Summaries[i].Node, core.AnyRouteTo(cls.Rep))
+	imported := rec.Cond.Import(res.Sim.F)
+	if len(imported) != 1 || !res.Sim.F.Equivalent(imported[0], fresh) {
+		return true, fmt.Errorf("hoyan: incremental replay audit for %s: stored reachability condition at %s no longer equivalent to fresh simulation", cls.Rep, rec.CondRouter)
+	}
+	return true, nil
 }
 
-// diffAudit compares an audited member's fully simulated report against
-// the one replicated from its class representative. Violations are
-// generated in node order by sweepOne on both sides, so positional
-// comparison suffices.
-func diffAudit(rep PrefixSummary, repV []Violation, got PrefixSummary, gotV []Violation, repP, p netaddr.Prefix) error {
-	if got.MinFailures != rep.MinFailures || got.WeakestRouter != rep.WeakestRouter {
+// diffAudit compares the report an audited prefix's fully simulated
+// verdicts fold to against the one the sweep gave it — replicated from
+// its class representative repP, or replayed from the baseline.
+func diffAudit(p, repP string, rep PrefixSummary, repV []Violation, got []dist.RouterSummary) error {
+	sum, gotV := foldVerdicts(p, got, 0)
+	if sum.MinFailures != rep.MinFailures || sum.WeakestRouter != rep.WeakestRouter {
 		return fmt.Errorf("hoyan: sweep audit divergence for %s (class of %s): got MinFailures=%d WeakestRouter=%q, replicated MinFailures=%d WeakestRouter=%q",
-			p, repP, got.MinFailures, got.WeakestRouter, rep.MinFailures, rep.WeakestRouter)
+			p, repP, sum.MinFailures, sum.WeakestRouter, rep.MinFailures, rep.WeakestRouter)
 	}
 	if len(gotV) != len(repV) {
 		return fmt.Errorf("hoyan: sweep audit divergence for %s (class of %s): %d violations, replicated %d",
 			p, repP, len(gotV), len(repV))
 	}
 	for i := range gotV {
-		if gotV[i].Kind != repV[i].Kind || gotV[i].Router != repV[i].Router || gotV[i].Details != repV[i].Details {
+		if gotV[i] != repV[i] {
 			return fmt.Errorf("hoyan: sweep audit divergence for %s (class of %s): violation %d is %s@%s, replicated %s@%s",
 				p, repP, i, gotV[i].Kind, gotV[i].Router, repV[i].Kind, repV[i].Router)
 		}

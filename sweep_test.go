@@ -5,9 +5,12 @@ import (
 	"strings"
 	"testing"
 
+	"hoyan/internal/behavior"
 	"hoyan/internal/config"
 	"hoyan/internal/core"
+	"hoyan/internal/dist"
 	"hoyan/internal/gen"
+	"hoyan/internal/netaddr"
 )
 
 // wanNetwork converts a generated WAN into a public-API Network.
@@ -34,6 +37,26 @@ func wanNetworkFrom(t testing.TB, params gen.Params) (*Network, *gen.WAN) {
 		n.SetConfig(name, config.Write(cfg))
 	}
 	return n, w
+}
+
+// sweepUnclassed is the reference the class layer is pinned against: the
+// same sweep over a plan of singleton classes — every announced prefix
+// simulated on its own, nothing replicated.
+func sweepUnclassed(t testing.TB, n *Network, opts Options, workers int) *SweepReport {
+	t.Helper()
+	model, err := core.Assemble(n.net, n.snap, behavior.TrueProfiles())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var singles []core.PrefixClass
+	for _, p := range model.AnnouncedPrefixes() {
+		singles = append(singles, core.PrefixClass{Rep: p, Members: []netaddr.Prefix{p}})
+	}
+	rep, _, err := n.sweepClasses(opts, model, singles, dist.Local(workers), nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
 }
 
 func TestSweepParallelMatchesSerial(t *testing.T) {
@@ -180,16 +203,13 @@ func TestSweepClassedMatchesUnclassed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		unclassed, err := n.Sweep(Options{K: k, NoClasses: true}, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
+		unclassed := sweepUnclassed(t, n, Options{K: k}, 4)
 		if classed.Classes >= len(w.Prefixes()) {
 			t.Fatalf("K=%d: batching never engaged: %d classes for %d prefixes",
 				k, classed.Classes, len(w.Prefixes()))
 		}
 		if unclassed.Classes != len(w.Prefixes()) {
-			t.Fatalf("K=%d: NoClasses must dispatch per prefix: %d jobs for %d prefixes",
+			t.Fatalf("K=%d: the unclassed reference must dispatch per prefix: %d jobs for %d prefixes",
 				k, unclassed.Classes, len(w.Prefixes()))
 		}
 		diffSweepReports(t, "classed vs unclassed", classed, unclassed)
@@ -249,11 +269,7 @@ func TestSweepAsymmetricPolicySplitsClasses(t *testing.T) {
 	if !filtered || !passed {
 		t.Fatalf("expected only 10.0.2.0/24 unreachable at pe, got %+v", rep.Violations)
 	}
-	unclassed, err := n.Sweep(Options{K: 1, NoClasses: true}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diffSweepReports(t, "asymmetric classed vs unclassed", rep, unclassed)
+	diffSweepReports(t, "asymmetric classed vs unclassed", rep, sweepUnclassed(t, n, Options{K: 1}, 1))
 }
 
 // TestSweepAuditSample: auditing every non-representative member of a
@@ -285,28 +301,10 @@ func TestSweepWorkerClampToJobs(t *testing.T) {
 	if classed.Workers != classed.Classes {
 		t.Fatalf("workers clamped to %d, want the class count %d", classed.Workers, classed.Classes)
 	}
-	unclassed, err := n.Sweep(Options{K: 1, NoClasses: true}, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	unclassed := sweepUnclassed(t, n, Options{K: 1}, 64)
 	if unclassed.Workers != len(w.Prefixes()) {
 		t.Fatalf("unclassed workers clamped to %d, want the prefix count %d", unclassed.Workers, len(w.Prefixes()))
 	}
-}
-
-// TestSweepResetEveryOption: a larger recycle interval must not change
-// verdicts (the batch for this option's default is DESIGN.md's).
-func TestSweepResetEveryOption(t *testing.T) {
-	n, _ := wanNetwork(t)
-	every1, err := n.Sweep(Options{K: 2}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	every4, err := n.Sweep(Options{K: 2, ResetEvery: 4}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diffSweepReports(t, "resetEvery 1 vs 4", every1, every4)
 }
 
 // TestSweepFullWANClassedIdentity is the acceptance run of the PR: the
@@ -322,10 +320,7 @@ func TestSweepFullWANClassedIdentity(t *testing.T) {
 		t.Fatalf("classed full sweep (10%% audit): %v", err)
 	}
 	t.Logf("classed:   %s", classed)
-	unclassed, err := n.Sweep(Options{K: 3, NoClasses: true}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	unclassed := sweepUnclassed(t, n, Options{K: 3}, 8)
 	t.Logf("unclassed: %s", unclassed)
 	diffSweepReports(t, "full WAN classed vs unclassed", classed, unclassed)
 	if classed.Audited == 0 {
