@@ -48,11 +48,8 @@ go test -run='^$' -fuzz=FuzzPortableDecode -fuzztime=10s ./internal/logic/
 go test -run='^$' -fuzz=FuzzCollectorLine -fuzztime=10s ./internal/collector/
 go test -run='^$' -fuzz=FuzzCompiledEval -fuzztime=10s ./internal/qc/
 # Benchmark smoke: one iteration of every benchmark keeps the evaluation
-# harness honest without turning CI into a timing run. The query
-# experiment smokes on the small preset without writing a snapshot; real
-# BENCH numbers come from the full presets.
+# harness honest without turning CI into a timing run.
 go test -bench=. -benchtime=1x -run='^$' .
-go run ./cmd/hoyanbench -exp query -query-preset small -query-clients 4 -query-duration 2s -query-out=
 # The pipeline benchmark is a Go module of its own, so the root `go test
 # ./...` never builds it: vet and smoke-test it against this tree.
 go vet -C benchmark ./... && go test -C benchmark ./...

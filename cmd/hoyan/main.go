@@ -20,11 +20,8 @@ import (
 	"hoyan/internal/behavior"
 	"hoyan/internal/config"
 	"hoyan/internal/core"
-	"hoyan/internal/dataplane"
 	"hoyan/internal/dist"
 	"hoyan/internal/gen"
-	"hoyan/internal/netaddr"
-	"hoyan/internal/racing"
 	"hoyan/internal/topo"
 	"hoyan/internal/vet"
 )
@@ -157,86 +154,53 @@ func main() {
 	case "route":
 		need(*prefix, "-prefix")
 		need(*router, "-router")
-		m, sim := build(snap)
-		p := mustPrefix(*prefix)
-		res, err := sim.Run(p)
+		rep, err := verifier(net, snap, *k).RouteReach(*prefix, *router)
 		if err != nil {
 			fail(err.Error())
 		}
-		id, ok := m.Resolve(*router)
-		if !ok {
-			fail("unknown router " + *router)
-		}
-		min, flen := res.MinFailuresToLose(id, core.AnyRouteTo(p))
-		fmt.Printf("route %s @ %s: reachable=%v\n", p, *router, res.Reachable(id, core.AnyRouteTo(p)))
-		if min > *k {
-			fmt.Printf("  survives any %d link failures (formula len %d)\n", *k, flen)
+		fmt.Printf("route %s @ %s: reachable=%v\n", *prefix, *router, rep.Reachable)
+		if rep.Tolerant {
+			fmt.Printf("  survives any %d link failures (formula len %d)\n", *k, rep.FormulaLen)
 		} else {
-			fs, _ := res.WitnessFailure(id, core.AnyRouteTo(p))
-			var names []string
-			for _, l := range fs {
-				names = append(names, m.Net.Link(l).Name)
-			}
-			fmt.Printf("  breaks with %d failures: %v\n", min, names)
+			fmt.Printf("  breaks with %d failures: %v\n", rep.MinFailures, rep.Witness)
 		}
 	case "packet":
 		need(*prefix, "-prefix")
 		need(*src, "-src")
-		m, sim := build(snap)
-		p := mustPrefix(*prefix)
-		res, err := sim.Run(p)
+		rep, err := verifier(net, snap, *k).PacketReach(*prefix, *src)
 		if err != nil {
 			fail(err.Error())
 		}
-		id, ok := m.Resolve(*src)
-		if !ok {
-			fail("unknown router " + *src)
+		min := fmt.Sprint(rep.MinFailures)
+		if rep.Tolerant {
+			min = fmt.Sprintf(">%d", *k)
 		}
-		anns := m.AnnouncersOf(p)
-		if len(anns) == 0 {
-			fail("nobody announces " + p.String())
-		}
-		fib := dataplane.Build(res)
-		pr := fib.PacketReach(id, 0, p.Addr+1, anns[0])
-		min := sim.F.MinFailuresToViolate(pr.Cond)
-		fmt.Printf("packet %s -> %s (gw %s): reachable=%v min-failures=%s\n",
-			*src, p, m.Net.Node(anns[0]).Name, sim.F.Eval(pr.Cond, nil), minStr(min, *k))
+		fmt.Printf("packet %s -> %s: reachable=%v min-failures=%s\n", *src, *prefix, rep.Reachable, min)
 	case "equiv":
 		need(*a, "-a")
 		need(*b, "-b")
-		m, sim := build(snap)
-		na, ok1 := m.Resolve(*a)
-		nb, ok2 := m.Resolve(*b)
-		if !ok1 || !ok2 {
-			fail("unknown router")
+		rep, err := verifier(net, snap, *k).RoleEquivalence(*a, *b)
+		if err != nil {
+			fail(err.Error())
 		}
-		diffs := 0
-		for _, p := range m.AnnouncedPrefixes() {
-			res, err := sim.Run(p)
-			if err != nil {
-				fail(err.Error())
-			}
-			for _, d := range res.EquivalentRoles(na, nb) {
-				diffs++
-				fmt.Printf("  %s: %s (%s=%s, %s=%s)\n", d.Prefix, d.Field, *a, d.A, *b, d.B)
-			}
+		for _, d := range rep.Differences {
+			fmt.Printf("  %s\n", d)
 		}
-		if diffs == 0 {
+		if rep.Equivalent {
 			fmt.Printf("%s and %s are equivalent roles\n", *a, *b)
 		} else {
-			fmt.Printf("%d divergences\n", diffs)
+			fmt.Printf("%d divergences\n", len(rep.Differences))
 			exit(1)
 		}
 	case "racing":
 		need(*prefix, "-prefix")
-		_, sim := build(snap)
-		rep, err := racing.Detect(sim, mustPrefix(*prefix), racing.DefaultOptions())
+		rep, err := verifier(net, snap, *k).CheckRacing(*prefix)
 		if err != nil {
 			fail(err.Error())
 		}
 		if rep.Ambiguous {
 			fmt.Printf("AMBIGUOUS: %d convergences; order-dependent at %d routers\n",
-				len(rep.Solutions), len(rep.AmbiguousNodes))
+				rep.Convergences, len(rep.AmbiguousRouters))
 			exit(1)
 		}
 		fmt.Println("convergence is deterministic")
@@ -322,15 +286,7 @@ func main() {
 		if err != nil {
 			fail(err.Error())
 		}
-		hn, err := hoyan.LoadDirectory(*dir)
-		if err != nil {
-			fail(err.Error())
-		}
-		v, err := hn.Verifier(hoyan.Options{K: *k})
-		if err != nil {
-			fail(err.Error())
-		}
-		viols, err := v.CheckIntentSet(set)
+		viols, err := verifier(net, snap, *k).CheckIntentSet(set)
 		if err != nil {
 			fail(err.Error())
 		}
@@ -460,19 +416,13 @@ func fail(msg string) {
 	exit(1)
 }
 
-func mustPrefix(s string) netaddr.Prefix {
-	p, err := netaddr.Parse(s)
+// verifier builds the library verifier the single-prefix commands ask.
+func verifier(net *topo.Network, snap config.Snapshot, k int) *hoyan.Verifier {
+	v, err := hoyan.NetworkFrom(net, snap).Verifier(hoyan.Options{K: k})
 	if err != nil {
 		fail(err.Error())
 	}
-	return p
-}
-
-func minStr(min, k int) string {
-	if min > k {
-		return fmt.Sprintf(">%d", k)
-	}
-	return fmt.Sprint(min)
+	return v
 }
 
 // loadBaseline loads a result store, degrading the way the operator
@@ -484,8 +434,11 @@ func loadBaseline(path string) *hoyan.ResultStore {
 	var ce *hoyan.CorruptStoreError
 	if errors.As(err, &ce) {
 		fmt.Fprintln(os.Stderr, "hoyan: warning:", ce.Error())
-		if ce.Usable {
+		switch {
+		case ce.Usable && len(store.Classes) > 0:
 			return store
+		case ce.Usable:
+			return nil // every record quarantined: nothing to replay
 		}
 		qp, qerr := hoyan.QuarantineResultStore(path)
 		if qerr != nil {

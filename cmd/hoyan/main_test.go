@@ -3,6 +3,7 @@ package main
 import (
 	"net"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -105,5 +106,57 @@ func TestSweepFlagsReachThePlan(t *testing.T) {
 	if _, err := sweep(w.Net, snap, sweepFlags{k: 2, workers: workers, saveBaseline: filepath.Join(dir, "b2.json")}); err == nil ||
 		!strings.Contains(err.Error(), "in-process") {
 		t.Fatalf("-save-baseline over workers: %v", err)
+	}
+}
+
+// TestSweepBaselineWithoutVerdicts: a -baseline store written before
+// records held verdicts (the key is absent there; a nil slice decodes
+// the same) has every record quarantined at load; the sweep warns and
+// runs cold instead of planning against an empty baseline.
+func TestSweepBaselineWithoutVerdicts(t *testing.T) {
+	w, err := gen.Generate(gen.Small())
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline := filepath.Join(t.TempDir(), "baseline.json")
+	if _, err := sweep(w.Net, w.Snap, sweepFlags{k: 1, saveBaseline: baseline}); err != nil {
+		t.Fatal(err)
+	}
+	store, err := hoyan.LoadResultStore(baseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range store.Classes {
+		store.Classes[i].Verdicts = nil
+	}
+	if err := store.Save(baseline); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sweep(w.Net, w.Snap, sweepFlags{k: 1, baseline: baseline})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Invalidation != nil || rep.Replayed != 0 || rep.Run.Classes != rep.Classes {
+		t.Fatalf("want a cold sweep of all %d classes, got %d dispatched, %d replayed, invalidation %+v",
+			rep.Classes, rep.Run.Classes, rep.Replayed, rep.Invalidation)
+	}
+}
+
+// TestPacketCommandAnyGateway runs the built command on
+// examples/networks/two-gateways: `hoyan packet` asks hoyan.Verifier, so
+// it agrees with the library and /v1/packet that src reaches the prefix
+// through its second announcer.
+func TestPacketCommandAnyGateway(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "hoyan")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	out, err := exec.Command(bin, "packet", "-dir", "../../examples/networks/two-gateways",
+		"-prefix", "10.0.0.0/8", "-src", "src", "-k", "2").CombinedOutput()
+	if err != nil {
+		t.Fatalf("hoyan packet: %v\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "reachable=true min-failures=1") {
+		t.Fatalf("src reaches gw-b over one link, the command says: %s", out)
 	}
 }

@@ -25,14 +25,6 @@
 // experiment. Metrics land in BENCH_PR10.json (-vet-out) as the
 // vet_static / vet_cold_sweep / vet_speedup groups;
 // -vet-preset/-vet-k/-vet-sample size the run.
-//
-// `-exp query` measures the query plane: one baseline sweep is captured
-// and compiled (internal/qc), then seeded concurrent clients fire a
-// reach/minfail/impact mix at GET /v1/query over HTTP. Metrics — the
-// one-time sweep+compile cost, the compiled single-condition evaluation
-// microbenchmark, and throughput with p50/p99 latency — land in
-// BENCH_PR7.json (-query-out) under query-<preset>;
-// -query-preset/-query-clients/-query-duration/-query-seed size the run.
 package main
 
 import (
@@ -53,7 +45,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "table1 | table2 | table3 | table4 | table5 | fig7 | fig8-13 | fig14 | fig15-16 | appf | ablations | classes | recovery | query | vet | all")
+	exp := flag.String("exp", "all", "table1 | table2 | table3 | table4 | table5 | fig7 | fig8-13 | fig14 | fig15-16 | appf | ablations | classes | recovery | vet | all")
 	budget := flag.Duration("budget", 60*time.Second, "per-cell budget for baseline comparisons")
 	months := flag.Int("months", 24, "campaign months for fig7")
 	limit := flag.Int("limit", 24, "prefix sample size for full-WAN experiments (0 = all)")
@@ -64,11 +56,6 @@ func main() {
 	recPreset := flag.String("rec-preset", "medium", "recovery experiment: small | medium | full")
 	recIters := flag.Int("rec-iters", 1, "recovery experiment: repetitions per measurement (min-of-N)")
 	recOut := flag.String("rec-out", "BENCH_PR6.json", "recovery experiment: JSON snapshot to merge the metrics into (empty = don't write)")
-	queryPreset := flag.String("query-preset", "full", "query experiment: small | medium | full")
-	queryClients := flag.Int("query-clients", 8, "query experiment: concurrent load-generator clients")
-	queryDuration := flag.Duration("query-duration", 10*time.Second, "query experiment: load-test length")
-	querySeed := flag.Int64("query-seed", 1, "query experiment: request-mix seed")
-	queryOut := flag.String("query-out", "BENCH_PR7.json", "query experiment: JSON snapshot to merge the metrics into (empty = don't write)")
 	vetPreset := flag.String("vet-preset", "xl", "vet experiment: small | medium | full | xl")
 	vetK := flag.Int("vet-k", 3, "vet experiment: failure budget")
 	vetSample := flag.Int("vet-sample", 6, "vet experiment: cold-sweep classes to actually simulate before extrapolating (0 = all)")
@@ -120,25 +107,6 @@ func main() {
 					return bench.Table{}, err
 				}
 				fmt.Printf("recorded recovery metrics in %s\n", *recOut)
-			}
-			return t, nil
-		}},
-		{"query", func() (bench.Table, error) {
-			params, err := presetParams(*queryPreset)
-			if err != nil {
-				return bench.Table{}, err
-			}
-			tr := bench.TrackPeak()
-			t, m, err := bench.QueryLoad(params, 3, *workers, *queryClients, *queryDuration, *querySeed)
-			peak := tr.Stop()
-			if err != nil {
-				return bench.Table{}, err
-			}
-			if *queryOut != "" {
-				if err := writeQuerySnapshot(*queryOut, *queryPreset, m, peak); err != nil {
-					return bench.Table{}, err
-				}
-				fmt.Printf("recorded query-plane metrics in %s\n", *queryOut)
 			}
 			return t, nil
 		}},
@@ -348,60 +316,6 @@ func sweepNetwork(w *gen.WAN) *hoyan.Network {
 		n.SetConfig(name, config.Write(cfg))
 	}
 	return n
-}
-
-// writeQuerySnapshot merges the query-plane metrics into the
-// BENCH_PR7-style JSON file: one label per preset, with the one-time
-// costs (sweep + compile), the compiled single-condition evaluation
-// microbenchmark, and the HTTP load test's throughput and latency
-// percentiles.
-func writeQuerySnapshot(out, preset string, m *bench.QueryMetrics, peak bench.PeakMem) error {
-	snap := map[string]any{
-		"date":            time.Now().UTC().Format(time.RFC3339),
-		"go":              runtime.Version(),
-		"gomaxprocs":      runtime.GOMAXPROCS(0),
-		"peak_heap_bytes": peak.HeapAllocBytes,
-		"peak_rss_bytes":  peak.RSSBytes,
-		"classes":         m.Classes,
-		"prefixes":        m.Prefixes,
-		"programs":        m.Programs,
-		"k":               m.K,
-		"query_compile": map[string]any{
-			"sweep_seconds": m.SweepSeconds,
-			"compile_ms":    m.CompileMS,
-			"workers":       m.Workers,
-		},
-		"query_eval": map[string]any{
-			"ns_per_op":       m.EvalNanos,
-			"allocs_per_op":   m.EvalAllocs,
-			"instrs":          m.EvalInstrs,
-			"decisions":       m.EvalDecisions,
-			"worst_ns_per_op": m.EvalMaxNanos,
-			"worst_instrs":    m.EvalMaxInstrs,
-			"worst_decisions": m.EvalMaxDecisions,
-		},
-		"query_load": map[string]any{
-			"clients":          m.Clients,
-			"duration_seconds": m.DurationSeconds,
-			"queries":          m.Queries,
-			"errors":           m.Errors,
-			"queries_per_sec":  m.QPS,
-			"p50_us":           m.P50Micros,
-			"p99_us":           m.P99Micros,
-		},
-	}
-	doc := map[string]any{}
-	if raw, err := os.ReadFile(out); err == nil {
-		if err := json.Unmarshal(raw, &doc); err != nil {
-			return fmt.Errorf("%s: %w", out, err)
-		}
-	}
-	doc["query-"+preset] = snap
-	enc, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(out, append(enc, '\n'), 0o644)
 }
 
 // writeVetSnapshot merges the static-analysis metrics into the

@@ -197,25 +197,10 @@ func (n *Network) Verifier(opts Options) (*Verifier, error) {
 	if len(n.errs) > 0 {
 		return nil, n.errs[0]
 	}
-	if opts.K == 0 {
-		opts.K = 3
-	}
-	reg := opts.Profiles
-	if reg == nil {
-		reg = behavior.TrueProfiles()
-	}
+	opts, reg, copts := opts.resolve()
 	m, err := core.Assemble(n.net, n.snap, reg)
 	if err != nil {
 		return nil, err
-	}
-	copts := core.DefaultOptions()
-	copts.K = opts.K
-	if opts.DisablePruning {
-		copts.PruneOverK = false
-		copts.PruneImpossible = false
-	}
-	if opts.DisableSimplify {
-		copts.Simplify = false
 	}
 	return &Verifier{
 		model: m,
@@ -225,6 +210,10 @@ func (n *Network) Verifier(opts Options) (*Verifier, error) {
 		fibs:  map[netaddr.Prefix]*dataplane.FIB{},
 	}, nil
 }
+
+// Model is the assembled model the verifier answers from, for callers
+// (the HTTP service) that also list, classify or vet it.
+func (v *Verifier) Model() *core.Model { return v.model }
 
 // Prefixes lists every prefix announced anywhere on the network.
 func (v *Verifier) Prefixes() []string {
@@ -294,21 +283,26 @@ type ReachReport struct {
 	FormulaLen int
 }
 
-func (v *Verifier) reachReport(res *core.Result, n topo.NodeID, pt core.Pattern) ReachReport {
-	rep := ReachReport{Reachable: res.Reachable(n, pt)}
-	min, flen := res.MinFailuresToLose(n, pt)
-	rep.FormulaLen = flen
+// clip maps a solved min-failure count onto the report convention, the
+// one place the budget is applied to a single-prefix answer.
+func (v *Verifier) clip(rep *ReachReport, min int) {
 	switch {
 	case !rep.Reachable:
 		rep.MinFailures = 0
-	case min > v.sim.Opts.K:
+	case min > v.opts.K:
 		rep.MinFailures = -1
 		rep.Tolerant = true
 	default:
 		rep.MinFailures = min
-		rep.Tolerant = min > v.opts.K
 	}
-	if fs, ok := res.WitnessFailure(n, pt); ok && rep.Reachable && rep.MinFailures > 0 {
+}
+
+func (v *Verifier) reachReport(res *core.Result, n topo.NodeID, pt core.Pattern) ReachReport {
+	rep := ReachReport{Reachable: res.Reachable(n, pt)}
+	min, flen := res.MinFailuresToLose(n, pt)
+	rep.FormulaLen = flen
+	v.clip(&rep, min)
+	if fs, ok := res.WitnessFailure(n, pt); ok && rep.MinFailures > 0 {
 		for _, l := range fs {
 			rep.Witness = append(rep.Witness, v.model.Net.Link(l).Name)
 		}
@@ -361,17 +355,7 @@ func (v *Verifier) PacketReach(prefix, src string) (ReachReport, error) {
 		cond = f.Or(cond, fib.PacketReach(s, 0, p.Addr+1, g).Cond)
 	}
 	rep := ReachReport{Reachable: f.Eval(cond, nil), FormulaLen: f.Len(cond)}
-	min := f.MinFailuresToViolate(cond)
-	switch {
-	case !rep.Reachable:
-		rep.MinFailures = 0
-	case min > v.sim.Opts.K:
-		rep.MinFailures = -1
-		rep.Tolerant = true
-	default:
-		rep.MinFailures = min
-		rep.Tolerant = min > v.opts.K
-	}
+	v.clip(&rep, f.MinFailuresToViolate(cond))
 	return rep, nil
 }
 

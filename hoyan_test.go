@@ -67,6 +67,29 @@ func TestPacketReach(t *testing.T) {
 	}
 }
 
+// TestPacketReachAnyGateway: examples/networks/two-gateways announces
+// 10/8 at gw-a and gw-b, and src is linked to gw-b alone. Reaching any
+// gateway counts, so the first announcer being out of reach must not
+// make the prefix unreachable. /v1/packet and `hoyan packet` ask the
+// same function (their tests load the same directory).
+func TestPacketReachAnyGateway(t *testing.T) {
+	n, err := LoadDirectory("examples/networks/two-gateways")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := n.Verifier(Options{K: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := v.PacketReach("10.0.0.0/8", "src")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Reachable || rep.MinFailures != 1 {
+		t.Fatalf("src reaches gw-b over one link: %+v", rep)
+	}
+}
+
 func TestVerifierInputErrors(t *testing.T) {
 	n := NewNetwork()
 	n.AddRouter(Router{Name: "A"})

@@ -2,9 +2,11 @@ package hoyan
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"hoyan/internal/gen"
+	"hoyan/internal/logic"
 )
 
 // applyPerturbation replays one gen.Perturb step onto a Network.
@@ -171,6 +173,39 @@ func TestIncrementalSingleChangeIsSelective(t *testing.T) {
 	}
 }
 
+// TestReplayAuditChecksStoredCondition: the replay audit's condition
+// half reads its anchor out of the record's Conds — the root at the
+// fold's weakest router. A store whose verdicts still match a fresh
+// simulation but whose condition at the anchor does not must fail the
+// audit, not replay.
+func TestReplayAuditChecksStoredCondition(t *testing.T) {
+	n, _ := wanNetworkFrom(t, gen.Small())
+	opts := Options{K: 2}
+	_, store, err := n.SweepBaseline(opts, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Baseline, opts.AuditSample = store, 1
+	rep, err := n.Sweep(opts, 2)
+	if err != nil {
+		t.Fatalf("auditing an untouched store: %v", err)
+	}
+	if rep.Replayed != rep.Classes || rep.Invalidation.ReplaysAudited != rep.Classes {
+		t.Fatalf("want all %d classes replayed and audited, got %d and %d", rep.Classes, rep.Replayed, rep.Invalidation.ReplaysAudited)
+	}
+
+	for i := range store.Classes {
+		rec := &store.Classes[i]
+		f := logic.NewFactory()
+		roots := rec.Conds.Import(f)
+		roots[rec.anchor()] = f.Not(roots[rec.anchor()])
+		rec.Conds = f.Export(roots...)
+	}
+	if _, err := n.Sweep(opts, 2); err == nil || !strings.Contains(err.Error(), "no longer equivalent") {
+		t.Fatalf("a flipped condition at the anchor must fail the replay audit, got %v", err)
+	}
+}
+
 // TestBaselineStoreTaintSupersetOfReports is the store-level soundness
 // satellite: every device a cached report names must appear in that
 // record's taint set, otherwise a delta at that device could be wrongly
@@ -190,19 +225,20 @@ func TestBaselineStoreTaintSupersetOfReports(t *testing.T) {
 		for _, d := range rec.TaintDevices {
 			tainted[d] = true
 		}
-		if rec.Summary.WeakestRouter != "" && !tainted[rec.Summary.WeakestRouter] {
-			t.Fatalf("class %s: weakest router %s not in taint set", rec.Summary.Prefix, rec.Summary.WeakestRouter)
+		sum, viols := rec.Report(rec.Members[0])
+		if sum.WeakestRouter != "" && !tainted[sum.WeakestRouter] {
+			t.Fatalf("class %s: weakest router %s not in taint set", sum.Prefix, sum.WeakestRouter)
 		}
-		for _, v := range rec.Violations {
+		for _, v := range viols {
 			if !tainted[v.Router] {
-				t.Fatalf("class %s: violation router %s not in taint set", rec.Summary.Prefix, v.Router)
+				t.Fatalf("class %s: violation router %s not in taint set", sum.Prefix, v.Router)
 			}
 		}
 		if len(rec.TaintDevices) == 0 || len(rec.Universe) == 0 {
-			t.Fatalf("class %s: empty taint/universe in store record", rec.Summary.Prefix)
+			t.Fatalf("class %s: empty taint/universe in store record", sum.Prefix)
 		}
-		if rec.Cond == nil || rec.CondRouter == "" {
-			t.Fatalf("class %s: no portable condition captured", rec.Summary.Prefix)
+		if rec.Conds == nil || rec.Conds.NumRoots() != len(rec.Verdicts) || len(rec.Verdicts) == 0 {
+			t.Fatalf("class %s: verdicts and portable conditions not captured root for verdict", sum.Prefix)
 		}
 	}
 }

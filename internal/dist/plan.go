@@ -62,7 +62,7 @@ type Class struct {
 	// marks a class the caller already refused — origins spanning
 	// regions, say — which runs as one monolithic pass.
 	Home string
-	// Replayed marks a class the caller settles itself, from the report
+	// Replayed marks a class the caller settles itself, from the verdicts
 	// its baseline holds: the representative is not simulated and the
 	// class has no entry in Result.ByPrefix. Its Audit prefixes still run.
 	Replayed bool

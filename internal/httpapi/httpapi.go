@@ -1,8 +1,8 @@
 // Package httpapi exposes the verifier as an HTTP/JSON service — the
 // frontend of Figure 2 that operators call to check updates and run
-// audits. Handlers are stateless wrappers over a verification session;
-// the underlying simulator is serialized with a mutex (per-prefix results
-// are cached, so repeated queries are cheap).
+// audits. Handlers are stateless wrappers over a hoyan.Verifier, which
+// is serialized with a mutex (it caches per-prefix results, so repeated
+// queries are cheap).
 package httpapi
 
 import (
@@ -16,25 +16,22 @@ import (
 	"sync"
 
 	"hoyan"
-	"hoyan/internal/behavior"
 	"hoyan/internal/config"
 	"hoyan/internal/core"
-	"hoyan/internal/dataplane"
-	"hoyan/internal/netaddr"
-	"hoyan/internal/racing"
 	"hoyan/internal/topo"
 	"hoyan/internal/vet"
 )
 
 // Service serves verification queries for one network snapshot.
 type Service struct {
-	mu    sync.Mutex
-	net   *topo.Network
-	snap  config.Snapshot
-	model *core.Model
-	sim   *core.Simulator
-	k     int
-	cache map[netaddr.Prefix]*core.Result
+	mu   sync.Mutex
+	net  *topo.Network
+	snap config.Snapshot
+	// v answers the single-prefix questions (/v1/route, /v1/packet,
+	// /v1/equivalence, /v1/racing) and holds the served model; a resweep
+	// that commits config updates replaces it.
+	v *hoyan.Verifier
+	k int
 	// baseline is the result store the last /v1/resweep captured; the
 	// next resweep diffs against it and replays what the delta spares.
 	baseline *hoyan.ResultStore
@@ -54,19 +51,11 @@ func New(net *topo.Network, snap config.Snapshot, k int) (*Service, error) {
 	if k == 0 {
 		k = 3
 	}
-	m, err := core.Assemble(net, snap, behavior.TrueProfiles())
+	v, err := hoyan.NetworkFrom(net, snap).Verifier(hoyan.Options{K: k})
 	if err != nil {
 		return nil, err
 	}
-	opts := core.DefaultOptions()
-	opts.K = k
-	return &Service{
-		net: net, snap: snap, model: m,
-		sim:   core.NewSimulator(m, opts),
-		k:     k,
-		cache: map[netaddr.Prefix]*core.Result{},
-		query: newQueryPlane(),
-	}, nil
+	return &Service{net: net, snap: snap, v: v, k: k, query: newQueryPlane()}, nil
 }
 
 // Handler returns the HTTP mux:
@@ -114,7 +103,7 @@ func (s *Service) Handler() http.Handler {
 
 // Classes returns the model's prefix behavior-class partition (what a
 // classed sweep dispatches), for startup stats and the /v1/classes view.
-func (s *Service) Classes() []core.PrefixClass { return s.model.Classes() }
+func (s *Service) Classes() []core.PrefixClass { return s.v.Model().Classes() }
 
 type errorBody struct {
 	Error string `json:"error"`
@@ -130,18 +119,6 @@ func badRequest(w http.ResponseWriter, format string, args ...any) {
 	writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
-func (s *Service) result(p netaddr.Prefix) (*core.Result, error) {
-	if r, ok := s.cache[p]; ok {
-		return r, nil
-	}
-	r, err := s.sim.Run(p)
-	if err != nil {
-		return nil, err
-	}
-	s.cache[p] = r
-	return r, nil
-}
-
 func (s *Service) handleRouters(w http.ResponseWriter, r *http.Request) {
 	var names []string
 	for _, n := range s.net.Nodes() {
@@ -154,7 +131,7 @@ func (s *Service) handlePrefixes(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var ps []string
-	for _, p := range s.model.AnnouncedPrefixes() {
+	for _, p := range s.v.Model().AnnouncedPrefixes() {
 		ps = append(ps, p.String())
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"prefixes": ps})
@@ -173,92 +150,40 @@ type RouteResponse struct {
 
 func (s *Service) handleRoute(w http.ResponseWriter, r *http.Request) {
 	prefix, router := r.URL.Query().Get("prefix"), r.URL.Query().Get("router")
-	p, err := netaddr.Parse(prefix)
-	if err != nil {
-		badRequest(w, "bad prefix: %v", err)
-		return
-	}
-	node, ok := s.net.NodeByName(router)
-	if !ok {
-		badRequest(w, "unknown router %q", router)
-		return
-	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	res, err := s.result(p)
+	rep, err := s.v.RouteReach(prefix, router)
+	s.mu.Unlock()
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
+		badRequest(w, "%v", err)
 		return
 	}
-	pt := core.AnyRouteTo(p)
-	resp := RouteResponse{Prefix: prefix, Router: router, Reachable: res.Reachable(node.ID, pt)}
-	min, flen := res.MinFailuresToLose(node.ID, pt)
-	resp.FormulaLen = flen
-	switch {
-	case !resp.Reachable:
-		resp.MinFailures = 0
-	case min > s.k:
-		resp.MinFailures = -1
-		resp.Tolerant = true
-	default:
-		resp.MinFailures = min
-		if fs, ok := res.WitnessFailure(node.ID, pt); ok {
-			for _, l := range fs {
-				resp.Witness = append(resp.Witness, s.net.Link(l).Name)
-			}
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, RouteResponse{
+		Prefix: prefix, Router: router, Reachable: rep.Reachable, MinFailures: rep.MinFailures,
+		Tolerant: rep.Tolerant, Witness: rep.Witness, FormulaLen: rep.FormulaLen,
+	})
 }
 
-// PacketResponse is the JSON body of /v1/packet.
+// PacketResponse is the JSON body of /v1/packet. Reaching any of the
+// prefix's gateways counts.
 type PacketResponse struct {
 	Prefix      string `json:"prefix"`
 	Src         string `json:"src"`
-	Gateway     string `json:"gateway"`
 	Reachable   bool   `json:"reachable"`
 	MinFailures int    `json:"min_failures"`
 }
 
 func (s *Service) handlePacket(w http.ResponseWriter, r *http.Request) {
 	prefix, src := r.URL.Query().Get("prefix"), r.URL.Query().Get("src")
-	p, err := netaddr.Parse(prefix)
-	if err != nil {
-		badRequest(w, "bad prefix: %v", err)
-		return
-	}
-	node, ok := s.net.NodeByName(src)
-	if !ok {
-		badRequest(w, "unknown router %q", src)
-		return
-	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	anns := s.model.AnnouncersOf(p)
-	if len(anns) == 0 {
-		badRequest(w, "nobody announces %s", p)
-		return
-	}
-	res, err := s.result(p)
+	rep, err := s.v.PacketReach(prefix, src)
+	s.mu.Unlock()
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
+		badRequest(w, "%v", err)
 		return
 	}
-	fib := dataplane.Build(res)
-	pr := fib.PacketReach(node.ID, 0, p.Addr+1, anns[0])
-	f := s.sim.F
-	resp := PacketResponse{
-		Prefix: prefix, Src: src,
-		Gateway:   s.net.Node(anns[0]).Name,
-		Reachable: f.Eval(pr.Cond, nil),
-	}
-	min := f.MinFailuresToViolate(pr.Cond)
-	if min > s.k {
-		resp.MinFailures = -1
-	} else {
-		resp.MinFailures = min
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, PacketResponse{
+		Prefix: prefix, Src: src, Reachable: rep.Reachable, MinFailures: rep.MinFailures,
+	})
 }
 
 // EquivalenceResponse is the JSON body of /v1/equivalence.
@@ -271,28 +196,16 @@ type EquivalenceResponse struct {
 
 func (s *Service) handleEquivalence(w http.ResponseWriter, r *http.Request) {
 	a, b := r.URL.Query().Get("a"), r.URL.Query().Get("b")
-	na, ok1 := s.net.NodeByName(a)
-	nb, ok2 := s.net.NodeByName(b)
-	if !ok1 || !ok2 {
-		badRequest(w, "unknown router")
+	s.mu.Lock()
+	rep, err := s.v.RoleEquivalence(a, b)
+	s.mu.Unlock()
+	if err != nil {
+		badRequest(w, "%v", err)
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	resp := EquivalenceResponse{A: a, B: b, Equivalent: true}
-	for _, p := range s.model.AnnouncedPrefixes() {
-		res, err := s.result(p)
-		if err != nil {
-			writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
-			return
-		}
-		for _, d := range res.EquivalentRoles(na.ID, nb.ID) {
-			resp.Equivalent = false
-			resp.Differences = append(resp.Differences,
-				fmt.Sprintf("%s: %s (%s vs %s)", d.Prefix, d.Field, d.A, d.B))
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, EquivalenceResponse{
+		A: a, B: b, Equivalent: rep.Equivalent, Differences: rep.Differences,
+	})
 }
 
 // ClassResponse is one behavior class in the JSON body of /v1/classes.
@@ -305,7 +218,7 @@ func (s *Service) handleClasses(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []ClassResponse
-	for _, c := range s.model.Classes() {
+	for _, c := range s.v.Model().Classes() {
 		cr := ClassResponse{Representative: c.Rep.String()}
 		for _, p := range c.Members {
 			cr.Members = append(cr.Members, p.String())
@@ -387,8 +300,8 @@ type ResweepResponse struct {
 	Invalidation *InvalidationBody `json:"invalidation,omitempty"`
 	// Snapshot is the query-plane snapshot id this sweep's store was
 	// published under; SnapshotError carries the compile failure when
-	// publication was impossible (e.g. a replayed class predating the
-	// query plane), which degrades /v1/query, not the sweep itself.
+	// publication was impossible, which degrades /v1/query, not the sweep
+	// itself.
 	Snapshot      string `json:"snapshot,omitempty"`
 	SnapshotError string `json:"snapshot_error,omitempty"`
 }
@@ -412,7 +325,7 @@ func (s *Service) handleResweep(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	snap := s.snap
 	baseline := s.baseline
-	jobs := len(s.model.Classes())
+	jobs := len(s.v.Model().Classes())
 	s.mu.Unlock()
 
 	si, err := s.adm.admit(jobs)
@@ -453,18 +366,13 @@ func (s *Service) handleResweep(w http.ResponseWriter, r *http.Request) {
 	// the updated configs) and the fresh store the next baseline.
 	s.mu.Lock()
 	if len(req.Updates) > 0 {
-		m, err := core.Assemble(s.net, snap, behavior.TrueProfiles())
+		v, err := hoyan.NetworkFrom(s.net, snap).Verifier(hoyan.Options{K: s.k})
 		if err != nil {
 			s.mu.Unlock()
 			writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
 			return
 		}
-		copts := core.DefaultOptions()
-		copts.K = s.k
-		s.snap = snap
-		s.model = m
-		s.sim = core.NewSimulator(m, copts)
-		s.cache = map[netaddr.Prefix]*core.Result{}
+		s.snap, s.v = snap, v
 	}
 	s.baseline = store
 	s.lastInval = rep.Invalidation
@@ -522,7 +430,7 @@ type VetResponse struct {
 // synchronization needed; the analysis itself runs unlocked.
 func (s *Service) handleVet(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	m := s.model
+	m := s.v.Model()
 	k := s.k
 	s.mu.Unlock()
 	analyzers := vet.Analyzers()
@@ -561,21 +469,15 @@ type RacingResponse struct {
 
 func (s *Service) handleRacing(w http.ResponseWriter, r *http.Request) {
 	prefix := r.URL.Query().Get("prefix")
-	p, err := netaddr.Parse(prefix)
-	if err != nil {
-		badRequest(w, "bad prefix: %v", err)
-		return
-	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	rep, err := racing.Detect(s.sim, p, racing.DefaultOptions())
+	rep, err := s.v.CheckRacing(prefix)
+	s.mu.Unlock()
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
+		badRequest(w, "%v", err)
 		return
 	}
-	resp := RacingResponse{Prefix: prefix, Ambiguous: rep.Ambiguous, Convergences: len(rep.Solutions)}
-	for _, n := range rep.AmbiguousNodes {
-		resp.AmbiguousRouters = append(resp.AmbiguousRouters, s.net.Node(n).Name)
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, RacingResponse{
+		Prefix: prefix, Ambiguous: rep.Ambiguous, Convergences: rep.Convergences,
+		AmbiguousRouters: rep.AmbiguousRouters,
+	})
 }

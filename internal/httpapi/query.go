@@ -218,18 +218,15 @@ func (s *Service) handleSnapshotPublish(w http.ResponseWriter, r *http.Request) 
 	var st *hoyan.ResultStore
 	if req.Path != "" {
 		loaded, err := hoyan.LoadResultStore(req.Path)
-		if err != nil {
-			var ce *hoyan.CorruptStoreError
-			if errors.As(err, &ce) && ce.Usable {
-				// Quarantined classes just drop out of the snapshot.
-				st = loaded
-			} else {
-				badRequest(w, "load store: %v", err)
-				return
-			}
-		} else {
-			st = loaded
+		// Quarantined classes just drop out of the snapshot; a store with
+		// none left (one written before records held verdicts) has nothing
+		// to serve, and the error says to re-capture it.
+		var ce *hoyan.CorruptStoreError
+		if err != nil && !(errors.As(err, &ce) && ce.Usable && len(loaded.Classes) > 0) {
+			badRequest(w, "load store: %v", err)
+			return
 		}
+		st = loaded
 	} else {
 		s.mu.Lock()
 		st = s.baseline
@@ -331,20 +328,16 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		resp.Prefix, resp.Router = qv.Get("prefix"), router
+		// The sweep's verdict, clipped to K at simulation time: -1 survives
+		// the budget.
 		min := cls.ClassMinFail
 		if router != "" {
+			min = cls.MinFail[root]
 			if !cls.ReachUp[root] {
 				min = 0
-			} else {
-				min = cls.MinFail[root]
 			}
 		}
-		mf := min
-		if min > snap.K {
-			mf = -1
-			resp.Tolerant = true
-		}
-		resp.MinFailures = &mf
+		resp.MinFailures, resp.Tolerant = &min, min < 0
 	case "impact":
 		name := qv.Get("link")
 		v, ok := snap.ResolveLink(name)

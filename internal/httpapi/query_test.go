@@ -5,10 +5,12 @@ import (
 	"math/rand"
 	"net/http/httptest"
 	"net/url"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 
+	"hoyan"
 	"hoyan/internal/behavior"
 	"hoyan/internal/core"
 	"hoyan/internal/gen"
@@ -91,6 +93,42 @@ func TestSnapshotRegistryLifecycle(t *testing.T) {
 	}
 	if code := post(t, srv, "/v1/snapshots/activate", `{"id":"snap-999"}`, nil); code != 400 {
 		t.Fatalf("activating an unknown id: status %d, want 400", code)
+	}
+}
+
+// TestSnapshotPublishFromDisk: POST /v1/snapshots {path} serves a saved
+// store; one written before records held verdicts (the key is absent
+// there; a nil slice decodes the same) has every record quarantined at
+// load, so there is nothing to serve and the 400 says to re-capture it.
+func TestSnapshotPublishFromDisk(t *testing.T) {
+	s := service(t)
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	resweep(t, srv)
+
+	path := filepath.Join(t.TempDir(), "store.json")
+	store := *s.baseline
+	if err := store.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	body := fmt.Sprintf(`{"path":%q}`, path)
+	if code := post(t, srv, "/v1/snapshots", body, nil); code != 200 {
+		t.Fatalf("publishing a fresh store from disk: status %d", code)
+	}
+
+	store.Classes = append([]hoyan.ClassRecord(nil), store.Classes...)
+	for i := range store.Classes {
+		store.Classes[i].Verdicts = nil
+	}
+	if err := store.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	var eb errorBody
+	if code := post(t, srv, "/v1/snapshots", body, &eb); code != 400 {
+		t.Fatalf("publishing a store without verdicts: status %d, want 400", code)
+	}
+	if !strings.Contains(eb.Error, "re-capture the baseline") {
+		t.Fatalf("the 400 must say to re-capture: %q", eb.Error)
 	}
 }
 

@@ -1,9 +1,6 @@
 package logic
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // bddSpace is a reduced ordered BDD universe attached to a Factory.
 // Variable order is the natural Var order, which matches the order link
@@ -374,57 +371,6 @@ func (f *Factory) BDDSize(x F) int {
 	}
 	walk(root)
 	return len(seen)
-}
-
-// BDDNode is one decision node of an exported BDD: test V, take Lo when
-// the variable is false (the link failed), Hi when it is true. Lo and Hi
-// reference either the terminals 0 (false) and 1 (true) or a node id
-// i >= 2 meaning nodes[i-2]. Children always precede their parents.
-type BDDNode struct {
-	V      Var
-	Lo, Hi int32
-}
-
-// ExportBDD returns x's reduced ordered BDD as a dense node array under
-// the BDDNode numbering, with the root id (0 or 1 for constant
-// conditions, else >= 2). Evaluating x at an assignment is then one
-// root-to-terminal walk — O(variables on the path) — which is what the
-// query compiler's decision programs are built from. The export is a
-// value snapshot; the factory keeps sole ownership of its BDD space.
-func (f *Factory) ExportBDD(x F) ([]BDDNode, int32) {
-	root := f.build(x)
-	if root <= bddTrue {
-		return nil, root
-	}
-	s := f.bdd
-	seen := map[int32]bool{}
-	stack := []int32{root}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if n <= bddTrue || seen[n] {
-			continue
-		}
-		seen[n] = true
-		stack = append(stack, s.los[n], s.his[n])
-	}
-	ids := make([]int32, 0, len(seen))
-	for n := range seen {
-		ids = append(ids, n)
-	}
-	// Space ids ascend child-to-parent (mk interns children first), so
-	// ascending order is already topological.
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	renum := make(map[int32]int32, len(ids)+2)
-	renum[bddFalse], renum[bddTrue] = 0, 1
-	for i, n := range ids {
-		renum[n] = int32(i) + 2
-	}
-	nodes := make([]BDDNode, len(ids))
-	for i, n := range ids {
-		nodes[i] = BDDNode{V: s.vars[n], Lo: renum[s.los[n]], Hi: renum[s.his[n]]}
-	}
-	return nodes, renum[root]
 }
 
 // Simplify returns a formula equivalent to x that is no longer than x,

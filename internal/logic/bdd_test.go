@@ -223,65 +223,3 @@ func BenchmarkMinFailuresToViolate(b *testing.B) {
 		}
 	}
 }
-
-// evalExported walks an exported BDD at one assignment (absent ⇒ true,
-// matching Eval's convention) — the reference consumer for ExportBDD.
-func evalExported(nodes []BDDNode, root int32, asn Assignment) bool {
-	n := root
-	for n > 1 {
-		nd := nodes[n-2]
-		up, ok := asn[nd.V]
-		if !ok {
-			up = true
-		}
-		if up {
-			n = nd.Hi
-		} else {
-			n = nd.Lo
-		}
-	}
-	return n == 1
-}
-
-func TestExportBDD(t *testing.T) {
-	f := NewFactory()
-	const nv = 6
-	x := f.Or(
-		f.And(f.Var(0), f.Var(1)),
-		f.And(f.Var(2), f.Not(f.Var(5))),
-	)
-	nodes, root := f.ExportBDD(x)
-	if root <= 1 {
-		t.Fatalf("non-constant condition exported as terminal %d", root)
-	}
-	// Children precede parents, edges stay in range, and the ordering is
-	// the natural Var order along every edge.
-	for i, nd := range nodes {
-		id := int32(i) + 2
-		if nd.Lo >= id || nd.Hi >= id || nd.Lo < 0 || nd.Hi < 0 {
-			t.Fatalf("node %d edges (%d,%d) not strictly child-first", id, nd.Lo, nd.Hi)
-		}
-		for _, c := range []int32{nd.Lo, nd.Hi} {
-			if c > 1 && nodes[c-2].V <= nd.V {
-				t.Fatalf("node %d var %d precedes child var %d", id, nd.V, nodes[c-2].V)
-			}
-		}
-	}
-	// Exhaustive agreement with Eval.
-	for bits := 0; bits < 1<<nv; bits++ {
-		asn := Assignment{}
-		for v := 0; v < nv; v++ {
-			asn[Var(v)] = bits&(1<<v) != 0
-		}
-		if got, want := evalExported(nodes, root, asn), f.Eval(x, asn); got != want {
-			t.Fatalf("bits %06b: exported %v, Eval %v", bits, got, want)
-		}
-	}
-	// Constants export as bare terminals.
-	if nodes, root := f.ExportBDD(True); nodes != nil || root != 1 {
-		t.Fatalf("True exported as (%v, %d)", nodes, root)
-	}
-	if nodes, root := f.ExportBDD(f.And(f.Var(0), f.Not(f.Var(0)))); nodes != nil || root != 0 {
-		t.Fatalf("contradiction exported as (%v, %d)", nodes, root)
-	}
-}

@@ -11,10 +11,8 @@
 // instructions are the reachable sub-DAG in dependency order, renumbered
 // densely, so evaluation is a single forward pass over a contiguous
 // array with no pointers, no interning, and no per-query allocation.
-// Store compilation additionally attaches each condition's reduced
-// ordered BDD (logic.ExportBDD): evaluation then walks one
-// root-to-terminal decision path, costing the variables on the path
-// rather than the size of the condition.
+// Nothing is solved here: the fixed answers (all-links-up reachability,
+// min failures) are the verdicts the sweep already stored in the record.
 //
 // The stored conditions were computed under the sweep's failure budget K
 // (routes whose conditions require more than K failures are pruned, §5.6
@@ -53,43 +51,13 @@ type instr struct {
 // Portable root in dependency order. The last instruction is the root.
 // Programs are immutable after Compile and safe for concurrent Eval with
 // distinct Scratch values.
-//
-// A program optionally carries the condition's reduced ordered BDD
-// (attachDecisions), in which case Eval walks one root-to-terminal
-// decision path — O(variables on the path) — instead of the whole
-// instruction array. The instruction form is always present: it is the
-// factory-independent fallback and the differential-fuzz reference.
 type Program struct {
 	ins  []instr
 	vars []logic.Var // sorted distinct variables the condition mentions
-
-	dd     []ddNode
-	ddRoot int32 // -1 no decision form; 0/1 constant; >=2 dd[ddRoot-2]
-}
-
-// ddNode is one decision step: test v, go lo when the link is failed,
-// hi when it is up. 16 bytes, no pointers, children before parents —
-// the numbering logic.ExportBDD emits.
-type ddNode struct {
-	v      logic.Var
-	lo, hi int32
-}
-
-// attachDecisions equips the program with its condition's exported BDD.
-func (p *Program) attachDecisions(nodes []logic.BDDNode, root int32) {
-	p.dd = make([]ddNode, len(nodes))
-	for i, n := range nodes {
-		p.dd[i] = ddNode{v: n.V, lo: n.Lo, hi: n.Hi}
-	}
-	p.ddRoot = root
 }
 
 // NumInstrs reports the program length (scratch sizing, stats).
 func (p *Program) NumInstrs() int { return len(p.ins) }
-
-// NumDecisions reports the size of the attached decision diagram (0 when
-// only the instruction form is present).
-func (p *Program) NumDecisions() int { return len(p.dd) }
 
 // Vars returns the sorted distinct variables the condition mentions —
 // the reverse-index feed: a link's death can only affect conditions that
@@ -171,24 +139,12 @@ func (s *Scratch) ensure(n int) {
 
 // Eval evaluates the condition under the failure set: a variable is true
 // while its link is not failed, matching logic.Assignment's "up unless
-// failed" convention. With a decision diagram attached, evaluation is
-// one root-to-terminal walk; otherwise a single forward pass over the
-// instruction array (operands always reference earlier slots, so no
-// recursion and no stack).
+// failed" convention. One forward pass over the instruction array
+// (operands always reference earlier slots, so no recursion and no
+// stack).
 //
 //hoyan:hotpath
 func (p *Program) Eval(failed *FailureSet, s *Scratch) bool {
-	if r := p.ddRoot; r >= 0 {
-		for r > 1 {
-			nd := &p.dd[r-2]
-			if failed.Has(nd.v) {
-				r = nd.lo
-			} else {
-				r = nd.hi
-			}
-		}
-		return r == 1
-	}
 	s.ensure(len(p.ins))
 	vals := s.vals
 	for i := 0; i < len(p.ins); i++ {
@@ -242,7 +198,7 @@ func CompileRoot(p *logic.Portable, root int, maxVar logic.Var) (*Program, error
 		}
 	}
 
-	prog := &Program{ddRoot: -1}
+	prog := &Program{}
 	remap := make([]int32, n)
 	seenVars := map[logic.Var]bool{}
 	emit := func(ins instr) int32 {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hoyan"
+	"hoyan/internal/dist"
 	"hoyan/internal/logic"
 )
 
@@ -74,14 +75,6 @@ func TestCompileRootMatchesFactoryEval(t *testing.T) {
 				t.Fatalf("root %d: compiled=%v factory=%v under %v", ri, got, want, c.asn)
 			}
 		}
-		// The decision form CompileStore attaches must agree on the same
-		// exhaustive assignment space.
-		prog.attachDecisions(f.ExportBDD(root))
-		for _, c := range failureSets(nv) {
-			if got, want := prog.Eval(c.fs, sc), f.Eval(root, c.asn); got != want {
-				t.Fatalf("root %d: decision=%v factory=%v under %v", ri, got, want, c.asn)
-			}
-		}
 	}
 }
 
@@ -125,7 +118,8 @@ func TestCompileRootRejects(t *testing.T) {
 
 // fabricateStore builds a two-class ResultStore by hand — four links in
 // a square a-b-c-d, class 0 reachable over two paths, class 1 pinned to
-// one fragile link — so snapshot-level indexes have known answers.
+// one fragile link — so snapshot-level indexes have known answers. The
+// verdicts are what a K=2 sweep of those conditions would have stored.
 func fabricateStore(t *testing.T) *hoyan.ResultStore {
 	t.Helper()
 	f := logic.NewFactory()
@@ -143,23 +137,44 @@ func fabricateStore(t *testing.T) *hoyan.ResultStore {
 		},
 		Classes: []hoyan.ClassRecord{
 			{
-				Members:     []string{"10.0.0.0/24", "10.0.1.0/24"},
-				CondRouters: []string{"r1", "r2"},
-				Conds:       f.Export(twoPath, logic.True),
+				Members: []string{"10.0.0.0/24", "10.0.1.0/24"},
+				Verdicts: []dist.RouterSummary{
+					{Router: "r1", Reachable: true, MinFailures: 2},
+					{Router: "r2", Reachable: true, MinFailures: -1},
+				},
+				Conds: f.Export(twoPath, logic.True),
 			},
 			{
-				Members:     []string{"10.0.2.0/24"},
-				CondRouters: []string{"r1", "r2"},
-				Conds:       f.Export(fragile, logic.False),
+				Members: []string{"10.0.2.0/24"},
+				Verdicts: []dist.RouterSummary{
+					{Router: "r1", Reachable: true, MinFailures: 1},
+					{Router: "r2"},
+				},
+				Conds: f.Export(fragile, logic.False),
 			},
 		},
 	}
 }
 
 func TestCompileStore(t *testing.T) {
-	snap, err := CompileStore(fabricateStore(t))
+	st := fabricateStore(t)
+	snap, err := CompileStore(st)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The fixed answers are the record's verdicts, and the class aggregate
+	// is the record's own report — the sweep's fold, not a second one.
+	for ci, cls := range snap.Classes {
+		rec := &st.Classes[ci]
+		if sum, _ := rec.Report(rec.Members[0]); cls.ClassMinFail != sum.MinFailures {
+			t.Fatalf("class %d: ClassMinFail %d, the record's report says %d", ci, cls.ClassMinFail, sum.MinFailures)
+		}
+		for ri, v := range rec.Verdicts {
+			if cls.Routers[ri] != v.Router || cls.ReachUp[ri] != v.Reachable || cls.MinFail[ri] != v.MinFailures {
+				t.Fatalf("class %d root %d: %s reach=%v minfail=%d, verdict %+v",
+					ci, ri, cls.Routers[ri], cls.ReachUp[ri], cls.MinFail[ri], v)
+			}
+		}
 	}
 	if snap.K != 2 || snap.Stats.Classes != 2 || snap.Stats.Prefixes != 3 || snap.Stats.Programs != 4 {
 		t.Fatalf("stats = %+v, K=%d", snap.Stats, snap.K)
@@ -174,12 +189,13 @@ func TestCompileStore(t *testing.T) {
 	}
 
 	// Class 0 at r1: two disjoint 2-link paths ⇒ reachable up, min
-	// failures 2. At r2 the condition is constant-true ⇒ unbreakable.
+	// failures 2. At r2 the condition is constant-true ⇒ survives the
+	// budget.
 	if i, ok := c0.Router("r1"); !ok || !c0.ReachUp[i] || c0.MinFail[i] != 2 {
 		t.Fatalf("class 0 r1: ok=%v reach=%v minfail=%d", ok, c0.ReachUp[i], c0.MinFail[i])
 	}
-	if i, ok := c0.Router("r2"); !ok || c0.MinFail[i] != logic.Unfailable {
-		t.Fatalf("class 0 r2 must be unfailable, got %d", c0.MinFail[i])
+	if i, ok := c0.Router("r2"); !ok || c0.MinFail[i] != -1 {
+		t.Fatalf("class 0 r2 must survive the budget, got %d", c0.MinFail[i])
 	}
 	if c0.ClassMinFail != 2 {
 		t.Fatalf("class 0 ClassMinFail = %d, want 2", c0.ClassMinFail)
@@ -241,21 +257,20 @@ func TestCompileStore(t *testing.T) {
 	}
 }
 
-// TestCompileStoreRejectsLegacy: a record without per-router conditions
-// (pre-query-plane store) must refuse to compile rather than serve
-// wrong answers.
-func TestCompileStoreRejectsLegacy(t *testing.T) {
+// TestCompileStoreRejectsMisaligned: a record without conditions, or
+// whose verdicts and condition roots disagree, must refuse to compile
+// rather than serve one router's answer under another's name.
+func TestCompileStoreRejectsMisaligned(t *testing.T) {
 	st := fabricateStore(t)
 	st.Classes[1].Conds = nil
-	st.Classes[1].CondRouters = nil
 	if _, err := CompileStore(st); err == nil {
 		t.Fatal("store without per-router conditions compiled")
 	}
 
 	st = fabricateStore(t)
-	st.Classes[0].CondRouters = st.Classes[0].CondRouters[:1]
+	st.Classes[0].Verdicts = st.Classes[0].Verdicts[:1]
 	if _, err := CompileStore(st); err == nil {
-		t.Fatal("root/router count mismatch compiled")
+		t.Fatal("root/verdict count mismatch compiled")
 	}
 
 	st = fabricateStore(t)
@@ -294,24 +309,10 @@ func TestHotPathAllocBudget(t *testing.T) {
 		t.Fatalf("warm compiled eval allocates %v times per run, want 0", allocs)
 	}
 
-	// Same budget for the decision-walk form the query plane serves.
-	prog.attachDecisions(f.ExportBDD(cond))
-	allocs = testing.AllocsPerRun(1000, func() {
-		fs.Reset()
-		fs.Add(7)
-		fs.Add(21)
-		if prog.Eval(fs, sc) == prog.Eval(&FailureSet{}, sc) && false {
-			t.Error("unreachable")
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("warm decision eval allocates %v times per run, want 0", allocs)
-	}
 }
 
 // BenchmarkCompiledEval measures the single-condition evaluation the
-// query plane performs per (router, prefix, failure-set) triple; the
-// sub-microsecond target in BENCH_PR7.json comes from here.
+// query plane performs per (router, prefix, failure-set) triple.
 func BenchmarkCompiledEval(b *testing.B) {
 	f := logic.NewFactory()
 	cond := buildCond(f, 64)
@@ -320,33 +321,6 @@ func BenchmarkCompiledEval(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	fs := NewFailureSet(63)
-	fs.Add(3)
-	fs.Add(17)
-	sc := &Scratch{}
-	prog.Eval(fs, sc)
-	b.ReportAllocs()
-	b.ResetTimer()
-	sink := false
-	for i := 0; i < b.N; i++ {
-		sink = prog.Eval(fs, sc)
-	}
-	_ = sink
-}
-
-// BenchmarkDecisionEval measures the same evaluation through the
-// attached decision diagram — the form CompileStore publishes, where the
-// cost is the variables on one root-to-terminal path rather than the
-// program size.
-func BenchmarkDecisionEval(b *testing.B) {
-	f := logic.NewFactory()
-	cond := buildCond(f, 64)
-	p := f.Export(cond)
-	prog, err := CompileRoot(p, 0, 63)
-	if err != nil {
-		b.Fatal(err)
-	}
-	prog.attachDecisions(f.ExportBDD(cond))
 	fs := NewFailureSet(63)
 	fs.Add(3)
 	fs.Add(17)

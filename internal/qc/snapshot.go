@@ -11,7 +11,7 @@ import (
 )
 
 // Class is one behavior class compiled for serving: a program per
-// BGP-speaking router plus the precomputed answers to the fixed
+// BGP-speaking router, the sweep's verdicts as the answers to the fixed
 // questions (all-links-up reachability, min failures to violate), and
 // the membership the per-class answers fan out to.
 type Class struct {
@@ -21,17 +21,16 @@ type Class struct {
 	Routers []string
 	// Progs[i] evaluates the reachability condition at Routers[i].
 	Progs []*Program
-	// MinFail[i] is MinFailuresToViolate of the condition at Routers[i]
-	// (logic.Unfailable when nothing within the modeled conditions breaks
-	// it), computed once at compile time via a BDD import.
+	// MinFail[i] is the sweep's verdict at Routers[i]: the min failures
+	// that break reachability there, -1 when it survives the budget K.
 	MinFail []int
-	// ReachUp[i] is the all-links-up answer at Routers[i].
+	// ReachUp[i] is the all-links-up verdict at Routers[i].
 	ReachUp []bool
-	// ClassMinFail aggregates the per-router answers the way a sweep
-	// summary does: the smallest MinFail over routers reachable with all
-	// links up; logic.Unfailable when every such router tolerates
-	// everything. Routers unreachable even with all links up are sweep
-	// violations, not failure-tolerance data points.
+	// ClassMinFail is the class's sweep summary (ClassRecord.Report): the
+	// smallest MinFail over routers reachable with all links up, -1 when
+	// every such router survives the budget. Routers unreachable even
+	// with all links up are sweep violations, not failure-tolerance data
+	// points.
 	ClassMinFail int
 
 	routerIdx map[string]int
@@ -49,20 +48,20 @@ type CompileStats struct {
 	Classes  int
 	Prefixes int
 	Programs int
-	// Instrs is the total instruction count across programs; Decisions is
-	// the total attached decision-diagram node count.
+	// Instrs is the total instruction count across programs. Decisions is
+	// a vestige of the removed decision-diagram form, always 0; its only
+	// reader is benchmark/trace.go (qc.decisions_total).
 	Instrs    int
 	Decisions int
 	// Links is the baseline topology's link count (the variable universe).
 	Links int
-	// CompileTime is the wall-clock cost of CompileStore, including the
-	// one-time BDD precomputation of the fixed answers.
+	// CompileTime is the wall-clock cost of CompileStore.
 	CompileTime time.Duration
 }
 
 // Snapshot is a fully compiled ResultStore: every class's conditions as
 // flat programs, the prefix→class and link→classes indexes, and the
-// precomputed fixed answers. Immutable after CompileStore; safe for
+// sweep's fixed answers. Immutable after CompileStore; safe for
 // concurrent queries with per-caller Scratch/FailureSet.
 type Snapshot struct {
 	// K is the failure budget the store was swept under; evaluation is
@@ -94,10 +93,11 @@ func canonicalLink(a, b string) string {
 	return a + "~" + b
 }
 
-// CompileStore compiles a loaded result store for serving. Every class
-// record must carry the per-router conditions (CondRouters/Conds) a
-// baseline captured by this version writes; a store predating the query
-// plane compiles to an error and must be re-captured by one sweep.
+// CompileStore compiles a result store for serving: each record's
+// condition roots are lowered to programs and its verdicts become the
+// fixed answers — nothing is solved again. A record whose verdicts and
+// condition roots do not line up (LoadResultStore quarantines those) is
+// an error.
 func CompileStore(st *hoyan.ResultStore) (*Snapshot, error) {
 	start := time.Now()
 	snap := &Snapshot{
@@ -120,47 +120,32 @@ func CompileStore(st *hoyan.ResultStore) (*Snapshot, error) {
 	}
 	maxVar := logic.Var(len(st.Links) - 1)
 
-	// One compile-time factory answers the fixed questions exactly (BDD
-	// min-cost walk); it is discarded when compilation finishes, so its
-	// cost — unlike a simulator's — is paid once per published snapshot,
-	// never per query.
-	fac := logic.NewFactory()
 	for ci := range st.Classes {
 		rec := &st.Classes[ci]
-		if rec.Conds == nil || len(rec.CondRouters) == 0 {
-			return nil, fmt.Errorf("qc: class %d (%s) carries no per-router conditions; the store predates the query plane — re-capture the baseline with a fresh sweep", ci, strings.Join(rec.Members, " "))
+		if rec.Conds == nil || rec.Conds.NumRoots() != len(rec.Verdicts) {
+			return nil, fmt.Errorf("qc: class %d (%s): condition roots and router verdicts do not line up — re-capture the baseline with a fresh sweep", ci, strings.Join(rec.Members, " "))
 		}
-		if rec.Conds.NumRoots() != len(rec.CondRouters) {
-			return nil, fmt.Errorf("qc: class %d: %d condition roots for %d routers", ci, rec.Conds.NumRoots(), len(rec.CondRouters))
-		}
-		roots := rec.Conds.Import(fac)
+		sum, _ := rec.Report("")
 		cls := &Class{
 			Members:      append([]string(nil), rec.Members...),
-			Routers:      append([]string(nil), rec.CondRouters...),
-			ClassMinFail: logic.Unfailable,
-			routerIdx:    make(map[string]int, len(rec.CondRouters)),
+			ClassMinFail: sum.MinFailures,
+			routerIdx:    make(map[string]int, len(rec.Verdicts)),
 		}
 		classVars := map[logic.Var]bool{}
-		for ri, router := range rec.CondRouters {
+		for ri, v := range rec.Verdicts {
 			prog, err := CompileRoot(rec.Conds, ri, maxVar)
 			if err != nil {
-				return nil, fmt.Errorf("qc: class %d router %s: %w", ci, router, err)
+				return nil, fmt.Errorf("qc: class %d router %s: %w", ci, v.Router, err)
 			}
-			prog.attachDecisions(fac.ExportBDD(roots[ri]))
-			reachUp := fac.Eval(roots[ri], nil)
-			minFail := fac.MinFailuresToViolate(roots[ri])
+			cls.Routers = append(cls.Routers, v.Router)
 			cls.Progs = append(cls.Progs, prog)
-			cls.ReachUp = append(cls.ReachUp, reachUp)
-			cls.MinFail = append(cls.MinFail, minFail)
-			cls.routerIdx[router] = ri
-			if reachUp && minFail < cls.ClassMinFail {
-				cls.ClassMinFail = minFail
-			}
-			for _, v := range prog.Vars() {
-				classVars[v] = true
+			cls.ReachUp = append(cls.ReachUp, v.Reachable)
+			cls.MinFail = append(cls.MinFail, v.MinFailures)
+			cls.routerIdx[v.Router] = ri
+			for _, lv := range prog.Vars() {
+				classVars[lv] = true
 			}
 			snap.Stats.Instrs += prog.NumInstrs()
-			snap.Stats.Decisions += prog.NumDecisions()
 			if prog.NumInstrs() > snap.maxInstrs {
 				snap.maxInstrs = prog.NumInstrs()
 			}

@@ -8,20 +8,25 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"time"
 
 	"hoyan/internal/behavior"
 	"hoyan/internal/config"
 	"hoyan/internal/core"
+	"hoyan/internal/dist"
 	"hoyan/internal/logic"
 	"hoyan/internal/topo"
 )
 
-// ClassRecord is one behavior class's cached verification outcome plus
-// the dependency data an incremental sweep needs to decide whether a
-// model delta can change the outcome: the taint set the simulation
-// actually consulted (core.Taint) widened with every device the report
-// itself names, the prefix universe of the run, and the representative's
-// reachability condition as a factory-independent logic.Portable DAG.
+// ClassRecord is what one simulation of a behavior class's
+// representative said, plus the dependency data an incremental sweep
+// needs to decide whether a model delta can change it: the per-router
+// verdicts the scheduler settled (everything a report, a replay audit and
+// the query plane's fixed answers are folded or read from), the
+// reachability conditions behind them as one factory-independent
+// logic.Portable, the taint set the simulation actually consulted
+// (core.Taint) widened with every device the report names, and the
+// prefix universe of the run.
 type ClassRecord struct {
 	// Fingerprint is the class's behavior fingerprint (core.Classes) in
 	// the model the record was captured from. Informational: matching
@@ -30,10 +35,14 @@ type ClassRecord struct {
 	Fingerprint string `json:"fingerprint"`
 	// Members are the class's prefixes, sorted — the record's identity.
 	Members []string `json:"members"`
-	// Summary and Violations are the representative's report (Summary.
-	// Prefix names the representative; replay rewrites per member).
-	Summary    PrefixSummary `json:"summary"`
-	Violations []Violation   `json:"violations,omitempty"`
+	// Verdicts are the representative's verdicts at every BGP speaker, in
+	// node order: reachable with all links up, and the min failures that
+	// break it clipped to the sweep's K (-1 beyond it) — what the pass
+	// answered (dist.Response.Summaries), stored as it was.
+	Verdicts []dist.RouterSummary `json:"verdicts"`
+	// SimTime is the pass's propagation time, replayed into
+	// PrefixSummary.SimTime.
+	SimTime time.Duration `json:"sim_time_ns,omitempty"`
 	// TaintDevices/TaintSessions/TaintLinks/ViaIGP are the captured taint
 	// set by name (sessions as [from, to], links as sorted name pairs).
 	TaintDevices  []string    `json:"taint_devices"`
@@ -42,16 +51,12 @@ type ClassRecord struct {
 	ViaIGP        bool        `json:"via_igp,omitempty"`
 	// Universe is the run's prefix universe (family members included).
 	Universe []string `json:"universe,omitempty"`
-	// CondRouter/Cond anchor the replay audit: the representative's
-	// reachability condition at CondRouter, portable across factories.
-	CondRouter string          `json:"cond_router,omitempty"`
-	Cond       *logic.Portable `json:"cond,omitempty"`
-	// CondRouters/Conds feed the query plane (internal/qc): the
-	// representative's reachability condition at every BGP-speaking
-	// router, exported as one multi-root Portable (root i is the
-	// condition at CondRouters[i]) so shared sub-DAGs are stored once.
-	CondRouters []string        `json:"cond_routers,omitempty"`
-	Conds       *logic.Portable `json:"conds,omitempty"`
+	// Conds holds the representative's reachability condition at every
+	// verdict's router as one multi-root Portable (root i is the condition
+	// at Verdicts[i].Router), so shared sub-DAGs are stored once. The
+	// query plane (internal/qc) lowers each root to a program; a replay
+	// audit re-checks the root at the record's anchor.
+	Conds *logic.Portable `json:"conds,omitempty"`
 }
 
 // StoredLink is one baseline topology link by endpoint names.
@@ -193,7 +198,7 @@ func LoadResultStore(path string) (*ResultStore, error) {
 	// nonsensical results as verified).
 	kept := st.Classes[:0]
 	for i, rec := range st.Classes {
-		if why := validateRecord(&rec); why != "" {
+		if why := validateRecord(&rec, st.K); why != "" {
 			st.Quarantined = append(st.Quarantined, QuarantinedRecord{Index: i, Reason: why, Record: rec})
 			continue
 		}
@@ -209,9 +214,10 @@ func LoadResultStore(path string) (*ResultStore, error) {
 	return st, nil
 }
 
-// validateRecord checks the invariants replay depends on; it returns a
-// reason string for an unusable record, "" for a good one.
-func validateRecord(rec *ClassRecord) string {
+// validateRecord checks the invariants replay and the query plane depend
+// on; it returns a reason string for an unusable record, "" for a good
+// one. k is the store's failure budget.
+func validateRecord(rec *ClassRecord, k int) string {
 	if len(rec.Members) == 0 {
 		return "no members"
 	}
@@ -220,23 +226,22 @@ func validateRecord(rec *ClassRecord) string {
 			return "empty member prefix"
 		}
 	}
-	if rec.Summary.Prefix == "" {
-		return "summary names no representative prefix"
+	// Verdicts and condition roots must stay aligned: a record where they
+	// disagree would serve one router's answer under another's name.
+	roots := 0
+	if rec.Conds != nil {
+		roots = rec.Conds.NumRoots()
 	}
-	for _, v := range rec.Violations {
+	if roots != len(rec.Verdicts) {
+		return fmt.Sprintf("%d condition roots for %d router verdicts (a store written before records held verdicts has none: re-capture the baseline with a fresh sweep)", roots, len(rec.Verdicts))
+	}
+	for _, v := range rec.Verdicts {
 		if v.Router == "" {
-			return "violation names no router"
+			return "verdict names no router"
 		}
-	}
-	// The query-plane conditions must stay root-for-router aligned: a
-	// record whose router names and condition roots disagree would serve
-	// one router's answer under another's name.
-	if rec.Conds == nil {
-		if len(rec.CondRouters) != 0 {
-			return "router condition names without condition roots"
+		if v.MinFailures < -1 || v.MinFailures > k {
+			return fmt.Sprintf("verdict at %s: min failures %d outside [-1, %d]", v.Router, v.MinFailures, k)
 		}
-	} else if rec.Conds.NumRoots() != len(rec.CondRouters) {
-		return fmt.Sprintf("%d condition roots for %d router names", rec.Conds.NumRoots(), len(rec.CondRouters))
 	}
 	return ""
 }
@@ -330,15 +335,15 @@ func (st *ResultStore) baselineModel(reg *behavior.Registry) (*core.Model, error
 }
 
 // captureRecord builds the ClassRecord for a freshly simulated class
-// representative. It must run while res is still valid (before the
-// simulator's next pass): the taint is copied and the condition
-// exported into a factory-independent Portable here.
+// representative from the pass's verdicts. It must run while res is
+// still valid (before the simulator's next pass): the taint is copied
+// and the conditions exported into a factory-independent Portable here.
 func captureRecord(res *core.Result, m *core.Model, cls core.PrefixClass,
-	sum PrefixSummary, viols []Violation) ClassRecord {
+	verdicts []dist.RouterSummary, simTime time.Duration) ClassRecord {
 	rec := ClassRecord{
 		Fingerprint: cls.Fingerprint,
-		Summary:     sum,
-		Violations:  append([]Violation(nil), viols...),
+		Verdicts:    append([]dist.RouterSummary(nil), verdicts...),
+		SimTime:     simTime,
 	}
 	for _, p := range cls.Members {
 		rec.Members = append(rec.Members, p.String())
@@ -353,6 +358,7 @@ func captureRecord(res *core.Result, m *core.Model, cls core.PrefixClass,
 	// Widen with every device the report names: invalidation soundness
 	// then holds by construction — a report cannot mention a device
 	// outside its own record's taint.
+	sum, viols := rec.Report("")
 	if sum.WeakestRouter != "" {
 		devs[sum.WeakestRouter] = true
 	}
@@ -381,36 +387,15 @@ func captureRecord(res *core.Result, m *core.Model, cls core.PrefixClass,
 	}
 	sort.Strings(rec.Universe)
 
-	// Export the representative's reachability condition at the weakest
-	// router (or the first BGP speaker) as the replay-audit anchor.
-	anchor := sum.WeakestRouter
-	if anchor == "" {
-		for _, node := range m.Net.Nodes() {
-			if m.Configs[node.ID].BGP != nil {
-				anchor = node.Name
-				break
-			}
+	// Export the reachability condition behind every verdict as one
+	// multi-root Portable: the query plane lowers the roots to per-router
+	// programs, so "reachable from R under F" is answered by evaluation
+	// instead of simulation.
+	if len(verdicts) > 0 {
+		conds := make([]logic.F, len(verdicts))
+		for i, v := range verdicts {
+			conds[i] = res.ReachCond(v.Node, core.AnyRouteTo(cls.Rep))
 		}
-	}
-	if node, ok := m.Net.NodeByName(anchor); ok {
-		cond := res.ReachCond(node.ID, core.AnyRouteTo(cls.Rep))
-		rec.CondRouter = anchor
-		rec.Cond = res.Sim.F.Export(cond)
-	}
-
-	// Export the reachability condition at every BGP speaker (node-ID
-	// order, deterministic) as one multi-root Portable: the query plane
-	// compiles these into per-router programs, so "reachable from R under
-	// F" is answered by evaluation instead of simulation.
-	var conds []logic.F
-	for _, node := range m.Net.Nodes() {
-		if m.Configs[node.ID].BGP == nil {
-			continue
-		}
-		rec.CondRouters = append(rec.CondRouters, node.Name)
-		conds = append(conds, res.ReachCond(node.ID, core.AnyRouteTo(cls.Rep)))
-	}
-	if len(conds) > 0 {
 		rec.Conds = res.Sim.F.Export(conds...)
 	}
 	return rec
@@ -495,17 +480,18 @@ func planIncremental(model *core.Model, classes []core.PrefixClass,
 	return plan
 }
 
-// report replays the record for one member prefix of its class: the
-// stored summary and violations, re-addressed.
-func (rec *ClassRecord) report(prefix string) (PrefixSummary, []Violation) {
-	sum := rec.Summary
-	sum.Prefix = prefix
-	var viols []Violation
-	for _, v := range rec.Violations {
-		v.Prefix = prefix
-		viols = append(viols, v)
-	}
-	return sum, viols
+// Report is the record's report for one member prefix of its class: the
+// stored verdicts through the one fold every report comes out of.
+func (rec *ClassRecord) Report(prefix string) (PrefixSummary, []Violation) {
+	return foldVerdicts(prefix, rec.Verdicts, rec.SimTime)
+}
+
+// anchor is the verdict (and condition root) a replay audit re-checks:
+// the fold's weakest router, or the first BGP speaker when nothing breaks
+// within the budget.
+func (rec *ClassRecord) anchor() int {
+	i, _ := scanVerdicts(rec.Verdicts)
+	return max(i, 0)
 }
 
 // IncrementalPlan is the exported planning outcome: which classes a

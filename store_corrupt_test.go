@@ -6,10 +6,14 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"hoyan/internal/dist"
+	"hoyan/internal/logic"
 )
 
 func writeStore(t *testing.T, path string) *ResultStore {
 	t.Helper()
+	conds := logic.NewFactory().Export(logic.True) // one root per verdict
 	st := &ResultStore{
 		OptionsHash: "k=3;prune=true;simplify=true;profiles=tuned",
 		K:           3,
@@ -17,13 +21,15 @@ func writeStore(t *testing.T, path string) *ResultStore {
 		Classes: []ClassRecord{
 			{
 				Members:      []string{"10.0.0.0/24"},
-				Summary:      PrefixSummary{Prefix: "10.0.0.0/24", MinFailures: -1},
+				Verdicts:     []dist.RouterSummary{{Router: "A", Reachable: true, MinFailures: -1}},
 				TaintDevices: []string{"A"},
+				Conds:        conds,
 			},
 			{
 				Members:      []string{"10.1.0.0/24", "10.1.1.0/24"},
-				Summary:      PrefixSummary{Prefix: "10.1.0.0/24", MinFailures: 2, WeakestRouter: "A"},
+				Verdicts:     []dist.RouterSummary{{Router: "A", Reachable: true, MinFailures: 2}},
 				TaintDevices: []string{"A"},
+				Conds:        conds,
 			},
 		},
 	}
@@ -94,6 +100,61 @@ func TestLoadResultStoreQuarantinesBadRecords(t *testing.T) {
 	writeStore(t, clean)
 	if _, err := LoadResultStore(clean); err != nil {
 		t.Fatalf("clean store: %v", err)
+	}
+}
+
+// TestLoadResultStoreQuarantinesBadVerdicts: a record whose verdicts do
+// not line up with its condition roots, name no router, or carry a
+// min-failures count no sweep at the store's K could have produced is
+// quarantined at load — the class re-simulates — instead of failing the
+// query plane's compile at publish.
+func TestLoadResultStoreQuarantinesBadVerdicts(t *testing.T) {
+	for why, damage := range map[string]func(rec *ClassRecord){
+		"fewer verdicts than roots": func(rec *ClassRecord) { rec.Verdicts = nil },
+		"no conditions":             func(rec *ClassRecord) { rec.Conds = nil },
+		"unnamed router":            func(rec *ClassRecord) { rec.Verdicts[0].Router = "" },
+		"min failures above K":      func(rec *ClassRecord) { rec.Verdicts[0].MinFailures = 4 },
+		"min failures below -1":     func(rec *ClassRecord) { rec.Verdicts[0].MinFailures = -2 },
+	} {
+		path := filepath.Join(t.TempDir(), "baseline.json")
+		st := writeStore(t, path)
+		damage(&st.Classes[1])
+		if err := st.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := LoadResultStore(path)
+		var ce *CorruptStoreError
+		if !errors.As(err, &ce) || !ce.Usable {
+			t.Fatalf("%s: want a usable *CorruptStoreError, got %v", why, err)
+		}
+		if len(loaded.Classes) != 1 || len(loaded.Quarantined) != 1 || loaded.Quarantined[0].Index != 1 {
+			t.Fatalf("%s: want class 1 quarantined and class 0 kept, got %d kept, %+v", why, len(loaded.Classes), loaded.Quarantined)
+		}
+	}
+}
+
+// TestLoadResultStoreWithoutVerdicts: a store written before records
+// held verdicts (the key is absent there; a nil slice decodes the same)
+// loads with every record quarantined, and the error says what to do.
+func TestLoadResultStoreWithoutVerdicts(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "baseline.json")
+	st := writeStore(t, path)
+	for i := range st.Classes {
+		st.Classes[i].Verdicts = nil
+	}
+	if err := st.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadResultStore(path)
+	var ce *CorruptStoreError
+	if !errors.As(err, &ce) || !ce.Usable {
+		t.Fatalf("want a usable *CorruptStoreError, got %v", err)
+	}
+	if len(loaded.Classes) != 0 || len(loaded.Quarantined) != 2 {
+		t.Fatalf("want every record quarantined, got %d kept, %d quarantined", len(loaded.Classes), len(loaded.Quarantined))
+	}
+	if !strings.Contains(err.Error(), "re-capture the baseline") {
+		t.Fatalf("the error must say to re-capture: %v", err)
 	}
 }
 

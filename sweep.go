@@ -77,8 +77,8 @@ func (n *Network) Sweep(opts Options, workers int) (*SweepReport, error) {
 }
 
 // SweepBaseline is Sweep plus baseline capture: it returns a ResultStore
-// holding the swept model and every class's report, taint set, and
-// portable reachability condition, for use as Options.Baseline in later
+// holding the swept model and every class's verdicts, taint set, and
+// portable reachability conditions, for use as Options.Baseline in later
 // incremental sweeps. When this sweep is itself incremental, replayed
 // classes carry their baseline records forward unchanged, so a
 // perturbation series pays capture cost only for re-simulated classes.
@@ -224,8 +224,7 @@ func (n *Network) sweepClasses(opts Options, model *core.Model, classes []core.P
 	plan.Live = func(u dist.Unit, res *core.Result, resp *dist.Response) error {
 		switch {
 		case u.Kind == dist.UnitRep && captured != nil:
-			sum, viols := foldVerdicts(u.Prefix, resp.Summaries, resp.Elapsed)
-			rec := captureRecord(res, model, classes[u.Class], sum, viols)
+			rec := captureRecord(res, model, classes[u.Class], resp.Summaries, resp.Elapsed)
 			captured[u.Class] = &rec
 		case u.Kind == dist.UnitAudit && plan.Classes[u.Class].Replayed:
 			ok, err := auditCond(incr.records[u.Class], classes[u.Class], res, resp)
@@ -251,7 +250,7 @@ func (n *Network) sweepClasses(opts Options, model *core.Model, classes []core.P
 	// to: see rep.Run.Failed).
 	report := func(i int, m string) (PrefixSummary, []Violation, bool) {
 		if plan.Classes[i].Replayed {
-			sum, viols := incr.records[i].report(m)
+			sum, viols := incr.records[i].Report(m)
 			return sum, viols, true
 		}
 		vs, ok := res.ByPrefix[m]
@@ -282,8 +281,8 @@ func (n *Network) sweepClasses(opts Options, model *core.Model, classes []core.P
 				switch rec := incr.records[i]; {
 				case err != nil:
 					err = fmt.Errorf("hoyan: incremental replay audit: stale cached report: %w", err)
-				case !remote && rec.Cond != nil && !anchored[i]:
-					err = fmt.Errorf("hoyan: incremental replay audit for %s: no pass covered the condition anchor %q", a, rec.CondRouter)
+				case !remote && rec.Conds != nil && !anchored[i]:
+					err = fmt.Errorf("hoyan: incremental replay audit for %s: no pass covered the condition anchor %q", a, rec.Verdicts[rec.anchor()].Router)
 				}
 			}
 			if err != nil {
@@ -368,21 +367,22 @@ func scanVerdicts(vs []dist.RouterSummary) (minIdx, nviol int) {
 }
 
 // auditCond is the condition half of a replay audit: when the pass
-// covers the record's anchor router, the stored portable condition DAG
-// must still be equivalent to the fresh reachability condition there.
-// It reports whether the pass covered the anchor.
+// covers the record's anchor router, the stored condition root there
+// must still be equivalent to the fresh reachability condition. It
+// reports whether the pass covered the anchor.
 func auditCond(rec *ClassRecord, cls core.PrefixClass, res *core.Result, resp *dist.Response) (bool, error) {
-	if rec.Cond == nil {
+	if rec.Conds == nil {
 		return false, nil
 	}
-	i := slices.IndexFunc(resp.Summaries, func(s dist.RouterSummary) bool { return s.Router == rec.CondRouter })
+	a := rec.anchor()
+	router := rec.Verdicts[a].Router
+	i := slices.IndexFunc(resp.Summaries, func(s dist.RouterSummary) bool { return s.Router == router })
 	if i < 0 {
 		return false, nil // the anchor lies in another region's pass
 	}
 	fresh := res.ReachCond(resp.Summaries[i].Node, core.AnyRouteTo(cls.Rep))
-	imported := rec.Cond.Import(res.Sim.F)
-	if len(imported) != 1 || !res.Sim.F.Equivalent(imported[0], fresh) {
-		return true, fmt.Errorf("hoyan: incremental replay audit for %s: stored reachability condition at %s no longer equivalent to fresh simulation", cls.Rep, rec.CondRouter)
+	if !res.Sim.F.Equivalent(rec.Conds.Import(res.Sim.F)[a], fresh) {
+		return true, fmt.Errorf("hoyan: incremental replay audit for %s: stored reachability condition at %s no longer equivalent to fresh simulation", cls.Rep, router)
 	}
 	return true, nil
 }
