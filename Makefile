@@ -54,9 +54,12 @@ bench-compare:
 # mid-sweep, resumed, byte-compared against an uninterrupted run),
 # journal resume semantics, and interleaved sessions over a shared
 # worker pool. Deterministic: the seed is printed in every failure
-# message; reproduce a red run with CHAOS_SEED=<seed> make chaos.
+# message; reproduce a red run with CHAOS_SEED=<seed> make chaos. The
+# IGP memo's concurrency rides along: the Shared LRU building outside its
+# lock, and the parallel memo build's determinism, ten times over.
 chaos:
-	$(GO) test -race -run 'Chaos|Session|Resume|Interleaved|LRU|ModelHash' ./internal/dist/
+	$(GO) test -race -run 'Chaos|Session|Resume|Interleaved|LRU|ModelHash|SharedBuild|ResidentMemo' ./internal/dist/
+	$(GO) test -race -count=10 -run 'TestMemoBuildDeterministic' ./internal/igp/ ./internal/core/
 	$(GO) run ./cmd/hoyanbench -exp recovery -rec-preset small -rec-iters 1 -rec-out=
 
 # scale-smoke bounds the paper-scale modular path: the modular plan over

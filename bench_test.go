@@ -331,3 +331,20 @@ func BenchmarkFig12PruningStats(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkIGPMemoBuild times the cold IGP memo of gen.Medium — the
+// IS-IS fixpoints behind every iBGP session condition, what NewShared
+// pays before the first class runs. Meant for -cpu 1,2: the build fans
+// out over GOMAXPROCS goroutines, which must help at 2 and cost nothing
+// at 1.
+func BenchmarkIGPMemoBuild(b *testing.B) {
+	w := mustWAN(b, gen.Medium())
+	m := mustModel(b, w)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if sh := core.NewShared(m, core.DefaultOptions()); sh.IGPMemo().NumDestinations() == 0 {
+			b.Fatal("empty memo")
+		}
+	}
+}

@@ -161,7 +161,11 @@ type Options struct {
 	// is diffed against the baseline's, only behavior classes the delta
 	// can affect are re-simulated, and cached reports are replayed for
 	// the rest (DESIGN.md, "Incremental re-verification"). Produce a
-	// baseline with SweepBaseline.
+	// baseline with SweepBaseline. A store still in the memory of the
+	// process that swept it also carries that sweep's IGP memo: the next
+	// Sweep, and a Verifier built with the store as its Baseline, start
+	// from it instead of re-running the IS-IS fixpoints whenever the
+	// network's IGP inputs are the ones it was built for.
 	Baseline *ResultStore
 	// Modular runs Sweep region by region (DESIGN.md, "Modular
 	// verification"): each prefix family is simulated in its home region
@@ -192,7 +196,10 @@ type Verifier struct {
 	fibs  map[netaddr.Prefix]*dataplane.FIB
 }
 
-// Verifier freezes the network and builds a verifier.
+// Verifier freezes the network and builds a verifier. Its simulator
+// resolves IGP reachability lazily, on the first query that needs it —
+// unless opts.Baseline carries an IGP memo valid for this network, which
+// then answers instead.
 func (n *Network) Verifier(opts Options) (*Verifier, error) {
 	if len(n.errs) > 0 {
 		return nil, n.errs[0]
@@ -202,9 +209,16 @@ func (n *Network) Verifier(opts Options) (*Verifier, error) {
 	if err != nil {
 		return nil, err
 	}
+	var sim *core.Simulator
+	if b := opts.Baseline; b != nil && b.igp != nil && b.igp.Key() == core.IGPKey(m, copts) {
+		// The swept destinations are all there: nothing is propagated here.
+		sim = core.SharedFrom(m, copts, b.igp, 0).NewSimulator()
+	} else {
+		sim = core.NewSimulator(m, copts)
+	}
 	return &Verifier{
 		model: m,
-		sim:   core.NewSimulator(m, copts),
+		sim:   sim,
 		opts:  opts,
 		cache: map[netaddr.Prefix]*core.Result{},
 		fibs:  map[netaddr.Prefix]*dataplane.FIB{},

@@ -5,8 +5,11 @@ import (
 	"strings"
 	"testing"
 
+	"hoyan/internal/config"
 	"hoyan/internal/gen"
+	"hoyan/internal/igp"
 	"hoyan/internal/logic"
+	"hoyan/internal/topo"
 )
 
 // applyPerturbation replays one gen.Perturb step onto a Network.
@@ -22,13 +25,38 @@ func applyPerturbation(t *testing.T, n *Network, p gen.Perturbation) {
 	}
 }
 
+// relinked rebuilds n's topology with every link passed through edit
+// (its new weight, or false to drop it) — the link edits Network's
+// add-only API has no call for. Node ids, and so the configs, carry over.
+func relinked(n *Network, edit func(l *topo.Link) (uint32, bool)) *Network {
+	out := NewNetwork()
+	for _, node := range n.net.Nodes() {
+		out.net.MustAddNode(*node)
+	}
+	for _, l := range n.net.Links() {
+		if w, ok := edit(l); ok {
+			out.net.MustAddLink(l.A, l.B, w)
+		}
+	}
+	out.snap = n.snap
+	return out
+}
+
+// What a step of TestIncrementalMatchesCold expects of the IGP memo the
+// baseline carries: a count of destinations to fill in (0 = carried
+// whole), or every one of them.
+const memoRebuilt = -1
+
 // TestIncrementalMatchesCold is the correctness gate of incremental
 // re-verification: across a seeded series of perturbations (policy,
-// static, and topology changes), every incremental sweep must produce a
-// report identical (modulo timing) to a from-scratch sweep of the same
-// network, with the baseline store round-tripped through its JSON
-// persistence at every step. It also pins the escape hatch: without a
-// baseline nothing is replayed.
+// static, and topology changes) followed by one edit of every input the
+// IGP reads, every incremental sweep must produce a report identical
+// (modulo timing) to a from-scratch sweep of the same network, with the
+// baseline's class records round-tripped through their JSON persistence
+// at every step. It pins the IGP memo's carry alongside: an edit the IGP
+// cannot see re-runs no IS-IS fixpoint, an edit it can see re-runs them
+// all, and a new iBGP neighbour re-runs exactly the one toward it. And
+// the escape hatch: without a baseline nothing is replayed.
 func TestIncrementalMatchesCold(t *testing.T) {
 	// gen.Medium is the real gate; under the race detector it alone takes
 	// four of go test's ten minutes and the package no longer fits, so the
@@ -47,78 +75,166 @@ func TestIncrementalMatchesCold(t *testing.T) {
 	if len(store.Classes) == 0 || len(store.Configs) == 0 {
 		t.Fatalf("baseline store empty: %d classes, %d configs", len(store.Classes), len(store.Configs))
 	}
-
-	steps := gen.Perturb(w, 7, 5)
-	if len(steps) < 5 {
-		t.Fatalf("perturbation series too short: %d steps", len(steps))
+	if store.igp == nil || store.igp.NumDestinations() == 0 {
+		t.Fatal("the baseline sweep left no IGP memo on its store")
 	}
+
+	type step struct {
+		desc  string
+		apply func()
+		memo  int  // destinations the carried memo lacks, or memoRebuilt
+		full  bool // the delta must invalidate every class
+	}
+	var steps []step
+	perturbed := gen.Perturb(w, 7, 5)
+	if len(perturbed) < 5 {
+		t.Fatalf("perturbation series too short: %d steps", len(perturbed))
+	}
+	for _, p := range perturbed {
+		st := step{desc: p.Description, apply: func() { applyPerturbation(t, n, p) }}
+		if p.Kind == "link" {
+			st.memo, st.full = memoRebuilt, true
+		}
+		steps = append(steps, st)
+	}
+
+	// One edit of everything the IGP reads, and around them a MAN router
+	// losing and regaining its iBGP sessions: unpeered, it is no session's
+	// endpoint, so the memo rebuilt by the next IGP edit has no RIB toward
+	// it, and peering it again is the one destination to fill in.
+	update := func(router string, lines ...string) func() {
+		return func() {
+			if err := n.ApplyUpdate(router, lines...); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	man, pe := w.MANs[0], w.PEs[0]
+	var peerLines []string
+	original := map[string]string{man: config.Write(n.snap[man])}
+	for _, nb := range n.snap[man].BGP.Neighbors {
+		peerLines = append(peerLines, "no neighbor "+nb.PeerName)
+		original[nb.PeerName] = config.Write(n.snap[nb.PeerName])
+	}
+	peNeighbor := n.net.Node(n.net.Neighbors(mustNode(t, n, pe))[0].Peer).Name
+	steps = append(steps,
+		step{desc: "bgp: " + man + " loses its iBGP sessions", apply: func() {
+			update(man, peerLines...)()
+			for peer := range original {
+				if peer != man {
+					update(peer, "no neighbor "+man)()
+				}
+			}
+		}},
+		step{desc: "isis: metric override on " + pe, memo: memoRebuilt, full: true,
+			apply: update(pe, "router isis", " metric "+peNeighbor+" 77")},
+		step{desc: "bgp: " + man + " is peered again", memo: 1, apply: func() {
+			for name, text := range original {
+				n.SetConfig(name, text)
+			}
+		}},
+		step{desc: "isis: " + pe + " becomes L1/L2", memo: memoRebuilt, full: true,
+			apply: update(pe, "router isis", " level 12")},
+		step{desc: "isis: " + pe + " penetrates", memo: memoRebuilt, full: true,
+			apply: update(pe, "router isis", " penetrate")},
+		step{desc: "link: first link one heavier", memo: memoRebuilt, full: true, apply: func() {
+			n = relinked(n, func(l *topo.Link) (uint32, bool) {
+				if l.ID == 0 {
+					return l.Weight + 1, true
+				}
+				return l.Weight, true
+			})
+		}},
+		step{desc: "link: last link removed", memo: memoRebuilt, full: true, apply: func() {
+			last := topo.LinkID(n.net.NumLinks() - 1)
+			n = relinked(n, func(l *topo.Link) (uint32, bool) { return l.Weight, l.ID != last })
+		}},
+		step{desc: "options: failure budget 1", memo: memoRebuilt, full: true, apply: func() { opts.K = 1 }},
+	)
+
 	dir := t.TempDir()
-	sawReplay, sawFull := false, false
-	for i, step := range steps {
-		applyPerturbation(t, n, step)
+	sawReplay := false
+	for i, st := range steps {
+		st.apply()
 
 		// Round-trip the baseline through persistence: incremental sweeps
 		// must work from a store loaded off disk, portable conditions
-		// included.
+		// included. The IGP memo is never on disk; the process that swept
+		// still holds it, and hands it on with the records.
 		path := filepath.Join(dir, "baseline.json")
 		if err := store.Save(path); err != nil {
-			t.Fatalf("step %d (%s): %v", i, step.Description, err)
+			t.Fatalf("step %d (%s): %v", i, st.desc, err)
 		}
 		loaded, err := LoadResultStore(path)
 		if err != nil {
-			t.Fatalf("step %d (%s): %v", i, step.Description, err)
+			t.Fatalf("step %d (%s): %v", i, st.desc, err)
 		}
+		if loaded.igp != nil {
+			t.Fatalf("step %d (%s): a store loaded off disk carries an IGP memo", i, st.desc)
+		}
+		loaded.igp = store.igp
 
 		cold, err := n.Sweep(opts, 4)
 		if err != nil {
-			t.Fatalf("step %d (%s): cold sweep: %v", i, step.Description, err)
+			t.Fatalf("step %d (%s): cold sweep: %v", i, st.desc, err)
 		}
 		iopts := opts
 		iopts.Baseline = loaded
+		before := igp.Propagations()
 		incr, next, err := n.SweepBaseline(iopts, 4)
 		if err != nil {
-			t.Fatalf("step %d (%s): incremental sweep: %v", i, step.Description, err)
+			t.Fatalf("step %d (%s): incremental sweep: %v", i, st.desc, err)
 		}
-		diffSweepReports(t, "step "+step.Description, cold, incr)
+		propagated := int(igp.Propagations() - before)
+		diffSweepReports(t, "step "+st.desc, cold, incr)
 
 		if incr.Invalidation == nil {
-			t.Fatalf("step %d (%s): incremental sweep reported no invalidation stats", i, step.Description)
+			t.Fatalf("step %d (%s): incremental sweep reported no invalidation stats", i, st.desc)
 		}
-		st := incr.Invalidation
-		if st.ClassesDirty+st.ClassesReplayed != incr.Classes {
+		inv := incr.Invalidation
+		if inv.ClassesDirty+inv.ClassesReplayed != incr.Classes {
 			t.Fatalf("step %d (%s): dirty %d + replayed %d != classes %d",
-				i, step.Description, st.ClassesDirty, st.ClassesReplayed, incr.Classes)
+				i, st.desc, inv.ClassesDirty, inv.ClassesReplayed, incr.Classes)
 		}
-		if incr.Replayed != st.ClassesReplayed {
-			t.Fatalf("step %d (%s): report replayed %d, stats %d", i, step.Description, incr.Replayed, st.ClassesReplayed)
+		if incr.Replayed != inv.ClassesReplayed {
+			t.Fatalf("step %d (%s): report replayed %d, stats %d", i, st.desc, incr.Replayed, inv.ClassesReplayed)
 		}
-		switch step.Kind {
-		case "link":
-			if !st.FullInvalidation {
-				t.Fatalf("step %d (%s): topology change must invalidate fully, stats %+v", i, step.Description, st)
+		if st.full && !inv.FullInvalidation {
+			t.Fatalf("step %d (%s): an IGP-visible change must invalidate fully, stats %+v", i, st.desc, inv)
+		}
+		if !st.full && inv.ClassesReplayed > 0 {
+			sawReplay = true
+		}
+		switch had := store.igp.NumDestinations(); {
+		case next.igp == nil:
+			t.Fatalf("step %d (%s): the sweep left no IGP memo on its store", i, st.desc)
+		case st.memo == memoRebuilt:
+			if propagated == 0 || propagated != next.igp.NumDestinations() || next.igp.Key() == store.igp.Key() {
+				t.Fatalf("step %d (%s): the IGP can see this edit, yet %d of %d destinations were propagated (key moved: %v)",
+					i, st.desc, propagated, next.igp.NumDestinations(), next.igp.Key() != store.igp.Key())
 			}
-			sawFull = true
-		default:
-			if st.ClassesReplayed > 0 {
-				sawReplay = true
-			}
+		case propagated != st.memo || next.igp.NumDestinations() != had+st.memo || next.igp.Key() != store.igp.Key():
+			t.Fatalf("step %d (%s): %d IGP propagations, want %d; the memo went from %d to %d destinations",
+				i, st.desc, propagated, st.memo, had, next.igp.NumDestinations())
 		}
-		t.Logf("step %d %s: %d dirty, %d replayed, %d replays audited, delta %v",
-			i, step.Description, st.ClassesDirty, st.ClassesReplayed, st.ReplaysAudited, st.DeltaKinds)
+		t.Logf("step %d %s: %d dirty, %d replayed, %d replays audited, %d IGP propagations, delta %v",
+			i, st.desc, inv.ClassesDirty, inv.ClassesReplayed, inv.ReplaysAudited, propagated, inv.DeltaKinds)
 		store = next
 	}
 	if !sawReplay {
 		t.Fatal("no perturbation step replayed any class; incremental mode never engaged")
 	}
-	if !sawFull {
-		t.Fatal("no step exercised the conservative full-invalidation fallback")
-	}
 
 	// Escape hatch: a nil baseline sweeps cold — nothing planned, nothing
-	// replayed — and agrees with the incremental sweep of the same state.
+	// replayed, every fixpoint run — and agrees with the incremental sweep
+	// of the same state.
+	before := igp.Propagations()
 	cold, err := n.Sweep(opts, 4)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := int(igp.Propagations() - before); got != store.igp.NumDestinations() {
+		t.Fatalf("a sweep without a baseline ran %d IGP propagations, want all %d: something cached a memo", got, store.igp.NumDestinations())
 	}
 	hot := opts
 	hot.Baseline = store
@@ -133,6 +249,15 @@ func TestIncrementalMatchesCold(t *testing.T) {
 	if incr.Replayed != incr.Classes {
 		t.Fatalf("an unchanged network replayed %d of %d classes", incr.Replayed, incr.Classes)
 	}
+}
+
+func mustNode(t *testing.T, n *Network, name string) topo.NodeID {
+	t.Helper()
+	node, ok := n.net.NodeByName(name)
+	if !ok {
+		t.Fatalf("no router %q", name)
+	}
+	return node.ID
 }
 
 // TestIncrementalSingleChangeIsSelective pins the perf contract behind

@@ -166,26 +166,28 @@ type runScratch struct {
 	taintSess []bool // per session
 }
 
-// NewSimulator prepares the session table. iBGP session conditions are
-// computed lazily on first use (they require IGP propagation).
-func NewSimulator(m *Model, opts Options) *Simulator {
-	if opts.MaxAlternatives == 0 {
-		opts.MaxAlternatives = 8
+// withDefaults fills the tunables whose zero value means "the default".
+// Everything that derives IGP options from simulation options goes
+// through it, so a Shared's memo and its simulators' engines agree.
+func (o Options) withDefaults() Options {
+	if o.MaxAlternatives == 0 {
+		o.MaxAlternatives = 8
 	}
-	if opts.SimplifyThreshold == 0 {
-		opts.SimplifyThreshold = 24
+	if o.SimplifyThreshold == 0 {
+		o.SimplifyThreshold = 24
 	}
-	s := &Simulator{
-		M:             m,
-		F:             logic.NewFactory(),
-		Opts:          opts,
-		sessionsBy:    make([][]int, m.Net.NumNodes()),
-		sessionsTo:    make([][]int, m.Net.NumNodes()),
-		igpLazy:       map[int]bool{},
-		violateCache:  map[logic.F]int{},
-		simplifyCache: map[logic.F]logic.F{},
+	return o
+}
+
+// forEachSession visits every configured BGP session both of whose ends
+// name each other, in the order NewSimulator numbers them. viaIGP marks an
+// iBGP session between two IS-IS speakers: its condition is the IS-IS
+// reachability of the endpoints, both ways.
+func (m *Model) forEachSession(visit func(from, to topo.NodeID, ibgp, viaIGP bool)) {
+	isis := func(id topo.NodeID) bool {
+		c := m.Configs[id]
+		return c.ISIS != nil && c.ISIS.Enabled
 	}
-	s.IGP = igp.New(m.Net, m.Configs, s.F, igpOptions(opts))
 	for _, node := range m.Net.Nodes() {
 		dev := m.Devices[node.ID]
 		if dev.Cfg.BGP == nil {
@@ -201,29 +203,48 @@ func NewSimulator(m *Model, opts Options) *Simulator {
 			if _, ok := peerDev.Neighbor(node.Name); !ok {
 				continue
 			}
-			idx := len(s.sessions)
-			se := session{from: node.ID, to: peer, ibgp: dev.SessionTypeTo(peerDev) == behavior.SessIBGP}
-			se.cond = s.directCond(node.ID, peer)
-			if se.ibgp && s.bothISIS(node.ID, peer) {
-				// Placeholder; resolved lazily from the IGP.
-				se.cond = logic.False
-				se.viaIGP = true
-				s.igpLazy[idx] = true
-			}
-			var dl []topo.LinkID
-			if !se.viaIGP {
-				for _, ad := range m.Net.Neighbors(node.ID) {
-					if ad.Peer == peer {
-						dl = append(dl, ad.Link)
-					}
-				}
-			}
-			s.sessionLinks = append(s.sessionLinks, dl)
-			s.sessions = append(s.sessions, se)
-			s.sessionsBy[node.ID] = append(s.sessionsBy[node.ID], idx)
-			s.sessionsTo[peer] = append(s.sessionsTo[peer], idx)
+			ibgp := dev.SessionTypeTo(peerDev) == behavior.SessIBGP
+			visit(node.ID, peer, ibgp, ibgp && isis(node.ID) && isis(peer))
 		}
 	}
+}
+
+// NewSimulator prepares the session table. iBGP session conditions are
+// computed lazily on first use (they require IGP propagation).
+func NewSimulator(m *Model, opts Options) *Simulator {
+	opts = opts.withDefaults()
+	s := &Simulator{
+		M:             m,
+		F:             logic.NewFactory(),
+		Opts:          opts,
+		sessionsBy:    make([][]int, m.Net.NumNodes()),
+		sessionsTo:    make([][]int, m.Net.NumNodes()),
+		igpLazy:       map[int]bool{},
+		violateCache:  map[logic.F]int{},
+		simplifyCache: map[logic.F]logic.F{},
+	}
+	s.IGP = igp.New(m.Net, m.Configs, s.F, igpOptions(opts))
+	m.forEachSession(func(from, to topo.NodeID, ibgp, viaIGP bool) {
+		idx := len(s.sessions)
+		se := session{from: from, to: to, ibgp: ibgp, viaIGP: viaIGP}
+		var dl []topo.LinkID
+		if viaIGP {
+			// Placeholder; resolved lazily from the IGP.
+			se.cond = logic.False
+			s.igpLazy[idx] = true
+		} else {
+			se.cond = s.directCond(from, to)
+			for _, ad := range m.Net.Neighbors(from) {
+				if ad.Peer == to {
+					dl = append(dl, ad.Link)
+				}
+			}
+		}
+		s.sessionLinks = append(s.sessionLinks, dl)
+		s.sessions = append(s.sessions, se)
+		s.sessionsBy[from] = append(s.sessionsBy[from], idx)
+		s.sessionsTo[to] = append(s.sessionsTo[to], idx)
+	})
 	return s
 }
 
@@ -243,9 +264,6 @@ func (s *Simulator) Reset() {
 	clear(s.simplifyCache)
 	if s.shared != nil {
 		s.IGP.Seed(s.shared.memo)
-		if s.shared.base != nil {
-			s.IGP.AddSeed(s.shared.base)
-		}
 	}
 	for i := range s.sessions {
 		se := &s.sessions[i]
@@ -285,11 +303,6 @@ func (s *Simulator) directCond(a, b topo.NodeID) logic.F {
 		}
 	}
 	return cond
-}
-
-func (s *Simulator) bothISIS(a, b topo.NodeID) bool {
-	ca, cb := s.M.Configs[a], s.M.Configs[b]
-	return ca.ISIS != nil && ca.ISIS.Enabled && cb.ISIS != nil && cb.ISIS.Enabled
 }
 
 // sessionCond resolves (and caches) a session's establishment condition.

@@ -131,38 +131,23 @@ func (pt *Partition) FamilyHome(m *Model, p netaddr.Prefix) (int, error) {
 	return home, nil
 }
 
-// CutMemo snapshots the IGP destinations behind every cross-region
-// session condition. Built once per modular sweep and layered under each
-// region's own memo, it keeps the O(regions) per-pass IGP state from
-// re-propagating the cut destinations every phase.
-func CutMemo(m *Model, opts Options, pt *Partition) *igp.Memo {
-	canon := NewSimulator(m, opts)
-	for i := range canon.sessions {
-		se := &canon.sessions[i]
-		if pt.RegionOf(se.from) != pt.RegionOf(se.to) {
-			canon.sessionCond(i)
-		}
-	}
-	return canon.IGP.Snapshot()
+// CutMemo is the memo of the IGP destinations behind every cross-region
+// session condition. Built once per modular sweep and handed to every
+// region's NewRegionShared, it keeps the per-region IGP state from
+// re-propagating the cut destinations region after region. have and
+// workers are SharedFrom's.
+func CutMemo(m *Model, opts Options, pt *Partition, have *igp.Memo, workers int) (*igp.Memo, error) {
+	return sessionMemo(m, opts, have, workers, func(from, to topo.NodeID) bool {
+		return pt.RegionOf(from) != pt.RegionOf(to)
+	})
 }
 
-// NewRegionShared is NewShared scoped to one region of a partition: the
-// canonical pass resolves only the region's internal session conditions,
-// and the snapshot excludes destinations the cut memo already covers, so
-// a region's resident IGP state is O(region), not O(WAN). Simulators
-// derived from it see the region memo layered over the cut memo.
-func NewRegionShared(m *Model, opts Options, pt *Partition, region int, cut *igp.Memo) *Shared {
-	sh := &Shared{M: m, Opts: opts, base: cut}
-	m.Origins() // warm the origination cache before workers race to it
-
-	canon := NewSimulator(m, opts)
-	canon.IGP.Seed(cut)
-	for i := range canon.sessions {
-		se := &canon.sessions[i]
-		if pt.RegionOf(se.from) == region && pt.RegionOf(se.to) == region {
-			canon.sessionCond(i)
-		}
-	}
-	sh.memo = canon.IGP.SnapshotLocal()
-	return sh
+// NewRegionShared is NewShared scoped to one region of a partition: its
+// memo is the cut memo plus the destinations behind the region's internal
+// session conditions, sharing the cut's RIBs, so a region's resident IGP
+// state is O(region + cut), not O(WAN).
+func NewRegionShared(m *Model, opts Options, pt *Partition, region int, cut *igp.Memo, workers int) *Shared {
+	return newShared(m, opts, cut, workers, func(from, to topo.NodeID) bool {
+		return pt.RegionOf(from) == region && pt.RegionOf(to) == region
+	})
 }

@@ -6,14 +6,22 @@ import (
 
 	"hoyan/internal/igp"
 	"hoyan/internal/logic"
+	"hoyan/internal/topo"
 )
 
 // Shared is the immutable, sweep-wide half of simulation state: the
 // assembled model plus every prefix-independent computation worth doing
-// exactly once per run — today the IGP path-vector fixpoints behind iBGP
-// session conditions, snapshotted as a factory-independent igp.Memo.
-// The mutable half (formula factory, IGP engine, per-run scratch) lives
-// on each Simulator.
+// once — the IGP path-vector fixpoints behind iBGP session conditions, as
+// an igp.Memo. The mutable half (formula factory, IGP engine, per-run
+// scratch) lives on each Simulator.
+//
+// The Shared does not own its memo's RIBs: a memo is valid for an igp.Key
+// (what the IGP reads of the model and options), not for this model, and
+// whoever holds a memo from earlier — the previous sweep's ResultStore, a
+// worker's other resident Shareds — hands it to SharedFrom, which reuses
+// it when the keys are equal and propagates only the destinations it
+// lacks. What the Shared guarantees is the pairing: memo and simulators
+// come from the same (model, options), so seeding needs no check.
 //
 // Build one Shared per sweep and call NewSimulator per worker goroutine:
 // workers then skip both model assembly and the per-engine IGP
@@ -22,11 +30,9 @@ type Shared struct {
 	M    *Model
 	Opts Options
 
-	memo *igp.Memo
-	// base is an optional second memo layer consulted after memo — the
-	// modular sweep's cut memo (NewRegionShared), shared by every region.
-	base *igp.Memo
-	xm   xMemo
+	memo    *igp.Memo
+	memoErr error
+	xm      xMemo
 }
 
 // xMemo is the cross-prefix memo: results of the expensive formula
@@ -63,24 +69,57 @@ func (sh *Shared) MemoHits() (hits, misses int64) {
 }
 
 // NewShared runs the one-time prefix-independent work for simulating m
-// under opts: it resolves every iBGP session condition on a canonical
-// engine (forcing the underlying per-destination IGP propagations) and
-// snapshots the computed RIBs for reuse by every simulator derived from
-// this Shared.
-func NewShared(m *Model, opts Options) *Shared {
-	sh := &Shared{M: m, Opts: opts}
-	m.Origins() // warm the origination cache before workers race to it
+// under opts, cold: SharedFrom with no earlier memo.
+func NewShared(m *Model, opts Options) *Shared { return SharedFrom(m, opts, nil, 0) }
 
-	// Canonical pass: a throwaway simulator whose only job is to force
-	// the lazy iBGP session conditions, populating its engine's RIB memo.
-	canon := NewSimulator(m, opts)
-	canon.SessionList()
-	sh.memo = canon.IGP.Snapshot()
+// SharedFrom is NewShared starting from have, a memo built earlier for
+// this or any other model (nil when there is none): if it was built for
+// the same igp.Key, only the destinations it lacks are propagated — after
+// a policy or static-route edit, none. The fixpoints run on up to workers
+// goroutines (<= 0 means GOMAXPROCS).
+func SharedFrom(m *Model, opts Options, have *igp.Memo, workers int) *Shared {
+	return newShared(m, opts, have, workers, func(_, _ topo.NodeID) bool { return true })
+}
+
+// newShared pairs the model with the memo of the sessions keep selects.
+func newShared(m *Model, opts Options, have *igp.Memo, workers int, keep func(from, to topo.NodeID) bool) *Shared {
+	sh := &Shared{M: m, Opts: opts.withDefaults()}
+	m.Origins() // warm the origination cache before workers race to it
+	sh.memo, sh.memoErr = sessionMemo(m, sh.Opts, have, workers, keep)
 	return sh
 }
 
-// IGPMemo exposes the snapshot for engines managed outside core.
+// sessionMemo is the one place core asks for IGP fixpoints: the memo of
+// the IGP-riding sessions keep selects — both endpoints of each are the
+// destinations whose RIBs the session's condition reads. The three memos
+// of a sweep (whole-WAN, cut, one region) differ in that selection and in
+// nothing else.
+func sessionMemo(m *Model, opts Options, have *igp.Memo, workers int, keep func(from, to topo.NodeID) bool) (*igp.Memo, error) {
+	var dsts []topo.NodeID
+	m.forEachSession(func(from, to topo.NodeID, _, viaIGP bool) {
+		if viaIGP && keep(from, to) {
+			dsts = append(dsts, from, to)
+		}
+	})
+	return igp.Build(m.Net, m.Configs, igpOptions(opts.withDefaults()), dsts, have, workers)
+}
+
+// IGPMemo returns the Shared's memo, for whoever carries it to the next
+// SharedFrom.
 func (sh *Shared) IGPMemo() *igp.Memo { return sh.memo }
+
+// Err reports a memo that could not be built whole: a destination whose
+// fixpoint hit the step cap (igp.Build). The Shared still simulates —
+// its simulators propagate that destination themselves, as far as the cap
+// lets them — but a sweep must fail on it rather than report verdicts
+// from a cut-off RIB.
+func (sh *Shared) Err() error { return sh.memoErr }
+
+// IGPKey is the igp.Key of what the IGP reads of m under opts: the key
+// SharedFrom's memo for them is valid for, without building it.
+func IGPKey(m *Model, opts Options) string {
+	return igp.Key(m.Net, m.Configs, igpOptions(opts.withDefaults()))
+}
 
 // Classes exposes the model's prefix behavior-class partition — the unit
 // of work of a classed sweep (one representative simulation per class).
@@ -94,9 +133,6 @@ func (sh *Shared) NewSimulator() *Simulator {
 	s := NewSimulator(sh.M, sh.Opts)
 	s.shared = sh
 	s.IGP.Seed(sh.memo)
-	if sh.base != nil {
-		s.IGP.AddSeed(sh.base)
-	}
 	return s
 }
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"hoyan/internal/core"
+	"hoyan/internal/igp"
 )
 
 // Plan is everything one sweep dispatches, whichever executors run it.
@@ -34,6 +35,12 @@ type Plan struct {
 	// executors (Local); remote workers resolve ModelHash.
 	Model *core.Model
 	Sim   core.Options
+	// IGP is an IGP memo the caller kept from an earlier sweep, nil when it
+	// has none. In-process executors start from it: a Shared whose model
+	// reads the same IGP inputs (igp.Key) shares its RIBs and propagates
+	// only the destinations it lacks. Remote workers look among their own
+	// resident Shareds instead.
+	IGP *igp.Memo
 	// Live, when set, sees every pass an in-process executor completes,
 	// with the simulator's Result still valid — what baseline capture
 	// and condition audits need and the wire does not carry. It runs on

@@ -131,19 +131,21 @@ func (l Local) open(p *Plan, units int) ([]executor, Options, error) {
 	if p.Model == nil {
 		return nil, Options{}, fmt.Errorf("dist: in-process executors need the plan's Model")
 	}
-	n := int(l)
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
+	cpus := int(l)
+	if cpus <= 0 {
+		cpus = runtime.GOMAXPROCS(0)
 	}
-	n = max(1, min(n, units))
+	n := max(1, min(cpus, units))
 	// One worker behind every executor: they share its Shared LRU — one
-	// IGP snapshot and cross-prefix memo per (k, region), residency
-	// bounded by the partition — and each keeps its own simulator, Reset
-	// before every pass it is reused for. (A remote worker's connection
-	// never Resets its own: DESIGN.md, "Recycling".)
+	// IGP memo and cross-prefix memo per (k, region), residency bounded by
+	// the partition, built from the plan's carried memo on as many
+	// goroutines as the pool was given — and each keeps its own
+	// simulator, Reset before every pass it is reused for. (A remote
+	// worker's connection never Resets its own: DESIGN.md, "Recycling".)
 	src := &modelSource{model: p.Model, opts: p.Sim}
 	src.once.Do(func() {})
 	w := newWorker(src, p.ModelHash)
+	w.carried, w.memoWorkers = p.IGP, cpus
 	execs := make([]executor, n)
 	for i := range execs {
 		execs[i] = &localExecutor{id: fmt.Sprintf("local/%d", i), w: w, live: p.Live, sim: connSim{recycle: true}}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hoyan/internal/behavior"
@@ -45,7 +46,15 @@ type modelSource struct {
 	pt     *core.Partition
 	ptErr  error
 	cutMu  sync.Mutex
-	cuts   map[int]*igp.Memo // by k
+	cuts   map[int]*cutEntry // by k
+}
+
+// cutEntry is one cut memo, built once by the first request that needs
+// it, outside cutMu.
+type cutEntry struct {
+	once sync.Once
+	memo *igp.Memo
+	err  error
 }
 
 func (ms *modelSource) assemble() (*core.Model, error) {
@@ -70,20 +79,21 @@ func (ms *modelSource) partition() (*core.Partition, error) {
 }
 
 // cutMemo returns the model's cross-region IGP memo for one failure
-// budget, building it on first use. Callers must have assembled the
-// model (partition() does).
-func (ms *modelSource) cutMemo(opts core.Options, pt *core.Partition) *igp.Memo {
+// budget, building it on first use from build. Callers must have
+// assembled the model (partition() does).
+func (ms *modelSource) cutMemo(k int, build func() (*igp.Memo, error)) (*igp.Memo, error) {
 	ms.cutMu.Lock()
-	defer ms.cutMu.Unlock()
 	if ms.cuts == nil {
-		ms.cuts = map[int]*igp.Memo{}
+		ms.cuts = map[int]*cutEntry{}
 	}
-	if memo := ms.cuts[opts.K]; memo != nil {
-		return memo
+	e := ms.cuts[k]
+	if e == nil {
+		e = &cutEntry{}
+		ms.cuts[k] = e
 	}
-	memo := core.CutMemo(ms.model, opts, pt)
-	ms.cuts[opts.K] = memo
-	return memo
+	ms.cutMu.Unlock()
+	e.once.Do(func() { e.memo, e.err = build() })
+	return e.memo, e.err
 }
 
 // sharedKey identifies one resident core.Shared: a model (by ModelHash)
@@ -95,9 +105,14 @@ type sharedKey struct {
 	region string
 }
 
-// sharedEntry is one LRU slot.
+// sharedEntry is one LRU slot. The slot is claimed under sharedMu and
+// filled outside it, once, by the first request for its key: two keys
+// build concurrently, and nothing else the mutex guards waits for a
+// build. sh is nil until then; an evicted slot still serves whoever holds
+// it.
 type sharedEntry struct {
-	sh   *core.Shared
+	once sync.Once
+	sh   atomic.Pointer[core.Shared]
 	used int64 // LRU clock tick of the last hit
 }
 
@@ -106,9 +121,12 @@ type sharedEntry struct {
 // select one by hash (empty = the default snapshot), so several
 // concurrent sweep sessions — possibly from different coordinators —
 // share one worker pool with no cross-talk. Per (model, k, region) the
-// worker keeps a core.Shared (immutable model + one-time IGP snapshot)
-// in a small LRU, so interleaved sessions never pay per-pass re-assembly
-// while memory stays bounded.
+// worker keeps a core.Shared (immutable model + IGP memo) in a small LRU,
+// so interleaved sessions never pay per-pass re-assembly while memory
+// stays bounded. A Shared about to be built starts from the memo of a
+// resident one whose model reads the same IGP inputs (igp.Key): a second
+// model that differs from a resident one by a policy edit propagates
+// nothing.
 type Worker struct {
 	// IdleTimeout bounds the wait for the next request on a coordinator
 	// connection; zero waits forever. Set before Serve.
@@ -123,6 +141,13 @@ type Worker struct {
 	// connections keep working (Shared is immutable), and the next
 	// request for that key re-assembles.
 	MaxShared int
+
+	// carried is a memo handed in from outside the worker — the plan's,
+	// for in-process executors — considered next to the resident ones.
+	// memoWorkers bounds the goroutines of one memo build (0 = GOMAXPROCS).
+	// Both are set before the first request.
+	carried     *igp.Memo
+	memoWorkers int
 
 	sharedMu    sync.Mutex
 	sources     map[string]*modelSource // by ModelHash; "" aliases default
@@ -237,11 +262,12 @@ func (w *Worker) Close() error {
 
 // sharedFor returns the Shared for (model hash, failure budget k,
 // region), assembling it on first use and touching its LRU slot; region
-// "" is the global Shared of a monolithic pass. A region Shared is
-// layered over the model's cut memo, so a worker serving modular passes
-// holds O(WAN/regions) per region instead of O(WAN); pt and ri are the
-// model's partition and the region's index in it (nil, -1 for the global
-// Shared).
+// "" is the global Shared of a monolithic pass. A region Shared shares the
+// model's cut memo, so a worker serving modular passes holds
+// O(WAN/regions) per region instead of O(WAN); pt and ri are the model's
+// partition and the region's index in it (nil, -1 for the global Shared).
+// A Shared whose memo is incomplete (core.Shared.Err) is an error: no
+// pass runs on a cut-off RIB.
 func (w *Worker) sharedFor(model string, k int, region string) (sh *core.Shared, pt *core.Partition, ri int, err error) {
 	w.sharedMu.Lock()
 	src := w.sources[model]
@@ -257,7 +283,10 @@ func (w *Worker) sharedFor(model string, k int, region string) (sh *core.Shared,
 	opts.K = k
 	key := sharedKey{model: model, k: k, region: region}
 	if region == "" {
-		return w.cachedShared(key, 0, func() *core.Shared { return core.NewShared(m, opts) }), nil, -1, nil
+		sh = w.cachedShared(key, 0, func() *core.Shared {
+			return core.SharedFrom(m, opts, w.haveMemo(m, opts), w.memoWorkers)
+		})
+		return sh, nil, -1, sh.Err()
 	}
 	if pt, err = src.partition(); err != nil {
 		return nil, nil, -1, err
@@ -265,50 +294,88 @@ func (w *Worker) sharedFor(model string, k int, region string) (sh *core.Shared,
 	if ri = pt.RegionIndex(region); ri < 0 {
 		return nil, nil, -1, fmt.Errorf("dist: model %q has no region %q", model, region)
 	}
-	cut := src.cutMemo(opts, pt)
-	sh = w.cachedShared(key, pt.NumRegions()+2, func() *core.Shared {
-		return core.NewRegionShared(m, opts, pt, ri, cut)
+	cut, err := src.cutMemo(k, func() (*igp.Memo, error) {
+		return core.CutMemo(m, opts, pt, w.haveMemo(m, opts), w.memoWorkers)
 	})
-	return sh, pt, ri, nil
+	if err != nil {
+		return nil, nil, -1, err
+	}
+	sh = w.cachedShared(key, pt.NumRegions()+2, func() *core.Shared {
+		return core.NewRegionShared(m, opts, pt, ri, cut, w.memoWorkers)
+	})
+	return sh, pt, ri, sh.Err()
+}
+
+// haveMemo returns the largest memo the worker holds that is valid for
+// what the IGP reads of m under opts — the carried one or a resident
+// Shared's — or nil: what a build of a Shared for m starts from.
+func (w *Worker) haveMemo(m *core.Model, opts core.Options) *igp.Memo {
+	want := core.IGPKey(m, opts)
+	var best *igp.Memo
+	var bestKey sharedKey
+	if w.carried != nil && w.carried.Key() == want {
+		best = w.carried
+	}
+	w.sharedMu.Lock()
+	defer w.sharedMu.Unlock()
+	for k, e := range w.shareds {
+		sh := e.sh.Load()
+		if sh == nil || sh.IGPMemo().Key() != want {
+			continue
+		}
+		// Whichever memo is taken, the RIBs are the same bytes (igp.Build);
+		// the tie-break only makes the work done reproducible.
+		memo := sh.IGPMemo()
+		d := 1
+		if best != nil {
+			d = memo.NumDestinations() - best.NumDestinations()
+		}
+		if d > 0 || (d == 0 && best != w.carried && lessKey(k, bestKey)) {
+			best, bestKey = memo, k
+		}
+	}
+	return best
 }
 
 // cachedShared looks key up in the LRU, building the Shared on a miss
 // and evicting the stalest entries beyond the cap (MaxShared, raised to
 // floor). The empty default alias resolves to the default hash, so a
-// model is never resident under two keys.
+// model is never resident under two keys. build runs outside sharedMu,
+// once per slot.
 func (w *Worker) cachedShared(key sharedKey, floor int, build func() *core.Shared) *core.Shared {
 	if key.model == "" {
 		key.model = w.defaultHash
 	}
 	w.sharedMu.Lock()
-	defer w.sharedMu.Unlock()
 	w.clock++
 	w.regionFloor = max(w.regionFloor, floor)
-	if e := w.shareds[key]; e != nil {
-		e.used = w.clock
-		return e.sh
-	}
-	sh := build()
-	w.shareds[key] = &sharedEntry{sh: sh, used: w.clock}
-	limit := w.MaxShared
-	if limit <= 0 {
-		limit = DefaultMaxShared
-	}
-	limit = max(limit, w.regionFloor)
-	for len(w.shareds) > limit {
-		var oldest sharedKey
-		var oldestUsed int64
-		first := true
-		for k2, e2 := range w.shareds {
-			if first || e2.used < oldestUsed ||
-				(e2.used == oldestUsed && lessKey(k2, oldest)) {
-				oldest, oldestUsed, first = k2, e2.used, false
-			}
+	e := w.shareds[key]
+	if e == nil {
+		e = &sharedEntry{used: w.clock} // the newest slot: never the one evicted below
+		w.shareds[key] = e
+		limit := w.MaxShared
+		if limit <= 0 {
+			limit = DefaultMaxShared
 		}
-		delete(w.shareds, oldest)
-		w.evictions++
+		limit = max(limit, w.regionFloor)
+		for len(w.shareds) > limit {
+			var oldest sharedKey
+			var oldestUsed int64
+			first := true
+			for k2, e2 := range w.shareds {
+				if first || e2.used < oldestUsed ||
+					(e2.used == oldestUsed && lessKey(k2, oldest)) {
+					oldest, oldestUsed, first = k2, e2.used, false
+				}
+			}
+			delete(w.shareds, oldest)
+			w.evictions++
+		}
 	}
-	return sh
+	e.used = w.clock
+	w.sharedMu.Unlock()
+	e.once.Do(func() { e.sh.Store(build()) })
+	return e.sh.Load()
 }
 
 // lessKey is the deterministic eviction tie-break across equally-stale

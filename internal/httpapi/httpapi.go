@@ -363,17 +363,17 @@ func (s *Service) handleResweep(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Commit: the swept snapshot becomes the served one (queries now see
-	// the updated configs) and the fresh store the next baseline.
-	s.mu.Lock()
-	if len(req.Updates) > 0 {
-		v, err := hoyan.NetworkFrom(s.net, snap).Verifier(hoyan.Options{K: s.k})
-		if err != nil {
-			s.mu.Unlock()
-			writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
-			return
-		}
-		s.snap, s.v = snap, v
+	// the updated configs) and the fresh store the next baseline. The
+	// verifier is rebuilt from the store even when no config changed: it
+	// then answers from the IGP memo the sweep just ran on instead of
+	// re-running the fixpoints on the first /v1/route.
+	v, err := hoyan.NetworkFrom(s.net, snap).Verifier(hoyan.Options{K: s.k, Baseline: store})
+	if err != nil {
+		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
+		return
 	}
+	s.mu.Lock()
+	s.snap, s.v = snap, v
 	s.baseline = store
 	s.lastInval = rep.Invalidation
 	s.mu.Unlock()

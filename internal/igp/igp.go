@@ -12,6 +12,7 @@ package igp
 
 import (
 	"slices"
+	"sync/atomic"
 
 	"hoyan/internal/config"
 	"hoyan/internal/logic"
@@ -71,41 +72,37 @@ type Engine struct {
 	cfg  []nodeISIS
 	ribs map[topo.NodeID]map[topo.NodeID][]Entry // dst -> node -> entries
 
-	// Seeded cross-engine memos (see memo.go), consulted in layer order.
-	// Each layer caches the one-time Import of its memo's conditions into
-	// this engine's factory.
-	memos []*seededMemo
-}
-
-// seededMemo is one seeded memo layer plus its lazily-imported conditions.
-type seededMemo struct {
-	memo   *Memo
-	conds  []logic.F
-	loaded bool
+	// memo is the seeded cross-engine memo (see memo.go): a destination it
+	// holds is imported into f on first use instead of propagated.
+	memo *Memo
 }
 
 // New builds an engine. configs maps node ID to the device configuration
 // (nil entries mean IS-IS disabled on that node).
 func New(net *topo.Network, configs []*config.Device, f *logic.Factory, opts Options) *Engine {
-	e := &Engine{
-		net:  net,
-		f:    f,
-		opts: opts,
-		cfg:  make([]nodeISIS, net.NumNodes()),
-		ribs: map[topo.NodeID]map[topo.NodeID][]Entry{},
-	}
+	return newEngine(net, isisConfigs(net, configs), f, opts)
+}
+
+func newEngine(net *topo.Network, cfg []nodeISIS, f *logic.Factory, opts Options) *Engine {
+	return &Engine{net: net, f: f, opts: opts, cfg: cfg, ribs: map[topo.NodeID]map[topo.NodeID][]Entry{}}
+}
+
+// isisConfigs extracts what the IGP reads of the device configs — and
+// nothing else, which is what lets Key fingerprint it.
+func isisConfigs(net *topo.Network, configs []*config.Device) []nodeISIS {
+	cfg := make([]nodeISIS, net.NumNodes())
 	for i, c := range configs {
 		if c == nil || c.ISIS == nil || !c.ISIS.Enabled {
 			continue
 		}
-		e.cfg[i] = nodeISIS{
+		cfg[i] = nodeISIS{
 			enabled:   true,
 			level:     c.ISIS.Level,
 			penetrate: c.ISIS.Penetrate,
 			metrics:   c.ISIS.Metrics,
 		}
 	}
-	return e
+	return cfg
 }
 
 func (e *Engine) hasL1(n topo.NodeID) bool {
@@ -133,11 +130,26 @@ func (e *Engine) RIB(dst topo.NodeID) map[topo.NodeID][]Entry {
 	}
 	rib, ok := e.fromMemo(dst)
 	if !ok {
-		rib = e.propagate(dst)
+		// A fixpoint cut off at the step cap is served as far as it got:
+		// RIB has no error to return. Only Build, whose result outlives the
+		// engine, refuses one.
+		rib, _ = e.propagate(dst)
 	}
 	e.ribs[dst] = rib
 	return rib
 }
+
+// propagations counts path-vector fixpoints run process-wide.
+var propagations atomic.Int64
+
+// Propagations reports how many per-destination fixpoints have run in
+// this process. Tests use it to pin what a memo saves: a sweep whose
+// model reads the same IGP inputs as its baseline's runs none.
+func Propagations() int64 { return propagations.Load() }
+
+// maxStepsFactor scales the fixpoint's step cap; a variable so a test can
+// lower it to where a real topology hits the cap.
+var maxStepsFactor = 4
 
 // better orders IS-IS alternatives: lower weight, then shorter path, then
 // lexicographic path for determinism.
@@ -179,10 +191,13 @@ func cmpEntry(a, b Entry) int {
 // propagate runs the path-vector fixpoint for one destination. Every node
 // keeps, per upstream neighbor, the set of alternatives that neighbor
 // offers; the node's own alternatives are those sets merged, guarded
-// exclusively by rank (RouteISISReachability of Algorithm 2).
-func (e *Engine) propagate(dst topo.NodeID) map[topo.NodeID][]Entry {
+// exclusively by rank (RouteISISReachability of Algorithm 2). complete is
+// false when the step cap ended the loop with updates still queued: the
+// RIB is then whatever the cut-off fixpoint had reached.
+func (e *Engine) propagate(dst topo.NodeID) (rib map[topo.NodeID][]Entry, complete bool) {
+	propagations.Add(1)
 	if !e.cfg[dst].enabled {
-		return map[topo.NodeID][]Entry{}
+		return map[topo.NodeID][]Entry{}, true
 	}
 	level := L2
 	if e.cfg[dst].level == 1 {
@@ -213,7 +228,7 @@ func (e *Engine) propagate(dst topo.NodeID) map[topo.NodeID][]Entry {
 	queue := []topo.NodeID{dst}
 	inQueue := map[topo.NodeID]bool{dst: true}
 	steps := 0
-	maxSteps := 4 * e.net.NumNodes() * e.net.NumNodes() * (e.opts.MaxAlternatives + 1)
+	maxSteps := maxStepsFactor * e.net.NumNodes() * e.net.NumNodes() * (e.opts.MaxAlternatives + 1)
 	for len(queue) > 0 && steps < maxSteps {
 		steps++
 		u := queue[0]
@@ -268,11 +283,11 @@ func (e *Engine) propagate(dst topo.NodeID) map[topo.NodeID][]Entry {
 			}
 		}
 	}
-	rib := map[topo.NodeID][]Entry{}
+	rib = map[topo.NodeID][]Entry{}
 	for n := range contrib {
 		rib[n] = assemble(n)
 	}
-	return rib
+	return rib, len(queue) == 0
 }
 
 // adjacent reports whether an IS-IS adjacency forms between u and v:

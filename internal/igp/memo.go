@@ -1,168 +1,261 @@
-// IGP SPF memoization across engines. An Engine already memoizes
-// propagate per destination, but that cache is private to one engine —
-// and one engine exists per simulator, so a sweep with W workers used to
-// run the same path-vector fixpoints W times. A Memo lifts the computed
-// RIBs out of an engine into an immutable, factory-independent snapshot
-// that any number of later engines can be seeded from: the hundreds of
-// prefixes homed on the same gateway (and the iBGP session conditions
-// between the same routers) then reuse one shortest-path computation
-// per destination for the whole sweep.
+// The IGP memo: per-destination RIBs computed once and reused by every
+// engine that reads the same inputs.
 //
-// Invalidation rule: a Memo is valid exactly for the (topology, configs,
-// Options) triple of the engine it was snapshotted from. Engines never
-// mutate computed RIBs, and topo.Network and config.Device are immutable
-// after build, so there is no in-place invalidation — a changed snapshot
-// or different options means computing a fresh Memo. core.NewShared
-// enforces this by construction: the memo lives on the Shared model that
-// also owns the topology and configs it was derived from.
+// An Engine memoizes propagate per destination, but that cache is private
+// to one engine and one factory, and a sweep makes an engine per executor
+// and per Reset. A Memo holds the computed RIBs outside any engine, each
+// destination's conditions as its own factory-independent logic.Portable:
+// a seeded engine imports the RIBs it touches, one destination at a time,
+// and propagates nothing.
+//
+// Identity: a Memo is valid for an igp.Key — a fingerprint of exactly
+// what New and propagate read (node ids, names and regions; link ids,
+// endpoints and weights; each node's IS-IS enabled/level/penetrate/metric
+// overrides; Options) — not for a model. Two models that differ only in
+// what the IGP never reads (policies, static routes, BGP neighbours,
+// announced prefixes) have equal keys and share one memo, which is what
+// lets a policy edit's resweep run no fixpoint at all. Nothing is ever
+// invalidated in place: RIBs are immutable, and a different key simply
+// does not match.
+//
+// Ownership: Build is the only producer. Whoever carries knowledge from
+// one sweep to the next carries the memo with it and hands it back as
+// Build's `have`: a hoyan.ResultStore across resweeps, a dist.Worker's
+// resident core.Shareds across models. The igp package keeps no cache of
+// its own, so a sweep that is handed nothing starts cold.
 package igp
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"maps"
+	"runtime"
 	"slices"
+	"strings"
+	"sync"
 
+	"hoyan/internal/config"
 	"hoyan/internal/logic"
 	"hoyan/internal/topo"
 )
 
-// Memo is an immutable snapshot of an Engine's computed per-destination
-// RIBs. Conditions are stored as a factory-independent logic.Portable,
-// so seeding replays them into the receiving engine's own factory.
-// Entry paths are shared (read-only) between the memo and every seeded
-// engine. A Memo is safe for concurrent use by many engines.
-type Memo struct {
-	portable *logic.Portable
-	dsts     map[topo.NodeID]memoRIB
+// Key fingerprints everything the IGP reads: two (network, configs,
+// options) triples with equal keys have equal RIBs for every destination.
+// It covers no more than that either — a field New or propagate never
+// looks at (a policy, a static route, a node's AS or role, a link's name)
+// does not move the key. Adjacency order is covered by the link list:
+// topo builds it from link ids and endpoints.
+func Key(net *topo.Network, configs []*config.Device, opts Options) string {
+	h := sha256.New()
+	var buf [8]byte
+	num := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	str := func(s string) {
+		num(uint64(len(s)))
+		h.Write([]byte(s))
+	}
+	flag := func(b bool) {
+		if b {
+			num(1)
+		} else {
+			num(0)
+		}
+	}
+	num(uint64(opts.K))
+	flag(opts.PruneOverK)
+	num(uint64(opts.MaxAlternatives))
+	cfg := isisConfigs(net, configs)
+	num(uint64(net.NumNodes()))
+	for i, node := range net.Nodes() {
+		str(node.Name)
+		str(node.Region)
+		c := cfg[i]
+		flag(c.enabled)
+		num(uint64(c.level))
+		flag(c.penetrate)
+		num(uint64(len(c.metrics)))
+		for _, peer := range slices.Sorted(maps.Keys(c.metrics)) {
+			str(peer)
+			num(uint64(c.metrics[peer]))
+		}
+	}
+	num(uint64(net.NumLinks()))
+	for _, l := range net.Links() {
+		num(uint64(l.A))
+		num(uint64(l.B))
+		num(uint64(l.Weight))
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
+// Memo is an immutable set of per-destination RIBs valid for one Key.
+// Entry paths and stored conditions are shared read-only between the
+// memo, every memo built from it and every seeded engine. A Memo is safe
+// for concurrent use by many engines.
+type Memo struct {
+	key  string
+	dsts map[topo.NodeID]*memoRIB
+}
+
+// memoRIB is one destination's RIB. A fixpoint the step cap cut off never
+// becomes one: Build reports it instead, so nothing that outlives a sweep
+// can hold a truncated RIB.
 type memoRIB struct {
 	nodes   []topo.NodeID
-	entries [][]memoEntry // parallel to nodes
+	entries [][]memoEntry   // parallel to nodes
+	conds   *logic.Portable // one root per entry, in nodes × entries order
 }
 
 type memoEntry struct {
 	weight uint32
 	path   []topo.NodeID
-	cond   int32 // index into portable's roots
 	level  Level
 }
 
-// Snapshot exports every destination RIB the engine has computed so far.
-// Call it after forcing the destinations of interest (e.g. resolving all
-// iBGP session conditions once); destinations never computed on this
-// engine are simply absent and fall back to local propagation in seeded
-// engines.
-func (e *Engine) Snapshot() *Memo {
-	return e.snapshot(false)
-}
-
-// SnapshotLocal is Snapshot minus the destinations a seeded memo layer
-// already covers: only RIBs this engine propagated itself are exported.
-// Layered seeding uses it so a region memo never duplicates the cut
-// memo it sits on top of.
-func (e *Engine) SnapshotLocal() *Memo {
-	return e.snapshot(true)
-}
-
-func (e *Engine) snapshot(localOnly bool) *Memo {
-	seeded := func(dst topo.NodeID) bool {
-		for _, sm := range e.memos {
-			if _, ok := sm.memo.dsts[dst]; ok {
-				return true
-			}
-		}
-		return false
-	}
-	m := &Memo{dsts: make(map[topo.NodeID]memoRIB, len(e.ribs))}
-	var roots []logic.F
-	dsts := make([]topo.NodeID, 0, len(e.ribs))
-	for dst := range e.ribs {
-		if localOnly && seeded(dst) {
-			continue
-		}
-		dsts = append(dsts, dst)
-	}
-	slices.Sort(dsts) // deterministic export order
-	for _, dst := range dsts {
-		rib := e.ribs[dst]
-		nodes := make([]topo.NodeID, 0, len(rib))
-		for n := range rib {
-			nodes = append(nodes, n)
-		}
-		slices.Sort(nodes)
-		mr := memoRIB{nodes: nodes, entries: make([][]memoEntry, len(nodes))}
-		for i, n := range nodes {
-			src := rib[n]
-			out := make([]memoEntry, len(src))
-			for j, ent := range src {
-				out[j] = memoEntry{
-					weight: ent.Weight,
-					path:   ent.Path, // shared read-only
-					cond:   int32(len(roots)),
-					level:  ent.Level,
-				}
-				roots = append(roots, ent.Cond)
-			}
-			mr.entries[i] = out
-		}
-		m.dsts[dst] = mr
-	}
-	m.portable = e.f.Export(roots...)
-	return m
-}
+// Key returns the fingerprint the memo is valid for.
+func (m *Memo) Key() string { return m.key }
 
 // NumDestinations reports how many destination RIBs the memo carries.
 func (m *Memo) NumDestinations() int { return len(m.dsts) }
 
-// Seed installs the memo as a read-through source for this engine's RIB
-// lookups, replacing any previously seeded layers. Destinations present
-// in the memo are materialized on demand (conditions imported into e's
-// factory once, on first use); others still run propagate locally.
-// Seeding after RIB calls is allowed — the local cache wins for
-// destinations already computed.
-func (e *Engine) Seed(m *Memo) {
-	e.memos = e.memos[:0]
-	e.AddSeed(m)
-}
-
-// AddSeed layers an additional memo under the already-seeded ones:
-// earlier layers win for destinations they cover, later layers fill the
-// gaps. Modular verification uses this to combine one long-lived cut
-// memo (destinations on inter-region sessions) with a per-region memo,
-// without merging snapshots.
-func (e *Engine) AddSeed(m *Memo) {
-	if m == nil {
-		return
+// Build returns a memo for (net, configs, opts) that holds every
+// destination in dsts. have is a memo from earlier — the previous
+// sweep's, another model's — or nil: when its key equals this one's, the
+// result shares all its RIBs and only the destinations it lacks are
+// propagated; otherwise it is ignored. Cold is have == nil.
+//
+// The missing destinations are propagated on up to `workers` goroutines
+// (<= 0 means GOMAXPROCS), each destination in a factory of its own
+// (logic.NewFactorySized). A RIB's exported bytes therefore depend on
+// that destination alone — not on which goroutine ran it, what ran before
+// it, or what `have` already held — so the memo is byte-identical at
+// every parallelism and a partly carried memo equals a cold one.
+// Destinations are still assigned statically (sorted, striped), never
+// stolen: the guarantee then survives a builder that shares a factory
+// per goroutine.
+//
+// A destination whose fixpoint hit the step cap is left out of the memo
+// and named in the error; the memo returned alongside is usable (engines
+// propagate what it lacks themselves) but the caller should fail loudly.
+func Build(net *topo.Network, configs []*config.Device, opts Options,
+	dsts []topo.NodeID, have *Memo, workers int) (*Memo, error) {
+	key := Key(net, configs, opts)
+	var held map[topo.NodeID]*memoRIB
+	if have != nil && have.key == key {
+		held = have.dsts
 	}
-	e.memos = append(e.memos, &seededMemo{memo: m})
-}
+	var missing []topo.NodeID
+	for _, dst := range dsts {
+		if _, ok := held[dst]; !ok {
+			missing = append(missing, dst)
+		}
+	}
+	if len(missing) == 0 && held != nil {
+		return have, nil
+	}
+	m := &Memo{key: key, dsts: map[topo.NodeID]*memoRIB{}}
+	maps.Copy(m.dsts, held)
+	slices.Sort(missing)
+	missing = slices.Compact(missing)
 
-// fromMemo materializes dst's RIB from the first seeded memo layer that
-// covers it, or reports that no layer does.
-func (e *Engine) fromMemo(dst topo.NodeID) (map[topo.NodeID][]Entry, bool) {
-	for _, sm := range e.memos {
-		mr, ok := sm.memo.dsts[dst]
-		if !ok {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, len(missing))
+	cfg := isisConfigs(net, configs)
+	built := make([]*memoRIB, len(missing)) // nil where the cap cut the fixpoint off
+	stripe := func(g int) {
+		// Destinations of one network need solver tables of about one
+		// size: each factory is sized by what the previous one grew to
+		// (a third of a small WAN's build was table growth otherwise).
+		// Sizing changes no node id, so no exported byte.
+		room := 0
+		for i := g; i < len(missing); i += workers {
+			f := logic.NewFactorySized(room)
+			e := newEngine(net, cfg, f, opts)
+			if rib, complete := e.propagate(missing[i]); complete {
+				built[i] = e.export(rib)
+			}
+			room = f.SolverNodes()
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			stripe(g)
+		}()
+	}
+	wg.Wait()
+	var cut []string
+	for i, dst := range missing {
+		if built[i] == nil {
+			cut = append(cut, net.Node(dst).Name)
 			continue
 		}
-		if !sm.loaded {
-			sm.conds = sm.memo.portable.Import(e.f)
-			sm.loaded = true
-		}
-		rib := make(map[topo.NodeID][]Entry, len(mr.nodes))
-		for i, n := range mr.nodes {
-			src := mr.entries[i]
-			out := make([]Entry, len(src))
-			for j, me := range src {
-				out[j] = Entry{
-					Weight: me.weight,
-					Path:   me.path,
-					Cond:   sm.conds[me.cond],
-					Level:  me.level,
-				}
-			}
-			rib[n] = out
-		}
-		return rib, true
+		m.dsts[dst] = built[i]
 	}
-	return nil, false
+	if cut != nil {
+		return m, fmt.Errorf("igp: the fixpoint toward %s hit the step cap; the RIB is incomplete and was not memoized", strings.Join(cut, ", "))
+	}
+	return m, nil
+}
+
+// export lifts one propagated RIB out of the engine's factory.
+func (e *Engine) export(rib map[topo.NodeID][]Entry) *memoRIB {
+	mr := &memoRIB{nodes: slices.Sorted(maps.Keys(rib))}
+	mr.entries = make([][]memoEntry, len(mr.nodes))
+	var roots []logic.F
+	for i, n := range mr.nodes {
+		src := rib[n]
+		out := make([]memoEntry, len(src))
+		for j, ent := range src {
+			out[j] = memoEntry{weight: ent.Weight, path: ent.Path, level: ent.Level}
+			roots = append(roots, ent.Cond)
+		}
+		mr.entries[i] = out
+	}
+	mr.conds = e.f.Export(roots...)
+	return mr
+}
+
+// Seed installs the memo as the read-through source of this engine's RIB
+// lookups. A destination the memo holds is imported into e's factory on
+// first use, that destination alone; any other is propagated locally. The
+// memo must have been built for the engine's (net, configs, opts) — the
+// caller pairs them (core.Shared does, by construction). Seeding after
+// RIB calls is allowed: the local cache wins for destinations already
+// computed.
+func (e *Engine) Seed(m *Memo) { e.memo = m }
+
+// Seeded returns the memo the engine reads through, nil when unseeded.
+func (e *Engine) Seeded() *Memo { return e.memo }
+
+// fromMemo materializes dst's RIB from the seeded memo, or reports that
+// the memo does not hold it.
+func (e *Engine) fromMemo(dst topo.NodeID) (map[topo.NodeID][]Entry, bool) {
+	if e.memo == nil {
+		return nil, false
+	}
+	mr, ok := e.memo.dsts[dst]
+	if !ok {
+		return nil, false
+	}
+	conds := mr.conds.Import(e.f)
+	rib := make(map[topo.NodeID][]Entry, len(mr.nodes))
+	for i, n := range mr.nodes {
+		src := mr.entries[i]
+		out := make([]Entry, len(src))
+		for j, me := range src {
+			out[j] = Entry{Weight: me.weight, Path: me.path, Cond: conds[0], Level: me.level}
+			conds = conds[1:]
+		}
+		rib[n] = out
+	}
+	return rib, true
 }

@@ -41,10 +41,19 @@ const (
 	opOr
 )
 
-func newBDDSpace() *bddSpace {
-	// Sized for WAN-scale simulations up front: growth rehashing showed
-	// up at >10% of profile time when starting small.
-	const initial = 1 << 15
+// bddRoomWAN sizes a simulation's solver tables up front: growth
+// rehashing showed up at >10% of profile time when starting small.
+// bddRoomScratch is the floor for a factory that lives for one small
+// computation (NewFactorySized): there the 2.3 MB the WAN-scale tables
+// zero on first use can cost more than the computation.
+const (
+	bddRoomWAN     = 1 << 15
+	bddRoomScratch = 1 << 9
+)
+
+// newBDDSpace returns an empty space with room for initial nodes before
+// its tables grow.
+func newBDDSpace(initial int) *bddSpace {
 	return &bddSpace{
 		vars:    make([]Var, 2, initial),
 		los:     make([]int32, 2, initial),
@@ -198,7 +207,7 @@ func (s *bddSpace) negate(n int32) int32 {
 // the incremental condition-building of the simulation amortizes well.
 func (f *Factory) build(x F) int32 {
 	if f.bdd == nil {
-		f.bdd = newBDDSpace()
+		f.bdd = newBDDSpace(f.bddRoom)
 	}
 	s := f.bdd
 	for int(x) >= len(s.built) {

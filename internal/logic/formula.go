@@ -48,7 +48,8 @@ type Factory struct {
 	intern *idTable // structural hash-consing over nodes
 	vars   []F      // cache of variable nodes indexed by Var
 
-	bdd *bddSpace // lazily created solver space
+	bdd     *bddSpace // lazily created solver space
+	bddRoom int       // nodes the solver space is sized for when created
 }
 
 type nodeKey struct {
@@ -61,12 +62,36 @@ type nodeKey struct {
 // constants.
 func NewFactory() *Factory {
 	f := &Factory{
-		nodes:  make([]node, 2, 1024),
-		intern: newIDTable(1024),
+		nodes:   make([]node, 2, 1024),
+		intern:  newIDTable(1024),
+		bddRoom: bddRoomWAN,
 	}
 	f.nodes[False] = node{k: kConst, size: 1}
 	f.nodes[True] = node{k: kConst, size: 1}
 	return f
+}
+
+// NewFactorySized is NewFactory for a universe that lives for one small
+// computation and is then exported or dropped — one IGP destination's
+// fixpoint, not a simulation. It answers every query identically; only
+// its solver tables are sized for about solverNodes BDD nodes (what
+// SolverNodes reported of a similar computation; there is a small floor)
+// and grow on demand, so making thousands of them costs what each needs,
+// not megabytes apiece.
+func NewFactorySized(solverNodes int) *Factory {
+	f := NewFactory()
+	f.bddRoom = max(solverNodes, bddRoomScratch)
+	return f
+}
+
+// SolverNodes reports how many BDD nodes the factory's solver space holds
+// — the size to give NewFactorySized for the next computation like this
+// one.
+func (f *Factory) SolverNodes() int {
+	if f.bdd == nil {
+		return 0
+	}
+	return len(f.bdd.vars)
 }
 
 // NumNodes reports how many distinct formula nodes exist in the factory,

@@ -1,6 +1,8 @@
 package logic
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -63,6 +65,35 @@ func TestPortableRoundTrip(t *testing.T) {
 	}
 	if back != x {
 		t.Fatalf("import into the exporting factory missed hash-consing: %d vs %d", back, x)
+	}
+}
+
+// TestPortableJSONBytes pins the hand-appended MarshalJSON to the wire
+// form it replaces: byte for byte what encoding/json writes for a
+// portableJSON, so stores written before and after read the same.
+func TestPortableJSONBytes(t *testing.T) {
+	f := NewFactory()
+	x := buildDeep(f, 6)
+	for name, p := range map[string]*Portable{
+		"roots":     f.Export(x, f.Not(x), True, f.Var(9)),
+		"no roots":  f.Export(),
+		"nil roots": {nodes: make([]pnode, 2)},
+	} {
+		w := portableJSON{Nodes: [][4]int32{}, Roots: p.roots}
+		for _, n := range p.nodes[2:] {
+			w.Nodes = append(w.Nodes, [4]int32{int32(n.k), int32(n.v), n.a, n.b})
+		}
+		want, err := json.Marshal(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: MarshalJSON wrote\n%s\nwant\n%s", name, got, want)
+		}
 	}
 }
 

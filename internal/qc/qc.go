@@ -22,7 +22,7 @@ package qc
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"hoyan/internal/logic"
 )
@@ -176,18 +176,45 @@ func (p *Program) Eval(failed *FailureSet, s *Scratch) bool {
 // store compiler rejects conditions that are not pure link conditions.
 // maxVar < 0 disables the check.
 func CompileRoot(p *logic.Portable, root int, maxVar logic.Var) (*Program, error) {
+	return newCompiler(p, maxVar).compile(root)
+}
+
+// compiler lowers the roots of one snapshot. The two per-node work
+// arrays are its own and are reused from root to root, so compiling the
+// hundreds of roots of a class record allocates the programs and nothing
+// else: a publish runs on the heap a sweep has just left, and whatever it
+// allocates and drops there decides how many collections fall inside it
+// (DESIGN.md, "A publish allocates what it keeps").
+type compiler struct {
+	p      *logic.Portable
+	maxVar logic.Var
+	reach  []bool  // by snapshot node: reachable from the current root
+	remap  []int32 // by snapshot node: its instruction in the current program
+}
+
+func newCompiler(p *logic.Portable, maxVar logic.Var) *compiler {
+	n := p.NumNodes()
+	return &compiler{p: p, maxVar: maxVar, reach: make([]bool, n), remap: make([]int32, n)}
+}
+
+func (c *compiler) compile(root int) (*Program, error) {
+	p := c.p
 	if root < 0 || root >= p.NumRoots() {
 		return nil, fmt.Errorf("qc: root %d out of range (snapshot has %d)", root, p.NumRoots())
 	}
-	n := p.NumNodes()
 	// Mark the reachable sub-DAG. Children precede parents, so one
-	// reverse pass from the root settles reachability.
-	reach := make([]bool, n)
-	reach[p.Root(root)] = true
-	for i := n - 1; i >= 2; i-- {
+	// reverse pass from the root settles reachability; nothing above the
+	// root is reachable from it.
+	reach, remap := c.reach, c.remap
+	clear(reach)
+	top := p.Root(root)
+	reach[top] = true
+	size := 0
+	for i := top; i >= 0; i-- {
 		if !reach[i] {
 			continue
 		}
+		size++
 		s := p.NodeShape(i)
 		switch s.Kind {
 		case logic.WalkNot:
@@ -198,14 +225,14 @@ func CompileRoot(p *logic.Portable, root int, maxVar logic.Var) (*Program, error
 		}
 	}
 
-	prog := &Program{}
-	remap := make([]int32, n)
-	seenVars := map[logic.Var]bool{}
+	// remap needs no clearing: an operand is reachable, so its slot was
+	// written earlier in this same pass.
+	prog := &Program{ins: make([]instr, 0, size)}
 	emit := func(ins instr) int32 {
 		prog.ins = append(prog.ins, ins)
 		return int32(len(prog.ins) - 1)
 	}
-	for i := 0; i < n; i++ {
+	for i := 0; i <= top; i++ {
 		if !reach[i] {
 			continue
 		}
@@ -218,11 +245,11 @@ func CompileRoot(p *logic.Portable, root int, maxVar logic.Var) (*Program, error
 			}
 			remap[i] = emit(instr{op: op})
 		case logic.WalkVar:
-			if s.Variable < 0 || (maxVar >= 0 && s.Variable > maxVar) {
-				return nil, fmt.Errorf("qc: condition mentions variable %d outside the link universe [0,%d]", s.Variable, maxVar)
+			if s.Variable < 0 || (c.maxVar >= 0 && s.Variable > c.maxVar) {
+				return nil, fmt.Errorf("qc: condition mentions variable %d outside the link universe [0,%d]", s.Variable, c.maxVar)
 			}
 			remap[i] = emit(instr{op: opVar, v: s.Variable})
-			seenVars[s.Variable] = true
+			prog.vars = append(prog.vars, s.Variable)
 		case logic.WalkNot:
 			remap[i] = emit(instr{op: opNot, a: remap[s.A]})
 		case logic.WalkAnd:
@@ -233,9 +260,8 @@ func CompileRoot(p *logic.Portable, root int, maxVar logic.Var) (*Program, error
 			return nil, fmt.Errorf("qc: node %d has unknown kind", i)
 		}
 	}
-	for v := range seenVars {
-		prog.vars = append(prog.vars, v)
-	}
-	sort.Slice(prog.vars, func(i, j int) bool { return prog.vars[i] < prog.vars[j] })
+	// An exported snapshot holds each variable once; a decoded one may not.
+	slices.Sort(prog.vars)
+	prog.vars = slices.Compact(prog.vars)
 	return prog, nil
 }

@@ -132,8 +132,9 @@ func CompileStore(st *hoyan.ResultStore) (*Snapshot, error) {
 			routerIdx:    make(map[string]int, len(rec.Verdicts)),
 		}
 		classVars := map[logic.Var]bool{}
+		comp := newCompiler(rec.Conds, maxVar)
 		for ri, v := range rec.Verdicts {
-			prog, err := CompileRoot(rec.Conds, ri, maxVar)
+			prog, err := comp.compile(ri)
 			if err != nil {
 				return nil, fmt.Errorf("qc: class %d router %s: %w", ci, v.Router, err)
 			}

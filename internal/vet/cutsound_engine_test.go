@@ -40,10 +40,13 @@ func actualRefusals(t *testing.T, m *core.Model, k int) map[netaddr.Prefix]map[s
 		}
 		out[rep][pt.RegionName(region)] = true
 	}
-	cut := core.CutMemo(m, copts, pt)
+	cut, err := core.CutMemo(m, copts, pt, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sums := make([]*core.CutSummary, len(classes))
 	for r := 0; r < pt.NumRegions(); r++ {
-		sh := core.NewRegionShared(m, copts, pt, r, cut)
+		sh := core.NewRegionShared(m, copts, pt, r, cut, 0)
 		sim := sh.NewSimulator()
 		for ci, cl := range classes {
 			if homes[ci] != r {
@@ -62,7 +65,7 @@ func actualRefusals(t *testing.T, m *core.Model, k int) map[netaddr.Prefix]map[s
 		}
 	}
 	for r := 0; r < pt.NumRegions(); r++ {
-		sh := core.NewRegionShared(m, copts, pt, r, cut)
+		sh := core.NewRegionShared(m, copts, pt, r, cut, 0)
 		sim := sh.NewSimulator()
 		for ci, cl := range classes {
 			if homes[ci] == r || sums[ci] == nil {

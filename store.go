@@ -14,6 +14,7 @@ import (
 	"hoyan/internal/config"
 	"hoyan/internal/core"
 	"hoyan/internal/dist"
+	"hoyan/internal/igp"
 	"hoyan/internal/logic"
 	"hoyan/internal/topo"
 )
@@ -86,6 +87,15 @@ type ResultStore struct {
 	// Classes because they failed validation; the rest of the store stays
 	// usable (those classes just re-simulate). Never persisted.
 	Quarantined []QuarantinedRecord `json:"-"`
+
+	// igp is the IGP memo the capturing sweep ran on, kept by the store a
+	// process holds on to and never serialized (a loaded store has none).
+	// The memo names its own validity (igp.Key), so nothing here decides
+	// whether the next sweep may use it: a sweep with this store as its
+	// Options.Baseline offers it, and igp.Build takes it when the new
+	// model reads the same IGP inputs — after a policy or static-route
+	// edit — and ignores it otherwise.
+	igp *igp.Memo
 }
 
 // QuarantinedRecord is one invalid class record LoadResultStore refused

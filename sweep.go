@@ -5,11 +5,13 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"hoyan/internal/behavior"
 	"hoyan/internal/core"
 	"hoyan/internal/dist"
+	"hoyan/internal/igp"
 )
 
 // PrefixSummary is the per-prefix outcome of a full sweep.
@@ -90,8 +92,12 @@ func (n *Network) SweepBaseline(opts Options, workers int) (*SweepReport, *Resul
 // (dist.Run) over the pool's executors — dist.Local(n) in-process ones,
 // or the remote workers of a *dist.Coordinator — and fold the verdicts.
 // The model is assembled exactly once; in-process executors share it
-// read-only together with one IGP snapshot per (budget, region)
-// (core.Shared), each owning only the cheap mutable half.
+// read-only together with one IGP memo per (budget, region)
+// (core.Shared), each owning only the cheap mutable half. The memo
+// outlives the sweep wherever the sweep's knowledge does: capture leaves
+// it on the returned store, and a sweep given that store as its baseline
+// starts from it (igp.Build decides, by igp.Key, whether it still
+// applies), so an edit the IGP cannot see re-runs no IS-IS fixpoint.
 //
 // The unit of work is a prefix behavior class, not a prefix: prefixes
 // the assembled model treats identically (core.Model.Classes) share one
@@ -184,6 +190,9 @@ func (n *Network) sweepClasses(opts Options, model *core.Model, classes []core.P
 	// unhashed pass against whichever model is their default.
 	plan := &dist.Plan{K: opts.K, ModelHash: dist.ModelHash(n.net, n.snap), Journal: journal,
 		Model: model, Sim: copts, Classes: make([]dist.Class, len(classes))}
+	if opts.Baseline != nil {
+		plan.IGP = opts.Baseline.igp
+	}
 	var homes []string
 	if opts.Modular {
 		rep.Modular, plan.Regions, homes = planModular(model, classes, opts.K)
@@ -213,19 +222,23 @@ func (n *Network) sweepClasses(opts Options, model *core.Model, classes []core.P
 		}
 	}
 
-	// What only a live simulation can give: class records, and the
-	// condition half of a replay audit. Each unit's passes run one at a
-	// time and units own distinct slots, so the hook needs no lock.
+	// What only a live simulation can give: class records with the IGP
+	// memo they were simulated on, and the condition half of a replay
+	// audit. Each unit's passes run one at a time and units own distinct
+	// slots, so the hook needs no lock — but for the memo, which every
+	// captured pass reports and all of them share.
 	var captured []*ClassRecord
 	if capture {
 		captured = make([]*ClassRecord, len(classes))
 	}
+	var memo atomic.Pointer[igp.Memo]
 	anchored := make([]bool, len(classes))
 	plan.Live = func(u dist.Unit, res *core.Result, resp *dist.Response) error {
 		switch {
 		case u.Kind == dist.UnitRep && captured != nil:
 			rec := captureRecord(res, model, classes[u.Class], resp.Summaries, resp.Elapsed)
 			captured[u.Class] = &rec
+			memo.Store(res.Sim.IGP.Seeded())
 		case u.Kind == dist.UnitAudit && plan.Classes[u.Class].Replayed:
 			ok, err := auditCond(incr.records[u.Class], classes[u.Class], res, resp)
 			anchored[u.Class] = anchored[u.Class] || ok
@@ -301,6 +314,11 @@ func (n *Network) sweepClasses(opts Options, model *core.Model, classes []core.P
 	var store *ResultStore
 	if capture {
 		store = newStoreShell(n, opts)
+		// When every class was replayed nothing built a memo; the one the
+		// plan started from stays the best there is.
+		if store.igp = memo.Load(); store.igp == nil {
+			store.igp = plan.IGP
+		}
 		for i, cls := range classes {
 			rec := captured[i]
 			if rec == nil && plan.Classes[i].Replayed {
