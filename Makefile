@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint vet-configs race check bench bench-compare fuzz-smoke chaos scale-smoke benchmark-module
+.PHONY: build test vet lint vet-configs race check bench fuzz-smoke chaos determinism scale-smoke benchmark-module
 
 build:
 	$(GO) build ./...
@@ -31,8 +31,8 @@ race:
 
 # bench smoke-runs every benchmark once (-benchtime=1x): not a timing
 # run, just a guarantee that the evaluation harness keeps compiling and
-# completing. Real measurements use `go test -bench=.` defaults,
-# `hoyanbench -perf`, or the pipeline benchmark (benchmark/README.md).
+# completing. Real measurements come from the pipeline benchmark
+# (benchmark/README.md).
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .
 
@@ -42,29 +42,25 @@ bench:
 benchmark-module:
 	$(GO) vet -C benchmark ./... && $(GO) test -C benchmark ./...
 
-# bench-compare diffs the latest two committed perf snapshots
-# (BENCH_*.json) with per-metric deltas. Advisory: a regression prints
-# loudly but never fails the build — snapshot timings come from whatever
-# machine recorded them, so CI can't hold new code to them.
-bench-compare:
-	-$(GO) run ./cmd/benchcompare
-
-# chaos runs the crash-recovery and multi-session suite under the race
+# chaos re-runs the crash-recovery and multi-session suite under the race
 # detector: the faultnet × kill-point matrix (coordinator killed
 # mid-sweep, resumed, byte-compared against an uninterrupted run),
-# journal resume semantics, and interleaved sessions over a shared
-# worker pool. Deterministic: the seed is printed in every failure
-# message; reproduce a red run with CHAOS_SEED=<seed> make chaos. The
-# IGP memo's concurrency rides along: the Shared LRU building outside its
-# lock, and the parallel memo build's determinism, ten times over.
-chaos:
+# journal resume semantics, interleaved sessions over a shared worker
+# pool, and the Shared LRU building outside its lock. `race` already runs
+# every one of these once, so `check` does not depend on this target: it
+# is the line to re-run when a failure names a seed (the seed is printed
+# in every failure message), as CHAOS_SEED=<seed> make chaos.
+chaos: determinism
 	$(GO) test -race -run 'Chaos|Session|Resume|Interleaved|LRU|ModelHash|SharedBuild|ResidentMemo' ./internal/dist/
+
+# determinism runs the parallel IGP memo build ten times over under the
+# race detector — the one repetition `race` (a single pass) does not give.
+determinism:
 	$(GO) test -race -count=10 -run 'TestMemoBuildDeterministic' ./internal/igp/ ./internal/core/
-	$(GO) run ./cmd/hoyanbench -exp recovery -rec-preset small -rec-iters 1 -rec-out=
 
 # scale-smoke bounds the paper-scale modular path: the modular plan over
 # remote workers against the monolithic class run, under the race
-# detector.
+# detector. Part of `race`; kept as a target to run on its own.
 scale-smoke:
 	$(GO) test -race -run 'TestRunModularMatchesRunClasses' ./internal/dist/
 
@@ -76,8 +72,10 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzCollectorLine -fuzztime=10s ./internal/collector/
 	$(GO) test -run='^$$' -fuzz=FuzzCompiledEval -fuzztime=10s ./internal/qc/
 
-# check is the CI gate: vet + hoyanlint, then the full suite under the
-# race detector and the benchmark smoke. The dist/collector chaos tests
-# run here too — they are deterministic (seeded faultnet, byte-budget
-# fault schedules), so no flake allowance.
-check: vet lint vet-configs race chaos scale-smoke bench benchmark-module bench-compare
+# check is the CI gate, defined here and nowhere else (ci.sh calls it):
+# vet + hoyanlint + config vet, the full suite once under the race
+# detector — the dist/collector chaos tests included; they are
+# deterministic (seeded faultnet, byte-budget fault schedules), so no
+# flake allowance — the memo determinism repetitions, the benchmark smoke
+# and the nested benchmark module.
+check: vet lint vet-configs race determinism bench benchmark-module

@@ -13,7 +13,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strings"
 
 	"hoyan"
@@ -25,14 +24,6 @@ import (
 	"hoyan/internal/topo"
 	"hoyan/internal/vet"
 )
-
-// vetReport is the envelope of `hoyan vet -json` — the same schema
-// family hoyand's GET /v1/vet serves.
-type vetReport struct {
-	Findings    int              `json:"findings"`
-	Advisories  int              `json:"advisories"`
-	Diagnostics []vet.Diagnostic `json:"diagnostics"`
-}
 
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage: hoyan <command> [flags]
@@ -140,16 +131,6 @@ func main() {
 	if err != nil {
 		fail(err.Error())
 	}
-	build := func(snap config.Snapshot) (*core.Model, *core.Simulator) {
-		m, err := core.Assemble(net, snap, behavior.TrueProfiles())
-		if err != nil {
-			fail(err.Error())
-		}
-		opts := core.DefaultOptions()
-		opts.K = *k
-		return m, core.NewSimulator(m, opts)
-	}
-
 	switch cmd {
 	case "route":
 		need(*prefix, "-prefix")
@@ -205,41 +186,15 @@ func main() {
 		}
 		fmt.Println("convergence is deterministic")
 	case "audit":
-		m, sim := build(snap)
-		violations := 0
-		for _, p := range m.AnnouncedPrefixes() {
-			if anns := m.AnnouncersOf(p); len(anns) > 1 {
-				var names []string
-				for _, x := range anns {
-					names = append(names, m.Net.Node(x).Name)
-				}
-				fmt.Printf("[conflict] %s announced by %v\n", p, names)
-				violations++
-			}
+		viols, err := verifier(net, snap, *k).AuditAll(nil)
+		if err != nil {
+			fail(err.Error())
 		}
-		groups := m.Net.NodeGroups()
-		groupNames := make([]string, 0, len(groups))
-		for g := range groups {
-			groupNames = append(groupNames, g)
+		for _, vi := range viols {
+			fmt.Println(vi)
 		}
-		sort.Strings(groupNames)
-		for _, g := range groupNames {
-			members := groups[g]
-			for _, p := range m.AnnouncedPrefixes() {
-				res, err := sim.Run(p)
-				if err != nil {
-					fail(err.Error())
-				}
-				for i := 1; i < len(members); i++ {
-					for _, d := range res.EquivalentRoles(members[0], members[i]) {
-						fmt.Printf("[equivalence] group %s prefix %s: %s\n", g, d.Prefix, d.Field)
-						violations++
-					}
-				}
-			}
-		}
-		fmt.Printf("audit complete: %d violations\n", violations)
-		if violations > 0 {
+		fmt.Printf("audit complete: %d violations\n", len(viols))
+		if len(viols) > 0 {
 			exit(1)
 		}
 	case "update":
@@ -250,27 +205,24 @@ func main() {
 		if err != nil {
 			fail(err.Error())
 		}
-		mBefore, simBefore := build(snap)
-		_, simAfter := build(target)
+		before, after := verifier(net, snap, *k), verifier(net, target, *k)
 		changed := 0
-		for _, p := range mBefore.AnnouncedPrefixes() {
-			resB, err := simBefore.Run(p)
-			if err != nil {
-				fail(err.Error())
-			}
-			resA, err := simAfter.Run(p)
-			if err != nil {
-				fail(err.Error())
-			}
-			for _, node := range mBefore.Net.Nodes() {
-				b, okB := resB.BestUnder(node.ID, p, nil)
-				a2, okA := resA.BestUnder(node.ID, p, nil)
+		for _, p := range before.Prefixes() {
+			for _, r := range before.Routers() {
+				b, err := before.BestRoute(p, r)
+				if err != nil {
+					fail(err.Error())
+				}
+				a2, err := after.BestRoute(p, r)
+				if err != nil {
+					fail(err.Error())
+				}
 				switch {
-				case okB != okA:
-					fmt.Printf("[change] %s @ %s: present %v -> %v\n", p, node.Name, okB, okA)
+				case b.Present != a2.Present:
+					fmt.Printf("[change] %s @ %s: present %v -> %v\n", p, r, b.Present, a2.Present)
 					changed++
-				case okB && (b.Protocol != a2.Protocol || b.NextHop != a2.NextHop):
-					fmt.Printf("[change] %s @ %s: %v -> %v\n", p, node.Name, b, a2)
+				case b.Protocol != a2.Protocol || b.NextHop != a2.NextHop:
+					fmt.Printf("[change] %s @ %s: %s via %s -> %s via %s\n", p, r, b.Protocol, b.NextHop, a2.Protocol, a2.NextHop)
 					changed++
 				}
 			}
@@ -302,17 +254,10 @@ func main() {
 		if err != nil {
 			fail(err.Error())
 		}
-		analyzers := vet.Analyzers()
-		if *only != "" {
-			analyzers = analyzers[:0]
-			for _, name := range strings.Split(*only, ",") {
-				a := vet.ByName(strings.TrimSpace(name))
-				if a == nil {
-					fmt.Fprintf(os.Stderr, "hoyan: unknown analyzer %q\n", strings.TrimSpace(name))
-					exit(2)
-				}
-				analyzers = append(analyzers, a)
-			}
+		analyzers, err := vet.Select(*only)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "hoyan:", err)
+			exit(2)
 		}
 		// -k mirrors the sweep the vet run front-runs: cutsound keys its
 		// refusal predictions on the failure budget.
@@ -320,25 +265,20 @@ func main() {
 		if err != nil {
 			fail(err.Error())
 		}
-		findings := vet.Findings(diags)
+		rep := vet.NewReport(diags)
 		if *jsonOut {
-			if diags == nil {
-				diags = []vet.Diagnostic{}
-			}
 			enc := json.NewEncoder(os.Stdout)
 			enc.SetIndent("", "  ")
-			if err := enc.Encode(vetReport{
-				Findings: findings, Advisories: len(diags) - findings, Diagnostics: diags,
-			}); err != nil {
+			if err := enc.Encode(rep); err != nil {
 				fail(err.Error())
 			}
 		} else {
 			for _, d := range diags {
 				fmt.Println(d)
 			}
-			fmt.Printf("vet: %d findings, %d advisories\n", findings, len(diags)-findings)
+			fmt.Printf("vet: %d findings, %d advisories\n", rep.Findings, rep.Advisories)
 		}
-		if findings > 0 {
+		if rep.Findings > 0 {
 			exit(1)
 		}
 	case "sweep":
@@ -426,19 +366,16 @@ func verifier(net *topo.Network, snap config.Snapshot, k int) *hoyan.Verifier {
 }
 
 // loadBaseline loads a result store, degrading the way the operator
-// wants: a partially usable store (bad records quarantined in memory) is
-// kept with a warning, an unusable one is quarantined on disk and nil is
-// returned so the caller sweeps cold.
+// wants: a usable store (bad records quarantined in memory) is kept with
+// a warning, an unusable one is quarantined on disk and nil is returned
+// so the caller sweeps cold.
 func loadBaseline(path string) *hoyan.ResultStore {
 	store, err := hoyan.LoadResultStore(path)
 	var ce *hoyan.CorruptStoreError
 	if errors.As(err, &ce) {
 		fmt.Fprintln(os.Stderr, "hoyan: warning:", ce.Error())
-		switch {
-		case ce.Usable && len(store.Classes) > 0:
+		if ce.Usable {
 			return store
-		case ce.Usable:
-			return nil // every record quarantined: nothing to replay
 		}
 		qp, qerr := hoyan.QuarantineResultStore(path)
 		if qerr != nil {

@@ -261,8 +261,9 @@ func mustNode(t *testing.T, n *Network, name string) topo.NodeID {
 }
 
 // TestIncrementalSingleChangeIsSelective pins the perf contract behind
-// the BENCH_PR4 numbers: one policy term on one device dirties only the
-// classes whose prefixes the term can touch — a constant-size set — and
+// incremental re-verification (the benchmark's hoyan.classes_dirty): one
+// policy term on one device dirties only the classes whose prefixes the
+// term can touch — a constant-size set — and
 // replays everything else.
 func TestIncrementalSingleChangeIsSelective(t *testing.T) {
 	n, w := wanNetworkFrom(t, gen.Small())

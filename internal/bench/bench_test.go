@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -83,26 +82,6 @@ func TestAblationsSmoke(t *testing.T) {
 	}
 	if len(tb.Rows) != 5 {
 		t.Fatalf("rows %d", len(tb.Rows))
-	}
-}
-
-func TestClassStats(t *testing.T) {
-	if testing.Short() {
-		t.Skip("assembles the full-WAN model")
-	}
-	tb, err := ClassStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Rows) != 3 {
-		t.Fatalf("rows %d", len(tb.Rows))
-	}
-	for _, r := range tb.Rows {
-		prefixes, err1 := strconv.Atoi(r[2])
-		classes, err2 := strconv.Atoi(r[3])
-		if err1 != nil || err2 != nil || classes == 0 || prefixes < classes {
-			t.Fatalf("bad class row %v", r)
-		}
 	}
 }
 

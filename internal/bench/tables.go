@@ -394,47 +394,6 @@ func AppendixFFormulas() (Table, error) {
 	return t, nil
 }
 
-// ClassStats reports the prefix behavior-class partition on each WAN
-// preset — how many prefixes a classed sweep collapses into how many
-// representative simulations. The compression column is the speedup bound
-// classing can deliver on an otherwise-uniform workload; the largest-class
-// column shows where the bound comes from.
-func ClassStats() (Table, error) {
-	t := Table{
-		Title:  "Prefix behavior classes — sweep compression per WAN preset",
-		Header: []string{"preset", "routers", "prefixes", "classes", "compression", "largest class"},
-	}
-	for _, preset := range []struct {
-		name   string
-		params gen.Params
-	}{{"small", gen.Small()}, {"medium", gen.Medium()}, {"full", gen.Full()}} {
-		w, err := gen.Generate(preset.params)
-		if err != nil {
-			return t, err
-		}
-		m, err := core.Assemble(w.Net, w.Snap, behavior.TrueProfiles())
-		if err != nil {
-			return t, err
-		}
-		classes := m.Classes()
-		prefixes, largest := 0, 0
-		for _, c := range classes {
-			prefixes += len(c.Members)
-			if len(c.Members) > largest {
-				largest = len(c.Members)
-			}
-		}
-		t.Rows = append(t.Rows, []string{preset.name,
-			fmt.Sprint(w.Net.NumNodes()), fmt.Sprint(prefixes), fmt.Sprint(len(classes)),
-			fmt.Sprintf("%.1fx", float64(prefixes)/float64(len(classes))),
-			fmt.Sprint(largest)})
-	}
-	t.Notes = append(t.Notes,
-		"classes group prefixes whose model fingerprints match; a sweep simulates one representative per class",
-		"compression = prefixes/classes, the upper bound on classed-sweep speedup")
-	return t, nil
-}
-
 // Table1Properties prints the qualitative property matrix of Table 1 with
 // this repository's implementation status — which of the four approaches
 // provides each property, as the paper frames the design space.

@@ -12,7 +12,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 
 	"hoyan"
@@ -55,7 +54,7 @@ func New(net *topo.Network, snap config.Snapshot, k int) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Service{net: net, snap: snap, v: v, k: k, query: newQueryPlane()}, nil
+	return &Service{net: net, snap: snap, v: v, k: k, query: &queryPlane{}}, nil
 }
 
 // Handler returns the HTTP mux:
@@ -414,14 +413,6 @@ func (s *Service) handleResweep(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// VetResponse is the JSON body of /v1/vet — the same schema family as
-// `hoyan vet -json`.
-type VetResponse struct {
-	Findings    int              `json:"findings"`
-	Advisories  int              `json:"advisories"`
-	Diagnostics []vet.Diagnostic `json:"diagnostics"`
-}
-
 // handleVet runs the static analyzers against the model the service
 // currently holds — after a committed resweep, that is the swept
 // snapshot — so operators can ask "what would vet say about what you
@@ -433,30 +424,17 @@ func (s *Service) handleVet(w http.ResponseWriter, r *http.Request) {
 	m := s.v.Model()
 	k := s.k
 	s.mu.Unlock()
-	analyzers := vet.Analyzers()
-	if only := r.URL.Query().Get("only"); only != "" {
-		analyzers = analyzers[:0]
-		for _, name := range strings.Split(only, ",") {
-			a := vet.ByName(strings.TrimSpace(name))
-			if a == nil {
-				badRequest(w, "unknown analyzer %q", strings.TrimSpace(name))
-				return
-			}
-			analyzers = append(analyzers, a)
-		}
+	analyzers, err := vet.Select(r.URL.Query().Get("only"))
+	if err != nil {
+		badRequest(w, "%v", err)
+		return
 	}
 	diags, err := vet.RunBudget(m, analyzers, k)
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
 		return
 	}
-	if diags == nil {
-		diags = []vet.Diagnostic{}
-	}
-	findings := vet.Findings(diags)
-	writeJSON(w, http.StatusOK, VetResponse{
-		Findings: findings, Advisories: len(diags) - findings, Diagnostics: diags,
-	})
+	writeJSON(w, http.StatusOK, vet.NewReport(diags))
 }
 
 // RacingResponse is the JSON body of /v1/racing.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -20,22 +21,19 @@ import (
 // results (internal/qc) instead of simulating. Reads are lock-free: the
 // active snapshot is an atomic pointer, per-request evaluation state
 // comes from a per-snapshot pool, and the registry mutex is only taken
-// by publish/activate/GC — never on the query path. A query that loads
+// by publish/activate/list — never on the query path. A query that loads
 // the active pointer just before a switch answers from the snapshot it
 // loaded; that is the staleness contract (DESIGN.md, "Query plane").
 
-// snapEntry is one published compiled snapshot plus its drain
-// bookkeeping. refs counts in-flight queries; a retired entry leaves
-// the registry once refs drains to zero (readers that raced the switch
-// still hold a valid pointer — removal only drops the registry's
-// reference, the Go runtime reclaims the memory when the last reader
-// returns).
+// snapEntry is one published compiled snapshot. The registry lists the
+// active snapshot and the staged ones; a superseded snapshot leaves it
+// at the switch. Queries that loaded it before the switch still hold a
+// valid pointer and finish on it: the Go runtime reclaims the memory
+// when the last of them returns.
 type snapEntry struct {
 	id        string
 	snap      *qc.Snapshot
 	published time.Time
-	refs      atomic.Int64
-	retired   atomic.Bool
 	pool      sync.Pool // *evalState sized for this snapshot
 }
 
@@ -59,12 +57,7 @@ type queryPlane struct {
 
 	mu      sync.Mutex
 	seq     int
-	entries map[string]*snapEntry
-	order   []string // publication order, for deterministic listings
-}
-
-func newQueryPlane() *queryPlane {
-	return &queryPlane{entries: map[string]*snapEntry{}}
+	entries []*snapEntry // the active and the staged, in publication order
 }
 
 // publish compiles a store and registers the snapshot; when activate is
@@ -81,78 +74,40 @@ func (q *queryPlane) publish(st *hoyan.ResultStore, activate bool) (*snapEntry, 
 		return &evalState{fs: snap.NewFailureSet(), sc: snap.NewScratch()}
 	}
 	q.mu.Lock()
+	defer q.mu.Unlock()
 	q.seq++
 	e.id = fmt.Sprintf("snap-%d", q.seq)
-	q.entries[e.id] = e
-	q.order = append(q.order, e.id)
-	q.mu.Unlock()
+	q.entries = append(q.entries, e)
 	if activate {
-		q.activate(e)
+		q.switchTo(e)
 	}
 	return e, nil
 }
 
-// activate switches serving to e and retires the previous snapshot.
-func (q *queryPlane) activate(e *snapEntry) {
-	old := q.active.Swap(e)
-	e.retired.Store(false)
-	if old != nil && old != e {
-		old.retired.Store(true)
+// switchTo makes e the serving snapshot and drops the one it supersedes
+// from the registry. The caller holds q.mu.
+func (q *queryPlane) switchTo(e *snapEntry) {
+	if old := q.active.Swap(e); old != nil && old != e {
+		q.entries = slices.DeleteFunc(q.entries, func(x *snapEntry) bool { return x == old })
 	}
-	q.gc()
 }
 
 // activateID switches by snapshot id.
 func (q *queryPlane) activateID(id string) error {
 	q.mu.Lock()
-	e, ok := q.entries[id]
-	q.mu.Unlock()
-	if !ok {
+	defer q.mu.Unlock()
+	i := slices.IndexFunc(q.entries, func(x *snapEntry) bool { return x.id == id })
+	if i < 0 {
 		return fmt.Errorf("unknown snapshot %q", id)
 	}
-	q.activate(e)
+	q.switchTo(q.entries[i])
 	return nil
-}
-
-// acquire pins the active snapshot for one query.
-func (q *queryPlane) acquire() *snapEntry {
-	e := q.active.Load()
-	if e == nil {
-		return nil
-	}
-	e.refs.Add(1)
-	return e
-}
-
-// release drops a query's pin and GCs retired snapshots that drained.
-func (q *queryPlane) release(e *snapEntry, st *evalState) {
-	e.pool.Put(st)
-	if e.refs.Add(-1) == 0 && e.retired.Load() {
-		q.gc()
-	}
-}
-
-// gc drops retired, drained snapshots from the registry.
-func (q *queryPlane) gc() {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	kept := q.order[:0]
-	for _, id := range q.order {
-		e := q.entries[id]
-		if e.retired.Load() && e.refs.Load() == 0 {
-			delete(q.entries, id)
-			continue
-		}
-		kept = append(kept, id)
-	}
-	q.order = kept
 }
 
 // SnapshotInfo is one registry entry in GET /v1/snapshots.
 type SnapshotInfo struct {
 	ID        string `json:"id"`
 	Active    bool   `json:"active"`
-	Retired   bool   `json:"retired,omitempty"`
 	Published string `json:"published"`
 	K         int    `json:"k"`
 	Classes   int    `json:"classes"`
@@ -168,13 +123,11 @@ func (q *queryPlane) list() []SnapshotInfo {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	var out []SnapshotInfo
-	for _, id := range q.order {
-		e := q.entries[id]
+	for _, e := range q.entries {
 		st := e.snap.Stats
 		out = append(out, SnapshotInfo{
 			ID:        e.id,
 			Active:    e == active,
-			Retired:   e.retired.Load(),
 			Published: e.published.UTC().Format(time.RFC3339),
 			K:         e.snap.K,
 			Classes:   st.Classes,
@@ -218,11 +171,9 @@ func (s *Service) handleSnapshotPublish(w http.ResponseWriter, r *http.Request) 
 	var st *hoyan.ResultStore
 	if req.Path != "" {
 		loaded, err := hoyan.LoadResultStore(req.Path)
-		// Quarantined classes just drop out of the snapshot; a store with
-		// none left (one written before records held verdicts) has nothing
-		// to serve, and the error says to re-capture it.
+		// Quarantined classes just drop out of a usable store's snapshot.
 		var ce *hoyan.CorruptStoreError
-		if err != nil && !(errors.As(err, &ce) && ce.Usable && len(loaded.Classes) > 0) {
+		if err != nil && !(errors.As(err, &ce) && ce.Usable) {
 			badRequest(w, "load store: %v", err)
 			return
 		}
@@ -297,14 +248,14 @@ type QueryResponse struct {
 //	GET /v1/query?kind=minfail&prefix=P[&router=R]
 //	GET /v1/query?kind=impact&link=a~b
 func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
-	e := s.query.acquire()
+	e := s.query.active.Load()
 	if e == nil {
 		writeJSON(w, http.StatusServiceUnavailable,
 			errorBody{Error: "no snapshot published; run /v1/resweep or POST /v1/snapshots"})
 		return
 	}
 	st := e.getState()
-	defer s.query.release(e, st)
+	defer e.pool.Put(st)
 	snap := e.snap
 
 	qv := r.URL.Query()

@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
@@ -8,6 +9,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"hoyan"
@@ -129,6 +131,107 @@ func TestSnapshotPublishFromDisk(t *testing.T) {
 	}
 	if !strings.Contains(eb.Error, "re-capture the baseline") {
 		t.Fatalf("the 400 must say to re-capture: %q", eb.Error)
+	}
+}
+
+// heldWriter parks a handler at its first write until released: a query
+// in flight that has loaded its snapshot and not yet returned.
+type heldWriter struct {
+	*httptest.ResponseRecorder
+	reached, release chan struct{}
+	once             sync.Once
+}
+
+func (w *heldWriter) WriteHeader(code int) {
+	w.once.Do(func() {
+		close(w.reached)
+		<-w.release
+	})
+	w.ResponseRecorder.WriteHeader(code)
+}
+
+// TestQueryInFlightAcrossSwitch: the registry lists what can be served or
+// activated — the active snapshot and the staged ones — and a superseded
+// snapshot leaves it at the switch, in-flight queries or not. A query
+// that loaded the old snapshot still answers from it (the staleness
+// contract); nothing counts it. Queries racing a run of switches each
+// answer from one snapshot, whole: run with -race.
+func TestQueryInFlightAcrossSwitch(t *testing.T) {
+	s := service(t)
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	first := resweep(t, srv)
+	var staged struct {
+		ID string `json:"id"`
+	}
+	if code := post(t, srv, "/v1/snapshots", `{"activate": false}`, &staged); code != 200 {
+		t.Fatalf("stage publish: status %d", code)
+	}
+
+	const query = "/v1/query?kind=reach&prefix=10.0.0.0/8&router=D"
+	hw := &heldWriter{ResponseRecorder: httptest.NewRecorder(), reached: make(chan struct{}), release: make(chan struct{})}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.Handler().ServeHTTP(hw, httptest.NewRequest("GET", query, nil))
+	}()
+	<-hw.reached
+	second, err := s.PublishStore(s.baseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var list struct {
+		Snapshots []SnapshotInfo `json:"snapshots"`
+	}
+	get(t, srv, "/v1/snapshots", &list)
+	if len(list.Snapshots) != 2 || list.Snapshots[0].ID != staged.ID || list.Snapshots[0].Active ||
+		list.Snapshots[1].ID != second || !list.Snapshots[1].Active {
+		t.Fatalf("after the switch want staged %s and active %s listed, got %+v", staged.ID, second, list.Snapshots)
+	}
+	close(hw.release)
+	<-done
+	var held QueryResponse
+	if err := json.Unmarshal(hw.Body.Bytes(), &held); err != nil {
+		t.Fatal(err)
+	}
+	if hw.Code != 200 || held.Snapshot != first || held.Reachable == nil || !*held.Reachable {
+		t.Fatalf("the query in flight across the switch: status %d, %+v; want an answer from %s", hw.Code, held, first)
+	}
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				rec := httptest.NewRecorder()
+				s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", query, nil))
+				var q QueryResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &q); err != nil || rec.Code != 200 ||
+					q.Snapshot == "" || q.Reachable == nil || !*q.Reachable {
+					t.Errorf("query during switches: status %d, %+v, %v", rec.Code, q, err)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 20; i++ {
+		if _, err := s.PublishStore(s.baseline); err != nil {
+			t.Error(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	list.Snapshots = nil
+	get(t, srv, "/v1/snapshots", &list)
+	if len(list.Snapshots) != 2 || list.Snapshots[0].ID != staged.ID || !list.Snapshots[1].Active {
+		t.Fatalf("after 20 more switches want the staged and the active snapshot listed, got %+v", list.Snapshots)
 	}
 }
 

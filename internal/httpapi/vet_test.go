@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hoyan/internal/gen"
+	"hoyan/internal/vet"
 )
 
 // TestVetEndpoint pins GET /v1/vet against the held model: a clean
@@ -23,7 +24,7 @@ func TestVetEndpoint(t *testing.T) {
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
-	var out VetResponse
+	var out vet.Report
 	if code := get(t, srv, "/v1/vet", &out); code != 200 {
 		t.Fatalf("status %d", code)
 	}

@@ -49,7 +49,7 @@ func TestVetCleanPresets(t *testing.T) {
 	for _, tc := range presets {
 		t.Run(tc.name, func(t *testing.T) {
 			m := assemble(t, generate(t, tc.p))
-			diags, err := Run(m, Analyzers())
+			diags, err := RunBudget(m, Analyzers(), core.DefaultOptions().K)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -78,7 +78,7 @@ func TestVetInjectionMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 			m := assemble(t, w)
-			diags, err := Run(m, Analyzers())
+			diags, err := RunBudget(m, Analyzers(), core.DefaultOptions().K)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -122,7 +122,7 @@ func TestVetSuppression(t *testing.T) {
 			t.Fatal(err)
 		}
 		mutate(w, inj)
-		diags, err := Run(assemble(t, w), Analyzers())
+		diags, err := RunBudget(assemble(t, w), Analyzers(), core.DefaultOptions().K)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,6 +19,7 @@ package vet
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"hoyan/internal/core"
 )
@@ -130,26 +131,38 @@ func Analyzers() []*Analyzer {
 	}
 }
 
-// ByName resolves a comma-free analyzer name, or nil.
-func ByName(name string) *Analyzer {
-	for _, a := range Analyzers() {
-		if a.Name == name {
-			return a
-		}
+// Select resolves a comma-separated list of analyzer names — the -only
+// flag of `hoyan vet`, the ?only= parameter of GET /v1/vet — to the
+// analyzers to run, in the order named; the empty list selects all.
+func Select(only string) ([]*Analyzer, error) {
+	all := Analyzers()
+	if only == "" {
+		return all, nil
 	}
-	return nil
+	byName := map[string]*Analyzer{}
+	var names []string
+	for _, a := range all {
+		byName[a.Name] = a
+		names = append(names, a.Name)
+	}
+	var out []*Analyzer
+	for _, name := range strings.Split(only, ",") {
+		name = strings.TrimSpace(name)
+		a, ok := byName[name]
+		if !ok {
+			return nil, fmt.Errorf("unknown analyzer %q (have %s)", name, strings.Join(names, ", "))
+		}
+		out = append(out, a)
+	}
+	return out, nil
 }
 
-// Run applies the analyzers to the model at the default failure budget,
-// filters suppressed findings (config-level `# hoyan:allow <analyzer>
-// <object> <reason>` directives, reason mandatory), and returns the
-// remainder sorted by device, then analyzer, object and message.
-func Run(m *core.Model, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return RunBudget(m, analyzers, core.DefaultOptions().K)
-}
-
-// RunBudget is Run with an explicit failure budget for the analyzers
-// whose verdicts depend on it (cutsound's refusal predictions).
+// RunBudget applies the analyzers to the model, filters suppressed
+// findings (config-level `# hoyan:allow <analyzer> <object> <reason>`
+// directives, reason mandatory), and returns the remainder sorted by
+// device, then analyzer, object and message. k is the failure budget of
+// the sweep the run front-runs: cutsound's refusal predictions depend on
+// it.
 func RunBudget(m *core.Model, analyzers []*Analyzer, k int) ([]Diagnostic, error) {
 	idx := buildIndex(m)
 	var out []Diagnostic
@@ -218,4 +231,22 @@ func Findings(diags []Diagnostic) int {
 		}
 	}
 	return n
+}
+
+// Report is the machine-readable result of a vet run: what `hoyan vet
+// -json` prints and GET /v1/vet serves.
+type Report struct {
+	Findings    int          `json:"findings"`
+	Advisories  int          `json:"advisories"`
+	Diagnostics []Diagnostic `json:"diagnostics"`
+}
+
+// NewReport counts a run's diagnostics. A clean run reports an empty
+// list, never null: consumers index into "diagnostics" unconditionally.
+func NewReport(diags []Diagnostic) Report {
+	if diags == nil {
+		diags = []Diagnostic{}
+	}
+	findings := Findings(diags)
+	return Report{Findings: findings, Advisories: len(diags) - findings, Diagnostics: diags}
 }

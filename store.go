@@ -108,18 +108,19 @@ type QuarantinedRecord struct {
 
 // CorruptStoreError reports a result store that failed to load cleanly.
 // It always names the file; Usable distinguishes a store that can still
-// serve as a (partial) baseline — bad records quarantined, the rest
-// intact — from one that cannot be trusted at all (truncated or
-// syntactically corrupt JSON).
+// serve as a (partial) baseline — bad records quarantined, at least one
+// intact — from one that can be neither replayed nor served: truncated
+// or syntactically corrupt JSON, or a store none of whose records
+// survived validation.
 type CorruptStoreError struct {
 	Path string
 	// Offset is the byte offset of the JSON syntax error (0 when the
 	// damage has no position, e.g. a truncated file).
 	Offset int64
-	// Usable reports whether the returned store is still safe to use as
-	// a partial baseline.
+	// Usable reports whether LoadResultStore returned a store, safe to
+	// use as a partial baseline.
 	Usable bool
-	// Quarantined counts records pulled out of the store (Usable case).
+	// Quarantined counts the records that failed validation.
 	Quarantined int
 	Err         error
 }
@@ -127,6 +128,9 @@ type CorruptStoreError struct {
 func (e *CorruptStoreError) Error() string {
 	if e.Usable {
 		return fmt.Sprintf("hoyan: result store %s: %d invalid class record(s) quarantined (%v); the rest of the store is usable — quarantined classes re-simulate", e.Path, e.Quarantined, e.Err)
+	}
+	if e.Quarantined > 0 {
+		return fmt.Sprintf("hoyan: result store %s: all %d class record(s) are invalid (%v); the store is NOT usable — quarantine it (QuarantineResultStore) and sweep cold", e.Path, e.Quarantined, e.Err)
 	}
 	if e.Offset > 0 {
 		return fmt.Sprintf("hoyan: result store %s is corrupt at byte %d (%v); the store is NOT usable — quarantine it (QuarantineResultStore) and sweep cold", e.Path, e.Offset, e.Err)
@@ -184,7 +188,9 @@ func (st *ResultStore) Save(path string) error {
 // records returns the store with those records moved to Quarantined plus
 // a *CorruptStoreError (Usable=true) — callers may keep the partial
 // baseline (quarantined classes simply re-simulate) or treat it as
-// fatal.
+// fatal. A store none of whose records survived validation (one written
+// before records held verdicts, say) has nothing to replay and nothing
+// to serve: Usable=false and no store, the one rule for every caller.
 func LoadResultStore(path string) (*ResultStore, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -216,10 +222,14 @@ func LoadResultStore(path string) (*ResultStore, error) {
 	}
 	st.Classes = kept
 	if n := len(st.Quarantined); n > 0 {
-		return st, &CorruptStoreError{
-			Path: path, Usable: true, Quarantined: n,
+		ce := &CorruptStoreError{
+			Path: path, Usable: len(kept) > 0, Quarantined: n,
 			Err: fmt.Errorf("first: class %d: %s", st.Quarantined[0].Index, st.Quarantined[0].Reason),
 		}
+		if !ce.Usable {
+			return nil, ce
+		}
+		return st, ce
 	}
 	return st, nil
 }

@@ -135,7 +135,11 @@ func TestLoadResultStoreQuarantinesBadVerdicts(t *testing.T) {
 
 // TestLoadResultStoreWithoutVerdicts: a store written before records
 // held verdicts (the key is absent there; a nil slice decodes the same)
-// loads with every record quarantined, and the error says what to do.
+// has every record quarantined. None survived validation, so there is
+// nothing to replay or serve: the store is not usable, none is returned,
+// and the error says what to do. This is the one rule `hoyan sweep
+// -baseline`, `hoyand -store` and POST /v1/snapshots all read off
+// Usable (cmd/hoyan TestUnusableStoreThroughEveryDoor).
 func TestLoadResultStoreWithoutVerdicts(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "baseline.json")
 	st := writeStore(t, path)
@@ -147,14 +151,16 @@ func TestLoadResultStoreWithoutVerdicts(t *testing.T) {
 	}
 	loaded, err := LoadResultStore(path)
 	var ce *CorruptStoreError
-	if !errors.As(err, &ce) || !ce.Usable {
-		t.Fatalf("want a usable *CorruptStoreError, got %v", err)
+	if !errors.As(err, &ce) || ce.Usable || ce.Quarantined != 2 {
+		t.Fatalf("want an unusable *CorruptStoreError counting 2 records, got %v", err)
 	}
-	if len(loaded.Classes) != 0 || len(loaded.Quarantined) != 2 {
-		t.Fatalf("want every record quarantined, got %d kept, %d quarantined", len(loaded.Classes), len(loaded.Quarantined))
+	if loaded != nil {
+		t.Fatalf("a store with no valid record must not be returned, got %d kept, %d quarantined", len(loaded.Classes), len(loaded.Quarantined))
 	}
-	if !strings.Contains(err.Error(), "re-capture the baseline") {
-		t.Fatalf("the error must say to re-capture: %v", err)
+	for _, want := range []string{path, "NOT usable", "re-capture the baseline"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("the error must say %q: %v", want, err)
+		}
 	}
 }
 
