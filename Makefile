@@ -30,11 +30,12 @@ race:
 	$(GO) test -race ./...
 
 # bench smoke-runs every benchmark once (-benchtime=1x): not a timing
-# run, just a guarantee that the evaluation harness keeps compiling and
-# completing. Real measurements come from the pipeline benchmark
+# run, just a guarantee that the evaluation harness and the solver
+# kernel's local loop (internal/logic, BenchmarkApplyWAN) keep compiling
+# and completing. Real measurements come from the pipeline benchmark
 # (benchmark/README.md).
 bench:
-	$(GO) test -bench=. -benchtime=1x -run='^$$' .
+	$(GO) test -bench=. -benchtime=1x -run='^$$' . ./internal/logic
 
 # benchmark-module builds, vets and smoke-tests the nested pipeline
 # benchmark (its own Go module, so the root `go test ./...` never sees

@@ -125,12 +125,6 @@ type Simulator struct {
 	sessionLinks [][]topo.LinkID // direct links per session (empty for iBGP-via-IGP)
 	igpLazy      map[int]bool
 
-	// Per-factory fronts of the shared cross-prefix memo (shared.go):
-	// repeat queries on the same formula skip even the CanonicalKey walk.
-	// Invalidated by Reset together with the factory they index into.
-	violateCache  map[logic.F]int
-	simplifyCache map[logic.F]logic.F
-
 	// restr scopes the next Run to one region of a Partition (modular.go);
 	// nil means monolithic simulation. Set only by RunRegion.
 	restr *restriction
@@ -214,14 +208,12 @@ func (m *Model) forEachSession(visit func(from, to topo.NodeID, ibgp, viaIGP boo
 func NewSimulator(m *Model, opts Options) *Simulator {
 	opts = opts.withDefaults()
 	s := &Simulator{
-		M:             m,
-		F:             logic.NewFactory(),
-		Opts:          opts,
-		sessionsBy:    make([][]int, m.Net.NumNodes()),
-		sessionsTo:    make([][]int, m.Net.NumNodes()),
-		igpLazy:       map[int]bool{},
-		violateCache:  map[logic.F]int{},
-		simplifyCache: map[logic.F]logic.F{},
+		M:          m,
+		F:          logic.NewFactory(),
+		Opts:       opts,
+		sessionsBy: make([][]int, m.Net.NumNodes()),
+		sessionsTo: make([][]int, m.Net.NumNodes()),
+		igpLazy:    map[int]bool{},
 	}
 	s.IGP = igp.New(m.Net, m.Configs, s.F, igpOptions(opts))
 	m.forEachSession(func(from, to topo.NodeID, ibgp, viaIGP bool) {
@@ -260,8 +252,6 @@ func NewSimulator(m *Model, opts Options) *Simulator {
 func (s *Simulator) Reset() {
 	s.F = logic.NewFactory()
 	s.IGP = igp.New(s.M.Net, s.M.Configs, s.F, igpOptions(s.Opts))
-	clear(s.violateCache)
-	clear(s.simplifyCache)
 	if s.shared != nil {
 		s.IGP.Seed(s.shared.memo)
 	}
@@ -686,7 +676,7 @@ func (s *Simulator) announce(se session, si int, stats *Stats) (out, sent []Entr
 			}
 			stats.observeCondLen(s.F.Len(cond))
 			if s.Opts.Simplify && s.F.Len(cond) > s.Opts.SimplifyThreshold {
-				cond = s.simplifyCond(cond)
+				cond = s.F.Simplify(cond)
 			}
 			out = append(out, Entry{Route: ing.Route, Cond: cond})
 			stats.Delivered++

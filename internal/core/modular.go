@@ -173,7 +173,7 @@ func (s *Simulator) importSummary(restr *restriction, sum *CutSummary) error {
 		}
 		cond := conds[msg.Cond]
 		if s.Opts.Simplify && s.F.Len(cond) > s.Opts.SimplifyThreshold {
-			cond = s.simplifyCond(cond)
+			cond = s.F.Simplify(cond)
 		}
 		restr.contrib[msg.Sess] = append(restr.contrib[msg.Sess], Entry{Route: ing.Route, Cond: cond})
 	}
@@ -191,9 +191,9 @@ func (s *Simulator) captureSummary(res *Result, restr *restriction, prefix netad
 		se := &s.sessions[si]
 		for _, e := range res.sessionMsgs[si] {
 			out.Msgs = append(out.Msgs, CutMsg{
-				Sess: si,
-				From: s.M.Net.Node(se.from).Name,
-				To:   s.M.Net.Node(se.to).Name,
+				Sess:  si,
+				From:  s.M.Net.Node(se.from).Name,
+				To:    s.M.Net.Node(se.to).Name,
 				Route: e.Route,
 				Cond:  len(roots),
 			})

@@ -111,7 +111,7 @@ func (r *Result) Reachable(n topo.NodeID, pt Pattern) bool {
 // final formula length the solver saw (Figure 13's metric).
 func (r *Result) MinFailuresToLose(n topo.NodeID, pt Pattern) (int, int) {
 	cond := r.ReachCond(n, pt)
-	return r.Sim.minFailuresToViolate(cond), r.Sim.F.Len(cond)
+	return r.Sim.F.MinFailuresToViolate(cond), r.Sim.F.Len(cond)
 }
 
 // KTolerant reports whether the reachability survives every failure case

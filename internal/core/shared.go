@@ -1,11 +1,7 @@
 package core
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"hoyan/internal/igp"
-	"hoyan/internal/logic"
 	"hoyan/internal/topo"
 )
 
@@ -32,41 +28,13 @@ type Shared struct {
 
 	memo    *igp.Memo
 	memoErr error
-	xm      xMemo
 }
 
-// xMemo is the cross-prefix memo: results of the expensive formula
-// queries keyed by logic.CanonicalKey, so they survive both the
-// per-prefix Simulator.Reset (which discards the factory and its BDD
-// caches) and worker boundaries (it lives on the Shared, concurrent-safe
-// via sync.Map). Keys are factory-independent and structurally exact:
-// a hit returns the answer another worker or an earlier prefix computed
-// for the very same formula, which is deterministic, so results never
-// depend on hit patterns.
-type xMemo struct {
-	// violate maps a condition's key to MinFailuresToViolate(cond).
-	violate sync.Map // string -> int
-	// simplify maps a condition's key to its simplified form, stored as
-	// a Portable so any factory can re-import it.
-	simplify sync.Map // string -> *logic.Portable
-	entries  atomic.Int64
-
-	hits, misses atomic.Int64
-}
-
-// xMemoMaxNodes caps the DAG size CanonicalKey walks for a memo key:
-// beyond it the key costs more than the BDD work it might save.
-const xMemoMaxNodes = 4096
-
-// xMemoMaxEntries bounds the memo's footprint across a whole sweep.
-const xMemoMaxEntries = 1 << 18
-
-func (x *xMemo) room() bool { return x.entries.Load() < xMemoMaxEntries }
-
-// Hits and misses report the memo's effectiveness for stats output.
-func (sh *Shared) MemoHits() (hits, misses int64) {
-	return sh.xm.hits.Load(), sh.xm.misses.Load()
-}
+// MemoHits is always 0, 0: the cross-prefix memo it counted is gone
+// (DESIGN.md, "Prefix equivalence classes"). benchmark/trace.go calls it
+// and may not change in the PR that deletes the memo; it goes with the
+// benchmark's core.xmemo_* counters (ROADMAP.md, pending benchmark PR).
+func (sh *Shared) MemoHits() (hits, misses int64) { return 0, 0 }
 
 // NewShared runs the one-time prefix-independent work for simulating m
 // under opts, cold: SharedFrom with no earlier memo.
@@ -134,63 +102,4 @@ func (sh *Shared) NewSimulator() *Simulator {
 	s.shared = sh
 	s.IGP.Seed(sh.memo)
 	return s
-}
-
-// minFailuresToViolate answers MinFailuresToViolate through the
-// cross-prefix memo when the simulator hangs off a Shared; the per-factory
-// front cache keeps repeat queries on the same formula O(1) within a run.
-func (s *Simulator) minFailuresToViolate(cond logic.F) int {
-	if s.shared == nil {
-		return s.F.MinFailuresToViolate(cond)
-	}
-	if v, ok := s.violateCache[cond]; ok {
-		return v
-	}
-	xm := &s.shared.xm
-	key, keyed := s.F.CanonicalKey(cond, xMemoMaxNodes)
-	if keyed {
-		if v, ok := xm.violate.Load(key); ok {
-			xm.hits.Add(1)
-			s.violateCache[cond] = v.(int)
-			return v.(int)
-		}
-	}
-	v := s.F.MinFailuresToViolate(cond)
-	xm.misses.Add(1)
-	if keyed && xm.room() {
-		xm.violate.Store(key, v)
-		xm.entries.Add(1)
-	}
-	s.violateCache[cond] = v
-	return v
-}
-
-// simplifyCond answers Factory.Simplify through the cross-prefix memo: a
-// hit imports the previously extracted (small) form instead of rebuilding
-// the condition's BDD from scratch in the current factory.
-func (s *Simulator) simplifyCond(cond logic.F) logic.F {
-	if s.shared == nil {
-		return s.F.Simplify(cond)
-	}
-	if v, ok := s.simplifyCache[cond]; ok {
-		return v
-	}
-	xm := &s.shared.xm
-	key, keyed := s.F.CanonicalKey(cond, xMemoMaxNodes)
-	if keyed {
-		if v, ok := xm.simplify.Load(key); ok {
-			xm.hits.Add(1)
-			out := v.(*logic.Portable).Import(s.F)[0]
-			s.simplifyCache[cond] = out
-			return out
-		}
-	}
-	out := s.F.Simplify(cond)
-	xm.misses.Add(1)
-	if keyed && xm.room() {
-		xm.simplify.Store(key, s.F.Export(out))
-		xm.entries.Add(1)
-	}
-	s.simplifyCache[cond] = out
-	return out
 }

@@ -137,11 +137,11 @@ func (l Local) open(p *Plan, units int) ([]executor, Options, error) {
 	}
 	n := max(1, min(cpus, units))
 	// One worker behind every executor: they share its Shared LRU — one
-	// IGP memo and cross-prefix memo per (k, region), residency bounded by
-	// the partition, built from the plan's carried memo on as many
-	// goroutines as the pool was given — and each keeps its own
-	// simulator, Reset before every pass it is reused for. (A remote
-	// worker's connection never Resets its own: DESIGN.md, "Recycling".)
+	// IGP memo per (k, region), residency bounded by the partition, built
+	// from the plan's carried memo on as many goroutines as the pool was
+	// given — and each keeps its own simulator, Reset before every pass
+	// it is reused for. (A remote worker's connection never Resets its
+	// own: DESIGN.md, "Recycling".)
 	src := &modelSource{model: p.Model, opts: p.Sim}
 	src.once.Do(func() {})
 	w := newWorker(src, p.ModelHash)

@@ -8,7 +8,7 @@ import (
 
 // HotPathAllocAnalyzer enforces the `//hoyan:hotpath` annotation:
 // functions so marked (BDD apply/mk, hash-cons probes, engine inner
-// loops) must not contain allocation-causing constructs. The check is
+// loops) must not contain allocation-causing constructs, nor closures. The check is
 // per-function and non-transitive — annotate the whole call tree where
 // the budget matters; the AllocsPerRun tests in internal/logic keep the
 // annotation and the measured budget in agreement.
@@ -18,9 +18,10 @@ import (
 //   - any fmt.* call (formatting allocates and convinces arguments to
 //     escape);
 //   - map or chan creation: map literals, make(map...), make(chan...);
-//   - closures that escape — a func literal anywhere except directly in
-//     call-argument position (direct arguments to a non-escaping callee
-//     stay on the stack);
+//   - func literals, wherever they appear: one that escapes allocates,
+//     and one handed straight to a callee allocates nothing but makes the
+//     callee call back through a value the compiler does not inline — per
+//     slot probed, that was 5–7 % of a sweep in the BDD unique table;
 //   - append to a plain local slice. Appends to struct fields
 //     (s.nodes = append(s.nodes, ...)) are the arena/scratch-table
 //     pattern with amortized growth and stay allowed, as do locals whose
@@ -50,22 +51,6 @@ func checkHotPathFunc(pass *Pass, fd *ast.FuncDecl) {
 	info := pass.TypesInfo
 	scratch := scratchLocals(info, fd)
 
-	// directArgs collects func literals appearing directly as call
-	// arguments; those are exempt from the escaping-closure rule.
-	directArgs := map[*ast.FuncLit]bool{}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		for _, arg := range call.Args {
-			if fl, isLit := arg.(*ast.FuncLit); isLit {
-				directArgs[fl] = true
-			}
-		}
-		return true
-	})
-
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.CallExpr:
@@ -80,9 +65,7 @@ func checkHotPathFunc(pass *Pass, fd *ast.FuncDecl) {
 				pass.Reportf(x.Pos(), "map literal in //hoyan:hotpath function %s allocates", fd.Name.Name)
 			}
 		case *ast.FuncLit:
-			if !directArgs[x] {
-				pass.Reportf(x.Pos(), "escaping closure in //hoyan:hotpath function %s allocates", fd.Name.Name)
-			}
+			pass.Reportf(x.Pos(), "func literal in //hoyan:hotpath function %s allocates if it escapes and is called uninlined if it does not", fd.Name.Name)
 		case *ast.AssignStmt:
 			checkHotAppend(pass, fd, x, scratch)
 		case *ast.ReturnStmt:

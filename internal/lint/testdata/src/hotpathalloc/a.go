@@ -22,8 +22,25 @@ func hotBad(s *space, n int32) {
 
 //hoyan:hotpath
 func hotEscape(n int32) func() int32 {
-	f := func() int32 { return n } // want "escaping closure in //hoyan:hotpath function hotEscape allocates"
+	f := func() int32 { return n } // want "func literal in //hoyan:hotpath function hotEscape allocates if it escapes and is called uninlined if it does not"
 	return f
+}
+
+//hoyan:hotpath
+func hotCallback(s *space, n int32) bool {
+	// Allocates nothing, and is still a call per element that the
+	// compiler does not inline: the shape of a hash probe with an eq
+	// callback.
+	return anyOf(s.nodes, func(v int32) bool { return v == n }) // want "func literal in //hoyan:hotpath function hotCallback allocates if it escapes and is called uninlined if it does not"
+}
+
+func anyOf(xs []int32, f func(int32) bool) bool {
+	for _, x := range xs {
+		if f(x) {
+			return true
+		}
+	}
+	return false
 }
 
 //hoyan:hotpath
@@ -39,15 +56,7 @@ func hotGood(s *space, n int32) int {
 	s.nodes = append(s.nodes, n) // allowed: arena field append, amortized growth
 	buf := s.sc.buf[:0]
 	buf = append(buf, byte(n)) // allowed: field-backed scratch local
-	sum := 0
-	each(s.nodes, func(v int32) { sum += int(v) }) // allowed: closure in direct call-argument position
-	return sum + len(buf)
-}
-
-func each(xs []int32, f func(int32)) {
-	for _, x := range xs {
-		f(x)
-	}
+	return len(s.nodes) + len(buf)
 }
 
 func coldPath(n int32) {

@@ -22,6 +22,16 @@ func TestHotPathAllocBudget(t *testing.T) {
 	if !f.SAT(ab) || !f.SAT(ob) || !f.SAT(na) {
 		t.Fatal("warmup formulas unexpectedly unsatisfiable")
 	}
+	// The kernel's own two hits, under the formula layer's root memo: an
+	// apply the computed cache still holds, and an mk of a node the unique
+	// table holds.
+	s := f.bdd
+	ra, rb, rab := f.build(a), f.build(b), f.build(ab)
+	key := opAnd<<63 | uint64(min(ra, rb))<<31 | uint64(max(ra, rb))
+	if s.cacheSlot(key).key != key {
+		t.Fatal("the warm apply is not in the computed cache")
+	}
+	top := s.nodes[rab]
 
 	allocs := testing.AllocsPerRun(1000, func() {
 		if f.And(a, b) != ab || f.Or(a, b) != ob || f.Not(a) != na {
@@ -32,6 +42,12 @@ func TestHotPathAllocBudget(t *testing.T) {
 		}
 		if !f.SAT(ab) {
 			t.Error("memoized SAT changed its answer")
+		}
+		if s.apply(opAnd, ra, rb) != rab {
+			t.Error("computed-cache hit changed its answer")
+		}
+		if s.mk(top.v, top.lo, top.hi) != rab {
+			t.Error("unique-table hit changed its answer")
 		}
 	})
 	if allocs != 0 {

@@ -8,28 +8,51 @@ import "math"
 // adjacent variables, which keeps path-shaped conditions narrow.
 type bddSpace struct {
 	// nodes[i] for i >= 2 is a decision node; 0 and 1 are the terminals.
-	vars   []Var
-	los    []int32
-	his    []int32
-	unique *idTable
-	// andMemo/orMemo cache apply results under key a<<32|b with a<=b;
-	// operands are >=2 after terminal short-circuits, so 0 never occurs.
-	andMemo *u64Map
-	orMemo  *u64Map
-	// built[f] is the BDD root of formula f, or -1.
-	built []int32
-	// minFalseMemo[n] caches the min-cost DP per node (-1 = unset).
-	minFalseMemo []int32
-	// negMemo[n] caches negation per node (0 = unset; node 0 never needs
-	// a cache entry since negate() short-circuits terminals).
-	negMemo []int32
-	// extractMemo caches Simplify's BDD→formula extraction per node. The
-	// extraction of a node is a pure function of the (immutable) node, so
-	// the cache persists for the life of the space; repeated Simplify
-	// calls over overlapping conditions — the common case inside one
-	// simulation — reuse it instead of re-walking shared subgraphs.
-	extractMemo map[int32]F
+	// Ids are handed out in creation order and nothing below depends on
+	// how large any table is or on what the cache still holds.
+	nodes []bddNode
+	// side[i] holds what is memoized per node; grown with nodes by mk.
+	side []bddSide
+	// unique is the open-addressed hash-consing table over nodes: a slot
+	// holds a node id (0 = empty; terminals are never interned) and a
+	// probe compares against the arena. len is a power of two, kept under
+	// 2/3 full.
+	unique []int32
+	// cache is the computed cache of apply: direct-mapped, a colliding
+	// result overwrites, len(unique)/cacheShare slots. Losing an entry
+	// costs a recomputation whose every mk is a unique-table hit — the
+	// result's nodes exist since the first computation — so eviction
+	// creates no node and changes no id.
+	cache []applyEntry
 }
+
+type bddNode struct {
+	v      Var
+	lo, hi int32
+}
+
+// bddSide is the per-node memo record; every field's zero value means
+// "not computed", which no computed value of a decision node is.
+type bddSide struct {
+	neg      int32 // ¬node, a decision node
+	minFalse int32 // minFalse(node)+1; a decision node is satisfiable
+	extract  F     // Simplify's formula for node, never a constant
+}
+
+// applyEntry caches apply(op, a, b) = r under key op<<63 | a<<31 | b with
+// a < b. Operands are >= 2 after the terminal short-circuits, so key 0
+// never occurs and marks an empty slot.
+type applyEntry struct {
+	key uint64
+	r   int32
+}
+
+// cacheShare is how many unique-table slots there are per computed-cache
+// slot. The hits of a condition build are recent results: on the four
+// benchmark sweeps a cache this size misses 0.4–2.4 % more lookups than
+// one slot per unique slot does (EXPERIMENTS.md, "Solver kernel"), for a
+// third less table memory to zero and to miss in.
+const cacheShare = 4
 
 const (
 	bddFalse int32 = 0
@@ -37,15 +60,15 @@ const (
 )
 
 const (
-	opAnd uint8 = iota
+	opAnd uint64 = iota
 	opOr
 )
 
 // bddRoomWAN sizes a simulation's solver tables up front: growth
 // rehashing showed up at >10% of profile time when starting small.
 // bddRoomScratch is the floor for a factory that lives for one small
-// computation (NewFactorySized): there the 2.3 MB the WAN-scale tables
-// zero on first use can cost more than the computation.
+// computation (NewFactorySized): there the tables a WAN-scale space
+// zeroes on first use can cost more than the computation.
 const (
 	bddRoomWAN     = 1 << 15
 	bddRoomScratch = 1 << 9
@@ -54,66 +77,76 @@ const (
 // newBDDSpace returns an empty space with room for initial nodes before
 // its tables grow.
 func newBDDSpace(initial int) *bddSpace {
+	slots := tableSize(initial)
 	return &bddSpace{
-		vars:    make([]Var, 2, initial),
-		los:     make([]int32, 2, initial),
-		his:     make([]int32, 2, initial),
-		unique:  newIDTable(initial),
-		andMemo: newU64Map(initial),
-		orMemo:  newU64Map(initial),
-		negMemo: make([]int32, 2, initial),
+		nodes:  make([]bddNode, 2, arenaRoom(slots)),
+		side:   make([]bddSide, 2, arenaRoom(slots)),
+		unique: make([]int32, slots),
+		cache:  make([]applyEntry, slots/cacheShare),
 	}
 }
 
-//hoyan:hotpath
-func (s *bddSpace) nodeHash(n int32) uint64 {
-	return hash3(uint64(s.vars[n]), uint64(s.los[n]), uint64(s.his[n]))
-}
-
-// mk interns a BDD node in the unique table; allocation is limited to
-// the amortized arena appends.
+// mk interns a BDD node in the unique table. The appends stay within
+// capacity: all allocation is in grow.
 //
 //hoyan:hotpath
 func (s *bddSpace) mk(v Var, lo, hi int32) int32 {
 	if lo == hi {
 		return lo
 	}
-	h := hash3(uint64(v), uint64(lo), uint64(hi))
-	id, slot, ok := s.unique.lookup(h, func(n int32) bool {
-		return s.vars[n] == v && s.los[n] == lo && s.his[n] == hi
-	})
-	if ok {
-		return id
+	mask := uint64(len(s.unique) - 1)
+	i := hash3(uint64(v), uint64(lo), uint64(hi)) & mask
+	for {
+		id := s.unique[i]
+		if id == 0 {
+			break
+		}
+		if n := &s.nodes[id]; n.v == v && n.lo == lo && n.hi == hi {
+			return id
+		}
+		i = (i + 1) & mask
 	}
-	id = int32(len(s.vars))
-	s.vars = append(s.vars, v)
-	s.los = append(s.los, lo)
-	s.his = append(s.his, hi)
-	s.negMemo = append(s.negMemo, 0)
-	if s.unique.needsGrow() {
-		s.unique.grow(s.nodeHash)
-		s.unique.insert(s.probeSlot(h, id), id)
-	} else {
-		s.unique.insert(slot, id)
+	id := int32(len(s.nodes))
+	s.nodes = append(s.nodes, bddNode{v: v, lo: lo, hi: hi})
+	s.side = append(s.side, bddSide{})
+	s.unique[i] = id
+	if len(s.nodes)*3 >= len(s.unique)*2 {
+		s.grow()
 	}
 	return id
 }
 
-// probeSlot finds the insert slot for a fresh id after a grow.
-func (s *bddSpace) probeSlot(h uint64, id int32) int {
-	_, slot, ok := s.unique.lookup(h, func(n int32) bool { return n == id })
-	if ok {
-		panic("logic: duplicate BDD node after grow")
+// grow doubles the unique table and, with it, the arena's room and the
+// computed cache. The table holds exactly the decision nodes of the
+// arena, so it is refilled from there; the cache's surviving entries
+// move to their new slots.
+func (s *bddSpace) grow() {
+	s.unique = make([]int32, 2*len(s.unique))
+	s.nodes = append(make([]bddNode, 0, arenaRoom(len(s.unique))), s.nodes...)
+	s.side = append(make([]bddSide, 0, arenaRoom(len(s.unique))), s.side...)
+	mask := uint64(len(s.unique) - 1)
+	for id := 2; id < len(s.nodes); id++ {
+		n := &s.nodes[id]
+		i := hash3(uint64(n.v), uint64(n.lo), uint64(n.hi)) & mask
+		for s.unique[i] != 0 {
+			i = (i + 1) & mask
+		}
+		s.unique[i] = int32(id)
 	}
-	return slot
+	old := s.cache
+	s.cache = make([]applyEntry, len(s.unique)/cacheShare)
+	for _, e := range old {
+		if e.key != 0 {
+			*s.cacheSlot(e.key) = e
+		}
+	}
 }
 
-// apply is the Shannon-expansion core of every BDD operation; it runs
-// once per (op, a, b) triple and must stay allocation-free outside the
-// memo table's amortized growth.
+// apply is the Shannon-expansion core of every BDD operation. It
+// allocates nothing itself; mk under it only when the tables double.
 //
 //hoyan:hotpath
-func (s *bddSpace) apply(op uint8, a, b int32) int32 {
+func (s *bddSpace) apply(op uint64, a, b int32) int32 {
 	switch op {
 	case opAnd:
 		if a == bddFalse || b == bddFalse {
@@ -123,9 +156,6 @@ func (s *bddSpace) apply(op uint8, a, b int32) int32 {
 			return b
 		}
 		if b == bddTrue {
-			return a
-		}
-		if a == b {
 			return a
 		}
 	case opOr:
@@ -138,52 +168,42 @@ func (s *bddSpace) apply(op uint8, a, b int32) int32 {
 		if b == bddFalse {
 			return a
 		}
-		if a == b {
-			return a
-		}
+	}
+	if a == b {
+		return a
 	}
 	if a > b {
 		a, b = b, a
 	}
-	memo := s.andMemo
-	if op == opOr {
-		memo = s.orMemo
+	key := op<<63 | uint64(a)<<31 | uint64(b)
+	if e := s.cacheSlot(key); e.key == key {
+		return e.r
 	}
-	key := uint64(a)<<32 | uint64(b)
-	if r, ok := memo.get(key); ok {
-		return r
+	// Expand on the smaller top variable; an operand that does not branch
+	// on it is its own cofactor both ways.
+	na, nb := &s.nodes[a], &s.nodes[b]
+	v, alo, ahi, blo, bhi := na.v, na.lo, na.hi, nb.lo, nb.hi
+	switch {
+	case na.v < nb.v:
+		blo, bhi = b, b
+	case nb.v < na.v:
+		v, alo, ahi = nb.v, a, a
 	}
-	va, vb := s.topVar(a), s.topVar(b)
-	v := va
-	if vb < v {
-		v = vb
-	}
-	alo, ahi := s.cofactor(a, v)
-	blo, bhi := s.cofactor(b, v)
 	r := s.mk(v, s.apply(op, alo, blo), s.apply(op, ahi, bhi))
-	memo.put(key, r)
+	// The recursion may have doubled the cache: look the slot up again.
+	*s.cacheSlot(key) = applyEntry{key: key, r: r}
 	return r
 }
 
+// cacheSlot is where the computed cache holds key, if it holds it.
+//
 //hoyan:hotpath
-func (s *bddSpace) topVar(n int32) Var {
-	if n <= bddTrue {
-		return math.MaxInt32
-	}
-	return s.vars[n]
-}
-
-//hoyan:hotpath
-func (s *bddSpace) cofactor(n int32, v Var) (lo, hi int32) {
-	if n <= bddTrue || s.vars[n] != v {
-		return n, n
-	}
-	return s.los[n], s.his[n]
+func (s *bddSpace) cacheSlot(key uint64) *applyEntry {
+	return &s.cache[mix64(key)&uint64(len(s.cache)-1)]
 }
 
 // negate computes ¬n by swapping terminals. Without complement edges this
-// is a linear walk; the cache is global to the space (negation is
-// idempotent, so staleness is impossible).
+// is a linear walk, memoized per node for the life of the space.
 //
 //hoyan:hotpath
 func (s *bddSpace) negate(n int32) int32 {
@@ -193,31 +213,27 @@ func (s *bddSpace) negate(n int32) int32 {
 	case bddTrue:
 		return bddFalse
 	}
-	if r := s.negMemo[n]; r != 0 {
+	if r := s.side[n].neg; r != 0 {
 		return r
 	}
-	r := s.mk(s.vars[n], s.negate(s.los[n]), s.negate(s.his[n]))
-	s.negMemo[n] = r
-	// mk may have appended nodes and grown negMemo; n's slot is stable.
-	s.negMemo[n] = r
+	nd := s.nodes[n]
+	r := s.mk(nd.v, s.negate(nd.lo), s.negate(nd.hi))
+	s.side[n].neg = r
 	return r
 }
 
 // build converts a formula to its BDD root, memoized per formula node so
 // the incremental condition-building of the simulation amortizes well.
 func (f *Factory) build(x F) int32 {
+	n := &f.nodes[x]
+	if n.root != 0 {
+		return n.root - 1
+	}
 	if f.bdd == nil {
 		f.bdd = newBDDSpace(f.bddRoom)
 	}
 	s := f.bdd
-	for int(x) >= len(s.built) {
-		s.built = append(s.built, -1)
-	}
-	if r := s.built[x]; r >= 0 {
-		return r
-	}
 	var r int32
-	n := f.nodes[x]
 	switch n.k {
 	case kConst:
 		if x == True {
@@ -234,10 +250,7 @@ func (f *Factory) build(x F) int32 {
 	default:
 		r = s.apply(opOr, f.build(n.a), f.build(n.b))
 	}
-	for int(x) >= len(s.built) {
-		s.built = append(s.built, -1)
-	}
-	s.built[x] = r
+	n.root = r + 1
 	return r
 }
 
@@ -269,25 +282,17 @@ func (s *bddSpace) minFalse(n int32) int {
 	case bddTrue:
 		return 0
 	}
-	for int(n) >= len(s.minFalseMemo) {
-		s.minFalseMemo = append(s.minFalseMemo, -1)
+	if c := s.side[n].minFalse; c != 0 {
+		return int(c - 1)
 	}
-	if c := s.minFalseMemo[n]; c >= 0 {
-		return int(c)
+	nd := s.nodes[n]
+	// min(hi, lo+1): taking the variable true (link up) is free, false
+	// is one failure; lo+1 <= hi iff lo < hi, Unfailable included.
+	c := s.minFalse(nd.hi)
+	if lo := s.minFalse(nd.lo); lo < c {
+		c = lo + 1
 	}
-	hi := s.minFalse(s.his[n]) // var true: link up, free
-	lo := s.minFalse(s.los[n]) // var false: one failure
-	if lo != Unfailable {
-		lo++
-	}
-	c := hi
-	if lo < c {
-		c = lo
-	}
-	for int(n) >= len(s.minFalseMemo) {
-		s.minFalseMemo = append(s.minFalseMemo, -1)
-	}
-	s.minFalseMemo[n] = int32(c)
+	s.side[n].minFalse = int32(c + 1)
 	return c
 }
 
@@ -311,12 +316,13 @@ func (f *Factory) AnyAssignment(x F) (Assignment, bool) {
 	asn := Assignment{}
 	n := root
 	for n > bddTrue {
-		if s.his[n] != bddFalse {
-			asn[s.vars[n]] = true
-			n = s.his[n]
+		nd := s.nodes[n]
+		if nd.hi != bddFalse {
+			asn[nd.v] = true
+			n = nd.hi
 		} else {
-			asn[s.vars[n]] = false
-			n = s.los[n]
+			asn[nd.v] = false
+			n = nd.lo
 		}
 	}
 	return asn, true
@@ -334,17 +340,18 @@ func (f *Factory) MinFailureScenario(x F) (Assignment, int, bool) {
 	asn := Assignment{}
 	n := root
 	for n > bddTrue {
-		hi := s.minFalse(s.his[n])
-		lo := s.minFalse(s.los[n])
+		nd := s.nodes[n]
+		hi := s.minFalse(nd.hi)
+		lo := s.minFalse(nd.lo)
 		if lo != Unfailable {
 			lo++
 		}
 		if hi <= lo {
-			asn[s.vars[n]] = true
-			n = s.his[n]
+			asn[nd.v] = true
+			n = nd.hi
 		} else {
-			asn[s.vars[n]] = false
-			n = s.los[n]
+			asn[nd.v] = false
+			n = nd.lo
 		}
 	}
 	return asn, s.minFalse(root), true
@@ -375,8 +382,8 @@ func (f *Factory) BDDSize(x F) int {
 			return
 		}
 		seen[n] = true
-		walk(s.los[n])
-		walk(s.his[n])
+		walk(s.nodes[n].lo)
+		walk(s.nodes[n].hi)
 	}
 	walk(root)
 	return len(seen)
@@ -395,30 +402,32 @@ func (f *Factory) Simplify(x F) F {
 	case bddTrue:
 		return True
 	}
-	if f.bdd.extractMemo == nil {
-		f.bdd.extractMemo = make(map[int32]F, 1024)
-	}
-	extracted := f.extract(root, f.bdd.extractMemo)
+	extracted := f.extract(root)
 	if f.Len(extracted) < f.Len(x) {
 		return extracted
 	}
 	return x
 }
 
-func (f *Factory) extract(n int32, memo map[int32]F) F {
+// extract is memoized per BDD node for the life of the space: the
+// extraction of a node is a pure function of the (immutable) node, and
+// repeated Simplify calls over overlapping conditions — the common case
+// inside one simulation — reuse it instead of re-walking shared subgraphs.
+func (f *Factory) extract(n int32) F {
 	switch n {
 	case bddFalse:
 		return False
 	case bddTrue:
 		return True
 	}
-	if r, ok := memo[n]; ok {
+	s := f.bdd
+	if r := s.side[n].extract; r != 0 {
 		return r
 	}
-	s := f.bdd
-	v := f.Var(s.vars[n])
-	hi := f.extract(s.his[n], memo)
-	lo := f.extract(s.los[n], memo)
+	nd := s.nodes[n]
+	v := f.Var(nd.v)
+	hi := f.extract(nd.hi)
+	lo := f.extract(nd.lo)
 	// ite(v, hi, lo) with the usual special cases to keep output short.
 	var r F
 	switch {
@@ -437,6 +446,6 @@ func (f *Factory) extract(n int32, memo map[int32]F) F {
 	default:
 		r = f.Or(f.And(v, hi), f.And(f.Not(v), lo))
 	}
-	memo[n] = r
+	s.side[n].extract = r
 	return r
 }

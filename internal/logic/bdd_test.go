@@ -223,3 +223,85 @@ func BenchmarkMinFailuresToViolate(b *testing.B) {
 		}
 	}
 }
+
+// wanBuild grows route conditions the way a propagation does — each
+// router ranks the alternatives its neighbours offer, guards each by "no
+// better one holds", ANDs in the link, applies the two prunes and
+// simplifies what grew long (core.Simulator.announce) — over a seeded ring
+// of routers with chords, for a fixed number of rounds. It returns the
+// reachability condition each router ended with.
+func wanBuild(f *Factory, routers, chords, rounds, k int) []F {
+	rng := rand.New(rand.NewSource(3))
+	type adj struct {
+		peer int
+		link F
+	}
+	nbrs := make([][]adj, routers)
+	nlinks := 0
+	link := func(a, b int) {
+		l := f.Var(Var(nlinks))
+		nlinks++
+		nbrs[a] = append(nbrs[a], adj{b, l})
+		nbrs[b] = append(nbrs[b], adj{a, l})
+	}
+	for r := 0; r < routers; r++ {
+		link(r, (r+1)%routers)
+	}
+	for c := 0; c < chords; c++ {
+		a, b := rng.Intn(routers), rng.Intn(routers)
+		if a != b {
+			link(a, b)
+		}
+	}
+	alts := make([][]F, routers) // best first
+	alts[0] = []F{True}
+	for round := 0; round < rounds; round++ {
+		next := make([][]F, routers)
+		next[0] = alts[0]
+		for r := 1; r < routers; r++ {
+			notHigher := True
+			for _, nb := range nbrs[r] {
+				for _, c := range alts[nb.peer] {
+					if len(next[r]) >= 8 {
+						break
+					}
+					guard := f.And(notHigher, c)
+					notHigher = f.And(notHigher, f.Not(c))
+					cond := f.And(guard, nb.link)
+					if f.Impossible(cond) || f.MinFalse(cond) > k {
+						continue
+					}
+					if f.Len(cond) > 24 {
+						cond = f.Simplify(cond)
+					}
+					next[r] = append(next[r], cond)
+				}
+			}
+		}
+		alts = next
+	}
+	out := make([]F, routers)
+	for r := range out {
+		out[r] = f.OrAll(alts[r]...)
+	}
+	return out
+}
+
+// BenchmarkApplyWAN is the kernel's local loop: one factory taken through
+// a condition build the size of one compile-k3 class (benchmark/: 45
+// routers, K=3, about 270 000 BDD nodes and 70 000 formula nodes per
+// class), then asked each router's min-failures.
+func BenchmarkApplyWAN(b *testing.B) {
+	b.ReportAllocs()
+	nodes := 0
+	for i := 0; i < b.N; i++ {
+		f := NewFactory()
+		for _, reach := range wanBuild(f, 45, 25, 22, 3) {
+			if f.MinFailuresToViolate(reach) < 1 {
+				b.Fatal("every router is reachable with all links up")
+			}
+		}
+		nodes = f.SolverNodes()
+	}
+	b.ReportMetric(float64(nodes), "bddnodes")
+}

@@ -19,6 +19,13 @@
 // min-cost dynamic program answers them exactly, which is why this package
 // (plus package sat for model enumeration) is a faithful substitute for Z3.
 //
+// The kernel (bdd.go) keeps BDD nodes in one arena, interns them through
+// an open-addressed table probed inline, and memoizes apply in a
+// direct-mapped cache that overwrites on collision and is sized by the
+// node table alone. What the cache forgets is recomputed into nodes that
+// already exist, so no table size and no eviction changes a node id, a
+// Simplify output or an exported byte (DESIGN.md, "Solver kernel").
+//
 // A Factory is not safe for concurrent use. The simulation engine creates
 // one Factory per prefix simulation, mirroring the paper's per-prefix
 // parallelism.

@@ -38,15 +38,19 @@ type node struct {
 	v    Var // kVar only
 	a, b F   // kNot uses a; kAnd/kOr use a,b
 	size int32
+	root int32 // BDD root + 1 once Factory.build has converted the node, 0 before
 }
 
 // Factory owns a universe of hash-consed formula nodes. Structural sharing
 // means equal formulas have equal F references, so equality checks and the
 // local simplifications in the constructors are O(1).
 type Factory struct {
-	nodes  []node
-	intern *idTable // structural hash-consing over nodes
-	vars   []F      // cache of variable nodes indexed by Var
+	nodes []node
+	// intern is the open-addressed hash-consing table over nodes: a slot
+	// holds an F (0 = empty; the constants are never interned) and a probe
+	// compares against nodes. len is a power of two, kept under 2/3 full.
+	intern []F
+	vars   []F // cache of variable nodes indexed by Var
 
 	bdd     *bddSpace // lazily created solver space
 	bddRoom int       // nodes the solver space is sized for when created
@@ -62,8 +66,8 @@ type nodeKey struct {
 // constants.
 func NewFactory() *Factory {
 	f := &Factory{
-		nodes:   make([]node, 2, 1024),
-		intern:  newIDTable(1024),
+		nodes:   make([]node, 2, arenaRoom(tableSize(1024))),
+		intern:  make([]F, tableSize(1024)),
 		bddRoom: bddRoomWAN,
 	}
 	f.nodes[False] = node{k: kConst, size: 1}
@@ -91,44 +95,60 @@ func (f *Factory) SolverNodes() int {
 	if f.bdd == nil {
 		return 0
 	}
-	return len(f.bdd.vars)
+	return len(f.bdd.nodes)
 }
 
 // NumNodes reports how many distinct formula nodes exist in the factory,
 // a proxy for the memory the conditions of one simulation consume.
 func (f *Factory) NumNodes() int { return len(f.nodes) }
 
-func (f *Factory) keyHash(key nodeKey) uint64 {
+//hoyan:hotpath
+func keyHash(key nodeKey) uint64 {
 	return hash3(uint64(key.k)<<32|uint64(uint32(key.v)), uint64(key.a), uint64(key.b))
 }
 
-func (f *Factory) nodeHash(id int32) uint64 {
-	n := f.nodes[id]
-	return f.keyHash(nodeKey{k: n.k, v: n.v, a: n.a, b: n.b})
-}
-
 // mk interns a node, returning the existing id on a hash-cons hit. It
-// runs once per constructed formula node, so the only allocation it may
-// perform is the amortized arena append.
+// runs once per constructed formula node; the append stays within
+// capacity, all allocation is in growIntern.
 //
 //hoyan:hotpath
 func (f *Factory) mk(key nodeKey, size int32) F {
-	h := f.keyHash(key)
-	id, slot, ok := f.intern.lookup(h, func(n int32) bool {
-		nd := &f.nodes[n]
-		return nd.k == key.k && nd.v == key.v && nd.a == key.a && nd.b == key.b
-	})
-	if ok {
-		return F(id)
+	mask := uint64(len(f.intern) - 1)
+	i := keyHash(key) & mask
+	for {
+		id := f.intern[i]
+		if id == 0 {
+			break
+		}
+		if n := &f.nodes[id]; n.k == key.k && n.v == key.v && n.a == key.a && n.b == key.b {
+			return id
+		}
+		i = (i + 1) & mask
 	}
-	nid := int32(len(f.nodes))
+	id := F(len(f.nodes))
 	f.nodes = append(f.nodes, node{k: key.k, v: key.v, a: key.a, b: key.b, size: size})
-	if f.intern.needsGrow() {
-		f.intern.grow(f.nodeHash)
-		_, slot, _ = f.intern.lookup(h, func(int32) bool { return false })
+	f.intern[i] = id
+	if len(f.nodes)*3 >= len(f.intern)*2 {
+		f.growIntern()
 	}
-	f.intern.insert(slot, nid)
-	return F(nid)
+	return id
+}
+
+// growIntern doubles the interning table and the arena's room. The table
+// holds exactly the non-constant nodes of the arena, so it is refilled
+// from there.
+func (f *Factory) growIntern() {
+	f.intern = make([]F, 2*len(f.intern))
+	f.nodes = append(make([]node, 0, arenaRoom(len(f.intern))), f.nodes...)
+	mask := uint64(len(f.intern) - 1)
+	for id := 2; id < len(f.nodes); id++ {
+		n := &f.nodes[id]
+		i := keyHash(nodeKey{k: n.k, v: n.v, a: n.a, b: n.b}) & mask
+		for f.intern[i] != 0 {
+			i = (i + 1) & mask
+		}
+		f.intern[i] = F(id)
+	}
 }
 
 // Var returns the formula consisting of the single positive literal v.

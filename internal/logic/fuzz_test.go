@@ -1,6 +1,7 @@
 package logic
 
 import (
+	"bytes"
 	"encoding/json"
 	"testing"
 )
@@ -8,9 +9,11 @@ import (
 // FuzzPortableDecode hardens the persistence boundary: a Portable decoded
 // from arbitrary bytes must either be rejected by UnmarshalJSON or be a
 // fully valid snapshot — Import into a fresh factory never panics, and
-// the marshal → unmarshal → Import round-trip reproduces formulas with
-// identical canonical keys. A corrupted result store may lose data, but
-// it must never crash a worker or smuggle in a different formula.
+// the marshal → unmarshal → Import round-trip reproduces the same
+// formulas: Export numbers nodes in first-visit order whatever factory
+// holds them, so the two imports must re-export to identical bytes. A
+// corrupted result store may lose data, but it must never crash a worker
+// or smuggle in a different formula.
 func FuzzPortableDecode(f *testing.F) {
 	fac := NewFactory()
 	x := fac.And(fac.Var(1), fac.Or(fac.Var(2), fac.Not(fac.Var(3))))
@@ -47,12 +50,13 @@ func FuzzPortableDecode(f *testing.F) {
 		if len(roots) != len(roots2) {
 			t.Fatalf("root count changed across round-trip: %d != %d", len(roots), len(roots2))
 		}
-		for i := range roots {
-			k1, ok1 := f1.CanonicalKey(roots[i], 1<<16)
-			k2, ok2 := f2.CanonicalKey(roots2[i], 1<<16)
-			if ok1 != ok2 || k1 != k2 {
-				t.Fatalf("canonical key of root %d unstable across round-trip: %q vs %q", i, k1, k2)
-			}
+		b1, err1 := json.Marshal(f1.Export(roots...))
+		b2, err2 := json.Marshal(f2.Export(roots2...))
+		if err1 != nil || err2 != nil {
+			t.Fatalf("re-export failed: %v, %v", err1, err2)
+		}
+		if !bytes.Equal(b1, b2) {
+			t.Fatalf("formulas changed across round-trip:\n%s\n%s", b1, b2)
 		}
 	})
 }

@@ -1,93 +1,29 @@
 package logic
 
-// Open-addressed hash tables specialized for the two hot paths the CPU
-// profile exposes: hash-consing (formula and BDD node interning, where the
-// table stores only the node index and keys are compared against the node
-// arrays) and BDD apply memoization (packed uint64 keys). Generic Go maps
-// spend most of the simulation's time hashing composite keys; these tables
-// cut that cost several-fold.
+// Hashing and sizing for the two open-addressed hash-consing tables of the
+// package — Factory.intern over formula nodes and bddSpace.unique over BDD
+// nodes. Both store only a node index per slot and compare keys against
+// the node arena; each owner probes inline (a probe through a callback
+// is a call the compiler does not inline, once per slot visited). Generic
+// Go maps spend most of a simulation's time hashing composite keys; these
+// tables cut that cost several-fold.
 
-// idTable interns node indices; the owner supplies hashing and equality
-// against its backing arrays. Zero entries mean empty, so valid ids must
-// be offset by +1 when stored.
-type idTable struct {
-	slots []int32
-	used  int
-}
-
-func newIDTable(capacity int) *idTable {
+// tableSize is the number of slots, a power of two, an open-addressed
+// table starts with so that capacity entries fill it at most half.
+func tableSize(capacity int) int {
 	size := 16
 	for size < capacity*2 {
 		size *= 2
 	}
-	return &idTable{slots: make([]int32, size)}
+	return size
 }
 
-// lookup probes for an id satisfying eq(id) at the given hash, returning
-// (id, true) on hit. On miss it returns the slot index for insert.
-//
-//hoyan:hotpath
-func (t *idTable) lookup(hash uint64, eq func(int32) bool) (int32, int, bool) {
-	mask := uint64(len(t.slots) - 1)
-	i := hash & mask
-	for {
-		v := t.slots[i]
-		if v == 0 {
-			return 0, int(i), false
-		}
-		if eq(v - 1) {
-			return v - 1, int(i), true
-		}
-		i = (i + 1) & mask
-	}
-}
-
-// insert stores id at the slot returned by lookup; the caller must rehash
-// via grow() when the load factor crosses 2/3.
-//
-//hoyan:hotpath
-func (t *idTable) insert(slot int, id int32) {
-	t.slots[slot] = id + 1
-	t.used++
-}
-
-func (t *idTable) needsGrow() bool { return t.used*3 >= len(t.slots)*2 }
-
-// grow doubles the table; rehash supplies each stored id's hash.
-func (t *idTable) grow(rehash func(int32) uint64) {
-	old := t.slots
-	t.slots = make([]int32, len(old)*2)
-	t.used = 0
-	mask := uint64(len(t.slots) - 1)
-	for _, v := range old {
-		if v == 0 {
-			continue
-		}
-		i := rehash(v-1) & mask
-		for t.slots[i] != 0 {
-			i = (i + 1) & mask
-		}
-		t.slots[i] = v
-		t.used++
-	}
-}
-
-// u64Map is an open-addressed uint64→int32 map for apply memoization.
-// Key zero is reserved as the empty marker; callers must pack keys so zero
-// cannot occur (BDD operand ids are ≥ 2 after terminal short-circuits).
-type u64Map struct {
-	keys []uint64
-	vals []int32
-	used int
-}
-
-func newU64Map(capacity int) *u64Map {
-	size := 16
-	for size < capacity*2 {
-		size *= 2
-	}
-	return &u64Map{keys: make([]uint64, size), vals: make([]int32, size)}
-}
+// arenaRoom is how many nodes a table of slots holds before its owner
+// doubles it (at two thirds full): an arena given this capacity with the
+// table is never reallocated by an append in between. append alone would
+// grow a large arena by a quarter at a time, copying it about five times
+// over on the way to its final size.
+func arenaRoom(slots int) int { return slots*2/3 + 1 }
 
 //hoyan:hotpath
 func mix64(x uint64) uint64 {
@@ -97,57 +33,6 @@ func mix64(x uint64) uint64 {
 	x *= 0xC4CEB9FE1A85EC53
 	x ^= x >> 33
 	return x
-}
-
-//hoyan:hotpath
-func (m *u64Map) get(key uint64) (int32, bool) {
-	mask := uint64(len(m.keys) - 1)
-	i := mix64(key) & mask
-	for {
-		k := m.keys[i]
-		if k == 0 {
-			return 0, false
-		}
-		if k == key {
-			return m.vals[i], true
-		}
-		i = (i + 1) & mask
-	}
-}
-
-//hoyan:hotpath
-func (m *u64Map) put(key uint64, val int32) {
-	if m.used*3 >= len(m.keys)*2 {
-		m.grow()
-	}
-	mask := uint64(len(m.keys) - 1)
-	i := mix64(key) & mask
-	for {
-		k := m.keys[i]
-		if k == 0 {
-			m.keys[i] = key
-			m.vals[i] = val
-			m.used++
-			return
-		}
-		if k == key {
-			m.vals[i] = val
-			return
-		}
-		i = (i + 1) & mask
-	}
-}
-
-func (m *u64Map) grow() {
-	oldK, oldV := m.keys, m.vals
-	m.keys = make([]uint64, len(oldK)*2)
-	m.vals = make([]int32, len(oldK)*2)
-	m.used = 0
-	for i, k := range oldK {
-		if k != 0 {
-			m.put(k, oldV[i])
-		}
-	}
 }
 
 //hoyan:hotpath

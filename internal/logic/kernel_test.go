@@ -1,0 +1,231 @@
+package logic
+
+import (
+	"bytes"
+	"encoding/json"
+	"math/bits"
+	"math/rand"
+	"testing"
+)
+
+// Truth tables over ttVars variables, one bit per assignment. Var i is
+// bit ttVars-1-i of the assignment's index, so fixing the variables in BDD
+// order (smallest Var on top) halves a table into contiguous halves.
+const (
+	ttVars  = 12
+	ttWords = (1 << ttVars) / 64
+)
+
+type truthTable [ttWords]uint64
+
+func ttOfVar(v Var) (t truthTable) {
+	for idx := 0; idx < 1<<ttVars; idx++ {
+		if idx>>(ttVars-1-int(v))&1 == 1 {
+			t[idx/64] |= 1 << (idx % 64)
+		}
+	}
+	return t
+}
+
+func (t truthTable) not() truthTable {
+	for i := range t {
+		t[i] = ^t[i]
+	}
+	return t
+}
+
+func (t truthTable) and(u truthTable) truthTable {
+	for i := range t {
+		t[i] &= u[i]
+	}
+	return t
+}
+
+func (t truthTable) or(u truthTable) truthTable {
+	for i := range t {
+		t[i] |= u[i]
+	}
+	return t
+}
+
+// minFalse is Factory.MinFalse by enumeration: the fewest zero bits in
+// the index of a satisfying assignment.
+func (t truthTable) minFalse() int {
+	best := Unfailable
+	for idx := 0; idx < 1<<ttVars; idx++ {
+		if t[idx/64]>>(idx%64)&1 == 1 {
+			best = min(best, ttVars-bits.OnesCount(uint(idx)))
+		}
+	}
+	return best
+}
+
+// bddSize is the size of the reduced ordered BDD by its definition: the
+// distinct sub-tables, reached by fixing variables in order, whose two
+// halves differ.
+func (t truthTable) bddSize() int {
+	cells := make([]byte, 1<<ttVars)
+	for idx := range cells {
+		cells[idx] = byte(t[idx/64] >> (idx % 64) & 1)
+	}
+	seen := map[string]bool{}
+	var walk func(c []byte)
+	walk = func(c []byte) {
+		if len(c) == 1 {
+			return
+		}
+		lo, hi := c[:len(c)/2], c[len(c)/2:]
+		if bytes.Equal(lo, hi) {
+			walk(lo)
+			return
+		}
+		if seen[string(c)] {
+			return
+		}
+		seen[string(c)] = true
+		walk(lo)
+		walk(hi)
+	}
+	walk(cells)
+	return len(seen)
+}
+
+// tabledFormula draws one formula from rng and builds it in every given
+// factory through the same constructor calls, next to its truth table.
+func tabledFormula(rng *rand.Rand, fs []*Factory) ([]F, truthTable) {
+	type term struct {
+		x  []F
+		tt truthTable
+	}
+	var pool []term
+	for i := 0; i < 6+rng.Intn(8); i++ {
+		v := Var(rng.Intn(ttVars))
+		tm := term{tt: ttOfVar(v)}
+		for _, f := range fs {
+			tm.x = append(tm.x, f.Var(v))
+		}
+		pool = append(pool, tm)
+	}
+	for ops := 20 + rng.Intn(60); ops > 0; ops-- {
+		a, b := pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))]
+		var tm term
+		op := rng.Intn(5)
+		switch op {
+		case 0:
+			tm.tt = a.tt.not()
+		case 1, 2:
+			tm.tt = a.tt.and(b.tt)
+		default:
+			tm.tt = a.tt.or(b.tt)
+		}
+		for i, f := range fs {
+			switch op {
+			case 0:
+				tm.x = append(tm.x, f.Not(a.x[i]))
+			case 1, 2:
+				tm.x = append(tm.x, f.And(a.x[i], b.x[i]))
+			default:
+				tm.x = append(tm.x, f.Or(a.x[i], b.x[i]))
+			}
+		}
+		pool = append(pool, tm)
+	}
+	last := pool[len(pool)-1]
+	return last.x, last.tt
+}
+
+// TestEvictionsChangeNothing pins the property the lossy computed cache
+// rests on: what it forgets is only ever recomputed into nodes that
+// already exist. One factory starts at the scratch floor, so over the run
+// its unique table and cache double many times and the cache, a quarter
+// of a small table, evicts constantly; the other starts WAN-sized.
+// Every answer is checked against the truth table, and the two factories
+// must agree to the node: same node count, same Simplify output bytes.
+func TestEvictionsChangeNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	small, roomy := NewFactorySized(0), NewFactory()
+	fs := []*Factory{small, roomy}
+	for n := 0; n < 2000; n++ {
+		xs, tt := tabledFormula(rng, fs)
+		var simplified [][]byte
+		for i, f := range fs {
+			x := xs[i]
+			if got, want := f.SAT(x), tt != (truthTable{}); got != want {
+				t.Fatalf("formula %d, factory %d: SAT = %v, truth table says %v", n, i, got, want)
+			}
+			if got, want := f.MinFalse(x), tt.minFalse(); got != want {
+				t.Fatalf("formula %d, factory %d: MinFalse = %d, truth table says %d", n, i, got, want)
+			}
+			if got, want := f.MinFailuresToViolate(x), tt.not().minFalse(); got != want {
+				t.Fatalf("formula %d, factory %d: MinFailuresToViolate = %d, truth table says %d", n, i, got, want)
+			}
+			if got, want := f.BDDSize(x), tt.bddSize(); got != want {
+				t.Fatalf("formula %d, factory %d: BDDSize = %d, truth table says %d", n, i, got, want)
+			}
+			b, err := json.Marshal(f.Export(f.Simplify(x)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			simplified = append(simplified, b)
+		}
+		if !bytes.Equal(simplified[0], simplified[1]) {
+			t.Fatalf("formula %d: Simplify differs between the factories:\n%s\n%s", n, simplified[0], simplified[1])
+		}
+	}
+	if small.SolverNodes() != roomy.SolverNodes() {
+		t.Fatalf("evictions created nodes: %d in the small factory, %d in the roomy one", small.SolverNodes(), roomy.SolverNodes())
+	}
+	if floor := tableSize(bddRoomScratch); len(small.bdd.unique) < 8*floor {
+		t.Fatalf("the small factory's tables grew from %d to %d slots; the test needs several doublings", floor, len(small.bdd.unique))
+	}
+	for i, f := range fs {
+		if len(f.bdd.cache)*cacheShare != len(f.bdd.unique) {
+			t.Fatalf("factory %d: %d cache slots beside %d unique slots; the cache's size is the unique table's over %d", i, len(f.bdd.cache), len(f.bdd.unique), cacheShare)
+		}
+	}
+}
+
+// TestCacheDoublesInsideApply forces the tables to double in the middle
+// of one apply: the operands are small, their disjunction is not (pairs
+// x_i ∧ y_i with every x ordered before every y). The result stored after
+// the recursion must land in the cache the space has now, not in the one
+// apply read on entry.
+func TestCacheDoublesInsideApply(t *testing.T) {
+	const pairs = 12
+	halves := func(f *Factory) (F, F) {
+		var terms []F
+		for i := 0; i < pairs; i++ {
+			terms = append(terms, f.And(f.Var(Var(i)), f.Var(Var(pairs+i))))
+		}
+		return f.OrAll(terms[:pairs/2]...), f.OrAll(terms[pairs/2:]...)
+	}
+	small, roomy := NewFactorySized(0), NewFactory()
+	a, b := halves(small)
+	ra, rb := small.build(a), small.build(b)
+	s := small.bdd
+	before := len(s.unique)
+	r := s.apply(opOr, ra, rb)
+	if len(s.unique) < 4*before {
+		t.Fatalf("unique table went from %d to %d slots inside the apply; the test needs it to double at least twice", before, len(s.unique))
+	}
+	if ra > rb {
+		ra, rb = rb, ra
+	}
+	key := opOr<<63 | uint64(ra)<<31 | uint64(rb)
+	if e := *s.cacheSlot(key); e.key != key || e.r != r {
+		t.Fatalf("the outermost apply's result is not in the current cache: slot holds %+v, want key %#x r %d", e, key, r)
+	}
+
+	x := small.Or(a, b)
+	a2, b2 := halves(roomy)
+	x2 := roomy.Or(a2, b2)
+	if small.build(x) != r || roomy.build(x2) != r {
+		t.Fatalf("root ids differ: apply %d, small %d, roomy %d", r, small.build(x), roomy.build(x2))
+	}
+	if small.SolverNodes() != roomy.SolverNodes() {
+		t.Fatalf("node counts differ: %d after doubling mid-apply, %d without", small.SolverNodes(), roomy.SolverNodes())
+	}
+	if got := small.MinFailuresToViolate(x); got != pairs {
+		t.Fatalf("MinFailuresToViolate = %d: one failure per pair falsifies the disjunction, so %d", got, pairs)
+	}
+}

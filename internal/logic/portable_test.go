@@ -3,7 +3,6 @@ package logic
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 )
 
@@ -227,49 +226,5 @@ func TestPortableRejectsNegativeVar(t *testing.T) {
 	err := p.UnmarshalJSON([]byte(`{"n":[[1,-1,0,0]],"r":[2]}`))
 	if err == nil {
 		t.Fatal("negative variable id accepted; Import would index out of bounds")
-	}
-}
-
-func TestCanonicalKeyStableAcrossFactories(t *testing.T) {
-	f1, f2 := NewFactory(), NewFactory()
-	// Interleave unrelated garbage into f2 so its F ids diverge from f1's
-	// before the formula under test is built.
-	for i := 100; i < 140; i++ {
-		f2.Var(Var(i))
-	}
-	x1 := buildDeep(f1, 6)
-	x2 := buildDeep(f2, 6)
-	k1, ok1 := f1.CanonicalKey(x1, 0)
-	k2, ok2 := f2.CanonicalKey(x2, 0)
-	if !ok1 || !ok2 {
-		t.Fatal("unlimited CanonicalKey must not overflow")
-	}
-	if k1 != k2 {
-		t.Fatalf("same construction sequence, different keys:\n%s\n%s", k1, k2)
-	}
-	// A different formula must key differently.
-	y, _ := f1.CanonicalKey(f1.Or(x1, f1.Var(Var(50))), 0)
-	if y == k1 {
-		t.Fatal("distinct formulas share a canonical key")
-	}
-}
-
-func TestCanonicalKeyConstantsAndCap(t *testing.T) {
-	f := NewFactory()
-	if k, ok := f.CanonicalKey(False, 0); !ok || k != "0" {
-		t.Fatalf("False key = %q, %v", k, ok)
-	}
-	if k, ok := f.CanonicalKey(True, 0); !ok || k != "1" {
-		t.Fatalf("True key = %q, %v", k, ok)
-	}
-	if k, ok := f.CanonicalKey(f.Var(3), 0); !ok || !strings.Contains(k, "v3") {
-		t.Fatalf("var key = %q, %v", k, ok)
-	}
-	big := buildDeep(f, 8)
-	if _, ok := f.CanonicalKey(big, 2); ok {
-		t.Fatal("cap of 2 nodes must overflow on a deep formula")
-	}
-	if _, ok := f.CanonicalKey(big, 0); !ok {
-		t.Fatal("uncapped key must succeed")
 	}
 }
