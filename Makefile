@@ -55,9 +55,14 @@ chaos: determinism
 	$(GO) test -race -run 'Chaos|Session|Resume|Interleaved|LRU|ModelHash|SharedBuild|ResidentMemo' ./internal/dist/
 
 # determinism runs the parallel IGP memo build ten times over under the
-# race detector — the one repetition `race` (a single pass) does not give.
+# race detector — the one repetition `race` (a single pass) does not give
+# — and with it the variable-order tests: the order is built by sorting
+# and cached on a network that executors share, so it must read no map in
+# iteration order and race with no reader.
 determinism:
-	$(GO) test -race -count=10 -run 'TestMemoBuildDeterministic' ./internal/igp/ ./internal/core/
+	$(GO) test -race -count=10 -run 'TestMemoBuildDeterministic|TestOrderShrinksSolver' ./internal/igp/ ./internal/core/
+	$(GO) test -race -count=10 -run 'TestVarOrder' ./internal/topo/
+	$(GO) test -race -count=10 -run 'TestSweepIndependentOfTopologyFileOrder' .
 
 # scale-smoke bounds the paper-scale modular path: the modular plan over
 # remote workers against the monolithic class run, under the race

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 
 	"hoyan/internal/behavior"
@@ -208,13 +210,26 @@ func TestRedistributedStaticPropagates(t *testing.T) {
 }
 
 // TestMaxStepsError: an absurdly small step bound must error cleanly, not
-// hang.
+// hang, and the error is typed: a caller that wraps it with %w can still
+// tell the step cap from any other failure and read the cap and prefix.
 func TestMaxStepsError(t *testing.T) {
 	m := figure4Model(t)
 	opts := DefaultOptions()
 	opts.MaxSteps = 1
-	if _, err := NewSimulator(m, opts).Run(netaddr.MustParse("10.0.0.0/8")); err == nil {
+	prefix := netaddr.MustParse("10.0.0.0/8")
+	_, err := NewSimulator(m, opts).Run(prefix)
+	if err == nil {
 		t.Fatal("MaxSteps=1 must error")
+	}
+	var limit *StepLimitError
+	if wrapped := fmt.Errorf("sweep: class 0: %w", err); !errors.As(wrapped, &limit) {
+		t.Fatalf("the step cap's error is a %T, not a *StepLimitError: %v", err, err)
+	}
+	if limit.Prefix != prefix || limit.Steps != 1 {
+		t.Fatalf("StepLimitError{%s, %d}, want {%s, 1}", limit.Prefix, limit.Steps, prefix)
+	}
+	if want := "core: propagation for 10.0.0.0/8 exceeded 1 steps (divergent policy interaction?)"; err.Error() != want {
+		t.Fatalf("message %q, want %q", err, want)
 	}
 }
 

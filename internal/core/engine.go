@@ -79,11 +79,28 @@ type Stats struct {
 	MaxCondLen int
 	// Steps is the number of worklist node-processings.
 	Steps int
+	// SolverNodes is how many BDD nodes the simulator's factory made
+	// during the run (logic.Factory.SolverNodes, after minus before): what
+	// the prunes and simplifications cost under the factory's variable
+	// order. A count, so it repeats exactly.
+	SolverNodes int
 	// Invalidation carries the incremental re-verification counters when
 	// this run was the representative re-simulation of a dirty class in a
 	// baseline sweep (diff.go). The engine never sets it; the sweep layer
 	// attaches the sweep-wide stats so per-run results are self-describing.
 	Invalidation *InvalidationStats
+}
+
+// StepLimitError is what Run returns when propagation is still changing
+// RIBs after Options.MaxSteps worklist steps (by default 64 per node and
+// session): the run has no converged state to report.
+type StepLimitError struct {
+	Prefix netaddr.Prefix
+	Steps  int // the cap that was hit
+}
+
+func (e *StepLimitError) Error() string {
+	return fmt.Sprintf("core: propagation for %s exceeded %d steps (divergent policy interaction?)", e.Prefix, e.Steps)
 }
 
 func (s *Stats) observeCondLen(n int) {
@@ -209,7 +226,7 @@ func NewSimulator(m *Model, opts Options) *Simulator {
 	opts = opts.withDefaults()
 	s := &Simulator{
 		M:          m,
-		F:          logic.NewFactory(),
+		F:          logic.NewFactoryOrdered(m.Net.VarOrder()),
 		Opts:       opts,
 		sessionsBy: make([][]int, m.Net.NumNodes()),
 		sessionsTo: make([][]int, m.Net.NumNodes()),
@@ -249,8 +266,11 @@ func NewSimulator(m *Model, opts Options) *Simulator {
 // re-seeded with the shared IGP memo, so not even IGP propagation is
 // repeated. Results obtained before a Reset reference the old factory
 // and must not be queried afterwards.
-func (s *Simulator) Reset() {
-	s.F = logic.NewFactory()
+func (s *Simulator) Reset() { s.reset(logic.NewFactoryOrdered(s.M.Net.VarOrder())) }
+
+// reset is Reset into the given empty factory.
+func (s *Simulator) reset(f *logic.Factory) {
+	s.F = f
 	s.IGP = igp.New(s.M.Net, s.M.Configs, s.F, igpOptions(s.Opts))
 	if s.shared != nil {
 		s.IGP.Seed(s.shared.memo)
@@ -377,6 +397,7 @@ func (s *Simulator) Run(prefix netaddr.Prefix) (*Result, error) {
 	}
 	n := s.M.Net.NumNodes()
 	res := &Result{Sim: s, Prefixes: family, ribs: make([][]Entry, n)}
+	solverNodes := s.F.SolverNodes()
 	sc := &s.sc
 	s.prepareScratch(n)
 
@@ -527,7 +548,7 @@ func (s *Simulator) Run(prefix netaddr.Prefix) (*Result, error) {
 	}
 	for len(queue) > 0 {
 		if res.Stats.Steps >= maxSteps {
-			return nil, fmt.Errorf("core: propagation for %s exceeded %d steps (divergent policy interaction?)", prefix, maxSteps)
+			return nil, &StepLimitError{Prefix: prefix, Steps: maxSteps}
 		}
 		res.Stats.Steps++
 		u := queue[0]
@@ -603,6 +624,7 @@ func (s *Simulator) Run(prefix netaddr.Prefix) (*Result, error) {
 	}
 	res.sessionMsgs = wire
 	res.taint = s.captureTaint()
+	res.Stats.SolverNodes = s.F.SolverNodes() - solverNodes
 	return res, nil
 }
 

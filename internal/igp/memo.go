@@ -46,7 +46,10 @@ import (
 // It covers no more than that either — a field New or propagate never
 // looks at (a policy, a static route, a node's AS or role, a link's name)
 // does not move the key. Adjacency order is covered by the link list:
-// topo builds it from link ids and endpoints.
+// topo builds it from link ids and endpoints. So is the solver's variable
+// order (topo.VarOrder: regions, names, endpoints, weights), which
+// decides the shape of every condition Build exports: a carried memo is
+// never paired with an order it was not built under.
 func Key(net *topo.Network, configs []*config.Device, opts Options) string {
 	h := sha256.New()
 	var buf [8]byte
@@ -130,10 +133,11 @@ func (m *Memo) NumDestinations() int { return len(m.dsts) }
 //
 // The missing destinations are propagated on up to `workers` goroutines
 // (<= 0 means GOMAXPROCS), each destination in a factory of its own
-// (logic.NewFactorySized). A RIB's exported bytes therefore depend on
-// that destination alone — not on which goroutine ran it, what ran before
-// it, or what `have` already held — so the memo is byte-identical at
-// every parallelism and a partly carried memo equals a cold one.
+// (logic.NewFactorySized) under the network's variable order. A RIB's
+// exported bytes therefore depend on that destination and on the key's
+// inputs alone — not on which goroutine ran it, what ran before it, or
+// what `have` already held — so the memo is byte-identical at every
+// parallelism and a partly carried memo equals a cold one.
 // Destinations are still assigned statically (sorted, striped), never
 // stolen: the guarantee then survives a builder that shares a factory
 // per goroutine.
@@ -175,7 +179,7 @@ func Build(net *topo.Network, configs []*config.Device, opts Options,
 		// Sizing changes no node id, so no exported byte.
 		room := 0
 		for i := g; i < len(missing); i += workers {
-			f := logic.NewFactorySized(room)
+			f := logic.NewFactorySized(net.VarOrder(), room)
 			e := newEngine(net, cfg, f, opts)
 			if rib, complete := e.propagate(missing[i]); complete {
 				built[i] = e.export(rib)

@@ -2,10 +2,13 @@ package logic
 
 import "math"
 
-// bddSpace is a reduced ordered BDD universe attached to a Factory.
-// Variable order is the natural Var order, which matches the order link
-// variables are allocated while walking the topology — adjacent links get
-// adjacent variables, which keeps path-shaped conditions narrow.
+// bddSpace is a reduced ordered BDD universe attached to a Factory. It
+// knows levels, not variables: a node's v is the position of its variable
+// in the factory's Order (0 on top), written by build where a variable
+// enters and read back through Order.varAt where one leaves (extract,
+// AnyAssignment, MinFailureScenario). Nothing between the two — mk,
+// apply, negate, minFalse, grow — can tell which order it runs under, so
+// there is one kernel and the natural order is the Order with no table.
 type bddSpace struct {
 	// nodes[i] for i >= 2 is a decision node; 0 and 1 are the terminals.
 	// Ids are handed out in creation order and nothing below depends on
@@ -27,7 +30,7 @@ type bddSpace struct {
 }
 
 type bddNode struct {
-	v      Var
+	v      Var // the level branched on, not the variable: see bddSpace
 	lo, hi int32
 }
 
@@ -242,7 +245,7 @@ func (f *Factory) build(x F) int32 {
 			r = bddFalse
 		}
 	case kVar:
-		r = s.mk(n.v, bddFalse, bddTrue)
+		r = s.mk(f.order.levelOf(n.v), bddFalse, bddTrue)
 	case kNot:
 		r = s.negate(f.build(n.a))
 	case kAnd:
@@ -318,10 +321,10 @@ func (f *Factory) AnyAssignment(x F) (Assignment, bool) {
 	for n > bddTrue {
 		nd := s.nodes[n]
 		if nd.hi != bddFalse {
-			asn[nd.v] = true
+			asn[f.order.varAt(nd.v)] = true
 			n = nd.hi
 		} else {
-			asn[nd.v] = false
+			asn[f.order.varAt(nd.v)] = false
 			n = nd.lo
 		}
 	}
@@ -347,10 +350,10 @@ func (f *Factory) MinFailureScenario(x F) (Assignment, int, bool) {
 			lo++
 		}
 		if hi <= lo {
-			asn[nd.v] = true
+			asn[f.order.varAt(nd.v)] = true
 			n = nd.hi
 		} else {
-			asn[nd.v] = false
+			asn[f.order.varAt(nd.v)] = false
 			n = nd.lo
 		}
 	}
@@ -367,8 +370,9 @@ func (f *Factory) Implies(a, b F) bool {
 	return f.Impossible(f.And(a, f.Not(b)))
 }
 
-// BDDSize returns the number of decision nodes in x's BDD, a compactness
-// metric used by the condition-simplification ablation.
+// BDDSize returns the number of decision nodes in x's BDD under the
+// factory's variable order, a compactness metric used by the
+// condition-simplification ablation.
 func (f *Factory) BDDSize(x F) int {
 	root := f.build(x)
 	if root <= bddTrue {
@@ -390,10 +394,11 @@ func (f *Factory) BDDSize(x F) int {
 }
 
 // Simplify returns a formula equivalent to x that is no longer than x,
-// extracted from x's BDD by Shannon expansion. This implements the
-// "simplifying condition formulas" memory optimization of §5.6: a condition
-// that passed through many derivation steps often collapses to a handful of
-// literals.
+// extracted from x's BDD by Shannon expansion — the top variable of the
+// factory's order outermost, so the order decides its shape. This
+// implements the "simplifying condition formulas" memory optimization of
+// §5.6: a condition that passed through many derivation steps often
+// collapses to a handful of literals.
 func (f *Factory) Simplify(x F) F {
 	root := f.build(x)
 	switch root {
@@ -425,7 +430,7 @@ func (f *Factory) extract(n int32) F {
 		return r
 	}
 	nd := s.nodes[n]
-	v := f.Var(nd.v)
+	v := f.Var(f.order.varAt(nd.v))
 	hi := f.extract(nd.hi)
 	lo := f.extract(nd.lo)
 	// ite(v, hi, lo) with the usual special cases to keep output short.

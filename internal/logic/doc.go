@@ -26,6 +26,15 @@
 // already exist, so no table size and no eviction changes a node id, a
 // Simplify output or an exported byte (DESIGN.md, "Solver kernel").
 //
+// The order the solver branches on variables in is given when a factory is
+// made (Order, NewFactoryOrdered; internal/topo computes one per network
+// from regions and names). It decides how many nodes an answer costs and
+// the shape of what Simplify extracts, never an answer: formulas, and so
+// everything exported or stored, range over the same variables under any
+// order. The kernel works on levels; variables are translated to levels
+// where build meets a literal and back where a formula or an assignment
+// leaves, so the natural order is the same code with an empty table.
+//
 // A Factory is not safe for concurrent use. The simulation engine creates
 // one Factory per prefix simulation, mirroring the paper's per-prefix
 // parallelism.

@@ -54,6 +54,7 @@ type Factory struct {
 
 	bdd     *bddSpace // lazily created solver space
 	bddRoom int       // nodes the solver space is sized for when created
+	order   *Order    // the solver's variable order; translated in build and on the way out
 }
 
 type nodeKey struct {
@@ -63,27 +64,36 @@ type nodeKey struct {
 }
 
 // NewFactory returns an empty formula universe containing only the
-// constants.
-func NewFactory() *Factory {
+// constants, whose solver branches on variables in their natural order.
+func NewFactory() *Factory { return NewFactoryOrdered(nil) }
+
+// NewFactoryOrdered is NewFactory with the solver's variable order given
+// (nil is the natural order). Formulas, and so everything exported from
+// the factory, range over the same variables under any order.
+func NewFactoryOrdered(o *Order) *Factory {
+	if o == nil {
+		o = natural
+	}
 	f := &Factory{
 		nodes:   make([]node, 2, arenaRoom(tableSize(1024))),
 		intern:  make([]F, tableSize(1024)),
 		bddRoom: bddRoomWAN,
+		order:   o,
 	}
 	f.nodes[False] = node{k: kConst, size: 1}
 	f.nodes[True] = node{k: kConst, size: 1}
 	return f
 }
 
-// NewFactorySized is NewFactory for a universe that lives for one small
+// NewFactorySized is NewFactoryOrdered for a universe that lives for one small
 // computation and is then exported or dropped — one IGP destination's
 // fixpoint, not a simulation. It answers every query identically; only
 // its solver tables are sized for about solverNodes BDD nodes (what
 // SolverNodes reported of a similar computation; there is a small floor)
 // and grow on demand, so making thousands of them costs what each needs,
 // not megabytes apiece.
-func NewFactorySized(solverNodes int) *Factory {
-	f := NewFactory()
+func NewFactorySized(o *Order, solverNodes int) *Factory {
+	f := NewFactoryOrdered(o)
 	f.bddRoom = max(solverNodes, bddRoomScratch)
 	return f
 }

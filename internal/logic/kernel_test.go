@@ -143,7 +143,7 @@ func tabledFormula(rng *rand.Rand, fs []*Factory) ([]F, truthTable) {
 // must agree to the node: same node count, same Simplify output bytes.
 func TestEvictionsChangeNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	small, roomy := NewFactorySized(0), NewFactory()
+	small, roomy := NewFactorySized(nil, 0), NewFactory()
 	fs := []*Factory{small, roomy}
 	for n := 0; n < 2000; n++ {
 		xs, tt := tabledFormula(rng, fs)
@@ -199,7 +199,7 @@ func TestCacheDoublesInsideApply(t *testing.T) {
 		}
 		return f.OrAll(terms[:pairs/2]...), f.OrAll(terms[pairs/2:]...)
 	}
-	small, roomy := NewFactorySized(0), NewFactory()
+	small, roomy := NewFactorySized(nil, 0), NewFactory()
 	a, b := halves(small)
 	ra, rb := small.build(a), small.build(b)
 	s := small.bdd
@@ -227,5 +227,118 @@ func TestCacheDoublesInsideApply(t *testing.T) {
 	}
 	if got := small.MinFailuresToViolate(x); got != pairs {
 		t.Fatalf("MinFailuresToViolate = %d: one failure per pair falsifies the disjunction, so %d", got, pairs)
+	}
+}
+
+// ttIndex is the truth-table index of an assignment (absent = true).
+func ttIndex(asn Assignment) int {
+	idx := 1<<ttVars - 1
+	for v, up := range asn {
+		if !up {
+			idx &^= 1 << (ttVars - 1 - int(v))
+		}
+	}
+	return idx
+}
+
+func (t truthTable) at(idx int) bool { return t[idx/64]>>(idx%64)&1 == 1 }
+
+// TestOrderChangesNoAnswer pins what a variable order may and may not
+// move. The formulas of TestEvictionsChangeNothing are built under the
+// natural order, its reverse and a seeded shuffle: every answer equals
+// the truth table's, so the three agree; every Simplify output — whose
+// shape does depend on the order — still evaluates like its input under
+// all 2¹² assignments (Eval walks the formula, not the BDD under test);
+// and the witnesses, which may differ, each satisfy the formula.
+func TestOrderChangesNoAnswer(t *testing.T) {
+	reversed := make([]Var, ttVars)
+	for i := range reversed {
+		reversed[i] = Var(ttVars - 1 - i)
+	}
+	shuffled := append([]Var(nil), reversed...)
+	rand.New(rand.NewSource(24)).Shuffle(ttVars, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	names := []string{"natural", "reversed", "shuffled"}
+	fs := []*Factory{NewFactory(), NewFactoryOrdered(NewOrder(reversed)), NewFactoryOrdered(NewOrder(shuffled))}
+
+	assignments := make([]Assignment, 1<<ttVars)
+	for idx := range assignments {
+		asn := Assignment{}
+		for v := 0; v < ttVars; v++ {
+			asn[Var(v)] = idx>>(ttVars-1-v)&1 == 1
+		}
+		assignments[idx] = asn
+	}
+
+	rng := rand.New(rand.NewSource(23))
+	var prev []F
+	var prevTT truthTable
+	for n := 0; n < 2000; n++ {
+		xs, tt := tabledFormula(rng, fs)
+		for i, f := range fs {
+			x := xs[i]
+			if got, want := f.SAT(x), tt != (truthTable{}); got != want {
+				t.Fatalf("formula %d, %s order: SAT = %v, truth table says %v", n, names[i], got, want)
+			}
+			if got, want := f.MinFalse(x), tt.minFalse(); got != want {
+				t.Fatalf("formula %d, %s order: MinFalse = %d, truth table says %d", n, names[i], got, want)
+			}
+			if got, want := f.MinFailuresToViolate(x), tt.not().minFalse(); got != want {
+				t.Fatalf("formula %d, %s order: MinFailuresToViolate = %d, truth table says %d", n, names[i], got, want)
+			}
+			if prev != nil {
+				if got, want := f.Equivalent(prev[i], x), prevTT == tt; got != want {
+					t.Fatalf("formulas %d and %d, %s order: Equivalent = %v, truth tables say %v", n-1, n, names[i], got, want)
+				}
+			}
+			asn, count, ok := f.MinFailureScenario(x)
+			if ok != (tt != truthTable{}) || ok && (count != tt.minFalse() || !tt.at(ttIndex(asn)) ||
+				ttVars-bits.OnesCount(uint(ttIndex(asn))) != count) {
+				t.Fatalf("formula %d, %s order: MinFailureScenario = %v, %d, %v; truth table's minimum is %d", n, names[i], asn, count, ok, tt.minFalse())
+			}
+			if asn, ok := f.AnyAssignment(x); ok != (tt != truthTable{}) || ok && !tt.at(ttIndex(asn)) {
+				t.Fatalf("formula %d, %s order: AnyAssignment = %v, %v does not satisfy the formula", n, names[i], asn, ok)
+			}
+			s := f.Simplify(x)
+			for idx, asn := range assignments {
+				if f.Eval(s, asn) != tt.at(idx) {
+					t.Fatalf("formula %d, %s order: Simplify's output %s differs from its input under assignment %012b", n, names[i], f.String(s), idx)
+				}
+			}
+		}
+		prev, prevTT = xs, tt
+	}
+
+	// A variable past the order's table sits below every ordered one,
+	// whichever ordered variable it meets.
+	for i, f := range fs {
+		for v := Var(0); v < ttVars; v++ {
+			root := f.build(f.And(f.Var(ttVars+5), f.Var(v)))
+			top := f.bdd.nodes[root]
+			if want := f.order.levelOf(v); top.v != want || top.v >= ttVars || f.bdd.nodes[top.hi].v != ttVars+5 {
+				t.Fatalf("%s order: a%d ∧ a%d branches on level %d then %d; want level %d (a%d) above the unordered a%d",
+					names[i], ttVars+5, v, top.v, f.bdd.nodes[top.hi].v, want, v, ttVars+5)
+			}
+		}
+		if got := f.Simplify(f.And(f.Var(ttVars+5), f.Var(3))); f.String(got) != "a3 & a17" {
+			t.Fatalf("%s order: Simplify(a17 & a3) = %s; the unordered variable comes back as itself, innermost", names[i], f.String(got))
+		}
+	}
+}
+
+// TestNewOrderRejectsNonPermutations: two variables on one level, or a
+// variable outside the table, is a bug in whoever computed the order.
+func TestNewOrderRejectsNonPermutations(t *testing.T) {
+	for _, vars := range [][]Var{{0, 0}, {0, 2}, {1, -1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewOrder(%v) did not panic", vars)
+				}
+			}()
+			NewOrder(vars)
+		}()
+	}
+	if got := NewOrder([]Var{2, 0, 1}).Vars(); len(got) != 3 || got[0] != 2 || got[1] != 0 || got[2] != 1 {
+		t.Errorf("Vars() = %v, want [2 0 1]", got)
 	}
 }

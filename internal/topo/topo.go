@@ -1,12 +1,14 @@
-// Package topo models the physical network: routers, links, and the
-// mapping from links to the boolean aliveness variables that topology
-// conditions range over (link n up ⇔ logic.Var(n) true, as in Figure 4 of
-// the paper).
+// Package topo models the physical network: routers, links, the mapping
+// from links to the boolean aliveness variables that topology conditions
+// range over (link n up ⇔ logic.Var(n) true, as in Figure 4 of the
+// paper), and the order a solver branches on those variables in
+// (VarOrder), which is derived from regions and names, not from n.
 package topo
 
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"hoyan/internal/logic"
 	"hoyan/internal/netaddr"
@@ -15,8 +17,10 @@ import (
 // NodeID identifies a router within a Network.
 type NodeID int32
 
-// LinkID identifies a link within a Network. The link's aliveness variable
-// is logic.Var(LinkID).
+// LinkID identifies a link within a Network, in AddLink order. The link's
+// aliveness variable is logic.Var(LinkID): the id names the variable in
+// every stored condition, failure set and wire message. It does not place
+// the variable in the solver — VarOrder does.
 type LinkID int32
 
 // Invalid sentinel identifiers.
@@ -75,6 +79,8 @@ type Network struct {
 	links  []*Link
 	byName map[string]NodeID
 	adj    [][]Adj
+	// order caches VarOrder; AddLink clears it.
+	order atomic.Pointer[logic.Order]
 }
 
 // NewNetwork returns an empty topology.
@@ -124,6 +130,7 @@ func (n *Network) AddLink(a, b NodeID, weight uint32) (LinkID, error) {
 	n.links = append(n.links, l)
 	n.adj[a] = append(n.adj[a], Adj{Link: id, Peer: b})
 	n.adj[b] = append(n.adj[b], Adj{Link: id, Peer: a})
+	n.order.Store(nil)
 	return id, nil
 }
 
@@ -179,6 +186,8 @@ func (n *Network) LinkBetween(a, b NodeID) (LinkID, bool) {
 }
 
 // AliveVar returns the logic variable whose truth means the link is up.
+// Which variable a link gets says nothing about where the solver branches
+// on it (VarOrder).
 func (n *Network) AliveVar(l LinkID) logic.Var { return logic.Var(l) }
 
 // NodeGroups returns the redundancy groups with at least two members,
