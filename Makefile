@@ -58,9 +58,12 @@ chaos: determinism
 # race detector — the one repetition `race` (a single pass) does not give
 # — and with it the variable-order tests: the order is built by sorting
 # and cached on a network that executors share, so it must read no map in
-# iteration order and race with no reader.
+# iteration order and race with no reader. The recycling tests ride along:
+# a recycled factory, a Reset simulator and a memo stripe that recycles
+# its factory between destinations must each equal a fresh one.
 determinism:
-	$(GO) test -race -count=10 -run 'TestMemoBuildDeterministic|TestOrderShrinksSolver' ./internal/igp/ ./internal/core/
+	$(GO) test -race -count=10 -run 'TestMemoBuildDeterministic|TestOrderShrinksSolver|TestResetRunEqualsFresh' ./internal/igp/ ./internal/core/
+	$(GO) test -race -count=10 -run 'TestRecycleIsFresh' ./internal/logic/
 	$(GO) test -race -count=10 -run 'TestVarOrder' ./internal/topo/
 	$(GO) test -race -count=10 -run 'TestSweepIndependentOfTopologyFileOrder' .
 

@@ -223,10 +223,16 @@ func (m *Model) forEachSession(visit func(from, to topo.NodeID, ibgp, viaIGP boo
 // NewSimulator prepares the session table. iBGP session conditions are
 // computed lazily on first use (they require IGP propagation).
 func NewSimulator(m *Model, opts Options) *Simulator {
+	return newSimulator(m, opts, logic.NewFactoryOrdered(m.Net.VarOrder()))
+}
+
+// newSimulator is NewSimulator in the given empty factory, which must be
+// under m.Net's variable order.
+func newSimulator(m *Model, opts Options, f *logic.Factory) *Simulator {
 	opts = opts.withDefaults()
 	s := &Simulator{
 		M:          m,
-		F:          logic.NewFactoryOrdered(m.Net.VarOrder()),
+		F:          f,
 		Opts:       opts,
 		sessionsBy: make([][]int, m.Net.NumNodes()),
 		sessionsTo: make([][]int, m.Net.NumNodes()),
@@ -257,16 +263,20 @@ func NewSimulator(m *Model, opts Options) *Simulator {
 	return s
 }
 
-// Reset discards the simulator's formula universe — factory, BDD space,
-// IGP engine, and every cached condition — returning it to its
-// post-construction state while keeping the model, the session table and
-// the recycled scratch capacity. Long-running batch drivers call Reset
-// between prefix batches to bound formula-arena memory without paying
-// session-table construction again; a simulator derived from a Shared is
-// re-seeded with the shared IGP memo, so not even IGP propagation is
-// repeated. Results obtained before a Reset reference the old factory
-// and must not be queried afterwards.
-func (s *Simulator) Reset() { s.reset(logic.NewFactoryOrdered(s.M.Net.VarOrder())) }
+// Reset empties the simulator's formula universe — it recycles the
+// factory in place (logic.Factory.Recycle) and drops the IGP engine and
+// every cached condition — returning it to its post-construction state
+// while keeping the model, the session table, the factory's tables and
+// the scratch capacity. A run after a Reset makes the ids, conditions and
+// counts a new simulator's would. Executors Reset between passes to bound
+// formula-arena memory without paying session-table construction or
+// table allocation again; a simulator derived from a Shared is re-seeded
+// with the shared IGP memo, so not even IGP propagation is repeated. A
+// Result obtained before a Reset panics if it is queried afterwards.
+func (s *Simulator) Reset() {
+	s.F.Recycle()
+	s.reset(s.F)
+}
 
 // reset is Reset into the given empty factory.
 func (s *Simulator) reset(f *logic.Factory) {
@@ -325,11 +335,15 @@ func (s *Simulator) sessionCond(idx int) logic.F {
 	return s.sessions[idx].cond
 }
 
-// Result is the converged state of one prefix-family simulation.
+// Result is the converged state of one prefix-family simulation. Its
+// conditions live in Sim.F, so it is valid until the simulator's next
+// Reset (result.go, Result.f).
 type Result struct {
 	Sim      *Simulator
 	Prefixes []netaddr.Prefix
 	Stats    Stats
+	// recycles is Sim.F.Recycles() when Run made the result.
+	recycles uint64
 	// ribs[node] is the converged RIB (BGP + static + aggregate entries),
 	// ranked by the FIB order (admin preference first).
 	ribs [][]Entry
@@ -396,7 +410,7 @@ func (s *Simulator) Run(prefix netaddr.Prefix) (*Result, error) {
 		return false
 	}
 	n := s.M.Net.NumNodes()
-	res := &Result{Sim: s, Prefixes: family, ribs: make([][]Entry, n)}
+	res := &Result{Sim: s, Prefixes: family, recycles: s.F.Recycles(), ribs: make([][]Entry, n)}
 	solverNodes := s.F.SolverNodes()
 	sc := &s.sc
 	s.prepareScratch(n)

@@ -73,6 +73,18 @@ func (pt Pattern) Matches(r route.Route) bool {
 	return true
 }
 
+// f is the factory the result's conditions live in. The simulator's next
+// Reset recycles it, and every method that reads a condition comes
+// through here, so a Result kept past its pass fails loudly instead of
+// answering from another universe.
+func (r *Result) f() *logic.Factory {
+	f := r.Sim.F
+	if f.Recycles() != r.recycles {
+		panic("core: Result used after its Simulator was Reset")
+	}
+	return f
+}
+
 // RIB returns the converged, FIB-ranked entries of a node.
 func (r *Result) RIB(n topo.NodeID) []Entry { return r.ribs[n] }
 
@@ -90,7 +102,7 @@ func (r *Result) EntriesFor(n topo.NodeID, p netaddr.Prefix) []Entry {
 // ReachCond returns the topology condition under which node n holds at
 // least one rule matching the pattern: V = R(r1) ∨ … ∨ R(rn) of §5.4.
 func (r *Result) ReachCond(n topo.NodeID, pt Pattern) logic.F {
-	f := r.Sim.F
+	f := r.f()
 	cond := logic.False
 	for _, e := range r.ribs[n] {
 		if pt.Matches(e.Route) {
@@ -102,7 +114,7 @@ func (r *Result) ReachCond(n topo.NodeID, pt Pattern) logic.F {
 
 // Reachable reports whether the route is present with all links up.
 func (r *Result) Reachable(n topo.NodeID, pt Pattern) bool {
-	return r.Sim.F.Eval(r.ReachCond(n, pt), nil)
+	return r.f().Eval(r.ReachCond(n, pt), nil)
 }
 
 // MinFailuresToLose returns the smallest number of link failures that
@@ -111,7 +123,8 @@ func (r *Result) Reachable(n topo.NodeID, pt Pattern) bool {
 // final formula length the solver saw (Figure 13's metric).
 func (r *Result) MinFailuresToLose(n topo.NodeID, pt Pattern) (int, int) {
 	cond := r.ReachCond(n, pt)
-	return r.Sim.F.MinFailuresToViolate(cond), r.Sim.F.Len(cond)
+	f := r.f()
+	return f.MinFailuresToViolate(cond), f.Len(cond)
 }
 
 // KTolerant reports whether the reachability survives every failure case
@@ -124,7 +137,7 @@ func (r *Result) KTolerant(n topo.NodeID, pt Pattern, k int) bool {
 // WitnessFailure returns a concrete minimal failure scenario breaking the
 // reachability (ok=false when unbreakable). Operators act on this.
 func (r *Result) WitnessFailure(n topo.NodeID, pt Pattern) (topo.FailureScenario, bool) {
-	f := r.Sim.F
+	f := r.f()
 	cond := r.ReachCond(n, pt)
 	asn, _, ok := f.MinFailureScenario(f.Not(cond))
 	if !ok {
@@ -144,7 +157,7 @@ func (r *Result) WitnessFailure(n topo.NodeID, pt Pattern) (topo.FailureScenario
 // concrete failure assignment (nil = all links up), emulating what the
 // converged router would install.
 func (r *Result) BestUnder(n topo.NodeID, p netaddr.Prefix, asn logic.Assignment) (route.Route, bool) {
-	f := r.Sim.F
+	f := r.f()
 	for _, e := range r.ribs[n] {
 		if e.Route.Prefix != p {
 			continue
@@ -160,7 +173,7 @@ func (r *Result) BestUnder(n topo.NodeID, p netaddr.Prefix, asn logic.Assignment
 // assignment, in rank order — the concrete RIB a device would hold in that
 // failure scenario. The ground-truth emulator and the tuner compare these.
 func (r *Result) ActiveEntries(n topo.NodeID, asn logic.Assignment) []Entry {
-	f := r.Sim.F
+	f := r.f()
 	var out []Entry
 	for _, e := range r.ribs[n] {
 		if f.Eval(e.Cond, asn) {
@@ -242,7 +255,7 @@ func (r *Result) routerUpVar(n topo.NodeID) logic.Var {
 // pinned alive — callers exclude the origin and the querying router,
 // whose failure trivially destroys reachability.
 func (r *Result) RouterFailureCond(cond logic.F, keepUp []topo.NodeID) logic.F {
-	f := r.Sim.F
+	f := r.f()
 	pinned := map[topo.NodeID]bool{}
 	for _, n := range keepUp {
 		pinned[n] = true
@@ -275,5 +288,5 @@ func (r *Result) MinRouterFailuresToLose(n topo.NodeID, pt Pattern) int {
 		}
 	}
 	cond := r.RouterFailureCond(r.ReachCond(n, pt), keep)
-	return r.Sim.F.MinFailuresToViolate(cond)
+	return r.f().MinFailuresToViolate(cond)
 }

@@ -97,8 +97,22 @@ func (sh *Shared) Classes() []PrefixClass { return sh.M.Classes() }
 // factory and IGP engine (factories are not safe for concurrent use),
 // seeded with the shared IGP memo so session conditions replay from the
 // snapshot instead of re-running propagation.
-func (sh *Shared) NewSimulator() *Simulator {
-	s := NewSimulator(sh.M, sh.Opts)
+func (sh *Shared) NewSimulator() *Simulator { return sh.NewSimulatorFrom(nil) }
+
+// NewSimulatorFrom is NewSimulator for an executor moving to this Shared
+// from prev, the simulator of its last pass (nil when there was none).
+// When prev simulates the same network — another region's Shared of one
+// model, another failure budget — the new simulator takes prev's factory
+// over, recycled, instead of allocating its own; prev's Results then
+// panic as after a Reset, and prev must not be used again.
+func (sh *Shared) NewSimulatorFrom(prev *Simulator) *Simulator {
+	var s *Simulator
+	if prev != nil && prev.M.Net == sh.M.Net {
+		prev.F.Recycle()
+		s = newSimulator(sh.M, sh.Opts, prev.F)
+	} else {
+		s = NewSimulator(sh.M, sh.Opts)
+	}
 	s.shared = sh
 	s.IGP.Seed(sh.memo)
 	return s

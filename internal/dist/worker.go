@@ -393,12 +393,15 @@ func lessKey(a, b sharedKey) bool {
 // connSim is an executor's one simulator: derived from the Shared of its
 // last pass and reused while passes stay on that Shared (IGP warmth),
 // replaced when a pass needs another — a different model, budget or
-// region, or the same key re-assembled after an eviction. An executor
-// thus holds one formula arena, however many regions its passes visit.
+// region, or the same key re-assembled after an eviction. The
+// replacement takes the old simulator's factory over when both simulate
+// one network (core.Shared.NewSimulatorFrom), so an executor holds one
+// formula arena, however many regions its passes visit.
 type connSim struct {
 	sh  *core.Shared
 	sim *core.Simulator
-	// recycle Resets the simulator before every pass it is reused for.
+	// recycle Resets the simulator before every pass it is reused for
+	// (in-process executors; DESIGN.md, "Recycling").
 	recycle bool
 }
 
@@ -449,7 +452,7 @@ func (w *Worker) answer(req Request, cs *connSim, live func(*core.Result, *Respo
 	}
 	switch {
 	case cs.sh != sh:
-		cs.sh, cs.sim = sh, sh.NewSimulator()
+		cs.sh, cs.sim = sh, sh.NewSimulatorFrom(cs.sim)
 	case cs.recycle:
 		cs.sim.Reset()
 	}

@@ -132,15 +132,15 @@ func (m *Memo) NumDestinations() int { return len(m.dsts) }
 // propagated; otherwise it is ignored. Cold is have == nil.
 //
 // The missing destinations are propagated on up to `workers` goroutines
-// (<= 0 means GOMAXPROCS), each destination in a factory of its own
-// (logic.NewFactorySized) under the network's variable order. A RIB's
-// exported bytes therefore depend on that destination and on the key's
-// inputs alone — not on which goroutine ran it, what ran before it, or
-// what `have` already held — so the memo is byte-identical at every
-// parallelism and a partly carried memo equals a cold one.
-// Destinations are still assigned statically (sorted, striped), never
-// stolen: the guarantee then survives a builder that shares a factory
-// per goroutine.
+// (<= 0 means GOMAXPROCS), each goroutine keeping one factory under the
+// network's variable order and recycling it before every destination
+// (logic.Factory.Recycle), so each RIB is exported from an empty universe.
+// A RIB's exported bytes therefore depend on that destination and on the
+// key's inputs alone — not on which goroutine ran it, what ran before it,
+// or what `have` already held — so the memo is byte-identical at every
+// parallelism and a partly carried memo equals a cold one. Destinations
+// are assigned statically (sorted, striped), never stolen, so the work
+// each goroutine does is reproducible too.
 //
 // A destination whose fixpoint hit the step cap is left out of the memo
 // and named in the error; the memo returned alongside is usable (engines
@@ -171,20 +171,16 @@ func Build(net *topo.Network, configs []*config.Device, opts Options,
 	}
 	workers = min(workers, len(missing))
 	cfg := isisConfigs(net, configs)
+	order := net.VarOrder()
 	built := make([]*memoRIB, len(missing)) // nil where the cap cut the fixpoint off
 	stripe := func(g int) {
-		// Destinations of one network need solver tables of about one
-		// size: each factory is sized by what the previous one grew to
-		// (a third of a small WAN's build was table growth otherwise).
-		// Sizing changes no node id, so no exported byte.
-		room := 0
+		f := logic.NewFactoryOrdered(order)
 		for i := g; i < len(missing); i += workers {
-			f := logic.NewFactorySized(net.VarOrder(), room)
+			f.Recycle()
 			e := newEngine(net, cfg, f, opts)
 			if rib, complete := e.propagate(missing[i]); complete {
 				built[i] = e.export(rib)
 			}
-			room = f.SolverNodes()
 		}
 	}
 	var wg sync.WaitGroup

@@ -181,8 +181,11 @@ func wanInputs(t *testing.T, p gen.Params) (*topo.Network, []*config.Device, []t
 // TestMemoBuildDeterministic pins the byte half of the build's
 // determinism (core's test of the same name pins the verdict half): the
 // memo of a generated WAN is byte-identical run to run and at every
-// parallelism, and a memo filled in from a partial one equals a cold one.
-// Run under -race -count=10 by `make chaos`.
+// parallelism, a memo filled in from a partial one equals a cold one, and
+// so does one built a destination per Build call, last destination first
+// — every RIB from a new factory, where a one-goroutine build runs them
+// first to last through one recycled factory. Run under -race -count=10
+// by `make determinism`.
 func TestMemoBuildDeterministic(t *testing.T) {
 	net, cfgs, dsts := wanInputs(t, gen.Small())
 	opts := Options{K: 2, PruneOverK: true, MaxAlternatives: 8}
@@ -205,6 +208,13 @@ func TestMemoBuildDeterministic(t *testing.T) {
 	half := build(dsts[:len(dsts)/2], nil, 2)
 	if got := memoBytes(t, build(dsts, half, 2)); !bytes.Equal(got, want) {
 		t.Fatal("a memo filled in from a partial one differs from a cold one")
+	}
+	var one *Memo
+	for i := len(dsts) - 1; i >= 0; i-- {
+		one = build(dsts[i:], one, 1)
+	}
+	if got := memoBytes(t, one); !bytes.Equal(got, want) {
+		t.Fatal("a memo built one destination at a time, in reverse, differs from one built through a recycled factory")
 	}
 }
 

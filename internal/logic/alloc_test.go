@@ -53,4 +53,10 @@ func TestHotPathAllocBudget(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("warm hot-path operations allocate %v times per run, want 0", allocs)
 	}
+
+	// Recycle keeps every table: emptying a factory that has a solver space
+	// and a variable cache allocates nothing.
+	if allocs := testing.AllocsPerRun(100, f.Recycle); allocs != 0 {
+		t.Fatalf("Recycle allocates %v times per call, want 0", allocs)
+	}
 }

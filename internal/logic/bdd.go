@@ -67,15 +67,14 @@ const (
 	opOr
 )
 
-// bddRoomWAN sizes a simulation's solver tables up front: growth
-// rehashing showed up at >10% of profile time when starting small.
-// bddRoomScratch is the floor for a factory that lives for one small
-// computation (NewFactorySized): there the tables a WAN-scale space
-// zeroes on first use can cost more than the computation.
-const (
-	bddRoomWAN     = 1 << 15
-	bddRoomScratch = 1 << 9
-)
+// bddRoom is how many nodes a solver space has room for when it is
+// created. Executors recycle their factories (Factory.Recycle), so a
+// space grows to its working size once per executor, not once per
+// computation, and this is only where that growth starts. One room for
+// every factory: a simulation's (where a smaller start allocates the
+// tables in between on top, 1.5 MB more per class past 2¹⁵ nodes) and an
+// IGP stripe's alike (EXPERIMENTS.md, "Factory recycling").
+const bddRoom = 1 << 15
 
 // newBDDSpace returns an empty space with room for initial nodes before
 // its tables grow.
@@ -233,7 +232,7 @@ func (f *Factory) build(x F) int32 {
 		return n.root - 1
 	}
 	if f.bdd == nil {
-		f.bdd = newBDDSpace(f.bddRoom)
+		f.bdd = newBDDSpace(bddRoom)
 	}
 	s := f.bdd
 	var r int32

@@ -24,7 +24,9 @@
 // direct-mapped cache that overwrites on collision and is sized by the
 // node table alone. What the cache forgets is recomputed into nodes that
 // already exist, so no table size and no eviction changes a node id, a
-// Simplify output or an exported byte (DESIGN.md, "Solver kernel").
+// Simplify output or an exported byte (DESIGN.md, "Solver kernel"). For
+// the same reason Recycle can empty a factory in place, keeping its
+// tables, and leave it indistinguishable from a new one.
 //
 // The order the solver branches on variables in is given when a factory is
 // made (Order, NewFactoryOrdered; internal/topo computes one per network
@@ -35,7 +37,7 @@
 // where build meets a literal and back where a formula or an assignment
 // leaves, so the natural order is the same code with an empty table.
 //
-// A Factory is not safe for concurrent use. The simulation engine creates
-// one Factory per prefix simulation, mirroring the paper's per-prefix
-// parallelism.
+// A Factory is not safe for concurrent use. The simulation engine keeps
+// one Factory per executor and recycles it between prefix simulations,
+// mirroring the paper's per-prefix parallelism.
 package logic

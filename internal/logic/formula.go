@@ -52,9 +52,9 @@ type Factory struct {
 	intern []F
 	vars   []F // cache of variable nodes indexed by Var
 
-	bdd     *bddSpace // lazily created solver space
-	bddRoom int       // nodes the solver space is sized for when created
-	order   *Order    // the solver's variable order; translated in build and on the way out
+	bdd      *bddSpace // lazily created solver space
+	order    *Order    // the solver's variable order; translated in build and on the way out
+	recycles uint64    // Recycle calls so far
 }
 
 type nodeKey struct {
@@ -75,37 +75,52 @@ func NewFactoryOrdered(o *Order) *Factory {
 		o = natural
 	}
 	f := &Factory{
-		nodes:   make([]node, 2, arenaRoom(tableSize(1024))),
-		intern:  make([]F, tableSize(1024)),
-		bddRoom: bddRoomWAN,
-		order:   o,
+		nodes:  make([]node, 2, arenaRoom(tableSize(1024))),
+		intern: make([]F, tableSize(1024)),
+		order:  o,
 	}
 	f.nodes[False] = node{k: kConst, size: 1}
 	f.nodes[True] = node{k: kConst, size: 1}
 	return f
 }
 
-// NewFactorySized is NewFactoryOrdered for a universe that lives for one small
-// computation and is then exported or dropped — one IGP destination's
-// fixpoint, not a simulation. It answers every query identically; only
-// its solver tables are sized for about solverNodes BDD nodes (what
-// SolverNodes reported of a similar computation; there is a small floor)
-// and grow on demand, so making thousands of them costs what each needs,
-// not megabytes apiece.
-func NewFactorySized(o *Order, solverNodes int) *Factory {
-	f := NewFactoryOrdered(o)
-	f.bddRoom = max(solverNodes, bddRoomScratch)
-	return f
+// Recycle empties the factory in place: afterwards it holds the constants
+// and nothing else, under the same order, and hands out the ids, BDD
+// roots, Simplify outputs and Export bytes a new factory would for the
+// same calls — ids follow creation order alone, and neither a table's
+// size nor what the computed cache holds decides anything
+// (TestRecycleIsFresh). Every table and arena keeps its capacity, so an
+// executor that recycles one factory between computations of one size
+// allocates solver memory once, not once per computation. Every F and
+// BDD root handed out before is void; Recycles tells a holder so.
+//
+//hoyan:hotpath
+func (f *Factory) Recycle() {
+	f.nodes = f.nodes[:2]
+	f.nodes[False] = node{k: kConst, size: 1}
+	f.nodes[True] = node{k: kConst, size: 1}
+	clear(f.intern)
+	clear(f.vars)
+	if s := f.bdd; s != nil {
+		s.nodes = s.nodes[:2]
+		s.side = s.side[:2]
+		clear(s.unique)
+		clear(s.cache)
+	}
+	f.recycles++
 }
 
-// SolverNodes reports how many BDD nodes the factory's solver space holds
-// — the size to give NewFactorySized for the next computation like this
-// one.
+// Recycles counts the factory's Recycle calls: a formula taken from the
+// factory while it read n is valid while it still reads n.
+func (f *Factory) Recycles() uint64 { return f.recycles }
+
+// SolverNodes reports how many BDD decision nodes the factory's solver
+// space holds.
 func (f *Factory) SolverNodes() int {
 	if f.bdd == nil {
 		return 0
 	}
-	return len(f.bdd.nodes)
+	return len(f.bdd.nodes) - 2
 }
 
 // NumNodes reports how many distinct formula nodes exist in the factory,

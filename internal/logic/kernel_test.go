@@ -134,16 +134,28 @@ func tabledFormula(rng *rand.Rand, fs []*Factory) ([]F, truthTable) {
 	return last.x, last.tt
 }
 
+// smallRoom is the solver room of the kernel tests' small factory: small
+// enough that its tables double many times over a test.
+const smallRoom = 1 << 9
+
+// newSmallFactory is NewFactory with solver tables that start at
+// smallRoom nodes instead of bddRoom.
+func newSmallFactory() *Factory {
+	f := NewFactory()
+	f.bdd = newBDDSpace(smallRoom)
+	return f
+}
+
 // TestEvictionsChangeNothing pins the property the lossy computed cache
 // rests on: what it forgets is only ever recomputed into nodes that
-// already exist. One factory starts at the scratch floor, so over the run
-// its unique table and cache double many times and the cache, a quarter
-// of a small table, evicts constantly; the other starts WAN-sized.
+// already exist. One factory starts at smallRoom, so over the run its
+// unique table and cache double many times and the cache, a quarter of a
+// small table, evicts constantly; the other starts at bddRoom.
 // Every answer is checked against the truth table, and the two factories
 // must agree to the node: same node count, same Simplify output bytes.
 func TestEvictionsChangeNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	small, roomy := NewFactorySized(nil, 0), NewFactory()
+	small, roomy := newSmallFactory(), NewFactory()
 	fs := []*Factory{small, roomy}
 	for n := 0; n < 2000; n++ {
 		xs, tt := tabledFormula(rng, fs)
@@ -175,7 +187,7 @@ func TestEvictionsChangeNothing(t *testing.T) {
 	if small.SolverNodes() != roomy.SolverNodes() {
 		t.Fatalf("evictions created nodes: %d in the small factory, %d in the roomy one", small.SolverNodes(), roomy.SolverNodes())
 	}
-	if floor := tableSize(bddRoomScratch); len(small.bdd.unique) < 8*floor {
+	if floor := tableSize(smallRoom); len(small.bdd.unique) < 8*floor {
 		t.Fatalf("the small factory's tables grew from %d to %d slots; the test needs several doublings", floor, len(small.bdd.unique))
 	}
 	for i, f := range fs {
@@ -199,7 +211,7 @@ func TestCacheDoublesInsideApply(t *testing.T) {
 		}
 		return f.OrAll(terms[:pairs/2]...), f.OrAll(terms[pairs/2:]...)
 	}
-	small, roomy := NewFactorySized(nil, 0), NewFactory()
+	small, roomy := newSmallFactory(), NewFactory()
 	a, b := halves(small)
 	ra, rb := small.build(a), small.build(b)
 	s := small.bdd
@@ -227,6 +239,65 @@ func TestCacheDoublesInsideApply(t *testing.T) {
 	}
 	if got := small.MinFailuresToViolate(x); got != pairs {
 		t.Fatalf("MinFailuresToViolate = %d: one failure per pair falsifies the disjunction, so %d", got, pairs)
+	}
+}
+
+// TestRecycleIsFresh pins what Factory.Recycle promises: a factory whose
+// tables a heavy unrelated workload has doubled several times, once
+// recycled, is indistinguishable from a new one under the same order.
+// The 2 000 formulas of TestEvictionsChangeNothing are replayed in both
+// through the same constructor calls; every formula id, BDD root, node
+// count, Simplify output and exported byte must be equal.
+func TestRecycleIsFresh(t *testing.T) {
+	vars := make([]Var, ttVars)
+	for i := range vars {
+		vars[i] = Var(i)
+	}
+	rand.New(rand.NewSource(25)).Shuffle(ttVars, func(i, j int) { vars[i], vars[j] = vars[j], vars[i] })
+	order := NewOrder(vars)
+
+	recycled := NewFactoryOrdered(order)
+	wanBuild(recycled, 45, 25, 22, 3)
+	dirty := len(recycled.bdd.unique)
+	recycled.Recycle()
+	fresh := NewFactoryOrdered(order)
+	if recycled.Recycles() != 1 || fresh.Recycles() != 0 || recycled.NumNodes() != 2 || recycled.SolverNodes() != 0 {
+		t.Fatalf("after one Recycle: %d recycles, %d formula nodes, %d solver nodes; want 1, 2 (the constants), 0",
+			recycled.Recycles(), recycled.NumNodes(), recycled.SolverNodes())
+	}
+
+	rng := rand.New(rand.NewSource(23))
+	fs := []*Factory{recycled, fresh}
+	for n := 0; n < 2000; n++ {
+		xs, _ := tabledFormula(rng, fs)
+		if xs[0] != xs[1] {
+			t.Fatalf("formula %d: id %d in the recycled factory, %d in the fresh one", n, xs[0], xs[1])
+		}
+		if a, b := recycled.build(xs[0]), fresh.build(xs[1]); a != b {
+			t.Fatalf("formula %d: BDD root %d in the recycled factory, %d in the fresh one", n, a, b)
+		}
+		if a, b := recycled.SolverNodes(), fresh.SolverNodes(); a != b {
+			t.Fatalf("formula %d: %d solver nodes in the recycled factory, %d in the fresh one", n, a, b)
+		}
+		sa, sb := recycled.Simplify(xs[0]), fresh.Simplify(xs[1])
+		if sa != sb {
+			t.Fatalf("formula %d: Simplify gives %d in the recycled factory, %d in the fresh one", n, sa, sb)
+		}
+		ea, err := json.Marshal(recycled.Export(xs[0], sa))
+		if err != nil {
+			t.Fatal(err)
+		}
+		eb, err := json.Marshal(fresh.Export(xs[1], sb))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(ea, eb) {
+			t.Fatalf("formula %d: exports differ:\n%s\n%s", n, ea, eb)
+		}
+	}
+	if len(recycled.bdd.unique) < 4*len(fresh.bdd.unique) || len(recycled.bdd.unique) != dirty {
+		t.Fatalf("unique table of %d slots recycled (%d after the replay) against %d fresh; the test needs a recycled table kept at least 4× larger",
+			dirty, len(recycled.bdd.unique), len(fresh.bdd.unique))
 	}
 }
 
