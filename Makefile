@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint vet-configs race check bench fuzz-smoke chaos determinism scale-smoke benchmark-module
+.PHONY: build test vet fmt lint vet-configs race check bench fuzz-smoke chaos determinism scale-smoke benchmark-module
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,12 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails when any Go file in the tree, benchmark/ included, is not
+# gofmt-formatted. It only reads: the fix is `gofmt -w` on the files it
+# names.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l found unformatted files:"; echo "$$out"; exit 1; fi
 
 # lint runs hoyanlint (cmd/hoyanlint), the project's own go/analysis-style
 # suite: maporder, factorymix, hotpathalloc, netdeadline, locksift. Any
@@ -75,16 +81,18 @@ scale-smoke:
 
 # fuzz-smoke runs each fuzz target briefly — enough to replay the corpus
 # and shake out shallow parser regressions without turning CI into a
-# fuzzing campaign.
+# fuzzing campaign. FuzzParse is the config parser's: no input panics it,
+# and an accepted config's canonical text re-parses to the same text.
 fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/config/
 	$(GO) test -run='^$$' -fuzz=FuzzPortableDecode -fuzztime=10s ./internal/logic/
 	$(GO) test -run='^$$' -fuzz=FuzzCollectorLine -fuzztime=10s ./internal/collector/
 	$(GO) test -run='^$$' -fuzz=FuzzCompiledEval -fuzztime=10s ./internal/qc/
 
 # check is the CI gate, defined here and nowhere else (ci.sh calls it):
-# vet + hoyanlint + config vet, the full suite once under the race
+# vet + gofmt + hoyanlint + config vet, the full suite once under the race
 # detector — the dist/collector chaos tests included; they are
 # deterministic (seeded faultnet, byte-budget fault schedules), so no
 # flake allowance — the memo determinism repetitions, the benchmark smoke
 # and the nested benchmark module.
-check: vet lint vet-configs race determinism bench benchmark-module
+check: vet fmt lint vet-configs race determinism bench benchmark-module

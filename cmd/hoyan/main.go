@@ -70,8 +70,9 @@ commands:
           [-save-baseline FILE]                 also capture a baseline store
                                                 (reports, taints, portable
                                                 conditions); needs live whole-WAN
-                                                simulator state, so neither
-                                                -workers nor -modular
+                                                simulator state, so refused with
+                                                -workers, with -modular and with
+                                                a -journal being resumed
 
 exit codes:
   0  verified clean
@@ -424,7 +425,6 @@ func sweep(net *topo.Network, snap config.Snapshot, f sweepFlags) (*hoyan.SweepR
 			return nil, err
 		}
 		defer journal.Close()
-		f.dist.Session = journal.ID()
 	}
 	var pool dist.Pool = dist.Local(f.threads)
 	if f.workers != "" {
@@ -478,7 +478,7 @@ func openJournal(net *topo.Network, snap config.Snapshot, f sweepFlags) (*dist.S
 		id = fmt.Sprintf("sweep-%d", os.Getpid())
 	}
 	fmt.Printf("session %s: journaling %d behavior classes to %s\n", id, len(classes), f.journal)
-	return dist.NewSession(f.journal, id, f.k, "", dist.ModelHash(net, snap), classes)
+	return dist.NewSession(f.journal, id, f.k, dist.ModelHash(net, snap), classes)
 }
 
 // printSweep prints a sweep's report and returns the exit code

@@ -146,10 +146,6 @@ type Options struct {
 	// (ground-truth) profiles. Use NaiveProfiles to reproduce the
 	// pre-tuner state of Figure 14.
 	Profiles *behavior.Registry
-	// DisablePruning turns off the §5.6 optimizations (ablations).
-	DisablePruning bool
-	// DisableSimplify turns off condition simplification.
-	DisableSimplify bool
 	// AuditSample is the fraction of non-representative class members a
 	// Sweep fully re-simulates and diffs against their replicated reports,
 	// failing loudly on divergence (0 = no auditing, 1 = every member);
@@ -176,7 +172,10 @@ type Options struct {
 	// a monolithic sweep; families whose behavior a cut cannot express
 	// (cross-region origination, re-export across a second cut, frozen
 	// sessions) fall back to monolithic simulation, loudly counted in
-	// SweepReport.Modular. Incompatible with SweepBaseline capture.
+	// SweepReport.Modular. Baseline capture (SweepBaseline, SweepOver with
+	// capture) refuses it, as it refuses remote executors and a resumed
+	// journal: a class record needs the whole-WAN taint set and conditions
+	// of a fresh in-process monolithic pass.
 	Modular bool
 }
 

@@ -64,9 +64,9 @@ func TestOscillationDampingConverges(t *testing.T) {
 			"C": "hostname C\nrouter bgp 200\n network 10.0.1.0/24\n neighbor A remote-as 100\n",
 			"D": "hostname D\nrouter bgp 200\n network 10.0.1.0/24\n neighbor B remote-as 100\n",
 		})
-	opts := DefaultOptions()
-	opts.DampAfter = 8
-	res, err := NewSimulator(m, opts).Run(netaddr.MustParse("10.0.1.0/24"))
+	sim := NewSimulator(m, DefaultOptions())
+	sim.damping = 8
+	res, err := sim.Run(netaddr.MustParse("10.0.1.0/24"))
 	if err != nil {
 		t.Fatalf("damping must prevent divergence: %v", err)
 	}
@@ -214,12 +214,12 @@ func TestRedistributedStaticPropagates(t *testing.T) {
 // tell the step cap from any other failure and read the cap and prefix.
 func TestMaxStepsError(t *testing.T) {
 	m := figure4Model(t)
-	opts := DefaultOptions()
-	opts.MaxSteps = 1
+	sim := NewSimulator(m, DefaultOptions())
+	sim.maxSteps = 1
 	prefix := netaddr.MustParse("10.0.0.0/8")
-	_, err := NewSimulator(m, opts).Run(prefix)
+	_, err := sim.Run(prefix)
 	if err == nil {
-		t.Fatal("MaxSteps=1 must error")
+		t.Fatal("a step cap of 1 must error")
 	}
 	var limit *StepLimitError
 	if wrapped := fmt.Errorf("sweep: class 0: %w", err); !errors.As(wrapped, &limit) {

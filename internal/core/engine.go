@@ -24,31 +24,32 @@ type Options struct {
 	PruneImpossible bool
 	// Simplify enables condition formula simplification.
 	Simplify bool
-	// SimplifyThreshold is the formula length above which simplification
-	// is attempted.
-	SimplifyThreshold int
-	// MaxAlternatives caps the per-session alternative count.
-	MaxAlternatives int
-	// MaxSteps bounds worklist processing; 0 derives a generous bound
-	// from the network size.
-	MaxSteps int
-	// DampAfter freezes a session's contribution after this many changes
-	// (0 = default 64). Only order-dependent (racing) configurations ever
-	// reach the threshold.
-	DampAfter int
 }
 
 // DefaultOptions is the paper's operating point.
 func DefaultOptions() Options {
-	return Options{
-		K:                 3,
-		PruneOverK:        true,
-		PruneImpossible:   true,
-		Simplify:          true,
-		SimplifyThreshold: 24,
-		MaxAlternatives:   8,
-	}
+	return Options{K: 3, PruneOverK: true, PruneImpossible: true, Simplify: true}
 }
+
+// SimplifyThreshold is the formula length above which simplification is
+// attempted.
+const SimplifyThreshold = 24
+
+// maxAlternatives caps the alternatives announce keeps per prefix per
+// session. The cap is unsound: a dropped alternative can be the active
+// route under some failure set within the budget, so verdicts can be
+// wrong in either direction (ROADMAP.md, item 2).
+const maxAlternatives = 8
+
+// stepsPerNodeSession scales Run's worklist step cap: a run that is still
+// changing RIBs after this many steps per node and session has no
+// converged state (StepLimitError).
+const stepsPerNodeSession = 64
+
+// dampAfter freezes a session's contribution after this many changes
+// (Stats.FrozenSessions). Only order-dependent (racing) configurations
+// ever reach it.
+const dampAfter = 64
 
 // Stats counts propagation work, feeding Figures 8, 11 and 12.
 type Stats struct {
@@ -84,16 +85,11 @@ type Stats struct {
 	// the prunes and simplifications cost under the factory's variable
 	// order. A count, so it repeats exactly.
 	SolverNodes int
-	// Invalidation carries the incremental re-verification counters when
-	// this run was the representative re-simulation of a dirty class in a
-	// baseline sweep (diff.go). The engine never sets it; the sweep layer
-	// attaches the sweep-wide stats so per-run results are self-describing.
-	Invalidation *InvalidationStats
 }
 
 // StepLimitError is what Run returns when propagation is still changing
-// RIBs after Options.MaxSteps worklist steps (by default 64 per node and
-// session): the run has no converged state to report.
+// RIBs after the step cap (stepsPerNodeSession per node and session):
+// the run has no converged state to report.
 type StepLimitError struct {
 	Prefix netaddr.Prefix
 	Steps  int // the cap that was hit
@@ -135,12 +131,16 @@ type Simulator struct {
 	IGP  *igp.Engine
 	Opts Options
 
-	shared       *Shared // non-nil when built via Shared.NewSimulator
-	sessions     []session
-	sessionsBy   [][]int         // outgoing session indices per node
-	sessionsTo   [][]int         // incoming session indices per node
-	sessionLinks [][]topo.LinkID // direct links per session (empty for iBGP-via-IGP)
-	igpLazy      map[int]bool
+	shared     *Shared // non-nil when built via Shared.NewSimulator
+	sessions   []session
+	sessionsBy [][]int // outgoing session indices per node
+	sessionsTo [][]int // incoming session indices per node
+	igpLazy    map[int]bool
+
+	// maxSteps and damping are Run's step cap (stepsPerNodeSession per node
+	// and session) and oscillation-damping threshold (dampAfter), fields
+	// only so a test can lower them.
+	maxSteps, damping int
 
 	// restr scopes the next Run to one region of a Partition (modular.go);
 	// nil means monolithic simulation. Set only by RunRegion.
@@ -170,24 +170,10 @@ type runScratch struct {
 
 	rankBGP, rankOther []Entry // rank's partition buffers
 
-	// Taint recording (taint.go): which nodes held or were offered family
-	// routes, and over which sessions routes were considered, during the
-	// current run. Plain bool stores in the hot path — near-zero cost.
+	// Taint recording (taint.go): which nodes held, sent or were offered
+	// family routes during the current run. Plain bool stores in the hot
+	// path — near-zero cost.
 	taintNode []bool // per node
-	taintSess []bool // per session
-}
-
-// withDefaults fills the tunables whose zero value means "the default".
-// Everything that derives IGP options from simulation options goes
-// through it, so a Shared's memo and its simulators' engines agree.
-func (o Options) withDefaults() Options {
-	if o.MaxAlternatives == 0 {
-		o.MaxAlternatives = 8
-	}
-	if o.SimplifyThreshold == 0 {
-		o.SimplifyThreshold = 24
-	}
-	return o
 }
 
 // forEachSession visits every configured BGP session both of whose ends
@@ -229,7 +215,6 @@ func NewSimulator(m *Model, opts Options) *Simulator {
 // newSimulator is NewSimulator in the given empty factory, which must be
 // under m.Net's variable order.
 func newSimulator(m *Model, opts Options, f *logic.Factory) *Simulator {
-	opts = opts.withDefaults()
 	s := &Simulator{
 		M:          m,
 		F:          f,
@@ -242,24 +227,19 @@ func newSimulator(m *Model, opts Options, f *logic.Factory) *Simulator {
 	m.forEachSession(func(from, to topo.NodeID, ibgp, viaIGP bool) {
 		idx := len(s.sessions)
 		se := session{from: from, to: to, ibgp: ibgp, viaIGP: viaIGP}
-		var dl []topo.LinkID
 		if viaIGP {
 			// Placeholder; resolved lazily from the IGP.
 			se.cond = logic.False
 			s.igpLazy[idx] = true
 		} else {
 			se.cond = s.directCond(from, to)
-			for _, ad := range m.Net.Neighbors(from) {
-				if ad.Peer == to {
-					dl = append(dl, ad.Link)
-				}
-			}
 		}
-		s.sessionLinks = append(s.sessionLinks, dl)
 		s.sessions = append(s.sessions, se)
 		s.sessionsBy[from] = append(s.sessionsBy[from], idx)
 		s.sessionsTo[to] = append(s.sessionsTo[to], idx)
 	})
+	s.maxSteps = stepsPerNodeSession * m.Net.NumNodes() * (len(s.sessions) + 1)
+	s.damping = dampAfter
 	return s
 }
 
@@ -371,12 +351,10 @@ func (s *Simulator) prepareScratch(n int) {
 	if len(sc.contrib) < len(s.sessions) {
 		sc.contrib = make([][]Entry, len(s.sessions))
 		sc.changes = make([]int, len(s.sessions))
-		sc.taintSess = make([]bool, len(s.sessions))
 	}
 	for i := range sc.contrib {
 		sc.contrib[i] = nil
 		sc.changes[i] = 0
-		sc.taintSess[i] = false
 	}
 	if sc.prefixIdx == nil {
 		sc.prefixIdx = make(map[netaddr.Prefix]int, 16)
@@ -544,7 +522,7 @@ func (s *Simulator) Run(prefix netaddr.Prefix) (*Result, error) {
 				continue
 			}
 			sc.contrib[si] = es
-			sc.taintSess[si] = true
+			s.taintSession(s.sessions[si])
 			to := int(s.sessions[si].to)
 			if !sc.inQueue[to] {
 				sc.inQueue[to] = true
@@ -552,17 +530,9 @@ func (s *Simulator) Run(prefix netaddr.Prefix) (*Result, error) {
 			}
 		}
 	}
-	maxSteps := s.Opts.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = 64 * n * (len(s.sessions) + 1)
-	}
-	dampAfter := s.Opts.DampAfter
-	if dampAfter == 0 {
-		dampAfter = 64
-	}
 	for len(queue) > 0 {
-		if res.Stats.Steps >= maxSteps {
-			return nil, &StepLimitError{Prefix: prefix, Steps: maxSteps}
+		if res.Stats.Steps >= s.maxSteps {
+			return nil, &StepLimitError{Prefix: prefix, Steps: s.maxSteps}
 		}
 		res.Stats.Steps++
 		u := queue[0]
@@ -576,14 +546,14 @@ func (s *Simulator) Run(prefix netaddr.Prefix) (*Result, error) {
 				// pinned, dead sessions never run.
 				continue
 			}
-			if sc.changes[si] > dampAfter {
+			if sc.changes[si] > s.damping {
 				continue // oscillation damping (see Stats.FrozenSessions)
 			}
 			se := s.sessions[si]
 			out, _ := s.announce(se, si, &res.Stats)
 			if !s.entriesEqual(sc.contrib[si], out) {
 				sc.changes[si]++
-				if sc.changes[si] > dampAfter {
+				if sc.changes[si] > s.damping {
 					res.Stats.FrozenSessions++
 					continue
 				}
@@ -683,11 +653,11 @@ func (s *Simulator) announce(se session, si int, stats *Stats) (out, sent []Entr
 			if ent.Route.Protocol != route.EBGP && ent.Route.Protocol != route.IBGP {
 				continue // statics don't advertise unless redistributed
 			}
-			if kept >= s.Opts.MaxAlternatives {
+			if kept >= maxAlternatives {
 				break
 			}
 			stats.Branches++
-			sc.taintSess[si] = true
+			s.taintSession(se)
 			guard := s.F.And(notHigher, ent.Cond)
 			notHigher = s.F.And(notHigher, s.F.Not(ent.Cond))
 			eg := devU.ProcessEgress(ent.Route, devV)
@@ -711,7 +681,7 @@ func (s *Simulator) announce(se session, si int, stats *Stats) (out, sent []Entr
 				continue
 			}
 			stats.observeCondLen(s.F.Len(cond))
-			if s.Opts.Simplify && s.F.Len(cond) > s.Opts.SimplifyThreshold {
+			if s.Opts.Simplify && s.F.Len(cond) > SimplifyThreshold {
 				cond = s.F.Simplify(cond)
 			}
 			out = append(out, Entry{Route: ing.Route, Cond: cond})

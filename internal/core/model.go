@@ -181,5 +181,5 @@ func (m *Model) PrefixFamily(p netaddr.Prefix) []netaddr.Prefix {
 
 // igpOptions derives IGP propagation options from simulation options.
 func igpOptions(o Options) igp.Options {
-	return igp.Options{K: o.K, PruneOverK: o.PruneOverK, MaxAlternatives: o.MaxAlternatives}
+	return igp.Options{K: o.K, PruneOverK: o.PruneOverK}
 }

@@ -172,7 +172,7 @@ func (s *Simulator) importSummary(restr *restriction, sum *CutSummary) error {
 			continue
 		}
 		cond := conds[msg.Cond]
-		if s.Opts.Simplify && s.F.Len(cond) > s.Opts.SimplifyThreshold {
+		if s.Opts.Simplify && s.F.Len(cond) > SimplifyThreshold {
 			cond = s.F.Simplify(cond)
 		}
 		restr.contrib[msg.Sess] = append(restr.contrib[msg.Sess], Entry{Route: ing.Route, Cond: cond})

@@ -51,7 +51,7 @@ func SharedFrom(m *Model, opts Options, have *igp.Memo, workers int) *Shared {
 
 // newShared pairs the model with the memo of the sessions keep selects.
 func newShared(m *Model, opts Options, have *igp.Memo, workers int, keep func(from, to topo.NodeID) bool) *Shared {
-	sh := &Shared{M: m, Opts: opts.withDefaults()}
+	sh := &Shared{M: m, Opts: opts}
 	m.Origins() // warm the origination cache before workers race to it
 	sh.memo, sh.memoErr = sessionMemo(m, sh.Opts, have, workers, keep)
 	return sh
@@ -69,7 +69,7 @@ func sessionMemo(m *Model, opts Options, have *igp.Memo, workers int, keep func(
 			dsts = append(dsts, from, to)
 		}
 	})
-	return igp.Build(m.Net, m.Configs, igpOptions(opts.withDefaults()), dsts, have, workers)
+	return igp.Build(m.Net, m.Configs, igpOptions(opts), dsts, have, workers)
 }
 
 // IGPMemo returns the Shared's memo, for whoever carries it to the next
@@ -86,7 +86,7 @@ func (sh *Shared) Err() error { return sh.memoErr }
 // IGPKey is the igp.Key of what the IGP reads of m under opts: the key
 // SharedFrom's memo for them is valid for, without building it.
 func IGPKey(m *Model, opts Options) string {
-	return igp.Key(m.Net, m.Configs, igpOptions(opts.withDefaults()))
+	return igp.Key(m.Net, m.Configs, igpOptions(opts))
 }
 
 // Classes exposes the model's prefix behavior-class partition — the unit

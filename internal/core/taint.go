@@ -1,43 +1,26 @@
 // Taint recording: the dependency side of incremental re-verification
 // (DESIGN.md, "Incremental re-verification"). While Run simulates one
 // prefix family, the engine marks — with plain bool stores in the hot
-// path — which devices held or were offered family routes and over which
-// sessions routes were considered. The captured Taint, stored with the
-// class's report, bounds which model deltas can change the report: a
-// change at an untainted device cannot create routes the simulation
-// never saw, so classes whose taint is disjoint from a delta replay
-// their cached report instead of re-simulating.
+// path — which devices held, sent or were offered family routes. The
+// captured Taint, stored with the class's report, bounds which model
+// deltas can change the report: a change at an untainted device cannot
+// create routes the simulation never saw, so classes whose taint is
+// disjoint from a delta replay their cached report instead of
+// re-simulating.
 package core
 
 import (
-	"slices"
-
 	"hoyan/internal/netaddr"
 	"hoyan/internal/topo"
 )
-
-// TaintSession is one directed session the simulation consulted.
-type TaintSession struct {
-	From, To topo.NodeID
-}
 
 // Taint is the consulted set of one prefix-family simulation.
 type Taint struct {
 	// Nodes lists every device that originated, held, sent, or was
 	// offered a family route (including offers its ingress then dropped —
-	// an ingress change could admit them).
+	// an ingress change could admit them): both endpoints of every
+	// session over which family routes were considered.
 	Nodes []topo.NodeID
-	// Sessions lists the directed sessions over which family routes were
-	// considered, delivered or not.
-	Sessions []TaintSession
-	// Links lists the physical links underlying the consulted eBGP/direct
-	// sessions. iBGP sessions riding the IGP contribute no links here;
-	// they set ViaIGP instead.
-	Links []topo.LinkID
-	// ViaIGP reports that some consulted session condition came from IGP
-	// reachability, so the run transitively depends on the whole IGP
-	// topology (link-level deltas must then invalidate conservatively).
-	ViaIGP bool
 	// Universe is the run's prefix universe: the simulated family plus
 	// every overlapping origin prefix that joined the simulation.
 	Universe []netaddr.Prefix
@@ -51,27 +34,18 @@ func (r *Result) Taint() Taint { return r.taint }
 func (s *Simulator) captureTaint() Taint {
 	sc := &s.sc
 	var t Taint
-	for si, tainted := range sc.taintSess {
-		if !tainted {
-			continue
-		}
-		se := s.sessions[si]
-		sc.taintNode[se.from] = true
-		sc.taintNode[se.to] = true
-		t.Sessions = append(t.Sessions, TaintSession{From: se.from, To: se.to})
-		if se.viaIGP {
-			t.ViaIGP = true
-		} else {
-			t.Links = append(t.Links, s.sessionLinks[si]...)
-		}
-	}
 	for id, tainted := range sc.taintNode {
 		if tainted {
 			t.Nodes = append(t.Nodes, topo.NodeID(id))
 		}
 	}
-	slices.Sort(t.Links)
-	t.Links = slices.Compact(t.Links)
 	t.Universe = append([]netaddr.Prefix(nil), sc.prefixes...)
 	return t
+}
+
+// taintSession marks both endpoints of a session over which family routes
+// were considered.
+func (s *Simulator) taintSession(se session) {
+	s.sc.taintNode[se.from] = true
+	s.sc.taintNode[se.to] = true
 }

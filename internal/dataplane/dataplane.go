@@ -198,7 +198,7 @@ func (fib *FIB) PacketReach(src topo.NodeID, srcAddr, dstAddr uint32, gateway to
 			if n := f.Len(guard); n > res.Stats.MaxCondLen {
 				res.Stats.MaxCondLen = n
 			}
-			if opts.Simplify && f.Len(guard) > opts.SimplifyThreshold {
+			if opts.Simplify && f.Len(guard) > core.SimplifyThreshold {
 				guard = f.Simplify(guard)
 			}
 			visited := map[topo.NodeID]bool{rule.NextHop: true}

@@ -115,7 +115,7 @@ func TestChaosMatrixCoordinatorKillResume(t *testing.T) {
 			}
 
 			journal := filepath.Join(t.TempDir(), "chaos.journal")
-			s1, err := NewSession(journal, "chaos", 2, "", ModelHash(w.Net, w.Snap), classes)
+			s1, err := NewSession(journal, "chaos", 2, ModelHash(w.Net, w.Snap), classes)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -226,11 +226,9 @@ func TestInterleavedSessionsSharedPoolNoCrosstalk(t *testing.T) {
 	defer stop()
 
 	run := func(hash string, classes [][]string) (*Result, error) {
-		opts := fastOpts()
-		opts.Session = "session-" + hash
 		plan := ClassPlan(classes, 2)
 		plan.ModelHash = hash
-		return Run(plan, &Coordinator{Addrs: addrs, Opts: opts})
+		return Run(plan, &Coordinator{Addrs: addrs, Opts: fastOpts()})
 	}
 
 	// Each model swept alone is the truth.

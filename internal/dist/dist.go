@@ -35,9 +35,6 @@ import (
 type Request struct {
 	Prefix string `json:"prefix"`
 	K      int    `json:"k"`
-	// Session names the sweep session the request belongs to
-	// (informational: logs and debugging; empty for anonymous runs).
-	Session string `json:"session,omitempty"`
 	// Model selects which of the worker's registered models answers the
 	// request, by ModelHash. Empty selects the worker's default snapshot.
 	// A hash the worker does not hold is a loud per-request error, never
@@ -116,10 +113,6 @@ type Options struct {
 	// plus a structured report of failed prefixes and worker errors
 	// instead of an all-or-nothing error.
 	AllowPartial bool
-	// Seed drives backoff jitter; zero is treated as 1 for determinism.
-	Seed int64
-	// Session names the sweep session on every request (informational).
-	Session string
 }
 
 // DefaultOptions returns the production defaults.
@@ -154,9 +147,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.BackoffMax == 0 {
 		o.BackoffMax = d.BackoffMax
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
 	}
 	return o
 }

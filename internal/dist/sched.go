@@ -29,8 +29,8 @@ type executor interface {
 	// connect readies the executor for passes; its error is a
 	// connection-level failure.
 	connect(o Options) error
-	// do runs one pass: req, the run's request template (budget, model,
-	// session), completed from ps. appErr means the worker answered with
+	// do runs one pass: req, the run's request template (budget and
+	// model), completed from ps. appErr means the worker answered with
 	// an error and the executor is still good; connErr means the
 	// connection is unusable (the stream may be desynchronized) and must
 	// be dropped.
@@ -241,14 +241,15 @@ func Run(p *Plan, pool Pool) (*Result, error) {
 		}
 	}
 
-	req := Request{K: k, Session: opts.Session, Model: p.ModelHash}
+	req := Request{K: k, Model: p.ModelHash}
 	handout := make(chan *pass)
 	events := make(chan event, len(execs)*2) // an executor's requeue + dead pair never blocks on a busy scheduler
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for i, e := range execs {
 		wg.Add(1)
-		go runExecutor(&wg, e, req, opts, rand.New(rand.NewSource(opts.Seed+int64(i))), handout, events, stop)
+		// Backoff jitter is seeded per executor, so a run is reproducible.
+		go runExecutor(&wg, e, req, opts, rand.New(rand.NewSource(int64(i)+1)), handout, events, stop)
 	}
 
 	// Scheduler: owns the ready queue, the units' in-flight state, and

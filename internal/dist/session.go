@@ -2,8 +2,8 @@
 //
 // PR 1 made worker death survivable by re-queueing in-flight jobs; a
 // Session extends the same machinery to coordinator death. The
-// coordinator appends a per-session job journal — session id, options/K
-// hash, model hash, the full class membership, and one record per class
+// coordinator appends a per-session job journal — session id, K, model
+// hash, the full class membership, and one record per class
 // as its state changes (dispatched, then done with the completed report)
 // — to an append-only JSON-lines file, fsync'd at class granularity (a
 // class's report is durable before the scheduler settles it). Resume
@@ -17,7 +17,7 @@
 //
 // Journal format (one JSON value per line):
 //
-//	{"session":"s1","options_hash":"k=3","model":"ab12…","k":3,"classes":[["10.0.0.0/24","10.0.1.0/24"],…]}
+//	{"session":"s1","model":"ab12…","k":3,"classes":[["10.0.0.0/24","10.0.1.0/24"],…]}
 //	{"dispatched":"10.0.0.0/24"}
 //	{"done":"10.0.0.0/24","summaries":[…]}
 //
@@ -47,13 +47,14 @@ import (
 var ErrSessionKilled = errors.New("dist: session killed at injected crash point")
 
 // sessionHeader is the journal's first line: everything Resume needs to
-// rebuild the job list and validate that resuming is sound.
+// rebuild the job list and validate that resuming is sound. Unknown keys
+// are ignored, so a header carrying fields this version no longer writes
+// still resumes.
 type sessionHeader struct {
-	Session     string     `json:"session"`
-	OptionsHash string     `json:"options_hash,omitempty"`
-	Model       string     `json:"model,omitempty"`
-	K           int        `json:"k"`
-	Classes     [][]string `json:"classes"`
+	Session string     `json:"session"`
+	Model   string     `json:"model,omitempty"`
+	K       int        `json:"k"`
+	Classes [][]string `json:"classes"`
 }
 
 // journalRecord is one appended line after the header. Exactly one of
@@ -95,7 +96,7 @@ type Session struct {
 // one — resume or remove it instead) and writes the fsync'd header.
 // classes is the full dispatch partition, each class's representative
 // first: the Members of the plan's Classes.
-func NewSession(path, id string, k int, optionsHash, modelHash string, classes [][]string) (*Session, error) {
+func NewSession(path, id string, k int, modelHash string, classes [][]string) (*Session, error) {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		if errors.Is(err, os.ErrExist) {
@@ -105,7 +106,7 @@ func NewSession(path, id string, k int, optionsHash, modelHash string, classes [
 	}
 	s := &Session{
 		path: path, f: f,
-		header:     sessionHeader{Session: id, OptionsHash: optionsHash, Model: modelHash, K: k, Classes: classes},
+		header:     sessionHeader{Session: id, Model: modelHash, K: k, Classes: classes},
 		done:       map[string][]RouterSummary{},
 		dispatched: map[string]bool{},
 	}

@@ -67,7 +67,7 @@ func TestSessionJournalRoundTrip(t *testing.T) {
 		{"10.1.0.0/24"},
 		{"10.2.0.0/24", "10.2.1.0/24", "10.2.2.0/24"},
 	}
-	s, err := NewSession(path, "s1", 3, "k=3", "abcd1234", classes)
+	s, err := NewSession(path, "s1", 3, "abcd1234", classes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,15 +101,37 @@ func TestSessionJournalRoundTrip(t *testing.T) {
 	}
 }
 
+// A journal written by an earlier version, whose header also carries an
+// options hash, still resumes: the header's unknown keys are ignored.
+func TestResumeHeaderWithOptionsHash(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sweep.journal")
+	journal := `{"session":"s1","options_hash":"k=3;prune=true;simplify=true;profiles=tuned","model":"abcd1234","k":3,"classes":[["10.0.0.0/24"],["10.1.0.0/24"]]}` + "\n" +
+		`{"done":"10.0.0.0/24","summaries":[{"router":"r1","node":0,"reachable":true,"min_failures":-1}]}` + "\n"
+	if err := os.WriteFile(path, []byte(journal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Resume(path)
+	if err != nil {
+		t.Fatalf("a header with options_hash must still resume: %v", err)
+	}
+	defer r.Close()
+	if r.ID() != "s1" || r.K() != 3 || r.Model() != "abcd1234" || r.Completed() != 1 {
+		t.Fatalf("resumed id=%q k=%d model=%q completed=%d", r.ID(), r.K(), r.Model(), r.Completed())
+	}
+	if err := r.MatchesClasses([][]string{{"10.0.0.0/24"}, {"10.1.0.0/24"}}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSessionRefusesToOverwrite(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.journal")
 	classes := [][]string{{"10.0.0.0/24"}}
-	s, err := NewSession(path, "s1", 2, "", "", classes)
+	s, err := NewSession(path, "s1", 2, "", classes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
-	if _, err := NewSession(path, "s2", 2, "", "", classes); err == nil {
+	if _, err := NewSession(path, "s2", 2, "", classes); err == nil {
 		t.Fatal("NewSession must refuse to overwrite an existing journal")
 	}
 }
@@ -119,7 +141,7 @@ func TestSessionRefusesToOverwrite(t *testing.T) {
 func TestResumeDiscardsTruncatedTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.journal")
 	classes := [][]string{{"10.0.0.0/24"}, {"10.1.0.0/24"}}
-	s, err := NewSession(path, "s1", 2, "", "", classes)
+	s, err := NewSession(path, "s1", 2, "", classes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +184,7 @@ func TestResumeDiscardsTruncatedTail(t *testing.T) {
 // and Resume must refuse it.
 func TestResumeRejectsMidFileCorruption(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.journal")
-	s, err := NewSession(path, "s1", 2, "", "", [][]string{{"10.0.0.0/24"}})
+	s, err := NewSession(path, "s1", 2, "", [][]string{{"10.0.0.0/24"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +211,7 @@ func TestResumeRejectsMidFileCorruption(t *testing.T) {
 func TestMatchesClassesDetectsDrift(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.journal")
 	classes := [][]string{{"10.0.0.0/24", "10.0.1.0/24"}, {"10.1.0.0/24"}}
-	s, err := NewSession(path, "s1", 2, "", "", classes)
+	s, err := NewSession(path, "s1", 2, "", classes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +253,7 @@ func TestRunSessionMatchesRunClasses(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "sweep.journal")
-	s, err := NewSession(path, "s1", 2, "", ModelHash(w.Net, w.Snap), classes)
+	s, err := NewSession(path, "s1", 2, ModelHash(w.Net, w.Snap), classes)
 	if err != nil {
 		t.Fatal(err)
 	}

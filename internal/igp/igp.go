@@ -45,14 +45,18 @@ type Options struct {
 	K int
 	// PruneOverK enables the >K prune.
 	PruneOverK bool
-	// MaxAlternatives caps the per-node alternative list (best kept).
-	MaxAlternatives int
 }
 
 // DefaultOptions matches the paper's operating point (k up to 3).
 func DefaultOptions() Options {
-	return Options{K: 3, PruneOverK: true, MaxAlternatives: 8}
+	return Options{K: 3, PruneOverK: true}
 }
+
+// maxAlternatives caps each node's sorted alternative list (the best are
+// kept). The cap is unsound: a dropped alternative can be the surviving
+// path under some failure set within the budget, so a condition built
+// from the list can under-approximate reachability (ROADMAP.md, item 2).
+const maxAlternatives = 8
 
 // nodeISIS captures the parts of a device config the IGP needs.
 type nodeISIS struct {
@@ -219,8 +223,8 @@ func (e *Engine) propagate(dst topo.NodeID) (rib map[topo.NodeID][]Entry, comple
 			all = append(all, es...)
 		}
 		slices.SortFunc(all, cmpEntry)
-		if e.opts.MaxAlternatives > 0 && len(all) > e.opts.MaxAlternatives {
-			all = all[:e.opts.MaxAlternatives]
+		if len(all) > maxAlternatives {
+			all = all[:maxAlternatives]
 		}
 		return all
 	}
@@ -228,7 +232,7 @@ func (e *Engine) propagate(dst topo.NodeID) (rib map[topo.NodeID][]Entry, comple
 	queue := []topo.NodeID{dst}
 	inQueue := map[topo.NodeID]bool{dst: true}
 	steps := 0
-	maxSteps := maxStepsFactor * e.net.NumNodes() * e.net.NumNodes() * (e.opts.MaxAlternatives + 1)
+	maxSteps := maxStepsFactor * e.net.NumNodes() * e.net.NumNodes() * (maxAlternatives + 1)
 	for len(queue) > 0 && steps < maxSteps {
 		steps++
 		u := queue[0]

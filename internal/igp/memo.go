@@ -70,7 +70,6 @@ func Key(net *topo.Network, configs []*config.Device, opts Options) string {
 	}
 	num(uint64(opts.K))
 	flag(opts.PruneOverK)
-	num(uint64(opts.MaxAlternatives))
 	cfg := isisConfigs(net, configs)
 	num(uint64(net.NumNodes()))
 	for i, node := range net.Nodes() {

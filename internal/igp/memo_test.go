@@ -39,7 +39,7 @@ func baseKeyInputs() keyInputs {
 			"router isis\n level 2\n",
 			"router isis\n level 2\n",
 		},
-		opts: Options{K: 2, PruneOverK: true, MaxAlternatives: 8},
+		opts: Options{K: 2, PruneOverK: true},
 	}
 }
 
@@ -79,25 +79,24 @@ func TestKeyCoversWhatTheIGPReads(t *testing.T) {
 		t.Fatalf("equal inputs, different keys: %s vs %s", base, again)
 	}
 	moves := map[string]func(*keyInputs){
-		"node name":         func(in *keyInputs) { in.names[3] = "z" },
-		"node region":       func(in *keyInputs) { in.regions[1] = "r1" },
-		"node added":        func(in *keyInputs) { in.add("e", "r1", "router isis\n level 2\n") },
-		"node order":        func(in *keyInputs) { in.swapNodes(2, 3) },
-		"link weight":       func(in *keyInputs) { in.links[1][2] = 21 },
-		"link endpoint":     func(in *keyInputs) { in.links[3] = [3]int{1, 3, 40} },
-		"link added":        func(in *keyInputs) { in.links = append(in.links, [3]int{0, 2, 10}) },
-		"link removed":      func(in *keyInputs) { in.links = in.links[:3] },
-		"link order":        func(in *keyInputs) { in.links[0], in.links[1] = in.links[1], in.links[0] },
-		"isis disabled":     func(in *keyInputs) { in.cfgs[2] = "" },
-		"isis level":        func(in *keyInputs) { in.cfgs[2] = "router isis\n level 12\n" },
-		"isis penetrate":    func(in *keyInputs) { in.cfgs[1] = "router isis\n level 12\n metric c 25\n" },
-		"metric value":      func(in *keyInputs) { in.cfgs[1] = "router isis\n level 12\n penetrate\n metric c 26\n" },
-		"metric peer":       func(in *keyInputs) { in.cfgs[1] = "router isis\n level 12\n penetrate\n metric a 25\n" },
-		"metric added":      func(in *keyInputs) { in.cfgs[1] += " metric a 7\n" },
-		"metric removed":    func(in *keyInputs) { in.cfgs[1] = "router isis\n level 12\n penetrate\n" },
-		"opts K":            func(in *keyInputs) { in.opts.K = 3 },
-		"opts prune":        func(in *keyInputs) { in.opts.PruneOverK = false },
-		"opts alternatives": func(in *keyInputs) { in.opts.MaxAlternatives = 4 },
+		"node name":      func(in *keyInputs) { in.names[3] = "z" },
+		"node region":    func(in *keyInputs) { in.regions[1] = "r1" },
+		"node added":     func(in *keyInputs) { in.add("e", "r1", "router isis\n level 2\n") },
+		"node order":     func(in *keyInputs) { in.swapNodes(2, 3) },
+		"link weight":    func(in *keyInputs) { in.links[1][2] = 21 },
+		"link endpoint":  func(in *keyInputs) { in.links[3] = [3]int{1, 3, 40} },
+		"link added":     func(in *keyInputs) { in.links = append(in.links, [3]int{0, 2, 10}) },
+		"link removed":   func(in *keyInputs) { in.links = in.links[:3] },
+		"link order":     func(in *keyInputs) { in.links[0], in.links[1] = in.links[1], in.links[0] },
+		"isis disabled":  func(in *keyInputs) { in.cfgs[2] = "" },
+		"isis level":     func(in *keyInputs) { in.cfgs[2] = "router isis\n level 12\n" },
+		"isis penetrate": func(in *keyInputs) { in.cfgs[1] = "router isis\n level 12\n metric c 25\n" },
+		"metric value":   func(in *keyInputs) { in.cfgs[1] = "router isis\n level 12\n penetrate\n metric c 26\n" },
+		"metric peer":    func(in *keyInputs) { in.cfgs[1] = "router isis\n level 12\n penetrate\n metric a 25\n" },
+		"metric added":   func(in *keyInputs) { in.cfgs[1] += " metric a 7\n" },
+		"metric removed": func(in *keyInputs) { in.cfgs[1] = "router isis\n level 12\n penetrate\n" },
+		"opts K":         func(in *keyInputs) { in.opts.K = 3 },
+		"opts prune":     func(in *keyInputs) { in.opts.PruneOverK = false },
 	}
 	seen := map[string]string{base: "base"}
 	for name, edit := range moves {
@@ -188,7 +187,7 @@ func wanInputs(t *testing.T, p gen.Params) (*topo.Network, []*config.Device, []t
 // by `make determinism`.
 func TestMemoBuildDeterministic(t *testing.T) {
 	net, cfgs, dsts := wanInputs(t, gen.Small())
-	opts := Options{K: 2, PruneOverK: true, MaxAlternatives: 8}
+	opts := Options{K: 2, PruneOverK: true}
 	build := func(dsts []topo.NodeID, have *Memo, workers int) *Memo {
 		t.Helper()
 		m, err := Build(net, cfgs, opts, dsts, have, workers)
@@ -220,7 +219,7 @@ func TestMemoBuildDeterministic(t *testing.T) {
 
 func TestBuildReusesWhatHaveHolds(t *testing.T) {
 	net, cfgs, dsts := wanInputs(t, gen.Small())
-	opts := Options{K: 1, PruneOverK: true, MaxAlternatives: 8}
+	opts := Options{K: 1, PruneOverK: true}
 	count := func(f func()) int64 {
 		before := Propagations()
 		f()
@@ -260,7 +259,7 @@ func TestBuildReusesWhatHaveHolds(t *testing.T) {
 // one destination's conditions when it asks about one destination.
 func TestSeededEngineImportsOnlyWhatItTouches(t *testing.T) {
 	net, cfgs, dsts := wanInputs(t, gen.Small())
-	opts := Options{K: 2, PruneOverK: true, MaxAlternatives: 8}
+	opts := Options{K: 2, PruneOverK: true}
 	memo, err := Build(net, cfgs, opts, dsts, nil, 0)
 	if err != nil {
 		t.Fatal(err)

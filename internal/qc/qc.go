@@ -64,15 +64,6 @@ func (p *Program) NumInstrs() int { return len(p.ins) }
 // mention its variable.
 func (p *Program) Vars() []logic.Var { return p.vars }
 
-// MaxVar returns the largest variable mentioned, or -1 for a constant
-// condition.
-func (p *Program) MaxVar() logic.Var {
-	if len(p.vars) == 0 {
-		return -1
-	}
-	return p.vars[len(p.vars)-1]
-}
-
 // FailureSet is a bitset of failed links indexed by logic.Var. The zero
 // value is the all-links-up scenario; Reset recycles it without
 // reallocating.

@@ -136,7 +136,7 @@ func TestSweepModeMatrix(t *testing.T) {
 					path := filepath.Join(t.TempDir(), "sweep.journal")
 					var journal *dist.Session
 					if journaled {
-						if journal, err = dist.NewSession(path, cell, tc.k, "", hash, classes); err != nil {
+						if journal, err = dist.NewSession(path, cell, tc.k, hash, classes); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -198,7 +198,7 @@ func TestSweepModeMatrix(t *testing.T) {
 					}
 				}
 				path := filepath.Join(t.TempDir(), "stale.journal")
-				journal, err := dist.NewSession(path, pl.name+"/stale", tc.k, "", hash, classes)
+				journal, err := dist.NewSession(path, pl.name+"/stale", tc.k, hash, classes)
 				if err != nil {
 					t.Fatal(err)
 				}

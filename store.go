@@ -25,15 +25,12 @@ import (
 // verdicts the scheduler settled (everything a report, a replay audit and
 // the query plane's fixed answers are folded or read from), the
 // reachability conditions behind them as one factory-independent
-// logic.Portable, the taint set the simulation actually consulted
+// logic.Portable, the devices the simulation actually consulted
 // (core.Taint) widened with every device the report names, and the
-// prefix universe of the run.
+// prefix universe of the run. A new model's classes are matched to
+// records by Members, not by behavior fingerprint: unrelated config edits
+// can rewrite every fingerprint string while preserving the partition.
 type ClassRecord struct {
-	// Fingerprint is the class's behavior fingerprint (core.Classes) in
-	// the model the record was captured from. Informational: matching
-	// against a new model goes by Members, because unrelated config edits
-	// can rewrite every fingerprint string while preserving the partition.
-	Fingerprint string `json:"fingerprint"`
 	// Members are the class's prefixes, sorted — the record's identity.
 	Members []string `json:"members"`
 	// Verdicts are the representative's verdicts at every BGP speaker, in
@@ -44,12 +41,8 @@ type ClassRecord struct {
 	// SimTime is the pass's propagation time, replayed into
 	// PrefixSummary.SimTime.
 	SimTime time.Duration `json:"sim_time_ns,omitempty"`
-	// TaintDevices/TaintSessions/TaintLinks/ViaIGP are the captured taint
-	// set by name (sessions as [from, to], links as sorted name pairs).
-	TaintDevices  []string    `json:"taint_devices"`
-	TaintSessions [][2]string `json:"taint_sessions,omitempty"`
-	TaintLinks    [][2]string `json:"taint_links,omitempty"`
-	ViaIGP        bool        `json:"via_igp,omitempty"`
+	// TaintDevices are the captured taint set's devices, by name, sorted.
+	TaintDevices []string `json:"taint_devices"`
 	// Universe is the run's prefix universe (family members included).
 	Universe []string `json:"universe,omitempty"`
 	// Conds holds the representative's reachability condition at every
@@ -73,8 +66,7 @@ type StoredLink struct {
 // Produced by Network.SweepBaseline, consumed via Options.Baseline.
 type ResultStore struct {
 	// OptionsHash fingerprints every option that can change reports
-	// (K, pruning, simplification, profile registry). A mismatch forces
-	// full invalidation.
+	// (K and the profile registry). A mismatch forces full invalidation.
 	OptionsHash string `json:"options_hash"`
 	K           int    `json:"k"`
 	// Nodes and Links rebuild the baseline topology; Configs holds the
@@ -287,14 +279,15 @@ func QuarantineResultStore(path string) (string, error) {
 // optionsHash fingerprints the report-affecting options. Custom profile
 // registries cannot be fingerprinted, so they get a distinct marker that
 // never matches a stored hash (loud full invalidation instead of silent
-// replay under different vendor semantics).
+// replay under different vendor semantics). Pruning and simplification
+// are always on; their terms stay in the text so that saved stores keep
+// matching.
 func optionsHash(opts Options) string {
 	prof := "tuned"
 	if opts.Profiles != nil {
 		prof = "custom"
 	}
-	return fmt.Sprintf("k=%d;prune=%v;simplify=%v;profiles=%s",
-		opts.K, !opts.DisablePruning, !opts.DisableSimplify, prof)
+	return fmt.Sprintf("k=%d;prune=true;simplify=true;profiles=%s", opts.K, prof)
 }
 
 func membersKey(members []string) string { return strings.Join(members, " ") }
@@ -361,9 +354,8 @@ func (st *ResultStore) baselineModel(reg *behavior.Registry) (*core.Model, error
 func captureRecord(res *core.Result, m *core.Model, cls core.PrefixClass,
 	verdicts []dist.RouterSummary, simTime time.Duration) ClassRecord {
 	rec := ClassRecord{
-		Fingerprint: cls.Fingerprint,
-		Verdicts:    append([]dist.RouterSummary(nil), verdicts...),
-		SimTime:     simTime,
+		Verdicts: append([]dist.RouterSummary(nil), verdicts...),
+		SimTime:  simTime,
 	}
 	for _, p := range cls.Members {
 		rec.Members = append(rec.Members, p.String())
@@ -389,19 +381,6 @@ func captureRecord(res *core.Result, m *core.Model, cls core.PrefixClass,
 		rec.TaintDevices = append(rec.TaintDevices, d)
 	}
 	sort.Strings(rec.TaintDevices)
-	for _, s := range t.Sessions {
-		rec.TaintSessions = append(rec.TaintSessions,
-			[2]string{m.Net.Node(s.From).Name, m.Net.Node(s.To).Name})
-	}
-	for _, l := range t.Links {
-		link := m.Net.Link(l)
-		a, b := m.Net.Node(link.A).Name, m.Net.Node(link.B).Name
-		if b < a {
-			a, b = b, a
-		}
-		rec.TaintLinks = append(rec.TaintLinks, [2]string{a, b})
-	}
-	rec.ViaIGP = t.ViaIGP
 	for _, p := range t.Universe {
 		rec.Universe = append(rec.Universe, p.String())
 	}

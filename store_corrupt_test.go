@@ -1,6 +1,7 @@
 package hoyan
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -161,6 +162,57 @@ func TestLoadResultStoreWithoutVerdicts(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("the error must say %q: %v", want, err)
 		}
+	}
+}
+
+// TestLoadResultStoreWithDroppedFields: a store written when class records
+// also carried a fingerprint, session and link taints and an IGP flag
+// still loads cleanly and replays every class of the unchanged network —
+// the decoder ignores keys nothing reads — and the options hash it was
+// keyed by is still the one a sweep computes.
+func TestLoadResultStoreWithDroppedFields(t *testing.T) {
+	if h := optionsHash(Options{K: 3}); h != "k=3;prune=true;simplify=true;profiles=tuned" {
+		t.Fatalf("options hash %q moved: every saved baseline would fully invalidate", h)
+	}
+	n, _ := wanNetwork(t)
+	opts := Options{K: 2}
+	_, st, err := n.SweepBaseline(opts, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw map[string]any
+	if err := json.Unmarshal(data, &raw); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range raw["classes"].([]any) {
+		rec := c.(map[string]any)
+		rec["fingerprint"] = "bgp|stale-fingerprint"
+		rec["taint_sessions"] = [][2]string{{"pe-r0-0", "core-r0-0"}}
+		rec["taint_links"] = [][2]string{{"core-r0-0", "pe-r0-0"}}
+		rec["via_igp"] = true
+	}
+	if data, err = json.Marshal(raw); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "baseline.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadResultStore(path)
+	if err != nil {
+		t.Fatalf("a store with the dropped record fields must load cleanly: %v", err)
+	}
+	opts.Baseline = loaded
+	rep, err := n.Sweep(opts, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inv := rep.Invalidation; inv == nil || inv.ClassesDirty != 0 || rep.Replayed != rep.Classes {
+		t.Fatalf("unchanged network against the loaded store: %+v, %d of %d classes replayed", inv, rep.Replayed, rep.Classes)
 	}
 }
 

@@ -144,13 +144,6 @@ func (o Options) resolve() (Options, *behavior.Registry, core.Options) {
 	}
 	copts := core.DefaultOptions()
 	copts.K = o.K
-	if o.DisablePruning {
-		copts.PruneOverK = false
-		copts.PruneImpossible = false
-	}
-	if o.DisableSimplify {
-		copts.Simplify = false
-	}
 	return o, reg, copts
 }
 
@@ -322,11 +315,7 @@ func (n *Network) sweepClasses(opts Options, model *core.Model, classes []core.P
 		for i, cls := range classes {
 			rec := captured[i]
 			if rec == nil && plan.Classes[i].Replayed {
-				// Carry the baseline record forward; only the fingerprint
-				// string can have shifted under unrelated edits.
-				carried := *incr.records[i]
-				carried.Fingerprint = cls.Fingerprint
-				rec = &carried
+				rec = incr.records[i] // carried forward unchanged
 			}
 			if rec == nil {
 				return nil, nil, fmt.Errorf("hoyan: internal: no record captured for class %d (%s)", i, cls.Rep)
