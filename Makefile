@@ -53,12 +53,15 @@ benchmark-module:
 # detector: the faultnet × kill-point matrix (coordinator killed
 # mid-sweep, resumed, byte-compared against an uninterrupted run),
 # journal resume semantics, interleaved sessions over a shared worker
-# pool, and the Shared LRU building outside its lock. `race` already runs
-# every one of these once, so `check` does not depend on this target: it
-# is the line to re-run when a failure names a seed (the seed is printed
-# in every failure message), as CHAOS_SEED=<seed> make chaos.
+# pool, and the Shared LRU building outside its lock — then the root
+# package's TestSweepModeMatrix, the one sweep test that drives loopback
+# TCP workers, a journal and baseline capture together. `race` already
+# runs every one of these once, so `check` does not depend on this
+# target: it is the line to re-run when a failure names a seed (the seed
+# is printed in every failure message), as CHAOS_SEED=<seed> make chaos.
 chaos: determinism
 	$(GO) test -race -run 'Chaos|Session|Resume|Interleaved|LRU|ModelHash|SharedBuild|ResidentMemo' ./internal/dist/
+	$(GO) test -race -run 'TestSweepModeMatrix' .
 
 # determinism runs the parallel IGP memo build ten times over under the
 # race detector — the one repetition `race` (a single pass) does not give

@@ -69,10 +69,9 @@ commands:
           [-session ID]                         session id recorded in the journal
           [-save-baseline FILE]                 also capture a baseline store
                                                 (reports, taints, portable
-                                                conditions); needs live whole-WAN
-                                                simulator state, so refused with
-                                                -workers, with -modular and with
-                                                a -journal being resumed
+                                                conditions); a record is one
+                                                whole-WAN pass, so refused with
+                                                -modular
 
 exit codes:
   0  verified clean

@@ -29,8 +29,9 @@ import (
 // gen.Small after one config edit, -modular still means region passes
 // when -baseline is given too, and -audit-sample still means audits when
 // -workers is — the two flags the old per-mode helpers dropped without a
-// word. A journal composes with both, and a sweep with no -workers is
-// simply the in-process executors.
+// word. A journal composes with both, a sweep with no -workers is simply
+// the in-process executors, and -save-baseline works over -workers too:
+// only -modular refuses it.
 func TestSweepFlagsReachThePlan(t *testing.T) {
 	w, err := gen.Generate(gen.Small())
 	if err != nil {
@@ -112,10 +113,18 @@ func TestSweepFlagsReachThePlan(t *testing.T) {
 		}
 	}
 
+	// A baseline saved over the workers is a baseline like any other: a
+	// sweep of the same network replays every class from it.
+	remote := filepath.Join(dir, "remote.json")
+	run(sweepFlags{workers: workers, saveBaseline: remote})
+	if rep = run(sweepFlags{baseline: remote}); rep.Invalidation == nil || rep.Invalidation.ClassesDirty != 0 || rep.Replayed != rep.Classes {
+		t.Fatalf("-baseline of a store saved with -workers: %d of %d classes replayed, invalidation %+v", rep.Replayed, rep.Classes, rep.Invalidation)
+	}
+
 	// The one thing refused, and why.
-	if _, err := sweep(w.Net, snap, sweepFlags{k: 2, workers: workers, saveBaseline: filepath.Join(dir, "b2.json")}); err == nil ||
-		!strings.Contains(err.Error(), "in-process") {
-		t.Fatalf("-save-baseline over workers: %v", err)
+	if _, err := sweep(w.Net, snap, sweepFlags{k: 2, modular: true, saveBaseline: filepath.Join(dir, "b2.json")}); err == nil ||
+		!strings.Contains(err.Error(), "monolithic") {
+		t.Fatalf("-save-baseline with -modular: %v", err)
 	}
 }
 

@@ -173,9 +173,8 @@ type Options struct {
 	// (cross-region origination, re-export across a second cut, frozen
 	// sessions) fall back to monolithic simulation, loudly counted in
 	// SweepReport.Modular. Baseline capture (SweepBaseline, SweepOver with
-	// capture) refuses it, as it refuses remote executors and a resumed
-	// journal: a class record needs the whole-WAN taint set and conditions
-	// of a fresh in-process monolithic pass.
+	// capture) refuses it: a class record needs the whole-WAN taint set
+	// and conditions of one monolithic pass.
 	Modular bool
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hoyan/internal/config"
+	"hoyan/internal/dist"
 	"hoyan/internal/gen"
 	"hoyan/internal/igp"
 	"hoyan/internal/logic"
@@ -303,7 +304,7 @@ func TestIncrementalSingleChangeIsSelective(t *testing.T) {
 // half reads its anchor out of the record's Conds — the root at the
 // fold's weakest router. A store whose verdicts still match a fresh
 // simulation but whose condition at the anchor does not must fail the
-// audit, not replay.
+// audit, not replay, whichever executors ran the audit passes.
 func TestReplayAuditChecksStoredCondition(t *testing.T) {
 	n, _ := wanNetworkFrom(t, gen.Small())
 	opts := Options{K: 2}
@@ -312,12 +313,21 @@ func TestReplayAuditChecksStoredCondition(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts.Baseline, opts.AuditSample = store, 1
-	rep, err := n.Sweep(opts, 2)
-	if err != nil {
-		t.Fatalf("auditing an untouched store: %v", err)
+	pools := []struct {
+		name string
+		pool dist.Pool
+	}{
+		{"in-process", dist.Local(2)},
+		{"tcp", loopbackPool(t, n, 2)},
 	}
-	if rep.Replayed != rep.Classes || rep.Invalidation.ReplaysAudited != rep.Classes {
-		t.Fatalf("want all %d classes replayed and audited, got %d and %d", rep.Classes, rep.Replayed, rep.Invalidation.ReplaysAudited)
+	for _, pl := range pools {
+		rep, _, err := n.SweepOver(opts, pl.pool, nil, false)
+		if err != nil {
+			t.Fatalf("%s: auditing an untouched store: %v", pl.name, err)
+		}
+		if rep.Replayed != rep.Classes || rep.Invalidation.ReplaysAudited != rep.Classes {
+			t.Fatalf("%s: want all %d classes replayed and audited, got %d and %d", pl.name, rep.Classes, rep.Replayed, rep.Invalidation.ReplaysAudited)
+		}
 	}
 
 	for i := range store.Classes {
@@ -327,8 +337,10 @@ func TestReplayAuditChecksStoredCondition(t *testing.T) {
 		roots[rec.anchor()] = f.Not(roots[rec.anchor()])
 		rec.Conds = f.Export(roots...)
 	}
-	if _, err := n.Sweep(opts, 2); err == nil || !strings.Contains(err.Error(), "no longer equivalent") {
-		t.Fatalf("a flipped condition at the anchor must fail the replay audit, got %v", err)
+	for _, pl := range pools {
+		if _, _, err := n.SweepOver(opts, pl.pool, nil, false); err == nil || !strings.Contains(err.Error(), "no longer equivalent") {
+			t.Fatalf("%s: a flipped condition at the anchor must fail the replay audit, got %v", pl.name, err)
+		}
 	}
 }
 

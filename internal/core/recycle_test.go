@@ -11,7 +11,7 @@ import (
 
 // classRecord is what a sweep keeps of one class run: its Stats and the
 // exported reachability condition at every BGP speaker (the Conds of a
-// class record, hoyan's captureRecord).
+// class record, dist's record export).
 func classRecord(t *testing.T, res *Result, cls PrefixClass) (Stats, []byte) {
 	t.Helper()
 	var conds []logic.F

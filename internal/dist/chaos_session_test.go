@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -48,14 +49,21 @@ func TestChaosMatrixCoordinatorKillResume(t *testing.T) {
 		t.Fatalf("chaos matrix needs >=3 classes, got %d (seed %d)", len(classes), seed)
 	}
 
-	// The uninterrupted truth, swept over a healthy pool.
+	// The uninterrupted truth, swept over a healthy pool, with every
+	// class's record.
 	cleanAddrs, cleanStop := startWorkers(t, w, 2)
-	cold, err := (&Coordinator{Addrs: cleanAddrs, Opts: fastOpts()}).RunClasses(classes, 2)
+	truth := ClassPlan(classes, 2)
+	truth.Capture = true
+	cold, err := Run(truth, &Coordinator{Addrs: cleanAddrs, Opts: fastOpts()})
 	cleanStop()
 	if err != nil {
 		t.Fatal(err)
 	}
 	coldBytes := canonicalReport(t, cold)
+	coldRecords, err := json.Marshal(cold.Records)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	type mode struct {
 		name string
@@ -91,6 +99,15 @@ func TestChaosMatrixCoordinatorKillResume(t *testing.T) {
 	// region passes each, with no code written for the combination.
 	cells = append(cells, cell{mode{name: "modular", cfg: faultnet.Config{Seed: seed}, opts: fastOpts,
 		plan: func(t *testing.T) *Plan { return modularPlan(t, w, 2) }}, len(classes) / 2})
+	// One capture row: the records of the classes journaled before the
+	// kill come back from the journal, the rest from the resumed passes,
+	// and together they are the uninterrupted run's, byte for byte.
+	cells = append(cells, cell{mode{name: "capture", cfg: faultnet.Config{Seed: seed}, opts: fastOpts,
+		plan: func(*testing.T) *Plan {
+			p := ClassPlan(classes, 2)
+			p.Capture = true
+			return p
+		}}, len(classes) / 2})
 
 	for _, c := range cells {
 		kp := c.kp
@@ -154,11 +171,17 @@ func TestChaosMatrixCoordinatorKillResume(t *testing.T) {
 			if s2.Completed() != len(classes) {
 				t.Fatalf("seed %d: journal ends with %d completions, want %d", seed, s2.Completed(), len(classes))
 			}
-			if c.plan != nil && res.ModularPasses == 0 {
+			if c.name == "modular" && res.ModularPasses == 0 {
 				t.Fatalf("seed %d: the modular row dispatched no region pass", seed)
 			}
 			if got := canonicalReport(t, res); string(got) != string(coldBytes) {
 				t.Fatalf("seed %d: resumed sweep is not byte-identical to the uninterrupted run", seed)
+			}
+			if c.name == "capture" {
+				if got, err := json.Marshal(res.Records); err != nil || string(got) != string(coldRecords) {
+					t.Fatalf("seed %d: resumed records (%d) are not byte-identical to the uninterrupted run's (%d): %v",
+						seed, len(res.Records), len(cold.Records), err)
+				}
 			}
 		})
 	}

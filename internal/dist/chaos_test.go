@@ -46,7 +46,7 @@ func startFaultWorker(t *testing.T, w *gen.WAN, cfg faultnet.Config) (addr strin
 func responseBytes(t *testing.T, w *gen.WAN, prefix string, k int) int {
 	t.Helper()
 	wk := NewWorker(w.Net, w.Snap)
-	resp := wk.answer(Request{Prefix: prefix, K: k}, &connSim{}, nil)
+	resp := wk.answer(Request{Prefix: prefix, K: k}, &connSim{})
 	if resp.Error != "" {
 		t.Fatalf("answer: %s", resp.Error)
 	}

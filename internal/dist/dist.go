@@ -12,8 +12,11 @@
 // (configurations are distributed out of band, e.g. a shared network
 // directory) and answer JSON-lines requests:
 //
-//	-> {"prefix":"10.0.0.0/24","k":3}
-//	<- {"prefix":"10.0.0.0/24","summaries":[...],"error":""}
+//	-> {"prefix":"10.0.0.0/24","k":3,"record":true}
+//	<- {"prefix":"10.0.0.0/24","summaries":[…],"record":{"taint_devices":[…],"universe":[…],"conds":{…}}}
+//
+// The response is the one way a pass's results leave either kind of
+// executor: its verdicts and, when the request asks, its Record.
 //
 // The scheduler fans passes out with work stealing and a resilience
 // layer: per-request deadlines, re-queue of in-flight passes when a
@@ -28,6 +31,8 @@ import (
 	"time"
 
 	"hoyan/internal/core"
+	"hoyan/internal/igp"
+	"hoyan/internal/logic"
 	"hoyan/internal/topo"
 )
 
@@ -51,6 +56,21 @@ type Request struct {
 	// and Summary nil and gets the captured summary back in the
 	// Response.
 	Summary *core.CutSummary `json:"summary,omitempty"`
+	// Record asks for the pass's Record; the pass then starts from an
+	// empty formula universe, so the export is the same on every executor.
+	Record bool `json:"record,omitempty"`
+}
+
+// Record is what a monolithic pass learned beyond its verdicts: the
+// dependencies and conditions a baseline's class record keeps.
+type Record struct {
+	// TaintDevices are the devices the simulation consulted (core.Taint),
+	// by name; Universe is its prefix universe. Both sorted.
+	TaintDevices []string `json:"taint_devices"`
+	Universe     []string `json:"universe,omitempty"`
+	// Conds holds the reachability condition at every verdict's router as
+	// one multi-root Portable (root i at Response.Summaries[i].Router).
+	Conds *logic.Portable `json:"conds,omitempty"`
 }
 
 // RouterSummary is one router's verdict for the prefix — the one verdict
@@ -82,6 +102,11 @@ type Response struct {
 	Refused string `json:"refused,omitempty"`
 	// Elapsed is the propagation time of the pass (the Figure 8 sample).
 	Elapsed time.Duration `json:"elapsed_ns,omitempty"`
+	// Record answers Request.Record.
+	Record *Record `json:"record,omitempty"`
+
+	// memo is the IGP memo of an in-process record pass; never on the wire.
+	memo *igp.Memo
 }
 
 // Options tunes the scheduler's resilience policy. The zero value of
@@ -204,6 +229,13 @@ type Result struct {
 	// Audits holds the summaries of the plan's audit units by prefix:
 	// full simulations to compare against ByPrefix.
 	Audits map[string][]RouterSummary
+	// Records holds, by prefix, the Record of every settled unit whose
+	// pass exported one: the representatives of a plan with Capture set —
+	// resumed ones from the journal — and the audits of Replayed classes.
+	Records map[string]*Record
+	// IGP is the IGP memo the in-process record passes ran on; nil when
+	// none ran in-process.
+	IGP *igp.Memo
 	// SimTime is the propagation time spent on each dispatched
 	// representative, all passes added up.
 	SimTime map[string]time.Duration

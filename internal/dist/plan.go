@@ -41,11 +41,9 @@ type Plan struct {
 	// only the destinations it lacks. Remote workers look among their own
 	// resident Shareds instead.
 	IGP *igp.Memo
-	// Live, when set, sees every pass an in-process executor completes,
-	// with the simulator's Result still valid — what baseline capture
-	// and condition audits need and the wire does not carry. It runs on
-	// the executor's goroutine; an error fails the pass.
-	Live func(u Unit, res *core.Result, resp *Response) error
+	// Capture asks every representative's pass for its Record
+	// (Result.Records), and the journal keeps it on the class's done line.
+	Capture bool
 }
 
 // ClassPlan is the plain monolithic plan of a class partition (member
@@ -71,29 +69,14 @@ type Class struct {
 	Home string
 	// Replayed marks a class the caller settles itself, from the verdicts
 	// its baseline holds: the representative is not simulated and the
-	// class has no entry in Result.ByPrefix. Its Audit prefixes still run.
+	// class has no entry in Result.ByPrefix. Its Audit prefixes still run,
+	// and each answers with its Record, for the caller to compare with the
+	// baseline's conditions.
 	Replayed bool
 	// Audit lists prefixes of the class to simulate in full on the side
 	// — members whose replication, or the representative whose replay,
 	// the caller wants checked. Their summaries land in Result.Audits.
 	Audit []string
-}
-
-// UnitKind classifies a unit of a plan.
-type UnitKind uint8
-
-const (
-	// UnitRep is a class representative: its summaries settle the class.
-	UnitRep UnitKind = iota
-	// UnitAudit is a full simulation on the side, for comparison.
-	UnitAudit
-)
-
-// Unit identifies one prefix simulation of a plan to Plan.Live.
-type Unit struct {
-	Class  int // index into Plan.Classes
-	Kind   UnitKind
-	Prefix string
 }
 
 // unit is the scheduler's state for one prefix simulation: a small pass
@@ -102,10 +85,14 @@ type Unit struct {
 // pass's cut summary, one pass at a time; the first refusal discards the
 // region verdicts and re-runs the unit as one monolithic pass. Passes of
 // one unit never overlap, so the passes a plan takes — and which units
-// fall back — do not depend on the executors.
+// fall back — do not depend on the executors. A unit that answers with a
+// Record is monolithic from the start: a record is whole-WAN, and the one
+// it is compared with or stored as was made by a monolithic pass.
 type unit struct {
-	Unit
-	members []string // prefixes the unit settles (UnitRep); nil for audits
+	class   int      // index into Plan.Classes
+	prefix  string   // the prefix simulated
+	members []string // prefixes the unit settles (a representative); nil for audits
+	record  bool     // the unit's pass answers with its Record
 	home    int      // index of the home region in the plan's Regions; -1 = monolithic from the start
 
 	// The pass state. seq numbers the unit's passes: an answer carrying a
@@ -115,6 +102,7 @@ type unit struct {
 	mono     bool // the current pass is monolithic
 	cut      *core.CutSummary
 	verdicts []RouterSummary
+	rec      *Record
 	elapsed  time.Duration
 	refused  string
 
@@ -135,15 +123,18 @@ func (p *Plan) units() []*unit {
 	var out []*unit
 	seen := map[string]bool{}
 	add := func(u *unit, c *Class) {
-		if seen[u.Prefix] {
+		if seen[u.prefix] {
 			return
 		}
-		seen[u.Prefix] = true
-		u.home = slices.Index(p.Regions, c.Home)
-		u.mono = u.home < 0
-		if u.mono && len(p.Regions) > 0 {
-			u.refused = "no home region"
+		seen[u.prefix] = true
+		u.home = -1
+		if !u.record {
+			u.home = slices.Index(p.Regions, c.Home)
+			if u.home < 0 && len(p.Regions) > 0 {
+				u.refused = "no home region"
+			}
 		}
+		u.mono = u.home < 0
 		out = append(out, u)
 	}
 	for i := range p.Classes {
@@ -152,10 +143,10 @@ func (p *Plan) units() []*unit {
 			continue
 		}
 		if !c.Replayed {
-			add(&unit{Unit: Unit{Class: i, Kind: UnitRep, Prefix: c.Members[0]}, members: c.Members}, c)
+			add(&unit{class: i, prefix: c.Members[0], members: c.Members, record: p.Capture}, c)
 		}
 		for _, a := range c.Audit {
-			add(&unit{Unit: Unit{Class: i, Kind: UnitAudit, Prefix: a}}, c)
+			add(&unit{class: i, prefix: a, record: c.Replayed}, c)
 		}
 	}
 	return out
@@ -168,6 +159,13 @@ type pass struct {
 	region string           // "" = monolithic
 	cut    *core.CutSummary // imported on passes after the home pass
 	hedge  bool
+}
+
+// request completes req, the run's request template (budget and model),
+// into the pass's request.
+func (ps *pass) request(req Request) Request {
+	req.Prefix, req.Region, req.Summary, req.Record = ps.u.prefix, ps.region, ps.cut, ps.u.record
+	return req
 }
 
 // next returns the unit's current pass.
@@ -191,7 +189,7 @@ func (u *unit) next(regions []string) *pass {
 func (u *unit) absorb(resp *Response, regions int, out *Result) (done bool) {
 	u.elapsed += resp.Elapsed
 	if u.mono {
-		u.verdicts = resp.Summaries
+		u.verdicts, u.rec = resp.Summaries, resp.Record
 		return true
 	}
 	out.ModularPasses++
@@ -217,12 +215,16 @@ func (u *unit) absorb(resp *Response, regions int, out *Result) (done bool) {
 }
 
 // settle records summaries as the report of every member prefix — the
-// one place a representative is replicated to its class.
-func (r *Result) settle(members []string, summaries []RouterSummary) {
+// one place a representative is replicated to its class — and keeps the
+// representative's record, if its pass made one.
+func (r *Result) settle(members []string, summaries []RouterSummary, rec *Record) {
 	for _, m := range members {
 		r.ByPrefix[m] = summaries
 	}
 	r.Replicated += len(members) - 1
+	if rec != nil {
+		r.Records[members[0]] = rec
+	}
 }
 
 // finish turns the scheduler's final unit states into the Result: every
@@ -234,25 +236,28 @@ func (r *Result) finish(units []*unit, allowPartial bool) error {
 	for _, u := range units {
 		if u.refused != "" {
 			r.ModularRefused++
-			r.Refusals[u.Prefix] = u.refused
+			r.Refusals[u.prefix] = u.refused
 		}
 		switch {
 		case !u.settled: // the run was aborted first: a crash, not a failure
 		case u.failed:
-			fail := PrefixFailure{Prefix: u.Prefix, Dispatches: u.dispatches, LastError: u.lastErr}
+			fail := PrefixFailure{Prefix: u.prefix, Dispatches: u.dispatches, LastError: u.lastErr}
 			if u.members == nil {
-				delete(r.ByPrefix, u.Prefix) // an audit that never ran leaves its prefix unverified
+				delete(r.ByPrefix, u.prefix) // an audit that never ran leaves its prefix unverified
 				r.Failed = append(r.Failed, fail)
 			}
 			for _, m := range u.members {
 				fail.Prefix = m
 				r.Failed = append(r.Failed, fail)
 			}
-		case u.Kind == UnitRep:
-			r.settle(u.members, u.verdicts)
-			r.SimTime[u.Prefix] = u.elapsed
+		case u.members != nil:
+			r.settle(u.members, u.verdicts, u.rec)
+			r.SimTime[u.prefix] = u.elapsed
 		default:
-			r.Audits[u.Prefix] = u.verdicts
+			r.Audits[u.prefix] = u.verdicts
+			if u.rec != nil {
+				r.Records[u.prefix] = u.rec
+			}
 		}
 	}
 	slices.SortFunc(r.Failed, func(a, b PrefixFailure) int { return strings.Compare(a.Prefix, b.Prefix) })

@@ -9,8 +9,6 @@ import (
 	"runtime"
 	"sync"
 	"time"
-
-	"hoyan/internal/core"
 )
 
 // Pool is a set of executors a plan can run over: the remote workers of
@@ -29,12 +27,10 @@ type executor interface {
 	// connect readies the executor for passes; its error is a
 	// connection-level failure.
 	connect(o Options) error
-	// do runs one pass: req, the run's request template (budget and
-	// model), completed from ps. appErr means the worker answered with
-	// an error and the executor is still good; connErr means the
-	// connection is unusable (the stream may be desynchronized) and must
-	// be dropped.
-	do(ps *pass, req Request, o Options) (resp Response, appErr, connErr error)
+	// do runs one pass. appErr means the worker answered with an error
+	// and the executor is still good; connErr means the connection is
+	// unusable (the stream may be desynchronized) and must be dropped.
+	do(req Request, o Options) (resp Response, appErr, connErr error)
 	// disconnect drops the connection, if any; called from the
 	// executor's own goroutine.
 	disconnect()
@@ -97,11 +93,10 @@ func (e *tcpExecutor) interrupt() {
 }
 
 // do performs one request round-trip under the request deadline.
-func (e *tcpExecutor) do(ps *pass, req Request, o Options) (resp Response, appErr, connErr error) {
+func (e *tcpExecutor) do(req Request, o Options) (resp Response, appErr, connErr error) {
 	if o.RequestTimeout > 0 {
 		e.conn.SetDeadline(time.Now().Add(o.RequestTimeout))
 	}
-	req.Prefix, req.Region, req.Summary = ps.u.Prefix, ps.region, ps.cut
 	if err := e.enc.Encode(req); err != nil {
 		return resp, nil, err
 	}
@@ -122,9 +117,8 @@ func (e *tcpExecutor) do(ps *pass, req Request, o Options) (resp Response, appEr
 
 // Local is a pool of n in-process executors (n <= 0 means GOMAXPROCS)
 // over the plan's Model: "local" is the same scheduler with no socket
-// and no JSON between it and the worker, which is also what lets
-// Plan.Live see each pass's simulator state. Nothing in-process can be
-// cured by a retry, so a failed pass fails its unit at once.
+// and no JSON between it and the worker. Nothing in-process can be cured
+// by a retry, so a failed pass fails its unit at once.
 type Local int
 
 func (l Local) open(p *Plan, units int) ([]executor, Options, error) {
@@ -140,25 +134,24 @@ func (l Local) open(p *Plan, units int) ([]executor, Options, error) {
 	// IGP memo per (k, region), residency bounded by the partition, built
 	// from the plan's carried memo on as many goroutines as the pool was
 	// given — and each keeps its own simulator, Reset before every pass
-	// it is reused for. (A remote worker's connection never Resets its
-	// own: DESIGN.md, "Recycling".)
+	// it is reused for. (A remote worker's connection Resets its own only
+	// before a record pass: DESIGN.md, "Recycling".)
 	src := &modelSource{model: p.Model, opts: p.Sim}
 	src.once.Do(func() {})
 	w := newWorker(src, p.ModelHash)
 	w.carried, w.memoWorkers = p.IGP, cpus
 	execs := make([]executor, n)
 	for i := range execs {
-		execs[i] = &localExecutor{id: fmt.Sprintf("local/%d", i), w: w, live: p.Live, sim: connSim{recycle: true}}
+		execs[i] = &localExecutor{id: fmt.Sprintf("local/%d", i), w: w, sim: connSim{recycle: true}}
 	}
 	return execs, Options{MaxAttempts: 1, MaxConnFailures: 1}.withDefaults(), nil
 }
 
 // localExecutor calls the worker's answer path as a function.
 type localExecutor struct {
-	id   string
-	w    *Worker
-	live func(Unit, *core.Result, *Response) error
-	sim  connSim
+	id  string
+	w   *Worker
+	sim connSim
 }
 
 func (e *localExecutor) name() string          { return e.id }
@@ -166,15 +159,13 @@ func (e *localExecutor) connect(Options) error { return nil }
 func (e *localExecutor) disconnect()           {}
 func (e *localExecutor) interrupt()            {}
 
-func (e *localExecutor) do(ps *pass, req Request, _ Options) (Response, error, error) {
-	var live func(*core.Result, *Response) error
-	if e.live != nil {
-		live = func(res *core.Result, resp *Response) error { return e.live(ps.u.Unit, res, resp) }
-	}
-	req.Prefix, req.Region, req.Summary = ps.u.Prefix, ps.region, ps.cut
-	resp := e.w.answer(req, &e.sim, live)
+func (e *localExecutor) do(req Request, _ Options) (Response, error, error) {
+	resp := e.w.answer(req, &e.sim)
 	if resp.Error != "" {
 		return resp, fmt.Errorf("%s", resp.Error), nil
+	}
+	if req.Record {
+		resp.memo = e.sim.sh.IGPMemo()
 	}
 	return resp, nil, nil
 }
@@ -214,6 +205,7 @@ func Run(p *Plan, pool Pool) (*Result, error) {
 	out := &Result{
 		ByPrefix:     map[string][]RouterSummary{},
 		Audits:       map[string][]RouterSummary{},
+		Records:      map[string]*Record{},
 		SimTime:      map[string]time.Duration{},
 		Assigned:     map[string]int{},
 		WorkerErrors: map[string][]string{},
@@ -236,7 +228,7 @@ func Run(p *Plan, pool Pool) (*Result, error) {
 		return out, nil
 	}
 	for _, u := range pending {
-		if u.Kind == UnitRep {
+		if u.members != nil {
 			out.Classes++
 		}
 	}
@@ -280,7 +272,7 @@ func Run(p *Plan, pool Pool) (*Result, error) {
 				if u.copies != 1 || u.settled {
 					continue
 				}
-				if hu == nil || u.since.Before(hu.since) || (u.since.Equal(hu.since) && u.Prefix < hu.Prefix) {
+				if hu == nil || u.since.Before(hu.since) || (u.since.Equal(hu.since) && u.prefix < hu.prefix) {
 					hu = u
 				}
 			}
@@ -303,8 +295,8 @@ func Run(p *Plan, pool Pool) (*Result, error) {
 				out.Hedged++
 			} else {
 				ready = ready[1:]
-				if u.dispatches == 1 && p.Journal != nil && u.Kind == UnitRep {
-					p.Journal.appendDispatch(u.Prefix)
+				if u.dispatches == 1 && p.Journal != nil && u.members != nil {
+					p.Journal.appendDispatch(u.prefix)
 				}
 				if u.copies == 0 {
 					u.since = time.Now()
@@ -331,13 +323,16 @@ func Run(p *Plan, pool Pool) (*Result, error) {
 			switch ev.kind {
 			case evDone:
 				out.Assigned[ev.addr]++
+				if ev.resp.memo != nil {
+					out.IGP = ev.resp.memo
+				}
 				if !u.absorb(&ev.resp, len(p.Regions), out) {
 					u.copies, u.attempts = 0, 0 // a new pass: late copies of the old one are dropped by seq
 					ready = append(ready, u)
 					break
 				}
-				if p.Journal != nil && u.Kind == UnitRep {
-					if err := p.Journal.appendDone(u.Prefix, u.verdicts); err != nil {
+				if p.Journal != nil && u.members != nil {
+					if err := p.Journal.appendDone(u.prefix, u.verdicts, u.rec); err != nil {
 						abortErr = err
 						break
 					}
@@ -394,9 +389,9 @@ func Run(p *Plan, pool Pool) (*Result, error) {
 // passName names a pass in WorkerErrors.
 func passName(ps *pass) string {
 	if ps.region == "" {
-		return ps.u.Prefix
+		return ps.u.prefix
 	}
-	return ps.u.Prefix + "@" + ps.region
+	return ps.u.prefix + "@" + ps.region
 }
 
 // runExecutor is the one loop that hands passes to executors: it drives
@@ -459,7 +454,7 @@ func runExecutor(wg *sync.WaitGroup, e executor, req Request, opts Options, rng 
 			return
 		case ps = <-handout:
 		}
-		resp, appErr, connErr := e.do(ps, req, opts)
+		resp, appErr, connErr := e.do(ps.request(req), opts)
 		switch {
 		case connErr != nil:
 			// The connection died with the pass in hand: give the pass

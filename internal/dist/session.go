@@ -19,7 +19,11 @@
 //
 //	{"session":"s1","model":"ab12…","k":3,"classes":[["10.0.0.0/24","10.0.1.0/24"],…]}
 //	{"dispatched":"10.0.0.0/24"}
-//	{"done":"10.0.0.0/24","summaries":[…]}
+//	{"done":"10.0.0.0/24","summaries":[…],"record":{…}}
+//
+// A done line carries the class's Record when the plan that wrote it
+// captures (Plan.Capture). A plan that captures re-dispatches a class
+// whose done line has none, instead of refusing the journal.
 //
 // Only done records are fsync'd: a lost dispatched record merely loses
 // the "was in flight at the crash" annotation, never a result.
@@ -64,10 +68,12 @@ type journalRecord struct {
 	// fsync'd; informational).
 	Dispatched string `json:"dispatched,omitempty"`
 	// Done marks the class representative whose report completed;
-	// Summaries is that report. Appended and fsync'd before the
-	// scheduler counts the class finished.
+	// Summaries is that report, and Record the pass's record when the
+	// plan captures. Appended and fsync'd before the scheduler counts the
+	// class finished.
 	Done      string          `json:"done,omitempty"`
 	Summaries []RouterSummary `json:"summaries,omitempty"`
+	Record    *Record         `json:"record,omitempty"`
 }
 
 // Session is a journaled sweep session. Create one with NewSession (or
@@ -76,8 +82,7 @@ type journalRecord struct {
 type Session struct {
 	// KillAfter, when > 0, aborts the session with ErrSessionKilled after
 	// that many freshly journaled class completions — deterministic
-	// coordinator-crash injection for chaos tests and the recovery
-	// benchmark. Zero disables.
+	// coordinator-crash injection for the chaos tests. Zero disables.
 	KillAfter int
 
 	path   string
@@ -85,10 +90,10 @@ type Session struct {
 	header sessionHeader
 
 	mu         sync.Mutex
-	done       map[string][]RouterSummary // rep -> journaled report
-	doneOrder  []string                   // reps in journal completion order
-	dispatched map[string]bool            // reps with a dispatched record
-	fresh      int                        // completions journaled by this process
+	done       map[string]journalRecord // rep -> its done line
+	doneOrder  []string                 // reps in journal completion order
+	dispatched map[string]bool          // reps with a dispatched record
+	fresh      int                      // completions journaled by this process
 	killed     bool
 }
 
@@ -107,7 +112,7 @@ func NewSession(path, id string, k int, modelHash string, classes [][]string) (*
 	s := &Session{
 		path: path, f: f,
 		header:     sessionHeader{Session: id, Model: modelHash, K: k, Classes: classes},
-		done:       map[string][]RouterSummary{},
+		done:       map[string]journalRecord{},
 		dispatched: map[string]bool{},
 	}
 	if err := s.writeLine(s.header, true); err != nil {
@@ -131,7 +136,7 @@ func Resume(path string) (*Session, error) {
 	}
 	s := &Session{
 		path:       path,
-		done:       map[string][]RouterSummary{},
+		done:       map[string]journalRecord{},
 		dispatched: map[string]bool{},
 	}
 	valid := 0 // byte offset of the end of the last fully parsed line
@@ -164,7 +169,7 @@ func Resume(path string) (*Session, error) {
 				if _, dup := s.done[rec.Done]; !dup {
 					s.doneOrder = append(s.doneOrder, rec.Done)
 				}
-				s.done[rec.Done] = rec.Summaries
+				s.done[rec.Done] = rec
 			case rec.Dispatched != "":
 				s.dispatched[rec.Dispatched] = true
 			}
@@ -309,10 +314,11 @@ func (s *Session) appendDispatch(rep string) {
 	s.writeLine(journalRecord{Dispatched: rep}, false)
 }
 
-// appendDone journals a completed class report and fsyncs it — the
-// class-granularity durability point. When KillAfter is armed it crashes
-// the session after the configured number of fresh completions.
-func (s *Session) appendDone(rep string, summaries []RouterSummary) error {
+// appendDone journals a completed class report, with the pass's record
+// when it has one, and fsyncs it — the class-granularity durability
+// point. When KillAfter is armed it crashes the session after the
+// configured number of fresh completions.
+func (s *Session) appendDone(rep string, summaries []RouterSummary, rec *Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.killed {
@@ -321,13 +327,14 @@ func (s *Session) appendDone(rep string, summaries []RouterSummary) error {
 	if s.f == nil {
 		return fmt.Errorf("dist: session %s journal is closed", s.header.Session)
 	}
-	if err := s.writeLine(journalRecord{Done: rep, Summaries: summaries}, true); err != nil {
+	line := journalRecord{Done: rep, Summaries: summaries, Record: rec}
+	if err := s.writeLine(line, true); err != nil {
 		return err
 	}
 	if _, dup := s.done[rep]; !dup {
 		s.doneOrder = append(s.doneOrder, rep)
 	}
-	s.done[rep] = summaries
+	s.done[rep] = line
 	s.fresh++
 	if s.KillAfter > 0 && s.fresh >= s.KillAfter {
 		s.killed = true
@@ -339,11 +346,11 @@ func (s *Session) appendDone(rep string, summaries []RouterSummary) error {
 // admit opens a run of plan p under the journal: it refuses a plan the
 // journal was not written for (failure budget, model or class partition
 // drifted), settles every class the journal already holds a report for
-// without touching a worker, and returns the failure budget (the
-// journal's, which a plan K of 0 adopts) plus the units still to run —
-// including anything dispatched but unfinished at a crash, re-dispatched
-// exactly like a pass lost to worker death. The audits of a journaled
-// class do not run again.
+// — and, when p captures, a record — without touching a worker, and
+// returns the failure budget (the journal's, which a plan K of 0 adopts)
+// plus the units still to run — including anything dispatched but
+// unfinished at a crash, re-dispatched exactly like a pass lost to worker
+// death. The audits of a journaled class do not run again.
 func (s *Session) admit(p *Plan, units []*unit, out *Result) (int, []*unit, error) {
 	if p.K != 0 && p.K != s.header.K {
 		return 0, nil, fmt.Errorf("dist: session %s journaled k=%d but the run requested k=%d", s.header.Session, s.header.K, p.K)
@@ -365,19 +372,19 @@ func (s *Session) admit(p *Plan, units []*unit, out *Result) (int, []*unit, erro
 	defer s.mu.Unlock()
 	journaled := map[int]bool{} // by class
 	for _, u := range units {
-		if summ, ok := s.done[u.Prefix]; ok && u.Kind == UnitRep {
-			journaled[u.Class] = true
-			out.settle(u.members, summ)
+		if d, ok := s.done[u.prefix]; ok && u.members != nil && (d.Record != nil || !p.Capture) {
+			journaled[u.class] = true
+			out.settle(u.members, d.Summaries, d.Record)
 			out.Resumed++
 		}
 	}
 	var pending []*unit
 	for _, u := range units {
-		if journaled[u.Class] {
+		if journaled[u.class] {
 			continue
 		}
 		pending = append(pending, u)
-		if u.Kind == UnitRep && s.dispatched[u.Prefix] {
+		if _, done := s.done[u.prefix]; u.members != nil && s.dispatched[u.prefix] && !done {
 			out.Redispatched++
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"hoyan/internal/behavior"
@@ -73,7 +74,7 @@ func TestSessionJournalRoundTrip(t *testing.T) {
 	}
 	s.appendDispatch("10.0.0.0/24")
 	sums := []RouterSummary{{Router: "r1", Reachable: true, MinFailures: -1}}
-	if err := s.appendDone("10.0.0.0/24", sums); err != nil {
+	if err := s.appendDone("10.0.0.0/24", sums, nil); err != nil {
 		t.Fatal(err)
 	}
 	s.appendDispatch("10.1.0.0/24") // in flight at the "crash"
@@ -96,7 +97,7 @@ func TestSessionJournalRoundTrip(t *testing.T) {
 	if r.Redispatched() != 1 {
 		t.Fatalf("redispatched %d, want 1 (10.1.0.0/24 was in flight)", r.Redispatched())
 	}
-	if got := r.done["10.0.0.0/24"]; len(got) != 1 || got[0] != sums[0] {
+	if got := r.done["10.0.0.0/24"].Summaries; len(got) != 1 || got[0] != sums[0] {
 		t.Fatalf("journaled report round-trip: %+v", got)
 	}
 }
@@ -136,6 +137,76 @@ func TestSessionRefusesToOverwrite(t *testing.T) {
 	}
 }
 
+// A plan that captures, resuming a journal whose done lines carry no
+// record — written by a sweep that did not capture, or in the format of
+// a version whose lines never carry one — re-dispatches those classes
+// instead of refusing the journal, and journals them again with their
+// records: the next resume settles every class, record included, from
+// the journal.
+func TestResumeCaptureRedispatchesRecordlessDone(t *testing.T) {
+	w, err := gen.Generate(gen.Small())
+	if err != nil {
+		t.Fatal(err)
+	}
+	classes := modelClasses(t, w)
+	addrs, stop := startWorkers(t, w, 2)
+	defer stop()
+	coord := &Coordinator{Addrs: addrs, Opts: fastOpts()}
+	capturing := func(s *Session) *Plan {
+		p := classPlan(classes, 2, s)
+		p.Capture = true
+		return p
+	}
+
+	path := filepath.Join(t.TempDir(), "sweep.journal")
+	s, err := NewSession(path, "s1", 2, ModelHash(w.Net, w.Snap), classes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(classPlan(classes, 2, s), coord); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(raw), `"record"`) {
+		t.Fatal("a sweep that does not capture journaled records")
+	}
+
+	s, err = Resume(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(capturing(s), coord)
+	s.Close()
+	if err != nil {
+		t.Fatalf("a capturing plan refused a journal without records: %v", err)
+	}
+	if res.Resumed != 0 || res.Classes != len(classes) || res.Redispatched != 0 || len(res.Records) != len(classes) {
+		t.Fatalf("resumed %d, dispatched %d of %d classes (%d re-dispatched), %d records: want every class dispatched fresh with its record",
+			res.Resumed, res.Classes, len(classes), res.Redispatched, len(res.Records))
+	}
+
+	s, err = Resume(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	again, err := Run(capturing(s), coord)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Resumed != len(classes) || again.Classes != 0 {
+		t.Fatalf("resumed %d, dispatched %d: want all %d classes settled from the journal", again.Resumed, again.Classes, len(classes))
+	}
+	want, _ := json.Marshal(res.Records)
+	if got, _ := json.Marshal(again.Records); string(got) != string(want) {
+		t.Fatal("the records settled from the journal differ from the ones journaled")
+	}
+}
+
 // A crash between write and fsync can leave a half-written final line;
 // Resume must discard exactly that and keep everything before it.
 func TestResumeDiscardsTruncatedTail(t *testing.T) {
@@ -145,7 +216,7 @@ func TestResumeDiscardsTruncatedTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.appendDone("10.0.0.0/24", []RouterSummary{{Router: "r1", Reachable: true}}); err != nil {
+	if err := s.appendDone("10.0.0.0/24", []RouterSummary{{Router: "r1", Reachable: true}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -166,7 +237,7 @@ func TestResumeDiscardsTruncatedTail(t *testing.T) {
 		t.Fatalf("completed %d, want 1 (the half-written record is not a completion)", r.Completed())
 	}
 	// The damaged tail was truncated away; further appends start clean.
-	if err := r.appendDone("10.1.0.0/24", []RouterSummary{{Router: "r1", Reachable: true}}); err != nil {
+	if err := r.appendDone("10.1.0.0/24", []RouterSummary{{Router: "r1", Reachable: true}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	r.Close()

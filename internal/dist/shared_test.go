@@ -109,7 +109,7 @@ func TestWorkerReusesResidentMemo(t *testing.T) {
 	prefix := wa.Prefixes()[0].String()
 	ask := func(w *Worker, model, region string) Response {
 		t.Helper()
-		resp := w.answer(Request{Prefix: prefix, K: 2, Model: model, Region: region}, &connSim{}, nil)
+		resp := w.answer(Request{Prefix: prefix, K: 2, Model: model, Region: region}, &connSim{})
 		if resp.Error != "" {
 			t.Fatalf("model %.8s region %q: %s", model, region, resp.Error)
 		}
@@ -148,13 +148,13 @@ func TestWorkerReusesResidentMemo(t *testing.T) {
 	}
 	if n := count(func() {
 		for r := 0; r < pt.NumRegions(); r++ {
-			w.answer(Request{Prefix: prefix, K: 2, Model: hashB, Region: pt.RegionName(r)}, &connSim{}, nil)
+			w.answer(Request{Prefix: prefix, K: 2, Model: hashB, Region: pt.RegionName(r)}, &connSim{})
 		}
 	}); n != 0 {
 		t.Fatalf("region Shareds of the edited model ran %d propagations", n)
 	}
 	// Another failure budget is another key: nothing resident applies.
-	if n := count(func() { w.answer(Request{Prefix: prefix, K: 1, Model: hashB}, &connSim{}, nil) }); n == 0 {
+	if n := count(func() { w.answer(Request{Prefix: prefix, K: 1, Model: hashB}, &connSim{}) }); n == 0 {
 		t.Fatal("K=1 was served from RIBs built for K=2")
 	}
 }

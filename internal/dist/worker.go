@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"hoyan/internal/config"
 	"hoyan/internal/core"
 	"hoyan/internal/igp"
+	"hoyan/internal/logic"
 	"hoyan/internal/netaddr"
 	"hoyan/internal/topo"
 )
@@ -401,7 +403,8 @@ type connSim struct {
 	sh  *core.Shared
 	sim *core.Simulator
 	// recycle Resets the simulator before every pass it is reused for
-	// (in-process executors; DESIGN.md, "Recycling").
+	// (in-process executors; DESIGN.md, "Recycling"). Without it only a
+	// record pass Resets.
 	recycle bool
 }
 
@@ -421,7 +424,7 @@ func (w *Worker) handle(conn net.Conn) {
 		}
 		// A dead connection ends the handler on every path — an encode
 		// error must not leave us spinning decoding garbage.
-		if err := enc.Encode(w.answer(req, sim, nil)); err != nil {
+		if err := enc.Encode(w.answer(req, sim)); err != nil {
 			return
 		}
 	}
@@ -432,11 +435,10 @@ func (w *Worker) handle(conn net.Conn) {
 // summary) captures the prefix's cut summary into the response, an
 // import pass consumes the request's. A core refusal (*core.UnsoundCut)
 // answers with Refused, not Error — it is deterministic, so the unit
-// falls back to monolithic simulation instead of retrying. live, when
-// non-nil, sees the simulator's Result next to the finished response
-// while it is still valid (until the simulator's next pass); its error
-// becomes the response's.
-func (w *Worker) answer(req Request, cs *connSim, live func(*core.Result, *Response) error) Response {
+// falls back to monolithic simulation instead of retrying. Everything
+// the pass learned leaves in the response: the verdicts, and the Record
+// when the request asks for it.
+func (w *Worker) answer(req Request, cs *connSim) Response {
 	resp := Response{Prefix: req.Prefix, Region: req.Region}
 	fail := func(err error) Response {
 		resp.Error = err.Error()
@@ -453,7 +455,10 @@ func (w *Worker) answer(req Request, cs *connSim, live func(*core.Result, *Respo
 	switch {
 	case cs.sh != sh:
 		cs.sh, cs.sim = sh, sh.NewSimulatorFrom(cs.sim)
-	case cs.recycle:
+	case cs.recycle || req.Record:
+		// A record's export follows the factory's node ids (the operand
+		// order of every formula), so a record pass starts from an empty
+		// universe on every executor.
 		cs.sim.Reset()
 	}
 	t0 := time.Now()
@@ -477,12 +482,34 @@ func (w *Worker) answer(req Request, cs *connSim, live func(*core.Result, *Respo
 	}
 	resp.Elapsed = time.Since(t0)
 	resp.Summaries = summarize(res, sh.M, p, req.K, pt, ri)
-	if live != nil {
-		if err := live(res, &resp); err != nil {
-			return fail(err)
-		}
+	if req.Record {
+		resp.Record = record(res, sh.M, p, resp.Summaries)
 	}
 	return resp
+}
+
+// record exports what the pass learned beyond verdicts: the taint's
+// devices by name and its prefix universe, and the reachability
+// condition behind every verdict as one factory-independent Portable.
+func record(res *core.Result, model *core.Model, p netaddr.Prefix, verdicts []RouterSummary) *Record {
+	rec := &Record{}
+	t := res.Taint()
+	for _, id := range t.Nodes {
+		rec.TaintDevices = append(rec.TaintDevices, model.Net.Node(id).Name)
+	}
+	sort.Strings(rec.TaintDevices)
+	for _, q := range t.Universe {
+		rec.Universe = append(rec.Universe, q.String())
+	}
+	sort.Strings(rec.Universe)
+	if len(verdicts) > 0 {
+		conds := make([]logic.F, len(verdicts))
+		for i, v := range verdicts {
+			conds[i] = res.ReachCond(v.Node, core.AnyRouteTo(p))
+		}
+		rec.Conds = res.Sim.F.Export(conds...)
+	}
+	return rec
 }
 
 // summarize turns a simulation result into per-router verdicts, in the

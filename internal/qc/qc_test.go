@@ -142,7 +142,7 @@ func fabricateStore(t *testing.T) *hoyan.ResultStore {
 					{Router: "r1", Reachable: true, MinFailures: 2},
 					{Router: "r2", Reachable: true, MinFailures: -1},
 				},
-				Conds: f.Export(twoPath, logic.True),
+				Record: dist.Record{Conds: f.Export(twoPath, logic.True)},
 			},
 			{
 				Members: []string{"10.0.2.0/24"},
@@ -150,7 +150,7 @@ func fabricateStore(t *testing.T) *hoyan.ResultStore {
 					{Router: "r1", Reachable: true, MinFailures: 1},
 					{Router: "r2"},
 				},
-				Conds: f.Export(fragile, logic.False),
+				Record: dist.Record{Conds: f.Export(fragile, logic.False)},
 			},
 		},
 	}

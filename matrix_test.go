@@ -2,10 +2,12 @@ package hoyan
 
 import (
 	"crypto/sha256"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -29,6 +31,44 @@ func reportDigest(rep *SweepReport) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
+// loopbackPool serves n on count loopback TCP workers for the rest of
+// the test and returns the pool of them.
+func loopbackPool(t *testing.T, n *Network, count int) *dist.Coordinator {
+	t.Helper()
+	pool := &dist.Coordinator{}
+	for i := 0; i < count; i++ {
+		wk := dist.NewWorker(n.net, n.snap)
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() { done <- wk.Serve(ln) }()
+		t.Cleanup(func() {
+			wk.Close()
+			<-done
+		})
+		pool.Addrs = append(pool.Addrs, ln.Addr().String())
+	}
+	return pool
+}
+
+// storeBytes is the JSON of a store with its pass timings zeroed: the
+// bytes two captures of one network agree on.
+func storeBytes(t *testing.T, st *ResultStore) string {
+	t.Helper()
+	cp := *st
+	cp.Classes = slices.Clone(st.Classes)
+	for i := range cp.Classes {
+		cp.Classes[i].SimTime = 0
+	}
+	b, err := json.Marshal(&cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
 // TestSweepModeMatrix is the orthogonality pin of the sweep plan: every
 // combination of executors {2 in-process, 2 loopback TCP workers} ×
 // {monolithic, modular} × {cold, against a baseline captured before one
@@ -36,10 +76,12 @@ func reportDigest(rep *SweepReport) string {
 // plan run by the same scheduler, so every cell yields the verdict
 // digest of the cold monolithic in-process cell — and a journaled cell
 // resumes to it too, every dispatched class settled from the journal.
-// The only refused cells are baseline capture on remote executors or
-// with region passes: neither the wire nor a region pass carries the
-// whole-WAN taints and conditions a class record holds, and the error
-// says so.
+// Every capturing cell, fresh or resumed, captures the store of the cold
+// monolithic in-process cell byte for byte (pass timings aside): a class
+// record is built from what the passes answer, whichever executors ran
+// them. The only refused cells are capture with region passes: a region
+// pass does not see the whole-WAN taints and conditions a class record
+// holds, and the error says so.
 func TestSweepModeMatrix(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -95,34 +137,19 @@ func TestSweepModeMatrix(t *testing.T) {
 				classes = append(classes, c.MemberStrings())
 			}
 			hash := dist.ModelHash(n.net, n.snap)
-			var addrs []string
-			for i := 0; i < 2; i++ {
-				wk := dist.NewWorker(n.net, n.snap)
-				ln, err := net.Listen("tcp", "127.0.0.1:0")
-				if err != nil {
-					t.Fatal(err)
-				}
-				done := make(chan error, 1)
-				go func() { done <- wk.Serve(ln) }()
-				defer func() {
-					wk.Close()
-					<-done
-				}()
-				addrs = append(addrs, ln.Addr().String())
-			}
 			pools := []struct {
 				name string
 				pool dist.Pool
 			}{
 				{"in-process", dist.Local(2)},
-				{"tcp", &dist.Coordinator{Addrs: addrs}},
+				{"tcp", loopbackPool(t, n, 2)},
 			}
 
-			ref, err := n.Sweep(Options{K: tc.k}, 2)
+			ref, refStore, err := n.SweepBaseline(Options{K: tc.k}, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := reportDigest(ref)
+			want, wantStore := reportDigest(ref), storeBytes(t, refStore)
 
 			for _, pl := range pools {
 				for bits := 0; bits < 16; bits++ {
@@ -144,7 +171,7 @@ func TestSweepModeMatrix(t *testing.T) {
 					if journal != nil {
 						journal.Close()
 					}
-					if capture && (pl.name == "tcp" || modular) {
+					if capture && modular {
 						if err == nil || !strings.Contains(err.Error(), "baseline capture requires") {
 							t.Fatalf("%s: want the capture refusal, got %v", cell, err)
 						}
@@ -156,8 +183,8 @@ func TestSweepModeMatrix(t *testing.T) {
 					if got := reportDigest(rep); got != want {
 						t.Fatalf("%s: verdict digest %s, want %s", cell, got, want)
 					}
-					if capture && (store == nil || len(store.Classes) != len(classes)) {
-						t.Fatalf("%s: no complete store captured", cell)
+					if capture && storeBytes(t, store) != wantStore {
+						t.Fatalf("%s: captured store differs from the cold in-process capture", cell)
 					}
 					if modular && rep.Modular.Passes == 0 {
 						t.Fatalf("%s: no region pass ran", cell)
@@ -172,7 +199,7 @@ func TestSweepModeMatrix(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", cell, err)
 					}
-					again, _, err := n.SweepOver(opts, pl.pool, resumed, false)
+					again, againStore, err := n.SweepOver(opts, pl.pool, resumed, capture)
 					resumed.Close()
 					if err != nil {
 						t.Fatalf("%s: resume: %v", cell, err)
@@ -183,6 +210,9 @@ func TestSweepModeMatrix(t *testing.T) {
 					if again.Run.Resumed != rep.Run.Classes || again.Run.Classes != 0 {
 						t.Fatalf("%s: resume settled %d classes from the journal and dispatched %d, want %d and 0",
 							cell, again.Run.Resumed, again.Run.Classes, rep.Run.Classes)
+					}
+					if capture && storeBytes(t, againStore) != wantStore {
+						t.Fatalf("%s: store captured from the journal differs from the cold in-process capture", cell)
 					}
 				}
 

@@ -18,9 +18,10 @@ type ModularStats struct {
 	Regions int
 	// Passes counts restricted region passes executed (home + import).
 	Passes int
-	// Refused counts units (class representatives, audit members, replay
-	// audits) that fell back to monolithic simulation because a cut could
-	// not soundly express their behavior.
+	// Refused counts units (class representatives, audit members) that
+	// fell back to monolithic simulation because a cut could not soundly
+	// express their behavior. A replay audit runs monolithic from the
+	// start: it is compared with a record a monolithic pass made.
 	Refused int
 	// Predicted counts prefix classes the static pre-flight
 	// (internal/vet's cutsound analyzer) expected the cut to refuse,

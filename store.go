@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -15,7 +16,6 @@ import (
 	"hoyan/internal/core"
 	"hoyan/internal/dist"
 	"hoyan/internal/igp"
-	"hoyan/internal/logic"
 	"hoyan/internal/topo"
 )
 
@@ -23,13 +23,14 @@ import (
 // representative said, plus the dependency data an incremental sweep
 // needs to decide whether a model delta can change it: the per-router
 // verdicts the scheduler settled (everything a report, a replay audit and
-// the query plane's fixed answers are folded or read from), the
-// reachability conditions behind them as one factory-independent
-// logic.Portable, the devices the simulation actually consulted
-// (core.Taint) widened with every device the report names, and the
-// prefix universe of the run. A new model's classes are matched to
-// records by Members, not by behavior fingerprint: unrelated config edits
-// can rewrite every fingerprint string while preserving the partition.
+// the query plane's fixed answers are folded or read from) and the
+// pass's dist.Record — the reachability conditions behind the verdicts
+// as one factory-independent logic.Portable, the devices the simulation
+// actually consulted (core.Taint) widened here with every device the
+// report names, and the prefix universe of the run. A new model's classes
+// are matched to records by Members, not by behavior fingerprint:
+// unrelated config edits can rewrite every fingerprint string while
+// preserving the partition.
 type ClassRecord struct {
 	// Members are the class's prefixes, sorted — the record's identity.
 	Members []string `json:"members"`
@@ -39,18 +40,12 @@ type ClassRecord struct {
 	// answered (dist.Response.Summaries), stored as it was.
 	Verdicts []dist.RouterSummary `json:"verdicts"`
 	// SimTime is the pass's propagation time, replayed into
-	// PrefixSummary.SimTime.
+	// PrefixSummary.SimTime (none for a class resumed from a journal).
 	SimTime time.Duration `json:"sim_time_ns,omitempty"`
-	// TaintDevices are the captured taint set's devices, by name, sorted.
-	TaintDevices []string `json:"taint_devices"`
-	// Universe is the run's prefix universe (family members included).
-	Universe []string `json:"universe,omitempty"`
-	// Conds holds the representative's reachability condition at every
-	// verdict's router as one multi-root Portable (root i is the condition
-	// at Verdicts[i].Router), so shared sub-DAGs are stored once. The
+	// Record's Conds root i is the condition at Verdicts[i].Router. The
 	// query plane (internal/qc) lowers each root to a program; a replay
 	// audit re-checks the root at the record's anchor.
-	Conds *logic.Portable `json:"conds,omitempty"`
+	dist.Record
 }
 
 // StoredLink is one baseline topology link by endpoint names.
@@ -347,56 +342,25 @@ func (st *ResultStore) baselineModel(reg *behavior.Registry) (*core.Model, error
 	return core.Assemble(net, snap, reg)
 }
 
-// captureRecord builds the ClassRecord for a freshly simulated class
-// representative from the pass's verdicts. It must run while res is
-// still valid (before the simulator's next pass): the taint is copied
-// and the conditions exported into a factory-independent Portable here.
-func captureRecord(res *core.Result, m *core.Model, cls core.PrefixClass,
-	verdicts []dist.RouterSummary, simTime time.Duration) ClassRecord {
-	rec := ClassRecord{
-		Verdicts: append([]dist.RouterSummary(nil), verdicts...),
-		SimTime:  simTime,
-	}
-	for _, p := range cls.Members {
-		rec.Members = append(rec.Members, p.String())
-	}
-	sort.Strings(rec.Members)
-
-	t := res.Taint()
-	devs := map[string]bool{}
-	for _, id := range t.Nodes {
-		devs[m.Net.Node(id).Name] = true
-	}
-	// Widen with every device the report names: invalidation soundness
-	// then holds by construction — a report cannot mention a device
-	// outside its own record's taint.
+// newClassRecord builds the ClassRecord of a class (its members,
+// representative first) from what the sweep settled for the
+// representative: the verdicts, the pass's time and the Record it
+// answered with.
+func newClassRecord(members []string, verdicts []dist.RouterSummary, simTime time.Duration, pass *dist.Record) ClassRecord {
+	rec := ClassRecord{Members: slices.Sorted(slices.Values(members)), Verdicts: verdicts, SimTime: simTime, Record: *pass}
+	// Widen the taint with every device the report names: invalidation
+	// soundness then holds by construction — a report cannot mention a
+	// device outside its own record's taint.
+	devs := slices.Clone(pass.TaintDevices)
 	sum, viols := rec.Report("")
 	if sum.WeakestRouter != "" {
-		devs[sum.WeakestRouter] = true
+		devs = append(devs, sum.WeakestRouter)
 	}
 	for _, v := range viols {
-		devs[v.Router] = true
+		devs = append(devs, v.Router)
 	}
-	for d := range devs {
-		rec.TaintDevices = append(rec.TaintDevices, d)
-	}
-	sort.Strings(rec.TaintDevices)
-	for _, p := range t.Universe {
-		rec.Universe = append(rec.Universe, p.String())
-	}
-	sort.Strings(rec.Universe)
-
-	// Export the reachability condition behind every verdict as one
-	// multi-root Portable: the query plane lowers the roots to per-router
-	// programs, so "reachable from R under F" is answered by evaluation
-	// instead of simulation.
-	if len(verdicts) > 0 {
-		conds := make([]logic.F, len(verdicts))
-		for i, v := range verdicts {
-			conds[i] = res.ReachCond(v.Node, core.AnyRouteTo(cls.Rep))
-		}
-		rec.Conds = res.Sim.F.Export(conds...)
-	}
+	slices.Sort(devs)
+	rec.TaintDevices = slices.Compact(devs)
 	return rec
 }
 

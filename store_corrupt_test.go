@@ -21,16 +21,14 @@ func writeStore(t *testing.T, path string) *ResultStore {
 		Configs:     map[string]string{"A": "hostname A\n"},
 		Classes: []ClassRecord{
 			{
-				Members:      []string{"10.0.0.0/24"},
-				Verdicts:     []dist.RouterSummary{{Router: "A", Reachable: true, MinFailures: -1}},
-				TaintDevices: []string{"A"},
-				Conds:        conds,
+				Members:  []string{"10.0.0.0/24"},
+				Verdicts: []dist.RouterSummary{{Router: "A", Reachable: true, MinFailures: -1}},
+				Record:   dist.Record{TaintDevices: []string{"A"}, Conds: conds},
 			},
 			{
-				Members:      []string{"10.1.0.0/24", "10.1.1.0/24"},
-				Verdicts:     []dist.RouterSummary{{Router: "A", Reachable: true, MinFailures: 2}},
-				TaintDevices: []string{"A"},
-				Conds:        conds,
+				Members:  []string{"10.1.0.0/24", "10.1.1.0/24"},
+				Verdicts: []dist.RouterSummary{{Router: "A", Reachable: true, MinFailures: 2}},
+				Record:   dist.Record{TaintDevices: []string{"A"}, Conds: conds},
 			},
 		},
 	}

@@ -1,17 +1,17 @@
 package hoyan
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"hoyan/internal/behavior"
 	"hoyan/internal/core"
 	"hoyan/internal/dist"
-	"hoyan/internal/igp"
+	"hoyan/internal/logic"
 )
 
 // PrefixSummary is the per-prefix outcome of a full sweep.
@@ -115,11 +115,11 @@ func (n *Network) SweepBaseline(opts Options, workers int) (*SweepReport, *Resul
 //   - journal makes the sweep a crash-safe session (dist.Session).
 //   - capture returns the baseline store of SweepBaseline.
 //
-// What is refused is refused on one data ground: a class record holds
-// the whole-WAN taint set and portable conditions of a live simulation,
-// which neither the wire (a remote pool) nor a region pass (Modular)
-// carries and a journal being resumed did not keep, so capture needs
-// in-process monolithic passes of every class it records.
+// Every class record is built from what the passes answered
+// (dist.Record), on whichever executors they ran, fresh or resumed. One
+// combination is refused: capture with Modular, since a class record
+// holds the whole-WAN taint set and conditions of one pass, and a region
+// pass sees one region.
 func (n *Network) SweepOver(opts Options, pool dist.Pool, journal *dist.Session, capture bool) (*SweepReport, *ResultStore, error) {
 	if len(n.errs) > 0 {
 		return nil, nil, n.errs[0]
@@ -153,14 +153,8 @@ func (o Options) resolve() (Options, *behavior.Registry, core.Options) {
 func (n *Network) sweepClasses(opts Options, model *core.Model, classes []core.PrefixClass,
 	pool dist.Pool, journal *dist.Session, capture bool) (*SweepReport, *ResultStore, error) {
 	opts, reg, copts := opts.resolve()
-	_, remote := pool.(*dist.Coordinator)
-	switch {
-	case capture && remote:
-		return nil, nil, fmt.Errorf("hoyan: baseline capture requires in-process executors (the wire does not carry a pass's taint set and conditions)")
-	case capture && opts.Modular:
+	if capture && opts.Modular {
 		return nil, nil, fmt.Errorf("hoyan: baseline capture requires monolithic simulation (a region pass does not see the whole-WAN taint set and conditions; Modular is set)")
-	case capture && journal != nil && journal.Completed() > 0:
-		return nil, nil, fmt.Errorf("hoyan: baseline capture requires a fresh sweep (the journal being resumed holds verdicts, not the taint sets and conditions of the classes it settles)")
 	}
 	rep := &SweepReport{Classes: len(classes), Run: &dist.Result{}}
 	if len(classes) == 0 {
@@ -182,7 +176,7 @@ func (n *Network) sweepClasses(opts Options, model *core.Model, classes []core.P
 	// must refuse it, and multi-model workers would otherwise run an
 	// unhashed pass against whichever model is their default.
 	plan := &dist.Plan{K: opts.K, ModelHash: dist.ModelHash(n.net, n.snap), Journal: journal,
-		Model: model, Sim: copts, Classes: make([]dist.Class, len(classes))}
+		Model: model, Sim: copts, Classes: make([]dist.Class, len(classes)), Capture: capture}
 	if opts.Baseline != nil {
 		plan.IGP = opts.Baseline.igp
 	}
@@ -213,31 +207,6 @@ func (n *Network) sweepClasses(opts Options, model *core.Model, classes []core.P
 				}
 			}
 		}
-	}
-
-	// What only a live simulation can give: class records with the IGP
-	// memo they were simulated on, and the condition half of a replay
-	// audit. Each unit's passes run one at a time and units own distinct
-	// slots, so the hook needs no lock — but for the memo, which every
-	// captured pass reports and all of them share.
-	var captured []*ClassRecord
-	if capture {
-		captured = make([]*ClassRecord, len(classes))
-	}
-	var memo atomic.Pointer[igp.Memo]
-	anchored := make([]bool, len(classes))
-	plan.Live = func(u dist.Unit, res *core.Result, resp *dist.Response) error {
-		switch {
-		case u.Kind == dist.UnitRep && captured != nil:
-			rec := captureRecord(res, model, classes[u.Class], resp.Summaries, resp.Elapsed)
-			captured[u.Class] = &rec
-			memo.Store(res.Sim.IGP.Seeded())
-		case u.Kind == dist.UnitAudit && plan.Classes[u.Class].Replayed:
-			ok, err := auditCond(incr.records[u.Class], classes[u.Class], res, resp)
-			anchored[u.Class] = anchored[u.Class] || ok
-			return err
-		}
-		return nil
 	}
 
 	start := time.Now()
@@ -287,8 +256,8 @@ func (n *Network) sweepClasses(opts Options, model *core.Model, classes []core.P
 				switch rec := incr.records[i]; {
 				case err != nil:
 					err = fmt.Errorf("hoyan: incremental replay audit: stale cached report: %w", err)
-				case !remote && rec.Conds != nil && !anchored[i]:
-					err = fmt.Errorf("hoyan: incremental replay audit for %s: no pass covered the condition anchor %q", a, rec.Verdicts[rec.anchor()].Router)
+				case rec.Conds != nil:
+					err = auditCond(rec, a, got, res.Records[a], model)
 				}
 			}
 			if err != nil {
@@ -307,20 +276,20 @@ func (n *Network) sweepClasses(opts Options, model *core.Model, classes []core.P
 	var store *ResultStore
 	if capture {
 		store = newStoreShell(n, opts)
-		// When every class was replayed nothing built a memo; the one the
+		// When no pass ran in-process nothing reported a memo; the one the
 		// plan started from stays the best there is.
-		if store.igp = memo.Load(); store.igp == nil {
-			store.igp = plan.IGP
-		}
-		for i, cls := range classes {
-			rec := captured[i]
-			if rec == nil && plan.Classes[i].Replayed {
-				rec = incr.records[i] // carried forward unchanged
+		store.igp = cmp.Or(res.IGP, plan.IGP)
+		for i, c := range plan.Classes {
+			if c.Replayed {
+				store.Classes = append(store.Classes, *incr.records[i]) // carried forward unchanged
+				continue
 			}
-			if rec == nil {
-				return nil, nil, fmt.Errorf("hoyan: internal: no record captured for class %d (%s)", i, cls.Rep)
+			r := c.Members[0]
+			pass := res.Records[r]
+			if pass == nil {
+				return nil, nil, fmt.Errorf("hoyan: no record captured for class %d (%s)", i, r)
 			}
-			store.Classes = append(store.Classes, *rec)
+			store.Classes = append(store.Classes, newClassRecord(c.Members, res.ByPrefix[r], res.SimTime[r], pass))
 		}
 	}
 	return rep, store, nil
@@ -373,25 +342,23 @@ func scanVerdicts(vs []dist.RouterSummary) (minIdx, nviol int) {
 	return minIdx, nviol
 }
 
-// auditCond is the condition half of a replay audit: when the pass
-// covers the record's anchor router, the stored condition root there
-// must still be equivalent to the fresh reachability condition. It
-// reports whether the pass covered the anchor.
-func auditCond(rec *ClassRecord, cls core.PrefixClass, res *core.Result, resp *dist.Response) (bool, error) {
-	if rec.Conds == nil {
-		return false, nil
-	}
+// auditCond is the condition half of a replay audit of prefix p: the
+// stored condition root at the record's anchor router must still be
+// equivalent to the root there of the audit pass's record (fresh, whose
+// roots follow the audit's verdicts got). Both are imported into one new
+// factory over the model's variable order and compared there.
+func auditCond(rec *ClassRecord, p string, got []dist.RouterSummary, fresh *dist.Record, model *core.Model) error {
 	a := rec.anchor()
 	router := rec.Verdicts[a].Router
-	i := slices.IndexFunc(resp.Summaries, func(s dist.RouterSummary) bool { return s.Router == router })
-	if i < 0 {
-		return false, nil // the anchor lies in another region's pass
+	i := slices.IndexFunc(got, func(s dist.RouterSummary) bool { return s.Router == router })
+	if i < 0 || fresh == nil || fresh.Conds == nil {
+		return fmt.Errorf("hoyan: incremental replay audit for %s: no pass covered the condition anchor %q", p, router)
 	}
-	fresh := res.ReachCond(resp.Summaries[i].Node, core.AnyRouteTo(cls.Rep))
-	if !res.Sim.F.Equivalent(rec.Conds.Import(res.Sim.F)[a], fresh) {
-		return true, fmt.Errorf("hoyan: incremental replay audit for %s: stored reachability condition at %s no longer equivalent to fresh simulation", cls.Rep, router)
+	f := logic.NewFactoryOrdered(model.Net.VarOrder())
+	if !f.Equivalent(rec.Conds.Import(f)[a], fresh.Conds.Import(f)[i]) {
+		return fmt.Errorf("hoyan: incremental replay audit for %s: stored reachability condition at %s no longer equivalent to fresh simulation", p, router)
 	}
-	return true, nil
+	return nil
 }
 
 // diffAudit compares the report an audited prefix's fully simulated
