@@ -52,16 +52,20 @@ benchmark-module:
 # chaos re-runs the crash-recovery and multi-session suite under the race
 # detector: the faultnet × kill-point matrix (coordinator killed
 # mid-sweep, resumed, byte-compared against an uninterrupted run),
-# journal resume semantics, interleaved sessions over a shared worker
-# pool, and the Shared LRU building outside its lock — then the root
-# package's TestSweepModeMatrix, the one sweep test that drives loopback
-# TCP workers, a journal and baseline capture together. `race` already
-# runs every one of these once, so `check` does not depend on this
-# target: it is the line to re-run when a failure names a seed (the seed
-# is printed in every failure message), as CHAOS_SEED=<seed> make chaos.
+# journal semantics (OpenSession's reader, admit's header and its
+# refusals), interleaved sessions over a shared worker pool, and the
+# Shared LRU building outside its lock — then the root package's
+# TestSweepModeMatrix, the one sweep test that drives loopback TCP
+# workers, a journal and baseline capture together, and the CLI's
+# journaled sweeps (killed, then resumed by re-running the command).
+# `race` already runs every one of these once, so `check` does not
+# depend on this target: it is the line to re-run when a failure names a
+# seed (the seed is printed in every failure message), as
+# CHAOS_SEED=<seed> make chaos.
 chaos: determinism
-	$(GO) test -race -run 'Chaos|Session|Resume|Interleaved|LRU|ModelHash|SharedBuild|ResidentMemo' ./internal/dist/
-	$(GO) test -race -run 'TestSweepModeMatrix' .
+	$(GO) test -race -run 'Chaos|Session|Resume|Admit|Interleaved|LRU|ModelHash|SharedBuild|ResidentMemo' ./internal/dist/
+	$(GO) test -race -run 'TestSweepModeMatrix|TestSweepJournal' .
+	$(GO) test -race -run 'TestSweepJournal' ./cmd/hoyan/
 
 # determinism runs the parallel IGP memo build ten times over under the
 # race detector — the one repetition `race` (a single pass) does not give
@@ -86,8 +90,13 @@ scale-smoke:
 # and shake out shallow parser regressions without turning CI into a
 # fuzzing campaign. FuzzParse is the config parser's: no input panics it,
 # and an accepted config's canonical text re-parses to the same text.
+# FuzzOpenSession is the sweep journal reader's, the decoder of a file a
+# crash left behind: no input panics it, an accepted journal reopens to
+# the same state, and a valid journal cut anywhere opens with a prefix of
+# its completions.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/config/
+	$(GO) test -run='^$$' -fuzz='^FuzzOpenSession$$' -fuzztime=10s ./internal/dist/
 	$(GO) test -run='^$$' -fuzz=FuzzPortableDecode -fuzztime=10s ./internal/logic/
 	$(GO) test -run='^$$' -fuzz=FuzzCollectorLine -fuzztime=10s ./internal/collector/
 	$(GO) test -run='^$$' -fuzz=FuzzCompiledEval -fuzztime=10s ./internal/qc/

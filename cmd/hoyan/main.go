@@ -61,12 +61,10 @@ commands:
                                                 members and replayed classes and
                                                 fail on divergence
           [-journal FILE]                       crash-safe sweep session: journal
-                                                class completions to FILE so a
-                                                killed sweep can resume
-          [-resume]                             resume the -journal session:
-                                                settle journaled classes, dispatch
+                                                class completions to FILE; when
+                                                FILE exists (a killed sweep's),
+                                                settle its classes and dispatch
                                                 only the remainder
-          [-session ID]                         session id recorded in the journal
           [-save-baseline FILE]                 also capture a baseline store
                                                 (reports, taints, portable
                                                 conditions); a record is one
@@ -116,9 +114,7 @@ func main() {
 	threads := fs.Int("threads", 0, "sweep: in-process executors when no -workers given (0 = GOMAXPROCS)")
 	jsonOut := fs.Bool("json", false, "vet: emit machine-readable diagnostics instead of text")
 	only := fs.String("only", "", "vet: comma-separated analyzer names to run (default: all)")
-	journal := fs.String("journal", "", "sweep: journal class completions to this file (crash-safe session)")
-	resume := fs.Bool("resume", false, "sweep: resume the -journal session instead of starting fresh")
-	sessionID := fs.String("session", "", "sweep: session id recorded in the journal (default derived from pid)")
+	journal := fs.String("journal", "", "sweep: journal class completions to this file (crash-safe session); an existing journal resumes")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	fs.Parse(os.Args[2:])
@@ -282,9 +278,6 @@ func main() {
 			exit(1)
 		}
 	case "sweep":
-		if *resume && *journal == "" {
-			fail("-resume needs -journal")
-		}
 		dopts.MaxAttempts = *retries
 		dopts.RequestTimeout = *reqTimeout
 		dopts.DialTimeout = *dialTimeout
@@ -292,7 +285,7 @@ func main() {
 		dopts.AllowPartial = *partial
 		rep, err := sweep(net, snap, sweepFlags{
 			k: *k, modular: *modular, auditSample: *auditSample, baseline: *baseline, saveBaseline: *saveBaseline,
-			workers: *workers, threads: *threads, journal: *journal, resume: *resume, session: *sessionID, dist: dopts,
+			workers: *workers, threads: *threads, journal: *journal, dist: dopts,
 		})
 		if err != nil {
 			fail(err.Error())
@@ -400,9 +393,7 @@ type sweepFlags struct {
 	saveBaseline string
 	workers      string // remote worker addresses; empty = in-process executors
 	threads      int
-	journal      string
-	resume       bool
-	session      string
+	journal      string // crash-safe session journal; an existing one resumes
 	dist         dist.Options
 }
 
@@ -420,10 +411,15 @@ func sweep(net *topo.Network, snap config.Snapshot, f sweepFlags) (*hoyan.SweepR
 	var journal *dist.Session
 	if f.journal != "" {
 		var err error
-		if journal, err = openJournal(net, snap, f); err != nil {
+		if journal, err = dist.OpenSession(f.journal); err != nil {
 			return nil, err
 		}
 		defer journal.Close()
+		if n := journal.Completed(); n > 0 {
+			fmt.Printf("resuming journal %s: %d classes journaled done\n", f.journal, n)
+		} else {
+			fmt.Printf("journaling class completions to %s\n", f.journal)
+		}
 	}
 	var pool dist.Pool = dist.Local(f.threads)
 	if f.workers != "" {
@@ -437,7 +433,7 @@ func sweep(net *topo.Network, snap config.Snapshot, f sweepFlags) (*hoyan.SweepR
 			fmt.Fprintln(os.Stderr, "hoyan: removing completed journal:", rmErr)
 		}
 	default:
-		fmt.Printf("journal kept at %s; resume with: hoyan sweep ... -journal %s -resume\n", f.journal, f.journal)
+		fmt.Printf("journal kept at %s; re-run the sweep with -journal %s to resume\n", f.journal, f.journal)
 	}
 	if err != nil {
 		return nil, err
@@ -449,35 +445,6 @@ func sweep(net *topo.Network, snap config.Snapshot, f sweepFlags) (*hoyan.SweepR
 		fmt.Printf("baseline written to %s (%d classes)\n", f.saveBaseline, len(store.Classes))
 	}
 	return rep, nil
-}
-
-// openJournal creates the sweep's session journal, or reopens it with
-// -resume: every class completion is fsync'd to it before it is
-// counted, so a killed sweep resumes by re-simulating only the classes
-// the journal does not cover.
-func openJournal(net *topo.Network, snap config.Snapshot, f sweepFlags) (*dist.Session, error) {
-	if f.resume {
-		s, err := dist.Resume(f.journal)
-		if err == nil {
-			fmt.Printf("resuming session %s: %d/%d classes journaled done, %d were in flight at the crash\n",
-				s.ID(), s.Completed(), len(s.Classes()), s.Redispatched())
-		}
-		return s, err
-	}
-	m, err := core.Assemble(net, snap, behavior.TrueProfiles())
-	if err != nil {
-		return nil, err
-	}
-	var classes [][]string
-	for _, c := range m.Classes() {
-		classes = append(classes, c.MemberStrings())
-	}
-	id := f.session
-	if id == "" {
-		id = fmt.Sprintf("sweep-%d", os.Getpid())
-	}
-	fmt.Printf("session %s: journaling %d behavior classes to %s\n", id, len(classes), f.journal)
-	return dist.NewSession(f.journal, id, f.k, dist.ModelHash(net, snap), classes)
 }
 
 // printSweep prints a sweep's report and returns the exit code

@@ -18,6 +18,7 @@ import (
 
 	"hoyan"
 	"hoyan/internal/config"
+	"hoyan/internal/core"
 	"hoyan/internal/dist"
 	"hoyan/internal/gen"
 	"hoyan/internal/httpapi"
@@ -125,6 +126,70 @@ func TestSweepFlagsReachThePlan(t *testing.T) {
 	if _, err := sweep(w.Net, snap, sweepFlags{k: 2, modular: true, saveBaseline: filepath.Join(dir, "b2.json")}); err == nil ||
 		!strings.Contains(err.Error(), "monolithic") {
 		t.Fatalf("-save-baseline with -modular: %v", err)
+	}
+}
+
+// TestSweepJournalAssemblesOnce: a journaled sweep assembles the model
+// once, for the plan, which then writes the journal's header; nothing
+// assembles it a second time to list the classes.
+func TestSweepJournalAssemblesOnce(t *testing.T) {
+	w, err := gen.Generate(gen.Small())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := core.AssembleCalls()
+	if _, err := sweep(w.Net, w.Snap, sweepFlags{k: 1, threads: 2, journal: filepath.Join(t.TempDir(), "sweep.journal")}); err != nil {
+		t.Fatal(err)
+	}
+	if got := core.AssembleCalls() - before; got != 1 {
+		t.Fatalf("a journaled sweep assembled the model %d times, want 1", got)
+	}
+}
+
+// TestSweepJournalResumesOnRerun: re-running a killed sweep with the
+// same -journal and no other flag resumes it — classes journaled before
+// the kill settle from the journal — and reports what an uninterrupted
+// sweep does.
+func TestSweepJournalResumesOnRerun(t *testing.T) {
+	w, err := gen.Generate(gen.Small())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sweep(w.Net, w.Snap, sweepFlags{k: 1, threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(t.TempDir(), "sweep.journal")
+	killed, err := dist.OpenSession(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	killed.KillAfter = 2
+	_, _, err = hoyan.NetworkFrom(w.Net, w.Snap).SweepOver(hoyan.Options{K: 1}, dist.Local(2), killed, false)
+	killed.Close()
+	if !errors.Is(err, dist.ErrSessionKilled) {
+		t.Fatalf("want the injected crash, got %v", err)
+	}
+
+	got, err := sweep(w.Net, w.Snap, sweepFlags{k: 1, threads: 2, journal: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Run.Resumed != 2 || got.Run.Classes != got.Classes-2 {
+		t.Fatalf("the re-run settled %d classes from the journal and dispatched %d of %d: want 2 and the rest",
+			got.Run.Resumed, got.Run.Classes, got.Classes)
+	}
+	for _, r := range []*hoyan.SweepReport{want, got} {
+		for i := range r.Prefixes {
+			r.Prefixes[i].SimTime = 0
+		}
+	}
+	if a, b := fmt.Sprint(got.Prefixes, got.Violations), fmt.Sprint(want.Prefixes, want.Violations); a != b {
+		t.Fatalf("the resumed report differs from the uninterrupted one:\n%s\n%s", a, b)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("the journal of the completed session is still there: %v", err)
 	}
 }
 

@@ -242,16 +242,22 @@ func TestAuditPacketGaps(t *testing.T) {
 	}
 }
 
-func TestNaiveVsTunedProfiles(t *testing.T) {
-	// A beta device whose default-permit-unmatched route policy only
-	// shows with tuned profiles.
+// betaPermitNet is a two-router network whose verdict depends on the
+// behavior registry: dst is a beta device whose route policy matches
+// nothing the route carries, and only beta's true profile permits what
+// a policy leaves unmatched.
+func betaPermitNet() *Network {
 	n := NewNetwork()
 	n.AddRouter(Router{Name: "src", AS: 100, Vendor: "alpha"})
 	n.AddRouter(Router{Name: "dst", AS: 200, Vendor: "beta"})
 	n.AddLink("src", "dst", 10)
 	n.SetConfig("src", "hostname src\nrouter bgp 100\n network 10.0.0.0/8\n neighbor dst remote-as 200\n")
 	n.SetConfig("dst", "hostname dst\nvendor beta\nrouter bgp 200\n neighbor src remote-as 100\n neighbor src route-policy P in\nroute-policy P permit 10\n match community 9:9\n")
+	return n
+}
 
+func TestNaiveVsTunedProfiles(t *testing.T) {
+	n := betaPermitNet()
 	vTuned, err := n.Verifier(Options{Profiles: TunedProfiles()})
 	if err != nil {
 		t.Fatal(err)

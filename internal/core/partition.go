@@ -80,12 +80,32 @@ func (pt *Partition) RegionIndex(name string) int {
 }
 
 // FamilyHome returns the single region originating prefix p's family:
-// the region of every node holding an overlapping BGP origin or an
-// overlapping static for the family. It refuses when the origins span
-// regions (the summary cannot express a multi-homed cut soundly — the
-// class falls back to monolithic simulation) or when nothing originates
-// the family at all.
+// the region of every node FamilyOrigins names. It refuses when the
+// origins span regions (the summary cannot express a multi-homed cut
+// soundly — the class falls back to monolithic simulation) or when
+// nothing originates the family at all.
 func (pt *Partition) FamilyHome(m *Model, p netaddr.Prefix) (int, error) {
+	home := -1
+	for _, id := range m.FamilyOrigins(p) {
+		r := pt.nodeRegion[id]
+		if r < 0 {
+			return -1, fmt.Errorf("core: modular: %s originates in region-less node %q", p, m.Net.Node(id).Name)
+		}
+		if home >= 0 && home != r {
+			return -1, fmt.Errorf("core: modular: family of %s originates in both %s and %s", p, pt.regions[home], pt.regions[r])
+		}
+		home = r
+	}
+	if home < 0 {
+		return -1, fmt.Errorf("core: modular: nothing originates the family of %s", p)
+	}
+	return home, nil
+}
+
+// FamilyOrigins lists, in node order, every node holding a BGP origin or
+// a static overlapping prefix p's family: the nodes whose regions decide
+// the family's home (FamilyHome, and the vet analyzer predicting it).
+func (m *Model) FamilyOrigins(p netaddr.Prefix) []topo.NodeID {
 	family := m.PrefixFamily(p)
 	overlaps := func(q netaddr.Prefix) bool {
 		for _, fp := range family {
@@ -95,7 +115,7 @@ func (pt *Partition) FamilyHome(m *Model, p netaddr.Prefix) (int, error) {
 		}
 		return false
 	}
-	home := -1
+	var out []topo.NodeID
 	origins := m.Origins()
 	for id := range m.Devices {
 		related := false
@@ -113,22 +133,11 @@ func (pt *Partition) FamilyHome(m *Model, p netaddr.Prefix) (int, error) {
 				}
 			}
 		}
-		if !related {
-			continue
+		if related {
+			out = append(out, topo.NodeID(id))
 		}
-		r := pt.nodeRegion[id]
-		if r < 0 {
-			return -1, fmt.Errorf("core: modular: %s originates in region-less node %q", p, m.Net.Node(topo.NodeID(id)).Name)
-		}
-		if home >= 0 && home != r {
-			return -1, fmt.Errorf("core: modular: family of %s originates in both %s and %s", p, pt.regions[home], pt.regions[r])
-		}
-		home = r
 	}
-	if home < 0 {
-		return -1, fmt.Errorf("core: modular: nothing originates the family of %s", p)
-	}
-	return home, nil
+	return out
 }
 
 // CutMemo is the memo of the IGP destinations behind every cross-region

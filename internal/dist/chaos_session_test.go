@@ -132,7 +132,7 @@ func TestChaosMatrixCoordinatorKillResume(t *testing.T) {
 			}
 
 			journal := filepath.Join(t.TempDir(), "chaos.journal")
-			s1, err := NewSession(journal, "chaos", 2, ModelHash(w.Net, w.Snap), classes)
+			s1, err := OpenSession(journal)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,13 +143,13 @@ func TestChaosMatrixCoordinatorKillResume(t *testing.T) {
 				t.Fatalf("seed %d: expected injected coordinator death, got %v", seed, runErr)
 			}
 
-			s2, err := Resume(journal)
+			s2, err := OpenSession(journal)
 			if err != nil {
 				t.Fatalf("seed %d: resume: %v", seed, err)
 			}
 			defer s2.Close()
-			if err := s2.MatchesClasses(classes); err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
+			if err := s2.header.admits(sessionHeader{K: 2, Classes: classes}); err != nil {
+				t.Fatalf("seed %d: the journal's header is not the plan's: %v", seed, err)
 			}
 			if s2.Completed() != kp {
 				t.Fatalf("seed %d: journal holds %d completions, want exactly %d (fsync-at-class granularity)",

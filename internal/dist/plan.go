@@ -14,7 +14,8 @@ import (
 // Its parts are orthogonal by construction: any mix of replayed classes,
 // audits, region passes and a journal is the same scheduler run.
 type Plan struct {
-	// K is the failure budget of every pass (0 adopts the journal's).
+	// K is the failure budget of every pass. A journal written for
+	// another budget refuses the plan.
 	K int
 	// ModelHash fingerprints (ModelHash) the model the plan verifies.
 	// Remote workers run every pass against the model registered under it
@@ -26,15 +27,17 @@ type Plan struct {
 	// Regions names the regions of the model's partition, in partition
 	// order. Empty means monolithic: every unit is one whole-WAN pass.
 	Regions []string
-	// Journal, when set, makes the run a crash-safe session: a class
-	// whose report the journal already holds settles from it, and every
-	// other class's report is journaled (and fsync'd) before it settles.
+	// Journal, when set, makes the run a crash-safe session: a fresh
+	// journal gets the plan's ModelHash, K and class partition as its
+	// header, a class whose report the journal already holds settles from
+	// it, and every other class's report is journaled (and fsync'd)
+	// before it settles.
 	Journal *Session
 
-	// Model and Sim bind the plan to an assembled model for in-process
-	// executors (Local); remote workers resolve ModelHash.
+	// Model binds the plan to an assembled model for in-process executors
+	// (Local), which simulate it under core.DefaultOptions at budget K, as
+	// remote workers do the model they resolve ModelHash to.
 	Model *core.Model
-	Sim   core.Options
 	// IGP is an IGP memo the caller kept from an earlier sweep, nil when it
 	// has none. In-process executors start from it: a Shared whose model
 	// reads the same IGP inputs (igp.Key) shares its RIBs and propagates

@@ -136,7 +136,7 @@ func (l Local) open(p *Plan, units int) ([]executor, Options, error) {
 	// given — and each keeps its own simulator, Reset before every pass
 	// it is reused for. (A remote worker's connection Resets its own only
 	// before a record pass: DESIGN.md, "Recycling".)
-	src := &modelSource{model: p.Model, opts: p.Sim}
+	src := &modelSource{model: p.Model}
 	src.once.Do(func() {})
 	w := newWorker(src, p.ModelHash)
 	w.carried, w.memoWorkers = p.IGP, cpus
@@ -211,11 +211,10 @@ func Run(p *Plan, pool Pool) (*Result, error) {
 		WorkerErrors: map[string][]string{},
 		Refusals:     map[string]string{},
 	}
-	units := p.units()
-	k, pending := p.K, units
+	pending := p.units()
 	if p.Journal != nil {
 		var err error
-		if k, pending, err = p.Journal.admit(p, units, out); err != nil {
+		if pending, err = p.Journal.admit(p, pending, out); err != nil {
 			return nil, err
 		}
 	}
@@ -233,7 +232,7 @@ func Run(p *Plan, pool Pool) (*Result, error) {
 		}
 	}
 
-	req := Request{K: k, Model: p.ModelHash}
+	req := Request{K: p.K, Model: p.ModelHash}
 	handout := make(chan *pass)
 	events := make(chan event, len(execs)*2) // an executor's requeue + dead pair never blocks on a busy scheduler
 	stop := make(chan struct{})

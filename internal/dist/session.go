@@ -1,23 +1,23 @@
 // Sweep sessions: a crash-safe unit of distributed verification.
 //
-// PR 1 made worker death survivable by re-queueing in-flight jobs; a
-// Session extends the same machinery to coordinator death. The
-// coordinator appends a per-session job journal — session id, K, model
-// hash, the full class membership, and one record per class
-// as its state changes (dispatched, then done with the completed report)
-// — to an append-only JSON-lines file, fsync'd at class granularity (a
-// class's report is durable before the scheduler settles it). Resume
-// reads the journal back, tolerating exactly the damage a crash can
-// cause (a truncated final line), reconstructs the ready queue from the
-// unfinished classes, and Run (with the session as the plan's Journal)
-// settles completed classes from their journaled reports while
-// dispatching only the remainder. The
-// resumed result is byte-identical to an uninterrupted run because
+// Re-queueing in-flight passes makes worker death survivable; a Session
+// extends the same machinery to coordinator death. A journal is
+// the plan written down: the run that takes a fresh session as its
+// plan's Journal writes the plan's model hash, K and class partition as
+// the header, then appends one record per class as its state changes
+// (dispatched, then done with the completed report) to an append-only
+// JSON-lines file, fsync'd at class granularity (a class's report is
+// durable before the scheduler settles it). Opening an existing journal
+// resumes it: OpenSession reads it back, tolerating exactly the damage a
+// crash can cause (a truncated final line), and Run settles completed
+// classes from their journaled reports while dispatching only the
+// remainder — after refusing a plan of another model, K or partition.
+// The resumed result is byte-identical to an uninterrupted run because
 // per-class reports are deterministic and replication is exact.
 //
 // Journal format (one JSON value per line):
 //
-//	{"session":"s1","model":"ab12…","k":3,"classes":[["10.0.0.0/24","10.0.1.0/24"],…]}
+//	{"model":"ab12…","k":3,"classes":[["10.0.0.0/24","10.0.1.0/24"],…]}
 //	{"dispatched":"10.0.0.0/24"}
 //	{"done":"10.0.0.0/24","summaries":[…],"record":{…}}
 //
@@ -25,8 +25,9 @@
 // captures (Plan.Capture). A plan that captures re-dispatches a class
 // whose done line has none, instead of refusing the journal.
 //
-// Only done records are fsync'd: a lost dispatched record merely loses
-// the "was in flight at the crash" annotation, never a result.
+// Only the header and done records are fsync'd: a lost dispatched record
+// merely loses the "was in flight at the crash" annotation, never a
+// result.
 package dist
 
 import (
@@ -50,12 +51,11 @@ import (
 // valid, fsync'd prefix of the run.
 var ErrSessionKilled = errors.New("dist: session killed at injected crash point")
 
-// sessionHeader is the journal's first line: everything Resume needs to
-// rebuild the job list and validate that resuming is sound. Unknown keys
-// are ignored, so a header carrying fields this version no longer writes
+// sessionHeader is the journal's first line: the plan facts a resumed
+// run must agree with. Unknown keys are ignored, so a header carrying
+// fields this version no longer writes (a session id, an options hash)
 // still resumes.
 type sessionHeader struct {
-	Session string     `json:"session"`
 	Model   string     `json:"model,omitempty"`
 	K       int        `json:"k"`
 	Classes [][]string `json:"classes"`
@@ -76,9 +76,9 @@ type journalRecord struct {
 	Record    *Record         `json:"record,omitempty"`
 }
 
-// Session is a journaled sweep session. Create one with NewSession (or
-// reconstruct a crashed one with Resume), run it as a Plan's Journal, and
-// Remove the journal once the sweep fully completed.
+// Session is a journaled sweep session. Open one with OpenSession, run
+// it as a Plan's Journal, and Remove the journal once the sweep fully
+// completed.
 type Session struct {
 	// KillAfter, when > 0, aborts the session with ErrSessionKilled after
 	// that many freshly journaled class completions — deterministic
@@ -86,8 +86,8 @@ type Session struct {
 	KillAfter int
 
 	path   string
-	f      *os.File
-	header sessionHeader
+	f      *os.File       // nil until a fresh session's file is created
+	header *sessionHeader // nil until written: a fresh session
 
 	mu         sync.Mutex
 	done       map[string]journalRecord // rep -> its done line
@@ -97,64 +97,33 @@ type Session struct {
 	killed     bool
 }
 
-// NewSession creates the journal file (refusing to overwrite an existing
-// one — resume or remove it instead) and writes the fsync'd header.
-// classes is the full dispatch partition, each class's representative
-// first: the Members of the plan's Classes.
-func NewSession(path, id string, k int, modelHash string, classes [][]string) (*Session, error) {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		if errors.Is(err, os.ErrExist) {
-			return nil, fmt.Errorf("dist: session journal %s already exists (resume it or remove it first): %w", path, err)
-		}
-		return nil, fmt.Errorf("dist: creating session journal: %w", err)
-	}
-	s := &Session{
-		path: path, f: f,
-		header:     sessionHeader{Session: id, Model: modelHash, K: k, Classes: classes},
-		done:       map[string]journalRecord{},
-		dispatched: map[string]bool{},
-	}
-	if err := s.writeLine(s.header, true); err != nil {
-		f.Close()
-		os.Remove(path)
-		return nil, err
-	}
-	return s, nil
-}
-
-// Resume reconstructs a session from its journal. A truncated final
-// line — the only damage a crash between write and fsync can cause — is
-// discarded (and overwritten by the next append); any other malformed
-// line is an error, because mid-file corruption means the journal cannot
-// be trusted. The returned session appends further records to the same
-// file.
-func Resume(path string) (*Session, error) {
+// OpenSession opens the journal at path. A missing file, or one a crash
+// left without a complete header line, is a fresh session: the run that
+// takes it writes the header from its plan. An existing journal resumes.
+// A truncated final line — the only damage a crash between write and
+// fsync can cause — is discarded (and overwritten by the next append);
+// any other malformed line is an error, because mid-file corruption
+// means the journal cannot be trusted.
+func OpenSession(path string) (*Session, error) {
+	s := &Session{path: path, done: map[string]journalRecord{}, dispatched: map[string]bool{}}
 	raw, err := os.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return s, nil
+	}
 	if err != nil {
 		return nil, fmt.Errorf("dist: reading session journal: %w", err)
 	}
-	s := &Session{
-		path:       path,
-		done:       map[string]journalRecord{},
-		dispatched: map[string]bool{},
-	}
 	valid := 0 // byte offset of the end of the last fully parsed line
-	lineno := 0
 	for off := 0; off < len(raw); {
 		nl := bytes.IndexByte(raw[off:], '\n')
 		if nl < 0 {
 			break // no terminator: a crash-truncated tail, discarded
 		}
-		line := raw[off : off+nl]
-		end := off + nl + 1
-		lineno++
-		if lineno == 1 {
-			if err := json.Unmarshal(line, &s.header); err != nil {
+		line, end := raw[off:off+nl], off+nl+1
+		if s.header == nil {
+			s.header = &sessionHeader{}
+			if err := json.Unmarshal(line, s.header); err != nil {
 				return nil, fmt.Errorf("dist: session journal %s: corrupt header: %w", path, err)
-			}
-			if len(s.header.Classes) == 0 {
-				return nil, fmt.Errorf("dist: session journal %s: header carries no classes", path)
 			}
 		} else {
 			var rec journalRecord
@@ -162,7 +131,7 @@ func Resume(path string) (*Session, error) {
 				if end >= len(raw) {
 					break // newline-terminated but half-written final line
 				}
-				return nil, fmt.Errorf("dist: session journal %s: corrupt record at line %d: %w", path, lineno, err)
+				return nil, fmt.Errorf("dist: session journal %s: corrupt record at byte %d: %w", path, off, err)
 			}
 			switch {
 			case rec.Done != "":
@@ -174,11 +143,7 @@ func Resume(path string) (*Session, error) {
 				s.dispatched[rec.Dispatched] = true
 			}
 		}
-		valid = end
-		off = end
-	}
-	if lineno == 0 {
-		return nil, fmt.Errorf("dist: session journal %s is empty", path)
+		valid, off = end, end
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
 	if err != nil {
@@ -198,71 +163,11 @@ func Resume(path string) (*Session, error) {
 	return s, nil
 }
 
-// ID returns the session id recorded in the journal header.
-func (s *Session) ID() string { return s.header.Session }
-
-// K returns the failure budget recorded in the journal header.
-func (s *Session) K() int { return s.header.K }
-
-// Model returns the model hash recorded in the journal header ("" when
-// the session was created without one).
-func (s *Session) Model() string { return s.header.Model }
-
-// Classes returns the full dispatch partition from the journal header
-// (read-only; callers must not mutate it).
-func (s *Session) Classes() [][]string { return s.header.Classes }
-
 // Completed counts the classes with a journaled report.
 func (s *Session) Completed() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.doneOrder)
-}
-
-// Redispatched counts classes that were dispatched but not completed
-// when the journal was last written — in flight at the crash, dispatched
-// again on resume exactly like a pass lost to worker death.
-func (s *Session) Redispatched() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for rep := range s.dispatched {
-		if _, ok := s.done[rep]; !ok {
-			n++
-		}
-	}
-	return n
-}
-
-// MatchesClasses verifies that the journal's dispatch partition is
-// exactly the given one. Resuming against a different partition — the
-// model changed since the crash, or classing options differ — would
-// replay reports for classes that no longer exist; refuse loudly.
-func (s *Session) MatchesClasses(classes [][]string) error {
-	if len(classes) != len(s.header.Classes) {
-		return fmt.Errorf("dist: session %s journaled %d classes but the current model has %d (model changed since the crash?); remove the journal and sweep fresh",
-			s.header.Session, len(s.header.Classes), len(classes))
-	}
-	key := func(cls [][]string) []string {
-		out := make([]string, len(cls))
-		for i, c := range cls {
-			sorted := append([]string(nil), c...)
-			sort.Strings(sorted)
-			// The representative identifies the dispatch; members the
-			// replication set.
-			out[i] = c[0] + "|" + fmt.Sprint(sorted)
-		}
-		sort.Strings(out)
-		return out
-	}
-	want, got := key(s.header.Classes), key(classes)
-	for i := range want {
-		if want[i] != got[i] {
-			return fmt.Errorf("dist: session %s class partition diverged from the current model (journaled %q vs current %q); remove the journal and sweep fresh",
-				s.header.Session, want[i], got[i])
-		}
-	}
-	return nil
 }
 
 // Close releases the journal file handle. The journal stays on disk;
@@ -279,10 +184,14 @@ func (s *Session) Close() error {
 }
 
 // Remove closes and deletes the journal — call it once the session
-// completed with nothing left to resume.
+// completed with nothing left to resume. A journal never written (no run
+// took the session: an empty partition) is already gone.
 func (s *Session) Remove() error {
 	s.Close()
-	return os.Remove(s.path)
+	if err := os.Remove(s.path); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return err
+	}
+	return nil
 }
 
 // writeLine appends one JSON line, optionally fsync'ing it.
@@ -325,7 +234,7 @@ func (s *Session) appendDone(rep string, summaries []RouterSummary, rec *Record)
 		return ErrSessionKilled
 	}
 	if s.f == nil {
-		return fmt.Errorf("dist: session %s journal is closed", s.header.Session)
+		return fmt.Errorf("dist: session journal %s is closed", s.path)
 	}
 	line := journalRecord{Done: rep, Summaries: summaries, Record: rec}
 	if err := s.writeLine(line, true); err != nil {
@@ -343,33 +252,41 @@ func (s *Session) appendDone(rep string, summaries []RouterSummary, rec *Record)
 	return nil
 }
 
-// admit opens a run of plan p under the journal: it refuses a plan the
+// admit opens a run of plan p under the journal. A fresh session writes
+// and fsyncs p's header — into the headless file a crash left, or a file
+// it creates, which must not exist by then — and every unit is pending. A resumed one refuses a plan the
 // journal was not written for (failure budget, model or class partition
-// drifted), settles every class the journal already holds a report for
-// — and, when p captures, a record — without touching a worker, and
-// returns the failure budget (the journal's, which a plan K of 0 adopts)
-// plus the units still to run — including anything dispatched but
+// drifted), settles every class the journal already holds a report for —
+// and, when p captures, a record — without touching a worker, and
+// returns the units still to run, including anything dispatched but
 // unfinished at a crash, re-dispatched exactly like a pass lost to worker
 // death. The audits of a journaled class do not run again.
-func (s *Session) admit(p *Plan, units []*unit, out *Result) (int, []*unit, error) {
-	if p.K != 0 && p.K != s.header.K {
-		return 0, nil, fmt.Errorf("dist: session %s journaled k=%d but the run requested k=%d", s.header.Session, s.header.K, p.K)
-	}
-	if p.ModelHash != "" && s.header.Model != "" && p.ModelHash != s.header.Model {
-		return 0, nil, fmt.Errorf("dist: session %s journaled model %s but the plan verifies %s (model changed since the crash?); remove the journal and sweep fresh",
-			s.header.Session, s.header.Model, p.ModelHash)
-	}
-	var classes [][]string
+func (s *Session) admit(p *Plan, units []*unit, out *Result) ([]*unit, error) {
+	want := sessionHeader{Model: p.ModelHash, K: p.K}
 	for _, c := range p.Classes {
 		if len(c.Members) > 0 {
-			classes = append(classes, c.Members)
+			want.Classes = append(want.Classes, c.Members)
 		}
-	}
-	if err := s.MatchesClasses(classes); err != nil {
-		return 0, nil, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.header == nil {
+		if s.f == nil {
+			f, err := os.OpenFile(s.path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+			if err != nil {
+				return nil, fmt.Errorf("dist: creating session journal: %w", err)
+			}
+			s.f = f
+		}
+		if err := s.writeLine(want, true); err != nil {
+			return nil, err
+		}
+		s.header = &want
+		return units, nil
+	}
+	if err := s.header.admits(want); err != nil {
+		return nil, fmt.Errorf("dist: session journal %s %w; remove the journal and sweep fresh", s.path, err)
+	}
 	journaled := map[int]bool{} // by class
 	for _, u := range units {
 		if d, ok := s.done[u.prefix]; ok && u.members != nil && (d.Record != nil || !p.Capture) {
@@ -388,7 +305,40 @@ func (s *Session) admit(p *Plan, units []*unit, out *Result) (int, []*unit, erro
 			out.Redispatched++
 		}
 	}
-	return s.header.K, pending, nil
+	return pending, nil
+}
+
+// admits compares a journal's header with the header of the plan
+// resuming it. A different failure budget, model or class partition
+// would replay reports for a question no longer asked. Class order does
+// not matter (dispatch is a set); the representative does, since it
+// names the dispatch, and the members name the replication set.
+func (h *sessionHeader) admits(p sessionHeader) error {
+	switch {
+	case h.K != p.K:
+		return fmt.Errorf("journaled k=%d but the plan verifies k=%d", h.K, p.K)
+	case h.Model != p.Model:
+		return fmt.Errorf("journaled model %s but the plan verifies %s (model changed since the crash?)", h.Model, p.Model)
+	case len(h.Classes) != len(p.Classes):
+		return fmt.Errorf("journaled %d classes but the plan has %d (model changed since the crash?)", len(h.Classes), len(p.Classes))
+	}
+	key := func(cls [][]string) []string {
+		out := make([]string, len(cls))
+		for i, c := range cls {
+			sorted := append([]string(nil), c...)
+			sort.Strings(sorted)
+			out[i] = fmt.Sprint(c[:min(len(c), 1)], sorted)
+		}
+		sort.Strings(out)
+		return out
+	}
+	want, got := key(h.Classes), key(p.Classes)
+	for i := range want {
+		if want[i] != got[i] {
+			return fmt.Errorf("class partition diverged from the plan's (journaled %q vs planned %q)", want[i], got[i])
+		}
+	}
+	return nil
 }
 
 // ModelHash fingerprints a (topology, snapshot) pair deterministically:

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -61,6 +62,28 @@ func canonicalReport(t *testing.T, res *Result) []byte {
 	return b
 }
 
+// newResult is the empty Result Run starts from.
+func newResult() *Result {
+	return &Result{ByPrefix: map[string][]RouterSummary{}, Records: map[string]*Record{}}
+}
+
+// openAdmitted opens the journal at path and admits plan p to it, as Run
+// does first: a fresh journal gets p's header.
+func openAdmitted(t *testing.T, path string, p *Plan) (*Session, *Result, []*unit) {
+	t.Helper()
+	s, err := OpenSession(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := newResult()
+	pending, err := s.admit(p, p.units(), out)
+	if err != nil {
+		s.Close()
+		t.Fatal(err)
+	}
+	return s, out, pending
+}
+
 func TestSessionJournalRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.journal")
 	classes := [][]string{
@@ -68,9 +91,11 @@ func TestSessionJournalRoundTrip(t *testing.T) {
 		{"10.1.0.0/24"},
 		{"10.2.0.0/24", "10.2.1.0/24", "10.2.2.0/24"},
 	}
-	s, err := NewSession(path, "s1", 3, "abcd1234", classes)
-	if err != nil {
-		t.Fatal(err)
+	plan := ClassPlan(classes, 3)
+	plan.ModelHash = "abcd1234"
+	s, _, pending := openAdmitted(t, path, plan)
+	if len(pending) != len(classes) {
+		t.Fatalf("a fresh journal left %d of %d classes pending", len(pending), len(classes))
 	}
 	s.appendDispatch("10.0.0.0/24")
 	sums := []RouterSummary{{Router: "r1", Reachable: true, MinFailures: -1}}
@@ -80,30 +105,25 @@ func TestSessionJournalRoundTrip(t *testing.T) {
 	s.appendDispatch("10.1.0.0/24") // in flight at the "crash"
 	s.Close()
 
-	r, err := Resume(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, out, pending := openAdmitted(t, path, plan)
 	defer r.Close()
-	if r.ID() != "s1" || r.K() != 3 || r.Model() != "abcd1234" {
-		t.Fatalf("header round-trip: id=%q k=%d model=%q", r.ID(), r.K(), r.Model())
+	if h := r.header; h == nil || h.K != 3 || h.Model != "abcd1234" || len(h.Classes) != len(classes) {
+		t.Fatalf("header round-trip: %+v", h)
 	}
-	if err := r.MatchesClasses(classes); err != nil {
-		t.Fatalf("classes round-trip: %v", err)
+	if r.Completed() != 1 || out.Resumed != 1 || len(pending) != 2 {
+		t.Fatalf("completed %d, resumed %d, %d pending: want 1, 1 and 2", r.Completed(), out.Resumed, len(pending))
 	}
-	if r.Completed() != 1 {
-		t.Fatalf("completed %d, want 1", r.Completed())
+	if out.Redispatched != 1 {
+		t.Fatalf("redispatched %d, want 1 (10.1.0.0/24 was in flight)", out.Redispatched)
 	}
-	if r.Redispatched() != 1 {
-		t.Fatalf("redispatched %d, want 1 (10.1.0.0/24 was in flight)", r.Redispatched())
-	}
-	if got := r.done["10.0.0.0/24"].Summaries; len(got) != 1 || got[0] != sums[0] {
+	if got := out.ByPrefix["10.0.1.0/24"]; len(got) != 1 || got[0] != sums[0] {
 		t.Fatalf("journaled report round-trip: %+v", got)
 	}
 }
 
-// A journal written by an earlier version, whose header also carries an
-// options hash, still resumes: the header's unknown keys are ignored.
+// A journal written by an earlier version, whose header also carries a
+// session id and an options hash, still resumes: the header's unknown
+// keys are ignored.
 func TestResumeHeaderWithOptionsHash(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.journal")
 	journal := `{"session":"s1","options_hash":"k=3;prune=true;simplify=true;profiles=tuned","model":"abcd1234","k":3,"classes":[["10.0.0.0/24"],["10.1.0.0/24"]]}` + "\n" +
@@ -111,29 +131,48 @@ func TestResumeHeaderWithOptionsHash(t *testing.T) {
 	if err := os.WriteFile(path, []byte(journal), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r, err := Resume(path)
-	if err != nil {
-		t.Fatalf("a header with options_hash must still resume: %v", err)
-	}
+	plan := ClassPlan([][]string{{"10.0.0.0/24"}, {"10.1.0.0/24"}}, 3)
+	plan.ModelHash = "abcd1234"
+	r, out, pending := openAdmitted(t, path, plan)
 	defer r.Close()
-	if r.ID() != "s1" || r.K() != 3 || r.Model() != "abcd1234" || r.Completed() != 1 {
-		t.Fatalf("resumed id=%q k=%d model=%q completed=%d", r.ID(), r.K(), r.Model(), r.Completed())
+	if out.Resumed != 1 || len(pending) != 1 || pending[0].prefix != "10.1.0.0/24" {
+		t.Fatalf("resumed %d, pending %d: want the journaled class settled and the other one to run", out.Resumed, len(pending))
 	}
-	if err := r.MatchesClasses([][]string{{"10.0.0.0/24"}, {"10.1.0.0/24"}}); err != nil {
-		t.Fatal(err)
+	if raw, _ := os.ReadFile(path); string(raw) != journal {
+		t.Fatal("resuming rewrote the journal")
 	}
 }
 
+// Opening an existing journal resumes it, never overwrites it: a plan it
+// was written for settles its classes, and any other plan is refused
+// with the journal left as it was.
 func TestSessionRefusesToOverwrite(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.journal")
-	classes := [][]string{{"10.0.0.0/24"}}
-	s, err := NewSession(path, "s1", 2, "", classes)
-	if err != nil {
+	plan := ClassPlan([][]string{{"10.0.0.0/24"}, {"10.1.0.0/24"}}, 2)
+	s, _, _ := openAdmitted(t, path, plan)
+	if err := s.appendDone("10.0.0.0/24", []RouterSummary{{Router: "r1", Reachable: true}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
-	if _, err := NewSession(path, "s2", 2, "", classes); err == nil {
-		t.Fatal("NewSession must refuse to overwrite an existing journal")
+	written, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	again, err := OpenSession(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	if _, err := again.admit(ClassPlan([][]string{{"10.0.0.0/24"}, {"10.1.0.0/24"}}, 3), nil, newResult()); err == nil {
+		t.Fatal("a plan of another budget must be refused")
+	}
+	out := newResult()
+	if pending, err := again.admit(plan, plan.units(), out); err != nil || out.Resumed != 1 || len(pending) != 1 {
+		t.Fatalf("reopening resumed %d classes with %d pending (%v): want 1 and 1", out.Resumed, len(pending), err)
+	}
+	if raw, _ := os.ReadFile(path); string(raw) != string(written) {
+		t.Fatal("reopening the journal overwrote it")
 	}
 }
 
@@ -159,7 +198,7 @@ func TestResumeCaptureRedispatchesRecordlessDone(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "sweep.journal")
-	s, err := NewSession(path, "s1", 2, ModelHash(w.Net, w.Snap), classes)
+	s, err := OpenSession(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +214,7 @@ func TestResumeCaptureRedispatchesRecordlessDone(t *testing.T) {
 		t.Fatal("a sweep that does not capture journaled records")
 	}
 
-	s, err = Resume(path)
+	s, err = OpenSession(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +228,7 @@ func TestResumeCaptureRedispatchesRecordlessDone(t *testing.T) {
 			res.Resumed, res.Classes, len(classes), res.Redispatched, len(res.Records))
 	}
 
-	s, err = Resume(path)
+	s, err = OpenSession(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,14 +247,10 @@ func TestResumeCaptureRedispatchesRecordlessDone(t *testing.T) {
 }
 
 // A crash between write and fsync can leave a half-written final line;
-// Resume must discard exactly that and keep everything before it.
+// OpenSession must discard exactly that and keep everything before it.
 func TestResumeDiscardsTruncatedTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.journal")
-	classes := [][]string{{"10.0.0.0/24"}, {"10.1.0.0/24"}}
-	s, err := NewSession(path, "s1", 2, "", classes)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, _, _ := openAdmitted(t, path, ClassPlan([][]string{{"10.0.0.0/24"}, {"10.1.0.0/24"}}, 2))
 	if err := s.appendDone("10.0.0.0/24", []RouterSummary{{Router: "r1", Reachable: true}}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +264,7 @@ func TestResumeDiscardsTruncatedTail(t *testing.T) {
 	f.WriteString(`{"done":"10.1.0.0/24","summ`)
 	f.Close()
 
-	r, err := Resume(path)
+	r, err := OpenSession(path)
 	if err != nil {
 		t.Fatalf("a truncated tail is exactly what a crash leaves: %v", err)
 	}
@@ -241,7 +276,7 @@ func TestResumeDiscardsTruncatedTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Close()
-	r2, err := Resume(path)
+	r2, err := OpenSession(path)
 	if err != nil {
 		t.Fatalf("journal damaged by post-truncation append: %v", err)
 	}
@@ -252,13 +287,13 @@ func TestResumeDiscardsTruncatedTail(t *testing.T) {
 }
 
 // Mid-file garbage is not crash damage — the journal cannot be trusted
-// and Resume must refuse it.
+// and OpenSession must refuse it. A file with no complete header line is
+// what a crash before the header's fsync leaves: a fresh session, whose
+// run writes the header into it.
 func TestResumeRejectsMidFileCorruption(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.journal")
-	s, err := NewSession(path, "s1", 2, "", [][]string{{"10.0.0.0/24"}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := ClassPlan([][]string{{"10.0.0.0/24"}}, 2)
+	s, _, _ := openAdmitted(t, path, plan)
 	s.Close()
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -267,41 +302,60 @@ func TestResumeRejectsMidFileCorruption(t *testing.T) {
 	f.WriteString("garbage not json\n")
 	f.WriteString(`{"done":"10.0.0.0/24"}` + "\n")
 	f.Close()
-	if _, err := Resume(path); err == nil {
+	if _, err := OpenSession(path); err == nil {
 		t.Fatal("mid-file corruption must be refused")
 	}
 
-	// An empty file is not a journal either.
-	empty := filepath.Join(t.TempDir(), "empty.journal")
-	os.WriteFile(empty, nil, 0o644)
-	if _, err := Resume(empty); err == nil {
-		t.Fatal("empty journal must be refused")
+	for _, crashed := range []string{"", `{"model":"ab","k":2,"cla`} {
+		headless := filepath.Join(t.TempDir(), "headless.journal")
+		os.WriteFile(headless, []byte(crashed), 0o644)
+		s, out, pending := openAdmitted(t, headless, plan)
+		s.Close()
+		if out.Resumed != 0 || len(pending) != 1 || s.header == nil {
+			t.Fatalf("%q: resumed %d with %d pending: want a fresh session", crashed, out.Resumed, len(pending))
+		}
+		if r, err := OpenSession(headless); err != nil || r.header == nil || r.header.K != 2 {
+			t.Fatalf("%q: the header written over a crashed one does not read back: %v", crashed, err)
+		} else {
+			r.Close()
+		}
 	}
 }
 
-func TestMatchesClassesDetectsDrift(t *testing.T) {
+// A resumed journal refuses a plan whose failure budget, model or class
+// partition differs from its header's; class order alone is no
+// difference.
+func TestAdmitRefusesPartitionDrift(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.journal")
 	classes := [][]string{{"10.0.0.0/24", "10.0.1.0/24"}, {"10.1.0.0/24"}}
-	s, err := NewSession(path, "s1", 2, "", classes)
-	if err != nil {
-		t.Fatal(err)
+	s, _, _ := openAdmitted(t, path, ClassPlan(classes, 2))
+	s.Close()
+	resume := func(p *Plan) error {
+		r, err := OpenSession(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		_, err = r.admit(p, p.units(), newResult())
+		return err
 	}
-	defer s.Close()
 	// Same partition, different class order: fine (dispatch is a set).
-	if err := s.MatchesClasses([][]string{{"10.1.0.0/24"}, {"10.0.0.0/24", "10.0.1.0/24"}}); err != nil {
+	if err := resume(ClassPlan([][]string{{"10.1.0.0/24"}, {"10.0.0.0/24", "10.0.1.0/24"}}, 2)); err != nil {
 		t.Fatalf("order-insensitive match: %v", err)
 	}
-	// Different count.
-	if err := s.MatchesClasses(classes[:1]); err == nil {
-		t.Fatal("class-count drift must be refused")
-	}
-	// Same count, different membership.
-	if err := s.MatchesClasses([][]string{{"10.0.0.0/24"}, {"10.1.0.0/24", "10.0.1.0/24"}}); err == nil {
-		t.Fatal("membership drift must be refused")
-	}
-	// Same members, different representative (dispatch identity changed).
-	if err := s.MatchesClasses([][]string{{"10.0.1.0/24", "10.0.0.0/24"}, {"10.1.0.0/24"}}); err == nil {
-		t.Fatal("representative drift must be refused")
+	hashed := ClassPlan(classes, 2)
+	hashed.ModelHash = "abcd1234"
+	for name, p := range map[string]*Plan{
+		"budget":         ClassPlan(classes, 3),
+		"zero budget":    ClassPlan(classes, 0),
+		"model":          hashed,
+		"class count":    ClassPlan(classes[:1], 2),
+		"membership":     ClassPlan([][]string{{"10.0.0.0/24"}, {"10.1.0.0/24", "10.0.1.0/24"}}, 2),
+		"representative": ClassPlan([][]string{{"10.0.1.0/24", "10.0.0.0/24"}, {"10.1.0.0/24"}}, 2),
+	} {
+		if err := resume(p); err == nil || !strings.Contains(err.Error(), path) {
+			t.Fatalf("%s drift: want a refusal naming the journal, got %v", name, err)
+		}
 	}
 }
 
@@ -324,7 +378,7 @@ func TestRunSessionMatchesRunClasses(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "sweep.journal")
-	s, err := NewSession(path, "s1", 2, ModelHash(w.Net, w.Snap), classes)
+	s, err := OpenSession(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,11 +397,14 @@ func TestRunSessionMatchesRunClasses(t *testing.T) {
 		t.Fatalf("journal holds %d completions, want %d", s.Completed(), len(classes))
 	}
 
-	// k drift against the journal is refused; k=0 adopts the journal's.
-	if _, err := Run(classPlan(classes, 3, s), coord); err == nil {
-		t.Fatal("k mismatch must be refused")
+	// k drift against the journal is refused, k=0 included: a plan's K
+	// is its budget, never the journal's.
+	for _, k := range []int{3, 0} {
+		if _, err := Run(classPlan(classes, k, s), coord); err == nil {
+			t.Fatalf("k=%d against a k=2 journal must be refused", k)
+		}
 	}
-	again, err := Run(classPlan(classes, 0, s), coord)
+	again, err := Run(classPlan(classes, 2, s), coord)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,4 +421,80 @@ func TestRunSessionMatchesRunClasses(t *testing.T) {
 	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
 		t.Fatal("Remove must delete the journal")
 	}
+}
+
+// FuzzOpenSession writes arbitrary bytes as a journal file. OpenSession
+// never panics on them; a file it accepts, closed and reopened, yields
+// the same header and done lines; and a valid journal cut at any byte
+// offset — what a crash mid-write leaves — opens with a prefix of its
+// completions.
+func FuzzOpenSession(f *testing.F) {
+	plan := ClassPlan([][]string{{"10.0.0.0/24", "10.0.1.0/24"}, {"10.1.0.0/24"}, {"10.2.0.0/24"}}, 2)
+	plan.ModelHash = "abcd1234"
+	valid := filepath.Join(f.TempDir(), "valid.journal")
+	s, err := OpenSession(valid)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := s.admit(plan, plan.units(), newResult()); err != nil {
+		f.Fatal(err)
+	}
+	for _, rep := range []string{"10.1.0.0/24", "10.0.0.0/24", "10.2.0.0/24"} {
+		s.appendDispatch(rep)
+		if err := s.appendDone(rep, []RouterSummary{{Router: "r1", Reachable: true, MinFailures: 1}}, &Record{TaintDevices: []string{"r1"}}); err != nil {
+			f.Fatal(err)
+		}
+	}
+	s.Close()
+	full, err := os.ReadFile(valid)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(full, uint(len(full)/2))
+	f.Add([]byte(`{"session":"s1","options_hash":"x","model":"ab","k":3,"classes":[["10.0.0.0/24"]]}`+"\n"+`{"done":"10.0.0.0/24"}`+"\n"), uint(0))
+	f.Add([]byte("null\n{\"dispatched\":\"x\"}\ngarbage\n{}\n"), uint(7))
+	f.Add([]byte(`{"classes":[[]]}`+"\n"+`{"done":"a"}`), uint(1))
+
+	// state is everything a session read from its journal.
+	state := func(t *testing.T, s *Session) string {
+		b, err := json.Marshal([]any{s.header, s.doneOrder, s.done})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, cut uint) {
+		path := filepath.Join(t.TempDir(), "fuzz.journal")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if s, err := OpenSession(path); err == nil {
+			first := state(t, s)
+			s.Close()
+			again, err := OpenSession(path)
+			if err != nil {
+				t.Fatalf("an accepted journal, reopened: %v", err)
+			}
+			if got := state(t, again); got != first {
+				t.Fatalf("an accepted journal reads back differently:\n%s\n%s", first, got)
+			}
+			again.Close()
+		}
+
+		cutAt := int(cut % uint(len(full)+1))
+		if err := os.WriteFile(path, full[:cutAt], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := OpenSession(path)
+		if err != nil {
+			t.Fatalf("the valid journal cut at byte %d: %v", cutAt, err)
+		}
+		defer s.Close()
+		if want := []string{"10.1.0.0/24", "10.0.0.0/24", "10.2.0.0/24"}; !slices.Equal(s.doneOrder, want[:len(s.doneOrder)]) {
+			t.Fatalf("the valid journal cut at byte %d opens with completions %v, not a prefix of %v", cutAt, s.doneOrder, want)
+		}
+		if cutAt == len(full) && len(s.doneOrder) != 3 {
+			t.Fatalf("the whole valid journal opens with %d completions, want 3", len(s.doneOrder))
+		}
+	})
 }

@@ -31,9 +31,6 @@ const DefaultMaxShared = 4
 type modelSource struct {
 	net  *topo.Network
 	snap config.Snapshot
-	// opts are the simulation options of every Shared built from the
-	// source (K comes from the request).
-	opts core.Options
 
 	once  sync.Once
 	model *core.Model
@@ -170,7 +167,7 @@ type Worker struct {
 // model (selected by requests with an empty model hash) and under its
 // ModelHash.
 func NewWorker(n *topo.Network, snap config.Snapshot) *Worker {
-	return newWorker(&modelSource{net: n, snap: snap, opts: core.DefaultOptions()}, ModelHash(n, snap))
+	return newWorker(&modelSource{net: n, snap: snap}, ModelHash(n, snap))
 }
 
 // newWorker builds a worker whose default model is src, also registered
@@ -192,7 +189,7 @@ func (w *Worker) AddModel(n *topo.Network, snap config.Snapshot) string {
 	w.sharedMu.Lock()
 	defer w.sharedMu.Unlock()
 	if _, ok := w.sources[h]; !ok {
-		w.sources[h] = &modelSource{net: n, snap: snap, opts: core.DefaultOptions()}
+		w.sources[h] = &modelSource{net: n, snap: snap}
 	}
 	return h
 }
@@ -281,7 +278,7 @@ func (w *Worker) sharedFor(model string, k int, region string) (sh *core.Shared,
 	if err != nil {
 		return nil, nil, -1, err
 	}
-	opts := src.opts
+	opts := core.DefaultOptions()
 	opts.K = k
 	key := sharedKey{model: model, k: k, region: region}
 	if region == "" {

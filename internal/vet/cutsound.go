@@ -230,50 +230,13 @@ func PredictRefusals(m *core.Model, k int) *Prediction {
 	return pred
 }
 
-// familyOriginNodes mirrors Partition.FamilyHome's origin scan: every
-// node holding a BGP origin or a static overlapping the prefix family.
-func familyOriginNodes(m *core.Model, p netaddr.Prefix) []topo.NodeID {
-	family := m.PrefixFamily(p)
-	overlaps := func(q netaddr.Prefix) bool {
-		for _, fp := range family {
-			if fp == q || fp.Overlaps(q) {
-				return true
-			}
-		}
-		return false
-	}
-	var out []topo.NodeID
-	origins := m.Origins()
-	for id := range m.Devices {
-		related := false
-		for _, r := range origins[id] {
-			if overlaps(r.Prefix) {
-				related = true
-				break
-			}
-		}
-		if !related {
-			for _, sr := range m.Configs[id].Statics {
-				if overlaps(sr.Prefix) {
-					related = true
-					break
-				}
-			}
-		}
-		if related {
-			out = append(out, topo.NodeID(id))
-		}
-	}
-	return out
-}
-
 // familyRefusal predicts FamilyHome's per-family refusals: a
 // region-less originator, origins spanning regions, or no origin at
 // all. The anchor device for a multi-region family is the first origin
 // in the region with the fewest origins — the outlier an operator
 // would look at first.
 func familyRefusal(m *core.Model, ix *index, p netaddr.Prefix) (Refusal, bool) {
-	nodes := familyOriginNodes(m, p)
+	nodes := m.FamilyOrigins(p)
 	if len(nodes) == 0 {
 		return Refusal{Rep: p, Reason: fmt.Sprintf("nothing originates the family of %s", p)}, true
 	}
@@ -308,7 +271,7 @@ func familyRefusal(m *core.Model, ix *index, p netaddr.Prefix) (Refusal, bool) {
 // homeRegion returns the single origin region of a family that passed
 // familyRefusal.
 func homeRegion(m *core.Model, ix *index, p netaddr.Prefix) string {
-	nodes := familyOriginNodes(m, p)
+	nodes := m.FamilyOrigins(p)
 	if len(nodes) == 0 {
 		return ""
 	}

@@ -11,8 +11,6 @@ import (
 	"strings"
 	"testing"
 
-	"hoyan/internal/behavior"
-	"hoyan/internal/core"
 	"hoyan/internal/dist"
 	"hoyan/internal/gen"
 )
@@ -126,17 +124,8 @@ func TestSweepModeMatrix(t *testing.T) {
 				t.Fatal("no perturbation both dirties and replays a class")
 			}
 
-			// What the cells share: the edited network's class partition
-			// (the journal header), its hash, and two loopback workers.
-			model, err := core.Assemble(n.net, n.snap, behavior.TrueProfiles())
-			if err != nil {
-				t.Fatal(err)
-			}
-			var classes [][]string
-			for _, c := range model.Classes() {
-				classes = append(classes, c.MemberStrings())
-			}
-			hash := dist.ModelHash(n.net, n.snap)
+			// What the cells share: two loopback workers. A journal is a
+			// path; the sweep writes its header from the plan.
 			pools := []struct {
 				name string
 				pool dist.Pool
@@ -163,7 +152,7 @@ func TestSweepModeMatrix(t *testing.T) {
 					path := filepath.Join(t.TempDir(), "sweep.journal")
 					var journal *dist.Session
 					if journaled {
-						if journal, err = dist.NewSession(path, cell, tc.k, hash, classes); err != nil {
+						if journal, err = dist.OpenSession(path); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -195,7 +184,7 @@ func TestSweepModeMatrix(t *testing.T) {
 					if !journaled {
 						continue
 					}
-					resumed, err := dist.Resume(path)
+					resumed, err := dist.OpenSession(path)
 					if err != nil {
 						t.Fatalf("%s: %v", cell, err)
 					}
@@ -228,7 +217,7 @@ func TestSweepModeMatrix(t *testing.T) {
 					}
 				}
 				path := filepath.Join(t.TempDir(), "stale.journal")
-				journal, err := dist.NewSession(path, pl.name+"/stale", tc.k, hash, classes)
+				journal, err := dist.OpenSession(path)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -238,7 +227,7 @@ func TestSweepModeMatrix(t *testing.T) {
 				if !errors.Is(err, dist.ErrSessionKilled) {
 					t.Fatalf("%s: want the injected crash, got %v", pl.name, err)
 				}
-				resumed, err := dist.Resume(path)
+				resumed, err := dist.OpenSession(path)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -249,5 +238,50 @@ func TestSweepModeMatrix(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSweepJournalBindsProfiles: a custom behavior registry is part of
+// the model a plan names. Remote workers assemble with the true
+// profiles, so a NaiveProfiles sweep over them must fail rather than
+// answer with true-profile verdicts; and a journal written under
+// NaiveProfiles must refuse a sweep under the default registry rather
+// than settle its classes with naive verdicts.
+func TestSweepJournalBindsProfiles(t *testing.T) {
+	n := betaPermitNet()
+	naive := Options{K: 1, Profiles: NaiveProfiles()}
+	truth, err := n.Sweep(Options{K: 1}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := n.Sweep(naive, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reportDigest(local) == reportDigest(truth) {
+		t.Fatal("the network gives the same verdicts under NaiveProfiles and TrueProfiles: the test shows nothing")
+	}
+	if rep, _, err := n.SweepOver(naive, loopbackPool(t, n, 2), nil, false); err == nil {
+		t.Fatalf("a NaiveProfiles sweep over true-profile workers answered (with the true-profile digest: %v)",
+			reportDigest(rep) == reportDigest(truth))
+	}
+
+	path := filepath.Join(t.TempDir(), "sweep.journal")
+	journal, err := dist.OpenSession(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, _, err := n.SweepOver(naive, dist.Local(2), journal, false)
+	journal.Close()
+	if err != nil || reportDigest(rep) != reportDigest(local) {
+		t.Fatalf("journaled NaiveProfiles sweep: %v", err)
+	}
+	again, err := dist.OpenSession(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	if _, _, err := n.SweepOver(Options{K: 1}, dist.Local(2), again, false); err == nil || !strings.Contains(err.Error(), "journaled model") {
+		t.Fatalf("a NaiveProfiles journal settled a sweep under the true profiles: %v", err)
 	}
 }

@@ -2,6 +2,8 @@ package hoyan
 
 import (
 	"cmp"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -112,7 +114,8 @@ func (n *Network) SweepBaseline(opts Options, workers int) (*SweepReport, *Resul
 //     members and replayed classes in full and fails loudly when one
 //     diverges from the report it was given.
 //   - Options.Modular runs every simulation as region passes.
-//   - journal makes the sweep a crash-safe session (dist.Session).
+//   - journal makes the sweep a crash-safe session (dist.OpenSession):
+//     a fresh journal records the plan, an existing one resumes it.
 //   - capture returns the baseline store of SweepBaseline.
 //
 // Every class record is built from what the passes answered
@@ -147,12 +150,32 @@ func (o Options) resolve() (Options, *behavior.Registry, core.Options) {
 	return o, reg, copts
 }
 
+// planHash names the model a plan verifies: the topology and configs
+// (dist.ModelHash) and, where it differs from the registry remote workers
+// assemble with (behavior.TrueProfiles), the behavior registry reg. A
+// pass for a custom registry then fails on a remote worker instead of
+// answering under the true profiles, and a journal written under one
+// registry refuses a sweep under another.
+func (n *Network) planHash(reg *behavior.Registry) string {
+	hash, truth := dist.ModelHash(n.net, n.snap), behavior.TrueProfiles()
+	h, custom := sha256.New(), false
+	for _, node := range n.net.Nodes() {
+		p := reg.Get(node.Vendor)
+		custom = custom || p != truth.Get(node.Vendor)
+		fmt.Fprintf(h, "%+v\n", p)
+	}
+	if !custom {
+		return hash
+	}
+	return hash + "+profiles-" + hex.EncodeToString(h.Sum(nil))[:16]
+}
+
 // sweepClasses sweeps the model under a given dispatch partition —
 // model.Classes() in production; the equivalence tests pass singleton
 // classes as the unclassed reference.
 func (n *Network) sweepClasses(opts Options, model *core.Model, classes []core.PrefixClass,
 	pool dist.Pool, journal *dist.Session, capture bool) (*SweepReport, *ResultStore, error) {
-	opts, reg, copts := opts.resolve()
+	opts, reg, _ := opts.resolve()
 	if capture && opts.Modular {
 		return nil, nil, fmt.Errorf("hoyan: baseline capture requires monolithic simulation (a region pass does not see the whole-WAN taint set and conditions; Modular is set)")
 	}
@@ -175,8 +198,8 @@ func (n *Network) sweepClasses(opts Options, model *core.Model, classes []core.P
 	// The plan always names its model: a journal written for another one
 	// must refuse it, and multi-model workers would otherwise run an
 	// unhashed pass against whichever model is their default.
-	plan := &dist.Plan{K: opts.K, ModelHash: dist.ModelHash(n.net, n.snap), Journal: journal,
-		Model: model, Sim: copts, Classes: make([]dist.Class, len(classes)), Capture: capture}
+	plan := &dist.Plan{K: opts.K, ModelHash: n.planHash(reg), Journal: journal,
+		Model: model, Classes: make([]dist.Class, len(classes)), Capture: capture}
 	if opts.Baseline != nil {
 		plan.IGP = opts.Baseline.igp
 	}
