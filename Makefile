@@ -36,12 +36,13 @@ race:
 	$(GO) test -race ./...
 
 # bench smoke-runs every benchmark once (-benchtime=1x): not a timing
-# run, just a guarantee that the evaluation harness and the solver
-# kernel's local loop (internal/logic, BenchmarkApplyWAN) keep compiling
-# and completing. Real measurements come from the pipeline benchmark
+# run, just a guarantee that the evaluation harness and the local loops
+# of the solver kernel (internal/logic, BenchmarkApplyWAN) and the IGP
+# fixpoint (internal/igp, BenchmarkBuildMemo) keep compiling and
+# completing. Real measurements come from the pipeline benchmark
 # (benchmark/README.md).
 bench:
-	$(GO) test -bench=. -benchtime=1x -run='^$$' . ./internal/logic
+	$(GO) test -bench=. -benchtime=1x -run='^$$' . ./internal/logic ./internal/igp
 
 # benchmark-module builds, vets and smoke-tests the nested pipeline
 # benchmark (its own Go module, so the root `go test ./...` never sees
@@ -73,9 +74,10 @@ chaos: determinism
 # and cached on a network that executors share, so it must read no map in
 # iteration order and race with no reader. The recycling tests ride along:
 # a recycled factory, a Reset simulator and a memo stripe that recycles
-# its factory between destinations must each equal a fresh one.
+# its factory between destinations must each equal a fresh one. So does
+# the IGP fixpoint's byte pin against the map-based reference it replaced.
 determinism:
-	$(GO) test -race -count=10 -run 'TestMemoBuildDeterministic|TestOrderShrinksSolver|TestResetRunEqualsFresh' ./internal/igp/ ./internal/core/
+	$(GO) test -race -count=10 -run 'TestMemoBuildDeterministic|TestPropagateMatchesReference|TestOrderShrinksSolver|TestResetRunEqualsFresh' ./internal/igp/ ./internal/core/
 	$(GO) test -race -count=10 -run 'TestRecycleIsFresh' ./internal/logic/
 	$(GO) test -race -count=10 -run 'TestVarOrder' ./internal/topo/
 	$(GO) test -race -count=10 -run 'TestSweepIndependentOfTopologyFileOrder' .

@@ -79,6 +79,12 @@ type Engine struct {
 	// memo is the seeded cross-engine memo (see memo.go): a destination it
 	// holds is imported into f on first use instead of propagated.
 	memo *Memo
+
+	// fp is the fixpoint's working state, built by the first propagate and
+	// reused by every later one (a memo stripe runs all its destinations
+	// through one engine). A seeded engine that propagates nothing never
+	// builds it.
+	fp *fixpoint
 }
 
 // New builds an engine. configs maps node ID to the device configuration
@@ -155,25 +161,10 @@ func Propagations() int64 { return propagations.Load() }
 // lower it to where a real topology hits the cap.
 var maxStepsFactor = 4
 
-// better orders IS-IS alternatives: lower weight, then shorter path, then
-// lexicographic path for determinism.
-func better(a, b Entry) bool {
-	if a.Weight != b.Weight {
-		return a.Weight < b.Weight
-	}
-	if len(a.Path) != len(b.Path) {
-		return len(a.Path) < len(b.Path)
-	}
-	for i := range a.Path {
-		if a.Path[i] != b.Path[i] {
-			return a.Path[i] < b.Path[i]
-		}
-	}
-	return false
-}
-
-// cmpEntry is better as a three-way comparison for slices.SortFunc
-// (which, unlike sort.Slice, sorts without reflection allocations).
+// cmpEntry orders IS-IS alternatives: lower weight, then shorter path,
+// then lexicographic path. Two alternatives tie only when parallel links
+// lie somewhere on their path; assemble sorts stably over a concatenation
+// in a fixed order, so ties keep that order (DESIGN.md, "Sweep engine").
 func cmpEntry(a, b Entry) int {
 	if a.Weight != b.Weight {
 		if a.Weight < b.Weight {
@@ -192,12 +183,109 @@ func cmpEntry(a, b Entry) int {
 	return 0
 }
 
+// arc is one IS-IS adjacency seen from its upstream end u: u's routes
+// cross link to the peer `to` and land in one of to's slots.
+type arc struct {
+	to     topo.NodeID
+	link   topo.LinkID
+	slot   int      // to's slot for (u, link): an index into fixpoint.slots
+	weight uint32   // to's metric toward u, what a route pays to cross
+	cross  [2]Level // the level an L1 / L2 route at u becomes at to; 0 when it may not cross
+}
+
+// offer is a candidate alternative at a neighbour: the upstream's ranked
+// entry `from` extended by one hop, valid under cond.
+type offer struct {
+	from   int
+	cond   logic.F
+	weight uint32
+	level  Level
+}
+
+// fixpoint is propagate's working state. arcs and base depend on the
+// network and the IS-IS configs alone and are computed once; the rest is
+// reset for every destination and keeps its buffers.
+type fixpoint struct {
+	arcs [][]arc // per node, its IS-IS adjacencies in Neighbors order
+	// base[n] is n's first slot: n owns slots base[n] to base[n+1]-1, one
+	// per adjacency in arcs[n] order (adjacency is symmetric, so n's
+	// incoming adjacencies are its outgoing ones reversed).
+	base []int
+
+	slots   [][]Entry     // per incoming adjacency, the alternatives its upstream offers
+	sent    [][]Entry     // per node, the ranked list it last propagated
+	didSend []bool        // per node, whether it has propagated at all
+	reached []bool        // per node, whether it is in the RIB
+	queued  []bool        // per node, whether it is in the queue
+	queue   []topo.NodeID // FIFO ring of NumNodes slots: no node is queued twice
+	ranked  []Entry       // assemble's sort buffer
+	guards  []logic.F     // per ranked entry, the notHigher guard before it
+	offers  []offer       // one neighbour's candidates, before any path is built
+}
+
+// fixpointState returns the engine's fixpoint state, computing the
+// adjacency arcs on first use.
+func (e *Engine) fixpointState() *fixpoint {
+	if e.fp != nil {
+		return e.fp
+	}
+	n := e.net.NumNodes()
+	fp := &fixpoint{arcs: make([][]arc, n), base: make([]int, n+1)}
+	// pos[l] is l's position in the arc lists of its A and B endpoints.
+	pos := make([][2]int, e.net.NumLinks())
+	flat := make([]arc, 0, 2*e.net.NumLinks())
+	for u := range n {
+		uid := topo.NodeID(u)
+		start := len(flat)
+		for _, ad := range e.net.Neighbors(uid) {
+			if !e.adjacent(uid, ad.Peer) {
+				continue
+			}
+			pos[ad.Link][endOf(e.net, ad.Link, uid)] = len(flat) - start
+			a := arc{to: ad.Peer, link: ad.Link, weight: e.linkWeight(ad.Peer, uid, ad.Link)}
+			a.cross[L1-1], _ = e.crossLevel(L1, uid, ad.Peer)
+			a.cross[L2-1], _ = e.crossLevel(L2, uid, ad.Peer)
+			flat = append(flat, a)
+		}
+		fp.arcs[u] = flat[start:len(flat):len(flat)]
+		fp.base[u+1] = len(flat)
+	}
+	for i := range flat {
+		a := &flat[i]
+		a.slot = fp.base[a.to] + pos[a.link][endOf(e.net, a.link, a.to)]
+	}
+	fp.slots = make([][]Entry, len(flat))
+	fp.sent = make([][]Entry, n)
+	fp.didSend = make([]bool, n)
+	fp.reached = make([]bool, n)
+	fp.queued = make([]bool, n)
+	fp.queue = make([]topo.NodeID, n)
+	e.fp = fp
+	return fp
+}
+
+// endOf is 0 when n is l's A endpoint and 1 when it is its B endpoint.
+func endOf(net *topo.Network, l topo.LinkID, n topo.NodeID) int {
+	if net.Link(l).A == n {
+		return 0
+	}
+	return 1
+}
+
 // propagate runs the path-vector fixpoint for one destination. Every node
-// keeps, per upstream neighbor, the set of alternatives that neighbor
-// offers; the node's own alternatives are those sets merged, guarded
-// exclusively by rank (RouteISISReachability of Algorithm 2). complete is
-// false when the step cap ended the loop with updates still queued: the
-// RIB is then whatever the cut-off fixpoint had reached.
+// keeps, per incoming adjacency, the alternatives that neighbour offers;
+// the node's own alternatives are those merged and ranked, and each is
+// offered onward guarded by the negation of every better one
+// (RouteISISReachability of Algorithm 2). complete is false when the step
+// cap ended the loop with updates still queued: the RIB is then whatever
+// the cut-off fixpoint had reached.
+//
+// Only work that can change the answer is done. The guard chain is built
+// once per dequeue, a neighbour's candidates are compared with its slot
+// before any path is copied, and a node whose ranked list is unchanged
+// since it last propagated does not propagate again. Every formula is
+// still created in the order a neighbour-by-neighbour loop creates it, so
+// the exported conditions are the same bytes (DESIGN.md, "Sweep engine").
 func (e *Engine) propagate(dst topo.NodeID) (rib map[topo.NodeID][]Entry, complete bool) {
 	propagations.Add(1)
 	if !e.cfg[dst].enabled {
@@ -207,91 +295,205 @@ func (e *Engine) propagate(dst topo.NodeID) (rib map[topo.NodeID][]Entry, comple
 	if e.cfg[dst].level == 1 {
 		level = L1
 	}
-	// Contributions are keyed by the incoming adjacency (upstream node and
-	// link) so parallel links each carry their own alternatives.
-	type adjKey struct {
-		from topo.NodeID
-		link topo.LinkID
-	}
-	contrib := map[topo.NodeID]map[adjKey][]Entry{} // node -> adjacency -> entries
 	self := Entry{Weight: 0, Path: []topo.NodeID{dst}, Cond: logic.True, Level: level}
-	contrib[dst] = map[adjKey][]Entry{{from: dst, link: topo.NoLink}: {self}}
-
-	assemble := func(n topo.NodeID) []Entry {
-		var all []Entry
-		for _, es := range contrib[n] {
-			all = append(all, es...)
-		}
-		slices.SortFunc(all, cmpEntry)
-		if len(all) > maxAlternatives {
-			all = all[:maxAlternatives]
-		}
-		return all
+	fp := e.fixpointState()
+	for i := range fp.slots {
+		fp.slots[i] = fp.slots[i][:0]
 	}
+	for v := range fp.sent {
+		fp.sent[v] = fp.sent[v][:0]
+	}
+	clear(fp.didSend)
+	clear(fp.reached)
+	clear(fp.queued)
 
-	queue := []topo.NodeID{dst}
-	inQueue := map[topo.NodeID]bool{dst: true}
+	n := len(fp.queue)
+	head, queued := 0, 1
+	fp.queue[0], fp.queued[dst], fp.reached[dst] = dst, true, true
 	steps := 0
-	maxSteps := maxStepsFactor * e.net.NumNodes() * e.net.NumNodes() * (maxAlternatives + 1)
-	for len(queue) > 0 && steps < maxSteps {
+	maxSteps := maxStepsFactor * n * n * (maxAlternatives + 1)
+	for queued > 0 && steps < maxSteps {
 		steps++
-		u := queue[0]
-		queue = queue[1:]
-		inQueue[u] = false
-		entries := assemble(u)
-		for _, ad := range e.net.Neighbors(u) {
-			v := ad.Peer
-			if !e.adjacent(u, v) {
+		u := fp.queue[head]
+		head, queued = (head+1)%n, queued-1
+		fp.queued[u] = false
+		entries := fp.assemble(u, dst, self)
+		// Unchanged since u last propagated: every formula below would be a
+		// hash-cons hit and every offer equal to the slot it would replace,
+		// since only u writes the slots of its own adjacencies.
+		if fp.didSend[u] && sameRanked(fp.sent[u], entries) {
+			continue
+		}
+		fp.sent[u] = append(fp.sent[u][:0], entries...)
+		fp.didSend[u] = true
+		for i, a := range fp.arcs[u] {
+			fp.reached[a.to] = true
+			offers := e.offersOver(fp, entries, a, i == 0)
+			slot := &fp.slots[a.slot]
+			if e.sameOffers(*slot, entries, offers, a.to) {
 				continue
 			}
-			var out []Entry
-			// Exclusive guards over u's ranked alternatives.
-			notHigher := logic.True
-			for _, ent := range entries {
-				lvl, ok := e.crossLevel(ent.Level, u, v)
-				if !ok {
-					notHigher = e.f.And(notHigher, e.f.Not(ent.Cond))
-					continue
-				}
-				if containsNode(ent.Path, v) {
-					// Loop prevention: v already on the path.
-					notHigher = e.f.And(notHigher, e.f.Not(ent.Cond))
-					continue
-				}
-				cond := e.f.AndAll(notHigher, ent.Cond, e.f.Var(e.net.AliveVar(ad.Link)))
-				notHigher = e.f.And(notHigher, e.f.Not(ent.Cond))
-				if e.f.Impossible(cond) {
-					continue
-				}
-				if e.opts.PruneOverK && e.f.MinFalse(cond) > e.opts.K {
-					continue
-				}
-				path := append(append([]topo.NodeID(nil), ent.Path...), v)
-				out = append(out, Entry{
-					Weight: ent.Weight + e.linkWeight(v, u, ad.Link),
-					Path:   path,
-					Cond:   cond,
-					Level:  lvl,
-				})
-			}
-			if contrib[v] == nil {
-				contrib[v] = map[adjKey][]Entry{}
-			}
-			key := adjKey{from: u, link: ad.Link}
-			if !entriesEqual(e.f, contrib[v][key], out) {
-				contrib[v][key] = out
-				if !inQueue[v] {
-					inQueue[v] = true
-					queue = append(queue, v)
-				}
+			*slot = fill(*slot, entries, offers, a.to)
+			if !fp.queued[a.to] {
+				fp.queued[a.to] = true
+				fp.queue[(head+queued)%n] = a.to
+				queued++
 			}
 		}
 	}
-	rib = map[topo.NodeID][]Entry{}
-	for n := range contrib {
-		rib[n] = assemble(n)
+
+	room := 0
+	for v, ok := range fp.reached {
+		if !ok {
+			continue
+		}
+		k := 0
+		if topo.NodeID(v) == dst {
+			k = 1
+		}
+		for _, es := range fp.slots[fp.base[v]:fp.base[v+1]] {
+			k += len(es)
+		}
+		room += min(k, maxAlternatives)
 	}
-	return rib, len(queue) == 0
+	all := make([]Entry, 0, room)
+	rib = map[topo.NodeID][]Entry{}
+	for v, ok := range fp.reached {
+		if !ok {
+			continue
+		}
+		start := len(all)
+		all = append(all, fp.assemble(topo.NodeID(v), dst, self)...)
+		rib[topo.NodeID(v)] = all[start:len(all):len(all)]
+	}
+	return rib, queued == 0
+}
+
+// assemble merges n's slots (and, at the destination, the route to
+// itself) into n's ranked alternatives, the best maxAlternatives kept;
+// the result lives in fp.ranked until the next call. The concatenation
+// runs in slot order — incoming link id — and the sort is stable, so
+// alternatives tied over parallel links rank by incoming link, then by
+// the upstream's own rank: the same order on every run.
+func (fp *fixpoint) assemble(n, dst topo.NodeID, self Entry) []Entry {
+	all := fp.ranked[:0]
+	if n == dst {
+		all = append(all, self)
+	}
+	for _, es := range fp.slots[fp.base[n]:fp.base[n+1]] {
+		all = append(all, es...)
+	}
+	slices.SortStableFunc(all, cmpEntry)
+	fp.ranked = all
+	return all[:min(len(all), maxAlternatives)]
+}
+
+// offersOver builds what u, holding the ranked entries, offers over arc a:
+// each entry that may cross, guarded by the negation of every entry
+// ranked above it (notHigher) and by a's link. The guard chain is the
+// same for every neighbour of u: first builds it, interleaved with the
+// candidates exactly as a per-neighbour loop would, and every later call
+// reads it back instead of rebuilding formulas that already exist.
+func (e *Engine) offersOver(fp *fixpoint, entries []Entry, a arc, first bool) []offer {
+	f := e.f
+	if first {
+		fp.guards = fp.guards[:0]
+	}
+	out := fp.offers[:0]
+	notHigher := logic.True
+	for i, ent := range entries {
+		if first {
+			fp.guards = append(fp.guards, notHigher)
+		} else {
+			notHigher = fp.guards[i]
+		}
+		lvl := a.cross[ent.Level-1]
+		if lvl == 0 || containsNode(ent.Path, a.to) {
+			// Cannot cross, or loop prevention: a.to already on the path.
+			if first {
+				notHigher = f.And(notHigher, f.Not(ent.Cond))
+			}
+			continue
+		}
+		cond := f.AndAll(notHigher, ent.Cond, f.Var(e.net.AliveVar(a.link)))
+		if first {
+			notHigher = f.And(notHigher, f.Not(ent.Cond))
+		}
+		if f.Impossible(cond) {
+			continue
+		}
+		if e.opts.PruneOverK && f.MinFalse(cond) > e.opts.K {
+			continue
+		}
+		out = append(out, offer{from: i, cond: cond, weight: ent.Weight + a.weight, level: lvl})
+	}
+	fp.offers = out
+	return out
+}
+
+// sameOffers reports whether slot already holds the offers made at v:
+// the same weights, levels and paths (upstream path plus v) and
+// equivalent conditions. An equal slot keeps its entries, conditions
+// included.
+func (e *Engine) sameOffers(slot, entries []Entry, offers []offer, v topo.NodeID) bool {
+	if len(slot) != len(offers) {
+		return false
+	}
+	for i, o := range offers {
+		s := slot[i]
+		if s.Weight != o.weight || s.Level != o.level || !extends(s.Path, entries[o.from].Path, v) {
+			return false
+		}
+		if s.Cond != o.cond && !e.f.Equivalent(s.Cond, o.cond) {
+			return false
+		}
+	}
+	return true
+}
+
+// fill overwrites slot with the offers made at v, in place where it has
+// room. An entry keeps the path already at its index when that is the
+// path it needs; only a differing path is allocated.
+func fill(slot, entries []Entry, offers []offer, v topo.NodeID) []Entry {
+	prev := slot
+	if cap(slot) < len(offers) {
+		slot = make([]Entry, len(offers))
+	} else {
+		slot = slot[:len(offers)]
+	}
+	for i, o := range offers {
+		up := entries[o.from].Path
+		var path []topo.NodeID
+		if i < len(prev) && extends(prev[i].Path, up, v) {
+			path = prev[i].Path // read before slot[i], which may share its array, is written
+		} else {
+			path = make([]topo.NodeID, len(up)+1)
+			copy(path, up)
+			path[len(up)] = v
+		}
+		slot[i] = Entry{Weight: o.weight, Path: path, Cond: o.cond, Level: o.level}
+	}
+	return slot
+}
+
+// extends reports whether path is up followed by v.
+func extends(path, up []topo.NodeID, v topo.NodeID) bool {
+	return len(path) == len(up)+1 && path[len(up)] == v && slices.Equal(path[:len(up)], up)
+}
+
+// sameRanked reports whether two ranked lists are identical: the same
+// formulas (not merely equivalent ones), weights, levels and paths.
+func sameRanked(a, b []Entry) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Cond != b[i].Cond || a[i].Weight != b[i].Weight || a[i].Level != b[i].Level ||
+			!slices.Equal(a[i].Path, b[i].Path) {
+			return false
+		}
+	}
+	return true
 }
 
 // adjacent reports whether an IS-IS adjacency forms between u and v:
@@ -347,24 +549,6 @@ func containsNode(path []topo.NodeID, n topo.NodeID) bool {
 		}
 	}
 	return false
-}
-
-func entriesEqual(f *logic.Factory, a, b []Entry) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Weight != b[i].Weight || a[i].Level != b[i].Level ||
-			len(a[i].Path) != len(b[i].Path) || !f.Equivalent(a[i].Cond, b[i].Cond) {
-			return false
-		}
-		for j := range a[i].Path {
-			if a[i].Path[j] != b[i].Path[j] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // ReachCond returns the topology condition under which node `from` has any

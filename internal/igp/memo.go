@@ -133,7 +133,9 @@ func (m *Memo) NumDestinations() int { return len(m.dsts) }
 // The missing destinations are propagated on up to `workers` goroutines
 // (<= 0 means GOMAXPROCS), each goroutine keeping one factory under the
 // network's variable order and recycling it before every destination
-// (logic.Factory.Recycle), so each RIB is exported from an empty universe.
+// (logic.Factory.Recycle), so each RIB is exported from an empty universe,
+// and one engine, whose fixpoint buffers carry nothing from one
+// destination to the next.
 // A RIB's exported bytes therefore depend on that destination and on the
 // key's inputs alone — not on which goroutine ran it, what ran before it,
 // or what `have` already held — so the memo is byte-identical at every
@@ -174,9 +176,9 @@ func Build(net *topo.Network, configs []*config.Device, opts Options,
 	built := make([]*memoRIB, len(missing)) // nil where the cap cut the fixpoint off
 	stripe := func(g int) {
 		f := logic.NewFactoryOrdered(order)
+		e := newEngine(net, cfg, f, opts) // its fixpoint state is reused across the stripe
 		for i := g; i < len(missing); i += workers {
 			f.Recycle()
-			e := newEngine(net, cfg, f, opts)
 			if rib, complete := e.propagate(missing[i]); complete {
 				built[i] = e.export(rib)
 			}

@@ -183,37 +183,52 @@ func wanInputs(t *testing.T, p gen.Params) (*topo.Network, []*config.Device, []t
 // parallelism, a memo filled in from a partial one equals a cold one, and
 // so does one built a destination per Build call, last destination first
 // — every RIB from a new factory, where a one-goroutine build runs them
-// first to last through one recycled factory. Run under -race -count=10
-// by `make determinism`.
+// first to last through one recycled factory. The doubled-link row holds
+// the order of alternatives tied over parallel links (equal weight, equal
+// path) to one order. Run under -race -count=10 by `make determinism`.
 func TestMemoBuildDeterministic(t *testing.T) {
-	net, cfgs, dsts := wanInputs(t, gen.Small())
-	opts := Options{K: 2, PruneOverK: true}
-	build := func(dsts []topo.NodeID, have *Memo, workers int) *Memo {
-		t.Helper()
-		m, err := Build(net, cfgs, opts, dsts, have, workers)
-		if err != nil {
-			t.Fatal(err)
+	small, smallCfgs, smallDsts := wanInputs(t, gen.Small())
+	square, squareCfgs := buildNet([]string{"a", "b", "c", "d"},
+		[][3]int{{0, 1, 10}, {1, 2, 10}, {2, 3, 10}, {0, 3, 10}, {0, 1, 10}})
+	for _, r := range []struct {
+		name string
+		net  *topo.Network
+		cfgs []*config.Device
+		dsts []topo.NodeID
+		runs int
+	}{
+		{"gen.Small", small, smallCfgs, smallDsts, 2},
+		{"doubled link", square, squareCfgs, []topo.NodeID{0, 1, 2, 3}, 10},
+	} {
+		opts := Options{K: 2, PruneOverK: true}
+		build := func(dsts []topo.NodeID, have *Memo, workers int) *Memo {
+			t.Helper()
+			m, err := Build(r.net, r.cfgs, opts, dsts, have, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m
 		}
-		return m
-	}
-	want := memoBytes(t, build(dsts, nil, 1))
-	for _, workers := range []int{1, 2, 4, 0} {
-		for run := 0; run < 2; run++ {
-			if got := memoBytes(t, build(dsts, nil, workers)); !bytes.Equal(got, want) {
-				t.Fatalf("workers=%d run %d: memo bytes differ from the one-goroutine build", workers, run)
+		dsts := r.dsts
+		want := memoBytes(t, build(dsts, nil, 1))
+		for _, workers := range []int{1, 2, 4, 0} {
+			for run := 0; run < r.runs; run++ {
+				if got := memoBytes(t, build(dsts, nil, workers)); !bytes.Equal(got, want) {
+					t.Fatalf("%s, workers=%d run %d: memo bytes differ from the one-goroutine build", r.name, workers, run)
+				}
 			}
 		}
-	}
-	half := build(dsts[:len(dsts)/2], nil, 2)
-	if got := memoBytes(t, build(dsts, half, 2)); !bytes.Equal(got, want) {
-		t.Fatal("a memo filled in from a partial one differs from a cold one")
-	}
-	var one *Memo
-	for i := len(dsts) - 1; i >= 0; i-- {
-		one = build(dsts[i:], one, 1)
-	}
-	if got := memoBytes(t, one); !bytes.Equal(got, want) {
-		t.Fatal("a memo built one destination at a time, in reverse, differs from one built through a recycled factory")
+		half := build(dsts[:len(dsts)/2], nil, 2)
+		if got := memoBytes(t, build(dsts, half, 2)); !bytes.Equal(got, want) {
+			t.Fatalf("%s: a memo filled in from a partial one differs from a cold one", r.name)
+		}
+		var one *Memo
+		for i := len(dsts) - 1; i >= 0; i-- {
+			one = build(dsts[i:], one, 1)
+		}
+		if got := memoBytes(t, one); !bytes.Equal(got, want) {
+			t.Fatalf("%s: a memo built one destination at a time, in reverse, differs from one built through a recycled factory", r.name)
+		}
 	}
 }
 

@@ -1,0 +1,291 @@
+package igp
+
+import (
+	"bytes"
+	"fmt"
+	"maps"
+	"slices"
+	"testing"
+
+	"hoyan/internal/config"
+	"hoyan/internal/gen"
+	"hoyan/internal/logic"
+	"hoyan/internal/topo"
+)
+
+// referencePropagate is the map-based fixpoint propagate replaced, kept
+// as the byte-identity reference: contributions in a map per node keyed
+// by adjacency, the guard chain rebuilt for every neighbour, a path copy
+// for every candidate, every dequeued node propagated again. On a network
+// with parallel links its output order is not defined (it concatenates
+// contributions in map order), so it is compared only on networks
+// without them.
+func referencePropagate(e *Engine, dst topo.NodeID) (rib map[topo.NodeID][]Entry, complete bool) {
+	if !e.cfg[dst].enabled {
+		return map[topo.NodeID][]Entry{}, true
+	}
+	level := L2
+	if e.cfg[dst].level == 1 {
+		level = L1
+	}
+	type adjKey struct {
+		from topo.NodeID
+		link topo.LinkID
+	}
+	contrib := map[topo.NodeID]map[adjKey][]Entry{}
+	self := Entry{Weight: 0, Path: []topo.NodeID{dst}, Cond: logic.True, Level: level}
+	contrib[dst] = map[adjKey][]Entry{{from: dst, link: topo.NoLink}: {self}}
+
+	assemble := func(n topo.NodeID) []Entry {
+		var all []Entry
+		for _, es := range contrib[n] {
+			all = append(all, es...)
+		}
+		slices.SortFunc(all, cmpEntry)
+		if len(all) > maxAlternatives {
+			all = all[:maxAlternatives]
+		}
+		return all
+	}
+
+	queue := []topo.NodeID{dst}
+	inQueue := map[topo.NodeID]bool{dst: true}
+	steps := 0
+	maxSteps := maxStepsFactor * e.net.NumNodes() * e.net.NumNodes() * (maxAlternatives + 1)
+	for len(queue) > 0 && steps < maxSteps {
+		steps++
+		u := queue[0]
+		queue = queue[1:]
+		inQueue[u] = false
+		entries := assemble(u)
+		for _, ad := range e.net.Neighbors(u) {
+			v := ad.Peer
+			if !e.adjacent(u, v) {
+				continue
+			}
+			var out []Entry
+			notHigher := logic.True
+			for _, ent := range entries {
+				lvl, ok := e.crossLevel(ent.Level, u, v)
+				if !ok {
+					notHigher = e.f.And(notHigher, e.f.Not(ent.Cond))
+					continue
+				}
+				if containsNode(ent.Path, v) {
+					notHigher = e.f.And(notHigher, e.f.Not(ent.Cond))
+					continue
+				}
+				cond := e.f.AndAll(notHigher, ent.Cond, e.f.Var(e.net.AliveVar(ad.Link)))
+				notHigher = e.f.And(notHigher, e.f.Not(ent.Cond))
+				if e.f.Impossible(cond) {
+					continue
+				}
+				if e.opts.PruneOverK && e.f.MinFalse(cond) > e.opts.K {
+					continue
+				}
+				path := append(append([]topo.NodeID(nil), ent.Path...), v)
+				out = append(out, Entry{
+					Weight: ent.Weight + e.linkWeight(v, u, ad.Link),
+					Path:   path,
+					Cond:   cond,
+					Level:  lvl,
+				})
+			}
+			if contrib[v] == nil {
+				contrib[v] = map[adjKey][]Entry{}
+			}
+			key := adjKey{from: u, link: ad.Link}
+			if !referenceEntriesEqual(e.f, contrib[v][key], out) {
+				contrib[v][key] = out
+				if !inQueue[v] {
+					inQueue[v] = true
+					queue = append(queue, v)
+				}
+			}
+		}
+	}
+	rib = map[topo.NodeID][]Entry{}
+	for n := range contrib {
+		rib[n] = assemble(n)
+	}
+	return rib, len(queue) == 0
+}
+
+func referenceEntriesEqual(f *logic.Factory, a, b []Entry) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Weight != b[i].Weight || a[i].Level != b[i].Level ||
+			len(a[i].Path) != len(b[i].Path) || !f.Equivalent(a[i].Cond, b[i].Cond) {
+			return false
+		}
+		for j := range a[i].Path {
+			if a[i].Path[j] != b[i].Path[j] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// referenceMemo is what Build returns, every destination propagated by
+// referencePropagate in a new factory.
+func referenceMemo(t *testing.T, net *topo.Network, configs []*config.Device, opts Options, dsts []topo.NodeID) *Memo {
+	t.Helper()
+	m := &Memo{key: Key(net, configs, opts), dsts: map[topo.NodeID]*memoRIB{}}
+	cfg := isisConfigs(net, configs)
+	for _, dst := range dsts {
+		e := newEngine(net, cfg, logic.NewFactoryOrdered(net.VarOrder()), opts)
+		rib, complete := referencePropagate(e, dst)
+		if !complete {
+			t.Fatalf("the reference fixpoint toward %d hit the step cap", dst)
+		}
+		m.dsts[dst] = e.export(rib)
+	}
+	return m
+}
+
+// hasParallelLinks reports whether two links share both endpoints.
+func hasParallelLinks(net *topo.Network) bool {
+	seen := map[[2]topo.NodeID]bool{}
+	for _, l := range net.Links() {
+		k := [2]topo.NodeID{min(l.A, l.B), max(l.A, l.B)}
+		if seen[k] {
+			return true
+		}
+		seen[k] = true
+	}
+	return false
+}
+
+// TestPropagateMatchesReference pins the fixpoint to the map-based one it
+// replaced, byte for byte: every RIB's nodes, entries and exported
+// conditions. Equal bytes need every formula created in the same order,
+// so this holds the guard chain built once per dequeue, the paths copied
+// only when they differ and the skipped unchanged nodes to creating
+// nothing the reference did not. Run under -race -count=10 by `make
+// determinism`; gen.Medium is skipped there and under -short.
+func TestPropagateMatchesReference(t *testing.T) {
+	type row struct {
+		name string
+		net  *topo.Network
+		cfgs []*config.Device
+		dsts []topo.NodeID
+		opts Options
+	}
+	var rows []row
+	wan := func(name string, p gen.Params, k int) {
+		net, cfgs, dsts := wanInputs(t, p)
+		rows = append(rows, row{name, net, cfgs, dsts, Options{K: k, PruneOverK: true}})
+	}
+	wan("gen.Small K=1", gen.Small(), 1)
+	wan("gen.Small K=2", gen.Small(), 2)
+	if !testing.Short() && !raceEnabled {
+		wan("gen.Medium K=1", gen.Medium(), 1)
+		wan("gen.Medium K=3", gen.Medium(), 3)
+	}
+	in := baseKeyInputs()
+	net, cfgs := in.build(t)
+	rows = append(rows, row{"two regions, L1/L2, penetrate", net, cfgs, []topo.NodeID{0, 1, 2, 3}, in.opts})
+	for seed := int64(11); seed <= 14; seed++ {
+		p := gen.Params{Seed: seed, Regions: 2 + int(seed%2), CoresPerRegion: 2 + int(seed%3)%2, PEsPerRegion: 3,
+			MANsPerRegion: 1, PeersPerRegion: 1, PrefixesPerPeer: 1, ExtraCoreLinks: 2, WANAS: 64500}
+		wan(fmt.Sprintf("gen seed %d", seed), p, 1+int(seed%3))
+	}
+	for _, r := range rows {
+		if hasParallelLinks(r.net) {
+			t.Fatalf("%s: parallel links, where the reference's order is not defined", r.name)
+		}
+		got, err := Build(r.net, r.cfgs, r.opts, r.dsts, nil, 2)
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		if !bytes.Equal(memoBytes(t, got), memoBytes(t, referenceMemo(t, r.net, r.cfgs, r.opts, r.dsts))) {
+			t.Fatalf("%s: memo bytes differ from the reference fixpoint's", r.name)
+		}
+	}
+}
+
+// doubled returns a copy of net with link l doubled: one more link with
+// the same endpoints and weight, added last.
+func doubled(net *topo.Network, l topo.LinkID) *topo.Network {
+	out := topo.NewNetwork()
+	for _, n := range net.Nodes() {
+		out.MustAddNode(*n)
+	}
+	for _, k := range net.Links() {
+		out.MustAddLink(k.A, k.B, k.Weight)
+	}
+	k := net.Link(l)
+	out.MustAddLink(k.A, k.B, k.Weight)
+	return out
+}
+
+// TestParallelLinkNeverLowersTolerance is a metamorphic property: a
+// parallel link adds a way around a failure and takes none away, so with
+// any link of gen.Small doubled no IS-IS reachability condition between
+// two routers may need fewer failures to break than before (min failures
+// clipped to K+1, past the budget). It exercises the fixpoint's
+// parallel-link path. It does not hold everywhere: the alternative cap
+// can drop what the extra link adds (ROADMAP.md, item 2, and
+// EXPERIMENTS.md, "IGP fixpoint").
+func TestParallelLinkNeverLowersTolerance(t *testing.T) {
+	base, cfgs, dsts := wanInputs(t, gen.Small())
+	for _, k := range []int{1, 2} {
+		opts := Options{K: k, PruneOverK: true}
+		tolerance := func(net *topo.Network) map[[2]topo.NodeID]int {
+			f := logic.NewFactoryOrdered(net.VarOrder())
+			e := New(net, cfgs, f, opts)
+			out := map[[2]topo.NodeID]int{}
+			for _, a := range dsts {
+				for _, b := range dsts {
+					if a != b {
+						out[[2]topo.NodeID{a, b}] = min(f.MinFailuresToViolate(e.ReachCond(a, b)), k+1)
+					}
+				}
+			}
+			return out
+		}
+		want := tolerance(base)
+		for l := range topo.LinkID(base.NumLinks()) {
+			got := tolerance(doubled(base, l))
+			for _, pair := range slices.SortedFunc(maps.Keys(want), cmpPair) {
+				if got[pair] < want[pair] {
+					t.Fatalf("K=%d, link %d doubled: %s → %s breaks with %d failures, %d before", k, l,
+						base.Node(pair[0]).Name, base.Node(pair[1]).Name, got[pair], want[pair])
+				}
+			}
+		}
+	}
+}
+
+func cmpPair(x, y [2]topo.NodeID) int {
+	if x[0] != y[0] {
+		return int(x[0]) - int(y[0])
+	}
+	return int(x[1]) - int(y[1])
+}
+
+// BenchmarkBuildMemo is the fixpoint's local loop: one cold memo of every
+// destination of gen.Medium at K=1 (the memo-k1 workload's topology) on
+// one goroutine.
+func BenchmarkBuildMemo(b *testing.B) {
+	w, err := gen.Generate(gen.Medium())
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfgs := make([]*config.Device, w.Net.NumNodes())
+	var dsts []topo.NodeID
+	for _, node := range w.Net.Nodes() {
+		cfgs[node.ID] = w.Snap[node.Name]
+		dsts = append(dsts, node.ID)
+	}
+	opts := Options{K: 1, PruneOverK: true}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := Build(w.Net, cfgs, opts, dsts, nil, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
