@@ -95,9 +95,14 @@ scale-smoke:
 # FuzzOpenSession is the sweep journal reader's, the decoder of a file a
 # crash left behind: no input panics it, an accepted journal reopens to
 # the same state, and a valid journal cut anywhere opens with a prefix of
-# its completions.
+# its completions. FuzzLoadDir is the topology loader's: no topology.txt
+# panics gen.LoadDir, and an accepted directory round-trips through
+# gen.WriteDir unchanged.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/config/
+	$(GO) test -run='^$$' -fuzz='^FuzzParseTemplates$$' -fuzztime=10s ./internal/config/
+	$(GO) test -run='^$$' -fuzz='^FuzzPrefixParse$$' -fuzztime=10s ./internal/config/
+	$(GO) test -run='^$$' -fuzz='^FuzzLoadDir$$' -fuzztime=10s ./internal/gen/
 	$(GO) test -run='^$$' -fuzz='^FuzzOpenSession$$' -fuzztime=10s ./internal/dist/
 	$(GO) test -run='^$$' -fuzz=FuzzPortableDecode -fuzztime=10s ./internal/logic/
 	$(GO) test -run='^$$' -fuzz=FuzzCollectorLine -fuzztime=10s ./internal/collector/

@@ -50,9 +50,11 @@ func TestParallelLinksSessionCondition(t *testing.T) {
 	}
 }
 
-// TestOscillationDampingConverges: the Figure 1 dispute wheel has no
-// unique fixpoint; the engine must converge to ONE stable state and
-// report frozen sessions instead of diverging.
+// TestOscillationDampingConverges: the Figure 1 net has two stable
+// states, and which one a network reaches depends on update order; the
+// engine must converge to one of them. Its fixpoint reaches one without
+// freezing any session, even with damping lowered to 8; BAD GADGET
+// (wire_test.go), which has no stable state, is the net that freezes.
 func TestOscillationDampingConverges(t *testing.T) {
 	m := buildModel(t,
 		[]string{"A", "B", "C", "D"},

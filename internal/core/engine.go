@@ -327,7 +327,8 @@ type Result struct {
 	// ribs[node] is the converged RIB (BGP + static + aggregate entries),
 	// ranked by the FIB order (admin preference first).
 	ribs [][]Entry
-	// sessionMsgs[i] holds the final updates of session i.
+	// sessionMsgs[i] is session i's wire view: what the fixpoint last
+	// accepted from it (Run).
 	sessionMsgs [][]Entry
 	// taint records what the run actually consulted (taint.go).
 	taint Taint
@@ -366,7 +367,9 @@ func (s *Simulator) prepareScratch(n int) {
 }
 
 // Run simulates the propagation of the prefix's family (§5.4 Algorithm 1)
-// and returns the converged RIBs with topology conditions.
+// and returns the converged RIBs with topology conditions, and every
+// session's wire view. A region pass (RunRegion) is the same fixpoint
+// over the region's node mask.
 func (s *Simulator) Run(prefix netaddr.Prefix) (*Result, error) {
 	family := s.M.PrefixFamily(prefix)
 	inFamily := make(map[netaddr.Prefix]bool, len(family))
@@ -399,7 +402,7 @@ func (s *Simulator) Run(prefix netaddr.Prefix) (*Result, error) {
 	origins := s.M.Origins()
 	resolve := s.M.resolveFn()
 	for id := 0; id < n; id++ {
-		if s.restr != nil && !s.restr.in[id] {
+		if s.outside(topo.NodeID(id)) {
 			// Restricted pass: out-of-region nodes originate nothing here —
 			// their routes arrive, if at all, as imported summary messages.
 			continue
@@ -480,32 +483,6 @@ func (s *Simulator) Run(prefix netaddr.Prefix) (*Result, error) {
 		sc.slots = append(sc.slots, nil)
 	}
 
-	// bgpRIB assembles node u's ranked BGP entries into the per-prefix
-	// slots: local entries, then session contributions in session order
-	// (deterministic, unlike the map iteration it replaces), then
-	// aggregates; each slot is FIB-ranked in place.
-	bgpRIB := func(u int) {
-		for i := range sc.prefixes {
-			sc.slots[i] = sc.slots[i][:0]
-		}
-		for _, e := range sc.locals[u] {
-			i := sc.prefixIdx[e.Route.Prefix]
-			sc.slots[i] = append(sc.slots[i], e)
-		}
-		for _, si := range s.sessionsTo[u] {
-			for _, e := range sc.contrib[si] {
-				i := sc.prefixIdx[e.Route.Prefix]
-				sc.slots[i] = append(sc.slots[i], e)
-			}
-		}
-		s.applyAggregates(u, inFamily)
-		for i := range sc.prefixes {
-			if len(sc.slots[i]) > 1 {
-				s.rank(sc.slots[i], u)
-			}
-		}
-	}
-
 	queue := sc.queue
 	for id := 0; id < n; id++ {
 		if len(sc.locals[id]) > 0 {
@@ -530,6 +507,11 @@ func (s *Simulator) Run(prefix netaddr.Prefix) (*Result, error) {
 			}
 		}
 	}
+	// wire[si] is session si's wire view: what its last accepted announce
+	// (contribution unchanged or replaced, not frozen) sent. The fixpoint
+	// is the only place a session is announced, so this is the view the
+	// receiver's contribution came from (SessionUpdates).
+	wire := make([][]Entry, len(s.sessions))
 	for len(queue) > 0 {
 		if res.Stats.Steps >= s.maxSteps {
 			return nil, &StepLimitError{Prefix: prefix, Steps: s.maxSteps}
@@ -538,19 +520,19 @@ func (s *Simulator) Run(prefix netaddr.Prefix) (*Result, error) {
 		u := queue[0]
 		queue = queue[1:]
 		sc.inQueue[u] = false
-		bgpRIB(u)
+		s.bgpRIB(u, inFamily)
 		for _, si := range s.sessionsBy[u] {
-			if s.restr != nil && s.restr.mode[si] != sessActive {
-				// Restricted pass: capture sessions are computed only from
-				// the converged state (final wire pass), inject sessions are
-				// pinned, dead sessions never run.
-				continue
-			}
 			if sc.changes[si] > s.damping {
 				continue // oscillation damping (see Stats.FrozenSessions)
 			}
 			se := s.sessions[si]
-			out, _ := s.announce(se, si, &res.Stats)
+			out, sent := s.announce(se, si, &res.Stats)
+			if s.outside(se.to) {
+				// A cut session: announced, delivered to no one; its wire
+				// view is what the region's CutSummary carries.
+				wire[si] = sent
+				continue
+			}
 			if !s.entriesEqual(sc.contrib[si], out) {
 				sc.changes[si]++
 				if sc.changes[si] > s.damping {
@@ -563,6 +545,7 @@ func (s *Simulator) Run(prefix netaddr.Prefix) (*Result, error) {
 					queue = append(queue, int(se.to))
 				}
 			}
+			wire[si] = sent
 		}
 	}
 	sc.queue = queue[:0]
@@ -571,10 +554,10 @@ func (s *Simulator) Run(prefix netaddr.Prefix) (*Result, error) {
 	// These are retained by the Result, so they are built fresh, not in
 	// scratch.
 	for id := 0; id < n; id++ {
-		if s.restr != nil && !s.restr.in[id] {
+		if s.outside(topo.NodeID(id)) {
 			continue // out-of-region RIBs belong to other passes
 		}
-		bgpRIB(id)
+		s.bgpRIB(id, inFamily)
 		var all []Entry
 		for i := range sc.prefixes {
 			all = append(all, sc.slots[i]...)
@@ -586,36 +569,54 @@ func (s *Simulator) Run(prefix netaddr.Prefix) (*Result, error) {
 			sc.taintNode[id] = true
 		}
 	}
-	// Recompute the final per-session wire updates (post-egress, pre-
-	// ingress) from the converged RIBs: the tuner compares these against
-	// BMP-style update logs to find latent VSBs (Figure 6's R2, whose RIB
-	// matches but whose updates differ). This runs after convergence so
-	// updates the receiver drops are still logged.
-	wire := make([][]Entry, len(s.sessions))
-	var scratch Stats
-	for u := 0; u < n; u++ {
-		if s.restr != nil && !s.restr.in[u] {
-			continue
-		}
-		bgpRIB(u)
-		for _, si := range s.sessionsBy[u] {
-			// In a restricted pass an in-region sender's sessions are
-			// active or capture; capture sessions get their only announce
-			// here — the wire view that becomes the region's CutSummary.
-			_, sent := s.announce(s.sessions[si], si, &scratch)
-			wire[si] = sent
-		}
-	}
 	res.sessionMsgs = wire
 	res.taint = s.captureTaint()
 	res.Stats.SolverNodes = s.F.SolverNodes() - solverNodes
 	return res, nil
 }
 
+// bgpRIB assembles node u's ranked BGP entries into the per-prefix
+// slots: local entries, then session contributions in session order,
+// then aggregates of the family inFamily; each slot is FIB-ranked in
+// place.
+func (s *Simulator) bgpRIB(u int, inFamily map[netaddr.Prefix]bool) {
+	sc := &s.sc
+	for i := range sc.prefixes {
+		sc.slots[i] = sc.slots[i][:0]
+	}
+	for _, e := range sc.locals[u] {
+		i := sc.prefixIdx[e.Route.Prefix]
+		sc.slots[i] = append(sc.slots[i], e)
+	}
+	for _, si := range s.sessionsTo[u] {
+		for _, e := range sc.contrib[si] {
+			i := sc.prefixIdx[e.Route.Prefix]
+			sc.slots[i] = append(sc.slots[i], e)
+		}
+	}
+	s.applyAggregates(u, inFamily)
+	for i := range sc.prefixes {
+		if len(sc.slots[i]) > 1 {
+			s.rank(sc.slots[i], u)
+		}
+	}
+}
+
+// outside reports whether the current run is a region pass whose node
+// mask leaves node id out: such a node is never queued, originates
+// nothing and receives nothing.
+func (s *Simulator) outside(id topo.NodeID) bool {
+	return s.restr != nil && !s.restr.in[id]
+}
+
 // SessionUpdates returns the converged route updates sent over the
 // session from→to as they appear on the wire (after the sender's egress
 // pipeline, before the receiver's ingress pipeline — the BMP vantage
-// point), and whether such a session exists.
+// point), and whether such a session exists. The tuner compares them
+// with BMP-style update logs to find latent VSBs (Figure 6's R2, whose
+// RIB matches but whose updates differ); updates the receiver's ingress
+// drops are still listed. A session frozen by oscillation damping shows
+// the updates its receiver holds the contribution of.
 func (r *Result) SessionUpdates(from, to topo.NodeID) ([]Entry, bool) {
 	found := false
 	var out []Entry

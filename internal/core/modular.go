@@ -9,30 +9,18 @@ import (
 	"hoyan/internal/route"
 )
 
-// sessMode classifies one directed session for a restricted (one-region)
-// pass. The classification is purely positional: both endpoints inside
-// the region makes the session live, a session leaving the region is
-// recorded but never delivered (its final wire view IS the summary), a
-// session entering the region carries imported summary messages as a
-// pinned contribution, and everything else is dead.
-type sessMode uint8
-
-const (
-	sessDead    sessMode = iota
-	sessActive           // both endpoints in the pass's region
-	sessCapture          // leaves the region: computed, not delivered
-	sessInject           // enters the region: pinned from a CutSummary
-)
-
 // restriction scopes one Simulator.Run to a region of a Partition. Nil
-// on a Simulator means monolithic simulation (the default).
+// on a Simulator means monolithic simulation (the default). A region
+// pass is the monolithic fixpoint over the node mask in: a session is
+// live when both its ends are inside, a cut (capture) session when only
+// its sender is, an inject session when only its receiver is, and dead
+// otherwise — positions, not a stored mode.
 type restriction struct {
 	pt     *Partition
 	region int
-	mode   []sessMode // per session index
-	in     []bool     // per node: node's region == region
+	in     []bool // per node: node's region == region
 	// contrib holds the pinned post-ingress contribution of each inject
-	// session (nil for every other mode).
+	// session (nil for every other session).
 	contrib [][]Entry
 }
 
@@ -74,17 +62,21 @@ func (e *UnsoundCut) Error() string {
 }
 
 // RunRegion simulates one prefix family restricted to a region of the
-// partition: only the region's internal sessions propagate, routes
-// entering over a cut come from the imported summary (nil for the home
-// pass, which needs none by the one-hop export property the leak check
-// enforces), and routes leaving over a cut are captured into the
-// returned summary instead of being delivered. The Result holds the
-// converged RIBs of the region's nodes only.
+// partition: it is Run over the region's node mask. Nodes outside the
+// region are never queued; routes entering over a cut come from the
+// imported summary (nil for the home pass, which needs none by the
+// one-hop export property the leak check enforces); routes leaving over
+// a cut are announced but delivered to no one, and their wire view is
+// the returned summary. The Result holds the converged RIBs of the
+// region's nodes only.
 //
-// Refusals (an *UnsoundCut error) cover oscillation damping (a frozen
-// session has no well-defined final wire view) and re-export leaks: an
-// import pass whose own summary is non-empty observed routes crossing a
-// second cut, which the two-round modular schedule cannot deliver.
+// Refusals (an *UnsoundCut error) cover oscillation damping and
+// re-export leaks. Damping picks one stable state by the order the
+// fixpoint dequeues nodes in, and a region pass dequeues in a different
+// order from the monolithic run, so its state, and the summary built
+// from it, need not be the monolithic one. A leak is an import pass
+// whose own summary is non-empty: it observed routes crossing a second
+// cut, which the two-round modular schedule cannot deliver.
 func (s *Simulator) RunRegion(prefix netaddr.Prefix, pt *Partition, region int, imported *CutSummary) (*Result, *CutSummary, error) {
 	if s.restr != nil {
 		return nil, nil, fmt.Errorf("core: RunRegion is not reentrant")
@@ -92,26 +84,11 @@ func (s *Simulator) RunRegion(prefix netaddr.Prefix, pt *Partition, region int, 
 	restr := &restriction{
 		pt:      pt,
 		region:  region,
-		mode:    make([]sessMode, len(s.sessions)),
 		in:      make([]bool, s.M.Net.NumNodes()),
 		contrib: make([][]Entry, len(s.sessions)),
 	}
 	for id := range restr.in {
 		restr.in[id] = pt.nodeRegion[id] == region
-	}
-	for i := range s.sessions {
-		se := &s.sessions[i]
-		fr, tr := pt.RegionOf(se.from), pt.RegionOf(se.to)
-		switch {
-		case fr == region && tr == region:
-			restr.mode[i] = sessActive
-		case fr == region:
-			restr.mode[i] = sessCapture
-		case tr == region:
-			restr.mode[i] = sessInject
-		default:
-			restr.mode[i] = sessDead
-		}
 	}
 	if imported != nil {
 		if err := s.importSummary(restr, imported); err != nil {
@@ -163,8 +140,8 @@ func (s *Simulator) importSummary(restr *restriction, sum *CutSummary) error {
 			return fmt.Errorf("core: modular: summary session %d is %s->%s, expected %s->%s (model mismatch?)",
 				msg.Sess, msg.From, msg.To, from, to)
 		}
-		if restr.mode[msg.Sess] != sessInject {
-			continue
+		if restr.in[se.from] || !restr.in[se.to] {
+			continue // not an inject session of this pass
 		}
 		devU, devV := s.M.Devices[se.from], s.M.Devices[se.to]
 		ing := devV.ProcessIngress(msg.Route, devU)
@@ -180,15 +157,16 @@ func (s *Simulator) importSummary(restr *restriction, sum *CutSummary) error {
 	return nil
 }
 
-// captureSummary exports the final wire view of every capture session.
+// captureSummary exports the wire view of every capture session: what
+// the fixpoint last sent over it.
 func (s *Simulator) captureSummary(res *Result, restr *restriction, prefix netaddr.Prefix) *CutSummary {
 	out := &CutSummary{Prefix: prefix, Region: restr.pt.RegionName(restr.region)}
 	var roots []logic.F
 	for si := range s.sessions {
-		if restr.mode[si] != sessCapture {
-			continue
-		}
 		se := &s.sessions[si]
+		if !restr.in[se.from] || restr.in[se.to] {
+			continue // not a capture session of this pass
+		}
 		for _, e := range res.sessionMsgs[si] {
 			out.Msgs = append(out.Msgs, CutMsg{
 				Sess:  si,

@@ -11,7 +11,7 @@ import (
 
 // Partition cuts the assembled model at region boundaries for modular
 // verification (ROADMAP item 3, after LIGHTYEAR's module cuts). The cut
-// is purely a session classification: every node keeps its global ID,
+// is a node mask per region: every node keeps its global ID,
 // every condition still ranges over the global link-aliveness variables,
 // and the IGP stays global — only BGP propagation is restricted to one
 // region per pass, with routes crossing a cut carried by CutSummary

@@ -31,7 +31,7 @@ func TestWriteLoadRoundTrip(t *testing.T) {
 	// Node attributes preserved.
 	for _, n := range w.Net.Nodes() {
 		got, ok := net.NodeByName(n.Name)
-		if !ok || got.AS != n.AS || got.Vendor != n.Vendor || got.Group != n.Group || got.Region != n.Region {
+		if !ok || got.AS != n.AS || got.Vendor != n.Vendor || got.Group != n.Group || got.Region != n.Region || got.Role != n.Role {
 			t.Fatalf("node %s attrs lost", n.Name)
 		}
 	}

@@ -285,3 +285,44 @@ func TestSweepJournalBindsProfiles(t *testing.T) {
 		t.Fatalf("a NaiveProfiles journal settled a sweep under the true profiles: %v", err)
 	}
 }
+
+// TestBaselineBindsProfiles: a result store is keyed by the profiles its
+// registry gives the network's vendors. A store captured under
+// NaiveProfiles must not replay under TunedProfiles, a registry that is
+// just as custom (not nil) but gives beta its true profile, and a store
+// captured under TunedProfiles replays under the default registry, which
+// gives every vendor the same profile.
+func TestBaselineBindsProfiles(t *testing.T) {
+	n := betaPermitNet()
+	tuned := Options{K: 1, Profiles: TunedProfiles()}
+	cold, err := n.Sweep(tuned, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, naive, err := n.SweepBaseline(Options{K: 1, Profiles: NaiveProfiles()}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := tuned
+	warm.Baseline = naive
+	rep, err := n.Sweep(warm, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Replayed != 0 || reportDigest(rep) != reportDigest(cold) {
+		t.Fatalf("a NaiveProfiles store replayed %d classes under TunedProfiles: %d violations, a cold tuned sweep %d",
+			rep.Replayed, len(rep.Violations), len(cold.Violations))
+	}
+
+	_, st, err := n.SweepBaseline(tuned, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err = n.Sweep(Options{K: 1, Baseline: st}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Replayed != rep.Classes || reportDigest(rep) != reportDigest(cold) {
+		t.Fatalf("a TunedProfiles store replayed %d of %d classes under the default registry", rep.Replayed, rep.Classes)
+	}
+}

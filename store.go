@@ -1,6 +1,7 @@
 package hoyan
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -271,27 +272,24 @@ func QuarantineResultStore(path string) (string, error) {
 	return dst, nil
 }
 
-// optionsHash fingerprints the report-affecting options. Custom profile
-// registries cannot be fingerprinted, so they get a distinct marker that
-// never matches a stored hash (loud full invalidation instead of silent
-// replay under different vendor semantics). Pruning and simplification
-// are always on; their terms stay in the text so that saved stores keep
+// optionsHash fingerprints the report-affecting options: K and the
+// profilesKey of the behavior registry, written "tuned" for the true
+// profiles. A store captured under one registry therefore replays only
+// under a registry that gives the network's vendors the same profiles,
+// and fully invalidates under any other. Pruning and simplification are
+// always on; their terms stay in the text so that saved stores keep
 // matching.
-func optionsHash(opts Options) string {
-	prof := "tuned"
-	if opts.Profiles != nil {
-		prof = "custom"
-	}
-	return fmt.Sprintf("k=%d;prune=true;simplify=true;profiles=%s", opts.K, prof)
+func optionsHash(opts Options, profiles string) string {
+	return fmt.Sprintf("k=%d;prune=true;simplify=true;profiles=%s", opts.K, cmp.Or(profiles, "tuned"))
 }
 
 func membersKey(members []string) string { return strings.Join(members, " ") }
 
 // newStoreShell captures the model side of a store (topology + configs);
 // class records are appended by the sweep.
-func newStoreShell(n *Network, opts Options) *ResultStore {
+func newStoreShell(n *Network, opts Options, reg *behavior.Registry) *ResultStore {
 	st := &ResultStore{
-		OptionsHash: optionsHash(opts),
+		OptionsHash: optionsHash(opts, profilesKey(n.net, reg)),
 		K:           opts.K,
 		Configs:     map[string]string{},
 	}
@@ -400,7 +398,7 @@ func planIncremental(model *core.Model, classes []core.PrefixClass,
 		return plan
 	}
 
-	if h := optionsHash(opts); h != store.OptionsHash {
+	if h := optionsHash(opts, profilesKey(model.Net, reg)); h != store.OptionsHash {
 		return allDirty(fmt.Sprintf("options hash %q does not match baseline %q; full re-sweep", h, store.OptionsHash))
 	}
 	old, err := store.baselineModel(reg)

@@ -169,7 +169,7 @@ func TestLoadResultStoreWithoutVerdicts(t *testing.T) {
 // the decoder ignores keys nothing reads — and the options hash it was
 // keyed by is still the one a sweep computes.
 func TestLoadResultStoreWithDroppedFields(t *testing.T) {
-	if h := optionsHash(Options{K: 3}); h != "k=3;prune=true;simplify=true;profiles=tuned" {
+	if h := optionsHash(Options{K: 3}, ""); h != "k=3;prune=true;simplify=true;profiles=tuned" {
 		t.Fatalf("options hash %q moved: every saved baseline would fully invalidate", h)
 	}
 	n, _ := wanNetwork(t)

@@ -14,6 +14,7 @@ import (
 	"hoyan/internal/core"
 	"hoyan/internal/dist"
 	"hoyan/internal/logic"
+	"hoyan/internal/topo"
 )
 
 // PrefixSummary is the per-prefix outcome of a full sweep.
@@ -152,22 +153,37 @@ func (o Options) resolve() (Options, *behavior.Registry, core.Options) {
 
 // planHash names the model a plan verifies: the topology and configs
 // (dist.ModelHash) and, where it differs from the registry remote workers
-// assemble with (behavior.TrueProfiles), the behavior registry reg. A
-// pass for a custom registry then fails on a remote worker instead of
-// answering under the true profiles, and a journal written under one
-// registry refuses a sweep under another.
+// assemble with, the behavior registry reg (profilesKey). A pass for a
+// custom registry then fails on a remote worker instead of answering
+// under the true profiles, and a journal written under one registry
+// refuses a sweep under another.
 func (n *Network) planHash(reg *behavior.Registry) string {
-	hash, truth := dist.ModelHash(n.net, n.snap), behavior.TrueProfiles()
+	hash := dist.ModelHash(n.net, n.snap)
+	if key := profilesKey(n.net, reg); key != "" {
+		return hash + "+profiles-" + key
+	}
+	return hash
+}
+
+// profilesKey fingerprints the behavior registry reg as the nodes of net
+// see it: "" when every node's vendor gets its true profile
+// (behavior.TrueProfiles, the registry remote workers assemble with),
+// otherwise a hash of the profile each node gets. Two registries that
+// give the network's vendors the same profiles share a key, and two that
+// do not never do. Plans (planHash) and result stores (optionsHash) are
+// keyed by it.
+func profilesKey(net *topo.Network, reg *behavior.Registry) string {
+	truth := behavior.TrueProfiles()
 	h, custom := sha256.New(), false
-	for _, node := range n.net.Nodes() {
+	for _, node := range net.Nodes() {
 		p := reg.Get(node.Vendor)
 		custom = custom || p != truth.Get(node.Vendor)
 		fmt.Fprintf(h, "%+v\n", p)
 	}
 	if !custom {
-		return hash
+		return ""
 	}
-	return hash + "+profiles-" + hex.EncodeToString(h.Sum(nil))[:16]
+	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
 // sweepClasses sweeps the model under a given dispatch partition —
@@ -182,7 +198,7 @@ func (n *Network) sweepClasses(opts Options, model *core.Model, classes []core.P
 	rep := &SweepReport{Classes: len(classes), Run: &dist.Result{}}
 	if len(classes) == 0 {
 		if capture {
-			return rep, newStoreShell(n, opts), nil
+			return rep, newStoreShell(n, opts, reg), nil
 		}
 		return rep, nil, nil
 	}
@@ -298,7 +314,7 @@ func (n *Network) sweepClasses(opts Options, model *core.Model, classes []core.P
 
 	var store *ResultStore
 	if capture {
-		store = newStoreShell(n, opts)
+		store = newStoreShell(n, opts, reg)
 		// When no pass ran in-process nothing reported a memo; the one the
 		// plan started from stays the best there is.
 		store.igp = cmp.Or(res.IGP, plan.IGP)
