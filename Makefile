@@ -38,11 +38,12 @@ race:
 # bench smoke-runs every benchmark once (-benchtime=1x): not a timing
 # run, just a guarantee that the evaluation harness and the local loops
 # of the solver kernel (internal/logic, BenchmarkApplyWAN) and the IGP
-# fixpoint (internal/igp, BenchmarkBuildMemo) keep compiling and
-# completing. Real measurements come from the pipeline benchmark
-# (benchmark/README.md).
+# fixpoint (internal/igp, BenchmarkBuildMemo) and an in-process
+# executor's class loop with a Reset between classes (internal/core,
+# BenchmarkClassesAfterReset) keep compiling and completing. Real
+# measurements come from the pipeline benchmark (benchmark/README.md).
 bench:
-	$(GO) test -bench=. -benchtime=1x -run='^$$' . ./internal/logic ./internal/igp
+	$(GO) test -bench=. -benchtime=1x -run='^$$' . ./internal/logic ./internal/igp ./internal/core
 
 # benchmark-module builds, vets and smoke-tests the nested pipeline
 # benchmark (its own Go module, so the root `go test ./...` never sees
@@ -73,12 +74,13 @@ chaos: determinism
 # — and with it the variable-order tests: the order is built by sorting
 # and cached on a network that executors share, so it must read no map in
 # iteration order and race with no reader. The recycling tests ride along:
-# a recycled factory, a Reset simulator and a memo stripe that recycles
+# a recycled factory (to the constants or to a marked base), a Reset
+# simulator (its data plane included) and a memo stripe that recycles
 # its factory between destinations must each equal a fresh one. So does
 # the IGP fixpoint's byte pin against the map-based reference it replaced.
 determinism:
-	$(GO) test -race -count=10 -run 'TestMemoBuildDeterministic|TestPropagateMatchesReference|TestOrderShrinksSolver|TestResetRunEqualsFresh' ./internal/igp/ ./internal/core/
-	$(GO) test -race -count=10 -run 'TestRecycleIsFresh' ./internal/logic/
+	$(GO) test -race -count=10 -run 'TestMemoBuildDeterministic|TestPropagateMatchesReference|TestOrderShrinksSolver|TestResetRunEqualsFresh|TestResetDropsWhatFollowsTheBase' ./internal/igp/ ./internal/core/
+	$(GO) test -race -count=10 -run 'TestRecycleIsFresh|TestRecycleToMarkIsFresh' ./internal/logic/
 	$(GO) test -race -count=10 -run 'TestVarOrder' ./internal/topo/
 	$(GO) test -race -count=10 -run 'TestSweepIndependentOfTopologyFileOrder' .
 
@@ -97,7 +99,10 @@ scale-smoke:
 # the same state, and a valid journal cut anywhere opens with a prefix of
 # its completions. FuzzLoadDir is the topology loader's: no topology.txt
 # panics gen.LoadDir, and an accepted directory round-trips through
-# gen.WriteDir unchanged.
+# gen.WriteDir unchanged. FuzzQuery is GET /v1/query's over a published
+# gen.Small snapshot: no query string panics it, every answer is 200 or
+# 400, and a 200 reach verdict is the compiled program's under the echoed
+# failure set.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/config/
 	$(GO) test -run='^$$' -fuzz='^FuzzParseTemplates$$' -fuzztime=10s ./internal/config/
@@ -107,6 +112,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzPortableDecode -fuzztime=10s ./internal/logic/
 	$(GO) test -run='^$$' -fuzz=FuzzCollectorLine -fuzztime=10s ./internal/collector/
 	$(GO) test -run='^$$' -fuzz=FuzzCompiledEval -fuzztime=10s ./internal/qc/
+	$(GO) test -run='^$$' -fuzz='^FuzzQuery$$' -fuzztime=10s ./internal/httpapi/
 
 # check is the CI gate, defined here and nowhere else (ci.sh calls it):
 # vet + gofmt + hoyanlint + config vet, the full suite once under the race

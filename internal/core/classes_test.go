@@ -8,7 +8,7 @@ import (
 	"hoyan/internal/netaddr"
 )
 
-func modelFrom(t *testing.T, p gen.Params) *Model {
+func modelFrom(t testing.TB, p gen.Params) *Model {
 	t.Helper()
 	w, err := gen.Generate(p)
 	if err != nil {

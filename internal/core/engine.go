@@ -116,7 +116,10 @@ type session struct {
 	from, to topo.NodeID
 	cond     logic.F
 	ibgp     bool
-	viaIGP   bool // cond comes from IGP reachability, resolved lazily
+	viaIGP   bool // cond comes from IGP reachability
+	// lazy marks a viaIGP session whose cond sessionCond has not resolved
+	// yet; inBase one the session base resolved (Simulator.buildBase).
+	lazy, inBase bool
 }
 
 // Simulator owns the per-shard mutable state: one formula factory, one
@@ -131,11 +134,11 @@ type Simulator struct {
 	IGP  *igp.Engine
 	Opts Options
 
-	shared     *Shared // non-nil when built via Shared.NewSimulator
+	shared     *Shared // nil when built without one (NewSimulator)
+	based      bool    // the session base is built and marked (buildBase)
 	sessions   []session
 	sessionsBy [][]int // outgoing session indices per node
 	sessionsTo [][]int // incoming session indices per node
-	igpLazy    map[int]bool
 
 	// maxSteps and damping are Run's step cap (stepsPerNodeSession per node
 	// and session) and oscillation-damping threshold (dampAfter), fields
@@ -209,73 +212,102 @@ func (m *Model) forEachSession(visit func(from, to topo.NodeID, ibgp, viaIGP boo
 // NewSimulator prepares the session table. iBGP session conditions are
 // computed lazily on first use (they require IGP propagation).
 func NewSimulator(m *Model, opts Options) *Simulator {
-	return newSimulator(m, opts, logic.NewFactoryOrdered(m.Net.VarOrder()))
+	return newSimulator(m, opts, logic.NewFactoryOrdered(m.Net.VarOrder()), nil)
 }
 
 // newSimulator is NewSimulator in the given empty factory, which must be
-// under m.Net's variable order.
-func newSimulator(m *Model, opts Options, f *logic.Factory) *Simulator {
+// under m.Net's variable order, derived from sh (nil for none).
+func newSimulator(m *Model, opts Options, f *logic.Factory, sh *Shared) *Simulator {
 	s := &Simulator{
 		M:          m,
-		F:          f,
 		Opts:       opts,
+		shared:     sh,
 		sessionsBy: make([][]int, m.Net.NumNodes()),
 		sessionsTo: make([][]int, m.Net.NumNodes()),
-		igpLazy:    map[int]bool{},
 	}
-	s.IGP = igp.New(m.Net, m.Configs, s.F, igpOptions(opts))
 	m.forEachSession(func(from, to topo.NodeID, ibgp, viaIGP bool) {
 		idx := len(s.sessions)
-		se := session{from: from, to: to, ibgp: ibgp, viaIGP: viaIGP}
-		if viaIGP {
-			// Placeholder; resolved lazily from the IGP.
-			se.cond = logic.False
-			s.igpLazy[idx] = true
-		} else {
-			se.cond = s.directCond(from, to)
-		}
-		s.sessions = append(s.sessions, se)
+		s.sessions = append(s.sessions, session{from: from, to: to, ibgp: ibgp, viaIGP: viaIGP})
 		s.sessionsBy[from] = append(s.sessionsBy[from], idx)
 		s.sessionsTo[to] = append(s.sessionsTo[to], idx)
 	})
 	s.maxSteps = stepsPerNodeSession * m.Net.NumNodes() * (len(s.sessions) + 1)
 	s.damping = dampAfter
+	s.reset(f)
 	return s
 }
 
-// Reset empties the simulator's formula universe — it recycles the
-// factory in place (logic.Factory.Recycle) and drops the IGP engine and
-// every cached condition — returning it to its post-construction state
-// while keeping the model, the session table, the factory's tables and
-// the scratch capacity. A run after a Reset makes the ids, conditions and
-// counts a new simulator's would. Executors Reset between passes to bound
-// formula-arena memory without paying session-table construction or
-// table allocation again; a simulator derived from a Shared is re-seeded
-// with the shared IGP memo, so not even IGP propagation is repeated. A
-// Result obtained before a Reset panics if it is queried afterwards.
-func (s *Simulator) Reset() {
-	s.F.Recycle()
-	s.reset(s.F)
-}
-
-// reset is Reset into the given empty factory.
+// reset makes f, an empty factory, the simulator's, with every direct
+// session's condition built in it; the first pass builds the rest of the
+// session base (buildBase).
 func (s *Simulator) reset(f *logic.Factory) {
 	s.F = f
-	s.IGP = igp.New(s.M.Net, s.M.Configs, s.F, igpOptions(s.Opts))
+	s.IGP = igp.New(s.M.Net, s.M.Configs, f, igpOptions(s.Opts))
 	if s.shared != nil {
 		s.IGP.Seed(s.shared.memo)
 	}
+	s.based = false
 	for i := range s.sessions {
 		se := &s.sessions[i]
-		if se.viaIGP {
-			se.cond = logic.False
-			s.igpLazy[i] = true
-		} else {
+		se.cond, se.lazy, se.inBase = logic.False, se.viaIGP, false
+		if !se.viaIGP {
 			se.cond = s.directCond(se.from, se.to)
 		}
 	}
-	// Scratch entries hold formula refs from the old factory; drop the
-	// contents, keep the capacity.
+	s.clearScratch()
+}
+
+// buildBase completes the session base before the simulator's first pass:
+// it resolves the condition and builds the BDD of every IGP-riding session
+// its Shared's passes announce from the Shared's memo (Shared.inBase), in
+// session order — what a pass would otherwise import and build again
+// after every Reset — and
+// marks the factory and the IGP engine, so a Reset returns here. It waits
+// for a pass rather than for construction, so a simulator that never runs
+// one (a Verifier nobody asks a route query) builds nothing. The base is
+// a function of the Shared alone: every executor's record pass starts
+// from the same universe.
+func (s *Simulator) buildBase() {
+	if s.based {
+		return
+	}
+	for i := range s.sessions {
+		if se := &s.sessions[i]; se.viaIGP && s.shared.inBase(se.from, se.to) {
+			s.F.SAT(s.sessionCond(i))
+			se.inBase = true
+		}
+	}
+	s.IGP.Mark()
+	s.F.Mark()
+	s.based = true
+}
+
+// Reset returns the simulator to its session base (buildBase): it recycles
+// the factory to its Mark (logic.Factory.Recycle), drops every IGP RIB
+// imported or propagated since (a dataplane.Build next-hop lookup can
+// add one), re-arms the session conditions resolved since, and
+// truncates the scratch, keeping the model, the session table, the base,
+// the factory's tables and the scratch capacity. A run after a Reset
+// makes the ids, conditions and counts a new simulator's would.
+// Executors Reset between passes to bound formula-arena memory without
+// paying session-table construction, table allocation or the session
+// base again. A Result obtained before a Reset panics if it is queried
+// afterwards.
+func (s *Simulator) Reset() {
+	s.buildBase()
+	s.F.Recycle()
+	s.IGP.Recycle()
+	for i := range s.sessions {
+		if se := &s.sessions[i]; se.viaIGP && !se.inBase {
+			se.cond, se.lazy = logic.False, true
+		}
+	}
+	s.clearScratch()
+}
+
+// clearScratch drops the scratch entries, which hold formula refs from
+// before a Reset, and keeps the capacity.
+func (s *Simulator) clearScratch() {
 	sc := &s.sc
 	for i := range sc.contrib {
 		sc.contrib[i] = sc.contrib[i][:0]
@@ -307,12 +339,11 @@ func (s *Simulator) directCond(a, b topo.NodeID) logic.F {
 
 // sessionCond resolves (and caches) a session's establishment condition.
 func (s *Simulator) sessionCond(idx int) logic.F {
-	if s.igpLazy[idx] {
-		se := &s.sessions[idx]
-		se.cond = s.IGP.SessionCond(se.from, se.to)
-		delete(s.igpLazy, idx)
+	se := &s.sessions[idx]
+	if se.lazy {
+		se.cond, se.lazy = s.IGP.SessionCond(se.from, se.to), false
 	}
-	return s.sessions[idx].cond
+	return se.cond
 }
 
 // Result is the converged state of one prefix-family simulation. Its
@@ -371,6 +402,7 @@ func (s *Simulator) prepareScratch(n int) {
 // session's wire view. A region pass (RunRegion) is the same fixpoint
 // over the region's node mask.
 func (s *Simulator) Run(prefix netaddr.Prefix) (*Result, error) {
+	s.buildBase()
 	family := s.M.PrefixFamily(prefix)
 	inFamily := make(map[netaddr.Prefix]bool, len(family))
 	for _, p := range family {
@@ -875,6 +907,7 @@ type SessionInfo struct {
 // SessionList returns every configured, both-ends-resolved BGP session.
 // Resolving iBGP session conditions may trigger IGP propagation.
 func (s *Simulator) SessionList() []SessionInfo {
+	s.buildBase()
 	out := make([]SessionInfo, 0, len(s.sessions))
 	for i, se := range s.sessions {
 		cond := s.sessionCond(i)

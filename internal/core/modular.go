@@ -81,6 +81,7 @@ func (s *Simulator) RunRegion(prefix netaddr.Prefix, pt *Partition, region int, 
 	if s.restr != nil {
 		return nil, nil, fmt.Errorf("core: RunRegion is not reentrant")
 	}
+	s.buildBase() // before the summary's conditions enter the factory
 	restr := &restriction{
 		pt:      pt,
 		region:  region,

@@ -156,7 +156,9 @@ func CutMemo(m *Model, opts Options, pt *Partition, have *igp.Memo, workers int)
 // session conditions, sharing the cut's RIBs, so a region's resident IGP
 // state is O(region + cut), not O(WAN).
 func NewRegionShared(m *Model, opts Options, pt *Partition, region int, cut *igp.Memo, workers int) *Shared {
-	return newShared(m, opts, cut, workers, func(from, to topo.NodeID) bool {
-		return pt.RegionOf(from) == region && pt.RegionOf(to) == region
-	})
+	home := make([]bool, m.Net.NumNodes())
+	for id := range home {
+		home[id] = pt.RegionOf(topo.NodeID(id)) == region
+	}
+	return newShared(m, opts, cut, workers, home)
 }

@@ -120,3 +120,26 @@ func TestResultUsedAfterResetPanics(t *testing.T) {
 		t.Fatal("a simulator of another network took the factory over")
 	}
 }
+
+// BenchmarkClassesAfterReset is an in-process executor's loop on the
+// classes-k2 benchmark workload's shape (64 one-prefix classes, K=2): one
+// simulator of one Shared runs every class, Reset before each. One op is
+// the whole loop.
+func BenchmarkClassesAfterReset(b *testing.B) {
+	m := modelFrom(b, gen.Params{Seed: 1, Regions: 2, CoresPerRegion: 2, PEsPerRegion: 4,
+		MANsPerRegion: 1, PeersPerRegion: 8, PrefixesPerPeer: 4, ExtraCoreLinks: 1, WANAS: 64500, PolicyDiversity: 4})
+	opts := DefaultOptions()
+	opts.K = 2
+	sim := NewShared(m, opts).NewSimulator()
+	classes := m.Classes()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, cls := range classes {
+			sim.Reset()
+			if _, err := sim.Run(cls.Rep); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"hoyan/internal/igp"
+	"hoyan/internal/logic"
 	"hoyan/internal/topo"
 )
 
@@ -28,6 +29,10 @@ type Shared struct {
 
 	memo    *igp.Memo
 	memoErr error
+	// home marks, per node, the senders a region Shared's passes announce
+	// from (its region); nil for a whole-WAN Shared, whose passes announce
+	// from every node.
+	home []bool
 }
 
 // MemoHits is always 0, 0: the cross-prefix memo it counted is gone
@@ -46,14 +51,17 @@ func NewShared(m *Model, opts Options) *Shared { return SharedFrom(m, opts, nil,
 // a policy or static-route edit, none. The fixpoints run on up to workers
 // goroutines (<= 0 means GOMAXPROCS).
 func SharedFrom(m *Model, opts Options, have *igp.Memo, workers int) *Shared {
-	return newShared(m, opts, have, workers, func(_, _ topo.NodeID) bool { return true })
+	return newShared(m, opts, have, workers, nil)
 }
 
-// newShared pairs the model with the memo of the sessions keep selects.
-func newShared(m *Model, opts Options, have *igp.Memo, workers int, keep func(from, to topo.NodeID) bool) *Shared {
-	sh := &Shared{M: m, Opts: opts}
+// newShared pairs the model with the memo of the sessions inside home
+// (the Shared's field; nil: every session).
+func newShared(m *Model, opts Options, have *igp.Memo, workers int, home []bool) *Shared {
+	sh := &Shared{M: m, Opts: opts, home: home}
 	m.Origins() // warm the origination cache before workers race to it
-	sh.memo, sh.memoErr = sessionMemo(m, sh.Opts, have, workers, keep)
+	sh.memo, sh.memoErr = sessionMemo(m, sh.Opts, have, workers, func(from, to topo.NodeID) bool {
+		return home == nil || home[from] && home[to]
+	})
 	return sh
 }
 
@@ -70,6 +78,15 @@ func sessionMemo(m *Model, opts Options, have *igp.Memo, workers int, keep func(
 		}
 	})
 	return igp.Build(m.Net, m.Configs, igpOptions(opts), dsts, have, workers)
+}
+
+// inBase reports whether the session from→to, an IGP-riding one, is in
+// the session base of the Shared's simulators (Simulator.buildBase): its
+// Shared's passes announce it, and the memo holds both endpoints' RIBs (a
+// destination whose fixpoint hit the step cap is left out). A simulator
+// without a Shared has no memo, so its base holds no such session.
+func (sh *Shared) inBase(from, to topo.NodeID) bool {
+	return sh != nil && (sh.home == nil || sh.home[from]) && sh.memo.Holds(from) && sh.memo.Holds(to)
 }
 
 // IGPMemo returns the Shared's memo, for whoever carries it to the next
@@ -96,24 +113,27 @@ func (sh *Shared) Classes() []PrefixClass { return sh.M.Classes() }
 // NewSimulator derives a fresh per-worker simulator: its own formula
 // factory and IGP engine (factories are not safe for concurrent use),
 // seeded with the shared IGP memo so session conditions replay from the
-// snapshot instead of re-running propagation.
+// snapshot instead of re-running propagation. Its first pass builds its
+// session base — the condition and BDD of every session its passes
+// announce whose endpoints' RIBs the memo holds — which a Reset keeps
+// (Simulator.Reset).
 func (sh *Shared) NewSimulator() *Simulator { return sh.NewSimulatorFrom(nil) }
 
 // NewSimulatorFrom is NewSimulator for an executor moving to this Shared
 // from prev, the simulator of its last pass (nil when there was none).
 // When prev simulates the same network — another region's Shared of one
 // model, another failure budget — the new simulator takes prev's factory
-// over, recycled, instead of allocating its own; prev's Results then
-// panic as after a Reset, and prev must not be used again.
+// over — its Mark dropped, recycled to the constants, then given this
+// Shared's session base — instead of allocating its own; prev's Results
+// then panic as after a Reset, and prev must not be used again.
 func (sh *Shared) NewSimulatorFrom(prev *Simulator) *Simulator {
-	var s *Simulator
+	var f *logic.Factory
 	if prev != nil && prev.M.Net == sh.M.Net {
-		prev.F.Recycle()
-		s = newSimulator(sh.M, sh.Opts, prev.F)
+		f = prev.F
+		f.Unmark()
+		f.Recycle()
 	} else {
-		s = NewSimulator(sh.M, sh.Opts)
+		f = logic.NewFactoryOrdered(sh.M.Net.VarOrder())
 	}
-	s.shared = sh
-	s.IGP.Seed(sh.memo)
-	return s
+	return newSimulator(sh.M, sh.Opts, f, sh)
 }

@@ -75,6 +75,10 @@ type Engine struct {
 	opts Options
 	cfg  []nodeISIS
 	ribs map[topo.NodeID]map[topo.NodeID][]Entry // dst -> node -> entries
+	// added lists the keys of ribs in the order RIB made them; the first
+	// marked of them are the engine's base (Mark, Recycle).
+	added  []topo.NodeID
+	marked int
 
 	// memo is the seeded cross-engine memo (see memo.go): a destination it
 	// holds is imported into f on first use instead of propagated.
@@ -146,7 +150,22 @@ func (e *Engine) RIB(dst topo.NodeID) map[topo.NodeID][]Entry {
 		rib, _ = e.propagate(dst)
 	}
 	e.ribs[dst] = rib
+	e.added = append(e.added, dst)
 	return rib
+}
+
+// Mark makes the RIBs the engine holds its base, the IGP half of
+// logic.Factory.Mark: Recycle keeps them and drops every later one.
+func (e *Engine) Mark() { e.marked = len(e.added) }
+
+// Recycle drops every RIB imported or propagated since Mark, whose
+// conditions a Recycle of the engine's factory (to the same Mark) voids.
+// The next lookup of such a destination imports or propagates it again.
+func (e *Engine) Recycle() {
+	for _, dst := range e.added[e.marked:] {
+		delete(e.ribs, dst)
+	}
+	e.added = e.added[:e.marked]
 }
 
 // propagations counts path-vector fixpoints run process-wide.

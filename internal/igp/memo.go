@@ -121,6 +121,16 @@ type memoEntry struct {
 // Key returns the fingerprint the memo is valid for.
 func (m *Memo) Key() string { return m.key }
 
+// Holds reports whether the memo carries dst's RIB; a nil memo holds
+// nothing.
+func (m *Memo) Holds(dst topo.NodeID) bool {
+	if m == nil {
+		return false
+	}
+	_, ok := m.dsts[dst]
+	return ok
+}
+
 // NumDestinations reports how many destination RIBs the memo carries.
 func (m *Memo) NumDestinations() int { return len(m.dsts) }
 

@@ -59,4 +59,13 @@ func TestHotPathAllocBudget(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, f.Recycle); allocs != 0 {
 		t.Fatalf("Recycle allocates %v times per call, want 0", allocs)
 	}
+	// Nor does recycling to a base, once Mark has copied it.
+	f.SAT(f.And(f.Var(1), f.Not(f.Var(2))))
+	f.Mark()
+	if allocs := testing.AllocsPerRun(100, func() {
+		f.SAT(f.Or(f.Var(3), f.Var(4)))
+		f.Recycle()
+	}); allocs != 0 {
+		t.Fatalf("Recycle to a base allocates %v times per call, want 0", allocs)
+	}
 }

@@ -27,6 +27,10 @@ type bddSpace struct {
 	// result's nodes exist since the first computation — so eviction
 	// creates no node and changes no id.
 	cache []applyEntry
+	// base is side as the factory's Mark copied it: the decision nodes
+	// below len(base) are the base, and recycle restores their memos.
+	// Without a Mark it is the two terminals'.
+	base []bddSide
 }
 
 type bddNode struct {
@@ -85,7 +89,22 @@ func newBDDSpace(initial int) *bddSpace {
 		side:   make([]bddSide, 2, arenaRoom(slots)),
 		unique: make([]int32, slots),
 		cache:  make([]applyEntry, slots/cacheShare),
+		base:   make([]bddSide, 2),
 	}
+}
+
+// recycle truncates the space to its base (Factory.Recycle): the arena
+// to the base's nodes, their memos to what the Mark saw, the unique table
+// to exactly those nodes, and the computed cache to nothing.
+//
+//hoyan:hotpath
+func (s *bddSpace) recycle() {
+	s.nodes = s.nodes[:len(s.base)]
+	s.side = s.side[:len(s.base)]
+	copy(s.side, s.base)
+	clear(s.unique)
+	s.refillUnique()
+	clear(s.cache)
 }
 
 // mk interns a BDD node in the unique table. The appends stay within
@@ -126,6 +145,21 @@ func (s *bddSpace) grow() {
 	s.unique = make([]int32, 2*len(s.unique))
 	s.nodes = append(make([]bddNode, 0, arenaRoom(len(s.unique))), s.nodes...)
 	s.side = append(make([]bddSide, 0, arenaRoom(len(s.unique))), s.side...)
+	s.refillUnique()
+	old := s.cache
+	s.cache = make([]applyEntry, len(s.unique)/cacheShare)
+	for _, e := range old {
+		if e.key != 0 {
+			*s.cacheSlot(e.key) = e
+		}
+	}
+}
+
+// refillUnique enters every decision node of the arena into the empty
+// unique table.
+//
+//hoyan:hotpath
+func (s *bddSpace) refillUnique() {
 	mask := uint64(len(s.unique) - 1)
 	for id := 2; id < len(s.nodes); id++ {
 		n := &s.nodes[id]
@@ -134,13 +168,6 @@ func (s *bddSpace) grow() {
 			i = (i + 1) & mask
 		}
 		s.unique[i] = int32(id)
-	}
-	old := s.cache
-	s.cache = make([]applyEntry, len(s.unique)/cacheShare)
-	for _, e := range old {
-		if e.key != 0 {
-			*s.cacheSlot(e.key) = e
-		}
 	}
 }
 

@@ -55,6 +55,12 @@ type Factory struct {
 	bdd      *bddSpace // lazily created solver space
 	order    *Order    // the solver's variable order; translated in build and on the way out
 	recycles uint64    // Recycle calls so far
+
+	// base and baseVars are nodes and vars as Mark copied them, BDD
+	// roots included; Recycle restores them. Without a Mark, base is the
+	// two constants and baseVars is empty.
+	base     []node
+	baseVars []F
 }
 
 type nodeKey struct {
@@ -79,33 +85,57 @@ func NewFactoryOrdered(o *Order) *Factory {
 		intern: make([]F, tableSize(1024)),
 		order:  o,
 	}
-	f.nodes[False] = node{k: kConst, size: 1}
-	f.nodes[True] = node{k: kConst, size: 1}
+	f.Unmark()
+	copy(f.nodes, f.base)
 	return f
 }
 
-// Recycle empties the factory in place: afterwards it holds the constants
-// and nothing else, under the same order, and hands out the ids, BDD
-// roots, Simplify outputs and Export bytes a new factory would for the
-// same calls — ids follow creation order alone, and neither a table's
-// size nor what the computed cache holds decides anything
-// (TestRecycleIsFresh). Every table and arena keeps its capacity, so an
-// executor that recycles one factory between computations of one size
+// Mark makes the factory's current contents its base: every later
+// Recycle returns the factory to exactly this state — the same nodes,
+// BDD roots and per-node memos — instead of to the constants. A holder
+// builds what every computation of its own shares (a simulator's session
+// conditions) once, marks, and recycles between computations; F values
+// and BDD roots of the base stay valid across those Recycles. Mark
+// copies the arenas' memo fields, so it allocates; Recycle does not.
+func (f *Factory) Mark() {
+	f.base = append(f.base[:0], f.nodes...)
+	f.baseVars = append(f.baseVars[:0], f.vars...)
+	if s := f.bdd; s != nil {
+		s.base = append(s.base[:0], s.side...)
+	}
+}
+
+// Unmark drops the base: the next Recycle empties the factory to its two
+// constants, as if Mark had never been called.
+func (f *Factory) Unmark() {
+	f.base = append(f.base[:0], node{k: kConst, size: 1}, node{k: kConst, size: 1})
+	f.baseVars = f.baseVars[:0]
+	if s := f.bdd; s != nil {
+		s.base = s.base[:2]
+	}
+}
+
+// Recycle returns the factory in place to its base (Mark; the constants
+// when there is none): afterwards it holds the base and nothing else,
+// under the same order, and hands out the ids, BDD roots, Simplify
+// outputs and Export bytes a new factory that built the same base would
+// for the same calls — ids follow creation order alone, the base's memos
+// are restored to what they were at the Mark, and neither a table's size
+// nor what the computed cache holds decides anything (TestRecycleIsFresh,
+// TestRecycleToMarkIsFresh). Every table and arena keeps its capacity, so
+// an executor that recycles one factory between computations of one size
 // allocates solver memory once, not once per computation. Every F and
-// BDD root handed out before is void; Recycles tells a holder so.
+// BDD root handed out since the Mark is void; Recycles tells a holder so.
 //
 //hoyan:hotpath
 func (f *Factory) Recycle() {
-	f.nodes = f.nodes[:2]
-	f.nodes[False] = node{k: kConst, size: 1}
-	f.nodes[True] = node{k: kConst, size: 1}
+	f.nodes = f.nodes[:len(f.base)]
+	copy(f.nodes, f.base)
 	clear(f.intern)
-	clear(f.vars)
+	f.refillIntern()
+	clear(f.vars[copy(f.vars, f.baseVars):])
 	if s := f.bdd; s != nil {
-		s.nodes = s.nodes[:2]
-		s.side = s.side[:2]
-		clear(s.unique)
-		clear(s.cache)
+		s.recycle()
 	}
 	f.recycles++
 }
@@ -165,6 +195,14 @@ func (f *Factory) mk(key nodeKey, size int32) F {
 func (f *Factory) growIntern() {
 	f.intern = make([]F, 2*len(f.intern))
 	f.nodes = append(make([]node, 0, arenaRoom(len(f.intern))), f.nodes...)
+	f.refillIntern()
+}
+
+// refillIntern enters every non-constant node of the arena into the
+// empty intern table.
+//
+//hoyan:hotpath
+func (f *Factory) refillIntern() {
 	mask := uint64(len(f.intern) - 1)
 	for id := 2; id < len(f.nodes); id++ {
 		n := &f.nodes[id]

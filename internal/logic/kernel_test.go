@@ -3,6 +3,7 @@ package logic
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/bits"
 	"math/rand"
 	"testing"
@@ -294,6 +295,98 @@ func TestRecycleIsFresh(t *testing.T) {
 		if !bytes.Equal(ea, eb) {
 			t.Fatalf("formula %d: exports differ:\n%s\n%s", n, ea, eb)
 		}
+	}
+	if len(recycled.bdd.unique) < 4*len(fresh.bdd.unique) || len(recycled.bdd.unique) != dirty {
+		t.Fatalf("unique table of %d slots recycled (%d after the replay) against %d fresh; the test needs a recycled table kept at least 4× larger",
+			dirty, len(recycled.bdd.unique), len(fresh.bdd.unique))
+	}
+}
+
+// TestRecycleToMarkIsFresh pins Recycle to a base: a factory that built
+// a base of 300 formulas (a third simplified, a third only built, a third
+// never built), marked it, then took a load that reads the base — every
+// base formula simplified, negated and conjoined with a new variable, so
+// memos of base nodes now point past the Mark — and had its tables
+// doubled by a compile-k3-class build, is, once recycled,
+// indistinguishable from a new factory that built the same base: every
+// formula id, BDD root, node count, Simplify output and exported byte is
+// equal, over the base formulas and the 2 000 of TestRecycleIsFresh.
+func TestRecycleToMarkIsFresh(t *testing.T) {
+	vars := make([]Var, ttVars)
+	for i := range vars {
+		vars[i] = Var(i)
+	}
+	rand.New(rand.NewSource(25)).Shuffle(ttVars, func(i, j int) { vars[i], vars[j] = vars[j], vars[i] })
+	order := NewOrder(vars)
+
+	recycled, fresh := NewFactoryOrdered(order), NewFactoryOrdered(order)
+	fs := []*Factory{recycled, fresh}
+	rng := rand.New(rand.NewSource(27))
+	var base [][]F
+	for n := 0; n < 300; n++ {
+		xs, _ := tabledFormula(rng, fs)
+		base = append(base, xs)
+		for i, f := range fs {
+			switch n % 3 {
+			case 0:
+				f.Simplify(xs[i])
+			case 1:
+				f.MinFalse(xs[i])
+			}
+		}
+	}
+	recycled.Mark()
+	nodes, solver := recycled.NumNodes(), recycled.SolverNodes()
+	for _, xs := range base {
+		x := xs[0]
+		recycled.Simplify(x)
+		recycled.Simplify(recycled.Not(x))
+		recycled.MinFalse(recycled.And(x, recycled.Var(ttVars)))
+	}
+	wanBuild(recycled, 45, 25, 22, 3)
+	dirty := len(recycled.bdd.unique)
+	recycled.Recycle()
+	if recycled.NumNodes() != nodes || recycled.SolverNodes() != solver {
+		t.Fatalf("recycled to the Mark: %d formula nodes, %d solver nodes; want the base's %d, %d",
+			recycled.NumNodes(), recycled.SolverNodes(), nodes, solver)
+	}
+
+	same := func(what string, a, b F) {
+		t.Helper()
+		if a != b {
+			t.Fatalf("%s: id %d in the recycled factory, %d in the fresh one", what, a, b)
+		}
+		if ra, rb := recycled.build(a), fresh.build(b); ra != rb {
+			t.Fatalf("%s: BDD root %d in the recycled factory, %d in the fresh one", what, ra, rb)
+		}
+		if na, nb := recycled.SolverNodes(), fresh.SolverNodes(); na != nb {
+			t.Fatalf("%s: %d solver nodes in the recycled factory, %d in the fresh one", what, na, nb)
+		}
+		sa, sb := recycled.Simplify(a), fresh.Simplify(b)
+		if sa != sb {
+			t.Fatalf("%s: Simplify gives %d in the recycled factory, %d in the fresh one", what, sa, sb)
+		}
+		ea, err := json.Marshal(recycled.Export(a, sa))
+		if err != nil {
+			t.Fatal(err)
+		}
+		eb, err := json.Marshal(fresh.Export(b, sb))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(ea, eb) {
+			t.Fatalf("%s: exports differ:\n%s\n%s", what, ea, eb)
+		}
+	}
+	same("the load's variable", recycled.Var(ttVars), fresh.Var(ttVars))
+	for n, xs := range base {
+		same(fmt.Sprintf("base formula %d", n), xs[0], xs[1])
+		same(fmt.Sprintf("negated base formula %d", n), recycled.Not(xs[0]), fresh.Not(xs[1]))
+	}
+	rng = rand.New(rand.NewSource(23))
+	for n := 0; n < 2000; n++ {
+		xs, _ := tabledFormula(rng, fs)
+		same(fmt.Sprintf("formula %d", n), xs[0], xs[1])
 	}
 	if len(recycled.bdd.unique) < 4*len(fresh.bdd.unique) || len(recycled.bdd.unique) != dirty {
 		t.Fatalf("unique table of %d slots recycled (%d after the replay) against %d fresh; the test needs a recycled table kept at least 4× larger",
