@@ -102,13 +102,19 @@ scale-smoke:
 # gen.WriteDir unchanged. FuzzQuery is GET /v1/query's over a published
 # gen.Small snapshot: no query string panics it, every answer is 200 or
 # 400, and a 200 reach verdict is the compiled program's under the echoed
-# failure set.
+# failure set. FuzzWorkerAnswer is a worker's request decoder and pass
+# path on gen.Small, seeded with a real home and import pass: no request
+# panics the worker, and every answer is verdicts, a refusal or an error.
+# Each input is a whole pass, so minimizing a new one runs many passes:
+# -fuzzminimizetime=1s caps that, where the default 60s would spend the
+# whole run on the first new input.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/config/
 	$(GO) test -run='^$$' -fuzz='^FuzzParseTemplates$$' -fuzztime=10s ./internal/config/
 	$(GO) test -run='^$$' -fuzz='^FuzzPrefixParse$$' -fuzztime=10s ./internal/config/
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadDir$$' -fuzztime=10s ./internal/gen/
 	$(GO) test -run='^$$' -fuzz='^FuzzOpenSession$$' -fuzztime=10s ./internal/dist/
+	$(GO) test -run='^$$' -fuzz='^FuzzWorkerAnswer$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/dist/
 	$(GO) test -run='^$$' -fuzz=FuzzPortableDecode -fuzztime=10s ./internal/logic/
 	$(GO) test -run='^$$' -fuzz=FuzzCollectorLine -fuzztime=10s ./internal/collector/
 	$(GO) test -run='^$$' -fuzz=FuzzCompiledEval -fuzztime=10s ./internal/qc/

@@ -107,7 +107,7 @@ func main() {
 	dialTimeout := fs.Duration("dial-timeout", dopts.DialTimeout, "sweep: per-dial deadline")
 	hedgeAfter := fs.Duration("hedge-after", 0, "sweep: re-dispatch stragglers to idle workers after this long (0 = off)")
 	partial := fs.Bool("partial", false, "sweep: report failed prefixes instead of aborting the run")
-	modular := fs.Bool("modular", false, "sweep: per-region passes stitched through interface summaries, O(WAN/regions) working set (falls back to monolithic, loudly, when no usable cut exists)")
+	modular := fs.Bool("modular", false, "sweep: per-region passes stitched through interface summaries, each pass's BGP state one region (falls back to monolithic, loudly, when no usable cut exists)")
 	baseline := fs.String("baseline", "", "sweep: baseline result store for incremental re-verification")
 	saveBaseline := fs.String("save-baseline", "", "sweep: also capture a baseline result store and write it here")
 	auditSample := fs.Float64("audit-sample", 0, "sweep: fraction of replicated members and cached replays to re-simulate and check")

@@ -167,8 +167,9 @@ type Options struct {
 	// verification"): each prefix family is simulated in its home region
 	// first, the routes it exports across each region cut are captured as
 	// an interface summary, and every other region is then verified
-	// against the imported summary — so a pass holds O(WAN/regions)
-	// propagation state instead of O(WAN). Reports are byte-identical to
+	// against the imported summary — so a pass's BGP state covers one
+	// region (the IGP memo and session base are the model's, shared with
+	// monolithic passes). Reports are byte-identical to
 	// a monolithic sweep; families whose behavior a cut cannot express
 	// (cross-region origination, re-export across a second cut, frozen
 	// sessions) fall back to monolithic simulation, loudly counted in

@@ -259,10 +259,9 @@ func (s *Simulator) reset(f *logic.Factory) {
 
 // buildBase completes the session base before the simulator's first pass:
 // it resolves the condition and builds the BDD of every IGP-riding session
-// its Shared's passes announce from the Shared's memo (Shared.inBase), in
-// session order — what a pass would otherwise import and build again
-// after every Reset — and
-// marks the factory and the IGP engine, so a Reset returns here. It waits
+// whose RIBs the Shared's memo holds (Shared.inBase), in session order —
+// what a pass would otherwise import and build again after every Reset —
+// and marks the factory and the IGP engine, so a Reset returns here. It waits
 // for a pass rather than for construction, so a simulator that never runs
 // one (a Verifier nobody asks a route query) builds nothing. The base is
 // a function of the Shared alone: every executor's record pass starts

@@ -126,12 +126,18 @@ func (s *Simulator) RunRegion(prefix netaddr.Prefix, pt *Partition, region int, 
 // simplification policy run here, exactly as the live announce would
 // have, so the pinned contribution matches the monolithic one entry for
 // entry. Messages for sessions that do not enter the pass's region are
-// skipped — one home summary serves every import pass.
+// skipped — one home summary serves every import pass. A summary arrives
+// off the wire, so it is checked whole before anything enters the
+// factory: every message names a session of this model by its endpoints
+// and a condition the summary carries, and every condition ranges over
+// the model's link variables only.
 func (s *Simulator) importSummary(restr *restriction, sum *CutSummary) error {
 	if len(sum.Msgs) == 0 {
 		return nil
 	}
-	conds := sum.Conds.Import(s.F)
+	if sum.Conds == nil {
+		return fmt.Errorf("core: modular: summary for %s has %d messages and no conditions", sum.Prefix, len(sum.Msgs))
+	}
 	for _, msg := range sum.Msgs {
 		if msg.Sess < 0 || msg.Sess >= len(s.sessions) {
 			return fmt.Errorf("core: modular: summary for %s names session %d of %d", sum.Prefix, msg.Sess, len(s.sessions))
@@ -141,6 +147,19 @@ func (s *Simulator) importSummary(restr *restriction, sum *CutSummary) error {
 			return fmt.Errorf("core: modular: summary session %d is %s->%s, expected %s->%s (model mismatch?)",
 				msg.Sess, msg.From, msg.To, from, to)
 		}
+		if msg.Cond < 0 || msg.Cond >= sum.Conds.NumRoots() {
+			return fmt.Errorf("core: modular: summary for %s names condition %d of %d", sum.Prefix, msg.Cond, sum.Conds.NumRoots())
+		}
+	}
+	links := logic.Var(s.M.Net.NumLinks())
+	for i := 2; i < sum.Conds.NumNodes(); i++ {
+		if sh := sum.Conds.NodeShape(i); sh.Kind == logic.WalkVar && sh.Variable >= links {
+			return fmt.Errorf("core: modular: summary for %s names variable %d; the model has %d links", sum.Prefix, sh.Variable, links)
+		}
+	}
+	conds := sum.Conds.Import(s.F)
+	for _, msg := range sum.Msgs {
+		se := &s.sessions[msg.Sess]
 		if restr.in[se.from] || !restr.in[se.to] {
 			continue // not an inject session of this pass
 		}

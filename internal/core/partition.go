@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"hoyan/internal/igp"
 	"hoyan/internal/netaddr"
 	"hoyan/internal/topo"
 )
@@ -138,27 +137,4 @@ func (m *Model) FamilyOrigins(p netaddr.Prefix) []topo.NodeID {
 		}
 	}
 	return out
-}
-
-// CutMemo is the memo of the IGP destinations behind every cross-region
-// session condition. Built once per modular sweep and handed to every
-// region's NewRegionShared, it keeps the per-region IGP state from
-// re-propagating the cut destinations region after region. have and
-// workers are SharedFrom's.
-func CutMemo(m *Model, opts Options, pt *Partition, have *igp.Memo, workers int) (*igp.Memo, error) {
-	return sessionMemo(m, opts, have, workers, func(from, to topo.NodeID) bool {
-		return pt.RegionOf(from) != pt.RegionOf(to)
-	})
-}
-
-// NewRegionShared is NewShared scoped to one region of a partition: its
-// memo is the cut memo plus the destinations behind the region's internal
-// session conditions, sharing the cut's RIBs, so a region's resident IGP
-// state is O(region + cut), not O(WAN).
-func NewRegionShared(m *Model, opts Options, pt *Partition, region int, cut *igp.Memo, workers int) *Shared {
-	home := make([]bool, m.Net.NumNodes())
-	for id := range home {
-		home[id] = pt.RegionOf(topo.NodeID(id)) == region
-	}
-	return newShared(m, opts, cut, workers, home)
 }

@@ -72,9 +72,8 @@ func TestResetRunEqualsFresh(t *testing.T) {
 }
 
 // TestResultUsedAfterResetPanics: a Result reads its conditions from the
-// simulator's factory, which a Reset — or a handoff to the next Shared's
-// simulator — recycles. Queried afterwards it must panic, not answer from
-// another universe.
+// simulator's factory, which a Reset recycles. Queried afterwards it must
+// panic, not answer from another universe.
 func TestResultUsedAfterResetPanics(t *testing.T) {
 	m := modelFrom(t, gen.Small())
 	opts := DefaultOptions()
@@ -104,21 +103,6 @@ func TestResultUsedAfterResetPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 	res.MinFailuresToLose(node, pat)
-
-	// Another budget on the same network takes the factory over.
-	opts.K = 2
-	next := NewShared(m, opts).NewSimulatorFrom(sim)
-	if next.F != sim.F {
-		t.Fatal("a simulator of the same network did not take the factory over")
-	}
-	mustPanic("after a handoff", res)
-	if _, err := next.Run(cls.Rep); err != nil {
-		t.Fatal(err)
-	}
-	// Another network gets a factory of its own.
-	if other := NewShared(modelFrom(t, gen.Small()), opts).NewSimulatorFrom(next); other.F == next.F {
-		t.Fatal("a simulator of another network took the factory over")
-	}
 }
 
 // BenchmarkClassesAfterReset is an in-process executor's loop on the

@@ -29,10 +29,6 @@ type Shared struct {
 
 	memo    *igp.Memo
 	memoErr error
-	// home marks, per node, the senders a region Shared's passes announce
-	// from (its region); nil for a whole-WAN Shared, whose passes announce
-	// from every node.
-	home []bool
 }
 
 // MemoHits is always 0, 0: the cross-prefix memo it counted is gone
@@ -51,42 +47,25 @@ func NewShared(m *Model, opts Options) *Shared { return SharedFrom(m, opts, nil,
 // a policy or static-route edit, none. The fixpoints run on up to workers
 // goroutines (<= 0 means GOMAXPROCS).
 func SharedFrom(m *Model, opts Options, have *igp.Memo, workers int) *Shared {
-	return newShared(m, opts, have, workers, nil)
-}
-
-// newShared pairs the model with the memo of the sessions inside home
-// (the Shared's field; nil: every session).
-func newShared(m *Model, opts Options, have *igp.Memo, workers int, home []bool) *Shared {
-	sh := &Shared{M: m, Opts: opts, home: home}
+	sh := &Shared{M: m, Opts: opts}
 	m.Origins() // warm the origination cache before workers race to it
-	sh.memo, sh.memoErr = sessionMemo(m, sh.Opts, have, workers, func(from, to topo.NodeID) bool {
-		return home == nil || home[from] && home[to]
-	})
-	return sh
-}
-
-// sessionMemo is the one place core asks for IGP fixpoints: the memo of
-// the IGP-riding sessions keep selects — both endpoints of each are the
-// destinations whose RIBs the session's condition reads. The three memos
-// of a sweep (whole-WAN, cut, one region) differ in that selection and in
-// nothing else.
-func sessionMemo(m *Model, opts Options, have *igp.Memo, workers int, keep func(from, to topo.NodeID) bool) (*igp.Memo, error) {
 	var dsts []topo.NodeID
 	m.forEachSession(func(from, to topo.NodeID, _, viaIGP bool) {
-		if viaIGP && keep(from, to) {
+		if viaIGP {
 			dsts = append(dsts, from, to)
 		}
 	})
-	return igp.Build(m.Net, m.Configs, igpOptions(opts), dsts, have, workers)
+	sh.memo, sh.memoErr = igp.Build(m.Net, m.Configs, igpOptions(opts), dsts, have, workers)
+	return sh
 }
 
 // inBase reports whether the session from→to, an IGP-riding one, is in
-// the session base of the Shared's simulators (Simulator.buildBase): its
-// Shared's passes announce it, and the memo holds both endpoints' RIBs (a
-// destination whose fixpoint hit the step cap is left out). A simulator
-// without a Shared has no memo, so its base holds no such session.
+// the session base of the Shared's simulators (Simulator.buildBase): the
+// memo holds both endpoints' RIBs (a destination whose fixpoint hit the
+// step cap is left out). A simulator without a Shared has no memo, so its
+// base holds no such session.
 func (sh *Shared) inBase(from, to topo.NodeID) bool {
-	return sh != nil && (sh.home == nil || sh.home[from]) && sh.memo.Holds(from) && sh.memo.Holds(to)
+	return sh != nil && sh.memo.Holds(from) && sh.memo.Holds(to)
 }
 
 // IGPMemo returns the Shared's memo, for whoever carries it to the next
@@ -114,26 +93,11 @@ func (sh *Shared) Classes() []PrefixClass { return sh.M.Classes() }
 // factory and IGP engine (factories are not safe for concurrent use),
 // seeded with the shared IGP memo so session conditions replay from the
 // snapshot instead of re-running propagation. Its first pass builds its
-// session base — the condition and BDD of every session its passes
-// announce whose endpoints' RIBs the memo holds — which a Reset keeps
-// (Simulator.Reset).
-func (sh *Shared) NewSimulator() *Simulator { return sh.NewSimulatorFrom(nil) }
-
-// NewSimulatorFrom is NewSimulator for an executor moving to this Shared
-// from prev, the simulator of its last pass (nil when there was none).
-// When prev simulates the same network — another region's Shared of one
-// model, another failure budget — the new simulator takes prev's factory
-// over — its Mark dropped, recycled to the constants, then given this
-// Shared's session base — instead of allocating its own; prev's Results
-// then panic as after a Reset, and prev must not be used again.
-func (sh *Shared) NewSimulatorFrom(prev *Simulator) *Simulator {
-	var f *logic.Factory
-	if prev != nil && prev.M.Net == sh.M.Net {
-		f = prev.F
-		f.Unmark()
-		f.Recycle()
-	} else {
-		f = logic.NewFactoryOrdered(sh.M.Net.VarOrder())
-	}
-	return newSimulator(sh.M, sh.Opts, f, sh)
+// session base — the condition and BDD of every IGP-riding session whose
+// endpoints' RIBs the memo holds — which a Reset keeps (Simulator.Reset).
+// Its region passes (Simulator.RunRegion) share the memo and the base
+// with its monolithic ones: a region is an argument of the pass, not of
+// the Shared.
+func (sh *Shared) NewSimulator() *Simulator {
+	return newSimulator(sh.M, sh.Opts, logic.NewFactoryOrdered(sh.M.Net.VarOrder()), sh)
 }

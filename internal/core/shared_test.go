@@ -64,8 +64,7 @@ func TestMemoBuildDeterministic(t *testing.T) {
 
 // TestSharedFromReuse pins what SharedFrom propagates: everything when
 // cold, nothing when handed the memo of a model that differs in nothing
-// the IGP reads, and the whole-WAN memo already holds whatever the cut and
-// region memos of the same model ask for.
+// the IGP reads, and everything again at another failure budget.
 func TestSharedFromReuse(t *testing.T) {
 	m := modelFrom(t, gen.Small())
 	opts := DefaultOptions()
@@ -84,39 +83,6 @@ func TestSharedFromReuse(t *testing.T) {
 	}
 	if n := count(func() { SharedFrom(m, opts, cold.IGPMemo(), 2) }); n != 0 {
 		t.Fatalf("a Shared handed its own memo ran %d propagations", n)
-	}
-	pt, err := NewPartition(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := count(func() {
-		cut, err := CutMemo(m, opts, pt, cold.IGPMemo(), 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for r := 0; r < pt.NumRegions(); r++ {
-			NewRegionShared(m, opts, pt, r, cut, 2)
-		}
-	})
-	if n != 0 {
-		t.Fatalf("cut and region memos ran %d propagations the whole-WAN memo already held", n)
-	}
-	// Cold, the cut and the regions together propagate each destination
-	// once: a region starts from the cut and adds only its own.
-	var union *igp.Memo
-	n = count(func() {
-		cut, err := CutMemo(m, opts, pt, nil, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		union = cut
-		for r := 0; r < pt.NumRegions(); r++ {
-			union = NewRegionShared(m, opts, pt, r, union, 2).IGPMemo()
-		}
-	})
-	if int(n) != cold.IGPMemo().NumDestinations() || union.NumDestinations() != int(n) {
-		t.Fatalf("cut + regions: %d propagations, %d destinations; the whole-WAN memo has %d",
-			n, union.NumDestinations(), cold.IGPMemo().NumDestinations())
 	}
 	opts.K = 2
 	if n := count(func() { SharedFrom(m, opts, cold.IGPMemo(), 2) }); int(n) != cold.IGPMemo().NumDestinations() {

@@ -47,8 +47,9 @@ type Request struct {
 	Model string `json:"model,omitempty"`
 	// Region restricts the pass to one region of the model's partition
 	// (modular verification): the worker runs a region-restricted
-	// simulation and answers with that region's verdicts only, holding
-	// O(WAN/regions) state instead of the whole model. Empty means
+	// simulation, whose BGP state covers that region, on the simulator
+	// of the model's Shared — the IGP memo and session base are the
+	// model's — and answers with that region's verdicts only. Empty means
 	// monolithic simulation.
 	Region string `json:"region,omitempty"`
 	// Summary carries the home pass's exported cut summary on import

@@ -11,7 +11,7 @@ import (
 // modularPlan builds the modular plan of the WAN's class partition: the
 // partition's regions, and each class homed where its family originates
 // (no home where FamilyHome refuses).
-func modularPlan(t *testing.T, w *gen.WAN, k int) *Plan {
+func modularPlan(t testing.TB, w *gen.WAN, k int) *Plan {
 	t.Helper()
 	model, err := core.Assemble(w.Net, w.Snap, behavior.TrueProfiles())
 	if err != nil {
@@ -42,9 +42,7 @@ func modularPlan(t *testing.T, w *gen.WAN, k int) *Plan {
 // the refusal path (the AllowASLoop echo routes cross a second cut on
 // gen.Medium, a genuine monolithic behavior the region passes refuse to
 // approximate) and so proves refused representatives land on
-// byte-identical monolithic answers. The workers run with the default
-// MaxShared: the LRU cap a modular session needs comes from the
-// partition.
+// byte-identical monolithic answers.
 func TestRunModularMatchesRunClasses(t *testing.T) {
 	w, err := gen.Generate(gen.Medium())
 	if err != nil {

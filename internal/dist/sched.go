@@ -131,8 +131,8 @@ func (l Local) open(p *Plan, units int) ([]executor, Options, error) {
 	}
 	n := max(1, min(cpus, units))
 	// One worker behind every executor: they share its Shared LRU — one
-	// IGP memo per (k, region), residency bounded by the partition, built
-	// from the plan's carried memo on as many goroutines as the pool was
+	// IGP memo per k, for monolithic and region passes alike, built from
+	// the plan's carried memo on as many goroutines as the pool was
 	// given — and each keeps its own simulator, Reset before every pass
 	// it is reused for. (A remote worker's connection Resets its own only
 	// before a record pass: DESIGN.md, "Recycling".)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"hoyan/internal/behavior"
 	"hoyan/internal/config"
 	"hoyan/internal/core"
 	"hoyan/internal/gen"
@@ -53,7 +54,7 @@ func TestSharedBuildOutsideLock(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				got[r][i] = w.cachedShared(sharedKey{model: "m", k: 1 + i}, 0, build(i))
+				got[r][i] = w.cachedShared(sharedKey{model: "m", k: 1 + i}, build(i))
 			}()
 		}
 	}
@@ -93,9 +94,9 @@ func policyEdit(t *testing.T, wa *gen.WAN) config.Snapshot {
 }
 
 // TestWorkerReusesResidentMemo: a worker asked for a second model that
-// differs from a resident one by a policy edit builds its Shared — global
-// and per region — without a single IGP propagation, and the verdicts are
-// those of a worker that never saw the first model.
+// differs from a resident one by a policy edit builds its Shared — which
+// its region passes share — without a single IGP propagation, and the
+// verdicts are those of a worker that never saw the first model.
 func TestWorkerReusesResidentMemo(t *testing.T) {
 	wa, err := gen.Generate(gen.Small())
 	if err != nil {
@@ -140,7 +141,7 @@ func TestWorkerReusesResidentMemo(t *testing.T) {
 			t.Fatalf("verdict %d: %+v on the reused memo, %+v cold", i, warm.Summaries[i], cold.Summaries[i])
 		}
 	}
-	// Region passes of the edited model start from the same resident memo.
+	// Region passes of the edited model run on its resident Shared.
 	m, _ := w.sources[hashB].assemble()
 	pt, err := core.NewPartition(m)
 	if err != nil {
@@ -151,10 +152,75 @@ func TestWorkerReusesResidentMemo(t *testing.T) {
 			w.answer(Request{Prefix: prefix, K: 2, Model: hashB, Region: pt.RegionName(r)}, &connSim{})
 		}
 	}); n != 0 {
-		t.Fatalf("region Shareds of the edited model ran %d propagations", n)
+		t.Fatalf("region passes of the edited model ran %d propagations", n)
 	}
 	// Another failure budget is another key: nothing resident applies.
 	if n := count(func() { w.answer(Request{Prefix: prefix, K: 1, Model: hashB}, &connSim{}) }); n == 0 {
 		t.Fatal("K=1 was served from RIBs built for K=2")
+	}
+}
+
+// spyPool is Local(n) keeping the worker its executors share.
+type spyPool struct {
+	n Local
+	w *Worker
+}
+
+func (s *spyPool) open(p *Plan, units int) ([]executor, Options, error) {
+	execs, opts, err := s.n.open(p, units)
+	if err == nil {
+		s.w = execs[0].(*localExecutor).w
+	}
+	return execs, opts, err
+}
+
+// TestModularRunHoldsOneShared: a region is an argument of the pass, not
+// of the Shared. After a modular Local(2) run on gen.Medium the worker
+// holds exactly one Shared, the (model, K) one, and the run propagated
+// exactly that Shared's memo destinations — as many as a monolithic run
+// of the same classes.
+func TestModularRunHoldsOneShared(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two gen.Medium sweeps under -short")
+	}
+	wa, err := gen.Generate(gen.Medium())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 2
+	plan := modularPlan(t, wa, k)
+	if plan.Model, err = core.Assemble(wa.Net, wa.Snap, behavior.TrueProfiles()); err != nil {
+		t.Fatal(err)
+	}
+	plan.ModelHash = ModelHash(wa.Net, wa.Snap)
+	run := func(p *Plan) (*core.Shared, int64) {
+		t.Helper()
+		pool := &spyPool{n: 2}
+		before := igp.Propagations()
+		res, err := Run(p, pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (res.ModularPasses > 0) != (len(p.Regions) > 0) {
+			t.Fatalf("%d modular passes over %d regions", res.ModularPasses, len(p.Regions))
+		}
+		n := igp.Propagations() - before
+		if len(pool.w.shareds) != 1 {
+			t.Fatalf("the worker holds %d Shareds, want 1", len(pool.w.shareds))
+		}
+		e := pool.w.shareds[sharedKey{model: plan.ModelHash, k: k}]
+		if e == nil {
+			t.Fatalf("the worker's one Shared is not the (model, K=%d) one", k)
+		}
+		return e.sh.Load(), n
+	}
+	sh, n := run(plan)
+	if dsts := sh.IGPMemo().NumDestinations(); int(n) != dsts {
+		t.Fatalf("the modular run propagated %d destinations; its Shared's memo holds %d", n, dsts)
+	}
+	mono := *plan
+	mono.Regions = nil
+	if _, nm := run(&mono); nm != n {
+		t.Fatalf("the modular run propagated %d destinations, the monolithic one %d", n, nm)
 	}
 }

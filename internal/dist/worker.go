@@ -36,24 +36,11 @@ type modelSource struct {
 	model *core.Model
 	err   error
 
-	// Modular state, derived on the first region request. The partition
-	// is immutable per model; the cut memos (one per failure budget, a
-	// handful in practice) are shared by every region Shared of the model
-	// and never evicted — they are what keeps a region's resident IGP
-	// state at O(region) instead of O(WAN).
+	// The model's region partition, derived on the first region request;
+	// immutable per model.
 	ptOnce sync.Once
 	pt     *core.Partition
 	ptErr  error
-	cutMu  sync.Mutex
-	cuts   map[int]*cutEntry // by k
-}
-
-// cutEntry is one cut memo, built once by the first request that needs
-// it, outside cutMu.
-type cutEntry struct {
-	once sync.Once
-	memo *igp.Memo
-	err  error
 }
 
 func (ms *modelSource) assemble() (*core.Model, error) {
@@ -77,31 +64,12 @@ func (ms *modelSource) partition() (*core.Partition, error) {
 	return ms.pt, ms.ptErr
 }
 
-// cutMemo returns the model's cross-region IGP memo for one failure
-// budget, building it on first use from build. Callers must have
-// assembled the model (partition() does).
-func (ms *modelSource) cutMemo(k int, build func() (*igp.Memo, error)) (*igp.Memo, error) {
-	ms.cutMu.Lock()
-	if ms.cuts == nil {
-		ms.cuts = map[int]*cutEntry{}
-	}
-	e := ms.cuts[k]
-	if e == nil {
-		e = &cutEntry{}
-		ms.cuts[k] = e
-	}
-	ms.cutMu.Unlock()
-	e.once.Do(func() { e.memo, e.err = build() })
-	return e.memo, e.err
-}
-
 // sharedKey identifies one resident core.Shared: a model (by ModelHash)
-// at one failure budget, either globally (region "") or restricted to
-// one region of the model's partition.
+// at one failure budget. Monolithic and region passes of the model share
+// it: a region is an argument of the pass (core.Simulator.RunRegion).
 type sharedKey struct {
-	model  string
-	k      int
-	region string
+	model string
+	k     int
 }
 
 // sharedEntry is one LRU slot. The slot is claimed under sharedMu and
@@ -119,7 +87,7 @@ type sharedEntry struct {
 // snapshots. Each snapshot is registered under its ModelHash; requests
 // select one by hash (empty = the default snapshot), so several
 // concurrent sweep sessions — possibly from different coordinators —
-// share one worker pool with no cross-talk. Per (model, k, region) the
+// share one worker pool with no cross-talk. Per (model, k) the
 // worker keeps a core.Shared (immutable model + IGP memo) in a small LRU,
 // so interleaved sessions never pay per-pass re-assembly while memory
 // stays bounded. A Shared about to be built starts from the memo of a
@@ -132,13 +100,10 @@ type Worker struct {
 	IdleTimeout time.Duration
 
 	// MaxShared caps the resident core.Shared entries (the LRU size);
-	// zero means DefaultMaxShared. A model serving region passes raises
-	// the cap to its region count plus two — every region Shared and the
-	// global one of the monolithic fallback — so a modular session never
-	// thrashes. Set before Serve. Evicting an entry only drops the
-	// worker's reference: simulators already built from it on open
-	// connections keep working (Shared is immutable), and the next
-	// request for that key re-assembles.
+	// zero means DefaultMaxShared. Set before Serve. Evicting an entry
+	// only drops the worker's reference: simulators already built from it
+	// on open connections keep working (Shared is immutable), and the
+	// next request for that key re-assembles.
 	MaxShared int
 
 	// carried is a memo handed in from outside the worker — the plan's,
@@ -152,7 +117,6 @@ type Worker struct {
 	sources     map[string]*modelSource // by ModelHash; "" aliases default
 	defaultHash string
 	shareds     map[sharedKey]*sharedEntry
-	regionFloor int // largest region count + 2 among models serving region passes
 	clock       int64
 	evictions   int
 
@@ -259,14 +223,12 @@ func (w *Worker) Close() error {
 	return nil
 }
 
-// sharedFor returns the Shared for (model hash, failure budget k,
-// region), assembling it on first use and touching its LRU slot; region
-// "" is the global Shared of a monolithic pass. A region Shared shares the
-// model's cut memo, so a worker serving modular passes holds
-// O(WAN/regions) per region instead of O(WAN); pt and ri are the model's
-// partition and the region's index in it (nil, -1 for the global Shared).
-// A Shared whose memo is incomplete (core.Shared.Err) is an error: no
-// pass runs on a cut-off RIB.
+// sharedFor returns the Shared for (model hash, failure budget k),
+// assembling it on first use and touching its LRU slot. For a region
+// request it also returns the model's partition and the region's index in
+// it (nil, -1 for a monolithic one, region ""); the pass, not the Shared,
+// is restricted to the region. A Shared whose memo is incomplete
+// (core.Shared.Err) is an error: no pass runs on a cut-off RIB.
 func (w *Worker) sharedFor(model string, k int, region string) (sh *core.Shared, pt *core.Partition, ri int, err error) {
 	w.sharedMu.Lock()
 	src := w.sources[model]
@@ -278,29 +240,19 @@ func (w *Worker) sharedFor(model string, k int, region string) (sh *core.Shared,
 	if err != nil {
 		return nil, nil, -1, err
 	}
+	ri = -1
+	if region != "" {
+		if pt, err = src.partition(); err != nil {
+			return nil, nil, -1, err
+		}
+		if ri = pt.RegionIndex(region); ri < 0 {
+			return nil, nil, -1, fmt.Errorf("dist: model %q has no region %q", model, region)
+		}
+	}
 	opts := core.DefaultOptions()
 	opts.K = k
-	key := sharedKey{model: model, k: k, region: region}
-	if region == "" {
-		sh = w.cachedShared(key, 0, func() *core.Shared {
-			return core.SharedFrom(m, opts, w.haveMemo(m, opts), w.memoWorkers)
-		})
-		return sh, nil, -1, sh.Err()
-	}
-	if pt, err = src.partition(); err != nil {
-		return nil, nil, -1, err
-	}
-	if ri = pt.RegionIndex(region); ri < 0 {
-		return nil, nil, -1, fmt.Errorf("dist: model %q has no region %q", model, region)
-	}
-	cut, err := src.cutMemo(k, func() (*igp.Memo, error) {
-		return core.CutMemo(m, opts, pt, w.haveMemo(m, opts), w.memoWorkers)
-	})
-	if err != nil {
-		return nil, nil, -1, err
-	}
-	sh = w.cachedShared(key, pt.NumRegions()+2, func() *core.Shared {
-		return core.NewRegionShared(m, opts, pt, ri, cut, w.memoWorkers)
+	sh = w.cachedShared(sharedKey{model: model, k: k}, func() *core.Shared {
+		return core.SharedFrom(m, opts, w.haveMemo(m, opts), w.memoWorkers)
 	})
 	return sh, pt, ri, sh.Err()
 }
@@ -337,17 +289,15 @@ func (w *Worker) haveMemo(m *core.Model, opts core.Options) *igp.Memo {
 }
 
 // cachedShared looks key up in the LRU, building the Shared on a miss
-// and evicting the stalest entries beyond the cap (MaxShared, raised to
-// floor). The empty default alias resolves to the default hash, so a
-// model is never resident under two keys. build runs outside sharedMu,
-// once per slot.
-func (w *Worker) cachedShared(key sharedKey, floor int, build func() *core.Shared) *core.Shared {
+// and evicting the stalest entries beyond the cap (MaxShared). The empty
+// default alias resolves to the default hash, so a model is never
+// resident under two keys. build runs outside sharedMu, once per slot.
+func (w *Worker) cachedShared(key sharedKey, build func() *core.Shared) *core.Shared {
 	if key.model == "" {
 		key.model = w.defaultHash
 	}
 	w.sharedMu.Lock()
 	w.clock++
-	w.regionFloor = max(w.regionFloor, floor)
 	e := w.shareds[key]
 	if e == nil {
 		e = &sharedEntry{used: w.clock} // the newest slot: never the one evicted below
@@ -356,7 +306,6 @@ func (w *Worker) cachedShared(key sharedKey, floor int, build func() *core.Share
 		if limit <= 0 {
 			limit = DefaultMaxShared
 		}
-		limit = max(limit, w.regionFloor)
 		for len(w.shareds) > limit {
 			var oldest sharedKey
 			var oldestUsed int64
@@ -383,19 +332,14 @@ func lessKey(a, b sharedKey) bool {
 	if a.model != b.model {
 		return a.model < b.model
 	}
-	if a.k != b.k {
-		return a.k < b.k
-	}
-	return a.region < b.region
+	return a.k < b.k
 }
 
 // connSim is an executor's one simulator: derived from the Shared of its
-// last pass and reused while passes stay on that Shared (IGP warmth),
-// replaced when a pass needs another — a different model, budget or
-// region, or the same key re-assembled after an eviction. The
-// replacement takes the old simulator's factory over when both simulate
-// one network (core.Shared.NewSimulatorFrom), so an executor holds one
-// formula arena, however many regions its passes visit.
+// last pass and reused while passes stay on that Shared (IGP warmth) —
+// monolithic and region passes alike — and replaced when a pass needs
+// another: a different model or budget, or the same key re-assembled
+// after an eviction.
 type connSim struct {
 	sh  *core.Shared
 	sim *core.Simulator
@@ -451,7 +395,7 @@ func (w *Worker) answer(req Request, cs *connSim) Response {
 	}
 	switch {
 	case cs.sh != sh:
-		cs.sh, cs.sim = sh, sh.NewSimulatorFrom(cs.sim)
+		cs.sh, cs.sim = sh, sh.NewSimulator()
 	case cs.recycle || req.Record:
 		// A record's export follows the factory's node ids (the operand
 		// order of every formula), so a record pass starts from an empty

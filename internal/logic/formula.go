@@ -84,8 +84,8 @@ func NewFactoryOrdered(o *Order) *Factory {
 		nodes:  make([]node, 2, arenaRoom(tableSize(1024))),
 		intern: make([]F, tableSize(1024)),
 		order:  o,
+		base:   []node{{k: kConst, size: 1}, {k: kConst, size: 1}},
 	}
-	f.Unmark()
 	copy(f.nodes, f.base)
 	return f
 }
@@ -102,16 +102,6 @@ func (f *Factory) Mark() {
 	f.baseVars = append(f.baseVars[:0], f.vars...)
 	if s := f.bdd; s != nil {
 		s.base = append(s.base[:0], s.side...)
-	}
-}
-
-// Unmark drops the base: the next Recycle empties the factory to its two
-// constants, as if Mark had never been called.
-func (f *Factory) Unmark() {
-	f.base = append(f.base[:0], node{k: kConst, size: 1}, node{k: kConst, size: 1})
-	f.baseVars = f.baseVars[:0]
-	if s := f.bdd; s != nil {
-		s.base = s.base[:2]
 	}
 }
 

@@ -12,7 +12,8 @@ import (
 
 // actualRefusals runs every class through the real modular engine —
 // one home pass plus an independent import pass per other region — and
-// returns the set of (class rep, region) pairs RunRegion refuses. The
+// returns the set of (class rep, region) pairs RunRegion refuses. Every
+// pass runs on one simulator of one Shared, as on a worker. The
 // production sweep stops a unit at its first refusal; set equality
 // against the prediction needs every region's verdict, so each import
 // pass runs regardless of the others.
@@ -40,14 +41,9 @@ func actualRefusals(t *testing.T, m *core.Model, k int) map[netaddr.Prefix]map[s
 		}
 		out[rep][pt.RegionName(region)] = true
 	}
-	cut, err := core.CutMemo(m, copts, pt, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sim := core.NewShared(m, copts).NewSimulator()
 	sums := make([]*core.CutSummary, len(classes))
 	for r := 0; r < pt.NumRegions(); r++ {
-		sh := core.NewRegionShared(m, copts, pt, r, cut, 0)
-		sim := sh.NewSimulator()
 		for ci, cl := range classes {
 			if homes[ci] != r {
 				continue
@@ -65,8 +61,6 @@ func actualRefusals(t *testing.T, m *core.Model, k int) map[netaddr.Prefix]map[s
 		}
 	}
 	for r := 0; r < pt.NumRegions(); r++ {
-		sh := core.NewRegionShared(m, copts, pt, r, cut, 0)
-		sim := sh.NewSimulator()
 		for ci, cl := range classes {
 			if homes[ci] == r || sums[ci] == nil {
 				continue
