@@ -38,7 +38,9 @@ race:
 # bench smoke-runs every benchmark once (-benchtime=1x): not a timing
 # run, just a guarantee that the evaluation harness and the local loops
 # of the solver kernel (internal/logic, BenchmarkApplyWAN) and the IGP
-# fixpoint (internal/igp, BenchmarkBuildMemo) and an in-process
+# fixpoint (internal/igp, BenchmarkBuildMemo: gen.Medium at K=1, where its
+# dead-guard prune fires a few entries down each ranked list, and at K=3,
+# where it fires late) and an in-process
 # executor's class loop with a Reset between classes (internal/core,
 # BenchmarkClassesAfterReset) keep compiling and completing. Real
 # measurements come from the pipeline benchmark (benchmark/README.md).
@@ -102,12 +104,15 @@ scale-smoke:
 # gen.WriteDir unchanged. FuzzQuery is GET /v1/query's over a published
 # gen.Small snapshot: no query string panics it, every answer is 200 or
 # 400, and a 200 reach verdict is the compiled program's under the echoed
-# failure set. FuzzWorkerAnswer is a worker's request decoder and pass
-# path on gen.Small, seeded with a real home and import pass: no request
-# panics the worker, and every answer is verdicts, a refusal or an error.
-# Each input is a whole pass, so minimizing a new one runs many passes:
-# -fuzzminimizetime=1s caps that, where the default 60s would spend the
-# whole run on the first new input.
+# failure set. FuzzRoute is GET /v1/route's and /v1/packet's on a gen.Small
+# service at K=1, which simulate on demand through the IGP fixpoint: no
+# query string panics them, every answer is 200 or 400, and a 200
+# min_failures lies in [-1, K]. FuzzWorkerAnswer is a worker's request
+# decoder and pass path on gen.Small, seeded with a real home and import
+# pass: no request panics the worker, and every answer is verdicts, a
+# refusal or an error. An input of either can be a whole simulation, so
+# minimizing a new one runs many: -fuzzminimizetime=1s caps that, where
+# the default 60s would spend the whole run on the first new input.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/config/
 	$(GO) test -run='^$$' -fuzz='^FuzzParseTemplates$$' -fuzztime=10s ./internal/config/
@@ -119,6 +124,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzCollectorLine -fuzztime=10s ./internal/collector/
 	$(GO) test -run='^$$' -fuzz=FuzzCompiledEval -fuzztime=10s ./internal/qc/
 	$(GO) test -run='^$$' -fuzz='^FuzzQuery$$' -fuzztime=10s ./internal/httpapi/
+	$(GO) test -run='^$$' -fuzz='^FuzzRoute$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/httpapi/
 
 # check is the CI gate, defined here and nowhere else (ci.sh calls it):
 # vet + gofmt + hoyanlint + config vet, the full suite once under the race

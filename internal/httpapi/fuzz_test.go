@@ -109,3 +109,75 @@ func FuzzQuery(f *testing.F) {
 		}
 	})
 }
+
+// FuzzRoute drives GET /v1/route and GET /v1/packet with arbitrary query
+// strings against a gen.Small service at K=1. Both simulate on demand,
+// through the IGP fixpoint and the BGP engine, rather than read a
+// compiled snapshot. Each input goes to both paths. No input may panic a
+// handler; every answer is 200 or 400; and a 200 answer's min_failures
+// lies in [-1, K], 0 exactly when the route or packet does not arrive
+// with every link up.
+func FuzzRoute(f *testing.F) {
+	const k = 1
+	w, err := gen.Generate(gen.Small())
+	if err != nil {
+		f.Fatal(err)
+	}
+	s, err := New(w.Net, w.Snap, k)
+	if err != nil {
+		f.Fatal(err)
+	}
+	h := s.Handler()
+	var prefixes []string
+	for _, p := range s.v.Model().AnnouncedPrefixes() {
+		prefixes = append(prefixes, p.String())
+	}
+	answered := map[string]int{}
+	for i, n := range w.Net.Nodes() {
+		q := url.Values{"prefix": {prefixes[i%len(prefixes)]}, "router": {n.Name}, "src": {n.Name}}.Encode()
+		f.Add(q)
+		for _, path := range []string{"/v1/route", "/v1/packet"} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path+"?"+q, nil))
+			if rec.Code == http.StatusOK {
+				answered[path]++
+			}
+		}
+	}
+	if answered["/v1/route"] == 0 || answered["/v1/packet"] == 0 {
+		f.Fatalf("seed queries answered %v: a path with none would check nothing", answered)
+	}
+	f.Add(url.Values{"prefix": {"203.0.113.0/24"}, "router": {w.Net.Node(0).Name}}.Encode())
+	f.Add(url.Values{"prefix": {prefixes[0]}, "router": {"nosuch"}, "src": {""}}.Encode())
+	f.Add("prefix=10.0.0.0%2F33&router=%zz")
+	f.Add("")
+
+	f.Fuzz(func(t *testing.T, raw string) {
+		for _, path := range []string{"/v1/route", "/v1/packet"} {
+			req := httptest.NewRequest(http.MethodGet, path, nil)
+			req.URL.RawQuery = raw
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			switch rec.Code {
+			case http.StatusBadRequest:
+				continue
+			case http.StatusOK:
+			default:
+				t.Fatalf("%s?%q: status %d: %s", path, raw, rec.Code, rec.Body)
+			}
+			var got struct {
+				Reachable   bool `json:"reachable"`
+				MinFailures int  `json:"min_failures"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+				t.Fatalf("%s?%q: undecodable 200 body %q: %v", path, raw, rec.Body, err)
+			}
+			if got.MinFailures < -1 || got.MinFailures > k {
+				t.Fatalf("%s?%q: min_failures %d outside [-1, %d]", path, raw, got.MinFailures, k)
+			}
+			if (got.MinFailures == 0) != !got.Reachable {
+				t.Fatalf("%s?%q: reachable %v with min_failures %d", path, raw, got.Reachable, got.MinFailures)
+			}
+		}
+	})
+}

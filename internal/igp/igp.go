@@ -237,8 +237,10 @@ type fixpoint struct {
 	reached []bool        // per node, whether it is in the RIB
 	queued  []bool        // per node, whether it is in the queue
 	queue   []topo.NodeID // FIFO ring of NumNodes slots: no node is queued twice
-	ranked  []Entry       // assemble's sort buffer
+	ranked  []Entry       // assemble's output buffer
+	heads   []int         // assemble's read position in each slot of one node
 	guards  []logic.F     // per ranked entry, the notHigher guard before it
+	dead    int           // the first entry whose guard is known dead; len(guards) when none is
 	offers  []offer       // one neighbour's candidates, before any path is built
 }
 
@@ -279,6 +281,11 @@ func (e *Engine) fixpointState() *fixpoint {
 	fp.reached = make([]bool, n)
 	fp.queued = make([]bool, n)
 	fp.queue = make([]topo.NodeID, n)
+	deg := 0
+	for _, as := range fp.arcs {
+		deg = max(deg, len(as))
+	}
+	fp.heads = make([]int, deg)
 	e.fp = fp
 	return fp
 }
@@ -299,12 +306,14 @@ func endOf(net *topo.Network, l topo.LinkID, n topo.NodeID) int {
 // cap ended the loop with updates still queued: the RIB is then whatever
 // the cut-off fixpoint had reached.
 //
-// Only work that can change the answer is done. The guard chain is built
-// once per dequeue, a neighbour's candidates are compared with its slot
-// before any path is copied, and a node whose ranked list is unchanged
-// since it last propagated does not propagate again. Every formula is
-// still created in the order a neighbour-by-neighbour loop creates it, so
-// the exported conditions are the same bytes (DESIGN.md, "Sweep engine").
+// Only work that can change the answer is done. A node's slots are merged,
+// not sorted. The guard chain is built once per dequeue, a candidate under
+// a dead guard gets no BDD and a live one is conjoined guard first, a
+// neighbour's candidates are compared with its slot before any path is
+// copied, and a node whose ranked list is unchanged since it last
+// propagated does not propagate again. Every formula is still created in
+// the order a neighbour-by-neighbour loop creates it, so the exported
+// conditions are the same bytes (DESIGN.md, "Sweep engine").
 func (e *Engine) propagate(dst topo.NodeID) (rib map[topo.NodeID][]Entry, complete bool) {
 	propagations.Add(1)
 	if !e.cfg[dst].enabled {
@@ -390,21 +399,37 @@ func (e *Engine) propagate(dst topo.NodeID) (rib map[topo.NodeID][]Entry, comple
 
 // assemble merges n's slots (and, at the destination, the route to
 // itself) into n's ranked alternatives, the best maxAlternatives kept;
-// the result lives in fp.ranked until the next call. The concatenation
-// runs in slot order — incoming link id — and the sort is stable, so
-// alternatives tied over parallel links rank by incoming link, then by
-// the upstream's own rank: the same order on every run.
+// the result lives in fp.ranked until the next call. Every slot is
+// already ranked — it is its upstream's ranked list, filtered, with one
+// weight and one last hop added to each entry, which keeps cmpEntry's
+// order — so a k-way merge that stops at maxAlternatives ranks them. The
+// route to itself comes first (weight 0, the shortest path), and a tie
+// goes to the lower slot, that is to the lower incoming link id, then to
+// the upstream's own rank: the order a stable sort of the slots
+// concatenated in slot order gives, on every run.
 func (fp *fixpoint) assemble(n, dst topo.NodeID, self Entry) []Entry {
 	all := fp.ranked[:0]
 	if n == dst {
 		all = append(all, self)
 	}
-	for _, es := range fp.slots[fp.base[n]:fp.base[n+1]] {
-		all = append(all, es...)
+	slots := fp.slots[fp.base[n]:fp.base[n+1]]
+	heads := fp.heads[:len(slots)]
+	clear(heads)
+	for len(all) < maxAlternatives {
+		best := -1
+		for s, es := range slots {
+			if heads[s] < len(es) && (best < 0 || cmpEntry(es[heads[s]], slots[best][heads[best]]) < 0) {
+				best = s
+			}
+		}
+		if best < 0 {
+			break
+		}
+		all = append(all, slots[best][heads[best]])
+		heads[best]++
 	}
-	slices.SortStableFunc(all, cmpEntry)
 	fp.ranked = all
-	return all[:min(len(all), maxAlternatives)]
+	return all
 }
 
 // offersOver builds what u, holding the ranked entries, offers over arc a:
@@ -413,10 +438,20 @@ func (fp *fixpoint) assemble(n, dst topo.NodeID, self Entry) []Entry {
 // same for every neighbour of u: first builds it, interleaved with the
 // candidates exactly as a per-neighbour loop would, and every later call
 // reads it back instead of rebuilding formulas that already exist.
+//
+// The solver runs only where a candidate can survive. Once a guard is
+// dead — it needs more than K failures (Impossible without PruneOverK) —
+// so is every later one, since a conjunction needs at least the failures
+// of each conjunct, and so is every candidate under it: from the first
+// dead guard on, on every arc, a candidate's formula is still created, in
+// the same order, but gets no BDD. A live candidate's BDD is built guard
+// first (logic.Factory.AndAllGuarded), so the product of a guard and its
+// entry is paid once per dequeue, not once per arc.
 func (e *Engine) offersOver(fp *fixpoint, entries []Entry, a arc, first bool) []offer {
 	f := e.f
 	if first {
 		fp.guards = fp.guards[:0]
+		fp.dead = len(entries)
 	}
 	out := fp.offers[:0]
 	notHigher := logic.True
@@ -427,27 +462,45 @@ func (e *Engine) offersOver(fp *fixpoint, entries []Entry, a arc, first bool) []
 			notHigher = fp.guards[i]
 		}
 		lvl := a.cross[ent.Level-1]
-		if lvl == 0 || containsNode(ent.Path, a.to) {
-			// Cannot cross, or loop prevention: a.to already on the path.
-			if first {
-				notHigher = f.And(notHigher, f.Not(ent.Cond))
+		weight := ent.Weight + a.weight
+		// An entry crosses unless its level may not, a.to is already on
+		// its path (loop prevention), or the path would weigh more than a
+		// weight holds: IS-IS uses no path past its largest path metric,
+		// and a wrapped weight would rank the way round first and leave
+		// the slot out of the order assemble's merge relies on.
+		live := lvl != 0 && !containsNode(ent.Path, a.to) && weight >= ent.Weight
+		var cond logic.F
+		if live {
+			alive := f.Var(e.net.AliveVar(a.link))
+			if i < fp.dead && e.deadGuard(notHigher) {
+				fp.dead = i
 			}
-			continue
+			if live = i < fp.dead; live {
+				cond = f.AndAllGuarded(notHigher, ent.Cond, alive)
+			} else {
+				f.AndAll(notHigher, ent.Cond, alive) // created, as the bytes need, and pruned
+			}
 		}
-		cond := f.AndAll(notHigher, ent.Cond, f.Var(e.net.AliveVar(a.link)))
 		if first {
 			notHigher = f.And(notHigher, f.Not(ent.Cond))
 		}
-		if f.Impossible(cond) {
+		if !live || f.Impossible(cond) || e.opts.PruneOverK && f.MinFalse(cond) > e.opts.K {
 			continue
 		}
-		if e.opts.PruneOverK && f.MinFalse(cond) > e.opts.K {
-			continue
-		}
-		out = append(out, offer{from: i, cond: cond, weight: ent.Weight + a.weight, level: lvl})
+		out = append(out, offer{from: i, cond: cond, weight: weight, level: lvl})
 	}
 	fp.offers = out
 	return out
+}
+
+// deadGuard reports whether no candidate under guard g can survive the
+// prune: g needs more than K failures, or without PruneOverK, g is
+// impossible.
+func (e *Engine) deadGuard(g logic.F) bool {
+	if e.opts.PruneOverK {
+		return e.f.MinFalse(g) > e.opts.K
+	}
+	return e.f.Impossible(g)
 }
 
 // sameOffers reports whether slot already holds the offers made at v:

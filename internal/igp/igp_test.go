@@ -3,6 +3,7 @@ package igp
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -90,6 +91,64 @@ func TestMetricOverride(t *testing.T) {
 	best, _ := e.BestEntry(0, 1)
 	if best.Weight != 100 {
 		t.Fatalf("override must push best to direct link, got %d", best.Weight)
+	}
+}
+
+// TestAssembleIsStableSort pins assemble's merge to the stable sort of
+// the slots concatenated in slot order, cut at maxAlternatives: random
+// ranked slots over a few weights, lengths and nodes, so that many
+// entries tie across slots, each entry told apart by its condition id,
+// with and without the destination's route to itself.
+func TestAssembleIsStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	id := logic.F(2)
+	entry := func() Entry {
+		path := make([]topo.NodeID, 2+rng.Intn(2))
+		for i := range path {
+			path[i] = topo.NodeID(rng.Intn(2))
+		}
+		id++
+		return Entry{Weight: uint32(rng.Intn(3)), Path: path, Cond: id, Level: L2}
+	}
+	for trial := range 500 {
+		nslots := 1 + rng.Intn(5)
+		fp := &fixpoint{base: []int{0, nslots}, slots: make([][]Entry, nslots), heads: make([]int, nslots)}
+		var all []Entry
+		dst := topo.NodeID(trial % 2) // the route to itself is in on even trials
+		self := Entry{Path: []topo.NodeID{dst}, Cond: logic.True, Level: L2}
+		if dst == 0 {
+			all = append(all, self)
+		}
+		for s := range fp.slots {
+			for range rng.Intn(6) {
+				fp.slots[s] = append(fp.slots[s], entry())
+			}
+			slices.SortStableFunc(fp.slots[s], cmpEntry)
+			all = append(all, fp.slots[s]...)
+		}
+		slices.SortStableFunc(all, cmpEntry)
+		want := all[:min(len(all), maxAlternatives)]
+		got := fp.assemble(0, dst, self)
+		if !slices.EqualFunc(got, want, func(a, b Entry) bool { return a.Cond == b.Cond }) {
+			t.Fatalf("trial %d: merged %v, the stable sort ranks %v", trial, got, want)
+		}
+	}
+}
+
+// TestPathWeightNeverWraps pins that a path whose weight would pass
+// 2³²−1 is not offered. Toward a, c's way round through b would weigh
+// 8e9, which wraps to about 3.7e9 and would rank above c's direct link
+// at 3.9e9; it is dropped, as IS-IS drops a path past its largest path
+// metric. A wrapped weight would also leave a slot out of its upstream's
+// order, which assemble's merge relies on.
+func TestPathWeightNeverWraps(t *testing.T) {
+	net, cfgs := buildNet([]string{"a", "b", "c"},
+		[][3]int{{0, 1, 4_000_000_000}, {1, 2, 4_000_000_000}, {0, 2, 3_900_000_000}})
+	f := logic.NewFactory()
+	e := New(net, cfgs, f, DefaultOptions())
+	alts := e.RIB(0)[2]
+	if len(alts) != 1 || alts[0].Weight != 3_900_000_000 || len(alts[0].Path) != 2 {
+		t.Fatalf("c's alternatives toward a: %+v, want the direct link alone", alts)
 	}
 }
 

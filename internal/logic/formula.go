@@ -308,6 +308,25 @@ func (f *Factory) AndAll(fs ...F) F {
 	return f.And(f.AndAll(fs[:mid]...), f.AndAll(fs[mid:]...))
 }
 
+// AndAllGuarded returns AndAll(guard, x, v), the same node created in the
+// same order, and builds its BDD guard first, as (guard ∧ x) ∧ v, where
+// build would conjoin guard with a fresh x ∧ v. A caller that conjoins
+// one guard and x with many v (the IGP fixpoint, one v per outgoing link)
+// pays the product of guard and x once: every later call finds it in the
+// computed cache, and only the conjunction with v is new. BDDs are
+// canonical, so the root memoized on the node is the one build would
+// reach.
+func (f *Factory) AndAllGuarded(guard, x, v F) F {
+	r := f.AndAll(guard, x, v)
+	if f.nodes[r].root != 0 || f.nodes[r].k != kAnd {
+		return r
+	}
+	g, bx, bv := f.build(guard), f.build(x), f.build(v)
+	s := f.bdd
+	f.nodes[r].root = s.apply(opAnd, s.apply(opAnd, g, bx), bv) + 1
+	return r
+}
+
 // OrAll combines fs as a balanced binary tree, dual to AndAll; the
 // disjunction of nothing is False.
 func (f *Factory) OrAll(fs ...F) F {

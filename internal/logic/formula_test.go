@@ -283,3 +283,64 @@ func TestShape(t *testing.T) {
 		t.Fatal("or shape")
 	}
 }
+
+// Property: AndAllGuarded is AndAll with another route to the same BDD.
+// It returns the node AndAll creates — the same id, and nothing else
+// created — and the root it memoizes on that node is the one a fresh
+// build of the same function reaches (canonical roots are equal ids in
+// one space), with the size and MinFalse a plain build of AndAll's node
+// has in a twin factory. Guards are what the IGP fixpoint passes: any
+// formula, True included.
+func TestPropertyAndAllGuarded(t *testing.T) {
+	const nvars = 6
+	prop := func(seed int64) bool {
+		operands := func(f *Factory) (g, x, v F) {
+			rng := rand.New(rand.NewSource(seed))
+			g = randomFormula(f, rng, nvars, 4)
+			if rng.Intn(4) == 0 {
+				g = True
+			}
+			x = randomFormula(f, rng, nvars, 4)
+			return g, x, f.Var(Var(rng.Intn(nvars)))
+		}
+		guarded, plain := NewFactory(), NewFactory()
+		g, x, v := operands(guarded)
+		r := guarded.AndAllGuarded(g, x, v)
+		pg, px, pv := operands(plain)
+		want := plain.AndAll(pg, px, pv)
+		if r != want || guarded.NumNodes() != plain.NumNodes() {
+			return false
+		}
+		if guarded.AndAllGuarded(g, x, v) != r {
+			return false
+		}
+		return guarded.Equivalent(r, guarded.And(guarded.And(v, g), x)) &&
+			guarded.BDDSize(r) == plain.BDDSize(want) &&
+			guarded.MinFalse(r) == plain.MinFalse(want)
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: a conjunction needs at least the failures of each conjunct,
+// and an impossible conjunct makes it impossible. The IGP fixpoint's dead
+// guard rests on both: once a guard needs more than K failures (or is
+// impossible), so does every guard and candidate conjoined from it.
+func TestPropertyConjunctionIsMonotone(t *testing.T) {
+	const nvars = 6
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		f := NewFactory()
+		a := randomFormula(f, rng, nvars, 4)
+		b := randomFormula(f, rng, nvars, 4)
+		ab := f.And(a, b)
+		if f.MinFalse(ab) < max(f.MinFalse(a), f.MinFalse(b)) {
+			return false
+		}
+		return !f.Impossible(a) || f.Impossible(ab)
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
