@@ -37,15 +37,17 @@ race:
 
 # bench smoke-runs every benchmark once (-benchtime=1x): not a timing
 # run, just a guarantee that the evaluation harness and the local loops
-# of the solver kernel (internal/logic, BenchmarkApplyWAN) and the IGP
+# of the solver kernel (internal/logic, BenchmarkApplyWAN), the IGP
 # fixpoint (internal/igp, BenchmarkBuildMemo: gen.Medium at K=1, where its
 # dead-guard prune fires a few entries down each ranked list, and at K=3,
-# where it fires late) and an in-process
-# executor's class loop with a Reset between classes (internal/core,
-# BenchmarkClassesAfterReset) keep compiling and completing. Real
-# measurements come from the pipeline benchmark (benchmark/README.md).
+# where it fires late), a simulator's class loop with a Reset between
+# classes (internal/core, BenchmarkClassesAfterReset) and an executor's
+# class loop under the connection reuse rule (internal/dist,
+# BenchmarkConnectionClasses on the compile-k3 and classes-k2 shapes)
+# keep compiling and completing. Real measurements come from the
+# pipeline benchmark (benchmark/README.md).
 bench:
-	$(GO) test -bench=. -benchtime=1x -run='^$$' . ./internal/logic ./internal/igp ./internal/core
+	$(GO) test -bench=. -benchtime=1x -run='^$$' . ./internal/logic ./internal/igp ./internal/core ./internal/dist
 
 # benchmark-module builds, vets and smoke-tests the nested pipeline
 # benchmark (its own Go module, so the root `go test ./...` never sees
@@ -110,9 +112,16 @@ scale-smoke:
 # min_failures lies in [-1, K]. FuzzWorkerAnswer is a worker's request
 # decoder and pass path on gen.Small, seeded with a real home and import
 # pass: no request panics the worker, and every answer is verdicts, a
-# refusal or an error. An input of either can be a whole simulation, so
-# minimizing a new one runs many: -fuzzminimizetime=1s caps that, where
-# the default 60s would spend the whole run on the first new input.
+# refusal or an error. FuzzConnectionSequence answers up to 8 gen.Small
+# passes (class, region or none, record or not) on one executor's
+# connection and each on a fresh one: the answers must be equal, however
+# the reuse rule kept or recycled the factory between them. FuzzResweep
+# is POST /v1/resweep's on a new gen.Small service per body, seeded with
+# audit_sample 1: no body panics it, every answer is 200, 400 or 500 and
+# no 500 an audit divergence, and /v1/query answers afterwards. An input
+# of any of these can be a whole simulation, so minimizing a new one runs
+# many: -fuzzminimizetime=1s caps that, where the default 60s would spend
+# the whole run on the first new input.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/config/
 	$(GO) test -run='^$$' -fuzz='^FuzzParseTemplates$$' -fuzztime=10s ./internal/config/
@@ -120,11 +129,13 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadDir$$' -fuzztime=10s ./internal/gen/
 	$(GO) test -run='^$$' -fuzz='^FuzzOpenSession$$' -fuzztime=10s ./internal/dist/
 	$(GO) test -run='^$$' -fuzz='^FuzzWorkerAnswer$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/dist/
+	$(GO) test -run='^$$' -fuzz='^FuzzConnectionSequence$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/dist/
 	$(GO) test -run='^$$' -fuzz=FuzzPortableDecode -fuzztime=10s ./internal/logic/
 	$(GO) test -run='^$$' -fuzz=FuzzCollectorLine -fuzztime=10s ./internal/collector/
 	$(GO) test -run='^$$' -fuzz=FuzzCompiledEval -fuzztime=10s ./internal/qc/
 	$(GO) test -run='^$$' -fuzz='^FuzzQuery$$' -fuzztime=10s ./internal/httpapi/
 	$(GO) test -run='^$$' -fuzz='^FuzzRoute$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/httpapi/
+	$(GO) test -run='^$$' -fuzz='^FuzzResweep$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/httpapi/
 
 # check is the CI gate, defined here and nowhere else (ci.sh calls it):
 # vet + gofmt + hoyanlint + config vet, the full suite once under the race

@@ -133,16 +133,15 @@ func (l Local) open(p *Plan, units int) ([]executor, Options, error) {
 	// One worker behind every executor: they share its Shared LRU — one
 	// IGP memo per k, for monolithic and region passes alike, built from
 	// the plan's carried memo on as many goroutines as the pool was
-	// given — and each keeps its own simulator, Reset before every pass
-	// it is reused for. (A remote worker's connection Resets its own only
-	// before a record pass: DESIGN.md, "Recycling".)
+	// given — and each keeps its own simulator, which answer Resets on
+	// the same rule as a remote connection's (DESIGN.md, "Recycling").
 	src := &modelSource{model: p.Model}
 	src.once.Do(func() {})
 	w := newWorker(src, p.ModelHash)
 	w.carried, w.memoWorkers = p.IGP, cpus
 	execs := make([]executor, n)
 	for i := range execs {
-		execs[i] = &localExecutor{id: fmt.Sprintf("local/%d", i), w: w, sim: connSim{recycle: true}}
+		execs[i] = &localExecutor{id: fmt.Sprintf("local/%d", i), w: w}
 	}
 	return execs, Options{MaxAttempts: 1, MaxConnFailures: 1}.withDefaults(), nil
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -336,17 +337,16 @@ func lessKey(a, b sharedKey) bool {
 }
 
 // connSim is an executor's one simulator: derived from the Shared of its
-// last pass and reused while passes stay on that Shared (IGP warmth) —
-// monolithic and region passes alike — and replaced when a pass needs
-// another: a different model or budget, or the same key re-assembled
-// after an eviction.
+// last pass and replaced when a pass needs another — a different model or
+// budget, or the same key re-assembled after an eviction. Between passes
+// on one Shared it keeps its factory only while the passes run from the
+// same origins in the same region (DESIGN.md, "Recycling"): origins and
+// region are the last pass's sh.M.FamilyOrigins and region index.
 type connSim struct {
-	sh  *core.Shared
-	sim *core.Simulator
-	// recycle Resets the simulator before every pass it is reused for
-	// (in-process executors; DESIGN.md, "Recycling"). Without it only a
-	// record pass Resets.
-	recycle bool
+	sh      *core.Shared
+	sim     *core.Simulator
+	origins []topo.NodeID
+	region  int
 }
 
 // handle processes one coordinator connection: a stream of requests
@@ -393,15 +393,20 @@ func (w *Worker) answer(req Request, cs *connSim) Response {
 	if err != nil {
 		return fail(err)
 	}
+	origins := sh.M.FamilyOrigins(p)
 	switch {
 	case cs.sh != sh:
 		cs.sh, cs.sim = sh, sh.NewSimulator()
-	case cs.recycle || req.Record:
+	case req.Record || ri != cs.region || !slices.Equal(origins, cs.origins):
 		// A record's export follows the factory's node ids (the operand
-		// order of every formula), so a record pass starts from an empty
-		// universe on every executor.
+		// order of every formula), so a record pass starts from the
+		// session base on every executor. Any other pass keeps what the
+		// last one built only when it would build it again: its
+		// conditions grow along paths out of the same origins, over the
+		// same nodes.
 		cs.sim.Reset()
 	}
+	cs.origins, cs.region = origins, ri
 	t0 := time.Now()
 	var res *core.Result
 	if pt == nil {
