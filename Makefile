@@ -59,8 +59,9 @@ benchmark-module:
 # detector: the faultnet × kill-point matrix (coordinator killed
 # mid-sweep, resumed, byte-compared against an uninterrupted run),
 # journal semantics (OpenSession's reader, admit's header and its
-# refusals), interleaved sessions over a shared worker pool, and the
-# Shared LRU building outside its lock — then the root package's
+# refusals), interleaved sessions over a shared worker pool, the
+# Shared LRU building outside its lock, and the scheduler's origin
+# affinity (a stalled executor among them) — then the root package's
 # TestSweepModeMatrix, the one sweep test that drives loopback TCP
 # workers, a journal and baseline capture together, and the CLI's
 # journaled sweeps (killed, then resumed by re-running the command).
@@ -69,7 +70,7 @@ benchmark-module:
 # seed (the seed is printed in every failure message), as
 # CHAOS_SEED=<seed> make chaos.
 chaos: determinism
-	$(GO) test -race -run 'Chaos|Session|Resume|Admit|Interleaved|LRU|ModelHash|SharedBuild|ResidentMemo' ./internal/dist/
+	$(GO) test -race -run 'Chaos|Session|Resume|Admit|Interleaved|LRU|ModelHash|SharedBuild|ResidentMemo|Affinity' ./internal/dist/
 	$(GO) test -race -run 'TestSweepModeMatrix|TestSweepJournal' .
 	$(GO) test -race -run 'TestSweepJournal' ./cmd/hoyan/
 
@@ -118,7 +119,12 @@ scale-smoke:
 # the reuse rule kept or recycled the factory between them. FuzzResweep
 # is POST /v1/resweep's on a new gen.Small service per body, seeded with
 # audit_sample 1: no body panics it, every answer is 200, 400 or 500 and
-# no 500 an audit divergence, and /v1/query answers afterwards. An input
+# no 500 an audit divergence, and /v1/query answers afterwards.
+# FuzzSnapshotPublish is POST /v1/snapshots's: it fuzzes the bytes of the
+# store file the body's path names (never the path) and the body's
+# activate form, seeded with a real gen.Small store; every answer is 200
+# or 400, and a 400 leaves the active snapshot and every /v1/query
+# answer unchanged. An input
 # of any of these can be a whole simulation, so minimizing a new one runs
 # many: -fuzzminimizetime=1s caps that, where the default 60s would spend
 # the whole run on the first new input.
@@ -136,6 +142,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzQuery$$' -fuzztime=10s ./internal/httpapi/
 	$(GO) test -run='^$$' -fuzz='^FuzzRoute$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/httpapi/
 	$(GO) test -run='^$$' -fuzz='^FuzzResweep$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/httpapi/
+	$(GO) test -run='^$$' -fuzz='^FuzzSnapshotPublish$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/httpapi/
 
 # check is the CI gate, defined here and nowhere else (ci.sh calls it):
 # vet + gofmt + hoyanlint + config vet, the full suite once under the race

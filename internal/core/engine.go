@@ -264,8 +264,8 @@ func (s *Simulator) reset(f *logic.Factory) {
 // and marks the factory and the IGP engine, so a Reset returns here. It waits
 // for a pass rather than for construction, so a simulator that never runs
 // one (a Verifier nobody asks a route query) builds nothing. The base is
-// a function of the Shared alone: every executor's record pass starts
-// from the same universe.
+// a function of the Shared alone: every executor's simulator of one
+// Shared resets to the same universe.
 func (s *Simulator) buildBase() {
 	if s.based {
 		return

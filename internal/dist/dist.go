@@ -57,8 +57,9 @@ type Request struct {
 	// and Summary nil and gets the captured summary back in the
 	// Response.
 	Summary *core.CutSummary `json:"summary,omitempty"`
-	// Record asks for the pass's Record; the pass then starts from an
-	// empty formula universe, so the export is the same on every executor.
+	// Record asks for the pass's Record. The export is the same bytes on
+	// every executor, whether the pass kept its connection's factory or
+	// not (DESIGN.md, "Recycling").
 	Record bool `json:"record,omitempty"`
 }
 
@@ -105,6 +106,9 @@ type Response struct {
 	Elapsed time.Duration `json:"elapsed_ns,omitempty"`
 	// Record answers Request.Record.
 	Record *Record `json:"record,omitempty"`
+	// Kept reports that the pass ran on the factory the connection's last
+	// pass left, not on a reset one (DESIGN.md, "Recycling").
+	Kept bool `json:"kept,omitempty"`
 
 	// memo is the IGP memo of an in-process record pass; never on the wire.
 	memo *igp.Memo
@@ -242,6 +246,9 @@ type Result struct {
 	SimTime map[string]time.Duration
 	// Assigned counts passes completed per executor.
 	Assigned map[string]int
+	// KeptPasses counts completed passes that ran on the factory their
+	// executor's last pass left (Response.Kept).
+	KeptPasses int
 	// Executors is the number of executors the run opened.
 	Executors int
 	// Failed reports prefixes that never completed, sorted by prefix.

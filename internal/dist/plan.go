@@ -110,6 +110,7 @@ type unit struct {
 	refused  string
 
 	// Scheduler bookkeeping, owned by Run's loop.
+	origins    int       // the family origins' number in the run (internOrigins); 0 without a Model
 	copies     int       // in-flight copies of the current pass
 	since      time.Time // when the current pass was first handed out
 	dispatches int

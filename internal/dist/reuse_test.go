@@ -65,9 +65,10 @@ func reuseKey(t testing.TB, w *Worker, req Request) string {
 // class of the classes-k2 shape (every fourth a record pass; under the
 // race detector, the first four classes of each). After each pass:
 //
-//   - (a) the factory was recycled exactly when the pass is a record pass
-//     or its (origins, region) key differs from the pass before it, and
-//     a new simulator came only with a new Shared;
+//   - (a) the factory was recycled exactly when the pass's (origins,
+//     region) key differs from the pass before it — a record pass keeps
+//     it under an equal key like any other — a new simulator came only
+//     with a new Shared, and the answer's Kept says which;
 //   - (b) the answer is the one a fresh connSim gives;
 //   - (c) the factory holds exactly the formula and BDD nodes of a new
 //     simulator that ran only the passes since the last recycle: a
@@ -93,7 +94,7 @@ func TestConnectionReuseRule(t *testing.T) {
 	cs := &connSim{}
 	var since []step
 	var lastKey string
-	passes, kept, recycled := 0, 0, 0
+	passes, kept, keptRecords, recycled := 0, 0, 0, 0
 	answer := func(w *Worker, req Request) Response {
 		t.Helper()
 		what := fmt.Sprintf("pass %d (%s region %q record %v)", passes, req.Prefix, req.Region, req.Record)
@@ -113,16 +114,22 @@ func TestConnectionReuseRule(t *testing.T) {
 			}
 			since = nil
 		case cs.sim.F.Recycles() != before:
-			if !req.Record && key == lastKey {
-				t.Fatalf("%s: recycled between two non-record passes of key %s", what, key)
+			if key == lastKey {
+				t.Fatalf("%s: recycled between two passes of key %s", what, key)
 			}
 			since = nil
 			recycled++
 		default:
-			if req.Record || key != lastKey {
+			if key != lastKey {
 				t.Fatalf("%s: kept the factory from key %s to key %s", what, lastKey, key)
 			}
 			kept++
+			if req.Record {
+				keptRecords++
+			}
+		}
+		if wasKept := since != nil; got.Kept != wasKept {
+			t.Fatalf("%s: the answer says kept=%v, the factory says %v", what, got.Kept, wasKept)
 		}
 		lastKey = key
 		since = append(since, step{w, req})
@@ -167,9 +174,9 @@ func TestConnectionReuseRule(t *testing.T) {
 	for i, cls := range k2Classes {
 		answer(k2, Request{Prefix: cls.Rep.String(), K: k, Record: i%4 == 3})
 	}
-	t.Logf("%d passes kept the factory, %d recycled it", kept, recycled)
-	if kept == 0 || recycled == 0 {
-		t.Fatalf("%d passes kept the factory and %d recycled it: the sequence must exercise both", kept, recycled)
+	t.Logf("%d passes kept the factory (%d of them record passes), %d recycled it", kept, keptRecords, recycled)
+	if keptRecords == 0 || recycled == 0 {
+		t.Fatalf("%d record passes kept the factory and %d passes recycled it: the sequence must exercise both", keptRecords, recycled)
 	}
 }
 

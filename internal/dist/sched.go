@@ -2,6 +2,7 @@ package dist
 
 import (
 	"bufio"
+	"container/heap"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -9,6 +10,8 @@ import (
 	"runtime"
 	"sync"
 	"time"
+
+	"hoyan/internal/netaddr"
 )
 
 // Pool is a set of executors a plan can run over: the remote workers of
@@ -133,8 +136,9 @@ func (l Local) open(p *Plan, units int) ([]executor, Options, error) {
 	// One worker behind every executor: they share its Shared LRU — one
 	// IGP memo per k, for monolithic and region passes alike, built from
 	// the plan's carried memo on as many goroutines as the pool was
-	// given — and each keeps its own simulator, which answer Resets on
-	// the same rule as a remote connection's (DESIGN.md, "Recycling").
+	// given — and each keeps its own simulator, which answer keeps or
+	// Resets on the same rule as a remote connection's, fed the same way:
+	// the passes of its last key first (DESIGN.md, "Recycling").
 	src := &modelSource{model: p.Model}
 	src.once.Do(func() {})
 	w := newWorker(src, p.ModelHash)
@@ -177,14 +181,123 @@ const (
 	evFail           // application-level error from the worker
 	evRequeue        // connection died with the pass in flight
 	evDead           // executor abandoned
+	evIdle           // executor connected and waiting for its next pass
 )
 
 type event struct {
 	kind evKind
+	exec int // index of the executor in the pool
 	addr string
 	pass *pass
 	resp Response
 	err  error
+}
+
+// passKey is what an executor's reuse rule compares between two passes
+// (DESIGN.md, "Recycling"): the unit's family origins, interned per run,
+// and the pass's region. Every pass of a plan without a Model has the
+// zero key, so its ready queue is one FIFO.
+type passKey struct {
+	origins int
+	region  string
+}
+
+// readyQueue holds the passes waiting for an executor, indexed by key:
+// a FIFO per key, and a heap of the keys by the age of their oldest pass.
+// Picking a pass (pick) costs no scan of the queue.
+type readyQueue struct {
+	n     int // passes queued
+	clock int // ready order: a pass's at
+	byKey map[passKey][]readyPass
+	heads keyHeads
+}
+
+type readyPass struct {
+	ps *pass
+	at int
+}
+
+// keyHead is a key's oldest pass in heads. Heads go stale as their pass
+// leaves the queue (take pushes the next one): a head counts only while
+// it is the front of its key's FIFO.
+type keyHead struct {
+	at  int
+	key passKey
+}
+
+type keyHeads []keyHead
+
+func (h keyHeads) Len() int           { return len(h) }
+func (h keyHeads) Less(i, j int) bool { return h[i].at < h[j].at }
+func (h keyHeads) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *keyHeads) Push(x any)        { *h = append(*h, x.(keyHead)) }
+func (h *keyHeads) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
+}
+
+func (q *readyQueue) push(ps *pass, key passKey) {
+	q.clock++
+	fifo := q.byKey[key]
+	if len(fifo) == 0 {
+		heap.Push(&q.heads, keyHead{at: q.clock, key: key})
+	}
+	q.byKey[key] = append(fifo, readyPass{ps: ps, at: q.clock})
+	q.n++
+}
+
+// take removes the oldest pass of key, which must have one.
+func (q *readyQueue) take(key passKey) *pass {
+	fifo := q.byKey[key]
+	if len(fifo) == 1 {
+		delete(q.byKey, key)
+	} else {
+		q.byKey[key] = fifo[1:]
+		heap.Push(&q.heads, keyHead{at: fifo[1].at, key: key})
+	}
+	q.n--
+	return fifo[0].ps
+}
+
+// oldest returns the key of the oldest queued pass whose key busy does
+// not reject; false when every queued key is rejected. It sets aside one
+// head per rejected key, so it costs O(rejected · log keys).
+func (q *readyQueue) oldest(busy func(passKey) bool) (passKey, bool) {
+	var held []keyHead
+	defer func() {
+		for _, h := range held {
+			heap.Push(&q.heads, h)
+		}
+	}()
+	for len(q.heads) > 0 {
+		h := heap.Pop(&q.heads).(keyHead)
+		if fifo := q.byKey[h.key]; len(fifo) == 0 || fifo[0].at != h.at {
+			continue // stale
+		}
+		held = append(held, h)
+		if busy == nil || !busy(h.key) {
+			return h.key, true
+		}
+	}
+	return passKey{}, false
+}
+
+// pick removes the pass an idle executor whose last pass had key last
+// runs next (origin affinity, DESIGN.md "Recycling"): the oldest pass of
+// its own key, so its factory keeps; else the oldest pass of a key no
+// busy executor last ran, so two executors do not split one key's run;
+// else the oldest pass. The queue must not be empty.
+func (q *readyQueue) pick(last passKey, busy map[passKey]int) *pass {
+	if _, ok := q.byKey[last]; ok {
+		return q.take(last)
+	}
+	key, ok := q.oldest(func(k passKey) bool { return busy[k] > 0 })
+	if !ok {
+		key, _ = q.oldest(nil)
+	}
+	return q.take(key)
 }
 
 // Run executes the plan over the pool: the one scheduler underneath
@@ -232,19 +345,45 @@ func Run(p *Plan, pool Pool) (*Result, error) {
 	}
 
 	req := Request{K: p.K, Model: p.ModelHash}
-	handout := make(chan *pass)
-	events := make(chan event, len(execs)*2) // an executor's requeue + dead pair never blocks on a busy scheduler
+	events := make(chan event, len(execs)*2) // an executor's two events between passes (done + idle, requeue + dead) never block on a busy scheduler
 	stop := make(chan struct{})
+	// Per executor: its 1-slot pass channel, the key of its last pass and
+	// whether it is running one now (dispatched, not yet idle again).
+	type execState struct {
+		passes chan *pass
+		last   passKey
+		busy   bool
+	}
+	states := make([]execState, len(execs))
 	var wg sync.WaitGroup
 	for i, e := range execs {
+		states[i] = execState{passes: make(chan *pass, 1), last: passKey{origins: -1}}
 		wg.Add(1)
 		// Backoff jitter is seeded per executor, so a run is reproducible.
-		go runExecutor(&wg, e, req, opts, rand.New(rand.NewSource(int64(i)+1)), handout, events, stop)
+		go runExecutor(&wg, i, e, req, opts, rand.New(rand.NewSource(int64(i)+1)), states[i].passes, events, stop)
 	}
 
 	// Scheduler: owns the ready queue, the units' in-flight state, and
 	// completion accounting. Single goroutine, so no locks on the Result.
-	ready := append([]*unit(nil), pending...)
+	keyOf := func(ps *pass) passKey {
+		if p.Model == nil {
+			return passKey{}
+		}
+		return passKey{origins: ps.u.origins, region: ps.region}
+	}
+	if p.Model != nil {
+		internOrigins(p, pending)
+	}
+	ready := &readyQueue{byKey: map[passKey][]readyPass{}}
+	enqueue := func(u *unit) {
+		ps := u.next(p.Regions)
+		ready.push(ps, keyOf(ps))
+	}
+	for _, u := range pending {
+		enqueue(u)
+	}
+	var idle []int            // idle executors, longest idle first
+	busy := map[passKey]int{} // busy executors by the key of their last pass
 	remaining := len(pending)
 	live := len(execs)
 	var abortErr error // set by a journal refusing a completion; stops the run
@@ -252,17 +391,41 @@ func Run(p *Plan, pool Pool) (*Result, error) {
 		u.settled, u.failed, u.lastErr = true, true, why
 		remaining--
 	}
+	// dispatch hands ps to the longest-idle executor.
+	dispatch := func(ps *pass) {
+		st := &states[idle[0]]
+		idle = idle[1:]
+		st.last, st.busy = keyOf(ps), true
+		busy[st.last]++
+		st.passes <- ps // its one slot is empty: the executor took its last pass before going idle
+		u := ps.u
+		u.dispatches++
+		if ps.hedge {
+			out.Hedged++
+		} else {
+			if u.dispatches == 1 && p.Journal != nil && u.members != nil {
+				p.Journal.appendDispatch(u.prefix)
+			}
+			if u.copies == 0 {
+				u.since = time.Now()
+			}
+		}
+		u.copies++
+	}
 
 	for remaining > 0 && live > 0 && abortErr == nil {
 		var (
-			send       chan *pass
-			next       *pass
 			timer      <-chan time.Time
 			hedgeTimer *time.Timer
 		)
-		if len(ready) > 0 {
-			send, next = handout, ready[0].next(p.Regions)
-		} else if opts.HedgeAfter > 0 {
+		for len(idle) > 0 {
+			if ready.n > 0 {
+				dispatch(ready.pick(states[idle[0]].last, busy))
+				continue
+			}
+			if opts.HedgeAfter <= 0 {
+				break
+			}
 			// Oldest unsettled single-copy straggler; equal ages tie-break
 			// on prefix so hedge choice never follows dispatch order.
 			var hu *unit
@@ -274,37 +437,31 @@ func Run(p *Plan, pool Pool) (*Result, error) {
 					hu = u
 				}
 			}
-			if hu != nil {
-				if age := time.Since(hu.since); age >= opts.HedgeAfter {
-					next = hu.next(p.Regions)
-					next.hedge = true
-					send = handout
-				} else {
-					hedgeTimer = time.NewTimer(opts.HedgeAfter - age)
-					timer = hedgeTimer.C
-				}
+			if hu == nil {
+				break
 			}
+			if age := time.Since(hu.since); age < opts.HedgeAfter {
+				hedgeTimer = time.NewTimer(opts.HedgeAfter - age)
+				timer = hedgeTimer.C
+				break
+			}
+			ps := hu.next(p.Regions)
+			ps.hedge = true
+			dispatch(ps)
 		}
 		select {
-		case send <- next:
-			u := next.u
-			u.dispatches++
-			if next.hedge {
-				out.Hedged++
-			} else {
-				ready = ready[1:]
-				if u.dispatches == 1 && p.Journal != nil && u.members != nil {
-					p.Journal.appendDispatch(u.prefix)
-				}
-				if u.copies == 0 {
-					u.since = time.Now()
-				}
-			}
-			u.copies++
 		case ev := <-events:
-			if ev.kind == evDead {
-				live--
-				out.WorkerErrors[ev.addr] = append(out.WorkerErrors[ev.addr], fmt.Sprintf("worker abandoned: %v", ev.err))
+			if ev.kind == evIdle || ev.kind == evDead {
+				if st := &states[ev.exec]; st.busy {
+					st.busy = false
+					busy[st.last]--
+				}
+				if ev.kind == evIdle {
+					idle = append(idle, ev.exec)
+				} else {
+					live--
+					out.WorkerErrors[ev.addr] = append(out.WorkerErrors[ev.addr], fmt.Sprintf("worker abandoned: %v", ev.err))
+				}
 				break
 			}
 			u := ev.pass.u
@@ -321,12 +478,15 @@ func Run(p *Plan, pool Pool) (*Result, error) {
 			switch ev.kind {
 			case evDone:
 				out.Assigned[ev.addr]++
+				if ev.resp.Kept {
+					out.KeptPasses++
+				}
 				if ev.resp.memo != nil {
 					out.IGP = ev.resp.memo
 				}
 				if !u.absorb(&ev.resp, len(p.Regions), out) {
 					u.copies, u.attempts = 0, 0 // a new pass: late copies of the old one are dropped by seq
-					ready = append(ready, u)
+					enqueue(u)
 					break
 				}
 				if p.Journal != nil && u.members != nil {
@@ -342,13 +502,13 @@ func Run(p *Plan, pool Pool) (*Result, error) {
 				if u.attempts++; u.attempts >= opts.MaxAttempts {
 					fail(u, u.lastErr)
 				} else if u.copies <= 0 {
-					ready = append(ready, u)
+					enqueue(u)
 					out.Retried++
 				}
 			case evRequeue:
 				u.lastErr = ev.err.Error()
 				if u.copies <= 0 { // otherwise a hedge copy is still running
-					ready = append(ready, u)
+					enqueue(u)
 					out.Requeued++
 				}
 			}
@@ -384,6 +544,25 @@ func Run(p *Plan, pool Pool) (*Result, error) {
 	return out, abortErr
 }
 
+// internOrigins numbers each unit's family origins (core.Model.
+// FamilyOrigins of its prefix) from 1, equal origins alike: the origins
+// half of its passes' keys. A prefix that does not parse keeps 0; its
+// pass fails on the worker.
+func internOrigins(p *Plan, units []*unit) {
+	ids := map[string]int{}
+	for _, u := range units {
+		pfx, err := netaddr.Parse(u.prefix)
+		if err != nil {
+			continue
+		}
+		o := fmt.Sprint(p.Model.FamilyOrigins(pfx))
+		if ids[o] == 0 {
+			ids[o] = len(ids) + 1
+		}
+		u.origins = ids[o]
+	}
+}
+
 // passName names a pass in WorkerErrors.
 func passName(ps *pass) string {
 	if ps.region == "" {
@@ -392,18 +571,19 @@ func passName(ps *pass) string {
 	return ps.u.prefix + "@" + ps.region
 }
 
-// runExecutor is the one loop that hands passes to executors: it drives
-// one executor — connect (with backoff), pull passes, and convert
-// connection deaths into re-queues — and abandons it after
-// MaxConnFailures consecutive connection-level failures.
-func runExecutor(wg *sync.WaitGroup, e executor, req Request, opts Options, rng *rand.Rand,
-	handout <-chan *pass, events chan<- event, stop <-chan struct{}) {
+// runExecutor drives executor i of the pool: connect (with backoff),
+// report idle and run the pass the scheduler puts in its 1-slot passes
+// channel, one at a time, and convert connection deaths into re-queues.
+// It abandons the executor after MaxConnFailures consecutive
+// connection-level failures.
+func runExecutor(wg *sync.WaitGroup, i int, e executor, req Request, opts Options, rng *rand.Rand,
+	passes <-chan *pass, events chan<- event, stop <-chan struct{}) {
 	defer wg.Done()
 	defer e.disconnect()
 	failures := 0 // consecutive connection-level failures
 
 	send := func(ev event) {
-		ev.addr = e.name()
+		ev.exec, ev.addr = i, e.name()
 		select {
 		case events <- ev:
 		case <-stop:
@@ -446,11 +626,12 @@ func runExecutor(wg *sync.WaitGroup, e executor, req Request, opts Options, rng 
 		return
 	}
 	for {
+		send(event{kind: evIdle})
 		var ps *pass
 		select {
 		case <-stop:
 			return
-		case ps = <-handout:
+		case ps = <-passes:
 		}
 		resp, appErr, connErr := e.do(ps.request(req), opts)
 		switch {

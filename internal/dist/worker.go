@@ -339,9 +339,12 @@ func lessKey(a, b sharedKey) bool {
 // connSim is an executor's one simulator: derived from the Shared of its
 // last pass and replaced when a pass needs another — a different model or
 // budget, or the same key re-assembled after an eviction. Between passes
-// on one Shared it keeps its factory only while the passes run from the
-// same origins in the same region (DESIGN.md, "Recycling"): origins and
-// region are the last pass's sh.M.FamilyOrigins and region index.
+// on one Shared it keeps its factory only while the passes, record passes
+// included, run from the same origins in the same region (DESIGN.md,
+// "Recycling"): origins and region are the last pass's
+// sh.M.FamilyOrigins and region index. The scheduler hands an executor
+// passes of its last key first (readyQueue.pick), so runs of them meet
+// one connSim.
 type connSim struct {
 	sh      *core.Shared
 	sim     *core.Simulator
@@ -376,9 +379,11 @@ func (w *Worker) handle(conn net.Conn) {
 // summary) captures the prefix's cut summary into the response, an
 // import pass consumes the request's. A core refusal (*core.UnsoundCut)
 // answers with Refused, not Error — it is deterministic, so the unit
-// falls back to monolithic simulation instead of retrying. Everything
-// the pass learned leaves in the response: the verdicts, and the Record
-// when the request asks for it.
+// falls back to monolithic simulation instead of retrying. The pass runs
+// on cs, which it keeps as the last pass left it when both passes have
+// one key (family origins and region), and Resets otherwise; Kept in the
+// response says which. Everything the pass learned leaves in the
+// response: the verdicts, and the Record when the request asks for it.
 func (w *Worker) answer(req Request, cs *connSim) Response {
 	resp := Response{Prefix: req.Prefix, Region: req.Region}
 	fail := func(err error) Response {
@@ -397,14 +402,14 @@ func (w *Worker) answer(req Request, cs *connSim) Response {
 	switch {
 	case cs.sh != sh:
 		cs.sh, cs.sim = sh, sh.NewSimulator()
-	case req.Record || ri != cs.region || !slices.Equal(origins, cs.origins):
-		// A record's export follows the factory's node ids (the operand
-		// order of every formula), so a record pass starts from the
-		// session base on every executor. Any other pass keeps what the
-		// last one built only when it would build it again: its
-		// conditions grow along paths out of the same origins, over the
-		// same nodes.
+	case ri != cs.region || !slices.Equal(origins, cs.origins):
 		cs.sim.Reset()
+	default:
+		// The pass keeps what the last one built, because it would build
+		// it again: its conditions grow along paths out of the same
+		// origins, over the same nodes. A record pass too: what it
+		// exports is the same bytes a fresh simulator's would be.
+		resp.Kept = true
 	}
 	cs.origins, cs.region = origins, ri
 	t0 := time.Now()

@@ -1,10 +1,13 @@
 package httpapi
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -239,6 +242,135 @@ func FuzzResweep(f *testing.F) {
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, impact, nil))
 		if rec.Code != http.StatusOK {
 			t.Fatalf("%q: then GET %s: status %d: %s", body, impact, rec.Code, rec.Body)
+		}
+	})
+}
+
+// FuzzSnapshotPublish drives POST /v1/snapshots {path, activate} on a
+// gen.Small service at K=1 whose active snapshot is its own sweep's. The
+// fuzzed input is the bytes of the store at path, written to a new file
+// per input, and which of the three activate forms the body takes
+// (absent, true, false); the path itself is never fuzzed. The corpus is
+// seeded with the real store. No input may panic the handler; every
+// answer is 200 or 400; a 400 leaves the snapshot registry, the active
+// snapshot's id with it, and every /v1/query answer as they were; a 200
+// registers the snapshot it names, active exactly when asked.
+func FuzzSnapshotPublish(f *testing.F) {
+	const k = 1
+	w, err := gen.Generate(gen.Small())
+	if err != nil {
+		f.Fatal(err)
+	}
+	s, err := New(w.Net, w.Snap, k)
+	if err != nil {
+		f.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/resweep", strings.NewReader("")))
+	if rec.Code != http.StatusOK {
+		f.Fatalf("resweep status %d: %s", rec.Code, rec.Body)
+	}
+	store := s.baseline
+	path := filepath.Join(f.TempDir(), "store.json")
+	if err := store.Save(path); err != nil {
+		f.Fatal(err)
+	}
+	seed, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+
+	prefix := s.Classes()[0].Rep.String()
+	l := w.Net.Links()[0]
+	link := w.Net.Node(l.A).Name + "~" + w.Net.Node(l.B).Name
+	reads := []string{
+		"/v1/snapshots",
+		"/v1/query?" + url.Values{"kind": {"minfail"}, "prefix": {prefix}}.Encode(),
+		"/v1/query?" + url.Values{"kind": {"impact"}, "link": {link}}.Encode(),
+	}
+	for _, n := range w.Net.Nodes() {
+		reads = append(reads, "/v1/query?"+url.Values{"kind": {"reach"}, "prefix": {prefix}, "router": {n.Name}, "failed": {link}}.Encode())
+	}
+
+	for form := range uint8(3) {
+		f.Add(seed, form)
+	}
+	f.Add(seed[:len(seed)/2], uint8(0))
+	f.Add(bytes.Replace(seed, []byte(`"verdicts"`), []byte(`"verdictz"`), -1), uint8(1))
+	f.Add([]byte(`{"k": -1, "classes": [{}]}`), uint8(2))
+	f.Add([]byte(`{}`), uint8(0))
+	f.Add([]byte{}, uint8(1))
+
+	f.Fuzz(func(t *testing.T, data []byte, form uint8) {
+		s, err := New(w.Net, w.Snap, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.PublishStore(store); err != nil {
+			t.Fatal(err)
+		}
+		h := s.Handler()
+		get := func(target string) string {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
+			return rec.Body.String()
+		}
+		before := make([]string, len(reads))
+		for i, r := range reads {
+			before[i] = get(r)
+		}
+
+		path := filepath.Join(t.TempDir(), "store.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		body := map[string]any{"path": path}
+		activate := form%3 != 2
+		if form%3 != 0 {
+			body["activate"] = activate
+		}
+		raw, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/snapshots", bytes.NewReader(raw)))
+		switch rec.Code {
+		case http.StatusBadRequest:
+			for i, r := range reads {
+				if got := get(r); got != before[i] {
+					t.Fatalf("%s: a 400 publish (%s) changed GET %s from %s to %s", raw, rec.Body, r, before[i], got)
+				}
+			}
+			return
+		case http.StatusOK:
+		default:
+			t.Fatalf("%s: status %d: %s", raw, rec.Code, rec.Body)
+		}
+		var pub struct {
+			ID     string `json:"id"`
+			Active bool   `json:"active"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &pub); err != nil || pub.ID == "" || pub.Active != activate {
+			t.Fatalf("%s: 200 body %s (%v), want the new id, active %v", raw, rec.Body, err, activate)
+		}
+		var list struct {
+			Snapshots []SnapshotInfo `json:"snapshots"`
+		}
+		if err := json.Unmarshal([]byte(get("/v1/snapshots")), &list); err != nil {
+			t.Fatal(err)
+		}
+		found := false
+		for _, e := range list.Snapshots {
+			if e.ID == pub.ID {
+				found = true
+				if e.Active != activate {
+					t.Fatalf("%s: snapshot %s active %v, asked %v", raw, pub.ID, e.Active, activate)
+				}
+			}
+		}
+		if !found {
+			t.Fatalf("%s: 200 for snapshot %s, which the registry does not list: %+v", raw, pub.ID, list.Snapshots)
 		}
 	})
 }
