@@ -124,7 +124,12 @@ scale-smoke:
 # store file the body's path names (never the path) and the body's
 # activate form, seeded with a real gen.Small store; every answer is 200
 # or 400, and a 400 leaves the active snapshot and every /v1/query
-# answer unchanged. An input
+# answer unchanged. FuzzPublishSequence drives up to 8 steps on one
+# gen.Small service (a resweep with an edit from a fixed menu, with or
+# without no_incremental, a staged publish of the held baseline, an
+# activation): after each, every reach and minfail answer of a fixed deck
+# equals a fresh qc.CompileStore's of the active store, however many
+# programs the publishes reused. An input
 # of any of these can be a whole simulation, so minimizing a new one runs
 # many: -fuzzminimizetime=1s caps that, where the default 60s would spend
 # the whole run on the first new input.
@@ -143,6 +148,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzRoute$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/httpapi/
 	$(GO) test -run='^$$' -fuzz='^FuzzResweep$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/httpapi/
 	$(GO) test -run='^$$' -fuzz='^FuzzSnapshotPublish$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/httpapi/
+	$(GO) test -run='^$$' -fuzz='^FuzzPublishSequence$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/httpapi/
 
 # check is the CI gate, defined here and nowhere else (ci.sh calls it):
 # vet + gofmt + hoyanlint + config vet, the full suite once under the race

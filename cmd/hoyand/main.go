@@ -10,7 +10,8 @@
 // POST /v1/resweep (incremental whole-network re-verification),
 // POST /v1/snapshots[/activate] (query-plane snapshot registry) — see
 // internal/httpapi. -store publishes a saved sweep's results to the
-// query plane at boot so /v1/query answers without a warm-up sweep.
+// query plane at boot so /v1/query answers without a warm-up sweep, and
+// makes them the baseline the first /v1/resweep diffs against.
 //
 // Both planes shut down gracefully on SIGINT/SIGTERM: in-flight HTTP
 // requests get a drain window and collector connections are unblocked.
@@ -48,7 +49,7 @@ func main() {
 	drain := flag.Duration("drain", 10*time.Second, "shutdown drain window for in-flight requests")
 	maxSessions := flag.Int("max-sessions", 0, "max concurrent sweep sessions (0 = default 2); saturation answers 429 + Retry-After")
 	maxJobs := flag.Int("max-session-jobs", 0, "per-session queued-job bound for sweeps (0 = unlimited)")
-	storePath := flag.String("store", "", "result store to compile and publish to the query plane at boot (/v1/query serves immediately)")
+	storePath := flag.String("store", "", "result store to compile and publish to the query plane at boot (/v1/query serves immediately); it is also the first /v1/resweep's baseline")
 	cpuprofile := flag.String("cpuprofile", "", "profile CPU for the server's lifetime, written on shutdown")
 	memprofile := flag.String("memprofile", "", "write a heap profile on shutdown")
 	flag.Parse()
@@ -108,6 +109,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "hoyand: compiling store:", err)
 			os.Exit(1)
 		}
+		svc.SetBaseline(st)
 		fmt.Printf("query plane serving snapshot %s from %s\n", id, *storePath)
 	}
 	srv := &http.Server{

@@ -3,6 +3,7 @@ package httpapi
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -11,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"hoyan"
 	"hoyan/internal/gen"
 )
 
@@ -371,6 +373,100 @@ func FuzzSnapshotPublish(f *testing.F) {
 		}
 		if !found {
 			t.Fatalf("%s: 200 for snapshot %s, which the registry does not list: %+v", raw, pub.ID, list.Snapshots)
+		}
+	})
+}
+
+// FuzzPublishSequence drives up to 8 steps on one gen.Small service at
+// K=1 that a cold resweep has published. A step is a resweep (an edit
+// from a fixed menu, incremental or not), a staged publish of the held
+// baseline, or the activation of the latest staged snapshot; each input
+// byte picks one. Every publish compiles from the active snapshot and
+// reuses the programs of the records it shares with it. After every
+// step, each reach and minfail answer of a fixed deck must equal the
+// answer a fresh qc.CompileStore of the active snapshot's store gives.
+func FuzzPublishSequence(f *testing.F) {
+	const k = 2
+	w, err := gen.Generate(gen.Small())
+	if err != nil {
+		f.Fatal(err)
+	}
+	// The menu: two static routes, each with its rollback, and two policy
+	// terms, which stay once added.
+	var menu []ResweepUpdate
+	for _, p := range gen.Perturb(w, 5, 6) {
+		switch p.Kind {
+		case "static":
+			fields := strings.Fields(p.Lines[0]) // ip route P NH preference N
+			menu = append(menu, ResweepUpdate{Device: p.Device, Lines: p.Lines},
+				ResweepUpdate{Device: p.Device, Lines: []string{"no " + strings.Join(fields[:4], " ")}})
+		case "policy":
+			menu = append(menu, ResweepUpdate{Device: p.Device, Lines: p.Lines})
+		}
+	}
+	deck := publishDeck(w)
+
+	// A step byte b is a resweep of menu[b/6] (b/3 odd: no_incremental)
+	// when b%3 is 0, a staged publish when 1, an activation when 2.
+	f.Add([]byte{0, 6, 12, 18, 24, 30})
+	f.Add([]byte{1, 6, 2, 12, 3, 1, 0, 2})
+	f.Add([]byte{6, 1, 9, 2, 12, 0})
+	f.Add([]byte{1, 1, 2, 2, 15, 24})
+
+	f.Fuzz(func(t *testing.T, steps []byte) {
+		if len(steps) > 8 {
+			steps = steps[:8]
+		}
+		s, err := New(w.Net, w.Snap, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := s.Handler()
+		stores := map[string]*hoyan.ResultStore{} // snapshot id → the store it compiled
+		var staged []string
+		resweep := func(req ResweepRequest) {
+			body, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := serveRec(h, http.MethodPost, "/v1/resweep", string(body))
+			if rec.Code == http.StatusBadRequest && strings.Contains(rec.Body.String(), "apply updates") {
+				return // a rollback of a route the served configs lack
+			}
+			var resp ResweepResponse
+			if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &resp) != nil || resp.Snapshot == "" {
+				t.Fatalf("%s: status %d: %s", body, rec.Code, rec.Body)
+			}
+			stores[resp.Snapshot] = s.baseline
+		}
+		resweep(ResweepRequest{})
+
+		for i, b := range steps {
+			switch b % 3 {
+			case 0:
+				resweep(ResweepRequest{Updates: []ResweepUpdate{menu[int(b/6)%len(menu)]}, NoIncremental: (b/3)%2 == 1})
+			case 1:
+				rec := serveRec(h, http.MethodPost, "/v1/snapshots", `{"activate": false}`)
+				var pub struct {
+					ID string `json:"id"`
+				}
+				if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &pub) != nil {
+					t.Fatalf("step %d: staged publish: status %d: %s", i, rec.Code, rec.Body)
+				}
+				stores[pub.ID] = s.baseline
+				staged = append(staged, pub.ID)
+			case 2:
+				if len(staged) == 0 {
+					continue
+				}
+				id := staged[len(staged)-1]
+				staged = staged[:len(staged)-1]
+				if rec := serveRec(h, http.MethodPost, "/v1/snapshots/activate", `{"id": "`+id+`"}`); rec.Code != http.StatusOK {
+					t.Fatalf("step %d: activate %s: status %d: %s", i, id, rec.Code, rec.Body)
+				}
+			}
+
+			sameAsFreshCompile(t, fmt.Sprintf("step %d of %v", i, steps), s, stores[s.query.active.Load().id], deck)
 		}
 	})
 }

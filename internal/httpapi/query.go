@@ -63,9 +63,15 @@ type queryPlane struct {
 // publish compiles a store and registers the snapshot; when activate is
 // set it also becomes the serving snapshot atomically. Compilation runs
 // outside the registry lock — queries against the current snapshot are
-// never stalled by a publish.
+// never stalled by a publish — and starts from the active snapshot, so
+// the records a resweep replayed keep their programs. Staged snapshots
+// are not consulted.
 func (q *queryPlane) publish(st *hoyan.ResultStore, activate bool) (*snapEntry, error) {
-	snap, err := qc.CompileStore(st)
+	var prev *qc.Snapshot
+	if a := q.active.Load(); a != nil {
+		prev = a.snap
+	}
+	snap, err := qc.CompileStoreFrom(prev, st)
 	if err != nil {
 		return nil, err
 	}
@@ -115,7 +121,10 @@ type SnapshotInfo struct {
 	Programs  int    `json:"programs"`
 	Instrs    int    `json:"instrs"`
 	Links     int    `json:"links"`
-	CompileMS int64  `json:"compile_ms"`
+	// Reused counts the programs taken from the snapshot that was active
+	// at publication instead of compiled.
+	Reused    int   `json:"reused"`
+	CompileMS int64 `json:"compile_ms"`
 }
 
 func (q *queryPlane) list() []SnapshotInfo {
@@ -135,6 +144,7 @@ func (q *queryPlane) list() []SnapshotInfo {
 			Programs:  st.Programs,
 			Instrs:    st.Instrs,
 			Links:     st.Links,
+			Reused:    st.Reused,
 			CompileMS: st.CompileTime.Milliseconds(),
 		})
 	}
@@ -150,6 +160,18 @@ func (s *Service) PublishStore(st *hoyan.ResultStore) (string, error) {
 		return "", err
 	}
 	return e.id, nil
+}
+
+// SetBaseline makes st the baseline the next /v1/resweep diffs against,
+// as if a resweep had captured it — hoyand's -store boot, so the first
+// resweep after a restart replays what the edit spares, and its publish
+// reuses the programs of the snapshot PublishStore made from the same
+// store. A store swept under other options is safe to hand over: the
+// options hash mismatch invalidates every class.
+func (s *Service) SetBaseline(st *hoyan.ResultStore) {
+	s.mu.Lock()
+	s.baseline = st
+	s.mu.Unlock()
 }
 
 // SnapshotPublishRequest is the JSON body of POST /v1/snapshots. With a

@@ -7,7 +7,9 @@
 // by simulating; the query plane answers it by *evaluating* the stored
 // topology condition — one amortized sweep serving unbounded cheap
 // queries (DESIGN.md, "Query plane"). Compilation happens once per
-// published snapshot: each Portable root becomes a Program whose
+// record condition set, at the first snapshot that holds it (a later
+// snapshot takes the programs of records a resweep replayed): each
+// Portable root becomes a Program whose
 // instructions are the reachable sub-DAG in dependency order, renumbered
 // densely, so evaluation is a single forward pass over a contiguous
 // array with no pointers, no interning, and no per-query allocation.

@@ -2,6 +2,7 @@ package qc
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -34,6 +35,11 @@ type Class struct {
 	ClassMinFail int
 
 	routerIdx map[string]int
+	// conds is the record condition set Progs were lowered from. A later
+	// compile reuses Progs for a record that carries this same pointer
+	// (CompileStoreFrom); holding it here is what keeps the address from
+	// being freed and handed to a different condition set.
+	conds *logic.Portable
 }
 
 // Router resolves a router name to its root index.
@@ -55,14 +61,19 @@ type CompileStats struct {
 	Decisions int
 	// Links is the baseline topology's link count (the variable universe).
 	Links int
-	// CompileTime is the wall-clock cost of CompileStore.
+	// Reused counts the programs taken from the previous snapshot rather
+	// than compiled (CompileStoreFrom); 0 for a cold compile.
+	Reused int
+	// CompileTime is the wall-clock cost of the compilation.
 	CompileTime time.Duration
 }
 
 // Snapshot is a fully compiled ResultStore: every class's conditions as
 // flat programs, the prefix→class and link→classes indexes, and the
-// sweep's fixed answers. Immutable after CompileStore; safe for
-// concurrent queries with per-caller Scratch/FailureSet.
+// sweep's fixed answers. Immutable after CompileStoreFrom; safe for
+// concurrent queries with per-caller Scratch/FailureSet. It holds every
+// record's condition set (Class.conds), the key a later compile reuses
+// its programs by.
 type Snapshot struct {
 	// K is the failure budget the store was swept under; evaluation is
 	// exact only for failure sets of at most K links (conditions beyond
@@ -93,12 +104,26 @@ func canonicalLink(a, b string) string {
 	return a + "~" + b
 }
 
-// CompileStore compiles a result store for serving: each record's
+// CompileStore compiles a result store for serving from scratch:
+// CompileStoreFrom with no previous snapshot.
+func CompileStore(st *hoyan.ResultStore) (*Snapshot, error) {
+	return CompileStoreFrom(nil, st)
+}
+
+// CompileStoreFrom compiles a result store for serving: each record's
 // condition roots are lowered to programs and its verdicts become the
 // fixed answers — nothing is solved again. A record whose verdicts and
 // condition roots do not line up (LoadResultStore quarantines those) is
 // an error.
-func CompileStore(st *hoyan.ResultStore) (*Snapshot, error) {
+//
+// A record's programs depend only on its condition set, which never
+// changes after export or decode, and on the link universe. So a class
+// takes prev's programs instead of compiling when prev holds the same
+// condition-set pointer (a resweep carries a replayed record's forward
+// unchanged), prev's link names equal st's in LinkID order, and the root
+// count matches. Everything else — members, routers, verdicts, indexes,
+// stats — is rebuilt from st. prev may be nil.
+func CompileStoreFrom(prev *Snapshot, st *hoyan.ResultStore) (*Snapshot, error) {
 	start := time.Now()
 	snap := &Snapshot{
 		K:           st.K,
@@ -119,6 +144,13 @@ func CompileStore(st *hoyan.ResultStore) (*Snapshot, error) {
 		}
 	}
 	maxVar := logic.Var(len(st.Links) - 1)
+	var held map[*logic.Portable][]*Program
+	if prev != nil && slices.Equal(prev.linkNames, snap.linkNames) {
+		held = make(map[*logic.Portable][]*Program, len(prev.Classes))
+		for _, c := range prev.Classes {
+			held[c.conds] = c.Progs
+		}
+	}
 
 	for ci := range st.Classes {
 		rec := &st.Classes[ci]
@@ -130,16 +162,26 @@ func CompileStore(st *hoyan.ResultStore) (*Snapshot, error) {
 			Members:      append([]string(nil), rec.Members...),
 			ClassMinFail: sum.MinFailures,
 			routerIdx:    make(map[string]int, len(rec.Verdicts)),
+			conds:        rec.Conds,
+		}
+		if progs, ok := held[rec.Conds]; ok && len(progs) == len(rec.Verdicts) {
+			cls.Progs = progs
+			snap.Stats.Reused += len(progs)
+		} else {
+			comp := newCompiler(rec.Conds, maxVar)
+			cls.Progs = make([]*Program, len(rec.Verdicts))
+			for ri, v := range rec.Verdicts {
+				prog, err := comp.compile(ri)
+				if err != nil {
+					return nil, fmt.Errorf("qc: class %d router %s: %w", ci, v.Router, err)
+				}
+				cls.Progs[ri] = prog
+			}
 		}
 		classVars := map[logic.Var]bool{}
-		comp := newCompiler(rec.Conds, maxVar)
 		for ri, v := range rec.Verdicts {
-			prog, err := comp.compile(ri)
-			if err != nil {
-				return nil, fmt.Errorf("qc: class %d router %s: %w", ci, v.Router, err)
-			}
+			prog := cls.Progs[ri]
 			cls.Routers = append(cls.Routers, v.Router)
-			cls.Progs = append(cls.Progs, prog)
 			cls.ReachUp = append(cls.ReachUp, v.Reachable)
 			cls.MinFail = append(cls.MinFail, v.MinFailures)
 			cls.routerIdx[v.Router] = ri
@@ -156,8 +198,8 @@ func CompileStore(st *hoyan.ResultStore) (*Snapshot, error) {
 			snap.impact[v] = append(snap.impact[v], ci)
 		}
 		for _, m := range cls.Members {
-			if prev, dup := snap.prefixClass[m]; dup {
-				return nil, fmt.Errorf("qc: prefix %s belongs to classes %d and %d", m, prev, ci)
+			if other, dup := snap.prefixClass[m]; dup {
+				return nil, fmt.Errorf("qc: prefix %s belongs to classes %d and %d", m, other, ci)
 			}
 			snap.prefixClass[m] = ci
 		}
