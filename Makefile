@@ -83,9 +83,13 @@ chaos: determinism
 # simulator (its data plane included) and a memo stripe that recycles
 # its factory between destinations must each equal a fresh one. So does
 # the IGP fixpoint's byte pin against the map-based reference it replaced.
+# So do the memo's three import pins: every memo root equals an engine's
+# reachability condition, ImportRoots equals Import on the roots it names
+# and builds nothing else, and a simulator's session base imports only
+# its sessions' conditions.
 determinism:
-	$(GO) test -race -count=10 -run 'TestMemoBuildDeterministic|TestPropagateMatchesReference|TestOrderShrinksSolver|TestResetRunEqualsFresh|TestResetDropsWhatFollowsTheBase' ./internal/igp/ ./internal/core/
-	$(GO) test -race -count=10 -run 'TestRecycleIsFresh|TestRecycleToMarkIsFresh' ./internal/logic/
+	$(GO) test -race -count=10 -run 'TestMemoBuildDeterministic|TestMemoReachMatchesEngine|TestPropagateMatchesReference|TestOrderShrinksSolver|TestResetRunEqualsFresh|TestResetDropsWhatFollowsTheBase|TestBaseImportsOnlySessionRoots' ./internal/igp/ ./internal/core/
+	$(GO) test -race -count=10 -run 'TestRecycleIsFresh|TestRecycleToMarkIsFresh|TestImportRootsMatchesImport' ./internal/logic/
 	$(GO) test -race -count=10 -run 'TestVarOrder' ./internal/topo/
 	$(GO) test -race -count=10 -run 'TestSweepIndependentOfTopologyFileOrder' .
 

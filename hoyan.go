@@ -161,7 +161,10 @@ type Options struct {
 	// process that swept it also carries that sweep's IGP memo: the next
 	// Sweep, and a Verifier built with the store as its Baseline, start
 	// from it instead of re-running the IS-IS fixpoints whenever the
-	// network's IGP inputs are the ones it was built for.
+	// network's IGP inputs are the ones it was built for. Such a
+	// Verifier's route queries then run no fixpoint; a packet query's
+	// data plane still propagates the RIBs of the BGP next hops it
+	// resolves, which the memo does not hold.
 	Baseline *ResultStore
 	// Modular runs Sweep region by region (DESIGN.md, "Modular
 	// verification"): each prefix family is simulated in its home region
@@ -197,8 +200,8 @@ type Verifier struct {
 
 // Verifier freezes the network and builds a verifier. Its simulator
 // resolves IGP reachability lazily, on the first query that needs it —
-// unless opts.Baseline carries an IGP memo valid for this network, which
-// then answers instead.
+// unless opts.Baseline carries an IGP memo valid for this network, whose
+// conditions its session base then imports instead.
 func (n *Network) Verifier(opts Options) (*Verifier, error) {
 	if len(n.errs) > 0 {
 		return nil, n.errs[0]

@@ -243,9 +243,6 @@ func newSimulator(m *Model, opts Options, f *logic.Factory, sh *Shared) *Simulat
 func (s *Simulator) reset(f *logic.Factory) {
 	s.F = f
 	s.IGP = igp.New(s.M.Net, s.M.Configs, f, igpOptions(s.Opts))
-	if s.shared != nil {
-		s.IGP.Seed(s.shared.memo)
-	}
 	s.based = false
 	for i := range s.sessions {
 		se := &s.sessions[i]
@@ -257,41 +254,63 @@ func (s *Simulator) reset(f *logic.Factory) {
 	s.clearScratch()
 }
 
-// buildBase completes the session base before the simulator's first pass:
-// it resolves the condition and builds the BDD of every IGP-riding session
-// whose RIBs the Shared's memo holds (Shared.inBase), in session order —
-// what a pass would otherwise import and build again after every Reset —
-// and marks the factory and the IGP engine, so a Reset returns here. It waits
-// for a pass rather than for construction, so a simulator that never runs
-// one (a Verifier nobody asks a route query) builds nothing. The base is
-// a function of the Shared alone: every executor's simulator of one
-// Shared resets to the same universe.
+// buildBase completes the session base before the simulator's first pass
+// and marks the factory, so a Reset returns here: the condition and BDD of
+// every IGP-riding session both of whose endpoints the Shared's memo
+// holds, in session order. It is core's one reader of the memo: it
+// imports the (source, destination) conditions those sessions read,
+// grouped per destination, and conjoins each session's two
+// (igp.Engine.SessionCond's rule). It waits for a pass, so a simulator
+// that never runs one (a Verifier nobody asks a route query) builds
+// nothing. The base is a function of the Shared alone.
 func (s *Simulator) buildBase() {
 	if s.based {
 		return
 	}
-	for i := range s.sessions {
-		if se := &s.sessions[i]; se.viaIGP && s.shared.inBase(se.from, se.to) {
-			s.F.SAT(s.sessionCond(i))
-			se.inBase = true
+	if memo := s.shared.IGPMemo(); memo != nil {
+		type pair struct{ from, to topo.NodeID }
+		var base []int
+		var dsts []topo.NodeID                  // in first-use order
+		srcs := map[topo.NodeID][]topo.NodeID{} // per destination, in session order
+		for i, se := range s.sessions {
+			if se.viaIGP && memo.Holds(se.from) && memo.Holds(se.to) {
+				base = append(base, i)
+				for _, p := range [2]pair{{se.from, se.to}, {se.to, se.from}} {
+					if srcs[p.to] == nil {
+						dsts = append(dsts, p.to)
+					}
+					srcs[p.to] = append(srcs[p.to], p.from)
+				}
+			}
+		}
+		reach := map[pair]logic.F{}
+		for _, dst := range dsts {
+			for j, c := range memo.Reach(s.F, dst, srcs[dst]) {
+				reach[pair{srcs[dst][j], dst}] = c
+			}
+		}
+		for _, i := range base {
+			se := &s.sessions[i]
+			se.cond = s.F.And(reach[pair{se.from, se.to}], reach[pair{se.to, se.from}])
+			se.lazy, se.inBase = false, true
+			s.F.SAT(se.cond)
 		}
 	}
-	s.IGP.Mark()
 	s.F.Mark()
 	s.based = true
 }
 
 // Reset returns the simulator to its session base (buildBase): it recycles
 // the factory to its Mark (logic.Factory.Recycle), drops every IGP RIB
-// imported or propagated since (a dataplane.Build next-hop lookup can
-// add one), re-arms the session conditions resolved since, and
-// truncates the scratch, keeping the model, the session table, the base,
-// the factory's tables and the scratch capacity. A run after a Reset
-// makes the ids, conditions and counts a new simulator's would.
-// Executors Reset between passes to bound formula-arena memory without
-// paying session-table construction, table allocation or the session
-// base again. A Result obtained before a Reset panics if it is queried
-// afterwards.
+// (the base holds none; a session outside it or a dataplane.Build
+// next-hop lookup propagates them), re-arms the session conditions
+// resolved since, and truncates the scratch, keeping the model, the
+// session table, the base, the factory's tables and the scratch capacity.
+// A run after a Reset makes the ids, conditions and counts a new
+// simulator's would. Executors Reset between passes to bound
+// formula-arena memory without paying session-table construction, table
+// allocation or the session base again. A Result obtained before a Reset
+// panics if it is queried afterwards.
 func (s *Simulator) Reset() {
 	s.buildBase()
 	s.F.Recycle()

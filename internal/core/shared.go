@@ -9,19 +9,22 @@ import (
 // Shared is the immutable, sweep-wide half of simulation state: the
 // assembled model plus every prefix-independent computation worth doing
 // once — the IGP path-vector fixpoints behind iBGP session conditions, as
-// an igp.Memo. The mutable half (formula factory, IGP engine, per-run
-// scratch) lives on each Simulator.
+// an igp.Memo of every node's reachability condition toward each session
+// endpoint. The mutable half (formula factory, IGP engine, per-run
+// scratch) lives on each Simulator, whose session base imports from the
+// memo exactly the conditions its sessions read (Simulator.buildBase).
 //
-// The Shared does not own its memo's RIBs: a memo is valid for an igp.Key
-// (what the IGP reads of the model and options), not for this model, and
+// The Shared does not own its memo: a memo is valid for an igp.Key (what
+// the IGP reads of the model and options), not for this model, and
 // whoever holds a memo from earlier — the previous sweep's ResultStore, a
 // worker's other resident Shareds — hands it to SharedFrom, which reuses
 // it when the keys are equal and propagates only the destinations it
 // lacks. What the Shared guarantees is the pairing: memo and simulators
-// come from the same (model, options), so seeding needs no check.
+// come from the same (model, options), so reading the memo needs no
+// check.
 //
 // Build one Shared per sweep and call NewSimulator per worker goroutine:
-// workers then skip both model assembly and the per-engine IGP
+// workers then skip both model assembly and the per-simulator IGP
 // propagation storm. A Shared is safe for concurrent use.
 type Shared struct {
 	M    *Model
@@ -59,18 +62,14 @@ func SharedFrom(m *Model, opts Options, have *igp.Memo, workers int) *Shared {
 	return sh
 }
 
-// inBase reports whether the session from→to, an IGP-riding one, is in
-// the session base of the Shared's simulators (Simulator.buildBase): the
-// memo holds both endpoints' RIBs (a destination whose fixpoint hit the
-// step cap is left out). A simulator without a Shared has no memo, so its
-// base holds no such session.
-func (sh *Shared) inBase(from, to topo.NodeID) bool {
-	return sh != nil && sh.memo.Holds(from) && sh.memo.Holds(to)
+// IGPMemo returns the Shared's memo, for a simulator's session base and
+// for whoever carries it to the next SharedFrom; nil without a Shared.
+func (sh *Shared) IGPMemo() *igp.Memo {
+	if sh == nil {
+		return nil
+	}
+	return sh.memo
 }
-
-// IGPMemo returns the Shared's memo, for whoever carries it to the next
-// SharedFrom.
-func (sh *Shared) IGPMemo() *igp.Memo { return sh.memo }
 
 // Err reports a memo that could not be built whole: a destination whose
 // fixpoint hit the step cap (igp.Build). The Shared still simulates —
@@ -90,14 +89,13 @@ func IGPKey(m *Model, opts Options) string {
 func (sh *Shared) Classes() []PrefixClass { return sh.M.Classes() }
 
 // NewSimulator derives a fresh per-worker simulator: its own formula
-// factory and IGP engine (factories are not safe for concurrent use),
-// seeded with the shared IGP memo so session conditions replay from the
-// snapshot instead of re-running propagation. Its first pass builds its
-// session base — the condition and BDD of every IGP-riding session whose
-// endpoints' RIBs the memo holds — which a Reset keeps (Simulator.Reset).
-// Its region passes (Simulator.RunRegion) share the memo and the base
-// with its monolithic ones: a region is an argument of the pass, not of
-// the Shared.
+// factory and IGP engine (factories are not safe for concurrent use).
+// Its first pass builds its session base — the condition and BDD of every
+// IGP-riding session both of whose endpoints the memo holds, imported
+// from the memo instead of propagated — which a Reset keeps
+// (Simulator.Reset). Its region passes (Simulator.RunRegion) share the
+// memo and the base with its monolithic ones: a region is an argument of
+// the pass, not of the Shared.
 func (sh *Shared) NewSimulator() *Simulator {
 	return newSimulator(sh.M, sh.Opts, logic.NewFactoryOrdered(sh.M.Net.VarOrder()), sh)
 }

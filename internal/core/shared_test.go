@@ -7,6 +7,7 @@ import (
 
 	"hoyan/internal/gen"
 	"hoyan/internal/igp"
+	"hoyan/internal/topo"
 )
 
 // verdictsOn runs every class representative on a simulator of sh and
@@ -87,5 +88,58 @@ func TestSharedFromReuse(t *testing.T) {
 	opts.K = 2
 	if n := count(func() { SharedFrom(m, opts, cold.IGPMemo(), 2) }); int(n) != cold.IGPMemo().NumDestinations() {
 		t.Fatalf("another failure budget reused %d RIBs built for K=1", cold.IGPMemo().NumDestinations()-int(n))
+	}
+}
+
+// TestBaseImportsOnlySessionRoots pins what a simulator's session base
+// takes from the memo: exactly the reachability conditions of its
+// IGP-riding sessions. After the base, its factory holds as many formula
+// nodes as a simulator built without a Shared (which holds the direct
+// sessions' conditions alone) that imports those sessions' two
+// conditions each and nothing else — and fewer than one that imports
+// every node's condition toward the same destinations. Run under -race
+// -count=10 by `make determinism`, on gen.Small there.
+func TestBaseImportsOnlySessionRoots(t *testing.T) {
+	presets := []gen.Params{gen.Small()}
+	if !testing.Short() && !raceEnabled {
+		presets = append(presets, gen.Medium())
+	}
+	for _, p := range presets {
+		m := modelFrom(t, p)
+		for _, k := range []int{1, 3} {
+			opts := DefaultOptions()
+			opts.K = k
+			sh := NewShared(m, opts)
+			memo := sh.IGPMemo()
+			sim := sh.NewSimulator()
+			sim.buildBase()
+
+			only, every := NewSimulator(m, opts), NewSimulator(m, opts)
+			nodes := make([]topo.NodeID, m.Net.NumNodes())
+			for i := range nodes {
+				nodes[i] = topo.NodeID(i)
+			}
+			sessions := 0
+			for _, se := range only.sessions {
+				if !se.viaIGP || !memo.Holds(se.from) || !memo.Holds(se.to) {
+					continue
+				}
+				sessions++
+				f := only.F
+				f.And(memo.Reach(f, se.to, []topo.NodeID{se.from})[0], memo.Reach(f, se.from, []topo.NodeID{se.to})[0])
+				memo.Reach(every.F, se.to, nodes)
+				memo.Reach(every.F, se.from, nodes)
+			}
+			if sessions == 0 {
+				t.Fatalf("%d routers K=%d: no session in the base", m.Net.NumNodes(), k)
+			}
+			if got, want := sim.F.NumNodes(), only.F.NumNodes(); got != want {
+				t.Fatalf("%d routers K=%d: the base holds %d formula nodes, its %d sessions' conditions alone %d", m.Net.NumNodes(), k, got, sessions, want)
+			}
+			if sim.F.NumNodes() >= every.F.NumNodes() {
+				t.Fatalf("%d routers K=%d: the base holds %d formula nodes, every node's conditions toward its endpoints %d", m.Net.NumNodes(), k, sim.F.NumNodes(), every.F.NumNodes())
+			}
+			t.Logf("%d routers K=%d: %d sessions, base %d formula nodes, every root %d", m.Net.NumNodes(), k, sessions, sim.F.NumNodes(), every.F.NumNodes())
+		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"hoyan/internal/behavior"
 	"hoyan/internal/core"
 	"hoyan/internal/gen"
+	"hoyan/internal/igp"
 	"hoyan/internal/netaddr"
 )
 
@@ -58,13 +59,13 @@ type scriptPool struct {
 	answered int
 }
 
-func (s *scriptPool) open(*Plan, int) ([]executor, Options, error) {
+func (s *scriptPool) open(*Plan, int) ([]executor, Options, *igp.Memo, error) {
 	s.order = make([][]string, s.n)
 	execs := make([]executor, s.n)
 	for i := range execs {
 		execs[i] = &scriptExec{id: i, pool: s}
 	}
-	return execs, Options{MaxAttempts: 1, MaxConnFailures: 1}.withDefaults(), nil
+	return execs, Options{MaxAttempts: 1, MaxConnFailures: 1}.withDefaults(), nil, nil
 }
 
 func (s *scriptPool) count() int {

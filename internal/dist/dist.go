@@ -6,9 +6,9 @@
 // retryable.
 //
 // A Plan (plan.go) names the work; Run (sched.go) is the one scheduler
-// that drives it over a Pool of executors — in-process ones that call a
-// Worker as a function (Local), or TCP connections to remote workers (a
-// Coordinator). Remote workers hold the full network model
+// that drives it over a Pool of executors — in-process ones that run the
+// pass body as a function on the run's one Shared (Local), or TCP
+// connections to remote workers (a Coordinator). Remote workers hold the full network model
 // (configurations are distributed out of band, e.g. a shared network
 // directory) and answer JSON-lines requests:
 //
@@ -109,9 +109,6 @@ type Response struct {
 	// Kept reports that the pass ran on the factory the connection's last
 	// pass left, not on a reset one (DESIGN.md, "Recycling").
 	Kept bool `json:"kept,omitempty"`
-
-	// memo is the IGP memo of an in-process record pass; never on the wire.
-	memo *igp.Memo
 }
 
 // Options tunes the scheduler's resilience policy. The zero value of
@@ -238,8 +235,8 @@ type Result struct {
 	// pass exported one: the representatives of a plan with Capture set —
 	// resumed ones from the journal — and the audits of Replayed classes.
 	Records map[string]*Record
-	// IGP is the IGP memo the in-process record passes ran on; nil when
-	// none ran in-process.
+	// IGP is the IGP memo the run's in-process executors simulated on (the
+	// one Shared Local builds); nil when the run had none.
 	IGP *igp.Memo
 	// SimTime is the propagation time spent on each dispatched
 	// representative, all passes added up.

@@ -39,10 +39,10 @@ type Plan struct {
 	// remote workers do the model they resolve ModelHash to.
 	Model *core.Model
 	// IGP is an IGP memo the caller kept from an earlier sweep, nil when it
-	// has none. In-process executors start from it: a Shared whose model
-	// reads the same IGP inputs (igp.Key) shares its RIBs and propagates
-	// only the destinations it lacks. Remote workers look among their own
-	// resident Shareds instead.
+	// has none. In-process executors start from it: the run's Shared, when
+	// its model reads the same IGP inputs (igp.Key), shares its conditions
+	// and propagates only the destinations it lacks. Remote workers look
+	// among their own resident Shareds instead.
 	IGP *igp.Memo
 	// Capture asks every representative's pass for its Record
 	// (Result.Records), and the journal keeps it on the class's done line.

@@ -11,6 +11,8 @@ import (
 	"sync"
 	"time"
 
+	"hoyan/internal/core"
+	"hoyan/internal/igp"
 	"hoyan/internal/netaddr"
 )
 
@@ -18,9 +20,10 @@ import (
 // a *Coordinator, or Local in-process ones.
 type Pool interface {
 	// open returns the pool's executors for a run of p with the given
-	// number of units to dispatch, and the resilience policy to run them
-	// under. It does not connect anything.
-	open(p *Plan, units int) ([]executor, Options, error)
+	// number of units to dispatch, the resilience policy to run them
+	// under, and the IGP memo its executors simulate on when they run in
+	// this process (nil otherwise). It does not connect anything.
+	open(p *Plan, units int) ([]executor, Options, *igp.Memo, error)
 }
 
 // executor runs passes one at a time. There are exactly two: a TCP
@@ -42,15 +45,15 @@ type executor interface {
 	interrupt()
 }
 
-func (c *Coordinator) open(*Plan, int) ([]executor, Options, error) {
+func (c *Coordinator) open(*Plan, int) ([]executor, Options, *igp.Memo, error) {
 	if len(c.Addrs) == 0 {
-		return nil, Options{}, fmt.Errorf("dist: no workers")
+		return nil, Options{}, nil, fmt.Errorf("dist: no workers")
 	}
 	execs := make([]executor, len(c.Addrs))
 	for i, addr := range c.Addrs {
 		execs[i] = &tcpExecutor{addr: addr}
 	}
-	return execs, c.Opts.withDefaults(), nil
+	return execs, c.Opts.withDefaults(), nil, nil
 }
 
 // tcpExecutor is one connection to a remote worker.
@@ -120,40 +123,51 @@ func (e *tcpExecutor) do(req Request, o Options) (resp Response, appErr, connErr
 
 // Local is a pool of n in-process executors (n <= 0 means GOMAXPROCS)
 // over the plan's Model: "local" is the same scheduler with no socket
-// and no JSON between it and the worker. Nothing in-process can be cured
+// and no JSON between it and the pass. Nothing in-process can be cured
 // by a retry, so a failed pass fails its unit at once.
 type Local int
 
-func (l Local) open(p *Plan, units int) ([]executor, Options, error) {
+// open builds the run's one core.Shared from the plan's Model and carried
+// IGP memo when it has units to run; a memo the step cap cut off fails
+// the run before any dispatch. Each executor runs passes on that Shared
+// with a simulator of its own, kept or Reset on a remote connection's
+// rule (DESIGN.md, "Recycling").
+func (l Local) open(p *Plan, units int) ([]executor, Options, *igp.Memo, error) {
 	if p.Model == nil {
-		return nil, Options{}, fmt.Errorf("dist: in-process executors need the plan's Model")
+		return nil, Options{}, nil, fmt.Errorf("dist: in-process executors need the plan's Model")
 	}
 	cpus := int(l)
 	if cpus <= 0 {
 		cpus = runtime.GOMAXPROCS(0)
 	}
-	n := max(1, min(cpus, units))
-	// One worker behind every executor: they share its Shared LRU — one
-	// IGP memo per k, for monolithic and region passes alike, built from
-	// the plan's carried memo on as many goroutines as the pool was
-	// given — and each keeps its own simulator, which answer keeps or
-	// Resets on the same rule as a remote connection's, fed the same way:
-	// the passes of its last key first (DESIGN.md, "Recycling").
-	src := &modelSource{model: p.Model}
-	src.once.Do(func() {})
-	w := newWorker(src, p.ModelHash)
-	w.carried, w.memoWorkers = p.IGP, cpus
-	execs := make([]executor, n)
-	for i := range execs {
-		execs[i] = &localExecutor{id: fmt.Sprintf("local/%d", i), w: w}
+	var sh *core.Shared
+	var pt *core.Partition
+	if units > 0 {
+		opts := core.DefaultOptions()
+		opts.K = p.K
+		sh = core.SharedFrom(p.Model, opts, p.IGP, cpus)
+		if err := sh.Err(); err != nil {
+			return nil, Options{}, nil, err
+		}
+		if len(p.Regions) > 0 {
+			var err error
+			if pt, err = core.NewPartition(p.Model); err != nil {
+				return nil, Options{}, nil, err
+			}
+		}
 	}
-	return execs, Options{MaxAttempts: 1, MaxConnFailures: 1}.withDefaults(), nil
+	execs := make([]executor, max(1, min(cpus, units)))
+	for i := range execs {
+		execs[i] = &localExecutor{id: fmt.Sprintf("local/%d", i), sh: sh, pt: pt}
+	}
+	return execs, Options{MaxAttempts: 1, MaxConnFailures: 1}.withDefaults(), sh.IGPMemo(), nil
 }
 
-// localExecutor calls the worker's answer path as a function.
+// localExecutor runs passes on the run's Shared as a function call.
 type localExecutor struct {
 	id  string
-	w   *Worker
+	sh  *core.Shared
+	pt  *core.Partition // the model's partition when the plan has regions
 	sim connSim
 }
 
@@ -163,12 +177,9 @@ func (e *localExecutor) disconnect()           {}
 func (e *localExecutor) interrupt()            {}
 
 func (e *localExecutor) do(req Request, _ Options) (Response, error, error) {
-	resp := e.w.answer(req, &e.sim)
+	resp := runPass(req, e.sh, e.pt, &e.sim)
 	if resp.Error != "" {
 		return resp, fmt.Errorf("%s", resp.Error), nil
-	}
-	if req.Record {
-		resp.memo = e.sim.sh.IGPMemo()
 	}
 	return resp, nil, nil
 }
@@ -330,11 +341,11 @@ func Run(p *Plan, pool Pool) (*Result, error) {
 			return nil, err
 		}
 	}
-	execs, opts, err := pool.open(p, len(pending))
+	execs, opts, memo, err := pool.open(p, len(pending))
 	if err != nil {
 		return nil, err
 	}
-	out.Executors = len(execs)
+	out.Executors, out.IGP = len(execs), memo
 	if len(pending) == 0 {
 		return out, nil
 	}
@@ -480,9 +491,6 @@ func Run(p *Plan, pool Pool) (*Result, error) {
 				out.Assigned[ev.addr]++
 				if ev.resp.Kept {
 					out.KeptPasses++
-				}
-				if ev.resp.memo != nil {
-					out.IGP = ev.resp.memo
 				}
 				if !u.absorb(&ev.resp, len(p.Regions), out) {
 					u.copies, u.attempts = 0, 0 // a new pass: late copies of the old one are dropped by seq

@@ -160,25 +160,24 @@ func TestWorkerReusesResidentMemo(t *testing.T) {
 	}
 }
 
-// spyPool is Local(n) keeping the worker its executors share.
+// spyPool is Local(n) keeping the Shared of every executor it opened.
 type spyPool struct {
-	n Local
-	w *Worker
+	n       Local
+	shareds []*core.Shared
 }
 
-func (s *spyPool) open(p *Plan, units int) ([]executor, Options, error) {
-	execs, opts, err := s.n.open(p, units)
-	if err == nil {
-		s.w = execs[0].(*localExecutor).w
+func (s *spyPool) open(p *Plan, units int) ([]executor, Options, *igp.Memo, error) {
+	execs, opts, memo, err := s.n.open(p, units)
+	for _, e := range execs {
+		s.shareds = append(s.shareds, e.(*localExecutor).sh)
 	}
-	return execs, opts, err
+	return execs, opts, memo, err
 }
 
 // TestModularRunHoldsOneShared: a region is an argument of the pass, not
-// of the Shared. After a modular Local(2) run on gen.Medium the worker
-// holds exactly one Shared, the (model, K) one, and the run propagated
-// exactly that Shared's memo destinations — as many as a monolithic run
-// of the same classes.
+// of the Shared. A modular Local(2) run on gen.Medium runs every executor
+// on exactly one Shared, the run's, and propagates exactly that Shared's
+// memo destinations — as many as a monolithic run of the same classes.
 func TestModularRunHoldsOneShared(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two gen.Medium sweeps under -short")
@@ -205,14 +204,14 @@ func TestModularRunHoldsOneShared(t *testing.T) {
 			t.Fatalf("%d modular passes over %d regions", res.ModularPasses, len(p.Regions))
 		}
 		n := igp.Propagations() - before
-		if len(pool.w.shareds) != 1 {
-			t.Fatalf("the worker holds %d Shareds, want 1", len(pool.w.shareds))
+		if len(pool.shareds) != 2 || pool.shareds[0] == nil || pool.shareds[1] != pool.shareds[0] {
+			t.Fatalf("the run's %d executors hold %v, want one Shared", len(pool.shareds), pool.shareds)
 		}
-		e := pool.w.shareds[sharedKey{model: plan.ModelHash, k: k}]
-		if e == nil {
-			t.Fatalf("the worker's one Shared is not the (model, K=%d) one", k)
+		sh := pool.shareds[0]
+		if sh.Opts.K != k || res.IGP != sh.IGPMemo() {
+			t.Fatalf("the run's Shared is for K=%d and its memo is the Result's: %v; want K=%d and true", sh.Opts.K, res.IGP == sh.IGPMemo(), k)
 		}
-		return e.sh.Load(), n
+		return sh, n
 	}
 	sh, n := run(plan)
 	if dsts := sh.IGPMemo().NumDestinations(); int(n) != dsts {

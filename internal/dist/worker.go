@@ -107,13 +107,6 @@ type Worker struct {
 	// next request for that key re-assembles.
 	MaxShared int
 
-	// carried is a memo handed in from outside the worker — the plan's,
-	// for in-process executors — considered next to the resident ones.
-	// memoWorkers bounds the goroutines of one memo build (0 = GOMAXPROCS).
-	// Both are set before the first request.
-	carried     *igp.Memo
-	memoWorkers int
-
 	sharedMu    sync.Mutex
 	sources     map[string]*modelSource // by ModelHash; "" aliases default
 	defaultHash string
@@ -132,12 +125,7 @@ type Worker struct {
 // model (selected by requests with an empty model hash) and under its
 // ModelHash.
 func NewWorker(n *topo.Network, snap config.Snapshot) *Worker {
-	return newWorker(&modelSource{net: n, snap: snap}, ModelHash(n, snap))
-}
-
-// newWorker builds a worker whose default model is src, also registered
-// under hash.
-func newWorker(src *modelSource, hash string) *Worker {
+	src, hash := &modelSource{net: n, snap: snap}, ModelHash(n, snap)
 	return &Worker{
 		conns:       map[net.Conn]struct{}{},
 		sources:     map[string]*modelSource{"": src, hash: src},
@@ -226,48 +214,41 @@ func (w *Worker) Close() error {
 
 // sharedFor returns the Shared for (model hash, failure budget k),
 // assembling it on first use and touching its LRU slot. For a region
-// request it also returns the model's partition and the region's index in
-// it (nil, -1 for a monolithic one, region ""); the pass, not the Shared,
-// is restricted to the region. A Shared whose memo is incomplete
-// (core.Shared.Err) is an error: no pass runs on a cut-off RIB.
-func (w *Worker) sharedFor(model string, k int, region string) (sh *core.Shared, pt *core.Partition, ri int, err error) {
+// request it also returns the model's partition (nil for a monolithic
+// one, region ""); the pass, not the Shared, is restricted to the region.
+// A Shared whose memo is incomplete (core.Shared.Err) is an error: no
+// pass runs on a cut-off RIB.
+func (w *Worker) sharedFor(model string, k int, region string) (sh *core.Shared, pt *core.Partition, err error) {
 	w.sharedMu.Lock()
 	src := w.sources[model]
 	w.sharedMu.Unlock()
 	if src == nil {
-		return nil, nil, -1, fmt.Errorf("dist: worker does not hold model %q (default is %s)", model, w.defaultHash)
+		return nil, nil, fmt.Errorf("dist: worker does not hold model %q (default is %s)", model, w.defaultHash)
 	}
 	m, err := src.assemble()
 	if err != nil {
-		return nil, nil, -1, err
+		return nil, nil, err
 	}
-	ri = -1
 	if region != "" {
 		if pt, err = src.partition(); err != nil {
-			return nil, nil, -1, err
-		}
-		if ri = pt.RegionIndex(region); ri < 0 {
-			return nil, nil, -1, fmt.Errorf("dist: model %q has no region %q", model, region)
+			return nil, nil, err
 		}
 	}
 	opts := core.DefaultOptions()
 	opts.K = k
 	sh = w.cachedShared(sharedKey{model: model, k: k}, func() *core.Shared {
-		return core.SharedFrom(m, opts, w.haveMemo(m, opts), w.memoWorkers)
+		return core.SharedFrom(m, opts, w.residentMemo(m, opts), 0)
 	})
-	return sh, pt, ri, sh.Err()
+	return sh, pt, sh.Err()
 }
 
-// haveMemo returns the largest memo the worker holds that is valid for
-// what the IGP reads of m under opts — the carried one or a resident
-// Shared's — or nil: what a build of a Shared for m starts from.
-func (w *Worker) haveMemo(m *core.Model, opts core.Options) *igp.Memo {
+// residentMemo returns the largest memo among the worker's resident
+// Shareds that is valid for what the IGP reads of m under opts, or nil:
+// what a build of a Shared for m starts from.
+func (w *Worker) residentMemo(m *core.Model, opts core.Options) *igp.Memo {
 	want := core.IGPKey(m, opts)
 	var best *igp.Memo
 	var bestKey sharedKey
-	if w.carried != nil && w.carried.Key() == want {
-		best = w.carried
-	}
 	w.sharedMu.Lock()
 	defer w.sharedMu.Unlock()
 	for k, e := range w.shareds {
@@ -275,14 +256,14 @@ func (w *Worker) haveMemo(m *core.Model, opts core.Options) *igp.Memo {
 		if sh == nil || sh.IGPMemo().Key() != want {
 			continue
 		}
-		// Whichever memo is taken, the RIBs are the same bytes (igp.Build);
-		// the tie-break only makes the work done reproducible.
+		// Whichever memo is taken, the conditions are the same bytes
+		// (igp.Build); the tie-break only makes the work done reproducible.
 		memo := sh.IGPMemo()
 		d := 1
 		if best != nil {
 			d = memo.NumDestinations() - best.NumDestinations()
 		}
-		if d > 0 || (d == 0 && best != w.carried && lessKey(k, bestKey)) {
+		if d > 0 || (d == 0 && lessKey(k, bestKey)) {
 			best, bestKey = memo, k
 		}
 	}
@@ -374,17 +355,30 @@ func (w *Worker) handle(conn net.Conn) {
 	}
 }
 
-// answer runs one pass against the model the request names: monolithic,
-// or restricted to the request's region — a home pass (no imported
-// summary) captures the prefix's cut summary into the response, an
-// import pass consumes the request's. A core refusal (*core.UnsoundCut)
-// answers with Refused, not Error — it is deterministic, so the unit
-// falls back to monolithic simulation instead of retrying. The pass runs
-// on cs, which it keeps as the last pass left it when both passes have
-// one key (family origins and region), and Resets otherwise; Kept in the
-// response says which. Everything the pass learned leaves in the
-// response: the verdicts, and the Record when the request asks for it.
+// answer runs one pass against the model the request names, on the
+// Shared the worker holds for it (runPass).
 func (w *Worker) answer(req Request, cs *connSim) Response {
+	sh, pt, err := w.sharedFor(req.Model, req.K, req.Region)
+	if err != nil {
+		return Response{Prefix: req.Prefix, Region: req.Region, Error: err.Error()}
+	}
+	return runPass(req, sh, pt, cs)
+}
+
+// runPass runs one pass on sh: monolithic, or restricted to the request's
+// region of pt, the model's partition (nil only when the request names no
+// region) — a home pass (no imported summary)
+// captures the prefix's cut summary into the response, an import pass
+// consumes the request's. A core refusal (*core.UnsoundCut) answers with
+// Refused, not Error — it is deterministic, so the unit falls back to
+// monolithic simulation instead of retrying. The pass runs on cs, which it
+// keeps as the last pass left it when both passes have one key (family
+// origins and region), and Resets otherwise; Kept in the response says
+// which. Everything the pass learned leaves in the response: the
+// verdicts, and the Record when the request asks for it. A worker's
+// connections (Worker.answer) and in-process executors (Local) both run
+// passes here.
+func runPass(req Request, sh *core.Shared, pt *core.Partition, cs *connSim) Response {
 	resp := Response{Prefix: req.Prefix, Region: req.Region}
 	fail := func(err error) Response {
 		resp.Error = err.Error()
@@ -394,9 +388,11 @@ func (w *Worker) answer(req Request, cs *connSim) Response {
 	if err != nil {
 		return fail(err)
 	}
-	sh, pt, ri, err := w.sharedFor(req.Model, req.K, req.Region)
-	if err != nil {
-		return fail(err)
+	ri := -1
+	if req.Region == "" {
+		pt = nil // a monolithic pass reads no partition
+	} else if ri = pt.RegionIndex(req.Region); ri < 0 {
+		return fail(fmt.Errorf("dist: model %q has no region %q", req.Model, req.Region))
 	}
 	origins := sh.M.FamilyOrigins(p)
 	switch {

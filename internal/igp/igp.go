@@ -75,19 +75,11 @@ type Engine struct {
 	opts Options
 	cfg  []nodeISIS
 	ribs map[topo.NodeID]map[topo.NodeID][]Entry // dst -> node -> entries
-	// added lists the keys of ribs in the order RIB made them; the first
-	// marked of them are the engine's base (Mark, Recycle).
-	added  []topo.NodeID
-	marked int
-
-	// memo is the seeded cross-engine memo (see memo.go): a destination it
-	// holds is imported into f on first use instead of propagated.
-	memo *Memo
 
 	// fp is the fixpoint's working state, built by the first propagate and
 	// reused by every later one (a memo stripe runs all its destinations
-	// through one engine). A seeded engine that propagates nothing never
-	// builds it.
+	// through one engine). An engine that propagates nothing never builds
+	// it.
 	fp *fixpoint
 }
 
@@ -142,31 +134,17 @@ func (e *Engine) RIB(dst topo.NodeID) map[topo.NodeID][]Entry {
 	if rib, ok := e.ribs[dst]; ok {
 		return rib
 	}
-	rib, ok := e.fromMemo(dst)
-	if !ok {
-		// A fixpoint cut off at the step cap is served as far as it got:
-		// RIB has no error to return. Only Build, whose result outlives the
-		// engine, refuses one.
-		rib, _ = e.propagate(dst)
-	}
+	// A fixpoint cut off at the step cap is served as far as it got: RIB
+	// has no error to return. Only Build, whose result outlives the
+	// engine, refuses one.
+	rib, _ := e.propagate(dst)
 	e.ribs[dst] = rib
-	e.added = append(e.added, dst)
 	return rib
 }
 
-// Mark makes the RIBs the engine holds its base, the IGP half of
-// logic.Factory.Mark: Recycle keeps them and drops every later one.
-func (e *Engine) Mark() { e.marked = len(e.added) }
-
-// Recycle drops every RIB imported or propagated since Mark, whose
-// conditions a Recycle of the engine's factory (to the same Mark) voids.
-// The next lookup of such a destination imports or propagates it again.
-func (e *Engine) Recycle() {
-	for _, dst := range e.added[e.marked:] {
-		delete(e.ribs, dst)
-	}
-	e.added = e.added[:e.marked]
-}
+// Recycle drops every RIB, whose conditions a Recycle of the engine's
+// factory voids. The next lookup of a destination propagates it again.
+func (e *Engine) Recycle() { clear(e.ribs) }
 
 // propagations counts path-vector fixpoints run process-wide.
 var propagations atomic.Int64
@@ -627,9 +605,19 @@ func containsNode(path []topo.NodeID, n topo.NodeID) bool {
 // IS-IS route to `to` (True means unconditional, False means never).
 func (e *Engine) ReachCond(from, to topo.NodeID) logic.F {
 	if from == to {
+		return logic.True // no RIB needed
+	}
+	return e.reach(e.RIB(to), from, to)
+}
+
+// reach is the one definition of the reachability condition core reads:
+// from's condition toward `to`, whose RIB is rib — True at `to` itself,
+// else the disjunction of from's alternatives, False when it has none.
+// ReachCond and the memo (export) both build it here.
+func (e *Engine) reach(rib map[topo.NodeID][]Entry, from, to topo.NodeID) logic.F {
+	if from == to {
 		return logic.True
 	}
-	rib := e.RIB(to)
 	cond := logic.False
 	for _, ent := range rib[from] {
 		cond = e.f.Or(cond, ent.Cond)

@@ -1,12 +1,12 @@
-// The IGP memo: per-destination RIBs computed once and reused by every
-// engine that reads the same inputs.
+// The IGP memo: every node's reachability condition toward each
+// destination, computed once and read by every simulator of a sweep.
 //
-// An Engine memoizes propagate per destination, but that cache is private
-// to one engine and one factory, and a sweep makes an engine per executor
-// and per Reset. A Memo holds the computed RIBs outside any engine, each
-// destination's conditions as its own factory-independent logic.Portable:
-// a seeded engine imports the RIBs it touches, one destination at a time,
-// and propagates nothing.
+// Core reads the IGP through one function: an iBGP session's condition
+// is ReachCond(a, b) ∧ ReachCond(b, a) (Appendix C). A Memo holds, per
+// destination, one factory-independent logic.Portable with one root per
+// node: that node's reachability condition toward the destination, built
+// by the helper ReachCond uses (Engine.reach). A simulator imports only
+// the roots its sessions read (Memo.Reach) and propagates nothing.
 //
 // Identity: a Memo is valid for an igp.Key — a fingerprint of exactly
 // what New and propagate read (node ids, names and regions; link ids,
@@ -15,8 +15,8 @@
 // what the IGP never reads (policies, static routes, BGP neighbours,
 // announced prefixes) have equal keys and share one memo, which is what
 // lets a policy edit's resweep run no fixpoint at all. Nothing is ever
-// invalidated in place: RIBs are immutable, and a different key simply
-// does not match.
+// invalidated in place: conditions are immutable, and a different key
+// simply does not match.
 //
 // Ownership: Build is the only producer. Whoever carries knowledge from
 // one sweep to the next carries the memo with it and hands it back as
@@ -94,35 +94,22 @@ func Key(net *topo.Network, configs []*config.Device, opts Options) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// Memo is an immutable set of per-destination RIBs valid for one Key.
-// Entry paths and stored conditions are shared read-only between the
-// memo, every memo built from it and every seeded engine. A Memo is safe
-// for concurrent use by many engines.
+// Memo is an immutable set of per-destination reachability conditions
+// valid for one Key. It is safe for concurrent use by many factories.
 type Memo struct {
-	key  string
-	dsts map[topo.NodeID]*memoRIB
-}
-
-// memoRIB is one destination's RIB. A fixpoint the step cap cut off never
-// becomes one: Build reports it instead, so nothing that outlives a sweep
-// can hold a truncated RIB.
-type memoRIB struct {
-	nodes   []topo.NodeID
-	entries [][]memoEntry   // parallel to nodes
-	conds   *logic.Portable // one root per entry, in nodes × entries order
-}
-
-type memoEntry struct {
-	weight uint32
-	path   []topo.NodeID
-	level  Level
+	key string
+	// dsts holds, per destination, root n: node n's reachability condition
+	// toward it. A fixpoint the step cap cut off never becomes one: Build
+	// reports it instead, so nothing that outlives a sweep can hold a
+	// condition from a truncated RIB.
+	dsts map[topo.NodeID]*logic.Portable
 }
 
 // Key returns the fingerprint the memo is valid for.
 func (m *Memo) Key() string { return m.key }
 
-// Holds reports whether the memo carries dst's RIB; a nil memo holds
-// nothing.
+// Holds reports whether the memo carries the conditions toward dst; a nil
+// memo holds nothing.
 func (m *Memo) Holds(dst topo.NodeID) bool {
 	if m == nil {
 		return false
@@ -131,22 +118,22 @@ func (m *Memo) Holds(dst topo.NodeID) bool {
 	return ok
 }
 
-// NumDestinations reports how many destination RIBs the memo carries.
+// NumDestinations reports how many destinations the memo carries.
 func (m *Memo) NumDestinations() int { return len(m.dsts) }
 
 // Build returns a memo for (net, configs, opts) that holds every
 // destination in dsts. have is a memo from earlier — the previous
 // sweep's, another model's — or nil: when its key equals this one's, the
-// result shares all its RIBs and only the destinations it lacks are
+// result shares all its destinations and only those it lacks are
 // propagated; otherwise it is ignored. Cold is have == nil.
 //
 // The missing destinations are propagated on up to `workers` goroutines
 // (<= 0 means GOMAXPROCS), each goroutine keeping one factory under the
 // network's variable order and recycling it before every destination
-// (logic.Factory.Recycle), so each RIB is exported from an empty universe,
-// and one engine, whose fixpoint buffers carry nothing from one
-// destination to the next.
-// A RIB's exported bytes therefore depend on that destination and on the
+// (logic.Factory.Recycle), so each destination's conditions are exported
+// from an empty universe, and one engine, whose fixpoint buffers carry
+// nothing from one destination to the next.
+// A destination's exported bytes therefore depend on it and on the
 // key's inputs alone — not on which goroutine ran it, what ran before it,
 // or what `have` already held — so the memo is byte-identical at every
 // parallelism and a partly carried memo equals a cold one. Destinations
@@ -154,12 +141,13 @@ func (m *Memo) NumDestinations() int { return len(m.dsts) }
 // each goroutine does is reproducible too.
 //
 // A destination whose fixpoint hit the step cap is left out of the memo
-// and named in the error; the memo returned alongside is usable (engines
-// propagate what it lacks themselves) but the caller should fail loudly.
+// and named in the error; the memo returned alongside is usable (a
+// simulator propagates what it lacks itself) but the caller should fail
+// loudly.
 func Build(net *topo.Network, configs []*config.Device, opts Options,
 	dsts []topo.NodeID, have *Memo, workers int) (*Memo, error) {
 	key := Key(net, configs, opts)
-	var held map[topo.NodeID]*memoRIB
+	var held map[topo.NodeID]*logic.Portable
 	if have != nil && have.key == key {
 		held = have.dsts
 	}
@@ -172,7 +160,7 @@ func Build(net *topo.Network, configs []*config.Device, opts Options,
 	if len(missing) == 0 && held != nil {
 		return have, nil
 	}
-	m := &Memo{key: key, dsts: map[topo.NodeID]*memoRIB{}}
+	m := &Memo{key: key, dsts: map[topo.NodeID]*logic.Portable{}}
 	maps.Copy(m.dsts, held)
 	slices.Sort(missing)
 	missing = slices.Compact(missing)
@@ -183,14 +171,14 @@ func Build(net *topo.Network, configs []*config.Device, opts Options,
 	workers = min(workers, len(missing))
 	cfg := isisConfigs(net, configs)
 	order := net.VarOrder()
-	built := make([]*memoRIB, len(missing)) // nil where the cap cut the fixpoint off
+	built := make([]*logic.Portable, len(missing)) // nil where the cap cut the fixpoint off
 	stripe := func(g int) {
 		f := logic.NewFactoryOrdered(order)
 		e := newEngine(net, cfg, f, opts) // its fixpoint state is reused across the stripe
 		for i := g; i < len(missing); i += workers {
 			f.Recycle()
 			if rib, complete := e.propagate(missing[i]); complete {
-				built[i] = e.export(rib)
+				built[i] = e.export(missing[i], rib)
 			}
 		}
 	}
@@ -212,61 +200,29 @@ func Build(net *topo.Network, configs []*config.Device, opts Options,
 		m.dsts[dst] = built[i]
 	}
 	if cut != nil {
-		return m, fmt.Errorf("igp: the fixpoint toward %s hit the step cap; the RIB is incomplete and was not memoized", strings.Join(cut, ", "))
+		return m, fmt.Errorf("igp: the fixpoint toward %s hit the step cap; its conditions are incomplete and were not memoized", strings.Join(cut, ", "))
 	}
 	return m, nil
 }
 
-// export lifts one propagated RIB out of the engine's factory.
-func (e *Engine) export(rib map[topo.NodeID][]Entry) *memoRIB {
-	mr := &memoRIB{nodes: slices.Sorted(maps.Keys(rib))}
-	mr.entries = make([][]memoEntry, len(mr.nodes))
-	var roots []logic.F
-	for i, n := range mr.nodes {
-		src := rib[n]
-		out := make([]memoEntry, len(src))
-		for j, ent := range src {
-			out[j] = memoEntry{weight: ent.Weight, path: ent.Path, level: ent.Level}
-			roots = append(roots, ent.Cond)
-		}
-		mr.entries[i] = out
+// export lifts one propagated RIB toward dst out of the engine's
+// factory: root n is node n's reachability condition toward dst.
+func (e *Engine) export(dst topo.NodeID, rib map[topo.NodeID][]Entry) *logic.Portable {
+	roots := make([]logic.F, e.net.NumNodes())
+	for n := range roots {
+		roots[n] = e.reach(rib, topo.NodeID(n), dst)
 	}
-	mr.conds = e.f.Export(roots...)
-	return mr
+	return e.f.Export(roots...)
 }
 
-// Seed installs the memo as the read-through source of this engine's RIB
-// lookups. A destination the memo holds is imported into e's factory on
-// first use, that destination alone; any other is propagated locally. The
-// memo must have been built for the engine's (net, configs, opts) — the
-// caller pairs them (core.Shared does, by construction). Seeding after
-// RIB calls is allowed: the local cache wins for destinations already
-// computed.
-func (e *Engine) Seed(m *Memo) { e.memo = m }
-
-// Seeded returns the memo the engine reads through, nil when unseeded.
-func (e *Engine) Seeded() *Memo { return e.memo }
-
-// fromMemo materializes dst's RIB from the seeded memo, or reports that
-// the memo does not hold it.
-func (e *Engine) fromMemo(dst topo.NodeID) (map[topo.NodeID][]Entry, bool) {
-	if e.memo == nil {
-		return nil, false
+// Reach imports into f the reachability conditions toward dst of the
+// nodes in from, one per node, in that order. The memo must hold dst
+// (Holds). Only what those conditions reach is rebuilt
+// (logic.Portable.ImportRoots).
+func (m *Memo) Reach(f *logic.Factory, dst topo.NodeID, from []topo.NodeID) []logic.F {
+	which := make([]int, len(from))
+	for i, n := range from {
+		which[i] = int(n)
 	}
-	mr, ok := e.memo.dsts[dst]
-	if !ok {
-		return nil, false
-	}
-	conds := mr.conds.Import(e.f)
-	rib := make(map[topo.NodeID][]Entry, len(mr.nodes))
-	for i, n := range mr.nodes {
-		src := mr.entries[i]
-		out := make([]Entry, len(src))
-		for j, me := range src {
-			out[j] = Entry{Weight: me.weight, Path: me.path, Cond: conds[0], Level: me.level}
-			conds = conds[1:]
-		}
-		rib[n] = out
-	}
-	return rib, true
+	return m.dsts[dst].ImportRoots(f, which)
 }

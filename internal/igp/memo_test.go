@@ -139,25 +139,17 @@ func (in *keyInputs) swapNodes(i, j int) {
 }
 
 // memoBytes serializes everything a memo holds, destination by
-// destination in id order.
+// destination in id order: each one's reachability conditions.
 func memoBytes(t *testing.T, m *Memo) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	fmt.Fprintf(&buf, "key %s\n", m.key)
 	for _, dst := range slices.Sorted(maps.Keys(m.dsts)) {
-		mr := m.dsts[dst]
-		conds, err := json.Marshal(mr.conds)
+		conds, err := json.Marshal(m.dsts[dst])
 		if err != nil {
 			t.Fatal(err)
 		}
-		fmt.Fprintf(&buf, "dst %d nodes %v\n", dst, mr.nodes)
-		for i := range mr.nodes {
-			for _, e := range mr.entries[i] {
-				fmt.Fprintf(&buf, " %d %v %d\n", e.weight, e.path, e.level)
-			}
-		}
-		buf.Write(conds)
-		buf.WriteByte('\n')
+		fmt.Fprintf(&buf, "dst %d %s\n", dst, conds)
 	}
 	return buf.Bytes()
 }
@@ -269,10 +261,11 @@ func TestBuildReusesWhatHaveHolds(t *testing.T) {
 	}
 }
 
-// TestSeededEngineImportsOnlyWhatItTouches: a seeded engine answers from
-// the memo without propagating, agrees with an unseeded one, and pays for
-// one destination's conditions when it asks about one destination.
-func TestSeededEngineImportsOnlyWhatItTouches(t *testing.T) {
+// TestMemoReachImportsOnlyWhatItTouches: a memo answers a session's two
+// conditions without propagating, agrees with an engine that propagated
+// them, and pays for the roots it is asked for: one node's condition
+// toward every destination costs fewer formula nodes than every node's.
+func TestMemoReachImportsOnlyWhatItTouches(t *testing.T) {
 	net, cfgs, dsts := wanInputs(t, gen.Small())
 	opts := Options{K: 2, PruneOverK: true}
 	memo, err := Build(net, cfgs, opts, dsts, nil, 0)
@@ -280,33 +273,82 @@ func TestSeededEngineImportsOnlyWhatItTouches(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := logic.NewFactory()
-	seeded := New(net, cfgs, f, opts)
-	seeded.Seed(memo)
 	plain := New(net, cfgs, f, opts)
 	before := Propagations()
 	a, b := dsts[0], dsts[len(dsts)-1]
-	got := seeded.SessionCond(a, b)
+	got := f.And(memo.Reach(f, b, []topo.NodeID{a})[0], memo.Reach(f, a, []topo.NodeID{b})[0])
 	if n := Propagations() - before; n != 0 {
-		t.Fatalf("a seeded engine ran %d propagations", n)
+		t.Fatalf("reading the memo ran %d propagations", n)
 	}
-	one := f.NumNodes()
 	if want := plain.SessionCond(a, b); !f.Equivalent(got, want) {
-		t.Fatal("seeded and unseeded engines disagree on a session condition")
+		t.Fatal("the memo and an engine disagree on a session condition")
 	}
-	all := logic.NewFactory()
-	whole := New(net, cfgs, all, opts)
-	whole.Seed(memo)
+	one, all := logic.NewFactory(), logic.NewFactory()
 	for _, dst := range dsts {
-		whole.RIB(dst)
+		memo.Reach(one, dst, []topo.NodeID{a})
+		memo.Reach(all, dst, dsts)
 	}
-	if one >= all.NumNodes() {
-		t.Fatalf("two destinations cost %d formula nodes, all %d cost %d: the import is not per destination", one, len(dsts), all.NumNodes())
+	if one.NumNodes() >= all.NumNodes() {
+		t.Fatalf("one node's conditions cost %d formula nodes, all %d nodes' %d: the import is not per root", one.NumNodes(), len(dsts), all.NumNodes())
+	}
+}
+
+// TestMemoReachMatchesEngine pins what the memo stores to the condition
+// core would otherwise ask an engine for: on gen.Small at K 1–3, on the
+// two-region L1/L2/penetration net and on the seeded random nets of
+// TestPropagateMatchesReference, every root of every destination,
+// imported into a fresh factory, is equivalent to an engine's
+// ReachCond(n, dst) there, and a node with no route gets False. Run
+// under -race -count=10 by `make determinism`.
+func TestMemoReachMatchesEngine(t *testing.T) {
+	type row struct {
+		name string
+		net  *topo.Network
+		cfgs []*config.Device
+		dsts []topo.NodeID
+		opts Options
+	}
+	var rows []row
+	for k := 1; k <= 3; k++ {
+		net, cfgs, dsts := wanInputs(t, gen.Small())
+		rows = append(rows, row{fmt.Sprintf("gen.Small K=%d", k), net, cfgs, dsts, Options{K: k, PruneOverK: true}})
+	}
+	in := baseKeyInputs()
+	net, cfgs := in.build(t)
+	rows = append(rows, row{"two regions, L1/L2, penetrate", net, cfgs, []topo.NodeID{0, 1, 2, 3}, in.opts})
+	for seed := int64(11); seed <= 14; seed++ {
+		net, cfgs, dsts := wanInputs(t, seededParams(seed))
+		rows = append(rows, row{fmt.Sprintf("gen seed %d", seed), net, cfgs, dsts, Options{K: 1 + int(seed%3), PruneOverK: true}})
+	}
+	for _, r := range rows {
+		memo, err := Build(r.net, r.cfgs, r.opts, r.dsts, nil, 2)
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		nodes := make([]topo.NodeID, r.net.NumNodes())
+		for i := range nodes {
+			nodes[i] = topo.NodeID(i)
+		}
+		for _, dst := range r.dsts {
+			f := logic.NewFactoryOrdered(r.net.VarOrder())
+			got := memo.Reach(f, dst, nodes)
+			e := New(r.net, r.cfgs, f, r.opts)
+			rib := e.RIB(dst)
+			for _, n := range nodes {
+				if want := e.ReachCond(n, dst); !f.Equivalent(got[n], want) {
+					t.Fatalf("%s: the memo's condition of %s toward %s differs from the engine's", r.name, r.net.Node(n).Name, r.net.Node(dst).Name)
+				}
+				if n != dst && len(rib[n]) == 0 && got[n] != logic.False {
+					t.Fatalf("%s: %s has no route toward %s, yet its condition is not False", r.name, r.net.Node(n).Name, r.net.Node(dst).Name)
+				}
+			}
+		}
 	}
 }
 
 // TestBuildRefusesTruncatedRIB: a fixpoint the step cap cuts off is named
 // in Build's error and never enters a memo, so no later build can carry
-// it; engines still get an answer, as they always did.
+// it; an engine still gets an answer, as it always did.
 func TestBuildRefusesTruncatedRIB(t *testing.T) {
 	net, cfgs := buildNet([]string{"a", "b", "c", "d"}, [][3]int{{0, 1, 1}, {1, 2, 1}, {2, 3, 1}, {0, 3, 1}})
 	opts := DefaultOptions()
@@ -329,8 +371,10 @@ func TestBuildRefusesTruncatedRIB(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), " b ") || m.NumDestinations() != 2 {
 		t.Fatalf("carried build: %d destinations, error %v; want the 2 whole ones and b refused", m.NumDestinations(), err)
 	}
+	if m.Holds(1) {
+		t.Fatal("the memo holds a destination whose fixpoint was cut off")
+	}
 	e := New(net, cfgs, logic.NewFactory(), opts)
-	e.Seed(m)
 	if rib := e.RIB(1); rib == nil {
 		t.Fatal("an engine must still answer for a destination its memo lacks")
 	}

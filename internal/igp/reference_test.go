@@ -2,6 +2,7 @@ package igp
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"maps"
 	"slices"
@@ -129,21 +130,16 @@ func referenceEntriesEqual(f *logic.Factory, a, b []Entry) bool {
 	return true
 }
 
-// referenceMemo is what Build returns, every destination propagated by
-// referencePropagate in a new factory.
-func referenceMemo(t *testing.T, net *topo.Network, configs []*config.Device, opts Options, dsts []topo.NodeID) *Memo {
+// ribsBy propagates every destination in dsts by propagate, each in a
+// new factory. It returns every RIB's bytes (destination by destination:
+// its nodes, their entries and the entries' exported conditions), the
+// memo of those RIBs' reachability conditions, and the BDD nodes the
+// factories built in all.
+func ribsBy(t *testing.T, propagate func(*Engine, topo.NodeID) (map[topo.NodeID][]Entry, bool),
+	net *topo.Network, configs []*config.Device, opts Options, dsts []topo.NodeID) (ribs []byte, m *Memo, solverNodes int) {
 	t.Helper()
-	m, _ := memoBy(t, referencePropagate, net, configs, opts, dsts)
-	return m
-}
-
-// memoBy is a memo of every destination in dsts, each propagated by
-// propagate in a new factory, and the BDD nodes those factories built in
-// all.
-func memoBy(t *testing.T, propagate func(*Engine, topo.NodeID) (map[topo.NodeID][]Entry, bool),
-	net *topo.Network, configs []*config.Device, opts Options, dsts []topo.NodeID) (m *Memo, solverNodes int) {
-	t.Helper()
-	m = &Memo{key: Key(net, configs, opts), dsts: map[topo.NodeID]*memoRIB{}}
+	var buf bytes.Buffer
+	m = &Memo{key: Key(net, configs, opts), dsts: map[topo.NodeID]*logic.Portable{}}
 	cfg := isisConfigs(net, configs)
 	for _, dst := range dsts {
 		e := newEngine(net, cfg, logic.NewFactoryOrdered(net.VarOrder()), opts)
@@ -151,16 +147,31 @@ func memoBy(t *testing.T, propagate func(*Engine, topo.NodeID) (map[topo.NodeID]
 		if !complete {
 			t.Fatalf("the fixpoint toward %d hit the step cap", dst)
 		}
-		m.dsts[dst] = e.export(rib)
+		nodes := slices.Sorted(maps.Keys(rib))
+		fmt.Fprintf(&buf, "dst %d nodes %v\n", dst, nodes)
+		var conds []logic.F
+		for _, n := range nodes {
+			for _, ent := range rib[n] {
+				fmt.Fprintf(&buf, " %d %v %d\n", ent.Weight, ent.Path, ent.Level)
+				conds = append(conds, ent.Cond)
+			}
+		}
+		b, err := json.Marshal(e.f.Export(conds...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf.Write(b)
+		buf.WriteByte('\n')
+		m.dsts[dst] = e.export(dst, rib)
 		solverNodes += e.f.SolverNodes()
 	}
-	return m, solverNodes
+	return buf.Bytes(), m, solverNodes
 }
 
 // TestFixpointSkipsDecidedBDDs pins what the dead-guard and guard-first
 // rules save, as solver work: on gen.Medium at K=1 the fixpoint's
 // factories build at most half the BDD nodes the reference's build for
-// the same destinations, and export the same bytes. Both rules build
+// the same destinations, and export the same RIB bytes. Both rules build
 // 35 % of the reference's nodes; without the dead guard it is 82 %,
 // without the guard-first conjunction 39 %.
 func TestFixpointSkipsDecidedBDDs(t *testing.T) {
@@ -169,15 +180,22 @@ func TestFixpointSkipsDecidedBDDs(t *testing.T) {
 	}
 	net, cfgs, dsts := wanInputs(t, gen.Medium())
 	opts := Options{K: 1, PruneOverK: true}
-	got, gotNodes := memoBy(t, (*Engine).propagate, net, cfgs, opts, dsts)
-	want, wantNodes := memoBy(t, referencePropagate, net, cfgs, opts, dsts)
-	if !bytes.Equal(memoBytes(t, got), memoBytes(t, want)) {
-		t.Fatal("memo bytes differ from the reference fixpoint's")
+	got, _, gotNodes := ribsBy(t, (*Engine).propagate, net, cfgs, opts, dsts)
+	want, _, wantNodes := ribsBy(t, referencePropagate, net, cfgs, opts, dsts)
+	if !bytes.Equal(got, want) {
+		t.Fatal("RIB bytes differ from the reference fixpoint's")
 	}
 	if 2*gotNodes > wantNodes {
 		t.Fatalf("the fixpoint built %d BDD nodes, the reference %d: want at most half", gotNodes, wantNodes)
 	}
 	t.Logf("BDD nodes: %d, the reference %d", gotNodes, wantNodes)
+}
+
+// seededParams is one of the small seeded random WANs the fixpoint and
+// the memo are pinned on: 2–3 regions, 2–3 cores each, extra core links.
+func seededParams(seed int64) gen.Params {
+	return gen.Params{Seed: seed, Regions: 2 + int(seed%2), CoresPerRegion: 2 + int(seed%3)%2, PEsPerRegion: 3,
+		MANsPerRegion: 1, PeersPerRegion: 1, PrefixesPerPeer: 1, ExtraCoreLinks: 2, WANAS: 64500}
 }
 
 // hasParallelLinks reports whether two links share both endpoints.
@@ -195,7 +213,7 @@ func hasParallelLinks(net *topo.Network) bool {
 
 // TestPropagateMatchesReference pins the fixpoint to the map-based one it
 // replaced, byte for byte: every RIB's nodes, entries and exported
-// conditions. Equal bytes need every formula created in the same order,
+// conditions, and the memo Build makes of them. Equal bytes need every formula created in the same order,
 // so this holds the guard chain built once per dequeue, the paths copied
 // only when they differ and the skipped unchanged nodes to creating
 // nothing the reference did not, the dead-guard prune to creating every
@@ -230,9 +248,7 @@ func TestPropagateMatchesReference(t *testing.T) {
 	net, cfgs := in.build(t)
 	rows = append(rows, row{"two regions, L1/L2, penetrate", net, cfgs, []topo.NodeID{0, 1, 2, 3}, in.opts})
 	for seed := int64(11); seed <= 14; seed++ {
-		p := gen.Params{Seed: seed, Regions: 2 + int(seed%2), CoresPerRegion: 2 + int(seed%3)%2, PEsPerRegion: 3,
-			MANsPerRegion: 1, PeersPerRegion: 1, PrefixesPerPeer: 1, ExtraCoreLinks: 2, WANAS: 64500}
-		wan(fmt.Sprintf("gen seed %d", seed), p, 1+int(seed%3))
+		wan(fmt.Sprintf("gen seed %d", seed), seededParams(seed), 1+int(seed%3))
 	}
 	for _, r := range rows {
 		if hasParallelLinks(r.net) {
@@ -242,7 +258,12 @@ func TestPropagateMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", r.name, err)
 		}
-		if !bytes.Equal(memoBytes(t, got), memoBytes(t, referenceMemo(t, r.net, r.cfgs, r.opts, r.dsts))) {
+		gotRIBs, _, _ := ribsBy(t, (*Engine).propagate, r.net, r.cfgs, r.opts, r.dsts)
+		wantRIBs, want, _ := ribsBy(t, referencePropagate, r.net, r.cfgs, r.opts, r.dsts)
+		if !bytes.Equal(gotRIBs, wantRIBs) {
+			t.Fatalf("%s: RIB bytes differ from the reference fixpoint's", r.name)
+		}
+		if !bytes.Equal(memoBytes(t, got), memoBytes(t, want)) {
 			t.Fatalf("%s: memo bytes differ from the reference fixpoint's", r.name)
 		}
 	}

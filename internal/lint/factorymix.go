@@ -15,7 +15,7 @@ import (
 // The analysis is per-function and flow-insensitive in the small: it
 // records, for each local variable of type logic.F, the factory object
 // whose method call produced it (x := f.Var(v), y := f.And(a, b), or
-// roots := p.Import(f)), then checks every factory method call argument
+// roots := p.Import(f) and p.ImportRoots(f, which)), then checks every factory method call argument
 // and every F==F comparison for operands with conflicting origins.
 // Values of unknown origin (parameters, struct fields, channel reads)
 // are never flagged — the analyzer under-approximates rather than
@@ -45,7 +45,7 @@ func isF(t types.Type) bool { return namedFrom(t, "logic", "F") }
 
 // factoryOfCall returns the factory object a call pins its result to:
 // the receiver of a *logic.Factory method (f.Var, f.And, ...) or the
-// factory argument of Portable.Import(f).
+// factory argument of Portable.Import(f) and Portable.ImportRoots(f, ...).
 func factoryOfCall(info *types.Info, call *ast.CallExpr) types.Object {
 	recv := methodRecv(call)
 	if recv == nil {
@@ -54,8 +54,9 @@ func factoryOfCall(info *types.Info, call *ast.CallExpr) types.Object {
 	if isFactory(info.Types[recv].Type) {
 		return rootObject(info, recv)
 	}
-	// p.Import(f): the result is bound to f, not p.
-	if namedFrom(info.Types[recv].Type, "logic", "Portable") && methodName(call) == "Import" && len(call.Args) == 1 {
+	// p.Import(f), p.ImportRoots(f, which): the result is bound to f, not p.
+	name := methodName(call)
+	if namedFrom(info.Types[recv].Type, "logic", "Portable") && (name == "Import" || name == "ImportRoots") && len(call.Args) > 0 {
 		if isFactory(info.Types[call.Args[0]].Type) {
 			return rootObject(info, call.Args[0])
 		}

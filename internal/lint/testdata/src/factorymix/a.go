@@ -26,6 +26,8 @@ func portableCrossing() {
 	x := a.Var(1)
 	y := a.Export(x).Import(b) // allowed: Portable is the sanctioned carrier
 	_ = b.And(y, b.Var(2))     // allowed: y now belongs to b
+	z := a.Export(x).ImportRoots(b, []int{0})
+	_ = a.And(z, x) // want "logic.F built by factory \"b\" passed to method of factory \"a\""
 }
 
 func unknownOrigin(a *logic.Factory, x logic.F) {

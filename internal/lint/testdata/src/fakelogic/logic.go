@@ -28,3 +28,6 @@ func (f *Factory) Export(x F) *Portable { return &Portable{} }
 
 // Import rebuilds the snapshot inside f and returns the new handle.
 func (p *Portable) Import(f *Factory) F { return 0 }
+
+// ImportRoots rebuilds the named roots inside f.
+func (p *Portable) ImportRoots(f *Factory, which []int) F { return 0 }

@@ -13,7 +13,9 @@ import (
 // formulas: Export numbers nodes in first-visit order whatever factory
 // holds them, so the two imports must re-export to identical bytes. A
 // corrupted result store may lose data, but it must never crash a worker
-// or smuggle in a different formula.
+// or smuggle in a different formula. ImportRoots of a subset of the roots
+// picked by the input's bytes must return the formulas Import returns
+// for them and build no node Import would not.
 func FuzzPortableDecode(f *testing.F) {
 	fac := NewFactory()
 	x := fac.And(fac.Var(1), fac.Or(fac.Var(2), fac.Not(fac.Var(3))))
@@ -57,6 +59,24 @@ func FuzzPortableDecode(f *testing.F) {
 		}
 		if !bytes.Equal(b1, b2) {
 			t.Fatalf("formulas changed across round-trip:\n%s\n%s", b1, b2)
+		}
+
+		var which []int
+		for i := range roots {
+			if data[i%len(data)]>>(i%8)&1 == 1 {
+				which = append(which, i)
+			}
+		}
+		f3 := NewFactory()
+		some := p.ImportRoots(f3, which)
+		if f3.NumNodes() > f1.NumNodes() {
+			t.Fatalf("ImportRoots of roots %v built %d nodes, Import of all %d", which, f3.NumNodes(), f1.NumNodes())
+		}
+		all := p.Import(f3)
+		for i, r := range which {
+			if some[i] != all[r] {
+				t.Fatalf("root %d: ImportRoots gives %d, Import %d", r, some[i], all[r])
+			}
 		}
 	})
 }

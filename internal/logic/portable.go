@@ -8,12 +8,12 @@ import (
 
 // Portable is a factory-independent snapshot of one or more formulas.
 // It stores the reachable DAG in dependency order, so the same
-// conditions can be rebuilt inside any Factory — the mechanism the
-// sweep engine uses to compute IGP reachability conditions once and
-// replay them into every worker's formula universe instead of paying
-// the path-vector propagation per worker (DESIGN.md, "Sweep engine").
+// conditions can be rebuilt inside any Factory, all of them (Import) or
+// a chosen few (ImportRoots): the IGP memo holds one per destination with
+// a root per node, and a simulator imports the roots its sessions read
+// (DESIGN.md, "Sweep engine").
 //
-// A Portable is immutable after Export and safe for concurrent Import
+// A Portable is immutable after Export and safe for concurrent imports
 // into distinct factories.
 type Portable struct {
 	nodes []pnode
@@ -97,15 +97,46 @@ func (p *Portable) NodeShape(i int) Shape {
 }
 
 // Import rebuilds the snapshot inside f and returns one F per exported
-// root, in Export order. Reconstruction goes through the ordinary
-// constructors, so hash-consing and the local simplifications apply:
-// importing into the factory that exported the snapshot yields formulas
-// equivalent to the originals, and importing twice is idempotent.
+// root, in Export order: ImportRoots over every root.
 func (p *Portable) Import(f *Factory) []F {
+	all := make([]int, len(p.roots))
+	for i := range all {
+		all[i] = i
+	}
+	return p.ImportRoots(f, all)
+}
+
+// ImportRoots rebuilds the roots named by which (indices into Export's
+// roots) inside f, one F per entry of which, building only the nodes they
+// reach. Reconstruction goes through the ordinary constructors, so
+// hash-consing and the local simplifications apply: importing into the
+// factory that exported the snapshot yields formulas equivalent to the
+// originals, and importing twice is idempotent.
+func (p *Portable) ImportRoots(f *Factory, which []int) []F {
+	// Children precede their parents, so one backward sweep marks every
+	// node a named root reaches.
+	need := make([]bool, len(p.nodes))
+	for _, r := range which {
+		need[p.roots[r]] = true
+	}
+	for i := len(p.nodes) - 1; i >= 2; i-- {
+		if !need[i] {
+			continue
+		}
+		switch n := p.nodes[i]; n.k {
+		case kNot:
+			need[n.a] = true
+		case kAnd, kOr:
+			need[n.a], need[n.b] = true, true
+		}
+	}
 	ids := make([]F, len(p.nodes))
 	ids[False] = False
 	ids[True] = True
 	for i := 2; i < len(p.nodes); i++ {
+		if !need[i] {
+			continue
+		}
 		n := p.nodes[i]
 		switch n.k {
 		case kVar:
@@ -118,9 +149,9 @@ func (p *Portable) Import(f *Factory) []F {
 			ids[i] = f.Or(ids[n.a], ids[n.b])
 		}
 	}
-	out := make([]F, len(p.roots))
-	for i, r := range p.roots {
-		out[i] = ids[r]
+	out := make([]F, len(which))
+	for i, r := range which {
+		out[i] = ids[p.roots[r]]
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package logic
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
 	"testing"
 )
 
@@ -226,5 +227,57 @@ func TestPortableRejectsNegativeVar(t *testing.T) {
 	err := p.UnmarshalJSON([]byte(`{"n":[[1,-1,0,0]],"r":[2]}`))
 	if err == nil {
 		t.Fatal("negative variable id accepted; Import would index out of bounds")
+	}
+}
+
+// TestImportRootsMatchesImport pins the one import path: for every subset
+// of a snapshot's roots, in a shuffled order and with a root named twice,
+// ImportRoots returns exactly the formulas Import returns for those roots
+// (the same ids in one factory), and it creates no node those roots do
+// not reach — as many nodes as importing a snapshot of them alone.
+// Import is the all-roots case. Run under -race -count=10 by `make
+// determinism`.
+func TestImportRootsMatchesImport(t *testing.T) {
+	src := NewFactory()
+	shared := buildDeep(src, 5)
+	roots := []F{
+		shared,
+		src.Or(shared, src.Var(7)),
+		src.And(src.Var(8), src.Not(src.Var(9))),
+		buildDeep(src, 7),
+		True,
+		src.Var(3),
+	}
+	p := src.Export(roots...)
+	rng := rand.New(rand.NewSource(1))
+	for mask := 0; mask < 1<<len(roots); mask++ {
+		var which []int
+		for i := range roots {
+			if mask&(1<<i) != 0 {
+				which = append(which, i)
+			}
+		}
+		rng.Shuffle(len(which), func(i, j int) { which[i], which[j] = which[j], which[i] })
+		if len(which) > 0 {
+			which = append(which, which[0])
+		}
+		f := NewFactory()
+		got := p.ImportRoots(f, which)
+		nodes := f.NumNodes()
+		alone := NewFactory()
+		sub := make([]F, len(which))
+		for i, r := range which {
+			sub[i] = roots[r]
+		}
+		src.Export(sub...).Import(alone)
+		if nodes != alone.NumNodes() {
+			t.Fatalf("roots %v: ImportRoots made %d nodes, a snapshot of those roots alone %d", which, nodes, alone.NumNodes())
+		}
+		all := p.Import(f)
+		for i, r := range which {
+			if got[i] != all[r] {
+				t.Fatalf("roots %v: root %d imported as %d, Import gives %d", which, r, got[i], all[r])
+			}
+		}
 	}
 }

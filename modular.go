@@ -1,12 +1,10 @@
 package hoyan
 
 import (
-	"fmt"
 	"slices"
 
 	"hoyan/internal/core"
 	"hoyan/internal/dist"
-	"hoyan/internal/vet"
 )
 
 // ModularStats reports what a modular sweep actually did — including,
@@ -23,13 +21,6 @@ type ModularStats struct {
 	// express their behavior. A replay audit runs monolithic from the
 	// start: it is compared with a record a monolithic pass made.
 	Refused int
-	// Predicted counts prefix classes the static pre-flight
-	// (internal/vet's cutsound analyzer) expected the cut to refuse,
-	// before any pass was dispatched. The pre-flight is advisory — the
-	// authoritative refusal still comes from the core layer at simulation
-	// time — but the two counts agreeing on a plain classed sweep is the
-	// predictor's accuracy contract.
-	Predicted int
 	// Fallback is set when the whole sweep ran monolithically because no
 	// usable partition exists (region-less BGP speakers, or one region).
 	Fallback bool
@@ -48,15 +39,8 @@ func (ms *ModularStats) note(reason string) {
 // region originates — the class runs monolithically, loudly). A model
 // with no usable cut yields no regions at all: the whole sweep falls
 // back to monolithic passes.
-func planModular(model *core.Model, classes []core.PrefixClass, k int) (ms *ModularStats, regions, homes []string) {
+func planModular(model *core.Model, classes []core.PrefixClass) (ms *ModularStats, regions, homes []string) {
 	ms = &ModularStats{}
-	// Static pre-flight: predict which classes the cut will refuse before
-	// any pass runs, so the operator sees the fallback load up front
-	// instead of discovering it one wasted home pass at a time.
-	pred := vet.PredictRefusals(model, k)
-	if ms.Predicted = pred.RefusedClasses(); ms.Predicted > 0 {
-		ms.note(fmt.Sprintf("vet pre-flight: %d of %d classes predicted to refuse the cut", ms.Predicted, len(pred.Classes)))
-	}
 	pt, err := core.NewPartition(model)
 	if err != nil {
 		ms.Fallback = true

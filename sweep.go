@@ -95,8 +95,8 @@ func (n *Network) SweepBaseline(opts Options, workers int) (*SweepReport, *Resul
 // (dist.Run) over the pool's executors — dist.Local(n) in-process ones,
 // or the remote workers of a *dist.Coordinator — and fold the verdicts.
 // The model is assembled exactly once; in-process executors share it
-// read-only together with one IGP memo per (budget, region)
-// (core.Shared), each owning only the cheap mutable half. The memo
+// read-only together with the run's one IGP memo (core.Shared, built by
+// dist.Local), each owning only the cheap mutable half. The memo
 // outlives the sweep wherever the sweep's knowledge does: capture leaves
 // it on the returned store, and a sweep given that store as its baseline
 // starts from it (igp.Build decides, by igp.Key, whether it still
@@ -221,7 +221,7 @@ func (n *Network) sweepClasses(opts Options, model *core.Model, classes []core.P
 	}
 	var homes []string
 	if opts.Modular {
-		rep.Modular, plan.Regions, homes = planModular(model, classes, opts.K)
+		rep.Modular, plan.Regions, homes = planModular(model, classes)
 	}
 	// Audit selection comes up front from seeded sources, so the chosen
 	// prefixes do not depend on executor count or scheduling.
@@ -315,7 +315,7 @@ func (n *Network) sweepClasses(opts Options, model *core.Model, classes []core.P
 	var store *ResultStore
 	if capture {
 		store = newStoreShell(n, opts, reg)
-		// When no pass ran in-process nothing reported a memo; the one the
+		// When nothing ran in-process the run built no memo; the one the
 		// plan started from stays the best there is.
 		store.igp = cmp.Or(res.IGP, plan.IGP)
 		for i, c := range plan.Classes {
@@ -446,7 +446,7 @@ func (r *SweepReport) String() string {
 		case r.Modular.Fallback:
 			s += ", modular fallback: no usable partition"
 		default:
-			s += fmt.Sprintf(", modular: %d regions, %d passes, %d refusals (%d predicted)", r.Modular.Regions, r.Modular.Passes, r.Modular.Refused, r.Modular.Predicted)
+			s += fmt.Sprintf(", modular: %d regions, %d passes, %d refusals", r.Modular.Regions, r.Modular.Passes, r.Modular.Refused)
 		}
 	}
 	return s + ")"

@@ -4,14 +4,18 @@ import (
 	"os"
 	"testing"
 
+	"hoyan/internal/behavior"
+	"hoyan/internal/core"
 	"hoyan/internal/gen"
+	"hoyan/internal/vet"
 )
 
 // TestModularPreflightMatchesRefusals pins the sweep-facing half of the
 // refusal predictor's accuracy contract: on a plain classed modular
 // sweep (no audits, no replays — each unit is one class representative)
-// the pre-flight's predicted class count equals the number of units the
-// core layer actually refused. gen.Medium carries the documented
+// the class count vet.PredictRefusals (V006, what `hoyan vet` and
+// /v1/vet report) predicts equals the number of units the core layer
+// actually refused. gen.Medium carries the documented
 // AllowASLoop echo-route refusals (four classes homed in the
 // chord-bottlenecked region); gen.Full — which has loop-tolerant
 // acceptors and single-crossing region pairs but no feasible echo
@@ -39,10 +43,16 @@ func TestModularPreflightMatchesRefusals(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep, err := NetworkFrom(w.Net, w.Snap).Sweep(Options{K: 3, Modular: true}, 4)
+			const k = 3
+			rep, err := NetworkFrom(w.Net, w.Snap).Sweep(Options{K: k, Modular: true}, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
+			m, err := core.Assemble(w.Net, w.Snap, behavior.TrueProfiles())
+			if err != nil {
+				t.Fatal(err)
+			}
+			predicted := vet.PredictRefusals(m, k).RefusedClasses()
 			ms := rep.Modular
 			if ms == nil {
 				t.Fatal("modular sweep reported no ModularStats")
@@ -50,9 +60,9 @@ func TestModularPreflightMatchesRefusals(t *testing.T) {
 			if ms.Fallback {
 				t.Fatalf("modular sweep fell back entirely: %v", ms.Notes)
 			}
-			if ms.Predicted != ms.Refused {
+			if predicted != ms.Refused {
 				t.Fatalf("pre-flight predicted %d refusals, engine refused %d (notes: %v)",
-					ms.Predicted, ms.Refused, ms.Notes)
+					predicted, ms.Refused, ms.Notes)
 			}
 			if ms.Refused != tc.refused {
 				t.Fatalf("engine refused %d classes, want the documented %d (notes: %v)",
