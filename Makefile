@@ -86,12 +86,15 @@ chaos: determinism
 # So do the memo's three import pins: every memo root equals an engine's
 # reachability condition, ImportRoots equals Import on the roots it names
 # and builds nothing else, and a simulator's session base imports only
-# its sessions' conditions.
+# its sessions' conditions. The publish's two striped loops ride along
+# too: a Save that encodes class records on GOMAXPROCS goroutines must
+# write json.Marshal's bytes, and a compile that lowers them so must
+# equal the serial one, error included.
 determinism:
 	$(GO) test -race -count=10 -run 'TestMemoBuildDeterministic|TestMemoReachMatchesEngine|TestPropagateMatchesReference|TestOrderShrinksSolver|TestResetRunEqualsFresh|TestResetDropsWhatFollowsTheBase|TestBaseImportsOnlySessionRoots' ./internal/igp/ ./internal/core/
 	$(GO) test -race -count=10 -run 'TestRecycleIsFresh|TestRecycleToMarkIsFresh|TestImportRootsMatchesImport' ./internal/logic/
 	$(GO) test -race -count=10 -run 'TestVarOrder' ./internal/topo/
-	$(GO) test -race -count=10 -run 'TestSweepIndependentOfTopologyFileOrder' .
+	$(GO) test -race -count=10 -run 'TestSweepIndependentOfTopologyFileOrder|TestSaveMatchesMarshal|TestCompileStripedMatchesSerial' . ./internal/qc/
 
 # scale-smoke bounds the paper-scale modular path: the modular plan over
 # remote workers against the monolithic class run, under the race
@@ -136,8 +139,12 @@ scale-smoke:
 # programs the publishes reused. An input
 # of any of these can be a whole simulation, so minimizing a new one runs
 # many: -fuzzminimizetime=1s caps that, where the default 60s would spend
-# the whole run on the first new input.
+# the whole run on the first new input. FuzzStoreEncode builds result
+# stores from the input (arbitrary strings, verdicts, condition sets, nil
+# and empty slices) and asserts that ResultStore.Save writes exactly
+# json.Marshal's bytes.
 fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz='^FuzzStoreEncode$$' -fuzztime=10s .
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/config/
 	$(GO) test -run='^$$' -fuzz='^FuzzParseTemplates$$' -fuzztime=10s ./internal/config/
 	$(GO) test -run='^$$' -fuzz='^FuzzPrefixParse$$' -fuzztime=10s ./internal/config/

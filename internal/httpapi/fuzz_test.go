@@ -301,6 +301,7 @@ func FuzzSnapshotPublish(f *testing.F) {
 	f.Add(bytes.Replace(seed, []byte(`"verdicts"`), []byte(`"verdictz"`), -1), uint8(1))
 	f.Add([]byte(`{"k": -1, "classes": [{}]}`), uint8(2))
 	f.Add([]byte(`{}`), uint8(0))
+	f.Add([]byte(linklessStore), uint8(0))
 	f.Add([]byte{}, uint8(1))
 
 	f.Fuzz(func(t *testing.T, data []byte, form uint8) {

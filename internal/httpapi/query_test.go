@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http/httptest"
 	"net/url"
+	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -17,6 +18,7 @@ import (
 	"hoyan/internal/core"
 	"hoyan/internal/gen"
 	"hoyan/internal/logic"
+	"hoyan/internal/qc"
 )
 
 // resweep seeds the query plane through the public API and returns the
@@ -132,7 +134,30 @@ func TestSnapshotPublishFromDisk(t *testing.T) {
 	if !strings.Contains(eb.Error, "re-capture the baseline") {
 		t.Fatalf("the 400 must say to re-capture: %q", eb.Error)
 	}
+
+	// A store without links whose condition names a variable loads, but
+	// there is no link for the variable to name: the compile refuses it
+	// (it used to index the empty impact index and panic).
+	if err := os.WriteFile(path, []byte(linklessStore), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := hoyan.LoadResultStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := qc.CompileStore(loaded); err == nil || !strings.Contains(err.Error(), "link universe is empty") {
+		t.Fatalf("compiling a linkless store with a variable: %v", err)
+	}
+	if code := post(t, srv, "/v1/snapshots", body, &eb); code != 400 {
+		t.Fatalf("publishing a linkless store with a variable: status %d, want 400", code)
+	}
 }
+
+// linklessStore is a store with an empty link universe whose one
+// condition is link variable 5.
+const linklessStore = `{"options_hash":"h","k":1,"nodes":[],"links":[],"configs":{},"classes":[` +
+	`{"members":["10.0.0.0/24"],"verdicts":[{"router":"A","node":0,"reachable":true,"min_failures":-1}],` +
+	`"taint_devices":["A"],"conds":{"n":[[1,5,0,0]],"r":[2]}}]}`
 
 // heldWriter parks a handler at its first write until released: a query
 // in flight that has loaded its snapshot and not yet returned.

@@ -165,13 +165,21 @@ type portableJSON struct {
 	Roots []int32    `json:"r"`
 }
 
-// MarshalJSON encodes the snapshot for persistence: the bytes
-// encoding/json would write for a portableJSON, appended by hand into one
-// buffer of about the right size. The reflective encoder needs a second
-// copy of every node and spends more on these integer quadruples than the
-// rest of a store's Save put together.
+// MarshalJSON encodes the snapshot for persistence: AppendJSON into a
+// buffer of about the right size.
 func (p *Portable) MarshalJSON() ([]byte, error) {
-	b := make([]byte, 0, 20*len(p.nodes)+8*len(p.roots)+16)
+	return p.AppendJSON(make([]byte, 0, 20*len(p.nodes)+8*len(p.roots)+16)), nil
+}
+
+// AppendJSON appends the snapshot's wire form to b and returns the
+// extended buffer: the bytes encoding/json would write for a
+// portableJSON, compact, appended by hand. It is the one writer of the
+// wire form. The reflective encoder needs a second copy of every node and
+// spends more on these integer quadruples than the rest of a store's Save
+// put together; a caller that writes the bytes itself (ResultStore.Save)
+// also skips the validation pass encoding/json runs over a Marshaler's
+// output.
+func (p *Portable) AppendJSON(b []byte) []byte {
 	b = append(b, `{"n":[`...)
 	for i, n := range p.nodes[2:] {
 		if i > 0 {
@@ -189,7 +197,7 @@ func (p *Portable) MarshalJSON() ([]byte, error) {
 	}
 	b = append(b, `],"r":`...)
 	if p.roots == nil {
-		return append(b, `null}`...), nil
+		return append(b, `null}`...)
 	}
 	b = append(b, '[')
 	for i, r := range p.roots {
@@ -198,7 +206,7 @@ func (p *Portable) MarshalJSON() ([]byte, error) {
 		}
 		b = strconv.AppendInt(b, int64(r), 10)
 	}
-	return append(b, `]}`...), nil
+	return append(b, `]}`...)
 }
 
 // UnmarshalJSON decodes a snapshot produced by MarshalJSON, validating

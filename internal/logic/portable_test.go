@@ -68,8 +68,8 @@ func TestPortableRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPortableJSONBytes pins the hand-appended MarshalJSON to the wire
-// form it replaces: byte for byte what encoding/json writes for a
+// TestPortableJSONBytes pins the hand-appended MarshalJSON and AppendJSON
+// to the wire form they replace: byte for byte what encoding/json writes for a
 // portableJSON, so stores written before and after read the same.
 func TestPortableJSONBytes(t *testing.T) {
 	f := NewFactory()
@@ -93,6 +93,11 @@ func TestPortableJSONBytes(t *testing.T) {
 		}
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s: MarshalJSON wrote\n%s\nwant\n%s", name, got, want)
+		}
+		// AppendJSON's own bytes, which ResultStore.Save writes without
+		// encoding/json's compaction pass, appended after what is there.
+		if got := p.AppendJSON([]byte("[")); !bytes.Equal(got, append([]byte("["), want...)) {
+			t.Errorf("%s: AppendJSON wrote\n%s\nwant\n[%s", name, got, want)
 		}
 	}
 }

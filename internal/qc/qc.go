@@ -24,6 +24,7 @@ package qc
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"hoyan/internal/logic"
@@ -169,6 +170,9 @@ func (p *Program) Eval(failed *FailureSet, s *Scratch) bool {
 // store compiler rejects conditions that are not pure link conditions.
 // maxVar < 0 disables the check.
 func CompileRoot(p *logic.Portable, root int, maxVar logic.Var) (*Program, error) {
+	if maxVar < 0 {
+		maxVar = math.MaxInt32
+	}
 	return newCompiler(p, maxVar).compile(root)
 }
 
@@ -179,7 +183,9 @@ func CompileRoot(p *logic.Portable, root int, maxVar logic.Var) (*Program, error
 // allocates and drops there decides how many collections fall inside it
 // (DESIGN.md, "A publish allocates what it keeps").
 type compiler struct {
-	p      *logic.Portable
+	p *logic.Portable
+	// maxVar is the largest variable a condition may mention: -1, an
+	// empty link universe, refuses every variable.
 	maxVar logic.Var
 	reach  []bool  // by snapshot node: reachable from the current root
 	remap  []int32 // by snapshot node: its instruction in the current program
@@ -238,7 +244,10 @@ func (c *compiler) compile(root int) (*Program, error) {
 			}
 			remap[i] = emit(instr{op: op})
 		case logic.WalkVar:
-			if s.Variable < 0 || (c.maxVar >= 0 && s.Variable > c.maxVar) {
+			if c.maxVar < 0 {
+				return nil, fmt.Errorf("qc: condition mentions variable %d but the link universe is empty", s.Variable)
+			}
+			if s.Variable < 0 || s.Variable > c.maxVar {
 				return nil, fmt.Errorf("qc: condition mentions variable %d outside the link universe [0,%d]", s.Variable, c.maxVar)
 			}
 			remap[i] = emit(instr{op: opVar, v: s.Variable})

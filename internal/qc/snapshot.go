@@ -2,9 +2,11 @@ package qc
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"hoyan"
@@ -143,6 +145,8 @@ func CompileStoreFrom(prev *Snapshot, st *hoyan.ResultStore) (*Snapshot, error) 
 			snap.linkVar[name] = logic.Var(i)
 		}
 	}
+	// An empty link universe gives -1, under which every variable is
+	// refused: the impact index has no slot for one.
 	maxVar := logic.Var(len(st.Links) - 1)
 	var held map[*logic.Portable][]*Program
 	if prev != nil && slices.Equal(prev.linkNames, snap.linkNames) {
@@ -152,31 +156,63 @@ func CompileStoreFrom(prev *Snapshot, st *hoyan.ResultStore) (*Snapshot, error) 
 		}
 	}
 
+	// Lower the classes prev does not hold. Classes are independent, so
+	// min(GOMAXPROCS, classes to lower) goroutines take them, striped
+	// statically as igp.Build stripes destinations; one class (a
+	// resweep's dirty class) is lowered on this goroutine. Everything
+	// after is folded serially in class order, so the snapshot, and the
+	// error returned (the lowest class's), are what a serial loop gives.
+	progs := make([][]*Program, len(st.Classes))
+	errs := make([]error, len(st.Classes))
+	var lower []int
 	for ci := range st.Classes {
 		rec := &st.Classes[ci]
-		if rec.Conds == nil || rec.Conds.NumRoots() != len(rec.Verdicts) {
+		if !aligned(rec) {
+			continue
+		}
+		if p, ok := held[rec.Conds]; ok && len(p) == len(rec.Verdicts) {
+			progs[ci] = p
+			snap.Stats.Reused += len(p)
+			continue
+		}
+		lower = append(lower, ci)
+	}
+	workers := min(runtime.GOMAXPROCS(0), len(lower))
+	stripe := func(g int) {
+		for i := g; i < len(lower); i += workers {
+			ci := lower[i]
+			progs[ci], errs[ci] = lowerClass(ci, &st.Classes[ci], maxVar)
+		}
+	}
+	if workers <= 1 {
+		stripe(0)
+	} else {
+		var wg sync.WaitGroup
+		for g := range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				stripe(g)
+			}()
+		}
+		wg.Wait()
+	}
+
+	for ci := range st.Classes {
+		rec := &st.Classes[ci]
+		if !aligned(rec) {
 			return nil, fmt.Errorf("qc: class %d (%s): condition roots and router verdicts do not line up — re-capture the baseline with a fresh sweep", ci, strings.Join(rec.Members, " "))
+		}
+		if errs[ci] != nil {
+			return nil, errs[ci]
 		}
 		sum, _ := rec.Report("")
 		cls := &Class{
 			Members:      append([]string(nil), rec.Members...),
 			ClassMinFail: sum.MinFailures,
+			Progs:        progs[ci],
 			routerIdx:    make(map[string]int, len(rec.Verdicts)),
 			conds:        rec.Conds,
-		}
-		if progs, ok := held[rec.Conds]; ok && len(progs) == len(rec.Verdicts) {
-			cls.Progs = progs
-			snap.Stats.Reused += len(progs)
-		} else {
-			comp := newCompiler(rec.Conds, maxVar)
-			cls.Progs = make([]*Program, len(rec.Verdicts))
-			for ri, v := range rec.Verdicts {
-				prog, err := comp.compile(ri)
-				if err != nil {
-					return nil, fmt.Errorf("qc: class %d router %s: %w", ci, v.Router, err)
-				}
-				cls.Progs[ri] = prog
-			}
 		}
 		classVars := map[logic.Var]bool{}
 		for ri, v := range rec.Verdicts {
@@ -216,6 +252,27 @@ func CompileStoreFrom(prev *Snapshot, st *hoyan.ResultStore) (*Snapshot, error) 
 	snap.Stats.Links = len(st.Links)
 	snap.Stats.CompileTime = time.Since(start)
 	return snap, nil
+}
+
+// aligned reports whether a record has one condition root per verdict,
+// the precondition of lowering it.
+func aligned(rec *hoyan.ClassRecord) bool {
+	return rec.Conds != nil && rec.Conds.NumRoots() == len(rec.Verdicts)
+}
+
+// lowerClass compiles record ci's roots to programs, one per verdict, on
+// one compiler whose work arrays every root reuses.
+func lowerClass(ci int, rec *hoyan.ClassRecord, maxVar logic.Var) ([]*Program, error) {
+	comp := newCompiler(rec.Conds, maxVar)
+	progs := make([]*Program, len(rec.Verdicts))
+	for ri, v := range rec.Verdicts {
+		prog, err := comp.compile(ri)
+		if err != nil {
+			return nil, fmt.Errorf("qc: class %d router %s: %w", ci, v.Router, err)
+		}
+		progs[ri] = prog
+	}
+	return progs, nil
 }
 
 // ClassOf resolves a prefix to its compiled class.

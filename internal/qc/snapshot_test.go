@@ -1,8 +1,11 @@
 package qc
 
 import (
+	"fmt"
 	"maps"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"hoyan"
@@ -176,6 +179,103 @@ func TestCompileFromMatchesCold(t *testing.T) {
 				t.Fatalf("a class with a new root count: reused %d programs, want %d", snap.Stats.Reused, want)
 			}
 			sameSnapshot(t, "new root count", snap, mustCompile(t, nil, st))
+		})
+	}
+}
+
+// compileAt runs CompileStoreFrom at the given GOMAXPROCS.
+func compileAt(t *testing.T, procs int, prev *Snapshot, st *hoyan.ResultStore) (*Snapshot, error) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	return CompileStoreFrom(prev, st)
+}
+
+// TestCompileStripedMatchesSerial pins the striped lowering to the
+// serial one: at GOMAXPROCS 4 a compile serves what it serves at 1, cold
+// and from a previous snapshot holding every other class's programs, and
+// a store with two bad classes fails with the lower class's error at
+// every GOMAXPROCS, whichever check each fails.
+func TestCompileStripedMatchesSerial(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		params gen.Params
+	}{{"small", gen.Small()}, {"medium", gen.Medium()}} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.name == "medium" && testing.Short() {
+				t.Skip("gen.Medium sweeps are skipped in -short")
+			}
+			w, err := gen.Generate(tc.params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, st, err := hoyan.NetworkFrom(w.Net, w.Snap).SweepBaseline(hoyan.Options{K: 2}, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(st.Classes) < 4 {
+				t.Fatalf("%d classes: too few to stripe", len(st.Classes))
+			}
+			serial, err := compileAt(t, 1, nil, st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			half := *serial
+			half.Classes = nil
+			for ci, c := range serial.Classes {
+				if ci%2 == 0 {
+					half.Classes = append(half.Classes, c)
+				}
+			}
+			for _, procs := range []int{1, 4} {
+				snap, err := compileAt(t, procs, nil, st)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameSnapshot(t, fmt.Sprintf("cold at GOMAXPROCS %d", procs), snap, serial)
+				snap, err = compileAt(t, procs, &half, st)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := heldPrograms(&half, st); snap.Stats.Reused != want || want == 0 {
+					t.Fatalf("GOMAXPROCS %d: reused %d programs of half the classes, want %d", procs, snap.Stats.Reused, want)
+				}
+				sameSnapshot(t, fmt.Sprintf("half held at GOMAXPROCS %d", procs), snap, serial)
+			}
+
+			// Class 1 and the last class are bad, each one way and then
+			// the other: the error is class 1's, with the serial text.
+			last := len(st.Classes) - 1
+			misalign := func(rec *hoyan.ClassRecord) { rec.Verdicts = rec.Verdicts[1:] }
+			outside := func(rec *hoyan.ClassRecord) {
+				f := logic.NewFactory()
+				roots := make([]logic.F, len(rec.Verdicts))
+				for i := range roots {
+					roots[i] = f.Var(logic.Var(len(st.Links)))
+				}
+				rec.Conds = f.Export(roots...)
+			}
+			for _, order := range [][2]func(*hoyan.ClassRecord){{misalign, outside}, {outside, misalign}} {
+				bad := *st
+				bad.Classes = slices.Clone(st.Classes)
+				order[0](&bad.Classes[1])
+				order[1](&bad.Classes[last])
+				var want string
+				for _, procs := range []int{1, 2, 4} {
+					_, err := compileAt(t, procs, nil, &bad)
+					if err == nil {
+						t.Fatalf("GOMAXPROCS %d: a store with two bad classes compiled", procs)
+					}
+					if want == "" {
+						want = err.Error()
+						if !strings.Contains(want, "class 1 ") {
+							t.Fatalf("serial error %q does not name class 1", want)
+						}
+					}
+					if err.Error() != want {
+						t.Fatalf("GOMAXPROCS %d: error %q, serial %q", procs, err, want)
+					}
+				}
+			}
 		})
 	}
 }

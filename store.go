@@ -1,15 +1,19 @@
 package hoyan
 
 import (
+	"bufio"
+	"bytes"
 	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"hoyan/internal/behavior"
@@ -134,8 +138,11 @@ func (e *CorruptStoreError) Unwrap() error { return e.Err }
 // store or the complete new one — never a torn file for LoadResultStore
 // or the quarantine machinery to trip over. Stale temp files from an
 // earlier crash are inert (the *.tmp-* name never matches path).
+//
+// The file holds exactly the bytes json.Marshal(st) returns
+// (TestSaveMatchesMarshal); encode says how they are produced.
 func (st *ResultStore) Save(path string) error {
-	data, err := json.Marshal(st)
+	head, recs, err := st.encode()
 	if err != nil {
 		return fmt.Errorf("hoyan: encoding result store: %w", err)
 	}
@@ -149,7 +156,20 @@ func (st *ResultStore) Save(path string) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("hoyan: saving result store: %w", err)
 	}
-	if _, err := tmp.Write(data); err != nil {
+	w := bufio.NewWriterSize(tmp, 64<<10)
+	w.Write(head)
+	if recs != nil {
+		w.WriteByte('[')
+		for i, r := range recs {
+			if i > 0 {
+				w.WriteByte(',')
+			}
+			w.Write(r)
+		}
+		w.WriteString("]}")
+	}
+	// A bufio.Writer keeps its first error and returns it from Flush.
+	if err := w.Flush(); err != nil {
 		return cleanup(err)
 	}
 	if err := tmp.Sync(); err != nil {
@@ -167,6 +187,71 @@ func (st *ResultStore) Save(path string) error {
 		return fmt.Errorf("hoyan: saving result store: %w", err)
 	}
 	return nil
+}
+
+// encode produces the bytes json.Marshal(st) returns, in the pieces
+// Save writes: head is the store with Classes nil, cut before the null
+// where the classes array goes (the whole store when Classes is nil), and
+// recs are the class records the array holds, one each. encoding/json
+// re-scans and compacts whatever a Marshaler returns, and on a store that
+// pass over the condition sets' integer quadruples cost more than writing
+// them, so the conditions come from Portable.AppendJSON as they are.
+// Records are independent: min(GOMAXPROCS, classes) goroutines encode
+// them, striped statically as igp.Build stripes destinations.
+//
+// Conds is a record's last field and Classes the store's last persisted
+// one, which is what makes the pieces add up to json.Marshal's bytes.
+func (st *ResultStore) encode() (head []byte, recs [][]byte, err error) {
+	hdr := *st
+	hdr.Classes = nil
+	head, err = json.Marshal(&hdr)
+	if err != nil || st.Classes == nil {
+		return head, nil, err
+	}
+	if !bytes.HasSuffix(head, []byte(`"classes":null}`)) {
+		return nil, nil, errors.New("store header does not end in its classes")
+	}
+	head = head[:len(head)-len("null}")]
+
+	recs = make([][]byte, len(st.Classes))
+	errs := make([]error, len(st.Classes))
+	workers := min(runtime.GOMAXPROCS(0), len(st.Classes))
+	var wg sync.WaitGroup
+	for g := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := g; i < len(st.Classes); i += workers {
+				recs[i], errs[i] = encodeRecord(&st.Classes[i])
+			}
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return nil, nil, fmt.Errorf("class %d: %w", i, err)
+		}
+	}
+	return head, recs, nil
+}
+
+// encodeRecord is json.Marshal(rec) for one class record: the record
+// without its conditions, then their wire form appended in place of the
+// closing brace, into room sized as Portable.MarshalJSON sizes it.
+func encodeRecord(rec *ClassRecord) ([]byte, error) {
+	if rec.Conds == nil {
+		return json.Marshal(rec)
+	}
+	bare := *rec
+	bare.Conds = nil
+	b, err := json.Marshal(&bare)
+	if err != nil {
+		return nil, err
+	}
+	const key = `,"conds":`
+	b = slices.Grow(b[:len(b)-1], len(key)+20*rec.Conds.NumNodes()+8*rec.Conds.NumRoots()+17)
+	b = rec.Conds.AppendJSON(append(b, key...))
+	return append(b, '}'), nil
 }
 
 // LoadResultStore reads a store written by Save. Damage is reported
