@@ -86,15 +86,19 @@ chaos: determinism
 # So do the memo's three import pins: every memo root equals an engine's
 # reachability condition, ImportRoots equals Import on the roots it names
 # and builds nothing else, and a simulator's session base imports only
-# its sessions' conditions. The publish's two striped loops ride along
-# too: a Save that encodes class records on GOMAXPROCS goroutines must
-# write json.Marshal's bytes, and a compile that lowers them so must
-# equal the serial one, error included.
+# its sessions' conditions. So does the step-cap refusal: on a network
+# whose IS-IS fixpoint hits the cap, the Verifier and every simulator of
+# a Shared fail with the Shared's error instead of answering. The
+# publish's two striped loops ride along too: a Save that encodes class
+# records on GOMAXPROCS goroutines must write json.Marshal's bytes, and a
+# compile that lowers them so must equal the serial one, error included.
+# So does the store's reproducibility: two sweeps and saves of gen.Small
+# write byte-identical files.
 determinism:
-	$(GO) test -race -count=10 -run 'TestMemoBuildDeterministic|TestMemoReachMatchesEngine|TestPropagateMatchesReference|TestOrderShrinksSolver|TestResetRunEqualsFresh|TestResetDropsWhatFollowsTheBase|TestBaseImportsOnlySessionRoots' ./internal/igp/ ./internal/core/
+	$(GO) test -race -count=10 -run 'TestMemoBuildDeterministic|TestMemoReachMatchesEngine|TestPropagateMatchesReference|TestStepCapRefusesEverySimulator|TestOrderShrinksSolver|TestResetRunEqualsFresh|TestResetDropsWhatFollowsTheBase|TestBaseImportsOnlySessionRoots' ./internal/igp/ ./internal/core/
 	$(GO) test -race -count=10 -run 'TestRecycleIsFresh|TestRecycleToMarkIsFresh|TestImportRootsMatchesImport' ./internal/logic/
 	$(GO) test -race -count=10 -run 'TestVarOrder' ./internal/topo/
-	$(GO) test -race -count=10 -run 'TestSweepIndependentOfTopologyFileOrder|TestSaveMatchesMarshal|TestCompileStripedMatchesSerial' . ./internal/qc/
+	$(GO) test -race -count=10 -run 'TestSweepIndependentOfTopologyFileOrder|TestSaveMatchesMarshal|TestSaveTwiceSameBytes|TestCompileStripedMatchesSerial' . ./internal/qc/
 
 # scale-smoke bounds the paper-scale modular path: the modular plan over
 # remote workers against the monolithic class run, under the race
@@ -115,9 +119,9 @@ scale-smoke:
 # gen.Small snapshot: no query string panics it, every answer is 200 or
 # 400, and a 200 reach verdict is the compiled program's under the echoed
 # failure set. FuzzRoute is GET /v1/route's and /v1/packet's on a gen.Small
-# service at K=1, which simulate on demand through the IGP fixpoint: no
-# query string panics them, every answer is 200 or 400, and a 200
-# min_failures lies in [-1, K]. FuzzWorkerAnswer is a worker's request
+# service at K=1, which simulate on demand on the Verifier's Shared (its
+# IGP memo is built by the first query): no query string panics them,
+# every answer is 200 or 400, and a 200 min_failures lies in [-1, K]. FuzzWorkerAnswer is a worker's request
 # decoder and pass path on gen.Small, seeded with a real home and import
 # pass: no request panics the worker, and every answer is verdicts, a
 # refusal or an error. FuzzConnectionSequence answers up to 8 gen.Small

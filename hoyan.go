@@ -44,6 +44,7 @@ import (
 	"hoyan/internal/core"
 	"hoyan/internal/dataplane"
 	"hoyan/internal/gen"
+	"hoyan/internal/igp"
 	"hoyan/internal/netaddr"
 	"hoyan/internal/racing"
 	"hoyan/internal/topo"
@@ -159,12 +160,12 @@ type Options struct {
 	// the rest (DESIGN.md, "Incremental re-verification"). Produce a
 	// baseline with SweepBaseline. A store still in the memory of the
 	// process that swept it also carries that sweep's IGP memo: the next
-	// Sweep, and a Verifier built with the store as its Baseline, start
-	// from it instead of re-running the IS-IS fixpoints whenever the
-	// network's IGP inputs are the ones it was built for. Such a
-	// Verifier's route queries then run no fixpoint; a packet query's
-	// data plane still propagates the RIBs of the BGP next hops it
-	// resolves, which the memo does not hold.
+	// Sweep, and the first query of a Verifier built with the store as
+	// its Baseline, start from it instead of re-running the IS-IS
+	// fixpoints whenever the network's IGP inputs are the ones it was
+	// built for. Such a Verifier's route queries then run no fixpoint; a
+	// packet query's data plane still propagates the RIBs of the BGP next
+	// hops it resolves, which the memo does not hold.
 	Baseline *ResultStore
 	// Modular runs Sweep region by region (DESIGN.md, "Modular
 	// verification"): each prefix family is simulated in its home region
@@ -190,18 +191,23 @@ func TunedProfiles() *behavior.Registry { return behavior.TrueProfiles() }
 func NaiveProfiles() *behavior.Registry { return behavior.NaiveProfiles() }
 
 // Verifier answers verification queries over a frozen network snapshot.
+// It is not safe for concurrent use.
 type Verifier struct {
 	model *core.Model
-	sim   *core.Simulator
+	copts core.Options
+	have  *igp.Memo       // the Baseline's IGP memo, nil without one
+	sim   *core.Simulator // built by the first query that simulates (simulator)
 	opts  Options
 	cache map[netaddr.Prefix]*core.Result
 	fibs  map[netaddr.Prefix]*dataplane.FIB
 }
 
-// Verifier freezes the network and builds a verifier. Its simulator
-// resolves IGP reachability lazily, on the first query that needs it —
-// unless opts.Baseline carries an IGP memo valid for this network, whose
-// conditions its session base then imports instead.
+// Verifier freezes the network and builds a verifier. It runs no IS-IS
+// fixpoint: its first query that simulates builds the one core.Shared it
+// answers from, starting from opts.Baseline's IGP memo when the store
+// carries one (core.SharedFrom reuses it only when it is valid for this
+// network). A network whose IS-IS fixpoint the step cap cuts off fails
+// that query, and every later one, with an error naming the destination.
 func (n *Network) Verifier(opts Options) (*Verifier, error) {
 	if len(n.errs) > 0 {
 		return nil, n.errs[0]
@@ -211,20 +217,25 @@ func (n *Network) Verifier(opts Options) (*Verifier, error) {
 	if err != nil {
 		return nil, err
 	}
-	var sim *core.Simulator
-	if b := opts.Baseline; b != nil && b.igp != nil && b.igp.Key() == core.IGPKey(m, copts) {
-		// The swept destinations are all there: nothing is propagated here.
-		sim = core.SharedFrom(m, copts, b.igp, 0).NewSimulator()
-	} else {
-		sim = core.NewSimulator(m, copts)
-	}
-	return &Verifier{
+	v := &Verifier{
 		model: m,
-		sim:   sim,
+		copts: copts,
 		opts:  opts,
 		cache: map[netaddr.Prefix]*core.Result{},
 		fibs:  map[netaddr.Prefix]*dataplane.FIB{},
-	}, nil
+	}
+	if opts.Baseline != nil {
+		v.have = opts.Baseline.igp
+	}
+	return v, nil
+}
+
+// simulator returns the verifier's simulator, building its Shared first.
+func (v *Verifier) simulator() *core.Simulator {
+	if v.sim == nil {
+		v.sim = core.SharedFrom(v.model, v.copts, v.have, 0).NewSimulator()
+	}
+	return v.sim
 }
 
 // Model is the assembled model the verifier answers from, for callers
@@ -254,7 +265,7 @@ func (v *Verifier) result(p netaddr.Prefix) (*core.Result, error) {
 	if r, ok := v.cache[p]; ok {
 		return r, nil
 	}
-	r, err := v.sim.Run(p)
+	r, err := v.simulator().Run(p)
 	if err != nil {
 		return nil, err
 	}
@@ -423,7 +434,7 @@ func (v *Verifier) CheckRacing(prefix string) (RacingReport, error) {
 	if err != nil {
 		return RacingReport{}, err
 	}
-	rep, err := racing.Detect(v.sim, p, racing.DefaultOptions())
+	rep, err := racing.Detect(v.simulator(), p, racing.DefaultOptions())
 	if err != nil {
 		return RacingReport{}, err
 	}

@@ -25,8 +25,8 @@ func Ablations(params gen.Params, limit int) (Table, error) {
 		prefixes = prefixes[:limit]
 	}
 	run := func(opts core.Options) (time.Duration, int, int, error) {
+		start := time.Now() // the variant's IS-IS memo build included
 		sim := core.NewSimulator(m, opts)
-		start := time.Now()
 		maxCond := 0
 		branches := 0
 		for _, p := range prefixes {

@@ -42,9 +42,7 @@ func fibRecord(t *testing.T, res *core.Result, fib *dataplane.FIB, cls core.Pref
 // factory's Mark; a Reset must drop them with the formulas they point
 // into. On gen.Small K=1, a simulator that ran and built every class in
 // turn, Reset between classes, gives each class the FIB rules, condition
-// ids and exported bytes a new simulator gives it — a Shared's simulator,
-// whose base holds every session, and one built without a Shared, whose
-// base holds none.
+// ids and exported bytes a new simulator of the same Shared gives it.
 func TestResetDropsWhatFollowsTheBase(t *testing.T) {
 	w, err := gen.Generate(gen.Small())
 	if err != nil {
@@ -57,38 +55,29 @@ func TestResetDropsWhatFollowsTheBase(t *testing.T) {
 	opts := core.DefaultOptions()
 	opts.K = 1
 	sh := core.NewShared(m, opts)
-	for _, tc := range []struct {
-		name   string
-		newSim func() *core.Simulator
-	}{
-		{"shared", sh.NewSimulator},
-		{"unshared", func() *core.Simulator { return core.NewSimulator(m, opts) }},
-	} {
-		name, newSim := tc.name, tc.newSim
-		reused := newSim()
-		for _, cls := range m.Classes() {
-			res, err := reused.Run(cls.Rep)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotRules, gotConds := fibRecord(t, res, dataplane.Build(res), cls)
-			fresh, err := newSim().Run(cls.Rep)
-			if err != nil {
-				t.Fatal(err)
-			}
-			before := igp.Propagations()
-			fib := dataplane.Build(fresh)
-			if igp.Propagations() == before {
-				t.Fatalf("%s, class of %s: the data plane propagated no IGP RIB, so nothing followed the base", name, cls.Rep)
-			}
-			wantRules, wantConds := fibRecord(t, fresh, fib, cls)
-			if gotRules != wantRules {
-				t.Fatalf("%s, class of %s after a Reset: FIB\n%s\na new simulator's\n%s", name, cls.Rep, gotRules, wantRules)
-			}
-			if !bytes.Equal(gotConds, wantConds) {
-				t.Fatalf("%s, class of %s after a Reset: exported conditions differ from a new simulator's", name, cls.Rep)
-			}
-			reused.Reset()
+	reused := sh.NewSimulator()
+	for _, cls := range m.Classes() {
+		res, err := reused.Run(cls.Rep)
+		if err != nil {
+			t.Fatal(err)
 		}
+		gotRules, gotConds := fibRecord(t, res, dataplane.Build(res), cls)
+		fresh, err := sh.NewSimulator().Run(cls.Rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := igp.Propagations()
+		fib := dataplane.Build(fresh)
+		if igp.Propagations() == before {
+			t.Fatalf("class of %s: the data plane propagated no IGP RIB, so nothing followed the base", cls.Rep)
+		}
+		wantRules, wantConds := fibRecord(t, fresh, fib, cls)
+		if gotRules != wantRules {
+			t.Fatalf("class of %s after a Reset: FIB\n%s\na new simulator's\n%s", cls.Rep, gotRules, wantRules)
+		}
+		if !bytes.Equal(gotConds, wantConds) {
+			t.Fatalf("class of %s after a Reset: exported conditions differ from a new simulator's", cls.Rep)
+		}
+		reused.Reset()
 	}
 }

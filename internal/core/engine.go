@@ -116,26 +116,28 @@ type session struct {
 	from, to topo.NodeID
 	cond     logic.F
 	ibgp     bool
-	viaIGP   bool // cond comes from IGP reachability
-	// lazy marks a viaIGP session whose cond sessionCond has not resolved
-	// yet; inBase one the session base resolved (Simulator.buildBase).
-	lazy, inBase bool
+	viaIGP   bool // cond comes from the Shared's IGP memo (Simulator.buildBase)
 }
 
 // Simulator owns the per-shard mutable state: one formula factory, one
 // IGP engine, the session table, and recycled per-run scratch. Prefix
 // simulations run sequentially on a Simulator; run several Simulators
 // over prefix shards for parallelism (the paper uses 50 worker threads
-// the same way). Derive workers from one Shared so the model assembly
-// and IGP propagation happen once per run, not once per worker.
+// the same way). Every Simulator comes from a Shared (Shared.NewSimulator),
+// whose memo is the only source of its IGP-riding session conditions, so
+// the model assembly and IS-IS propagation happen once per run, not once
+// per worker.
 type Simulator struct {
-	M    *Model
-	F    *logic.Factory
+	M *Model
+	F *logic.Factory
+	// IGP is read by one consumer only: dataplane.Build, which resolves an
+	// iBGP next hop through the IS-IS RIB toward it. Session conditions
+	// never come from it (buildBase).
 	IGP  *igp.Engine
 	Opts Options
 
-	shared     *Shared // nil when built without one (NewSimulator)
-	based      bool    // the session base is built and marked (buildBase)
+	shared     *Shared
+	based      bool // the session base is built and marked (buildBase)
 	sessions   []session
 	sessionsBy [][]int // outgoing session indices per node
 	sessionsTo [][]int // incoming session indices per node
@@ -209,18 +211,17 @@ func (m *Model) forEachSession(visit func(from, to topo.NodeID, ibgp, viaIGP boo
 	}
 }
 
-// NewSimulator prepares the session table. iBGP session conditions are
-// computed lazily on first use (they require IGP propagation).
-func NewSimulator(m *Model, opts Options) *Simulator {
-	return newSimulator(m, opts, logic.NewFactoryOrdered(m.Net.VarOrder()), nil)
-}
+// NewSimulator is NewShared(m, opts).NewSimulator(): a simulator with a
+// Shared of its own, for a caller that simulates m with one simulator.
+func NewSimulator(m *Model, opts Options) *Simulator { return NewShared(m, opts).NewSimulator() }
 
-// newSimulator is NewSimulator in the given empty factory, which must be
-// under m.Net's variable order, derived from sh (nil for none).
-func newSimulator(m *Model, opts Options, f *logic.Factory, sh *Shared) *Simulator {
+// newSimulator prepares sh's session table in the given empty factory,
+// which must be under the model's variable order.
+func newSimulator(sh *Shared, f *logic.Factory) *Simulator {
+	m := sh.M
 	s := &Simulator{
 		M:          m,
-		Opts:       opts,
+		Opts:       sh.Opts,
 		shared:     sh,
 		sessionsBy: make([][]int, m.Net.NumNodes()),
 		sessionsTo: make([][]int, m.Net.NumNodes()),
@@ -246,7 +247,7 @@ func (s *Simulator) reset(f *logic.Factory) {
 	s.based = false
 	for i := range s.sessions {
 		se := &s.sessions[i]
-		se.cond, se.lazy, se.inBase = logic.False, se.viaIGP, false
+		se.cond = logic.False
 		if !se.viaIGP {
 			se.cond = s.directCond(se.from, se.to)
 		}
@@ -256,70 +257,69 @@ func (s *Simulator) reset(f *logic.Factory) {
 
 // buildBase completes the session base before the simulator's first pass
 // and marks the factory, so a Reset returns here: the condition and BDD of
-// every IGP-riding session both of whose endpoints the Shared's memo
-// holds, in session order. It is core's one reader of the memo: it
-// imports the (source, destination) conditions those sessions read,
-// grouped per destination, and conjoins each session's two
-// (igp.Engine.SessionCond's rule). It waits for a pass, so a simulator
-// that never runs one (a Verifier nobody asks a route query) builds
-// nothing. The base is a function of the Shared alone.
-func (s *Simulator) buildBase() {
-	if s.based {
-		return
+// every IGP-riding session, in session order. It is core's one reader of
+// the IS-IS reachability conditions: it imports from the Shared's memo
+// the (source, destination) conditions those sessions read, grouped per
+// destination, and conjoins each session's two (Appendix C). It waits for
+// a pass, so a simulator that never runs one builds nothing. The base is
+// a function of the Shared alone. A memo the step cap cut off lacks
+// destinations, so there is no base to build: the Shared's error is
+// returned instead, and every pass refuses with it.
+func (s *Simulator) buildBase() error {
+	if err := s.shared.Err(); err != nil {
+		return err
 	}
-	if memo := s.shared.IGPMemo(); memo != nil {
-		type pair struct{ from, to topo.NodeID }
-		var base []int
-		var dsts []topo.NodeID                  // in first-use order
-		srcs := map[topo.NodeID][]topo.NodeID{} // per destination, in session order
-		for i, se := range s.sessions {
-			if se.viaIGP && memo.Holds(se.from) && memo.Holds(se.to) {
-				base = append(base, i)
-				for _, p := range [2]pair{{se.from, se.to}, {se.to, se.from}} {
-					if srcs[p.to] == nil {
-						dsts = append(dsts, p.to)
-					}
-					srcs[p.to] = append(srcs[p.to], p.from)
-				}
-			}
+	if s.based {
+		return nil
+	}
+	type pair struct{ from, to topo.NodeID }
+	memo := s.shared.memo
+	var dsts []topo.NodeID                  // in first-use order
+	srcs := map[topo.NodeID][]topo.NodeID{} // per destination, in session order
+	for _, se := range s.sessions {
+		if !se.viaIGP {
+			continue
 		}
-		reach := map[pair]logic.F{}
-		for _, dst := range dsts {
-			for j, c := range memo.Reach(s.F, dst, srcs[dst]) {
-				reach[pair{srcs[dst][j], dst}] = c
+		for _, p := range [2]pair{{se.from, se.to}, {se.to, se.from}} {
+			if srcs[p.to] == nil {
+				dsts = append(dsts, p.to)
 			}
+			srcs[p.to] = append(srcs[p.to], p.from)
 		}
-		for _, i := range base {
-			se := &s.sessions[i]
+	}
+	reach := map[pair]logic.F{}
+	for _, dst := range dsts {
+		for j, c := range memo.Reach(s.F, dst, srcs[dst]) {
+			reach[pair{srcs[dst][j], dst}] = c
+		}
+	}
+	for i := range s.sessions {
+		if se := &s.sessions[i]; se.viaIGP {
 			se.cond = s.F.And(reach[pair{se.from, se.to}], reach[pair{se.to, se.from}])
-			se.lazy, se.inBase = false, true
 			s.F.SAT(se.cond)
 		}
 	}
 	s.F.Mark()
 	s.based = true
+	return nil
 }
 
 // Reset returns the simulator to its session base (buildBase): it recycles
 // the factory to its Mark (logic.Factory.Recycle), drops every IGP RIB
-// (the base holds none; a session outside it or a dataplane.Build
-// next-hop lookup propagates them), re-arms the session conditions
-// resolved since, and truncates the scratch, keeping the model, the
-// session table, the base, the factory's tables and the scratch capacity.
+// (the base holds none; a dataplane.Build next-hop lookup propagates
+// them), and truncates the scratch, keeping the model, the session
+// table, the base, the factory's tables and the scratch capacity.
 // A run after a Reset makes the ids, conditions and counts a new
 // simulator's would. Executors Reset between passes to bound
 // formula-arena memory without paying session-table construction, table
 // allocation or the session base again. A Result obtained before a Reset
 // panics if it is queried afterwards.
 func (s *Simulator) Reset() {
-	s.buildBase()
+	// A cut-off memo builds no base: the factory recycles to its
+	// constants, and the next pass refuses with the Shared's error.
+	_ = s.buildBase()
 	s.F.Recycle()
 	s.IGP.Recycle()
-	for i := range s.sessions {
-		if se := &s.sessions[i]; se.viaIGP && !se.inBase {
-			se.cond, se.lazy = logic.False, true
-		}
-	}
 	s.clearScratch()
 }
 
@@ -353,15 +353,6 @@ func (s *Simulator) directCond(a, b topo.NodeID) logic.F {
 		}
 	}
 	return cond
-}
-
-// sessionCond resolves (and caches) a session's establishment condition.
-func (s *Simulator) sessionCond(idx int) logic.F {
-	se := &s.sessions[idx]
-	if se.lazy {
-		se.cond, se.lazy = s.IGP.SessionCond(se.from, se.to), false
-	}
-	return se.cond
 }
 
 // Result is the converged state of one prefix-family simulation. Its
@@ -420,7 +411,9 @@ func (s *Simulator) prepareScratch(n int) {
 // session's wire view. A region pass (RunRegion) is the same fixpoint
 // over the region's node mask.
 func (s *Simulator) Run(prefix netaddr.Prefix) (*Result, error) {
-	s.buildBase()
+	if err := s.buildBase(); err != nil {
+		return nil, err
+	}
 	family := s.M.PrefixFamily(prefix)
 	inFamily := make(map[netaddr.Prefix]bool, len(family))
 	for _, p := range family {
@@ -688,7 +681,7 @@ func (r *Result) SessionUpdates(from, to topo.NodeID) ([]Entry, bool) {
 func (s *Simulator) announce(se session, si int, stats *Stats) (out, sent []Entry) {
 	devU := s.M.Devices[se.from]
 	devV := s.M.Devices[se.to]
-	sessCond := s.sessionCond(si)
+	sessCond := se.cond
 	if sessCond == logic.False {
 		return nil, nil
 	}
@@ -923,14 +916,16 @@ type SessionInfo struct {
 }
 
 // SessionList returns every configured, both-ends-resolved BGP session.
-// Resolving iBGP session conditions may trigger IGP propagation.
-func (s *Simulator) SessionList() []SessionInfo {
-	s.buildBase()
-	out := make([]SessionInfo, 0, len(s.sessions))
-	for i, se := range s.sessions {
-		cond := s.sessionCond(i)
-		out = append(out, SessionInfo{From: se.from, To: se.to, IBGP: se.ibgp,
-			Possible: cond != logic.False && s.F.SAT(cond)})
+// It builds the session base first, so it fails as a pass would on a
+// memo the step cap cut off.
+func (s *Simulator) SessionList() ([]SessionInfo, error) {
+	if err := s.buildBase(); err != nil {
+		return nil, err
 	}
-	return out
+	out := make([]SessionInfo, 0, len(s.sessions))
+	for _, se := range s.sessions {
+		out = append(out, SessionInfo{From: se.from, To: se.to, IBGP: se.ibgp,
+			Possible: se.cond != logic.False && s.F.SAT(se.cond)})
+	}
+	return out, nil
 }

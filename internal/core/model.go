@@ -50,6 +50,12 @@ type Model struct {
 	// (classes.go), computed once on first use like origins.
 	classesOnce sync.Once
 	classes     []PrefixClass
+
+	// partitionOnce/partition/partitionErr cache the region partition
+	// (partition.go), computed once on first use like origins.
+	partitionOnce sync.Once
+	partition     *Partition
+	partitionErr  error
 }
 
 // assembleCalls counts Assemble invocations process-wide. Tests use it

@@ -81,7 +81,9 @@ func (s *Simulator) RunRegion(prefix netaddr.Prefix, pt *Partition, region int, 
 	if s.restr != nil {
 		return nil, nil, fmt.Errorf("core: RunRegion is not reentrant")
 	}
-	s.buildBase() // before the summary's conditions enter the factory
+	if err := s.buildBase(); err != nil { // before the summary's conditions enter the factory
+		return nil, nil, err
+	}
 	restr := &restriction{
 		pt:      pt,
 		region:  region,

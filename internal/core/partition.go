@@ -59,6 +59,14 @@ func NewPartition(m *Model) (*Partition, error) {
 	return pt, nil
 }
 
+// Partition returns the model's region partition, NewPartition's result
+// computed once per Model: the error too, so every caller of a model
+// without a usable cut gets the same refusal.
+func (m *Model) Partition() (*Partition, error) {
+	m.partitionOnce.Do(func() { m.partition, m.partitionErr = NewPartition(m) })
+	return m.partition, m.partitionErr
+}
+
 // NumRegions reports the number of regions in the partition.
 func (pt *Partition) NumRegions() int { return len(pt.regions) }
 

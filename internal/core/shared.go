@@ -13,6 +13,8 @@ import (
 // endpoint. The mutable half (formula factory, IGP engine, per-run
 // scratch) lives on each Simulator, whose session base imports from the
 // memo exactly the conditions its sessions read (Simulator.buildBase).
+// A Shared is the only way to a Simulator, and its memo the only source
+// of IGP-riding session conditions.
 //
 // The Shared does not own its memo: a memo is valid for an igp.Key (what
 // the IGP reads of the model and options), not for this model, and
@@ -24,8 +26,8 @@ import (
 // check.
 //
 // Build one Shared per sweep and call NewSimulator per worker goroutine:
-// workers then skip both model assembly and the per-simulator IGP
-// propagation storm. A Shared is safe for concurrent use.
+// workers then skip both model assembly and IGP propagation. A Shared is
+// safe for concurrent use.
 type Shared struct {
 	M    *Model
 	Opts Options
@@ -62,8 +64,8 @@ func SharedFrom(m *Model, opts Options, have *igp.Memo, workers int) *Shared {
 	return sh
 }
 
-// IGPMemo returns the Shared's memo, for a simulator's session base and
-// for whoever carries it to the next SharedFrom; nil without a Shared.
+// IGPMemo returns the Shared's memo, for whoever carries it to the next
+// SharedFrom; nil for a nil Shared (a run with nothing to simulate).
 func (sh *Shared) IGPMemo() *igp.Memo {
 	if sh == nil {
 		return nil
@@ -72,10 +74,9 @@ func (sh *Shared) IGPMemo() *igp.Memo {
 }
 
 // Err reports a memo that could not be built whole: a destination whose
-// fixpoint hit the step cap (igp.Build). The Shared still simulates —
-// its simulators propagate that destination themselves, as far as the cap
-// lets them — but a sweep must fail on it rather than report verdicts
-// from a cut-off RIB.
+// fixpoint hit the step cap (igp.Build), named in the error. Its
+// simulators refuse every pass with this error (Simulator.Run, RunRegion,
+// SessionList) rather than answer from a cut-off RIB.
 func (sh *Shared) Err() error { return sh.memoErr }
 
 // IGPKey is the igp.Key of what the IGP reads of m under opts: the key
@@ -84,18 +85,13 @@ func IGPKey(m *Model, opts Options) string {
 	return igp.Key(m.Net, m.Configs, igpOptions(opts))
 }
 
-// Classes exposes the model's prefix behavior-class partition — the unit
-// of work of a classed sweep (one representative simulation per class).
-func (sh *Shared) Classes() []PrefixClass { return sh.M.Classes() }
-
 // NewSimulator derives a fresh per-worker simulator: its own formula
 // factory and IGP engine (factories are not safe for concurrent use).
 // Its first pass builds its session base — the condition and BDD of every
-// IGP-riding session both of whose endpoints the memo holds, imported
-// from the memo instead of propagated — which a Reset keeps
+// IGP-riding session, imported from the memo — which a Reset keeps
 // (Simulator.Reset). Its region passes (Simulator.RunRegion) share the
 // memo and the base with its monolithic ones: a region is an argument of
 // the pass, not of the Shared.
 func (sh *Shared) NewSimulator() *Simulator {
-	return newSimulator(sh.M, sh.Opts, logic.NewFactoryOrdered(sh.M.Net.VarOrder()), sh)
+	return newSimulator(sh, logic.NewFactoryOrdered(sh.M.Net.VarOrder()))
 }

@@ -17,7 +17,7 @@ func verdictsOn(t *testing.T, sh *Shared) string {
 	t.Helper()
 	var b strings.Builder
 	sim := sh.NewSimulator()
-	for ci, cls := range sh.Classes() {
+	for ci, cls := range sh.M.Classes() {
 		if ci > 0 {
 			sim.Reset()
 		}
@@ -94,10 +94,10 @@ func TestSharedFromReuse(t *testing.T) {
 // TestBaseImportsOnlySessionRoots pins what a simulator's session base
 // takes from the memo: exactly the reachability conditions of its
 // IGP-riding sessions. After the base, its factory holds as many formula
-// nodes as a simulator built without a Shared (which holds the direct
-// sessions' conditions alone) that imports those sessions' two
-// conditions each and nothing else — and fewer than one that imports
-// every node's condition toward the same destinations. Run under -race
+// nodes as a simulator of the same Shared before its first pass (which
+// holds the direct sessions' conditions alone) that imports those
+// sessions' two conditions each and nothing else — and fewer than one
+// that imports every node's condition toward the same destinations. Run under -race
 // -count=10 by `make determinism`, on gen.Small there.
 func TestBaseImportsOnlySessionRoots(t *testing.T) {
 	presets := []gen.Params{gen.Small()}
@@ -114,14 +114,14 @@ func TestBaseImportsOnlySessionRoots(t *testing.T) {
 			sim := sh.NewSimulator()
 			sim.buildBase()
 
-			only, every := NewSimulator(m, opts), NewSimulator(m, opts)
+			only, every := sh.NewSimulator(), sh.NewSimulator()
 			nodes := make([]topo.NodeID, m.Net.NumNodes())
 			for i := range nodes {
 				nodes[i] = topo.NodeID(i)
 			}
 			sessions := 0
 			for _, se := range only.sessions {
-				if !se.viaIGP || !memo.Holds(se.from) || !memo.Holds(se.to) {
+				if !se.viaIGP {
 					continue
 				}
 				sessions++

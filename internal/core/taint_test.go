@@ -22,7 +22,10 @@ func TestTaintCoversRIBHolders(t *testing.T) {
 	}
 	m := modelFrom(t, params)
 	sim := NewSimulator(m, DefaultOptions())
-	sessions := sim.SessionList()
+	sessions, err := sim.SessionList()
+	if err != nil {
+		t.Fatal(err)
+	}
 	classes := m.Classes()
 	stride := 1
 	if len(classes) > 12 { // cap runtime; coverage stays class-shape-diverse

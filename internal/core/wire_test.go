@@ -82,7 +82,11 @@ func TestBadGadgetWireMatchesHeld(t *testing.T) {
 		if res.Stats.FrozenSessions == 0 {
 			t.Fatalf("K=%d: BAD GADGET froze no session: the test shows nothing", k)
 		}
-		for _, se := range s.SessionList() {
+		sessions, err := s.SessionList()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, se := range sessions {
 			sent, _ := res.SessionUpdates(se.From, se.To)
 			devU, devV := m.Devices[se.From], m.Devices[se.To]
 			var passed []Entry

@@ -47,7 +47,7 @@ func sameAnswer(t testing.TB, what string, got, want Response) {
 // family origins and the pass's region ("" monolithic).
 func reuseKey(t testing.TB, w *Worker, req Request) string {
 	t.Helper()
-	sh, _, err := w.sharedFor(req.Model, req.K, req.Region)
+	sh, err := w.sharedFor(req.Model, req.K)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -141,7 +141,6 @@ func (l Local) open(p *Plan, units int) ([]executor, Options, *igp.Memo, error) 
 		cpus = runtime.GOMAXPROCS(0)
 	}
 	var sh *core.Shared
-	var pt *core.Partition
 	if units > 0 {
 		opts := core.DefaultOptions()
 		opts.K = p.K
@@ -149,16 +148,10 @@ func (l Local) open(p *Plan, units int) ([]executor, Options, *igp.Memo, error) 
 		if err := sh.Err(); err != nil {
 			return nil, Options{}, nil, err
 		}
-		if len(p.Regions) > 0 {
-			var err error
-			if pt, err = core.NewPartition(p.Model); err != nil {
-				return nil, Options{}, nil, err
-			}
-		}
 	}
 	execs := make([]executor, max(1, min(cpus, units)))
 	for i := range execs {
-		execs[i] = &localExecutor{id: fmt.Sprintf("local/%d", i), sh: sh, pt: pt}
+		execs[i] = &localExecutor{id: fmt.Sprintf("local/%d", i), sh: sh}
 	}
 	return execs, Options{MaxAttempts: 1, MaxConnFailures: 1}.withDefaults(), sh.IGPMemo(), nil
 }
@@ -167,7 +160,6 @@ func (l Local) open(p *Plan, units int) ([]executor, Options, *igp.Memo, error) 
 type localExecutor struct {
 	id  string
 	sh  *core.Shared
-	pt  *core.Partition // the model's partition when the plan has regions
 	sim connSim
 }
 
@@ -177,7 +169,7 @@ func (e *localExecutor) disconnect()           {}
 func (e *localExecutor) interrupt()            {}
 
 func (e *localExecutor) do(req Request, _ Options) (Response, error, error) {
-	resp := runPass(req, e.sh, e.pt, &e.sim)
+	resp := runPass(req, e.sh, &e.sim)
 	if resp.Error != "" {
 		return resp, fmt.Errorf("%s", resp.Error), nil
 	}

@@ -36,12 +36,6 @@ type modelSource struct {
 	once  sync.Once
 	model *core.Model
 	err   error
-
-	// The model's region partition, derived on the first region request;
-	// immutable per model.
-	ptOnce sync.Once
-	pt     *core.Partition
-	ptErr  error
 }
 
 func (ms *modelSource) assemble() (*core.Model, error) {
@@ -49,20 +43,6 @@ func (ms *modelSource) assemble() (*core.Model, error) {
 		ms.model, ms.err = core.Assemble(ms.net, ms.snap, behavior.TrueProfiles())
 	})
 	return ms.model, ms.err
-}
-
-// partition derives (once) the model's region partition; an error means
-// the model has no usable cut and every region request for it fails
-// loudly — plans for such a model carry no regions.
-func (ms *modelSource) partition() (*core.Partition, error) {
-	m, err := ms.assemble()
-	if err != nil {
-		return nil, err
-	}
-	ms.ptOnce.Do(func() {
-		ms.pt, ms.ptErr = core.NewPartition(m)
-	})
-	return ms.pt, ms.ptErr
 }
 
 // sharedKey identifies one resident core.Shared: a model (by ModelHash)
@@ -213,33 +193,27 @@ func (w *Worker) Close() error {
 }
 
 // sharedFor returns the Shared for (model hash, failure budget k),
-// assembling it on first use and touching its LRU slot. For a region
-// request it also returns the model's partition (nil for a monolithic
-// one, region ""); the pass, not the Shared, is restricted to the region.
-// A Shared whose memo is incomplete (core.Shared.Err) is an error: no
-// pass runs on a cut-off RIB.
-func (w *Worker) sharedFor(model string, k int, region string) (sh *core.Shared, pt *core.Partition, err error) {
+// assembling it on first use and touching its LRU slot. A region pass
+// runs on the same Shared: the pass, not the Shared, is restricted to the
+// region. A Shared whose memo is incomplete (core.Shared.Err) is an
+// error: no pass runs on a cut-off RIB.
+func (w *Worker) sharedFor(model string, k int) (*core.Shared, error) {
 	w.sharedMu.Lock()
 	src := w.sources[model]
 	w.sharedMu.Unlock()
 	if src == nil {
-		return nil, nil, fmt.Errorf("dist: worker does not hold model %q (default is %s)", model, w.defaultHash)
+		return nil, fmt.Errorf("dist: worker does not hold model %q (default is %s)", model, w.defaultHash)
 	}
 	m, err := src.assemble()
 	if err != nil {
-		return nil, nil, err
-	}
-	if region != "" {
-		if pt, err = src.partition(); err != nil {
-			return nil, nil, err
-		}
+		return nil, err
 	}
 	opts := core.DefaultOptions()
 	opts.K = k
-	sh = w.cachedShared(sharedKey{model: model, k: k}, func() *core.Shared {
+	sh := w.cachedShared(sharedKey{model: model, k: k}, func() *core.Shared {
 		return core.SharedFrom(m, opts, w.residentMemo(m, opts), 0)
 	})
-	return sh, pt, sh.Err()
+	return sh, sh.Err()
 }
 
 // residentMemo returns the largest memo among the worker's resident
@@ -358,16 +332,17 @@ func (w *Worker) handle(conn net.Conn) {
 // answer runs one pass against the model the request names, on the
 // Shared the worker holds for it (runPass).
 func (w *Worker) answer(req Request, cs *connSim) Response {
-	sh, pt, err := w.sharedFor(req.Model, req.K, req.Region)
+	sh, err := w.sharedFor(req.Model, req.K)
 	if err != nil {
 		return Response{Prefix: req.Prefix, Region: req.Region, Error: err.Error()}
 	}
-	return runPass(req, sh, pt, cs)
+	return runPass(req, sh, cs)
 }
 
 // runPass runs one pass on sh: monolithic, or restricted to the request's
-// region of pt, the model's partition (nil only when the request names no
-// region) — a home pass (no imported summary)
+// region of the model's partition (core.Model.Partition; a model without
+// a usable cut fails every region pass with its refusal, and plans for
+// such a model carry no regions) — a home pass (no imported summary)
 // captures the prefix's cut summary into the response, an import pass
 // consumes the request's. A core refusal (*core.UnsoundCut) answers with
 // Refused, not Error — it is deterministic, so the unit falls back to
@@ -378,7 +353,7 @@ func (w *Worker) answer(req Request, cs *connSim) Response {
 // verdicts, and the Record when the request asks for it. A worker's
 // connections (Worker.answer) and in-process executors (Local) both run
 // passes here.
-func runPass(req Request, sh *core.Shared, pt *core.Partition, cs *connSim) Response {
+func runPass(req Request, sh *core.Shared, cs *connSim) Response {
 	resp := Response{Prefix: req.Prefix, Region: req.Region}
 	fail := func(err error) Response {
 		resp.Error = err.Error()
@@ -388,11 +363,15 @@ func runPass(req Request, sh *core.Shared, pt *core.Partition, cs *connSim) Resp
 	if err != nil {
 		return fail(err)
 	}
+	var pt *core.Partition // nil for a monolithic pass
 	ri := -1
-	if req.Region == "" {
-		pt = nil // a monolithic pass reads no partition
-	} else if ri = pt.RegionIndex(req.Region); ri < 0 {
-		return fail(fmt.Errorf("dist: model %q has no region %q", req.Model, req.Region))
+	if req.Region != "" {
+		if pt, err = sh.M.Partition(); err != nil {
+			return fail(err)
+		}
+		if ri = pt.RegionIndex(req.Region); ri < 0 {
+			return fail(fmt.Errorf("dist: model %q has no region %q", req.Model, req.Region))
+		}
 	}
 	origins := sh.M.FamilyOrigins(p)
 	switch {

@@ -116,9 +116,10 @@ func FuzzQuery(f *testing.F) {
 }
 
 // FuzzRoute drives GET /v1/route and GET /v1/packet with arbitrary query
-// strings against a gen.Small service at K=1. Both simulate on demand,
-// through the IGP fixpoint and the BGP engine, rather than read a
-// compiled snapshot. Each input goes to both paths. No input may panic a
+// strings against a gen.Small service at K=1. Both simulate on demand on
+// the Verifier's Shared (its IGP memo, built by the first query, and the
+// BGP engine) rather than read a compiled snapshot. Each input goes to
+// both paths. No input may panic a
 // handler; every answer is 200 or 400; and a 200 answer's min_failures
 // lies in [-1, K], 0 exactly when the route or packet does not arrive
 // with every link up.

@@ -16,30 +16,30 @@ import (
 )
 
 // TestResweepCarriesIGPMemo drives a seeded edit series through
-// POST /v1/resweep and counts IGP propagations around every request: the
-// boot resweep runs them all, a policy or static edit none (the service's
-// held baseline carries the memo), an IS-IS edit all again — and no
-// /v1/route ever runs one, because each commit derives the served
-// verifier from the memo the sweep just ran on. After every step the
-// service answers what a cold sweep of the same configuration says.
+// POST /v1/resweep and counts IGP propagations around every request: New
+// runs none, the boot resweep as many as a cold sweep (so its commit,
+// which builds the served Verifier, runs none), a policy or static edit
+// none (the service's held baseline carries the memo), an IS-IS edit all
+// again — and no /v1/route ever runs one, because each commit derives the
+// served verifier from the memo the sweep just ran on. After every step
+// the service answers what a cold sweep of the same configuration says.
 func TestResweepCarriesIGPMemo(t *testing.T) {
 	w, err := gen.Generate(gen.Small())
 	if err != nil {
 		t.Fatal(err)
 	}
 	const k = 2
-	svc, err := New(w.Net, w.Snap, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
-
 	count := func(f func()) int {
 		before := igp.Propagations()
 		f()
 		return int(igp.Propagations() - before)
 	}
+	var svc *Service
+	if n := count(func() { svc, err = New(w.Net, w.Snap, k) }); err != nil || n != 0 {
+		t.Fatalf("New ran %d IGP propagations (%v), want 0", n, err)
+	}
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
 	prefix, router := w.Prefixes()[0].String(), w.MANs[0]
 	route := func(step string) {
 		t.Helper()
@@ -94,8 +94,13 @@ func TestResweepCarriesIGPMemo(t *testing.T) {
 			t.Fatalf("boot resweep status %d", code)
 		}
 	})
-	if all == 0 {
-		t.Fatal("the boot resweep ran no IGP propagation")
+	sweep := count(func() {
+		if _, err := hoyan.NetworkFrom(w.Net, w.Snap).Sweep(hoyan.Options{K: k}, 2); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if all == 0 || all != sweep {
+		t.Fatalf("the boot resweep ran %d IGP propagations, a cold sweep %d: the commit ran %d", all, sweep, all-sweep)
 	}
 	route("boot")
 

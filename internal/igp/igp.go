@@ -68,7 +68,9 @@ type nodeISIS struct {
 
 // Engine computes per-destination IS-IS RIBs lazily and memoizes them.
 // An Engine is bound to one logic.Factory and is not safe for concurrent
-// use (create one per prefix simulation, like the factory itself).
+// use (create one per prefix simulation, like the factory itself). Core
+// reads no session condition from an Engine — those come from a Memo —
+// only the next-hop RIBs dataplane.Build resolves through (RIB).
 type Engine struct {
 	net  *topo.Network
 	f    *logic.Factory
@@ -129,14 +131,13 @@ func (e *Engine) linkWeight(u, v topo.NodeID, l topo.LinkID) uint32 {
 }
 
 // RIB returns every node's IS-IS alternatives for destination dst,
-// computing and memoizing on first use.
+// computing and memoizing on first use. A fixpoint cut off at the step
+// cap is served as far as it got: RIB has no error to return. Build
+// refuses one, and with it every simulator of a core.Shared built on it.
 func (e *Engine) RIB(dst topo.NodeID) map[topo.NodeID][]Entry {
 	if rib, ok := e.ribs[dst]; ok {
 		return rib
 	}
-	// A fixpoint cut off at the step cap is served as far as it got: RIB
-	// has no error to return. Only Build, whose result outlives the
-	// engine, refuses one.
 	rib, _ := e.propagate(dst)
 	e.ribs[dst] = rib
 	return rib
@@ -602,7 +603,9 @@ func containsNode(path []topo.NodeID, n topo.NodeID) bool {
 }
 
 // ReachCond returns the topology condition under which node `from` has any
-// IS-IS route to `to` (True means unconditional, False means never).
+// IS-IS route to `to` (True means unconditional, False means never). It
+// is the reference a Memo's roots are pinned against; core reads the
+// memo, never this.
 func (e *Engine) ReachCond(from, to topo.NodeID) logic.F {
 	if from == to {
 		return logic.True // no RIB needed
@@ -623,14 +626,6 @@ func (e *Engine) reach(rib map[topo.NodeID][]Entry, from, to topo.NodeID) logic.
 		cond = e.f.Or(cond, ent.Cond)
 	}
 	return cond
-}
-
-// SessionCond returns the condition under which an iBGP session between a
-// and b is established: both directions of IS-IS reachability must hold
-// (Appendix C: "the topology condition of an iBGP session is a combination
-// of the topology conditions of the IS-IS routes the session uses").
-func (e *Engine) SessionCond(a, b topo.NodeID) logic.F {
-	return e.f.And(e.ReachCond(a, b), e.ReachCond(b, a))
 }
 
 // BestEntry returns the best alternative at node n for destination dst and

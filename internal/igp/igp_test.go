@@ -156,8 +156,10 @@ func TestSessionCondSymmetricAndFailureAware(t *testing.T) {
 	net, cfgs := buildNet([]string{"a", "b", "c"}, [][3]int{{0, 1, 10}, {1, 2, 10}})
 	f := logic.NewFactory()
 	e := New(net, cfgs, f, DefaultOptions())
-	sc := e.SessionCond(0, 2)
-	if !f.Equivalent(sc, e.SessionCond(2, 0)) {
+	// An iBGP session's condition: IS-IS reachability both ways.
+	sessionCond := func(a, b topo.NodeID) logic.F { return f.And(e.ReachCond(a, b), e.ReachCond(b, a)) }
+	sc := sessionCond(0, 2)
+	if !f.Equivalent(sc, sessionCond(2, 0)) {
 		t.Fatal("session condition must be symmetric")
 	}
 	if got := f.MinFailuresToViolate(sc); got != 1 {

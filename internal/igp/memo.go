@@ -1,12 +1,18 @@
 // The IGP memo: every node's reachability condition toward each
 // destination, computed once and read by every simulator of a sweep.
 //
-// Core reads the IGP through one function: an iBGP session's condition
-// is ReachCond(a, b) ∧ ReachCond(b, a) (Appendix C). A Memo holds, per
+// Core reads the IGP through one function and one source: an iBGP
+// session's condition is ReachCond(a, b) ∧ ReachCond(b, a) (Appendix C:
+// "the topology condition of an iBGP session is a combination of the
+// topology conditions of the IS-IS routes the session uses"), and every
+// simulator takes both from its core.Shared's Memo. A Memo holds, per
 // destination, one factory-independent logic.Portable with one root per
 // node: that node's reachability condition toward the destination, built
 // by the helper ReachCond uses (Engine.reach). A simulator imports only
-// the roots its sessions read (Memo.Reach) and propagates nothing.
+// the roots its sessions read (Memo.Reach) and propagates nothing for
+// them. A destination whose fixpoint the step cap cut off is never a
+// root: Build names it in its error, and a Shared built on that memo
+// refuses to simulate.
 //
 // Identity: a Memo is valid for an igp.Key — a fingerprint of exactly
 // what New and propagate read (node ids, names and regions; link ids,
@@ -108,16 +114,6 @@ type Memo struct {
 // Key returns the fingerprint the memo is valid for.
 func (m *Memo) Key() string { return m.key }
 
-// Holds reports whether the memo carries the conditions toward dst; a nil
-// memo holds nothing.
-func (m *Memo) Holds(dst topo.NodeID) bool {
-	if m == nil {
-		return false
-	}
-	_, ok := m.dsts[dst]
-	return ok
-}
-
 // NumDestinations reports how many destinations the memo carries.
 func (m *Memo) NumDestinations() int { return len(m.dsts) }
 
@@ -141,9 +137,9 @@ func (m *Memo) NumDestinations() int { return len(m.dsts) }
 // each goroutine does is reproducible too.
 //
 // A destination whose fixpoint hit the step cap is left out of the memo
-// and named in the error; the memo returned alongside is usable (a
-// simulator propagates what it lacks itself) but the caller should fail
-// loudly.
+// and named in the error. The memo returned alongside holds every other
+// destination, and a later Build may start from it; a simulator may not
+// read it (core.Shared.Err refuses every pass).
 func Build(net *topo.Network, configs []*config.Device, opts Options,
 	dsts []topo.NodeID, have *Memo, workers int) (*Memo, error) {
 	key := Key(net, configs, opts)
@@ -216,8 +212,8 @@ func (e *Engine) export(dst topo.NodeID, rib map[topo.NodeID][]Entry) *logic.Por
 }
 
 // Reach imports into f the reachability conditions toward dst of the
-// nodes in from, one per node, in that order. The memo must hold dst
-// (Holds). Only what those conditions reach is rebuilt
+// nodes in from, one per node, in that order. The memo must hold dst:
+// Build returned it without error for a set naming dst. Only what those conditions reach is rebuilt
 // (logic.Portable.ImportRoots).
 func (m *Memo) Reach(f *logic.Factory, dst topo.NodeID, from []topo.NodeID) []logic.F {
 	which := make([]int, len(from))

@@ -280,7 +280,7 @@ func TestMemoReachImportsOnlyWhatItTouches(t *testing.T) {
 	if n := Propagations() - before; n != 0 {
 		t.Fatalf("reading the memo ran %d propagations", n)
 	}
-	if want := plain.SessionCond(a, b); !f.Equivalent(got, want) {
+	if want := f.And(plain.ReachCond(a, b), plain.ReachCond(b, a)); !f.Equivalent(got, want) {
 		t.Fatal("the memo and an engine disagree on a session condition")
 	}
 	one, all := logic.NewFactory(), logic.NewFactory()
@@ -371,7 +371,7 @@ func TestBuildRefusesTruncatedRIB(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), " b ") || m.NumDestinations() != 2 {
 		t.Fatalf("carried build: %d destinations, error %v; want the 2 whole ones and b refused", m.NumDestinations(), err)
 	}
-	if m.Holds(1) {
+	if _, ok := m.dsts[1]; ok {
 		t.Fatal("the memo holds a destination whose fixpoint was cut off")
 	}
 	e := New(net, cfgs, logic.NewFactory(), opts)

@@ -117,8 +117,12 @@ func Detect(sim *core.Simulator, prefix netaddr.Prefix, opts Options) (*Report, 
 	}
 
 	// Sessions grouped by sender.
+	sessions, err := sim.SessionList()
+	if err != nil {
+		return nil, err
+	}
 	bySender := map[topo.NodeID][]core.SessionInfo{}
-	for _, se := range sim.SessionList() {
+	for _, se := range sessions {
 		if !se.Possible {
 			continue
 		}

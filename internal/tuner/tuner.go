@@ -241,8 +241,11 @@ func (v *Validator) ValidatePrefix(p netaddr.Prefix) ([]Mismatch, error) {
 	return out, nil
 }
 
+// sessionPairs lists the sessions of the simulator that made res. Its
+// run built the session base, so SessionList cannot fail here.
 func sessionPairs(res *core.Result) []core.SessionInfo {
-	return res.Sim.SessionList()
+	sessions, _ := res.Sim.SessionList()
+	return sessions
 }
 
 func vendorOf(net *topo.Network, snap config.Snapshot, n topo.NodeID) string {
@@ -442,7 +445,7 @@ func CoveragePrefixes(m *core.Model, opts core.Options, target int) ([]netaddr.P
 				blocks[node.Name+"/bgp"] = true
 			}
 		}
-		for _, se := range res.Sim.SessionList() {
+		for _, se := range sessionPairs(res) {
 			if ups, _ := res.SessionUpdates(se.From, se.To); len(ups) > 0 {
 				blocks[m.Net.Node(se.From).Name+"/neighbor/"+m.Net.Node(se.To).Name] = true
 			}

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 
@@ -51,16 +50,11 @@ func loopbackPool(t *testing.T, n *Network, count int) *dist.Coordinator {
 	return pool
 }
 
-// storeBytes is the JSON of a store with its pass timings zeroed: the
-// bytes two captures of one network agree on.
+// storeBytes is the JSON of a store: the bytes two captures of one
+// network agree on.
 func storeBytes(t *testing.T, st *ResultStore) string {
 	t.Helper()
-	cp := *st
-	cp.Classes = slices.Clone(st.Classes)
-	for i := range cp.Classes {
-		cp.Classes[i].SimTime = 0
-	}
-	b, err := json.Marshal(&cp)
+	b, err := json.Marshal(st)
 	if err != nil {
 		t.Fatal(err)
 	}

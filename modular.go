@@ -41,7 +41,7 @@ func (ms *ModularStats) note(reason string) {
 // back to monolithic passes.
 func planModular(model *core.Model, classes []core.PrefixClass) (ms *ModularStats, regions, homes []string) {
 	ms = &ModularStats{}
-	pt, err := core.NewPartition(model)
+	pt, err := model.Partition()
 	if err != nil {
 		ms.Fallback = true
 		ms.note(err.Error())

@@ -14,7 +14,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"hoyan/internal/behavior"
 	"hoyan/internal/config"
@@ -44,9 +43,6 @@ type ClassRecord struct {
 	// break it clipped to the sweep's K (-1 beyond it) — what the pass
 	// answered (dist.Response.Summaries), stored as it was.
 	Verdicts []dist.RouterSummary `json:"verdicts"`
-	// SimTime is the pass's propagation time, replayed into
-	// PrefixSummary.SimTime (none for a class resumed from a journal).
-	SimTime time.Duration `json:"sim_time_ns,omitempty"`
 	// Record's Conds root i is the condition at Verdicts[i].Router. The
 	// query plane (internal/qc) lowers each root to a program; a replay
 	// audit re-checks the root at the record's anchor.
@@ -427,10 +423,10 @@ func (st *ResultStore) baselineModel(reg *behavior.Registry) (*core.Model, error
 
 // newClassRecord builds the ClassRecord of a class (its members,
 // representative first) from what the sweep settled for the
-// representative: the verdicts, the pass's time and the Record it
-// answered with.
-func newClassRecord(members []string, verdicts []dist.RouterSummary, simTime time.Duration, pass *dist.Record) ClassRecord {
-	rec := ClassRecord{Members: slices.Sorted(slices.Values(members)), Verdicts: verdicts, SimTime: simTime, Record: *pass}
+// representative: the verdicts and the Record it answered with. It keeps
+// no timing, so two saves of one sweep's network write the same bytes.
+func newClassRecord(members []string, verdicts []dist.RouterSummary, pass *dist.Record) ClassRecord {
+	rec := ClassRecord{Members: slices.Sorted(slices.Values(members)), Verdicts: verdicts, Record: *pass}
 	// Widen the taint with every device the report names: invalidation
 	// soundness then holds by construction — a report cannot mention a
 	// device outside its own record's taint.
@@ -527,9 +523,10 @@ func planIncremental(model *core.Model, classes []core.PrefixClass,
 }
 
 // Report is the record's report for one member prefix of its class: the
-// stored verdicts through the one fold every report comes out of.
+// stored verdicts through the one fold every report comes out of. A
+// record stores no time, so the summary's SimTime is 0.
 func (rec *ClassRecord) Report(prefix string) (PrefixSummary, []Violation) {
-	return foldVerdicts(prefix, rec.Verdicts, rec.SimTime)
+	return foldVerdicts(prefix, rec.Verdicts, 0)
 }
 
 // anchor is the verdict (and condition root) a replay audit re-checks:

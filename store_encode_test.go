@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"hoyan/internal/dist"
 	"hoyan/internal/gen"
@@ -50,11 +49,10 @@ func craftedStore() *ResultStore {
 			},
 			{
 				Members: []string{"192.0.2.0/24"},
-				SimTime: 3 * time.Millisecond,
 				Record:  dist.Record{TaintDevices: []string{"p1"}, Universe: []string{"192.0.2.0/24", "ü"}},
 			},
 		},
-		Quarantined: []QuarantinedRecord{{Index: 2, Reason: "no members", Record: ClassRecord{SimTime: 1}}},
+		Quarantined: []QuarantinedRecord{{Index: 2, Reason: "no members"}},
 	}
 }
 
@@ -113,6 +111,52 @@ func TestSaveMatchesMarshal(t *testing.T) {
 				t.Fatal("the loaded store does not marshal to the bytes Save wrote")
 			}
 		})
+	}
+}
+
+// TestSaveTwiceSameBytes sweeps gen.Small twice and saves each store: the
+// two files must be byte-identical, since a store keeps the model and the
+// verdicts and no timing. A file written while records still carried the
+// pass's time (sim_time_ns) loads as before, the time ignored.
+func TestSaveTwiceSameBytes(t *testing.T) {
+	w, err := gen.Generate(gen.Small())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files [2][]byte
+	for i := range files {
+		_, st, err := NetworkFrom(w.Net, w.Snap).SweepBaseline(Options{K: 1}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[i], _ = saveBytes(t, t.TempDir(), st)
+	}
+	if !bytes.Equal(files[0], files[1]) {
+		i := 0
+		for i < min(len(files[0]), len(files[1])) && files[0][i] == files[1][i] {
+			i++
+		}
+		t.Fatalf("two saves of one network differ first at byte %d: %.60q vs %.60q", i, files[0][i:], files[1][i:])
+	}
+
+	old := bytes.ReplaceAll(files[0], []byte(`{"members":`), []byte(`{"sim_time_ns":1234567,"members":`))
+	if bytes.Equal(old, files[0]) {
+		t.Fatal("the store has no class record to add sim_time_ns to")
+	}
+	path := filepath.Join(t.TempDir(), "old.json")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadResultStore(path)
+	if err != nil {
+		t.Fatalf("a store with sim_time_ns: %v", err)
+	}
+	again, err := json.Marshal(loaded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, files[0]) {
+		t.Fatal("a store with sim_time_ns does not load into the store saved without it")
 	}
 }
 
@@ -213,7 +257,6 @@ func FuzzStoreEncode(f *testing.F) {
 		for i := range st.Classes {
 			rec := &st.Classes[i]
 			rec.Members = r.strs()
-			rec.SimTime = time.Duration(r.byte()) - 1
 			rec.TaintDevices = r.strs()
 			rec.Universe = r.strs()
 			rec.Conds = r.conds()

@@ -28,8 +28,8 @@ type PrefixSummary struct {
 	WeakestRouter string
 	// SimTime is the per-prefix simulation time (the Figure 8 sample).
 	// Class members replicated from a representative report carry the
-	// representative's time, replayed classes the time their baseline
-	// recorded, and journal-resumed classes none.
+	// representative's time; replayed and journal-resumed classes carry
+	// none (0): a result store keeps no timing.
 	SimTime time.Duration
 }
 
@@ -328,7 +328,7 @@ func (n *Network) sweepClasses(opts Options, model *core.Model, classes []core.P
 			if pass == nil {
 				return nil, nil, fmt.Errorf("hoyan: no record captured for class %d (%s)", i, r)
 			}
-			store.Classes = append(store.Classes, newClassRecord(c.Members, res.ByPrefix[r], res.SimTime[r], pass))
+			store.Classes = append(store.Classes, newClassRecord(c.Members, res.ByPrefix[r], pass))
 		}
 	}
 	return rep, store, nil
