@@ -40,7 +40,9 @@ race:
 # of the solver kernel (internal/logic, BenchmarkApplyWAN), the IGP
 # fixpoint (internal/igp, BenchmarkBuildMemo: gen.Medium at K=1, where its
 # dead-guard prune fires a few entries down each ranked list, and at K=3,
-# where it fires late), a simulator's class loop with a Reset between
+# where it fires late), the data plane's SPF branching (internal/igp,
+# BenchmarkNextHops: every node's next hops toward every destination of
+# gen.Medium at K=3), a simulator's class loop with a Reset between
 # classes (internal/core, BenchmarkClassesAfterReset) and an executor's
 # class loop under the connection reuse rule (internal/dist,
 # BenchmarkConnectionClasses on the compile-k3 and classes-k2 shapes)
@@ -82,7 +84,10 @@ chaos: determinism
 # a recycled factory (to the constants or to a marked base), a Reset
 # simulator (its data plane included) and a memo stripe that recycles
 # its factory between destinations must each equal a fresh one. So does
-# the IGP fixpoint's byte pin against the map-based reference it replaced.
+# the IGP fixpoint's byte pin against the map-based reference it replaced,
+# and the data plane's next-hop pin: SPF branching gives the first hop of
+# the K=0 fixpoint on every world it covers, and two engines asked for the
+# same next hops create the same formulas in the same order.
 # So do the memo's three import pins: every memo root equals an engine's
 # reachability condition, ImportRoots equals Import on the roots it names
 # and builds nothing else, and a simulator's session base imports only
@@ -95,7 +100,7 @@ chaos: determinism
 # So does the store's reproducibility: two sweeps and saves of gen.Small
 # write byte-identical files.
 determinism:
-	$(GO) test -race -count=10 -run 'TestMemoBuildDeterministic|TestMemoReachMatchesEngine|TestPropagateMatchesReference|TestStepCapRefusesEverySimulator|TestOrderShrinksSolver|TestResetRunEqualsFresh|TestResetDropsWhatFollowsTheBase|TestBaseImportsOnlySessionRoots' ./internal/igp/ ./internal/core/
+	$(GO) test -race -count=10 -run 'TestMemoBuildDeterministic|TestMemoReachMatchesEngine|TestPropagateMatchesReference|TestNextHopMatchesUncappedPathVector|TestStepCapRefusesEverySimulator|TestOrderShrinksSolver|TestResetRunEqualsFresh|TestResetDropsWhatFollowsTheBase|TestBaseImportsOnlySessionRoots' ./internal/igp/ ./internal/core/
 	$(GO) test -race -count=10 -run 'TestRecycleIsFresh|TestRecycleToMarkIsFresh|TestImportRootsMatchesImport' ./internal/logic/
 	$(GO) test -race -count=10 -run 'TestVarOrder' ./internal/topo/
 	$(GO) test -race -count=10 -run 'TestSweepIndependentOfTopologyFileOrder|TestSaveMatchesMarshal|TestSaveTwiceSameBytes|TestCompileStripedMatchesSerial' . ./internal/qc/

@@ -163,9 +163,9 @@ type Options struct {
 	// Sweep, and the first query of a Verifier built with the store as
 	// its Baseline, start from it instead of re-running the IS-IS
 	// fixpoints whenever the network's IGP inputs are the ones it was
-	// built for. Such a Verifier's route queries then run no fixpoint; a
-	// packet query's data plane still propagates the RIBs of the BGP next
-	// hops it resolves, which the memo does not hold.
+	// built for. Such a Verifier's queries then run no fixpoint: a packet
+	// query's data plane resolves BGP next hops by SPF branching
+	// (igp.Engine.NextHops), which the memo does not hold.
 	Baseline *ResultStore
 	// Modular runs Sweep region by region (DESIGN.md, "Modular
 	// verification"): each prefix family is simulated in its home region
@@ -377,10 +377,7 @@ func (v *Verifier) PacketReach(prefix, src string) (ReachReport, error) {
 	// Reachability to any gateway counts (anycast-style conflicts are
 	// caught by the audit sweep).
 	f := v.sim.F
-	cond := fib.PacketReach(s, 0, p.Addr+1, anns[0]).Cond
-	for _, g := range anns[1:] {
-		cond = f.Or(cond, fib.PacketReach(s, 0, p.Addr+1, g).Cond)
-	}
+	cond := fib.ReachAny(s, 0, p.Addr+1, anns)
 	rep := ReachReport{Reachable: f.Eval(cond, nil), FormulaLen: f.Len(cond)}
 	v.clip(&rep, f.MinFailuresToViolate(cond))
 	return rep, nil

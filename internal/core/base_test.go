@@ -38,9 +38,9 @@ func fibRecord(t *testing.T, res *core.Result, fib *dataplane.FIB, cls core.Pref
 
 // TestResetDropsWhatFollowsTheBase pins what a Reset keeps of a simulator
 // and what it drops. dataplane.Build resolves iBGP next hops through IGP
-// RIBs the session base does not hold, so it propagates them after the
-// factory's Mark; a Reset must drop them with the formulas they point
-// into. On gen.Small K=1, a simulator that ran and built every class in
+// next hops the session base does not hold, so it branches them after the
+// factory's Mark (and runs no fixpoint); a Reset must drop them with the
+// formulas they point into. On gen.Small K=1, a simulator that ran and built every class in
 // turn, Reset between classes, gives each class the FIB rules, condition
 // ids and exported bytes a new simulator of the same Shared gives it.
 func TestResetDropsWhatFollowsTheBase(t *testing.T) {
@@ -66,10 +66,13 @@ func TestResetDropsWhatFollowsTheBase(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		before := igp.Propagations()
+		before, formulas := igp.Propagations(), fresh.Sim.F.NumNodes()
 		fib := dataplane.Build(fresh)
-		if igp.Propagations() == before {
-			t.Fatalf("class of %s: the data plane propagated no IGP RIB, so nothing followed the base", cls.Rep)
+		if fresh.Sim.F.NumNodes() == formulas {
+			t.Fatalf("class of %s: the data plane created no formula, so nothing followed the base", cls.Rep)
+		}
+		if n := igp.Propagations() - before; n != 0 {
+			t.Fatalf("class of %s: the data plane ran %d IS-IS fixpoints", cls.Rep, n)
 		}
 		wantRules, wantConds := fibRecord(t, fresh, fib, cls)
 		if gotRules != wantRules {

@@ -35,12 +35,6 @@ func DefaultOptions() Options {
 // attempted.
 const SimplifyThreshold = 24
 
-// maxAlternatives caps the alternatives announce keeps per prefix per
-// session. The cap is unsound: a dropped alternative can be the active
-// route under some failure set within the budget, so verdicts can be
-// wrong in either direction (ROADMAP.md, item 2).
-const maxAlternatives = 8
-
 // stepsPerNodeSession scales Run's worklist step cap: a run that is still
 // changing RIBs after this many steps per node and session has no
 // converged state (StepLimitError).
@@ -131,8 +125,9 @@ type Simulator struct {
 	M *Model
 	F *logic.Factory
 	// IGP is read by one consumer only: dataplane.Build, which resolves an
-	// iBGP next hop through the IS-IS RIB toward it. Session conditions
-	// never come from it (buildBase).
+	// iBGP next hop through the IS-IS next hops toward it
+	// (igp.Engine.NextHops), built after the factory's Mark. Session
+	// conditions never come from it (buildBase).
 	IGP  *igp.Engine
 	Opts Options
 
@@ -305,9 +300,9 @@ func (s *Simulator) buildBase() error {
 }
 
 // Reset returns the simulator to its session base (buildBase): it recycles
-// the factory to its Mark (logic.Factory.Recycle), drops every IGP RIB
-// (the base holds none; a dataplane.Build next-hop lookup propagates
-// them), and truncates the scratch, keeping the model, the session
+// the factory to its Mark (logic.Factory.Recycle), drops every IGP next
+// hop (the base holds none; a dataplane.Build lookup branches them after
+// the Mark), and truncates the scratch, keeping the model, the session
 // table, the base, the factory's tables and the scratch capacity.
 // A run after a Reset makes the ids, conditions and counts a new
 // simulator's would. Executors Reset between passes to bound
@@ -692,13 +687,9 @@ func (s *Simulator) announce(se session, si int, stats *Stats) (out, sent []Entr
 			continue
 		}
 		notHigher := logic.True
-		kept := 0
 		for _, ent := range entries {
 			if ent.Route.Protocol != route.EBGP && ent.Route.Protocol != route.IBGP {
 				continue // statics don't advertise unless redistributed
-			}
-			if kept >= maxAlternatives {
-				break
 			}
 			stats.Branches++
 			s.taintSession(se)
@@ -730,7 +721,6 @@ func (s *Simulator) announce(se session, si int, stats *Stats) (out, sent []Entr
 			}
 			out = append(out, Entry{Route: ing.Route, Cond: cond})
 			stats.Delivered++
-			kept++
 		}
 	}
 	return out, sent

@@ -137,8 +137,12 @@ func (r *Result) KTolerant(n topo.NodeID, pt Pattern, k int) bool {
 // WitnessFailure returns a concrete minimal failure scenario breaking the
 // reachability (ok=false when unbreakable). Operators act on this.
 func (r *Result) WitnessFailure(n topo.NodeID, pt Pattern) (topo.FailureScenario, bool) {
-	f := r.f()
-	cond := r.ReachCond(n, pt)
+	return Witness(r.f(), r.ReachCond(n, pt))
+}
+
+// Witness returns the minimal failure set the solver picks to break cond,
+// its failed links sorted (ok=false when nothing breaks it).
+func Witness(f *logic.Factory, cond logic.F) (topo.FailureScenario, bool) {
 	asn, _, ok := f.MinFailureScenario(f.Not(cond))
 	if !ok {
 		return nil, false

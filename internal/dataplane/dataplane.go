@@ -34,9 +34,9 @@ type FIB struct {
 
 // Build folds each node's RIB into FIB rules, resolving remote (iBGP)
 // next hops recursively through the IGP: a rule whose next hop is not
-// adjacent becomes one rule per IGP alternative toward that next hop, with
-// the IGP alternative's condition conjoined (recursive route resolution
-// with failure awareness).
+// adjacent becomes one rule per IS-IS first hop toward that next hop,
+// with the hop's condition conjoined (recursive route resolution with
+// failure awareness, igp.Engine.NextHops).
 func Build(res *core.Result) *FIB {
 	sim := res.Sim
 	f := sim.F
@@ -47,27 +47,25 @@ func Build(res *core.Result) *FIB {
 		rank := 0
 		for _, e := range res.RIB(node) {
 			rank++
-			switch {
-			case e.Route.NextHop == node || e.Route.OriginNode == node && e.Route.FromNode == topo.NoNode:
+			if e.Route.NextHop == node || e.Route.OriginNode == node && e.Route.FromNode == topo.NoNode {
 				fib.rules[id] = append(fib.rules[id], Rule{
 					Prefix: e.Route.Prefix, NextHop: node, Local: true, Cond: e.Cond, Rank: rank,
 				})
-			case len(sim.IGP.RIB(e.Route.NextHop)[node]) > 0:
-				// Recursive resolution via IGP alternatives. This branch
-				// comes before plain adjacency: an adjacent iBGP next hop
-				// still reroutes through the IGP when the direct link
-				// fails.
-				for _, alt := range sim.IGP.RIB(e.Route.NextHop)[node] {
-					if len(alt.Path) < 2 {
-						continue
-					}
-					hop := alt.Path[len(alt.Path)-2]
-					cond := f.And(e.Cond, alt.Cond)
+				continue
+			}
+			switch hops := sim.IGP.NextHops(e.Route.NextHop, node); {
+			case len(hops) > 0:
+				// Recursive resolution via the IS-IS first hops. This
+				// branch comes before plain adjacency: an adjacent iBGP
+				// next hop still reroutes through the IGP when the direct
+				// link fails.
+				for _, hop := range hops {
+					cond := f.And(e.Cond, hop.Cond)
 					if f.Impossible(cond) {
 						continue
 					}
 					fib.rules[id] = append(fib.rules[id], Rule{
-						Prefix: e.Route.Prefix, NextHop: hop, Cond: cond, Rank: rank,
+						Prefix: e.Route.Prefix, NextHop: hop.Next, Cond: cond, Rank: rank,
 					})
 				}
 			case adjacent(sim.M.Net, node, e.Route.NextHop):
@@ -209,6 +207,18 @@ func (fib *FIB) PacketReach(src topo.NodeID, srcAddr, dstAddr uint32, gateway to
 		}
 	}
 	return res
+}
+
+// ReachAny returns the condition under which a packet from src to
+// dstAddr reaches at least one of gateways: the OR of their PacketReach
+// conditions, in gateway order.
+func (fib *FIB) ReachAny(src topo.NodeID, srcAddr, dstAddr uint32, gateways []topo.NodeID) logic.F {
+	f := fib.Res.Sim.F
+	cond := logic.False
+	for _, g := range gateways {
+		cond = f.Or(cond, fib.PacketReach(src, srcAddr, dstAddr, g).Cond)
+	}
+	return cond
 }
 
 // Reachable reports packet reachability with all links up.

@@ -4,6 +4,9 @@
 // path. Every IGP route carries a topology condition over link-aliveness
 // variables, so iBGP session conditions — the conjunction of the two
 // directions' IS-IS reachability — inherit failure awareness for free.
+// The path-vector fixpoint builds those conditions for the memo (Build);
+// the data plane's next hops come from bounded SPF branching instead
+// (Engine.NextHops), which runs no fixpoint.
 //
 // L1/L2 is modeled as the paper describes: an L1 route crosses into L2 at
 // an L1/L2 router with penetration enabled (the community-mimicking trick
@@ -55,7 +58,8 @@ func DefaultOptions() Options {
 // maxAlternatives caps each node's sorted alternative list (the best are
 // kept). The cap is unsound: a dropped alternative can be the surviving
 // path under some failure set within the budget, so a condition built
-// from the list can under-approximate reachability (ROADMAP.md, item 2).
+// from the list can under-approximate reachability (ROADMAP.md, item 1a).
+// The data plane's next hops do not read the list (NextHops).
 const maxAlternatives = 8
 
 // nodeISIS captures the parts of a device config the IGP needs.
@@ -66,17 +70,19 @@ type nodeISIS struct {
 	metrics   map[string]uint32
 }
 
-// Engine computes per-destination IS-IS RIBs lazily and memoizes them.
-// An Engine is bound to one logic.Factory and is not safe for concurrent
-// use (create one per prefix simulation, like the factory itself). Core
-// reads no session condition from an Engine — those come from a Memo —
-// only the next-hop RIBs dataplane.Build resolves through (RIB).
+// Engine answers IS-IS questions in one logic.Factory: a memo stripe's
+// fixpoints (Build) and a simulator's next hops (NextHops), which it
+// memoizes per (destination, node). It is not safe for concurrent use
+// (create one per prefix simulation, like the factory itself). Core reads
+// no session condition from an Engine — those come from a Memo — only
+// the next hops dataplane.Build resolves iBGP next hops through.
 type Engine struct {
 	net  *topo.Network
 	f    *logic.Factory
 	opts Options
 	cfg  []nodeISIS
-	ribs map[topo.NodeID]map[topo.NodeID][]Entry // dst -> node -> entries
+	hops map[[2]topo.NodeID][]Hop  // per (destination, node), NextHops' answer
+	spfs map[topo.NodeID]*brancher // per destination, the SPFs NextHops ran
 
 	// fp is the fixpoint's working state, built by the first propagate and
 	// reused by every later one (a memo stripe runs all its destinations
@@ -92,7 +98,7 @@ func New(net *topo.Network, configs []*config.Device, f *logic.Factory, opts Opt
 }
 
 func newEngine(net *topo.Network, cfg []nodeISIS, f *logic.Factory, opts Options) *Engine {
-	return &Engine{net: net, f: f, opts: opts, cfg: cfg, ribs: map[topo.NodeID]map[topo.NodeID][]Entry{}}
+	return &Engine{net: net, f: f, opts: opts, cfg: cfg, hops: map[[2]topo.NodeID][]Hop{}, spfs: map[topo.NodeID]*brancher{}}
 }
 
 // isisConfigs extracts what the IGP reads of the device configs — and
@@ -130,22 +136,13 @@ func (e *Engine) linkWeight(u, v topo.NodeID, l topo.LinkID) uint32 {
 	return e.net.Link(l).Weight
 }
 
-// RIB returns every node's IS-IS alternatives for destination dst,
-// computing and memoizing on first use. A fixpoint cut off at the step
-// cap is served as far as it got: RIB has no error to return. Build
-// refuses one, and with it every simulator of a core.Shared built on it.
-func (e *Engine) RIB(dst topo.NodeID) map[topo.NodeID][]Entry {
-	if rib, ok := e.ribs[dst]; ok {
-		return rib
-	}
-	rib, _ := e.propagate(dst)
-	e.ribs[dst] = rib
-	return rib
+// Recycle drops every memoized next hop, whose conditions a Recycle of the
+// engine's factory voids, and the SPFs they were branched from. The next
+// lookup branches again.
+func (e *Engine) Recycle() {
+	clear(e.hops)
+	clear(e.spfs)
 }
-
-// Recycle drops every RIB, whose conditions a Recycle of the engine's
-// factory voids. The next lookup of a destination propagates it again.
-func (e *Engine) Recycle() { clear(e.ribs) }
 
 // propagations counts path-vector fixpoints run process-wide.
 var propagations atomic.Int64
@@ -213,7 +210,6 @@ type fixpoint struct {
 	slots   [][]Entry     // per incoming adjacency, the alternatives its upstream offers
 	sent    [][]Entry     // per node, the ranked list it last propagated
 	didSend []bool        // per node, whether it has propagated at all
-	reached []bool        // per node, whether it is in the RIB
 	queued  []bool        // per node, whether it is in the queue
 	queue   []topo.NodeID // FIFO ring of NumNodes slots: no node is queued twice
 	ranked  []Entry       // assemble's output buffer
@@ -257,7 +253,6 @@ func (e *Engine) fixpointState() *fixpoint {
 	fp.slots = make([][]Entry, len(flat))
 	fp.sent = make([][]Entry, n)
 	fp.didSend = make([]bool, n)
-	fp.reached = make([]bool, n)
 	fp.queued = make([]bool, n)
 	fp.queue = make([]topo.NodeID, n)
 	deg := 0
@@ -281,9 +276,10 @@ func endOf(net *topo.Network, l topo.LinkID, n topo.NodeID) int {
 // keeps, per incoming adjacency, the alternatives that neighbour offers;
 // the node's own alternatives are those merged and ranked, and each is
 // offered onward guarded by the negation of every better one
-// (RouteISISReachability of Algorithm 2). complete is false when the step
-// cap ended the loop with updates still queued: the RIB is then whatever
-// the cut-off fixpoint had reached.
+// (RouteISISReachability of Algorithm 2). It returns false when the step
+// cap ended the loop with updates still queued. Either way the ranked
+// alternatives stay in the engine's fixpoint state, where export and
+// reach read them, until the next propagate.
 //
 // Only work that can change the answer is done. A node's slots are merged,
 // not sorted. The guard chain is built once per dequeue, a candidate under
@@ -293,16 +289,8 @@ func endOf(net *topo.Network, l topo.LinkID, n topo.NodeID) int {
 // propagated does not propagate again. Every formula is still created in
 // the order a neighbour-by-neighbour loop creates it, so the exported
 // conditions are the same bytes (DESIGN.md, "Sweep engine").
-func (e *Engine) propagate(dst topo.NodeID) (rib map[topo.NodeID][]Entry, complete bool) {
+func (e *Engine) propagate(dst topo.NodeID) (complete bool) {
 	propagations.Add(1)
-	if !e.cfg[dst].enabled {
-		return map[topo.NodeID][]Entry{}, true
-	}
-	level := L2
-	if e.cfg[dst].level == 1 {
-		level = L1
-	}
-	self := Entry{Weight: 0, Path: []topo.NodeID{dst}, Cond: logic.True, Level: level}
 	fp := e.fixpointState()
 	for i := range fp.slots {
 		fp.slots[i] = fp.slots[i][:0]
@@ -311,12 +299,19 @@ func (e *Engine) propagate(dst topo.NodeID) (rib map[topo.NodeID][]Entry, comple
 		fp.sent[v] = fp.sent[v][:0]
 	}
 	clear(fp.didSend)
-	clear(fp.reached)
 	clear(fp.queued)
+	if !e.cfg[dst].enabled {
+		return true
+	}
+	level := L2
+	if e.cfg[dst].level == 1 {
+		level = L1
+	}
+	self := Entry{Weight: 0, Path: []topo.NodeID{dst}, Cond: logic.True, Level: level}
 
 	n := len(fp.queue)
 	head, queued := 0, 1
-	fp.queue[0], fp.queued[dst], fp.reached[dst] = dst, true, true
+	fp.queue[0], fp.queued[dst] = dst, true
 	steps := 0
 	maxSteps := maxStepsFactor * n * n * (maxAlternatives + 1)
 	for queued > 0 && steps < maxSteps {
@@ -334,7 +329,6 @@ func (e *Engine) propagate(dst topo.NodeID) (rib map[topo.NodeID][]Entry, comple
 		fp.sent[u] = append(fp.sent[u][:0], entries...)
 		fp.didSend[u] = true
 		for i, a := range fp.arcs[u] {
-			fp.reached[a.to] = true
 			offers := e.offersOver(fp, entries, a, i == 0)
 			slot := &fp.slots[a.slot]
 			if e.sameOffers(*slot, entries, offers, a.to) {
@@ -349,31 +343,7 @@ func (e *Engine) propagate(dst topo.NodeID) (rib map[topo.NodeID][]Entry, comple
 		}
 	}
 
-	room := 0
-	for v, ok := range fp.reached {
-		if !ok {
-			continue
-		}
-		k := 0
-		if topo.NodeID(v) == dst {
-			k = 1
-		}
-		for _, es := range fp.slots[fp.base[v]:fp.base[v+1]] {
-			k += len(es)
-		}
-		room += min(k, maxAlternatives)
-	}
-	all := make([]Entry, 0, room)
-	rib = map[topo.NodeID][]Entry{}
-	for v, ok := range fp.reached {
-		if !ok {
-			continue
-		}
-		start := len(all)
-		all = append(all, fp.assemble(topo.NodeID(v), dst, self)...)
-		rib[topo.NodeID(v)] = all[start:len(all):len(all)]
-	}
-	return rib, queued == 0
+	return queued == 0
 }
 
 // assemble merges n's slots (and, at the destination, the route to
@@ -602,40 +572,19 @@ func containsNode(path []topo.NodeID, n topo.NodeID) bool {
 	return false
 }
 
-// ReachCond returns the topology condition under which node `from` has any
-// IS-IS route to `to` (True means unconditional, False means never). It
-// is the reference a Memo's roots are pinned against; core reads the
-// memo, never this.
-func (e *Engine) ReachCond(from, to topo.NodeID) logic.F {
-	if from == to {
-		return logic.True // no RIB needed
-	}
-	return e.reach(e.RIB(to), from, to)
-}
-
 // reach is the one definition of the reachability condition core reads:
-// from's condition toward `to`, whose RIB is rib — True at `to` itself,
-// else the disjunction of from's alternatives, False when it has none.
-// ReachCond and the memo (export) both build it here.
-func (e *Engine) reach(rib map[topo.NodeID][]Entry, from, to topo.NodeID) logic.F {
+// from's condition toward `to`, the destination propagate last ran —
+// True at `to` itself, else the disjunction of from's ranked
+// alternatives, False when it has none. The memo (export) builds it here.
+func (e *Engine) reach(from, to topo.NodeID) logic.F {
 	if from == to {
 		return logic.True
 	}
 	cond := logic.False
-	for _, ent := range rib[from] {
+	for _, ent := range e.fp.assemble(from, to, Entry{}) { // self is read only at `to`
 		cond = e.f.Or(cond, ent.Cond)
 	}
 	return cond
-}
-
-// BestEntry returns the best alternative at node n for destination dst and
-// whether one exists — the plain-IS-IS answer used by the SPF cross-check.
-func (e *Engine) BestEntry(n, dst topo.NodeID) (Entry, bool) {
-	rib := e.RIB(dst)
-	if len(rib[n]) == 0 {
-		return Entry{}, false
-	}
-	return rib[n][0], true
 }
 
 // SPFDistance computes the weighted shortest-path distance from src to dst

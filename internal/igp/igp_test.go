@@ -2,7 +2,6 @@ package igp
 
 import (
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -37,7 +36,7 @@ func TestLinearChainReachability(t *testing.T) {
 	f := logic.NewFactory()
 	e := New(net, cfgs, f, DefaultOptions())
 
-	cond := e.ReachCond(0, 2)
+	cond := reachToward(e, 2)[0]
 	// Reachable with all links up; one failure of either link breaks it.
 	if f.Impossible(cond) {
 		t.Fatal("a must reach c")
@@ -45,7 +44,7 @@ func TestLinearChainReachability(t *testing.T) {
 	if got := f.MinFailuresToViolate(cond); got != 1 {
 		t.Fatalf("chain dies with 1 failure, got %d", got)
 	}
-	if e.ReachCond(0, 0) != logic.True {
+	if reachToward(e, 0)[0] != logic.True {
 		t.Fatal("self reachability is unconditional")
 	}
 }
@@ -56,27 +55,44 @@ func TestDiamondSurvivesOneFailure(t *testing.T) {
 		[][3]int{{0, 1, 10}, {0, 2, 10}, {1, 3, 10}, {2, 3, 10}})
 	f := logic.NewFactory()
 	e := New(net, cfgs, f, DefaultOptions())
-	cond := e.ReachCond(0, 3)
+	cond := reachToward(e, 3)[0]
 	if got := f.MinFailuresToViolate(cond); got != 2 {
 		t.Fatalf("diamond needs 2 failures to cut, got %d", got)
 	}
 }
 
-func TestBestEntryPrefersLowerWeight(t *testing.T) {
+// hopUnder returns the one hop of hops whose condition holds on the
+// world where the links in failed are down, or NoNode when none does.
+func hopUnder(t *testing.T, f *logic.Factory, hops []Hop, failed ...topo.LinkID) topo.NodeID {
+	t.Helper()
+	asn := topo.FailureScenario(failed).Assignment()
+	got := topo.NoNode
+	for _, h := range hops {
+		if f.Eval(h.Cond, asn) {
+			if got != topo.NoNode {
+				t.Fatalf("failed %v: hops %d and %d both hold", failed, got, h.Next)
+			}
+			got = h.Next
+		}
+	}
+	return got
+}
+
+func TestNextHopPrefersLowerWeight(t *testing.T) {
 	// a-b direct weight 100; a-c-b weight 10+10.
 	net, cfgs := buildNet([]string{"a", "b", "c"},
 		[][3]int{{0, 1, 100}, {0, 2, 10}, {2, 1, 10}})
 	f := logic.NewFactory()
 	e := New(net, cfgs, f, DefaultOptions())
-	best, ok := e.BestEntry(0, 1)
-	if !ok {
-		t.Fatal("a reaches b")
+	hops := e.NextHops(1, 0)
+	if got := hopUnder(t, f, hops); got != 2 {
+		t.Fatalf("all links up: a's hop toward b is %d, want c", got)
 	}
-	if best.Weight != 20 {
-		t.Fatalf("best weight %d, want 20 via c", best.Weight)
+	if got := hopUnder(t, f, hops, 1); got != 1 {
+		t.Fatalf("a-c down: a's hop toward b is %d, want b", got)
 	}
-	if len(best.Path) != 3 {
-		t.Fatalf("best path %v", best.Path)
+	if got := hopUnder(t, f, hops, 0, 2); got != topo.NoNode {
+		t.Fatalf("a-b and c-b down: a has hop %d toward b, want none", got)
 	}
 }
 
@@ -88,9 +104,11 @@ func TestMetricOverride(t *testing.T) {
 	cfgs[0].ISIS.Metrics["c"] = 500
 	f := logic.NewFactory()
 	e := New(net, cfgs, f, DefaultOptions())
-	best, _ := e.BestEntry(0, 1)
-	if best.Weight != 100 {
+	if best, _ := bestEntry(e, 0, 1); best.Weight != 100 {
 		t.Fatalf("override must push best to direct link, got %d", best.Weight)
+	}
+	if got := hopUnder(t, f, e.NextHops(1, 0)); got != 1 {
+		t.Fatalf("override must make b a's first hop toward b, got %d", got)
 	}
 }
 
@@ -146,9 +164,12 @@ func TestPathWeightNeverWraps(t *testing.T) {
 		[][3]int{{0, 1, 4_000_000_000}, {1, 2, 4_000_000_000}, {0, 2, 3_900_000_000}})
 	f := logic.NewFactory()
 	e := New(net, cfgs, f, DefaultOptions())
-	alts := e.RIB(0)[2]
-	if len(alts) != 1 || alts[0].Weight != 3_900_000_000 || len(alts[0].Path) != 2 {
+	rib, _ := ribOf(e, 0)
+	if alts := rib[2]; len(alts) != 1 || alts[0].Weight != 3_900_000_000 || len(alts[0].Path) != 2 {
 		t.Fatalf("c's alternatives toward a: %+v, want the direct link alone", alts)
+	}
+	if hops := e.NextHops(0, 2); len(hops) != 1 || hops[0].Next != 0 {
+		t.Fatalf("c's next hops toward a: %+v, want a alone", hops)
 	}
 }
 
@@ -157,7 +178,7 @@ func TestSessionCondSymmetricAndFailureAware(t *testing.T) {
 	f := logic.NewFactory()
 	e := New(net, cfgs, f, DefaultOptions())
 	// An iBGP session's condition: IS-IS reachability both ways.
-	sessionCond := func(a, b topo.NodeID) logic.F { return f.And(e.ReachCond(a, b), e.ReachCond(b, a)) }
+	sessionCond := func(a, b topo.NodeID) logic.F { return f.And(reachToward(e, b)[a], reachToward(e, a)[b]) }
 	sc := sessionCond(0, 2)
 	if !f.Equivalent(sc, sessionCond(2, 0)) {
 		t.Fatal("session condition must be symmetric")
@@ -172,10 +193,10 @@ func TestNonISISNodeUnreachable(t *testing.T) {
 	cfgs[1].ISIS = nil
 	f := logic.NewFactory()
 	e := New(net, cfgs, f, DefaultOptions())
-	if !f.Impossible(e.ReachCond(0, 1)) {
+	if !f.Impossible(reachToward(e, 1)[0]) {
 		t.Fatal("node without IS-IS must be IGP-unreachable")
 	}
-	if !f.Impossible(e.ReachCond(1, 0)) {
+	if !f.Impossible(reachToward(e, 0)[1]) {
 		t.Fatal("and vice versa")
 	}
 }
@@ -213,14 +234,14 @@ func TestL1AreasIsolatedWithoutPenetration(t *testing.T) {
 	f := logic.NewFactory()
 	e := New(net, cfgs, f, DefaultOptions())
 	// Without penetration, a's L1 routes never leave the east area.
-	if !f.Impossible(e.ReachCond(3, 0)) {
+	if !f.Impossible(reachToward(e, 0)[3]) {
 		t.Fatal("L1 route must not cross areas without penetration")
 	}
 	// With penetration on b, a becomes reachable from d.
 	cfgs[1].ISIS.Penetrate = true
 	f2 := logic.NewFactory()
 	e2 := New(net, cfgs, f2, DefaultOptions())
-	if f2.Impossible(e2.ReachCond(3, 0)) {
+	if f2.Impossible(reachToward(e2, 0)[3]) {
 		t.Fatal("penetration must export L1 routes to L2")
 	}
 }
@@ -256,7 +277,7 @@ func TestSPFCrossCheck(t *testing.T) {
 				continue
 			}
 			want, reachable := e.SPFDistance(src, dst, nil)
-			best, got := e.BestEntry(src, dst)
+			best, got := bestEntry(e, src, dst)
 			if got != reachable {
 				return false
 			}
@@ -278,7 +299,7 @@ func TestPruneOverKLimitsAlternatives(t *testing.T) {
 		[][3]int{{0, 1, 1}, {1, 2, 1}, {2, 3, 1}, {3, 4, 1}, {0, 2, 5}, {1, 3, 5}, {2, 4, 5}})
 	f := logic.NewFactory()
 	e := New(net, cfgs, f, Options{K: 1, PruneOverK: true})
-	rib := e.RIB(4)
+	rib, _ := ribOf(e, 4)
 	for n, entries := range rib {
 		for _, ent := range entries {
 			if mf := f.MinFalse(ent.Cond); mf > 1 {
@@ -288,21 +309,70 @@ func TestPruneOverKLimitsAlternatives(t *testing.T) {
 	}
 }
 
-// TestRIBMemoized: a second RIB call for a destination returns the very
-// map the first computed, without running the fixpoint again.
-func TestRIBMemoized(t *testing.T) {
+// TestNextHopsMemoized: a second NextHops call for a (destination, node)
+// returns the very answer the first computed and creates no formula;
+// after a Recycle the row is branched again. No call runs a fixpoint.
+func TestNextHopsMemoized(t *testing.T) {
 	net, cfgs := buildNet([]string{"a", "b"}, [][3]int{{0, 1, 10}})
 	f := logic.NewFactory()
 	e := New(net, cfgs, f, DefaultOptions())
-	r1 := e.RIB(1)
 	before := Propagations()
-	r2 := e.RIB(1)
-	if n := Propagations() - before; n != 0 {
-		t.Fatalf("the memoized destination ran %d more propagations", n)
+	h1 := e.NextHops(1, 0)
+	formulas := f.NumNodes()
+	h2 := e.NextHops(1, 0)
+	if f.NumNodes() != formulas {
+		t.Fatalf("the memoized row created %d more formulas", f.NumNodes()-formulas)
 	}
-	if len(r1) == 0 || reflect.ValueOf(r1).UnsafePointer() != reflect.ValueOf(r2).UnsafePointer() {
-		t.Fatal("a memoized RIB must come back as the same map")
+	if len(h1) != 1 || &h1[0] != &h2[0] {
+		t.Fatal("a memoized row must come back as the same answer")
+	}
+	e.Recycle()
+	if h3 := e.NextHops(1, 0); len(h3) != 1 || &h3[0] == &h1[0] || h3[0].Next != 1 {
+		t.Fatalf("after a Recycle: %+v, want a new answer with a's hop b", h3)
+	}
+	if n := Propagations() - before; n != 0 {
+		t.Fatalf("next hops ran %d fixpoints", n)
 	}
 }
 
-var _ = quick.Check // keep import if tests change
+// ribOf runs the fixpoint toward dst and returns the RIB it reached, as
+// propagate once returned it: dst and every adjacency peer of a node that
+// propagated, each with its ranked alternatives.
+func ribOf(e *Engine, dst topo.NodeID) (map[topo.NodeID][]Entry, bool) {
+	complete := e.propagate(dst)
+	rib := map[topo.NodeID][]Entry{}
+	if !e.cfg[dst].enabled {
+		return rib, complete
+	}
+	self := Entry{Path: []topo.NodeID{dst}, Cond: logic.True, Level: L2}
+	if e.cfg[dst].level == 1 {
+		self.Level = L1
+	}
+	fp := e.fp
+	for v, arcs := range fp.arcs {
+		if topo.NodeID(v) == dst || slices.ContainsFunc(arcs, func(a arc) bool { return fp.didSend[a.to] }) {
+			rib[topo.NodeID(v)] = slices.Clone(fp.assemble(topo.NodeID(v), dst, self))
+		}
+	}
+	return rib, complete
+}
+
+// reachToward runs the fixpoint toward `to` and returns every node's
+// reachability condition toward it: the roots the memo stores.
+func reachToward(e *Engine, to topo.NodeID) []logic.F {
+	e.propagate(to)
+	out := make([]logic.F, e.net.NumNodes())
+	for n := range out {
+		out[n] = e.reach(topo.NodeID(n), to)
+	}
+	return out
+}
+
+// bestEntry returns the fixpoint's best alternative at n toward dst.
+func bestEntry(e *Engine, n, dst topo.NodeID) (Entry, bool) {
+	rib, _ := ribOf(e, dst)
+	if len(rib[n]) == 0 {
+		return Entry{}, false
+	}
+	return rib[n][0], true
+}

@@ -2,13 +2,13 @@
 // destination, computed once and read by every simulator of a sweep.
 //
 // Core reads the IGP through one function and one source: an iBGP
-// session's condition is ReachCond(a, b) ∧ ReachCond(b, a) (Appendix C:
+// session's condition is reach(a, b) ∧ reach(b, a) (Appendix C:
 // "the topology condition of an iBGP session is a combination of the
 // topology conditions of the IS-IS routes the session uses"), and every
 // simulator takes both from its core.Shared's Memo. A Memo holds, per
 // destination, one factory-independent logic.Portable with one root per
 // node: that node's reachability condition toward the destination, built
-// by the helper ReachCond uses (Engine.reach). A simulator imports only
+// by Engine.reach. A simulator imports only
 // the roots its sessions read (Memo.Reach) and propagates nothing for
 // them. A destination whose fixpoint the step cap cut off is never a
 // root: Build names it in its error, and a Shared built on that memo
@@ -173,8 +173,8 @@ func Build(net *topo.Network, configs []*config.Device, opts Options,
 		e := newEngine(net, cfg, f, opts) // its fixpoint state is reused across the stripe
 		for i := g; i < len(missing); i += workers {
 			f.Recycle()
-			if rib, complete := e.propagate(missing[i]); complete {
-				built[i] = e.export(missing[i], rib)
+			if e.propagate(missing[i]) {
+				built[i] = e.export(missing[i])
 			}
 		}
 	}
@@ -201,12 +201,12 @@ func Build(net *topo.Network, configs []*config.Device, opts Options,
 	return m, nil
 }
 
-// export lifts one propagated RIB toward dst out of the engine's
-// factory: root n is node n's reachability condition toward dst.
-func (e *Engine) export(dst topo.NodeID, rib map[topo.NodeID][]Entry) *logic.Portable {
+// export lifts the fixpoint propagate just ran toward dst out of the
+// engine's factory: root n is node n's reachability condition toward dst.
+func (e *Engine) export(dst topo.NodeID) *logic.Portable {
 	roots := make([]logic.F, e.net.NumNodes())
 	for n := range roots {
-		roots[n] = e.reach(rib, topo.NodeID(n), dst)
+		roots[n] = e.reach(topo.NodeID(n), dst)
 	}
 	return e.f.Export(roots...)
 }

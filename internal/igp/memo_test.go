@@ -280,7 +280,7 @@ func TestMemoReachImportsOnlyWhatItTouches(t *testing.T) {
 	if n := Propagations() - before; n != 0 {
 		t.Fatalf("reading the memo ran %d propagations", n)
 	}
-	if want := f.And(plain.ReachCond(a, b), plain.ReachCond(b, a)); !f.Equivalent(got, want) {
+	if want := f.And(reachToward(plain, b)[a], reachToward(plain, a)[b]); !f.Equivalent(got, want) {
 		t.Fatal("the memo and an engine disagree on a session condition")
 	}
 	one, all := logic.NewFactory(), logic.NewFactory()
@@ -294,12 +294,12 @@ func TestMemoReachImportsOnlyWhatItTouches(t *testing.T) {
 }
 
 // TestMemoReachMatchesEngine pins what the memo stores to the condition
-// core would otherwise ask an engine for: on gen.Small at K 1–3, on the
+// an engine's own fixpoint gives: on gen.Small at K 1–3, on the
 // two-region L1/L2/penetration net and on the seeded random nets of
 // TestPropagateMatchesReference, every root of every destination,
-// imported into a fresh factory, is equivalent to an engine's
-// ReachCond(n, dst) there, and a node with no route gets False. Run
-// under -race -count=10 by `make determinism`.
+// imported into a fresh factory, is equivalent to the reachability
+// condition an engine builds there (reach), and a node with no route
+// gets False. Run under -race -count=10 by `make determinism`.
 func TestMemoReachMatchesEngine(t *testing.T) {
 	type row struct {
 		name string
@@ -333,9 +333,9 @@ func TestMemoReachMatchesEngine(t *testing.T) {
 			f := logic.NewFactoryOrdered(r.net.VarOrder())
 			got := memo.Reach(f, dst, nodes)
 			e := New(r.net, r.cfgs, f, r.opts)
-			rib := e.RIB(dst)
+			rib, _ := ribOf(e, dst)
 			for _, n := range nodes {
-				if want := e.ReachCond(n, dst); !f.Equivalent(got[n], want) {
+				if want := e.reach(n, dst); !f.Equivalent(got[n], want) {
 					t.Fatalf("%s: the memo's condition of %s toward %s differs from the engine's", r.name, r.net.Node(n).Name, r.net.Node(dst).Name)
 				}
 				if n != dst && len(rib[n]) == 0 && got[n] != logic.False {
@@ -348,7 +348,7 @@ func TestMemoReachMatchesEngine(t *testing.T) {
 
 // TestBuildRefusesTruncatedRIB: a fixpoint the step cap cuts off is named
 // in Build's error and never enters a memo, so no later build can carry
-// it; an engine still gets an answer, as it always did.
+// it. An engine's next hops run no fixpoint, so the cap never cuts them.
 func TestBuildRefusesTruncatedRIB(t *testing.T) {
 	net, cfgs := buildNet([]string{"a", "b", "c", "d"}, [][3]int{{0, 1, 1}, {1, 2, 1}, {2, 3, 1}, {0, 3, 1}})
 	opts := DefaultOptions()
@@ -375,7 +375,7 @@ func TestBuildRefusesTruncatedRIB(t *testing.T) {
 		t.Fatal("the memo holds a destination whose fixpoint was cut off")
 	}
 	e := New(net, cfgs, logic.NewFactory(), opts)
-	if rib := e.RIB(1); rib == nil {
-		t.Fatal("an engine must still answer for a destination its memo lacks")
+	if hops := e.NextHops(1, 0); len(hops) != 2 {
+		t.Fatalf("a's next hops toward b under the step cap: %+v, want b and d", hops)
 	}
 }

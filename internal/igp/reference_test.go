@@ -130,6 +130,22 @@ func referenceEntriesEqual(f *logic.Factory, a, b []Entry) bool {
 	return true
 }
 
+// exportRIB is export over a RIB map: root n is True at dst, else the
+// disjunction of n's alternatives, False when it has none.
+func exportRIB(e *Engine, dst topo.NodeID, rib map[topo.NodeID][]Entry) *logic.Portable {
+	roots := make([]logic.F, e.net.NumNodes())
+	for n := range roots {
+		roots[n] = logic.True
+		if topo.NodeID(n) != dst {
+			roots[n] = logic.False
+			for _, ent := range rib[topo.NodeID(n)] {
+				roots[n] = e.f.Or(roots[n], ent.Cond)
+			}
+		}
+	}
+	return e.f.Export(roots...)
+}
+
 // ribsBy propagates every destination in dsts by propagate, each in a
 // new factory. It returns every RIB's bytes (destination by destination:
 // its nodes, their entries and the entries' exported conditions), the
@@ -162,7 +178,7 @@ func ribsBy(t *testing.T, propagate func(*Engine, topo.NodeID) (map[topo.NodeID]
 		}
 		buf.Write(b)
 		buf.WriteByte('\n')
-		m.dsts[dst] = e.export(dst, rib)
+		m.dsts[dst] = exportRIB(e, dst, rib)
 		solverNodes += e.f.SolverNodes()
 	}
 	return buf.Bytes(), m, solverNodes
@@ -180,7 +196,7 @@ func TestFixpointSkipsDecidedBDDs(t *testing.T) {
 	}
 	net, cfgs, dsts := wanInputs(t, gen.Medium())
 	opts := Options{K: 1, PruneOverK: true}
-	got, _, gotNodes := ribsBy(t, (*Engine).propagate, net, cfgs, opts, dsts)
+	got, _, gotNodes := ribsBy(t, ribOf, net, cfgs, opts, dsts)
 	want, _, wantNodes := ribsBy(t, referencePropagate, net, cfgs, opts, dsts)
 	if !bytes.Equal(got, want) {
 		t.Fatal("RIB bytes differ from the reference fixpoint's")
@@ -258,7 +274,7 @@ func TestPropagateMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", r.name, err)
 		}
-		gotRIBs, _, _ := ribsBy(t, (*Engine).propagate, r.net, r.cfgs, r.opts, r.dsts)
+		gotRIBs, _, _ := ribsBy(t, ribOf, r.net, r.cfgs, r.opts, r.dsts)
 		wantRIBs, want, _ := ribsBy(t, referencePropagate, r.net, r.cfgs, r.opts, r.dsts)
 		if !bytes.Equal(gotRIBs, wantRIBs) {
 			t.Fatalf("%s: RIB bytes differ from the reference fixpoint's", r.name)
@@ -300,10 +316,11 @@ func TestParallelLinkNeverLowersTolerance(t *testing.T) {
 			f := logic.NewFactoryOrdered(net.VarOrder())
 			e := New(net, cfgs, f, opts)
 			out := map[[2]topo.NodeID]int{}
-			for _, a := range dsts {
-				for _, b := range dsts {
+			for _, b := range dsts {
+				conds := reachToward(e, b)
+				for _, a := range dsts {
 					if a != b {
-						out[[2]topo.NodeID{a, b}] = min(f.MinFailuresToViolate(e.ReachCond(a, b)), k+1)
+						out[[2]topo.NodeID{a, b}] = min(f.MinFailuresToViolate(conds[a]), k+1)
 					}
 				}
 			}
