@@ -43,7 +43,10 @@ race:
 # where it fires late), the data plane's SPF branching (internal/igp,
 # BenchmarkNextHops: every node's next hops toward every destination of
 # gen.Medium at K=3), a simulator's class loop with a Reset between
-# classes (internal/core, BenchmarkClassesAfterReset) and an executor's
+# classes (internal/core, BenchmarkClassesAfterReset), the diff behind a
+# resweep after one policy edit of gen.Medium, against a baseline that
+# shares the untouched devices and against one re-parsed from its text
+# (internal/core, BenchmarkDiffOneDevice) and an executor's
 # class loop under the connection reuse rule (internal/dist,
 # BenchmarkConnectionClasses on the compile-k3 and classes-k2 shapes)
 # keep compiling and completing. Real measurements come from the
@@ -98,12 +101,17 @@ chaos: determinism
 # records on GOMAXPROCS goroutines must write json.Marshal's bytes, and a
 # compile that lowers them so must equal the serial one, error included.
 # So does the store's reproducibility: two sweeps and saves of gen.Small
-# write byte-identical files.
+# write byte-identical files. And the snapshot immutability contract a
+# resweep's diff rests on: Apply shares every device no update names, an
+# in-process baseline diffs like the same store loaded off disk, and two
+# overlapping resweeps of the service share devices while queries read
+# them.
 determinism:
 	$(GO) test -race -count=10 -run 'TestMemoBuildDeterministic|TestMemoReachMatchesEngine|TestPropagateMatchesReference|TestNextHopMatchesUncappedPathVector|TestStepCapRefusesEverySimulator|TestOrderShrinksSolver|TestResetRunEqualsFresh|TestResetDropsWhatFollowsTheBase|TestBaseImportsOnlySessionRoots' ./internal/igp/ ./internal/core/
 	$(GO) test -race -count=10 -run 'TestRecycleIsFresh|TestRecycleToMarkIsFresh|TestImportRootsMatchesImport' ./internal/logic/
 	$(GO) test -race -count=10 -run 'TestVarOrder' ./internal/topo/
 	$(GO) test -race -count=10 -run 'TestSweepIndependentOfTopologyFileOrder|TestSaveMatchesMarshal|TestSaveTwiceSameBytes|TestCompileStripedMatchesSerial' . ./internal/qc/
+	$(GO) test -race -count=10 -run 'TestIncrementalInProcessMatchesLoaded|TestApplySharesUntouchedDevices|TestOverlappingResweepsPublish' . ./internal/config/ ./internal/httpapi/
 
 # scale-smoke bounds the paper-scale modular path: the modular plan over
 # remote workers against the monolithic class run, under the race

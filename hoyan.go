@@ -37,6 +37,7 @@ package hoyan
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"hoyan/internal/behavior"
@@ -125,7 +126,9 @@ func (n *Network) ApplyUpdate(router string, lines ...string) error {
 	return nil
 }
 
-// Clone deep-copies the network (for what-if update checking).
+// Clone copies the network for what-if update checking: the copy has
+// its own topology and its own map of configurations, and shares the
+// devices, which are never edited in place (config.Device).
 func (n *Network) Clone() *Network {
 	out := NewNetwork()
 	for _, node := range n.net.Nodes() {
@@ -134,7 +137,7 @@ func (n *Network) Clone() *Network {
 	for _, l := range n.net.Links() {
 		out.net.MustAddLink(l.A, l.B, l.Weight)
 	}
-	out.snap = n.snap.Clone()
+	out.snap = maps.Clone(n.snap)
 	out.errs = append([]error(nil), n.errs...)
 	return out
 }

@@ -1,11 +1,16 @@
 package hoyan
 
 import (
+	"fmt"
+	"maps"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"hoyan/internal/config"
+	"hoyan/internal/core"
 	"hoyan/internal/dist"
 	"hoyan/internal/gen"
 	"hoyan/internal/igp"
@@ -249,6 +254,120 @@ func TestIncrementalMatchesCold(t *testing.T) {
 	}
 	if incr.Replayed != incr.Classes {
 		t.Fatalf("an unchanged network replayed %d of %d classes", incr.Replayed, incr.Classes)
+	}
+}
+
+// TestIncrementalInProcessMatchesLoaded pins the identity path of
+// incremental re-verification, the one TestIncrementalMatchesCold never
+// takes: the baseline store stays in the memory of the process that
+// captured it, so its devices are the network's own, and core.Diff
+// compares only the devices an edit replaced. Over the same perturbation
+// series, each step's delta must equal, item for item and in order, the
+// delta planned against the same store saved and loaded back (whose
+// devices are parsed, so Diff compares every one), and each step's report
+// must equal a cold sweep's. Reinstalling a device's own text is a new
+// object with equal content and diffs empty; an edit made through the
+// network's map after capture (a map another Network shares) shows up in
+// the next delta.
+func TestIncrementalInProcessMatchesLoaded(t *testing.T) {
+	params := gen.Small()
+	if !testing.Short() && !raceEnabled {
+		params = gen.Medium()
+	}
+	n, w := wanNetworkFrom(t, params)
+	opts := Options{K: 2}
+	_, store, err := n.SweepBaseline(opts, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	routers := n.net.NumNodes()
+	path := filepath.Join(t.TempDir(), "baseline.json")
+
+	// step applies one edit, sweeps against the in-process store and
+	// checks it against the loaded store's plan and a cold sweep; it
+	// returns the delta the sweep acted on.
+	step := func(desc string, apply func()) *core.ModelDelta {
+		t.Helper()
+		prev := maps.Clone(n.snap)
+		apply()
+		replaced := 0
+		for name, d := range n.snap {
+			if prev[name] != d {
+				replaced++
+			}
+		}
+
+		if err := store.Save(path); err != nil {
+			t.Fatalf("%s: %v", desc, err)
+		}
+		loaded, err := LoadResultStore(path)
+		if err != nil {
+			t.Fatalf("%s: %v", desc, err)
+		}
+		want, err := n.PlanIncremental(opts, loaded)
+		if err != nil {
+			t.Fatalf("%s: plan against the loaded store: %v", desc, err)
+		}
+
+		iopts := opts
+		iopts.Baseline = store
+		incr, next, err := n.SweepBaseline(iopts, 4)
+		if err != nil {
+			t.Fatalf("%s: incremental sweep: %v", desc, err)
+		}
+		cold, err := n.Sweep(opts, 4)
+		if err != nil {
+			t.Fatalf("%s: cold sweep: %v", desc, err)
+		}
+		diffSweepReports(t, desc, cold, incr)
+
+		got, inv := incr.Delta, incr.Invalidation
+		if got == nil || inv == nil {
+			t.Fatalf("%s: the incremental sweep reported no delta", desc)
+		}
+		if !reflect.DeepEqual(got.Items, want.Delta.Items) {
+			t.Fatalf("%s: the in-process delta differs from the loaded store's:\n%s\nwant\n%s", desc, got, want.Delta)
+		}
+		if inv.ClassesDirty != want.Stats.ClassesDirty || inv.ClassesReplayed != want.ReplayedClasses {
+			t.Fatalf("%s: in process %d dirty / %d replayed, loaded %d / %d",
+				desc, inv.ClassesDirty, inv.ClassesReplayed, want.Stats.ClassesDirty, want.ReplayedClasses)
+		}
+		if inv.DevicesCompared != replaced || got.DevicesCompared != replaced {
+			t.Fatalf("%s: Diff compared %d devices in process, want the %d the edit replaced", desc, inv.DevicesCompared, replaced)
+		}
+		if want.Stats.DevicesCompared != routers {
+			t.Fatalf("%s: Diff compared %d devices of the loaded store, want all %d", desc, want.Stats.DevicesCompared, routers)
+		}
+		for name, d := range n.snap {
+			if text := config.Write(d); next.Configs[name] != text {
+				t.Fatalf("%s: the capture stored for %s\n%s\nwant\n%s", desc, name, next.Configs[name], text)
+			}
+		}
+		t.Logf("%s: %d devices replaced, %d dirty, %d replayed, delta %v", desc, replaced, inv.ClassesDirty, inv.ClassesReplayed, inv.DeltaKinds)
+		store = next
+		return got
+	}
+
+	for _, p := range gen.Perturb(w, 7, 5) {
+		step(p.Description, func() { applyPerturbation(t, n, p) })
+	}
+
+	pe := w.PEs[0]
+	if d := step("own text reinstalled on "+pe, func() { n.SetConfig(pe, config.Write(n.snap[pe])) }); !d.Empty() {
+		t.Fatalf("reinstalling %s's own text diffs non-empty:\n%s", pe, d)
+	}
+
+	// A Network sharing n's map (as relinked builds one): an edit of that
+	// map after the capture must not reach the store's devices.
+	shared := relinked(n, func(l *topo.Link) (uint32, bool) { return l.Weight, true })
+	d := step("bgp: "+pe+" originates 198.18.0.0/24 through a shared map", func() {
+		bgp := fmt.Sprintf("router bgp %d", n.snap[pe].BGP.AS)
+		if err := shared.ApplyUpdate(pe, bgp, " network 198.18.0.0/24"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !slices.ContainsFunc(d.Items, func(it core.DeltaItem) bool { return it.Device == pe }) {
+		t.Fatalf("an edit through the network's map after capture is missing from the delta:\n%s", d)
 	}
 }
 

@@ -70,16 +70,12 @@ func detectFault(w *gen.WAN, f gen.Fault) (bool, error) {
 	case gen.FaultStaticPref:
 		// Update checking: the best-route protocol at the updated PE must
 		// not silently change class.
-		before, err := core.Assemble(w.Net, w.Snap.Clone(), behavior.TrueProfiles())
-		if err != nil {
-			return false, err
-		}
 		// Establish the intended state (prep only).
 		prepSnap, err := w.Snap.Apply(f.Updates[:1])
 		if err != nil {
 			return false, err
 		}
-		before, err = core.Assemble(w.Net, prepSnap, behavior.TrueProfiles())
+		before, err := core.Assemble(w.Net, prepSnap, behavior.TrueProfiles())
 		if err != nil {
 			return false, err
 		}

@@ -336,6 +336,40 @@ func TestSnapshotApply(t *testing.T) {
 	}
 }
 
+// TestApplySharesUntouchedDevices pins the snapshot immutability
+// contract Diff's identity rule rests on: Apply hands back every device
+// no update names as the same object, a new object for the one it
+// edits, and leaves the receiver's configurations byte for byte as they
+// were.
+func TestApplySharesUntouchedDevices(t *testing.T) {
+	snap := Snapshot{"r1": mustParse(t, sampleConfig)}
+	for _, name := range []string{"r2", "r3"} {
+		snap[name] = mustParse(t, "hostname "+name+"\nrouter bgp 200\n  network 20.0.0.0/8\n  neighbor r1 remote-as 100\n")
+	}
+	before := map[string]string{}
+	for name, d := range snap {
+		before[name] = Write(d)
+	}
+	out, err := snap.Apply([]Update{{Device: "r2", Lines: []string{"router bgp 200", "no network 20.0.0.0/8", "network 21.0.0.0/8"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != len(snap) {
+		t.Fatalf("Apply returned %d devices, want %d", len(out), len(snap))
+	}
+	for name, d := range snap {
+		if shared := out[name] == d; shared != (name != "r2") {
+			t.Errorf("%s: shared with the receiver = %v, want %v", name, shared, name != "r2")
+		}
+		if got := Write(d); got != before[name] {
+			t.Errorf("Apply changed the receiver's %s:\n%s\nwant\n%s", name, got, before[name])
+		}
+	}
+	if !out["r2"].BGP.HasNetwork(netaddr.MustParse("21.0.0.0/8")) || out["r2"].BGP.HasNetwork(netaddr.MustParse("20.0.0.0/8")) {
+		t.Fatalf("the update did not land on the new r2:\n%s", Write(out["r2"]))
+	}
+}
+
 func TestRemoveACLUnbindsInterfaces(t *testing.T) {
 	d := mustParse(t, sampleConfig)
 	nd, err := ApplyUpdate(d, Update{Device: "r1", Lines: []string{"no access-list ACL1"}})

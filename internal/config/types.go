@@ -18,6 +18,11 @@ import (
 )
 
 // Device is the complete parsed configuration of one router.
+//
+// A device a Snapshot holds is never edited in place: a change builds a
+// new Device (ApplyUpdate, or Clone and edit the copy) and replaces the
+// snapshot's entry. Code that compares two snapshots may therefore take
+// one *Device held by both as proof that the router did not change.
 type Device struct {
 	Hostname string
 	Vendor   string

@@ -2,6 +2,7 @@ package config
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 )
 
@@ -171,23 +172,17 @@ func applyRemoval(d *Device, ctx, stmt string) error {
 }
 
 // Snapshot is the configuration of a whole network keyed by device name,
-// plus helpers to apply a batch of updates atomically.
+// plus helpers to apply a batch of updates atomically. The devices it
+// holds are immutable (see Device): two snapshots may share a *Device,
+// and a change to one router replaces that router's entry.
 type Snapshot map[string]*Device
 
-// Clone deep-copies the snapshot.
-func (s Snapshot) Clone() Snapshot {
-	out := make(Snapshot, len(s))
-	for k, v := range s {
-		out[k] = v.Clone()
-	}
-	return out
-}
-
 // Apply returns a new snapshot with all updates applied; the receiver is
-// unchanged. Unknown devices are an error (updates target existing
-// routers).
+// unchanged. The result shares every device no update names with the
+// receiver and holds a new device for each one an update names. Unknown
+// devices are an error (updates target existing routers).
 func (s Snapshot) Apply(ups []Update) (Snapshot, error) {
-	out := s.Clone()
+	out := maps.Clone(s)
 	for _, up := range ups {
 		dev, ok := out[up.Device]
 		if !ok {

@@ -95,6 +95,10 @@ func (it DeltaItem) String() string {
 // ModelDelta is the structured difference between two models.
 type ModelDelta struct {
 	Items []DeltaItem
+	// DevicesCompared counts the routers present in both models whose
+	// configurations Diff compared in full: every one the models do not
+	// share as one *config.Device.
+	DevicesCompared int
 }
 
 // Empty reports whether the models are indistinguishable to the tracker.
@@ -143,6 +147,10 @@ type InvalidationStats struct {
 	// ReplaysAudited is how many replayed classes were re-simulated
 	// anyway (audit sampling) and diffed against the cached report.
 	ReplaysAudited int
+	// DevicesCompared is ModelDelta.DevicesCompared of the triggering
+	// diff: the devices an edit replaced when the baseline store is the
+	// one this process captured, every device of a store loaded off disk.
+	DevicesCompared int
 	// DeltaKinds is the delta-kind histogram of the triggering diff.
 	DeltaKinds map[string]int
 	// FullInvalidation records the conservative fallback: the delta
@@ -155,6 +163,11 @@ type InvalidationStats struct {
 // Diff compares two assembled models and returns the classified delta.
 // Both models are read-only; Diff may populate their lazy caches
 // (origins, announced prefixes) but never mutates configuration.
+//
+// A router whose old and new configuration are the same *config.Device
+// is not compared: a device is never edited in place (config.Device), so
+// sharing it proves the configuration unchanged. The topology is always
+// compared in full, since topo.Network is mutable.
 func Diff(old, new *Model) *ModelDelta {
 	d := &ModelDelta{}
 
@@ -180,13 +193,17 @@ func Diff(old, new *Model) *ModelDelta {
 		if !ok {
 			continue // reported by diffTopology
 		}
+		oc, nc := old.Configs[oldNode.ID], new.Configs[node.ID]
+		if oc == nc {
+			continue
+		}
+		d.DevicesCompared++
 		before := len(d.Items)
-		diffDevice(old.Configs[oldNode.ID], new.Configs[node.ID], node.Name, cand, overlapping, d)
+		diffDevice(oc, nc, node.Name, cand, overlapping, d)
 		// Completeness catch-all: a config difference none of the tracked
 		// comparisons claimed means the tracker is out of date — fall
 		// back to full invalidation rather than replaying stale reports.
-		if len(d.Items) == before &&
-			config.Write(old.Configs[oldNode.ID]) != config.Write(new.Configs[node.ID]) {
+		if len(d.Items) == before && config.Write(oc) != config.Write(nc) {
 			d.add(DeltaItem{Kind: DeltaUntracked, Device: node.Name, Full: true,
 				Detail: "configurations differ but no tracked comparison claimed the change"})
 		}
@@ -584,10 +601,16 @@ func diffPrefixLists(oc, nc *config.Device, name string, cand []netaddr.Prefix, 
 // diffOrigins compares the models' computed per-device origin lists —
 // the ground truth for network statements and redistribution. A changed
 // origin for prefix q can only influence simulations whose universe
-// overlaps q.
+// overlaps q. A device's origins follow from its configuration, its node
+// and its vendor profile, so on identical topologies under one behavior
+// registry (an incremental plan refuses a store captured under another)
+// a device both models share cannot have changed them.
 func diffOrigins(old, new *Model, overlapping func(netaddr.Prefix) []netaddr.Prefix, d *ModelDelta) {
 	oo, no := old.Origins(), new.Origins()
 	for id := range no {
+		if old.Configs[id] == new.Configs[id] {
+			continue
+		}
 		oldC := map[string]int{}
 		for _, r := range oo[id] {
 			oldC[fmt.Sprintf("%v", r)]++

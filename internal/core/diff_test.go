@@ -280,3 +280,55 @@ func TestDiffKindsHistogram(t *testing.T) {
 		t.Fatal("delta should be non-empty with a readable String")
 	}
 }
+
+// BenchmarkDiffOneDevice times the diff behind an incremental sweep after
+// one policy edit on gen.Medium: against the baseline the capturing
+// process kept (every device but the edited one shared, so Diff compares
+// one) and against the same baseline re-parsed from its text (a store
+// loaded off disk, where Diff compares every device).
+func BenchmarkDiffOneDevice(b *testing.B) {
+	w, err := gen.Generate(gen.Medium())
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := gen.Perturb(w, 3, 1)[0]
+	if p.Kind != "policy" {
+		b.Fatalf("first perturbation is a %s edit, want policy", p.Kind)
+	}
+	edited, err := w.Snap.Apply([]config.Update{{Device: p.Device, Lines: p.Lines}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	reparsed := config.Snapshot{}
+	for name, d := range w.Snap {
+		if reparsed[name], err = config.Parse(config.Write(d)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	assemble := func(snap config.Snapshot) *Model {
+		m, err := Assemble(w.Net, snap, behavior.TrueProfiles())
+		if err != nil {
+			b.Fatal(err)
+		}
+		return m
+	}
+	cur := assemble(edited)
+	for _, bc := range []struct {
+		name     string
+		old      *Model
+		compared int
+	}{
+		{"shared", assemble(w.Snap), 1},
+		{"reparsed", assemble(reparsed), w.Net.NumNodes()},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				d := Diff(bc.old, cur)
+				if d.Empty() || d.Full() || d.DevicesCompared != bc.compared {
+					b.Fatalf("one policy edit diffed to %d compared devices, want %d:\n%s", d.DevicesCompared, bc.compared, d)
+				}
+			}
+		})
+	}
+}

@@ -57,11 +57,12 @@ type Injection struct {
 	Description string
 }
 
-// Inject plants one defect of the given kind into the WAN, mutating
-// its snapshot (and for DefectAsymCut its topology) in place, and
-// returns the anchor the resulting vet diagnostic must carry. The
-// mutations are deterministic: the same WAN and kind always produce
-// the same defect at the same device.
+// Inject plants one defect of the given kind into the WAN and returns
+// the anchor the resulting vet diagnostic must carry. It replaces each
+// device it edits in the snapshot with an edited copy (a snapshot's
+// devices are never edited in place: config.Device); DefectAsymCut also
+// edits the topology in place. The mutations are deterministic: the
+// same WAN and kind always produce the same defect at the same device.
 func Inject(w *WAN, d Defect) (Injection, error) {
 	switch d {
 	case DefectTermShadow:
@@ -80,13 +81,20 @@ func Inject(w *WAN, d Defect) (Injection, error) {
 	return Injection{}, fmt.Errorf("gen: unknown defect kind %q", d)
 }
 
+// edit replaces the named device of w's snapshot with a copy and
+// returns the copy, the one the caller may change.
+func edit(w *WAN, name string) *config.Device {
+	d := w.Snap[name].Clone()
+	w.Snap[name] = d
+	return d
+}
+
 func injectTermShadow(w *WAN) (Injection, error) {
 	for _, pe := range w.PEs {
-		dev := w.Snap[pe]
-		tag, ok := dev.RoutePolicies["TAG"]
-		if !ok || len(tag.Terms) == 0 {
+		if tag, ok := w.Snap[pe].RoutePolicies["TAG"]; !ok || len(tag.Terms) == 0 {
 			continue // spare PEs of a redundancy group carry no TAG
 		}
+		tag := edit(w, pe).RoutePolicies["TAG"]
 		tag.Terms = append([]policy.Term{{Seq: 5, Action: policy.Permit}}, tag.Terms...)
 		return Injection{
 			Defect: DefectTermShadow, Device: pe, Object: "route-policy/TAG",
@@ -101,7 +109,7 @@ func injectDeadRef(w *WAN) (Injection, error) {
 		return Injection{}, fmt.Errorf("gen: no core to plant an orphan prefix-list on")
 	}
 	core := w.Cores[0]
-	w.Snap[core].PrefixLists["ORPHAN"] = &policy.PrefixList{
+	edit(w, core).PrefixLists["ORPHAN"] = &policy.PrefixList{
 		Name:  "ORPHAN",
 		Rules: []policy.PrefixRule{{Prefix: netaddr.MustParse("10.250.0.0/16"), Action: policy.Permit}},
 	}
@@ -116,11 +124,10 @@ func injectIBGPGap(w *WAN) (Injection, error) {
 		return Injection{}, fmt.Errorf("gen: no MAN to disconnect from the iBGP mesh")
 	}
 	man := w.MANs[0]
-	cfg := w.Snap[man]
-	if cfg.BGP == nil || len(cfg.BGP.Neighbors) == 0 {
+	if cfg := w.Snap[man]; cfg.BGP == nil || len(cfg.BGP.Neighbors) == 0 {
 		return Injection{}, fmt.Errorf("gen: MAN %s has no BGP neighbors to remove", man)
 	}
-	cfg.BGP.Neighbors = nil
+	edit(w, man).BGP.Neighbors = nil
 	return Injection{
 		Defect: DefectIBGPGap, Device: man, Object: "bgp",
 		Description: fmt.Sprintf("all neighbor statements removed from %s; no origin's routes can reach it", man),
@@ -141,7 +148,8 @@ func injectStaticNH(w *WAN) (Injection, error) {
 			continue
 		}
 		pfx := netaddr.MustParse("10.254.0.0/24")
-		w.Snap[core].Statics = append(w.Snap[core].Statics, config.StaticRoute{Prefix: pfx, NextHop: pe})
+		dev := edit(w, core)
+		dev.Statics = append(dev.Statics, config.StaticRoute{Prefix: pfx, NextHop: pe})
 		return Injection{
 			Defect: DefectStaticNH, Device: core, Object: "static/" + pfx.String(),
 			Description: fmt.Sprintf("static on %s via %s, which shares no link with it", core, pe),
@@ -228,8 +236,10 @@ func injectCutSound(w *WAN) (Injection, error) {
 	if attached == "" {
 		return Injection{}, fmt.Errorf("gen: gateway %s has no attached PE", home)
 	}
-	w.Snap[attached].Statics = append(w.Snap[attached].Statics, config.StaticRoute{Prefix: pfx, NextHop: home})
-	w.Snap[stray].BGP.Networks = append(w.Snap[stray].BGP.Networks, pfx)
+	at := edit(w, attached)
+	at.Statics = append(at.Statics, config.StaticRoute{Prefix: pfx, NextHop: home})
+	st := edit(w, stray)
+	st.BGP.Networks = append(st.BGP.Networks, pfx)
 	return Injection{
 		Defect: DefectCutSound, Device: stray, Object: "bgp",
 		Description: fmt.Sprintf("%s (owned by %s) also originated at %s; the family spans two regions", pfx, home, stray),

@@ -256,6 +256,7 @@ type InvalidationBody struct {
 	ClassesDirty     int            `json:"classes_dirty"`
 	ClassesReplayed  int            `json:"classes_replayed"`
 	ReplaysAudited   int            `json:"replays_audited"`
+	DevicesCompared  int            `json:"devices_compared"`
 	FullInvalidation bool           `json:"full_invalidation"`
 	DeltaKinds       map[string]int `json:"delta_kinds,omitempty"`
 	Notes            []string       `json:"notes,omitempty"`
@@ -266,6 +267,7 @@ func invalidationBody(st *core.InvalidationStats) *InvalidationBody {
 		ClassesDirty:     st.ClassesDirty,
 		ClassesReplayed:  st.ClassesReplayed,
 		ReplaysAudited:   st.ReplaysAudited,
+		DevicesCompared:  st.DevicesCompared,
 		FullInvalidation: st.FullInvalidation,
 		DeltaKinds:       st.DeltaKinds,
 		Notes:            st.Notes,

@@ -220,7 +220,7 @@ func TestResweepEndpoint(t *testing.T) {
 	if !again.Incremental || again.Replayed != again.Classes || len(again.Delta) != 0 {
 		t.Fatalf("no-change resweep %+v", again)
 	}
-	if again.Invalidation == nil || again.Invalidation.ClassesDirty != 0 {
+	if again.Invalidation == nil || again.Invalidation.ClassesDirty != 0 || again.Invalidation.DevicesCompared != 0 {
 		t.Fatalf("no-change invalidation %+v", again.Invalidation)
 	}
 
@@ -235,7 +235,7 @@ func TestResweepEndpoint(t *testing.T) {
 	if !upd.Incremental || upd.Prefixes != 2 || len(upd.Delta) == 0 {
 		t.Fatalf("update resweep %+v", upd)
 	}
-	if upd.Invalidation == nil || upd.Invalidation.ClassesDirty == 0 {
+	if upd.Invalidation == nil || upd.Invalidation.ClassesDirty == 0 || upd.Invalidation.DevicesCompared != 1 {
 		t.Fatalf("update invalidation %+v", upd.Invalidation)
 	}
 	var route RouteResponse

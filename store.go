@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -84,6 +85,13 @@ type ResultStore struct {
 	// model reads the same IGP inputs — after a policy or static-route
 	// edit — and ignores it otherwise.
 	igp *igp.Memo
+	// devices are the parsed configurations Configs was written from, in
+	// a map of their own: the capturing Network goes on replacing entries
+	// of its snapshot, and must not replace them here. Kept in-process
+	// only, like igp (a loaded store parses Configs instead). Devices are
+	// immutable (config.Device), so the next sweep's model shares every
+	// one no edit replaced, and core.Diff and the next capture skip it.
+	devices config.Snapshot
 }
 
 // QuarantinedRecord is one invalid class record LoadResultStore refused
@@ -367,12 +375,14 @@ func optionsHash(opts Options, profiles string) string {
 func membersKey(members []string) string { return strings.Join(members, " ") }
 
 // newStoreShell captures the model side of a store (topology + configs);
-// class records are appended by the sweep.
+// class records are appended by the sweep. A device the sweep's baseline
+// store also holds keeps the text that store wrote for it.
 func newStoreShell(n *Network, opts Options, reg *behavior.Registry) *ResultStore {
 	st := &ResultStore{
 		OptionsHash: optionsHash(opts, profilesKey(n.net, reg)),
 		K:           opts.K,
-		Configs:     map[string]string{},
+		Configs:     make(map[string]string, len(n.snap)),
+		devices:     maps.Clone(n.snap),
 	}
 	for _, node := range n.net.Nodes() {
 		st.Nodes = append(st.Nodes, *node)
@@ -382,8 +392,13 @@ func newStoreShell(n *Network, opts Options, reg *behavior.Registry) *ResultStor
 			A: n.net.Node(l.A).Name, B: n.net.Node(l.B).Name, Weight: l.Weight,
 		})
 	}
-	for name, dev := range n.snap {
-		st.Configs[name] = config.Write(dev)
+	base := opts.Baseline
+	for name, dev := range st.devices {
+		if base != nil && base.devices[name] == dev {
+			st.Configs[name] = base.Configs[name]
+		} else {
+			st.Configs[name] = config.Write(dev)
+		}
 	}
 	return st
 }
@@ -391,7 +406,10 @@ func newStoreShell(n *Network, opts Options, reg *behavior.Registry) *ResultStor
 // baselineModel rebuilds and assembles the stored baseline. Node IDs are
 // re-assigned in stored order; RouterIDs, roles and every other node
 // attribute round-trip exactly (topo.AddNode only auto-assigns a zero
-// RouterID, and captured nodes always carry the assigned one).
+// RouterID, and captured nodes always carry the assigned one). The
+// configurations are the devices the capture kept, so the model shares
+// them with a network no edit has touched since; only a store loaded off
+// disk parses Configs.
 func (st *ResultStore) baselineModel(reg *behavior.Registry) (*core.Model, error) {
 	net := topo.NewNetwork()
 	for _, node := range st.Nodes {
@@ -410,13 +428,16 @@ func (st *ResultStore) baselineModel(reg *behavior.Registry) (*core.Model, error
 			return nil, fmt.Errorf("hoyan: baseline topology: %w", err)
 		}
 	}
-	snap := config.Snapshot{}
-	for name, text := range st.Configs {
-		d, err := config.Parse(text)
-		if err != nil {
-			return nil, fmt.Errorf("hoyan: baseline config for %s: %w", name, err)
+	snap := st.devices
+	if snap == nil {
+		snap = make(config.Snapshot, len(st.Configs))
+		for name, text := range st.Configs {
+			d, err := config.Parse(text)
+			if err != nil {
+				return nil, fmt.Errorf("hoyan: baseline config for %s: %w", name, err)
+			}
+			snap[name] = d
 		}
-		snap[name] = d
 	}
 	return core.Assemble(net, snap, reg)
 }
@@ -488,6 +509,7 @@ func planIncremental(model *core.Model, classes []core.PrefixClass,
 	}
 	plan.delta = core.Diff(old, model)
 	plan.stats.DeltaKinds = plan.delta.Kinds()
+	plan.stats.DevicesCompared = plan.delta.DevicesCompared
 	if plan.delta.Full() {
 		return allDirty("delta contains full-invalidation items (topology/process-level change); full re-sweep")
 	}
