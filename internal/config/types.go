@@ -251,6 +251,27 @@ func (d *Device) ResolvedPolicy(name string) (*policy.RoutePolicy, error) {
 	return p, nil
 }
 
+// PolicyInUse reports whether a neighbor (as its InPolicy or OutPolicy)
+// or a redistribution names the route policy — the only places a
+// simulation resolves one (ResolvedPolicy). A policy nothing names is
+// inert: editing, adding or removing it cannot change a route.
+func (d *Device) PolicyInUse(name string) bool {
+	if d.BGP == nil || name == "" {
+		return false
+	}
+	for _, n := range d.BGP.Neighbors {
+		if n.InPolicy == name || n.OutPolicy == name {
+			return true
+		}
+	}
+	for _, r := range d.BGP.Redistribute {
+		if r.Policy == name {
+			return true
+		}
+	}
+	return false
+}
+
 // Validate performs cross-reference checks: policies, prefix lists and
 // ACLs referenced by name must exist.
 func (d *Device) Validate() error {

@@ -132,7 +132,9 @@ func (m *Model) fingerprint(p netaddr.Prefix) string {
 	// Policy prefix-dependence: of a route-map term's match conditions
 	// only the prefix-list looks at the prefix, so the vector of permit
 	// bits over every term-bound prefix list — in deterministic device /
-	// policy-name / term order — pins how every policy treats p.
+	// policy-name / term order — pins how every policy treats p. Only
+	// attached policies count (config.Device.PolicyInUse): a policy no
+	// neighbor or redistribution names is never evaluated.
 	b.WriteString(";pl:")
 	for id := 0; id < len(m.Configs); id++ {
 		cfg := m.Configs[id]
@@ -141,7 +143,9 @@ func (m *Model) fingerprint(p netaddr.Prefix) string {
 		}
 		names := make([]string, 0, len(cfg.RoutePolicies))
 		for name := range cfg.RoutePolicies {
-			names = append(names, name)
+			if cfg.PolicyInUse(name) {
+				names = append(names, name)
+			}
 		}
 		sort.Strings(names)
 		for _, name := range names {

@@ -40,9 +40,9 @@ const (
 	DeltaSessionAdded      DeltaKind = "session-added"       // per-device taint scope
 	DeltaSessionRemoved    DeltaKind = "session-removed"     // per-device taint scope
 	DeltaSessionChanged    DeltaKind = "session-changed"     // neighbor attrs; taint scope
-	DeltaPolicyAdded       DeltaKind = "policy-added"        // per-device taint scope
-	DeltaPolicyRemoved     DeltaKind = "policy-removed"      // per-device taint scope
-	DeltaPolicyChanged     DeltaKind = "policy-changed"      // bounded prefix scope
+	DeltaPolicyAdded       DeltaKind = "policy-added"        // per-device taint scope; none if unattached
+	DeltaPolicyRemoved     DeltaKind = "policy-removed"      // per-device taint scope; none if unattached
+	DeltaPolicyChanged     DeltaKind = "policy-changed"      // bounded prefix scope; none if unattached
 	DeltaPrefixListChanged DeltaKind = "prefix-list-changed" // bounded prefix scope
 	DeltaStaticChanged     DeltaKind = "static-changed"      // bounded prefix scope
 	DeltaOriginChanged     DeltaKind = "origin-changed"      // bounded prefix scope
@@ -144,6 +144,10 @@ type InvalidationStats struct {
 	ClassesDirty int
 	// ClassesReplayed is how many replayed their cached report.
 	ClassesReplayed int
+	// ClassesRematched is how many of the replayed classes replayed a
+	// baseline record whose members differ from theirs: a class the edit
+	// split or merged, answered by the record of a member it left alone.
+	ClassesRematched int
 	// ReplaysAudited is how many replayed classes were re-simulated
 	// anyway (audit sampling) and diffed against the cached report.
 	ReplaysAudited int
@@ -487,13 +491,16 @@ func cloneCounts(m map[string]int) map[string]int {
 	return out
 }
 
-// diffPolicies compares route policies by name. For a policy present in
-// both configs the comparison is per candidate prefix: the sequence of
-// terms relevant to p (terms whose prefix-list permits p, or have none)
-// with their full match/set content. Policy evaluation is first-match
-// over exactly that sequence, and no other match condition reads the
-// prefix, so equal sequences mean the old and new policies are the same
-// function on routes carrying p — the change cannot affect p's class.
+// diffPolicies compares route policies by name. A policy no neighbor and
+// no redistribution names in either config (config.Device.PolicyInUse)
+// is never evaluated, so adding, removing or editing it yields an item
+// with no scope. For an attached policy present in both configs the
+// comparison is per candidate prefix: the sequence of terms relevant to
+// p (terms whose prefix-list permits p, or have none) with their full
+// match/set content. Policy evaluation is first-match over exactly that
+// sequence, and no other match condition reads the prefix, so equal
+// sequences mean the old and new policies are the same function on
+// routes carrying p — the change cannot affect p's class.
 func diffPolicies(oc, nc *config.Device, name string, cand []netaddr.Prefix, d *ModelDelta) {
 	names := map[string]bool{}
 	for n := range oc.RoutePolicies {
@@ -511,6 +518,18 @@ func diffPolicies(oc, nc *config.Device, name string, cand []netaddr.Prefix, d *
 		op, ohas := oc.RoutePolicies[pn]
 		np, nhas := nc.RoutePolicies[pn]
 		switch {
+		case !oc.PolicyInUse(pn) && !nc.PolicyInUse(pn):
+			kind := DeltaPolicyChanged
+			switch {
+			case !nhas:
+				kind = DeltaPolicyRemoved
+			case !ohas:
+				kind = DeltaPolicyAdded
+			case op == np || policySig(op) == policySig(np):
+				continue
+			}
+			d.add(DeltaItem{Kind: kind, Device: name,
+				Detail: pn + " is named by no neighbor or redistribution"})
 		case ohas && !nhas:
 			d.add(DeltaItem{Kind: DeltaPolicyRemoved, Device: name, AllPrefixes: true, Detail: pn})
 		case !ohas && nhas:
@@ -539,24 +558,43 @@ func relevantTermSig(pol *policy.RoutePolicy, p netaddr.Prefix) string {
 		if t.Match.PrefixList != nil && !t.Match.PrefixList.Permits(p) {
 			continue
 		}
-		m, s := t.Match, t.Set
-		fmt.Fprintf(&b, "%d/%v:c%v,nc%v,as%d", t.Seq, t.Action, m.Community, m.NoCommunity, m.ASInPath)
-		if m.Protocol != nil {
-			fmt.Fprintf(&b, ",pr%v", *m.Protocol)
-		}
-		if s.LocalPref != nil {
-			fmt.Fprintf(&b, ",lp%d", *s.LocalPref)
-		}
-		if s.Weight != nil {
-			fmt.Fprintf(&b, ",w%d", *s.Weight)
-		}
-		if s.MED != nil {
-			fmt.Fprintf(&b, ",med%d", *s.MED)
-		}
-		fmt.Fprintf(&b, ",ac%v,dc%v,cc%v,pp%v,nhs%v;",
-			s.AddComms, s.DelComms, s.ClearComms, s.PrependAS, s.NextHopSelf)
+		writeTermSig(&b, t)
 	}
 	return b.String()
+}
+
+// policySig serializes every term of pol, its prefix-list rules
+// included: equal signatures mean the same policy.
+func policySig(pol *policy.RoutePolicy) string {
+	var b strings.Builder
+	for _, t := range pol.Terms {
+		if pl := t.Match.PrefixList; pl != nil {
+			fmt.Fprintf(&b, "pl%s%v/", pl.Name, pl.Rules)
+		}
+		writeTermSig(&b, t)
+	}
+	return b.String()
+}
+
+// writeTermSig writes a term's sequence, action and every match and set
+// field except its prefix list.
+func writeTermSig(b *strings.Builder, t policy.Term) {
+	m, s := t.Match, t.Set
+	fmt.Fprintf(b, "%d/%v:c%v,nc%v,as%d", t.Seq, t.Action, m.Community, m.NoCommunity, m.ASInPath)
+	if m.Protocol != nil {
+		fmt.Fprintf(b, ",pr%v", *m.Protocol)
+	}
+	if s.LocalPref != nil {
+		fmt.Fprintf(b, ",lp%d", *s.LocalPref)
+	}
+	if s.Weight != nil {
+		fmt.Fprintf(b, ",w%d", *s.Weight)
+	}
+	if s.MED != nil {
+		fmt.Fprintf(b, ",med%d", *s.MED)
+	}
+	fmt.Fprintf(b, ",ac%v,dc%v,cc%v,pp%v,nhs%v;",
+		s.AddComms, s.DelComms, s.ClearComms, s.PrependAS, s.NextHopSelf)
 }
 
 // diffPrefixLists reports prefix-list rule edits with the set of

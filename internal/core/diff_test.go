@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"hoyan/internal/behavior"
@@ -330,5 +331,107 @@ func BenchmarkDiffOneDevice(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// partition renders a model's classes as their member lists.
+func partition(m *Model) [][]string {
+	var out [][]string
+	for _, c := range m.Classes() {
+		out = append(out, c.MemberStrings())
+	}
+	return out
+}
+
+// TestUnreferencedPolicyIsInert pins the rule for a route policy no
+// neighbor and no redistribution names: adding, editing or removing it
+// yields delta items with no scope and leaves the class partition as it
+// was, though its prefix list tells a class's members apart. Attaching
+// it — on a neighbor, or on a redistribution — yields a scoped item, and
+// the class splits where its permit bits differ.
+func TestUnreferencedPolicyIsInert(t *testing.T) {
+	const dev = "pe-r0-0"
+	w := generate(t, gen.Small())
+	base := assembleWAN(t, w)
+	// target is a non-representative member of a multi-member class: the
+	// dead policy's prefix list permits it and none of its classmates.
+	var target string
+	var mates []string
+	for _, c := range base.Classes() {
+		if len(c.Members) > 1 {
+			target, mates = c.Members[1].String(), c.MemberStrings()
+			break
+		}
+	}
+	if target == "" {
+		t.Fatal("gen.Small has no multi-member class")
+	}
+	dead := []string{
+		"ip prefix-list PDEAD permit " + target,
+		"route-policy DEAD permit 10",
+		" match prefix-list PDEAD",
+		" set local-preference 150",
+		"route-policy DEAD permit 20",
+	}
+	edits := []struct {
+		name  string
+		lines []string
+		kind  DeltaKind
+	}{
+		{"add", dead, DeltaPolicyAdded},
+		{"edit", []string{"route-policy DEAD permit 30", " set med 7"}, DeltaPolicyChanged},
+		{"remove", []string{"no route-policy DEAD"}, DeltaPolicyRemoved},
+	}
+	prev := base
+	for _, e := range edits {
+		editConfig(t, w, dev, e.lines...)
+		next := assembleWAN(t, w)
+		d := Diff(prev, next)
+		if len(kindItems(d, e.kind)) != 1 {
+			t.Fatalf("%s: want one %s item, got:\n%s", e.name, e.kind, d)
+		}
+		for _, it := range d.Items {
+			if it.Full || it.AllPrefixes || len(it.Prefixes) > 0 {
+				t.Fatalf("%s: an unattached policy edit must have no scope, got:\n%s", e.name, d)
+			}
+		}
+		if !slices.EqualFunc(partition(next), partition(base), slices.Equal) {
+			t.Fatalf("%s: partition %v, want %v", e.name, partition(next), partition(base))
+		}
+		prev = next
+	}
+
+	// split is the partition an attached DEAD gives: base with target on
+	// its own.
+	split := func(m *Model) {
+		t.Helper()
+		for _, c := range m.Classes() {
+			members := c.MemberStrings()
+			if slices.Contains(members, target) && !slices.Equal(members, []string{target}) {
+				t.Fatalf("class of %s is %v, want it alone (its classmates were %v)", target, members, mates)
+			}
+		}
+	}
+	w = generate(t, gen.Small())
+	editConfig(t, w, dev, dead...)
+	unattached := assembleWAN(t, w)
+	for _, a := range []struct {
+		name  string
+		lines []string
+		kind  DeltaKind
+	}{
+		{"neighbor", []string{"router bgp 64500", " neighbor gw-r0-0 route-policy DEAD in"}, DeltaSessionChanged},
+		{"redistribute", []string{"ip route 172.16.9.0/24 core-r0-0", "router bgp 64500", " redistribute static route-policy DEAD"}, DeltaOriginChanged},
+	} {
+		aw := generate(t, gen.Small())
+		editConfig(t, aw, dev, dead...)
+		editConfig(t, aw, dev, a.lines...)
+		attached := assembleWAN(t, aw)
+		d := Diff(unattached, attached)
+		items := kindItems(d, a.kind)
+		if len(items) == 0 || d.Full() || !(items[0].AllPrefixes || len(items[0].Prefixes) > 0) {
+			t.Fatalf("%s: attaching DEAD wants a scoped %s item, got:\n%s", a.name, a.kind, d)
+		}
+		split(attached)
 	}
 }

@@ -346,6 +346,16 @@ func (h *sessionHeader) admits(p sessionHeader) error {
 // coordinator's requests route to the worker-side core.Shared assembled
 // from the same inputs, and never to another session's model.
 func ModelHash(n *topo.Network, snap config.Snapshot) string {
+	texts := make(map[string]string, len(snap))
+	for name, d := range snap {
+		texts[name] = config.Write(d)
+	}
+	return ModelHashOf(n, texts)
+}
+
+// ModelHashOf is ModelHash of a snapshot whose devices are already
+// written: texts holds config.Write of every device, by name.
+func ModelHashOf(n *topo.Network, texts map[string]string) string {
 	h := sha256.New()
 	for _, node := range n.Nodes() {
 		fmt.Fprintf(h, "node %s %d %s %s %s %s %d\n",
@@ -358,13 +368,13 @@ func ModelHash(n *topo.Network, snap config.Snapshot) string {
 		}
 		fmt.Fprintf(h, "link %s %s %d\n", a, b, l.Weight)
 	}
-	names := make([]string, 0, len(snap))
-	for name := range snap {
+	names := make([]string, 0, len(texts))
+	for name := range texts {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		fmt.Fprintf(h, "cfg %s\n%s\n", name, config.Write(snap[name]))
+		fmt.Fprintf(h, "cfg %s\n%s\n", name, texts[name])
 	}
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"hoyan/internal/behavior"
+	"hoyan/internal/config"
 	"hoyan/internal/core"
 	"hoyan/internal/gen"
 )
@@ -497,4 +498,31 @@ func FuzzOpenSession(f *testing.F) {
 			t.Fatalf("the whole valid journal opens with %d completions, want 3", len(s.doneOrder))
 		}
 	})
+}
+
+// TestModelHashBytes pins the model hash: remote workers resolve plans by
+// it and journals refuse a resume under another, so the same network must
+// hash to the same string in every release, whether its devices are
+// written by ModelHash or handed over already written (ModelHashOf).
+func TestModelHashBytes(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		params gen.Params
+		want   string
+	}{
+		{"small", gen.Small(), "eafa106633c5fbf2"},
+		{"medium", gen.Medium(), "c9a64be383e9fcd1"},
+	} {
+		w, err := gen.Generate(tc.params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		texts := map[string]string{}
+		for name, d := range w.Snap {
+			texts[name] = config.Write(d)
+		}
+		if got, of := ModelHash(w.Net, w.Snap), ModelHashOf(w.Net, texts); got != tc.want || of != tc.want {
+			t.Errorf("%s: ModelHash %s, ModelHashOf %s, want %s", tc.name, got, of, tc.want)
+		}
+	}
 }

@@ -42,7 +42,10 @@ type Perturbation struct {
 // Policy steps add a prefix-list-matched term ahead of a PE's existing
 // ingress TAG terms, pinning local-preference for one announced prefix —
 // the paper's canonical "one policy term on one device" change whose
-// incremental re-verification cost should be near-constant. Static steps
+// incremental re-verification cost should be near-constant. On a PE with
+// no ingress TAG (a spare PE, with no eBGP peer) the step defines a TAG
+// policy that no neighbor or redistribution attaches: an inert edit,
+// which changes no route (config.Device.PolicyInUse). Static steps
 // add a static route for one announced prefix. Link steps add a PE-PE
 // chord inside one region.
 func Perturb(w *WAN, seed int64, n int) []Perturbation {

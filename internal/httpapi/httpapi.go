@@ -37,6 +37,10 @@ type Service struct {
 	// lastInval summarizes the last resweep's invalidation decisions for
 	// the /v1/classes counters.
 	lastInval *core.InvalidationStats
+	// classes is the committed sweep's class count, a resweep's job size
+	// for admission; -1 until a resweep commits, and then computed from
+	// the served model.
+	classes int
 	// adm is the sweep-session registry: admission control, per-session
 	// job bounds, and the SIGTERM drain latch (see admission.go).
 	adm admission
@@ -54,7 +58,7 @@ func New(net *topo.Network, snap config.Snapshot, k int) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Service{net: net, snap: snap, v: v, k: k, query: &queryPlane{}}, nil
+	return &Service{net: net, snap: snap, v: v, k: k, classes: -1, query: &queryPlane{}}, nil
 }
 
 // Handler returns the HTTP mux:
@@ -255,6 +259,7 @@ type ResweepRequest struct {
 type InvalidationBody struct {
 	ClassesDirty     int            `json:"classes_dirty"`
 	ClassesReplayed  int            `json:"classes_replayed"`
+	ClassesRematched int            `json:"classes_rematched"`
 	ReplaysAudited   int            `json:"replays_audited"`
 	DevicesCompared  int            `json:"devices_compared"`
 	FullInvalidation bool           `json:"full_invalidation"`
@@ -266,6 +271,7 @@ func invalidationBody(st *core.InvalidationStats) *InvalidationBody {
 	return &InvalidationBody{
 		ClassesDirty:     st.ClassesDirty,
 		ClassesReplayed:  st.ClassesReplayed,
+		ClassesRematched: st.ClassesRematched,
 		ReplaysAudited:   st.ReplaysAudited,
 		DevicesCompared:  st.DevicesCompared,
 		FullInvalidation: st.FullInvalidation,
@@ -326,7 +332,10 @@ func (s *Service) handleResweep(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	snap := s.snap
 	baseline := s.baseline
-	jobs := len(s.v.Model().Classes())
+	jobs := s.classes
+	if jobs < 0 {
+		jobs = len(s.v.Model().Classes())
+	}
 	s.mu.Unlock()
 
 	si, err := s.adm.admit(jobs)
@@ -376,7 +385,7 @@ func (s *Service) handleResweep(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	s.snap, s.v = snap, v
 	s.baseline = store
-	s.lastInval = rep.Invalidation
+	s.lastInval, s.classes = rep.Invalidation, rep.Classes
 	s.mu.Unlock()
 
 	// Auto-publish the committed store so /v1/query serves the state this

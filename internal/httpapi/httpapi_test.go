@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -224,9 +225,11 @@ func TestResweepEndpoint(t *testing.T) {
 		t.Fatalf("no-change invalidation %+v", again.Invalidation)
 	}
 
-	// A config update: A originates a second prefix. The delta is
-	// reported, the update is committed (the new prefix is queryable),
-	// and /v1/classes carries the invalidation counters.
+	// A config update: A originates a second prefix, which joins
+	// 10.0.0.0/8's class and replays that prefix's record: the class is
+	// rematched, nothing re-simulates. The delta is reported, the update
+	// is committed (the new prefix is queryable), and /v1/classes carries
+	// the invalidation counters.
 	body := `{"updates": [{"device": "A", "lines": ["router bgp 100", " network 11.0.0.0/8"]}]}`
 	var upd ResweepResponse
 	if code := post(t, srv, "/v1/resweep", body, &upd); code != 200 {
@@ -235,8 +238,9 @@ func TestResweepEndpoint(t *testing.T) {
 	if !upd.Incremental || upd.Prefixes != 2 || len(upd.Delta) == 0 {
 		t.Fatalf("update resweep %+v", upd)
 	}
-	if upd.Invalidation == nil || upd.Invalidation.ClassesDirty == 0 || upd.Invalidation.DevicesCompared != 1 {
-		t.Fatalf("update invalidation %+v", upd.Invalidation)
+	if upd.Replayed != 1 || upd.Invalidation == nil || upd.Invalidation.ClassesDirty != 0 ||
+		upd.Invalidation.ClassesRematched != 1 || upd.Invalidation.DevicesCompared != 1 {
+		t.Fatalf("update replayed %d, invalidation %+v", upd.Replayed, upd.Invalidation)
 	}
 	var route RouteResponse
 	if code := get(t, srv, "/v1/route?prefix=11.0.0.0/8&router=D", &route); code != 200 || !route.Reachable {
@@ -249,7 +253,7 @@ func TestResweepEndpoint(t *testing.T) {
 	if code := get(t, srv, "/v1/classes", &classes); code != 200 {
 		t.Fatalf("classes status %d", code)
 	}
-	if classes.Invalidation == nil || classes.Invalidation.ClassesDirty != upd.Invalidation.ClassesDirty {
+	if classes.Invalidation == nil || !reflect.DeepEqual(classes.Invalidation, upd.Invalidation) {
 		t.Fatalf("classes counters %+v, want %+v", classes.Invalidation, upd.Invalidation)
 	}
 

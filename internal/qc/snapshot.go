@@ -121,8 +121,9 @@ func CompileStore(st *hoyan.ResultStore) (*Snapshot, error) {
 // A record's programs depend only on its condition set, which never
 // changes after export or decode, and on the link universe. So a class
 // takes prev's programs instead of compiling when prev holds the same
-// condition-set pointer (a resweep carries a replayed record's forward
-// unchanged), prev's link names equal st's in LinkID order, and the root
+// condition-set pointer (a resweep carries a replayed record's forward,
+// renamed to its new members at most), prev's link names equal st's in
+// LinkID order, and the root
 // count matches. Everything else — members, routers, verdicts, indexes,
 // stats — is rebuilt from st. prev may be nil.
 func CompileStoreFrom(prev *Snapshot, st *hoyan.ResultStore) (*Snapshot, error) {

@@ -39,16 +39,6 @@ func checkUnattached(p *Pass, dev string, cfg *config.Device) {
 			}
 		}
 	}
-	usedRP := map[string]bool{}
-	if cfg.BGP != nil {
-		for _, n := range cfg.BGP.Neighbors {
-			usedRP[n.InPolicy] = true
-			usedRP[n.OutPolicy] = true
-		}
-		for _, r := range cfg.BGP.Redistribute {
-			usedRP[r.Policy] = true
-		}
-	}
 	usedACL := map[string]bool{}
 	for _, name := range cfg.InterfaceACLs {
 		usedACL[name] = true
@@ -60,7 +50,7 @@ func checkUnattached(p *Pass, dev string, cfg *config.Device) {
 		}
 	}
 	for _, name := range sortedKeys(cfg.RoutePolicies) {
-		if !usedRP[name] {
+		if !cfg.PolicyInUse(name) {
 			p.Reportf(dev, "route-policy/"+name, SevWarn,
 				"route-policy %s is defined but attached to no neighbor or redistribution", name)
 		}

@@ -7,9 +7,12 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"hoyan/internal/behavior"
+	"hoyan/internal/core"
 	"hoyan/internal/dist"
 	"hoyan/internal/gen"
 )
@@ -97,7 +100,9 @@ func TestSweepModeMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 			// The edit: the first config perturbation of the series that
-			// dirties some classes and leaves some to replay.
+			// leaves some classes to replay and dirties one the cut can
+			// run as region passes (one with a home region), so the
+			// modular incremental cells run a pass.
 			edited := false
 			for _, step := range gen.Perturb(w, 3, 6) {
 				if step.Kind == "link" {
@@ -109,7 +114,7 @@ func TestSweepModeMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(plan.DirtyJobs) > 0 && plan.ReplayedClasses > 0 {
+				if plan.ReplayedClasses > 0 && dirtiesHomedClass(t, trial, plan) {
 					n, edited = trial, true
 					break
 				}
@@ -233,6 +238,25 @@ func TestSweepModeMatrix(t *testing.T) {
 			}
 		})
 	}
+}
+
+// dirtiesHomedClass reports whether the plan re-simulates a class of
+// n's model that the modular cut gives a home region.
+func dirtiesHomedClass(t *testing.T, n *Network, plan *IncrementalPlan) bool {
+	t.Helper()
+	model, err := core.Assemble(n.net, n.snap, behavior.TrueProfiles())
+	if err != nil {
+		t.Fatal(err)
+	}
+	classes := model.Classes()
+	_, _, homes := planModular(model, classes)
+	for _, job := range plan.DirtyJobs {
+		i := slices.IndexFunc(classes, func(c core.PrefixClass) bool { return c.Rep.String() == job[0] })
+		if i >= 0 && homes != nil && homes[i] != "" {
+			return true
+		}
+	}
+	return false
 }
 
 // TestSweepJournalBindsProfiles: a custom behavior registry is part of

@@ -12,8 +12,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
-	"sort"
-	"strings"
 	"sync"
 
 	"hoyan/internal/behavior"
@@ -32,12 +30,13 @@ import (
 // pass's dist.Record — the reachability conditions behind the verdicts
 // as one factory-independent logic.Portable, the devices the simulation
 // actually consulted (core.Taint) widened here with every device the
-// report names, and the prefix universe of the run. A new model's classes
-// are matched to records by Members, not by behavior fingerprint:
-// unrelated config edits can rewrite every fingerprint string while
-// preserving the partition.
+// report names, and the prefix universe of the run. A new model's class
+// is matched to a record by member (replayRule), not by behavior
+// fingerprint or whole membership: unrelated config edits can rewrite
+// every fingerprint string, and an edit that splits or merges a class
+// leaves most of its members' simulations alone.
 type ClassRecord struct {
-	// Members are the class's prefixes, sorted — the record's identity.
+	// Members are the class's prefixes, sorted.
 	Members []string `json:"members"`
 	// Verdicts are the representative's verdicts at every BGP speaker, in
 	// node order: reachable with all links up, and the min failures that
@@ -372,16 +371,14 @@ func optionsHash(opts Options, profiles string) string {
 	return fmt.Sprintf("k=%d;prune=true;simplify=true;profiles=%s", opts.K, cmp.Or(profiles, "tuned"))
 }
 
-func membersKey(members []string) string { return strings.Join(members, " ") }
-
 // newStoreShell captures the model side of a store (topology + configs);
-// class records are appended by the sweep. A device the sweep's baseline
-// store also holds keeps the text that store wrote for it.
-func newStoreShell(n *Network, opts Options, reg *behavior.Registry) *ResultStore {
+// class records are appended by the sweep. texts (configTexts) becomes
+// the store's Configs.
+func newStoreShell(n *Network, opts Options, reg *behavior.Registry, texts map[string]string) *ResultStore {
 	st := &ResultStore{
 		OptionsHash: optionsHash(opts, profilesKey(n.net, reg)),
 		K:           opts.K,
-		Configs:     make(map[string]string, len(n.snap)),
+		Configs:     texts,
 		devices:     maps.Clone(n.snap),
 	}
 	for _, node := range n.net.Nodes() {
@@ -392,15 +389,23 @@ func newStoreShell(n *Network, opts Options, reg *behavior.Registry) *ResultStor
 			A: n.net.Node(l.A).Name, B: n.net.Node(l.B).Name, Weight: l.Weight,
 		})
 	}
-	base := opts.Baseline
-	for name, dev := range st.devices {
+	return st
+}
+
+// configTexts writes every device of the network's snapshot once per
+// sweep, for the plan's model hash and the captured store: config.Write
+// of each device, except that a device the baseline store also holds
+// keeps the text that store wrote for it.
+func (n *Network) configTexts(base *ResultStore) map[string]string {
+	texts := make(map[string]string, len(n.snap))
+	for name, dev := range n.snap {
 		if base != nil && base.devices[name] == dev {
-			st.Configs[name] = base.Configs[name]
+			texts[name] = base.Configs[name]
 		} else {
-			st.Configs[name] = config.Write(dev)
+			texts[name] = config.Write(dev)
 		}
 	}
-	return st
+	return texts
 }
 
 // baselineModel rebuilds and assembles the stored baseline. Node IDs are
@@ -468,11 +473,10 @@ func newClassRecord(members []string, verdicts []dist.RouterSummary, pass *dist.
 // baseline store: which classes replay their cached record and which
 // must re-simulate.
 type incrementalPlan struct {
-	// dirty[i] is true when class i (index into model.Classes()) must be
+	// records[i] is the record class i (index into model.Classes())
+	// replays: a baseline record, or a copy of one naming the class's
+	// members (ClassRecord.rematch). nil when the class must be
 	// re-simulated.
-	dirty []bool
-	// records[i] is the baseline record for class i (nil for dirty
-	// classes with no baseline match).
 	records []*ClassRecord
 	delta   *core.ModelDelta
 	stats   *core.InvalidationStats
@@ -486,14 +490,10 @@ type incrementalPlan struct {
 func planIncremental(model *core.Model, classes []core.PrefixClass,
 	store *ResultStore, opts Options, reg *behavior.Registry) *incrementalPlan {
 	plan := &incrementalPlan{
-		dirty:   make([]bool, len(classes)),
 		records: make([]*ClassRecord, len(classes)),
 		stats:   &core.InvalidationStats{DeltaKinds: map[string]int{}},
 	}
 	allDirty := func(note string) *incrementalPlan {
-		for i := range plan.dirty {
-			plan.dirty[i] = true
-		}
 		plan.stats.FullInvalidation = true
 		plan.stats.ClassesDirty = len(classes)
 		plan.stats.Notes = append(plan.stats.Notes, note)
@@ -514,28 +514,25 @@ func planIncremental(model *core.Model, classes []core.PrefixClass,
 		return allDirty("delta contains full-invalidation items (topology/process-level change); full re-sweep")
 	}
 
-	byMembers := map[string]*ClassRecord{}
+	spared := newReplayRule(plan.delta)
+	byMember := make(map[string]*ClassRecord, len(store.Classes))
 	for i := range store.Classes {
-		byMembers[membersKey(store.Classes[i].Members)] = &store.Classes[i]
+		for _, p := range store.Classes[i].Members {
+			byMember[p] = &store.Classes[i]
+		}
 	}
 	for i, cls := range classes {
-		members := make([]string, len(cls.Members))
-		for j, p := range cls.Members {
-			members[j] = p.String()
+		members := cls.MemberStrings()
+		for _, m := range members {
+			if rec := byMember[m]; rec != nil && spared.leaves(rec, m) {
+				plan.records[i] = rec.rematch(members)
+				if plan.records[i] != rec {
+					plan.stats.ClassesRematched++
+				}
+				break
+			}
 		}
-		sort.Strings(members)
-		rec := byMembers[membersKey(members)]
-		if rec == nil {
-			plan.dirty[i] = true // partition shifted here; no baseline match
-			continue
-		}
-		plan.records[i] = rec
-		if recordImpacted(rec, members, plan.delta) {
-			plan.dirty[i] = true
-		}
-	}
-	for i := range classes {
-		if plan.dirty[i] {
+		if plan.records[i] == nil {
 			plan.stats.ClassesDirty++
 		} else {
 			plan.stats.ClassesReplayed++
@@ -589,44 +586,74 @@ func (n *Network) PlanIncremental(opts Options, store *ResultStore) (*Incrementa
 	plan := planIncremental(model, classes, store, opts, reg)
 	out := &IncrementalPlan{Stats: plan.stats, Delta: plan.delta, ReplayedClasses: plan.stats.ClassesReplayed}
 	for i, cls := range classes {
-		if plan.dirty[i] {
+		if plan.records[i] == nil {
 			out.DirtyJobs = append(out.DirtyJobs, cls.MemberStrings())
 		}
 	}
 	return out, nil
 }
 
-// recordImpacted applies the invalidation rule: a delta item dirties a
-// class when its scope intersects the class's members/universe (prefix
-// scope) or its taint devices (device scope). Items with no scope are
-// informational (e.g. data-plane ACL edits) and dirty nothing.
-func recordImpacted(rec *ClassRecord, members []string, delta *core.ModelDelta) bool {
-	inUniverse := map[string]bool{}
-	for _, p := range members {
-		inUniverse[p] = true
-	}
-	for _, p := range rec.Universe {
-		inUniverse[p] = true
-	}
-	tainted := map[string]bool{}
-	for _, d := range rec.TaintDevices {
-		tainted[d] = true
-	}
+// replayRule is the invalidation rule of one delta, read per member: a
+// baseline record R answers for prefix m of a new model when m was one
+// of R's members and no item can change m's simulation. A device item
+// (AllPrefixes) changes it when its device or peer is in R's taint; a
+// prefix item when it names m itself or one of R's context prefixes (its
+// universe minus its members, the routes every member's simulation
+// shares). Items with no scope change nothing. m then simulates in the
+// new model as in the old, where it simulated as R's representative did,
+// and every member of m's new class shares m's fingerprint, so R answers
+// for that whole class. Full items never reach here: planIncremental
+// re-simulates everything on them.
+type replayRule struct {
+	devices map[string]bool // Device and Peer of every device item
+	named   map[string]bool // every prefix a prefix item names
+}
+
+func newReplayRule(delta *core.ModelDelta) *replayRule {
+	r := &replayRule{devices: map[string]bool{}, named: map[string]bool{}}
 	for _, it := range delta.Items {
-		switch {
-		case it.Full:
-			return true
-		case it.AllPrefixes:
-			if tainted[it.Device] || (it.Peer != "" && tainted[it.Peer]) {
-				return true
-			}
-		default:
-			for _, p := range it.Prefixes {
-				if inUniverse[p.String()] {
-					return true
-				}
+		if it.AllPrefixes {
+			r.devices[it.Device] = true
+			if it.Peer != "" {
+				r.devices[it.Peer] = true
 			}
 		}
+		for _, p := range it.Prefixes {
+			r.named[p.String()] = true
+		}
 	}
-	return false
+	return r
+}
+
+// leaves reports whether the delta leaves m's simulation as rec recorded
+// it.
+func (r *replayRule) leaves(rec *ClassRecord, m string) bool {
+	return !r.named[m] &&
+		!slices.ContainsFunc(rec.TaintDevices, func(d string) bool { return r.devices[d] }) &&
+		!slices.ContainsFunc(rec.context(), func(p string) bool { return r.named[p] })
+}
+
+// context is the record's universe minus its members: the prefixes whose
+// routes join every member's simulation verbatim.
+func (rec *ClassRecord) context() []string {
+	return slices.DeleteFunc(slices.Clone(rec.Universe), func(p string) bool {
+		return slices.Contains(rec.Members, p)
+	})
+}
+
+// rematch is rec as the record of a class with members (representative
+// first): rec itself when the members are its own, else a copy naming
+// them, whose universe is rec's context plus the new representative —
+// what a simulation of that representative records. Verdicts, taint and
+// conditions are shared: they are the same for every member.
+func (rec *ClassRecord) rematch(members []string) *ClassRecord {
+	sorted := slices.Sorted(slices.Values(members))
+	if slices.Equal(sorted, rec.Members) {
+		return rec
+	}
+	out := *rec
+	out.Members = sorted
+	out.Universe = append(rec.context(), members[0])
+	slices.Sort(out.Universe)
+	return &out
 }

@@ -85,8 +85,9 @@ func (n *Network) Sweep(opts Options, workers int) (*SweepReport, error) {
 // holding the swept model and every class's verdicts, taint set, and
 // portable reachability conditions, for use as Options.Baseline in later
 // incremental sweeps. When this sweep is itself incremental, replayed
-// classes carry their baseline records forward unchanged, so a
-// perturbation series pays capture cost only for re-simulated classes.
+// classes carry their baseline records forward (naming their own
+// members when the edit split or merged them), so a perturbation series
+// pays capture cost only for re-simulated classes.
 func (n *Network) SweepBaseline(opts Options, workers int) (*SweepReport, *ResultStore, error) {
 	return n.SweepOver(opts, dist.Local(workers), nil, true)
 }
@@ -152,13 +153,13 @@ func (o Options) resolve() (Options, *behavior.Registry, core.Options) {
 }
 
 // planHash names the model a plan verifies: the topology and configs
-// (dist.ModelHash) and, where it differs from the registry remote workers
-// assemble with, the behavior registry reg (profilesKey). A pass for a
-// custom registry then fails on a remote worker instead of answering
-// under the true profiles, and a journal written under one registry
-// refuses a sweep under another.
-func (n *Network) planHash(reg *behavior.Registry) string {
-	hash := dist.ModelHash(n.net, n.snap)
+// (dist.ModelHash, over texts: configTexts) and, where it differs from
+// the registry remote workers assemble with, the behavior registry reg
+// (profilesKey). A pass for a custom registry then fails on a remote
+// worker instead of answering under the true profiles, and a journal
+// written under one registry refuses a sweep under another.
+func (n *Network) planHash(reg *behavior.Registry, texts map[string]string) string {
+	hash := dist.ModelHashOf(n.net, texts)
 	if key := profilesKey(n.net, reg); key != "" {
 		return hash + "+profiles-" + key
 	}
@@ -196,9 +197,10 @@ func (n *Network) sweepClasses(opts Options, model *core.Model, classes []core.P
 		return nil, nil, fmt.Errorf("hoyan: baseline capture requires monolithic simulation (a region pass does not see the whole-WAN taint set and conditions; Modular is set)")
 	}
 	rep := &SweepReport{Classes: len(classes), Run: &dist.Result{}}
+	texts := n.configTexts(opts.Baseline)
 	if len(classes) == 0 {
 		if capture {
-			return rep, newStoreShell(n, opts, reg), nil
+			return rep, newStoreShell(n, opts, reg, texts), nil
 		}
 		return rep, nil, nil
 	}
@@ -214,7 +216,7 @@ func (n *Network) sweepClasses(opts Options, model *core.Model, classes []core.P
 	// The plan always names its model: a journal written for another one
 	// must refuse it, and multi-model workers would otherwise run an
 	// unhashed pass against whichever model is their default.
-	plan := &dist.Plan{K: opts.K, ModelHash: n.planHash(reg), Journal: journal,
+	plan := &dist.Plan{K: opts.K, ModelHash: n.planHash(reg, texts), Journal: journal,
 		Model: model, Classes: make([]dist.Class, len(classes)), Capture: capture}
 	if opts.Baseline != nil {
 		plan.IGP = opts.Baseline.igp
@@ -233,7 +235,7 @@ func (n *Network) sweepClasses(opts Options, model *core.Model, classes []core.P
 			c.Home = homes[i]
 		}
 		switch {
-		case incr != nil && !incr.dirty[i]:
+		case incr != nil && incr.records[i] != nil:
 			c.Replayed = true
 			rep.Replayed++
 			if opts.AuditSample > 0 && replayAudits.Float64() < opts.AuditSample {
@@ -314,13 +316,13 @@ func (n *Network) sweepClasses(opts Options, model *core.Model, classes []core.P
 
 	var store *ResultStore
 	if capture {
-		store = newStoreShell(n, opts, reg)
+		store = newStoreShell(n, opts, reg, texts)
 		// When nothing ran in-process the run built no memo; the one the
 		// plan started from stays the best there is.
 		store.igp = cmp.Or(res.IGP, plan.IGP)
 		for i, c := range plan.Classes {
 			if c.Replayed {
-				store.Classes = append(store.Classes, *incr.records[i]) // carried forward unchanged
+				store.Classes = append(store.Classes, *incr.records[i]) // carried forward
 				continue
 			}
 			r := c.Members[0]
