@@ -103,19 +103,21 @@ chaos: determinism
 # So does the store's reproducibility: two sweeps and saves of gen.Small
 # write byte-identical files. And the snapshot immutability contract a
 # resweep's diff rests on: Apply shares every device no update names, an
-# in-process baseline diffs like the same store loaded off disk, and two
-# overlapping resweeps of the service share devices while queries read
-# them. So does the replay rule: a policy nothing attaches changes no
-# scope and no class, and a class replays the record of any member the
-# edit left alone, through splits and merges, as a cold sweep answers
-# (gen.Small under the race detector), and the model hash keeps its
-# bytes whether the devices are written by it or handed to it written.
+# in-process baseline diffs like the same store loaded off disk (a link
+# added after capture included), two overlapping resweeps of the service
+# share devices while queries read them, and a topology a Verifier or a
+# caller holds is never edited in place (an edit copies it first). So
+# does the replay rule: a policy nothing attaches changes no scope and no
+# class, and a class replays the record of any member the edit left
+# alone, through splits and merges, as a cold sweep answers (gen.Small
+# under the race detector), and the model hash keeps its bytes whether
+# the devices are written by it or handed to it written.
 determinism:
 	$(GO) test -race -count=10 -run 'TestMemoBuildDeterministic|TestMemoReachMatchesEngine|TestPropagateMatchesReference|TestNextHopMatchesUncappedPathVector|TestStepCapRefusesEverySimulator|TestOrderShrinksSolver|TestResetRunEqualsFresh|TestResetDropsWhatFollowsTheBase|TestBaseImportsOnlySessionRoots|TestUnreferencedPolicyIsInert' ./internal/igp/ ./internal/core/
 	$(GO) test -race -count=10 -run 'TestRecycleIsFresh|TestRecycleToMarkIsFresh|TestImportRootsMatchesImport' ./internal/logic/
 	$(GO) test -race -count=10 -run 'TestVarOrder' ./internal/topo/
 	$(GO) test -race -count=10 -run 'TestSweepIndependentOfTopologyFileOrder|TestSaveMatchesMarshal|TestSaveTwiceSameBytes|TestCompileStripedMatchesSerial' . ./internal/qc/
-	$(GO) test -race -count=10 -run 'TestIncrementalInProcessMatchesLoaded|TestApplySharesUntouchedDevices|TestOverlappingResweepsPublish|TestReplayByMemberMatchesCold' . ./internal/config/ ./internal/httpapi/
+	$(GO) test -race -count=10 -run 'TestIncrementalInProcessMatchesLoaded|TestTopologyEditLeavesItsHolders|TestApplySharesUntouchedDevices|TestOverlappingResweepsPublish|TestReplayByMemberMatchesCold' . ./internal/config/ ./internal/httpapi/
 	$(GO) test -race -count=10 -run 'TestModelHashBytes' ./internal/dist/
 
 # scale-smoke bounds the paper-scale modular path: the modular plan over

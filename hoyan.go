@@ -38,7 +38,9 @@ package hoyan
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
+	"sync/atomic"
 
 	"hoyan/internal/behavior"
 	"hoyan/internal/config"
@@ -63,9 +65,12 @@ type Router struct {
 
 // Network accumulates topology and configurations, then builds Verifiers.
 type Network struct {
-	net  *topo.Network
-	snap config.Snapshot
-	errs []error
+	net *topo.Network
+	// owned is set while n alone holds net; otherwise AddRouter and
+	// AddLink copy it first (NetworkFrom, Clone and models share it).
+	owned atomic.Bool
+	snap  config.Snapshot
+	errs  []error
 }
 
 // NewNetwork returns an empty network.
@@ -73,9 +78,29 @@ func NewNetwork() *Network {
 	return &Network{net: topo.NewNetwork(), snap: config.Snapshot{}}
 }
 
+// topology returns the topology for an edit, copied first unless n
+// alone holds it.
+func (n *Network) topology() *topo.Network {
+	if !n.owned.Swap(true) {
+		n.net = n.net.Clone()
+	}
+	return n.net
+}
+
+// assemble builds the model of the network as it stands, failing with
+// the first error an edit deferred. The model holds the topology, so the
+// next edit copies it.
+func (n *Network) assemble(reg *behavior.Registry) (*core.Model, error) {
+	if len(n.errs) > 0 {
+		return nil, n.errs[0]
+	}
+	n.owned.Store(false)
+	return core.Assemble(n.net, n.snap, reg)
+}
+
 // AddRouter registers a device. Errors are deferred to Verifier().
 func (n *Network) AddRouter(r Router) {
-	_, err := n.net.AddNode(topo.Node{
+	_, err := n.topology().AddNode(topo.Node{
 		Name: r.Name, AS: r.AS, Vendor: r.Vendor, Region: r.Region, Group: r.Group,
 	})
 	if err != nil {
@@ -91,7 +116,7 @@ func (n *Network) AddLink(a, b string, weight uint32) {
 		n.errs = append(n.errs, fmt.Errorf("hoyan: link %s~%s references unknown router", a, b))
 		return
 	}
-	if _, err := n.net.AddLink(na.ID, nb.ID, weight); err != nil {
+	if _, err := n.topology().AddLink(na.ID, nb.ID, weight); err != nil {
 		n.errs = append(n.errs, err)
 	}
 }
@@ -127,19 +152,12 @@ func (n *Network) ApplyUpdate(router string, lines ...string) error {
 }
 
 // Clone copies the network for what-if update checking: the copy has
-// its own topology and its own map of configurations, and shares the
-// devices, which are never edited in place (config.Device).
+// its own map of configurations, and shares the topology and the
+// devices, neither of which is edited in place (topo.Network,
+// config.Device): an edit of either network's topology copies it.
 func (n *Network) Clone() *Network {
-	out := NewNetwork()
-	for _, node := range n.net.Nodes() {
-		out.net.MustAddNode(*node)
-	}
-	for _, l := range n.net.Links() {
-		out.net.MustAddLink(l.A, l.B, l.Weight)
-	}
-	out.snap = maps.Clone(n.snap)
-	out.errs = append([]error(nil), n.errs...)
-	return out
+	n.owned.Store(false)
+	return &Network{net: n.net, snap: maps.Clone(n.snap), errs: slices.Clone(n.errs)}
 }
 
 // Options tunes verification.
@@ -162,13 +180,15 @@ type Options struct {
 	// can affect are re-simulated, and cached reports are replayed for
 	// the rest (DESIGN.md, "Incremental re-verification"). Produce a
 	// baseline with SweepBaseline. A store still in the memory of the
-	// process that swept it also carries that sweep's IGP memo: the next
-	// Sweep, and the first query of a Verifier built with the store as
-	// its Baseline, start from it instead of re-running the IS-IS
-	// fixpoints whenever the network's IGP inputs are the ones it was
-	// built for. Such a Verifier's queries then run no fixpoint: a packet
-	// query's data plane resolves BGP next hops by SPF branching
-	// (igp.Engine.NextHops), which the memo does not hold.
+	// process that swept it keeps the model it swept (the diff skips
+	// whatever an edit left in place; a loaded store rebuilds its model
+	// once) and that sweep's IGP memo: the next Sweep, and the first query
+	// of a Verifier built with the store as its Baseline, start from it
+	// instead of re-running the IS-IS fixpoints whenever the network's
+	// IGP inputs are the ones it was built for. Such a Verifier's queries
+	// then run no fixpoint: a packet query's data plane resolves BGP next
+	// hops by SPF branching (igp.Engine.NextHops), which the memo does not
+	// hold.
 	Baseline *ResultStore
 	// Modular runs Sweep region by region (DESIGN.md, "Modular
 	// verification"): each prefix family is simulated in its home region
@@ -212,11 +232,8 @@ type Verifier struct {
 // network). A network whose IS-IS fixpoint the step cap cuts off fails
 // that query, and every later one, with an error naming the destination.
 func (n *Network) Verifier(opts Options) (*Verifier, error) {
-	if len(n.errs) > 0 {
-		return nil, n.errs[0]
-	}
 	opts, reg, copts := opts.resolve()
-	m, err := core.Assemble(n.net, n.snap, reg)
+	m, err := n.assemble(reg)
 	if err != nil {
 		return nil, err
 	}
@@ -518,7 +535,8 @@ func LoadDirectory(dir string) (*Network, error) {
 // NetworkFrom wraps an already-loaded topology and configuration
 // snapshot (the pair gen.LoadDir returns) into a Network, for callers —
 // the CLI and the HTTP service — that parse the on-disk format
-// themselves and then need Sweep/SweepBaseline/PlanIncremental.
+// themselves and then need Sweep/SweepBaseline/PlanIncremental. The
+// caller keeps net: an AddRouter or AddLink edits a copy of it.
 func NetworkFrom(net *topo.Network, snap config.Snapshot) *Network {
 	return &Network{net: net, snap: snap}
 }

@@ -268,7 +268,8 @@ func TestIncrementalMatchesCold(t *testing.T) {
 // must equal a cold sweep's. Reinstalling a device's own text is a new
 // object with equal content and diffs empty; an edit made through the
 // network's map after capture (a map another Network shares) shows up in
-// the next delta.
+// the next delta, and so does a link added through the network after
+// capture: the store's model keeps the topology it swept.
 func TestIncrementalInProcessMatchesLoaded(t *testing.T) {
 	params := gen.Small()
 	if !testing.Short() && !raceEnabled {
@@ -368,6 +369,15 @@ func TestIncrementalInProcessMatchesLoaded(t *testing.T) {
 	})
 	if !slices.ContainsFunc(d.Items, func(it core.DeltaItem) bool { return it.Device == pe }) {
 		t.Fatalf("an edit through the network's map after capture is missing from the delta:\n%s", d)
+	}
+
+	a, b := w.PEs[0], w.PEs[len(w.PEs)-1]
+	if _, linked := n.net.LinkBetween(mustNode(t, n, a), mustNode(t, n, b)); linked {
+		t.Fatalf("%s and %s are already linked", a, b)
+	}
+	d = step("link: "+a+"~"+b+" added through the network", func() { n.AddLink(a, b, 35) })
+	if !d.Full() || !slices.ContainsFunc(d.Items, func(it core.DeltaItem) bool { return it.Kind == core.DeltaLinkAdded }) {
+		t.Fatalf("a link added after capture must be a link-added item with full invalidation:\n%s", d)
 	}
 }
 

@@ -42,44 +42,19 @@ func New(net *topo.Network, snap config.Snapshot, reg *behavior.Registry) *Verif
 	return &Verifier{Net: net, Snap: snap, Reg: reg}
 }
 
-// networkWithout copies the topology minus the failed links. Node IDs are
-// preserved (nodes are added in the same order); link IDs are renumbered,
-// which is irrelevant at k=0 where no conditions are tracked.
-func (v *Verifier) networkWithout(failed topo.FailureScenario) *topo.Network {
-	drop := map[topo.LinkID]bool{}
-	for _, l := range failed {
-		drop[l] = true
-	}
-	out := topo.NewNetwork()
-	for _, n := range v.Net.Nodes() {
-		out.MustAddNode(*n)
-	}
-	for _, l := range v.Net.Links() {
-		if !drop[l.ID] {
-			out.MustAddLink(l.A, l.B, l.Weight)
-		}
-	}
-	return out
-}
-
-// concreteOptions disables all uncertainty handling: one environment, no
-// alternatives beyond the converged best paths.
-func concreteOptions() core.Options {
-	o := core.DefaultOptions()
-	o.K = 0
-	return o
-}
-
 // SimulateScenario runs one converged simulation under a concrete failure
-// scenario and returns the result (whose conditions are trivially
-// evaluated at all-up of the REDUCED topology).
+// scenario, with all uncertainty handling off (K=0: one environment, no
+// alternatives beyond the converged best paths), on v.Net.Without(failed):
+// node IDs are v.Net's, links are renumbered, which is irrelevant where no
+// conditions are tracked.
 func (v *Verifier) SimulateScenario(prefix netaddr.Prefix, failed topo.FailureScenario) (*core.Result, error) {
-	net := v.networkWithout(failed)
-	m, err := core.Assemble(net, v.Snap, v.Reg)
+	m, err := core.Assemble(v.Net.Without(failed), v.Snap, v.Reg)
 	if err != nil {
 		return nil, err
 	}
-	return core.NewSimulator(m, concreteOptions()).Run(prefix)
+	o := core.DefaultOptions()
+	o.K = 0
+	return core.NewSimulator(m, o).Run(prefix)
 }
 
 // Report summarizes a k-failure check.
@@ -95,30 +70,31 @@ type Report struct {
 // CheckRouteReach verifies that `target` holds a route to the prefix under
 // every failure scenario of at most k links.
 func (v *Verifier) CheckRouteReach(prefix netaddr.Prefix, target string, k int) (Report, error) {
-	return v.check(prefix, k, func(res *core.Result, net *topo.Network) (bool, error) {
-		node, ok := net.NodeByName(target)
-		if !ok {
-			return false, fmt.Errorf("batfish: unknown node %q", target)
-		}
-		return res.Reachable(node.ID, core.AnyRouteTo(prefix)), nil
+	node, ok := v.Net.NodeByName(target)
+	if !ok {
+		return Report{}, fmt.Errorf("batfish: unknown node %q", target)
+	}
+	return v.check(prefix, k, func(res *core.Result) bool {
+		return res.Reachable(node.ID, core.AnyRouteTo(prefix))
 	})
 }
 
 // CheckPacketReach verifies packet delivery from src to the prefix's
 // gateway under every failure scenario of at most k links.
 func (v *Verifier) CheckPacketReach(prefix netaddr.Prefix, src, gateway string, k int) (Report, error) {
-	return v.check(prefix, k, func(res *core.Result, net *topo.Network) (bool, error) {
-		s, ok1 := net.NodeByName(src)
-		g, ok2 := net.NodeByName(gateway)
-		if !ok1 || !ok2 {
-			return false, fmt.Errorf("batfish: unknown node %q/%q", src, gateway)
-		}
-		fib := dataplane.Build(res)
-		return fib.Reachable(s.ID, 0, prefix.Addr+1, g.ID), nil
+	s, ok1 := v.Net.NodeByName(src)
+	g, ok2 := v.Net.NodeByName(gateway)
+	if !ok1 || !ok2 {
+		return Report{}, fmt.Errorf("batfish: unknown node %q/%q", src, gateway)
+	}
+	return v.check(prefix, k, func(res *core.Result) bool {
+		return dataplane.Build(res).Reachable(s.ID, 0, prefix.Addr+1, g.ID)
 	})
 }
 
-func (v *Verifier) check(prefix netaddr.Prefix, k int, prop func(*core.Result, *topo.Network) (bool, error)) (Report, error) {
+// check simulates every scenario of at most k failed links and evaluates
+// prop on each; node IDs are v.Net's in every scenario (Without).
+func (v *Verifier) check(prefix netaddr.Prefix, k int, prop func(*core.Result) bool) (Report, error) {
 	rep := Report{Tolerant: true}
 	start := time.Now()
 	var firstErr error
@@ -129,23 +105,12 @@ func (v *Verifier) check(prefix netaddr.Prefix, k int, prop func(*core.Result, *
 				return false
 			}
 			rep.Scenarios++
-			net := v.networkWithout(fs)
-			m, err := core.Assemble(net, v.Snap, v.Reg)
+			res, err := v.SimulateScenario(prefix, fs)
 			if err != nil {
 				firstErr = err
 				return false
 			}
-			res, err := core.NewSimulator(m, concreteOptions()).Run(prefix)
-			if err != nil {
-				firstErr = err
-				return false
-			}
-			ok, err := prop(res, net)
-			if err != nil {
-				firstErr = err
-				return false
-			}
-			if !ok {
+			if !prop(res) {
 				rep.Tolerant = false
 				rep.Witness = fs
 				return false

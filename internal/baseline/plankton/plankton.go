@@ -85,8 +85,7 @@ func (v *Verifier) Explore(prefix netaddr.Prefix, failed topo.FailureScenario, p
 	if maxStates == 0 {
 		maxStates = 1 << 20
 	}
-	net := v.networkWithout(failed)
-	m, err := core.Assemble(net, v.Snap, v.Reg)
+	m, err := core.Assemble(v.Net.Without(failed), v.Snap, v.Reg)
 	if err != nil {
 		return Report{}, err
 	}
@@ -273,23 +272,6 @@ func candidatesAt(cands []racing.Candidate, node topo.NodeID) []int {
 		}
 	}
 	sort.Ints(out)
-	return out
-}
-
-func (v *Verifier) networkWithout(failed topo.FailureScenario) *topo.Network {
-	drop := map[topo.LinkID]bool{}
-	for _, l := range failed {
-		drop[l] = true
-	}
-	out := topo.NewNetwork()
-	for _, n := range v.Net.Nodes() {
-		out.MustAddNode(*n)
-	}
-	for _, l := range v.Net.Links() {
-		if !drop[l.ID] {
-			out.MustAddLink(l.A, l.B, l.Weight)
-		}
-	}
 	return out
 }
 

@@ -168,10 +168,11 @@ type InvalidationStats struct {
 // Both models are read-only; Diff may populate their lazy caches
 // (origins, announced prefixes) but never mutates configuration.
 //
-// A router whose old and new configuration are the same *config.Device
-// is not compared: a device is never edited in place (config.Device), so
-// sharing it proves the configuration unchanged. The topology is always
-// compared in full, since topo.Network is mutable.
+// What both models share is not compared: a router whose old and new
+// configuration are the same *config.Device, and the topology when both
+// models hold the same *topo.Network. Neither is ever edited in place
+// once a model holds it (config.Device, topo.Network), so sharing it
+// proves it unchanged.
 func Diff(old, new *Model) *ModelDelta {
 	d := &ModelDelta{}
 
@@ -189,7 +190,7 @@ func Diff(old, new *Model) *ModelDelta {
 		return out
 	}
 
-	topoIdentical := diffTopology(old, new, d)
+	topoIdentical := old.Net == new.Net || diffTopology(old, new, d)
 
 	// Devices present in both topologies: compare configurations.
 	for _, node := range new.Net.Nodes() {

@@ -31,20 +31,7 @@ func concreteSim(t *testing.T, net *topo.Network, snap config.Snapshot, prefix n
 // without the failed links.
 func concreteRun(t *testing.T, net *topo.Network, snap config.Snapshot, prefix netaddr.Prefix, failed topo.FailureScenario) *Result {
 	t.Helper()
-	drop := map[topo.LinkID]bool{}
-	for _, l := range failed {
-		drop[l] = true
-	}
-	reduced := topo.NewNetwork()
-	for _, n := range net.Nodes() {
-		reduced.MustAddNode(*n)
-	}
-	for _, l := range net.Links() {
-		if !drop[l.ID] {
-			reduced.MustAddLink(l.A, l.B, l.Weight)
-		}
-	}
-	m, err := Assemble(reduced, snap, behavior.TrueProfiles())
+	m, err := Assemble(net.Without(failed), snap, behavior.TrueProfiles())
 	if err != nil {
 		t.Fatal(err)
 	}

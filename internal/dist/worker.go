@@ -382,8 +382,10 @@ func runPass(req Request, sh *core.Shared, cs *connSim) Response {
 	default:
 		// The pass keeps what the last one built, because it would build
 		// it again: its conditions grow along paths out of the same
-		// origins, over the same nodes. A record pass too: what it
-		// exports is the same bytes a fresh simulator's would be.
+		// origins, over the same nodes. A record pass too: it exports
+		// conditions equivalent to a fresh simulator's, in a node order
+		// that follows the factory's history (And orders children by
+		// factory id; CHANGES.md, the FOUND on record condition bytes).
 		resp.Kept = true
 	}
 	cs.origins, cs.region = origins, ri

@@ -13,24 +13,6 @@ import (
 	"hoyan/internal/topo"
 )
 
-// without returns net minus the failed links; the rest keep their order.
-func without(net *topo.Network, failed topo.FailureScenario) *topo.Network {
-	drop := map[topo.LinkID]bool{}
-	for _, l := range failed {
-		drop[l] = true
-	}
-	out := topo.NewNetwork()
-	for _, n := range net.Nodes() {
-		out.MustAddNode(*n)
-	}
-	for _, l := range net.Links() {
-		if !drop[l.ID] {
-			out.MustAddLink(l.A, l.B, l.Weight)
-		}
-	}
-	return out
-}
-
 // randomLevelNet is a seeded random IS-IS net built to stress the
 // ranking: 6–9 routers in two regions at random levels (L1, L2, L1/L2,
 // some L1/L2 routers penetrating), a spanning tree plus chords with
@@ -87,7 +69,7 @@ func checkNextHops(t *testing.T, name string, net *topo.Network, cfgs []*config.
 	e := New(net, cfgs, f, Options{K: k, PruneOverK: true})
 	checked := 0
 	for _, w := range worlds {
-		ref := New(without(net, w), cfgs, logic.NewFactory(), Options{K: 0, PruneOverK: true})
+		ref := New(net.Without(w), cfgs, logic.NewFactory(), Options{K: 0, PruneOverK: true})
 		for dst := range topo.NodeID(net.NumNodes()) {
 			rib, complete := ribOf(ref, dst)
 			if !complete {

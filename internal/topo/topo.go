@@ -7,6 +7,7 @@ package topo
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -73,7 +74,9 @@ type Adj struct {
 	Peer NodeID
 }
 
-// Network is an immutable-after-build topology.
+// Network is a topology, built by AddNode and AddLink. Once anything else
+// holds it (a core.Model, a result store, a caller) it is never edited in
+// place, but cloned first, so holders share it and compare by identity.
 type Network struct {
 	nodes  []*Node
 	links  []*Link
@@ -132,6 +135,26 @@ func (n *Network) AddLink(a, b NodeID, weight uint32) (LinkID, error) {
 	n.adj[b] = append(n.adj[b], Adj{Link: id, Peer: a})
 	n.order.Store(nil)
 	return id, nil
+}
+
+// Clone copies the topology, node and link IDs included, for an edit
+// that must not reach the holders of n.
+func (n *Network) Clone() *Network { return n.Without(nil) }
+
+// Without copies the topology minus the failed links. Node IDs are kept
+// (nodes are added in the same order); the remaining links keep their
+// order and are renumbered from 0.
+func (n *Network) Without(failed FailureScenario) *Network {
+	out := NewNetwork()
+	for _, node := range n.nodes {
+		out.MustAddNode(*node)
+	}
+	for _, l := range n.links {
+		if !slices.Contains(failed, l.ID) {
+			out.MustAddLink(l.A, l.B, l.Weight)
+		}
+	}
+	return out
 }
 
 // MustAddLink is AddLink that panics on error.

@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"maps"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -84,14 +83,16 @@ type ResultStore struct {
 	// model reads the same IGP inputs — after a policy or static-route
 	// edit — and ignores it otherwise.
 	igp *igp.Memo
-	// devices are the parsed configurations Configs was written from, in
-	// a map of their own: the capturing Network goes on replacing entries
-	// of its snapshot, and must not replace them here. Kept in-process
-	// only, like igp (a loaded store parses Configs instead). Devices are
-	// immutable (config.Device), so the next sweep's model shares every
-	// one no edit replaced, and core.Diff and the next capture skip it.
-	devices config.Snapshot
+	// model is the model the records were swept on, kept in-process like
+	// igp, under modelMu: the capturing sweep's, or the one baselineModel
+	// builds for a loaded store. Its topology and devices never change
+	// (topo.Network, config.Device), so core.Diff and the next capture
+	// skip whatever the next sweep's model shares with it.
+	model *core.Model
 }
+
+// modelMu guards ResultStore.model, which concurrent resweeps share.
+var modelMu sync.Mutex
 
 // QuarantinedRecord is one invalid class record LoadResultStore refused
 // to replay, with the reason.
@@ -371,22 +372,23 @@ func optionsHash(opts Options, profiles string) string {
 	return fmt.Sprintf("k=%d;prune=true;simplify=true;profiles=%s", opts.K, cmp.Or(profiles, "tuned"))
 }
 
-// newStoreShell captures the model side of a store (topology + configs);
-// class records are appended by the sweep. texts (configTexts) becomes
-// the store's Configs.
-func newStoreShell(n *Network, opts Options, reg *behavior.Registry, texts map[string]string) *ResultStore {
+// newStoreShell captures the model side of a store (the swept model,
+// and its topology and configs for the file); class records are appended
+// by the sweep. texts (configTexts) becomes the store's Configs.
+func newStoreShell(model *core.Model, opts Options, reg *behavior.Registry, texts map[string]string) *ResultStore {
+	net := model.Net
 	st := &ResultStore{
-		OptionsHash: optionsHash(opts, profilesKey(n.net, reg)),
+		OptionsHash: optionsHash(opts, profilesKey(net, reg)),
 		K:           opts.K,
 		Configs:     texts,
-		devices:     maps.Clone(n.snap),
+		model:       model,
 	}
-	for _, node := range n.net.Nodes() {
+	for _, node := range net.Nodes() {
 		st.Nodes = append(st.Nodes, *node)
 	}
-	for _, l := range n.net.Links() {
+	for _, l := range net.Links() {
 		st.Links = append(st.Links, StoredLink{
-			A: n.net.Node(l.A).Name, B: n.net.Node(l.B).Name, Weight: l.Weight,
+			A: net.Node(l.A).Name, B: net.Node(l.B).Name, Weight: l.Weight,
 		})
 	}
 	return st
@@ -394,31 +396,42 @@ func newStoreShell(n *Network, opts Options, reg *behavior.Registry, texts map[s
 
 // configTexts writes every device of the network's snapshot once per
 // sweep, for the plan's model hash and the captured store: config.Write
-// of each device, except that a device the baseline store also holds
-// keeps the text that store wrote for it.
+// of each device, except that a device the baseline store's model also
+// holds keeps the text that store wrote for it.
 func (n *Network) configTexts(base *ResultStore) map[string]string {
+	var kept *core.Model
+	if base != nil {
+		modelMu.Lock()
+		kept = base.model
+		modelMu.Unlock()
+	}
 	texts := make(map[string]string, len(n.snap))
 	for name, dev := range n.snap {
-		if base != nil && base.devices[name] == dev {
-			texts[name] = base.Configs[name]
-		} else {
-			texts[name] = config.Write(dev)
+		if kept != nil {
+			if id, ok := kept.Resolve(name); ok && kept.Configs[id] == dev {
+				texts[name] = base.Configs[name]
+				continue
+			}
 		}
+		texts[name] = config.Write(dev)
 	}
 	return texts
 }
 
-// baselineModel rebuilds and assembles the stored baseline. Node IDs are
-// re-assigned in stored order; RouterIDs, roles and every other node
-// attribute round-trip exactly (topo.AddNode only auto-assigns a zero
-// RouterID, and captured nodes always carry the assigned one). The
-// configurations are the devices the capture kept, so the model shares
-// them with a network no edit has touched since; only a store loaded off
-// disk parses Configs.
+// baselineModel is the model the store's records were swept on: the one
+// the capturing sweep kept, or, for a store loaded off disk, one rebuilt
+// from Nodes, Links and Configs on first use (under the caller's
+// registry, whose profiles the options hash has matched) and kept. Node
+// IDs are re-assigned in stored order; every other node attribute
+// round-trips exactly (topo.AddNode only auto-assigns a zero RouterID).
 func (st *ResultStore) baselineModel(reg *behavior.Registry) (*core.Model, error) {
+	modelMu.Lock()
+	defer modelMu.Unlock()
+	if st.model != nil {
+		return st.model, nil
+	}
 	net := topo.NewNetwork()
 	for _, node := range st.Nodes {
-		node.ID = 0 // reassigned by AddNode
 		if _, err := net.AddNode(node); err != nil {
 			return nil, fmt.Errorf("hoyan: baseline topology: %w", err)
 		}
@@ -433,18 +446,17 @@ func (st *ResultStore) baselineModel(reg *behavior.Registry) (*core.Model, error
 			return nil, fmt.Errorf("hoyan: baseline topology: %w", err)
 		}
 	}
-	snap := st.devices
-	if snap == nil {
-		snap = make(config.Snapshot, len(st.Configs))
-		for name, text := range st.Configs {
-			d, err := config.Parse(text)
-			if err != nil {
-				return nil, fmt.Errorf("hoyan: baseline config for %s: %w", name, err)
-			}
-			snap[name] = d
+	snap := make(config.Snapshot, len(st.Configs))
+	for name, text := range st.Configs {
+		d, err := config.Parse(text)
+		if err != nil {
+			return nil, fmt.Errorf("hoyan: baseline config for %s: %w", name, err)
 		}
+		snap[name] = d
 	}
-	return core.Assemble(net, snap, reg)
+	m, err := core.Assemble(net, snap, reg)
+	st.model = m
+	return m, err
 }
 
 // newClassRecord builds the ClassRecord of a class (its members,
@@ -574,11 +586,8 @@ type IncrementalPlan struct {
 // simulation — the planning step of a sweep with Options.Baseline, on
 // its own.
 func (n *Network) PlanIncremental(opts Options, store *ResultStore) (*IncrementalPlan, error) {
-	if len(n.errs) > 0 {
-		return nil, n.errs[0]
-	}
 	opts, reg, _ := opts.resolve()
-	model, err := core.Assemble(n.net, n.snap, reg)
+	model, err := n.assemble(reg)
 	if err != nil {
 		return nil, err
 	}

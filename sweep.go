@@ -126,11 +126,8 @@ func (n *Network) SweepBaseline(opts Options, workers int) (*SweepReport, *Resul
 // holds the whole-WAN taint set and conditions of one pass, and a region
 // pass sees one region.
 func (n *Network) SweepOver(opts Options, pool dist.Pool, journal *dist.Session, capture bool) (*SweepReport, *ResultStore, error) {
-	if len(n.errs) > 0 {
-		return nil, nil, n.errs[0]
-	}
 	_, reg, _ := opts.resolve()
-	model, err := core.Assemble(n.net, n.snap, reg)
+	model, err := n.assemble(reg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -200,7 +197,7 @@ func (n *Network) sweepClasses(opts Options, model *core.Model, classes []core.P
 	texts := n.configTexts(opts.Baseline)
 	if len(classes) == 0 {
 		if capture {
-			return rep, newStoreShell(n, opts, reg, texts), nil
+			return rep, newStoreShell(model, opts, reg, texts), nil
 		}
 		return rep, nil, nil
 	}
@@ -316,7 +313,7 @@ func (n *Network) sweepClasses(opts Options, model *core.Model, classes []core.P
 
 	var store *ResultStore
 	if capture {
-		store = newStoreShell(n, opts, reg, texts)
+		store = newStoreShell(model, opts, reg, texts)
 		// When nothing ran in-process the run built no memo; the one the
 		// plan started from stays the best there is.
 		store.igp = cmp.Or(res.IGP, plan.IGP)

@@ -2,6 +2,7 @@ package hoyan
 
 import (
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -131,16 +132,47 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestSweepAssemblesModelOnce pins the assemble-once contract: a sweep
-// builds exactly one core.Model no matter how many workers run.
+// builds exactly one core.Model no matter how many workers run. An
+// incremental sweep against a store this process captured assembles no
+// other: the store keeps the model it swept. Against a store loaded off
+// disk it assembles the baseline once, on first use, and never again.
 func TestSweepAssemblesModelOnce(t *testing.T) {
 	n, _ := wanNetwork(t)
-	before := core.AssembleCalls()
-	if _, err := n.Sweep(Options{K: 2}, 4); err != nil {
+	assembles := func(desc string, want int64, f func() error) {
+		t.Helper()
+		before := core.AssembleCalls()
+		if err := f(); err != nil {
+			t.Fatalf("%s: %v", desc, err)
+		}
+		if got := core.AssembleCalls() - before; got != want {
+			t.Fatalf("%s assembled %d models, want exactly %d", desc, got, want)
+		}
+	}
+	var store *ResultStore
+	assembles("SweepBaseline", 1, func() (err error) {
+		_, store, err = n.SweepBaseline(Options{K: 2}, 4)
+		return err
+	})
+	assembles("an incremental Sweep against the in-process store", 1, func() error {
+		_, err := n.Sweep(Options{K: 2, Baseline: store}, 4)
+		return err
+	})
+	path := filepath.Join(t.TempDir(), "baseline.json")
+	if err := store.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	if got := core.AssembleCalls() - before; got != 1 {
-		t.Fatalf("Sweep assembled the model %d times, want exactly 1", got)
+	loaded, err := LoadResultStore(path)
+	if err != nil {
+		t.Fatal(err)
 	}
+	assembles("an incremental Sweep against the loaded store", 2, func() error {
+		_, err := n.Sweep(Options{K: 2, Baseline: loaded}, 4)
+		return err
+	})
+	assembles("a later PlanIncremental against the loaded store", 1, func() error {
+		_, err := n.PlanIncremental(Options{K: 2}, loaded)
+		return err
+	})
 }
 
 func TestSweepCleanWANHasNoViolations(t *testing.T) {

@@ -32,16 +32,14 @@ func (n *Network) NewTuner(reg *behavior.Registry) (*Tuner, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := core.Assemble(n.net, n.snap, behavior.TrueProfiles())
+	// The tuner holds the topology too, and assemble marks it shared.
+	m, err := n.assemble(behavior.TrueProfiles())
 	if err != nil {
 		return nil, err
 	}
 	// Coverage selection (§6): a moderate prefix set covering most
 	// configuration blocks.
-	target := len(m.AnnouncedPrefixes())
-	if target > 16 {
-		target = 16
-	}
+	target := min(len(m.AnnouncedPrefixes()), 16)
 	prefixes, err := tuner.CoveragePrefixes(m, core.DefaultOptions(), target)
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package hoyan
 
 import (
+	"reflect"
 	"testing"
 
 	"hoyan/internal/gen"
@@ -52,5 +53,60 @@ func TestVerifierBuildsItsSharedOnFirstQuery(t *testing.T) {
 				t.Fatalf("%s: route query %d ran %d IGP propagations (%v), want %d", tc.name, i+1, got, err, want)
 			}
 		}
+	}
+}
+
+// TestTopologyEditLeavesItsHolders pins the topology rule: a topology a
+// model or a caller holds is never edited in place. A Verifier built
+// before AddRouter and AddLink, and first queried after them, answers as
+// one queried before them; a Verifier built after them sees the edit;
+// and an edit of a Network wrapping a caller's topology (NetworkFrom)
+// leaves that topology as it was.
+func TestTopologyEditLeavesItsHolders(t *testing.T) {
+	n := figure4Net(t)
+	ref, err := n.Verifier(Options{K: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.RouteReach("10.0.0.0/8", "D")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := n.Verifier(Options{K: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.AddRouter(Router{Name: "E", AS: 500, Vendor: "alpha"})
+	n.AddLink("D", "E", 10)
+	n.SetConfig("E", "hostname E\nrouter bgp 500\n neighbor D remote-as 400\n")
+	if err := n.ApplyUpdate("D", "router bgp 400", " neighbor E remote-as 500"); err != nil {
+		t.Fatal(err)
+	}
+
+	got, err := v.RouteReach("10.0.0.0/8", "D")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) || len(v.Routers()) != 4 {
+		t.Fatalf("a Verifier built before the edit answers %+v over %v, want %+v over A-D", got, v.Routers(), want)
+	}
+	edited, err := n.Verifier(Options{K: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := edited.RouteReach("10.0.0.0/8", "E"); err != nil || !rep.Reachable || rep.MinFailures != 1 {
+		t.Fatalf("a Verifier built after the edit answers %+v (%v) at E, want reachable, broken by 1 failure", rep, err)
+	}
+
+	w, err := gen.Generate(gen.Small())
+	if err != nil {
+		t.Fatal(err)
+	}
+	links := w.Net.NumLinks()
+	m := NetworkFrom(w.Net, w.Snap)
+	m.AddLink(w.PEs[0], w.MANs[0], 10)
+	if w.Net.NumLinks() != links || m.net.NumLinks() != links+1 {
+		t.Fatalf("AddLink after NetworkFrom: the caller's topology has %d links, the network's %d; want %d and %d",
+			w.Net.NumLinks(), m.net.NumLinks(), links, links+1)
 	}
 }
