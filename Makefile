@@ -83,7 +83,12 @@ chaos: determinism
 # race detector — the one repetition `race` (a single pass) does not give
 # — and with it the variable-order tests: the order is built by sorting
 # and cached on a network that executors share, so it must read no map in
-# iteration order and race with no reader. The recycling tests ride along:
+# iteration order and race with no reader. So do the solver kernel's byte
+# pins: Simplify's output is a function of the boolean function alone
+# (an extraction from the truth table exports the same bytes, whatever
+# edge of the complement-edge BDD denotes it), and a factory whose lossy
+# computed cache evicts constantly makes the same nodes and Simplify
+# bytes as a roomy one. The recycling tests ride along:
 # a recycled factory (to the constants or to a marked base), a Reset
 # simulator (its data plane included) and a memo stripe that recycles
 # its factory between destinations must each equal a fresh one. So does
@@ -114,7 +119,7 @@ chaos: determinism
 # the devices are written by it or handed to it written.
 determinism:
 	$(GO) test -race -count=10 -run 'TestMemoBuildDeterministic|TestMemoReachMatchesEngine|TestPropagateMatchesReference|TestNextHopMatchesUncappedPathVector|TestStepCapRefusesEverySimulator|TestOrderShrinksSolver|TestResetRunEqualsFresh|TestResetDropsWhatFollowsTheBase|TestBaseImportsOnlySessionRoots|TestUnreferencedPolicyIsInert' ./internal/igp/ ./internal/core/
-	$(GO) test -race -count=10 -run 'TestRecycleIsFresh|TestRecycleToMarkIsFresh|TestImportRootsMatchesImport' ./internal/logic/
+	$(GO) test -race -count=10 -run 'TestRecycleIsFresh|TestRecycleToMarkIsFresh|TestImportRootsMatchesImport|TestSimplifyDependsOnlyOnTheFunction|TestEvictionsChangeNothing' ./internal/logic/
 	$(GO) test -race -count=10 -run 'TestVarOrder' ./internal/topo/
 	$(GO) test -race -count=10 -run 'TestSweepIndependentOfTopologyFileOrder|TestSaveMatchesMarshal|TestSaveTwiceSameBytes|TestCompileStripedMatchesSerial' . ./internal/qc/
 	$(GO) test -race -count=10 -run 'TestIncrementalInProcessMatchesLoaded|TestTopologyEditLeavesItsHolders|TestApplySharesUntouchedDevices|TestOverlappingResweepsPublish|TestReplayByMemberMatchesCold' . ./internal/config/ ./internal/httpapi/

@@ -47,7 +47,7 @@ func (e *Engine) NextHops(dst, u topo.NodeID) []Hop {
 	if u != dst && e.cfg[dst].enabled {
 		b := e.spfs[dst]
 		if b == nil {
-			b = &brancher{e: e, dst: dst, arcs: e.fixpointState().arcs, trees: map[string]*spfTree{}}
+			b = newBrancher(e, dst)
 			e.spfs[dst] = b
 		}
 		b.branch(u, nil, logic.True, &hops)
@@ -76,16 +76,50 @@ type spfTree struct {
 // across the nodes whose branching reaches the same set, and the SPF's
 // scratch.
 type brancher struct {
-	e     *Engine
-	dst   topo.NodeID
-	arcs  [][]arc
-	trees map[string]*spfTree
+	e        *Engine
+	dst      topo.NodeID
+	dstLevel Level // the level of the destination's own label
+	arcs     [][]arc
+	trees    map[string]*spfTree
+	// mayBlock is whether any node can be level-blocked in an SPF toward
+	// dst: whether some arc refuses a level that a label can hold — the
+	// destination's own, or one an arc hands on — while it lets the other
+	// level cross. Where none does, levelBlocked is false at every node
+	// of every SPF, and spf skips its scan. The gen shapes, L2
+	// throughout, are such nets: every arc there crosses {0, L2}.
+	mayBlock bool
 
 	weight []uint32
 	hops   []int32
 	level  []Level // 0 where the SPF has not reached the node
 	done   []bool
 	heap   []spfItem
+}
+
+// newBrancher returns dst's brancher, before any SPF.
+func newBrancher(e *Engine, dst topo.NodeID) *brancher {
+	b := &brancher{e: e, dst: dst, dstLevel: L2, arcs: e.fixpointState().arcs, trees: map[string]*spfTree{}}
+	if e.cfg[dst].level == 1 {
+		b.dstLevel = L1
+	}
+	var held [L2 + 1]bool
+	held[b.dstLevel] = true
+	for _, as := range b.arcs {
+		for _, a := range as {
+			held[a.cross[L1-1]], held[a.cross[L2-1]] = true, true
+		}
+	}
+	for _, as := range b.arcs {
+		for _, a := range as {
+			for _, lvl := range [2]Level{L1, L2} {
+				if held[lvl] && a.cross[lvl-1] == 0 && a.cross[L1+L2-lvl-1] != 0 {
+					b.mayBlock = true
+					return b
+				}
+			}
+		}
+	}
+	return b
 }
 
 type spfItem struct {
@@ -171,10 +205,7 @@ func (b *brancher) spf(failed []topo.LinkID) *spfTree {
 	clear(b.level)
 	clear(b.done)
 	done := b.done
-	b.level[b.dst] = L2
-	if b.e.cfg[b.dst].level == 1 {
-		b.level[b.dst] = L1
-	}
+	b.level[b.dst] = b.dstLevel
 	b.weight[b.dst], b.hops[b.dst] = 0, 0
 	b.heap = append(b.heap[:0], spfItem{node: b.dst})
 	for len(b.heap) > 0 {
@@ -196,11 +227,13 @@ func (b *brancher) spf(failed []topo.LinkID) *spfTree {
 			b.push(spfItem{weight: w, hops: b.hops[a.to], node: a.to})
 		}
 	}
-	for x := range t.next {
-		if b.level[x] != 0 && b.levelBlocked(topo.NodeID(x), failed) {
-			for v := topo.NodeID(x); t.next[v] != topo.NoNode; v = t.next[v] {
-				if !slices.Contains(t.blocked, t.link[v]) {
-					t.blocked = append(t.blocked, t.link[v])
+	if b.mayBlock {
+		for x := range t.next {
+			if b.level[x] != 0 && b.levelBlocked(topo.NodeID(x), failed) {
+				for v := topo.NodeID(x); t.next[v] != topo.NoNode; v = t.next[v] {
+					if !slices.Contains(t.blocked, t.link[v]) {
+						t.blocked = append(t.blocked, t.link[v])
+					}
 				}
 			}
 		}

@@ -27,11 +27,12 @@ func TestHotPathAllocBudget(t *testing.T) {
 	// table holds.
 	s := f.bdd
 	ra, rb, rab := f.build(a), f.build(b), f.build(ab)
-	key := opAnd<<63 | uint64(min(ra, rb))<<31 | uint64(max(ra, rb))
+	key := uint64(min(ra, rb))<<32 | uint64(max(ra, rb))
 	if s.cacheSlot(key).key != key {
-		t.Fatal("the warm apply is not in the computed cache")
+		t.Fatal("the warm conjunction is not in the computed cache")
 	}
-	top := s.nodes[rab]
+	top := s.nodes[rab>>1]
+	lo, hi := s.cofactors(rab)
 
 	allocs := testing.AllocsPerRun(1000, func() {
 		if f.And(a, b) != ab || f.Or(a, b) != ob || f.Not(a) != na {
@@ -43,10 +44,10 @@ func TestHotPathAllocBudget(t *testing.T) {
 		if !f.SAT(ab) {
 			t.Error("memoized SAT changed its answer")
 		}
-		if s.apply(opAnd, ra, rb) != rab {
+		if s.apply(ra, rb) != rab {
 			t.Error("computed-cache hit changed its answer")
 		}
-		if s.mk(top.v, top.lo, top.hi) != rab {
+		if s.mk(top.v, lo, hi) != rab {
 			t.Error("unique-table hit changed its answer")
 		}
 	})

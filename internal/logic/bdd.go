@@ -2,22 +2,30 @@ package logic
 
 import "math"
 
-// bddSpace is a reduced ordered BDD universe attached to a Factory. It
-// knows levels, not variables: a node's v is the position of its variable
-// in the factory's Order (0 on top), written by build where a variable
-// enters and read back through Order.varAt where one leaves (extract,
-// AnyAssignment, MinFailureScenario). Nothing between the two — mk,
-// apply, negate, minFalse, grow — can tell which order it runs under, so
+// bddSpace is a reduced ordered BDD universe with complement edges
+// (Brace, Rudell and Bryant, DAC 1990), attached to a Factory. An edge is
+// id<<1 | c: node id, complemented when c is 1. Node 0 is the one
+// terminal, False, so edge 0 is False and edge 1 is True. A decision
+// node's hi edge is never complemented (mk), which keeps every function
+// one edge: f and ¬f are the same node under the two bits, negation is
+// e^1, and two edges are equal exactly when their functions are.
+//
+// It knows levels, not variables: a node's v is the position of its
+// variable in the factory's Order (0 on top), written by build where a
+// variable enters and read back through Order.varAt where one leaves
+// (extract, AnyAssignment, MinFailureScenario). Nothing between the two —
+// mk, apply, minFalse, grow — can tell which order it runs under, so
 // there is one kernel and the natural order is the Order with no table.
 type bddSpace struct {
-	// nodes[i] for i >= 2 is a decision node; 0 and 1 are the terminals.
-	// Ids are handed out in creation order and nothing below depends on
-	// how large any table is or on what the cache still holds.
+	// nodes[i] for i >= 1 is a decision node; 0 is the terminal. Ids are
+	// handed out in creation order and nothing below depends on how large
+	// any table is or on what the cache still holds.
 	nodes []bddNode
-	// side[i] holds what is memoized per node; grown with nodes by mk.
+	// side[i] holds what is memoized per node and polarity; grown with
+	// nodes by mk.
 	side []bddSide
 	// unique is the open-addressed hash-consing table over nodes: a slot
-	// holds a node id (0 = empty; terminals are never interned) and a
+	// holds a node id (0 = empty; the terminal is never interned) and a
 	// probe compares against the arena. len is a power of two, kept under
 	// 2/3 full.
 	unique []int32
@@ -29,26 +37,28 @@ type bddSpace struct {
 	cache []applyEntry
 	// base is side as the factory's Mark copied it: the decision nodes
 	// below len(base) are the base, and recycle restores their memos.
-	// Without a Mark it is the two terminals'.
+	// Without a Mark it is the terminal's.
 	base []bddSide
 }
 
+// bddNode is a decision node: lo and hi are edges, hi never complemented.
 type bddNode struct {
 	v      Var // the level branched on, not the variable: see bddSpace
 	lo, hi int32
 }
 
-// bddSide is the per-node memo record; every field's zero value means
-// "not computed", which no computed value of a decision node is.
+// bddSide is the per-node memo record, indexed by the polarity of the
+// edge asked about: [c] memoizes the function of edge id<<1 | c. Every
+// field's zero value means "not computed", which no computed value of a
+// decision node is.
 type bddSide struct {
-	neg      int32 // ¬node, a decision node
-	minFalse int32 // minFalse(node)+1; a decision node is satisfiable
-	extract  F     // Simplify's formula for node, never a constant
+	minFalse [2]int32 // minFalse(edge)+1; a decision node's function is satisfiable
+	extract  [2]F     // Simplify's formula for the edge, never a constant
 }
 
-// applyEntry caches apply(op, a, b) = r under key op<<63 | a<<31 | b with
-// a < b. Operands are >= 2 after the terminal short-circuits, so key 0
-// never occurs and marks an empty slot.
+// applyEntry caches apply(a, b) = r under key a<<32 | b with a < b.
+// Operands are >= 2 after the terminal short-circuits, so key 0 never
+// occurs and marks an empty slot.
 type applyEntry struct {
 	key uint64
 	r   int32
@@ -66,11 +76,6 @@ const (
 	bddTrue  int32 = 1
 )
 
-const (
-	opAnd uint64 = iota
-	opOr
-)
-
 // bddRoom is how many nodes a solver space has room for when it is
 // created. Executors recycle their factories (Factory.Recycle), so a
 // space grows to its working size once per executor, not once per
@@ -85,11 +90,11 @@ const bddRoom = 1 << 15
 func newBDDSpace(initial int) *bddSpace {
 	slots := tableSize(initial)
 	return &bddSpace{
-		nodes:  make([]bddNode, 2, arenaRoom(slots)),
-		side:   make([]bddSide, 2, arenaRoom(slots)),
+		nodes:  make([]bddNode, 1, arenaRoom(slots)),
+		side:   make([]bddSide, 1, arenaRoom(slots)),
 		unique: make([]int32, slots),
 		cache:  make([]applyEntry, slots/cacheShare),
-		base:   make([]bddSide, 2),
+		base:   make([]bddSide, 1),
 	}
 }
 
@@ -107,14 +112,19 @@ func (s *bddSpace) recycle() {
 	clear(s.cache)
 }
 
-// mk interns a BDD node in the unique table. The appends stay within
-// capacity: all allocation is in grow.
+// mk returns the edge of the function "if level v then hi else lo",
+// interning its node in the unique table. A complemented hi is stored as
+// the complement of the node with both children flipped, so no stored hi
+// is complemented. The appends stay within capacity: all allocation is
+// in grow.
 //
 //hoyan:hotpath
 func (s *bddSpace) mk(v Var, lo, hi int32) int32 {
 	if lo == hi {
 		return lo
 	}
+	c := hi & 1
+	lo, hi = lo^c, hi^c
 	mask := uint64(len(s.unique) - 1)
 	i := hash3(uint64(v), uint64(lo), uint64(hi)) & mask
 	for {
@@ -123,7 +133,7 @@ func (s *bddSpace) mk(v Var, lo, hi int32) int32 {
 			break
 		}
 		if n := &s.nodes[id]; n.v == v && n.lo == lo && n.hi == hi {
-			return id
+			return id<<1 | c
 		}
 		i = (i + 1) & mask
 	}
@@ -134,7 +144,7 @@ func (s *bddSpace) mk(v Var, lo, hi int32) int32 {
 	if len(s.nodes)*3 >= len(s.unique)*2 {
 		s.grow()
 	}
-	return id
+	return id<<1 | c
 }
 
 // grow doubles the unique table and, with it, the arena's room and the
@@ -161,7 +171,7 @@ func (s *bddSpace) grow() {
 //hoyan:hotpath
 func (s *bddSpace) refillUnique() {
 	mask := uint64(len(s.unique) - 1)
-	for id := 2; id < len(s.nodes); id++ {
+	for id := 1; id < len(s.nodes); id++ {
 		n := &s.nodes[id]
 		i := hash3(uint64(n.v), uint64(n.lo), uint64(n.hi)) & mask
 		for s.unique[i] != 0 {
@@ -171,54 +181,41 @@ func (s *bddSpace) refillUnique() {
 	}
 }
 
-// apply is the Shannon-expansion core of every BDD operation. It
-// allocates nothing itself; mk under it only when the tables double.
+// apply is the conjunction of two edges, the Shannon-expansion core of
+// every BDD operation: a ∨ b is ¬apply(¬a, ¬b), so one computed cache
+// serves both operators and a result cached for one answers the other.
+// It allocates nothing itself; mk under it only when the tables double.
 //
 //hoyan:hotpath
-func (s *bddSpace) apply(op uint64, a, b int32) int32 {
-	switch op {
-	case opAnd:
-		if a == bddFalse || b == bddFalse {
-			return bddFalse
-		}
-		if a == bddTrue {
-			return b
-		}
-		if b == bddTrue {
-			return a
-		}
-	case opOr:
-		if a == bddTrue || b == bddTrue {
-			return bddTrue
-		}
-		if a == bddFalse {
-			return b
-		}
-		if b == bddFalse {
-			return a
-		}
-	}
-	if a == b {
+func (s *bddSpace) apply(a, b int32) int32 {
+	switch {
+	case a == b || b == bddTrue:
 		return a
+	case a == bddTrue:
+		return b
+	case a == bddFalse || b == bddFalse || a == b^1:
+		return bddFalse
 	}
 	if a > b {
 		a, b = b, a
 	}
-	key := op<<63 | uint64(a)<<31 | uint64(b)
+	key := uint64(a)<<32 | uint64(b)
 	if e := s.cacheSlot(key); e.key == key {
 		return e.r
 	}
 	// Expand on the smaller top variable; an operand that does not branch
-	// on it is its own cofactor both ways.
-	na, nb := &s.nodes[a], &s.nodes[b]
-	v, alo, ahi, blo, bhi := na.v, na.lo, na.hi, nb.lo, nb.hi
+	// on it is its own cofactor both ways. A complemented edge's
+	// cofactors are its node's, complemented.
+	na, nb := &s.nodes[a>>1], &s.nodes[b>>1]
+	ca, cb := a&1, b&1
+	v, alo, ahi, blo, bhi := na.v, na.lo^ca, na.hi^ca, nb.lo^cb, nb.hi^cb
 	switch {
 	case na.v < nb.v:
 		blo, bhi = b, b
 	case nb.v < na.v:
 		v, alo, ahi = nb.v, a, a
 	}
-	r := s.mk(v, s.apply(op, alo, blo), s.apply(op, ahi, bhi))
+	r := s.mk(v, s.apply(alo, blo), s.apply(ahi, bhi))
 	// The recursion may have doubled the cache: look the slot up again.
 	*s.cacheSlot(key) = applyEntry{key: key, r: r}
 	return r
@@ -231,27 +228,13 @@ func (s *bddSpace) cacheSlot(key uint64) *applyEntry {
 	return &s.cache[mix64(key)&uint64(len(s.cache)-1)]
 }
 
-// negate computes ¬n by swapping terminals. Without complement edges this
-// is a linear walk, memoized per node for the life of the space.
-//
-//hoyan:hotpath
-func (s *bddSpace) negate(n int32) int32 {
-	switch n {
-	case bddFalse:
-		return bddTrue
-	case bddTrue:
-		return bddFalse
-	}
-	if r := s.side[n].neg; r != 0 {
-		return r
-	}
-	nd := s.nodes[n]
-	r := s.mk(nd.v, s.negate(nd.lo), s.negate(nd.hi))
-	s.side[n].neg = r
-	return r
+// cofactors returns the lo and hi edges of decision edge e.
+func (s *bddSpace) cofactors(e int32) (lo, hi int32) {
+	n := &s.nodes[e>>1]
+	return n.lo ^ e&1, n.hi ^ e&1
 }
 
-// build converts a formula to its BDD root, memoized per formula node so
+// build converts a formula to its BDD edge, memoized per formula node so
 // the incremental condition-building of the simulation amortizes well.
 func (f *Factory) build(x F) int32 {
 	n := &f.nodes[x]
@@ -273,11 +256,11 @@ func (f *Factory) build(x F) int32 {
 	case kVar:
 		r = s.mk(f.order.levelOf(n.v), bddFalse, bddTrue)
 	case kNot:
-		r = s.negate(f.build(n.a))
+		r = f.build(n.a) ^ 1
 	case kAnd:
-		r = s.apply(opAnd, f.build(n.a), f.build(n.b))
+		r = s.apply(f.build(n.a), f.build(n.b))
 	default:
-		r = s.apply(opOr, f.build(n.a), f.build(n.b))
+		r = s.apply(f.build(n.a)^1, f.build(n.b)^1) ^ 1
 	}
 	n.root = r + 1
 	return r
@@ -304,24 +287,26 @@ func (f *Factory) MinFalse(x F) int {
 	return f.bdd.minFalse(root)
 }
 
-func (s *bddSpace) minFalse(n int32) int {
-	switch n {
+// minFalse is MinFalse of edge e, memoized per node and polarity.
+func (s *bddSpace) minFalse(e int32) int {
+	switch e {
 	case bddFalse:
 		return Unfailable
 	case bddTrue:
 		return 0
 	}
-	if c := s.side[n].minFalse; c != 0 {
-		return int(c - 1)
+	memo := &s.side[e>>1].minFalse[e&1]
+	if *memo != 0 {
+		return int(*memo - 1)
 	}
-	nd := s.nodes[n]
+	lo, hi := s.cofactors(e)
 	// min(hi, lo+1): taking the variable true (link up) is free, false
 	// is one failure; lo+1 <= hi iff lo < hi, Unfailable included.
-	c := s.minFalse(nd.hi)
-	if lo := s.minFalse(nd.lo); lo < c {
-		c = lo + 1
+	c := s.minFalse(hi)
+	if l := s.minFalse(lo); l < c {
+		c = l + 1
 	}
-	s.side[n].minFalse = int32(c + 1)
+	*memo = int32(c + 1)
 	return c
 }
 
@@ -343,15 +328,15 @@ func (f *Factory) AnyAssignment(x F) (Assignment, bool) {
 	}
 	s := f.bdd
 	asn := Assignment{}
-	n := root
-	for n > bddTrue {
-		nd := s.nodes[n]
-		if nd.hi != bddFalse {
-			asn[f.order.varAt(nd.v)] = true
-			n = nd.hi
+	for e := root; e > bddTrue; {
+		v := f.order.varAt(s.nodes[e>>1].v)
+		lo, hi := s.cofactors(e)
+		if hi != bddFalse {
+			asn[v] = true
+			e = hi
 		} else {
-			asn[f.order.varAt(nd.v)] = false
-			n = nd.lo
+			asn[v] = false
+			e = lo
 		}
 	}
 	return asn, true
@@ -367,20 +352,19 @@ func (f *Factory) MinFailureScenario(x F) (Assignment, int, bool) {
 	}
 	s := f.bdd
 	asn := Assignment{}
-	n := root
-	for n > bddTrue {
-		nd := s.nodes[n]
-		hi := s.minFalse(nd.hi)
-		lo := s.minFalse(nd.lo)
-		if lo != Unfailable {
-			lo++
+	for e := root; e > bddTrue; {
+		v := f.order.varAt(s.nodes[e>>1].v)
+		lo, hi := s.cofactors(e)
+		costHi, costLo := s.minFalse(hi), s.minFalse(lo)
+		if costLo != Unfailable {
+			costLo++
 		}
-		if hi <= lo {
-			asn[f.order.varAt(nd.v)] = true
-			n = nd.hi
+		if costHi <= costLo {
+			asn[v] = true
+			e = hi
 		} else {
-			asn[f.order.varAt(nd.v)] = false
-			n = nd.lo
+			asn[v] = false
+			e = lo
 		}
 	}
 	return asn, s.minFalse(root), true
@@ -396,9 +380,11 @@ func (f *Factory) Implies(a, b F) bool {
 	return f.Impossible(f.And(a, f.Not(b)))
 }
 
-// BDDSize returns the number of decision nodes in x's BDD under the
-// factory's variable order, a compactness metric used by the
-// condition-simplification ablation.
+// BDDSize returns the number of decision nodes x's BDD has without
+// complement edges under the factory's variable order: its distinct
+// non-constant subfunctions, one per (node, polarity) pair reached. It is
+// a compactness metric of the condition-simplification ablation, and
+// this count is the textbook ROBDD size whatever the kernel shares.
 func (f *Factory) BDDSize(x F) int {
 	root := f.build(x)
 	if root <= bddTrue {
@@ -407,13 +393,14 @@ func (f *Factory) BDDSize(x F) int {
 	seen := map[int32]bool{}
 	var walk func(int32)
 	s := f.bdd
-	walk = func(n int32) {
-		if n <= bddTrue || seen[n] {
+	walk = func(e int32) {
+		if e <= bddTrue || seen[e] {
 			return
 		}
-		seen[n] = true
-		walk(s.nodes[n].lo)
-		walk(s.nodes[n].hi)
+		seen[e] = true
+		lo, hi := s.cofactors(e)
+		walk(lo)
+		walk(hi)
 	}
 	walk(root)
 	return len(seen)
@@ -440,25 +427,28 @@ func (f *Factory) Simplify(x F) F {
 	return x
 }
 
-// extract is memoized per BDD node for the life of the space: the
-// extraction of a node is a pure function of the (immutable) node, and
-// repeated Simplify calls over overlapping conditions — the common case
-// inside one simulation — reuse it instead of re-walking shared subgraphs.
-func (f *Factory) extract(n int32) F {
-	switch n {
+// extract is memoized per BDD node and polarity for the life of the
+// space: the extraction of an edge is a pure function of the boolean
+// function it denotes — the same recursion over the same cofactors that a
+// BDD without complement edges would walk from its node for that function
+// — and repeated Simplify calls over overlapping conditions — the common
+// case inside one simulation — reuse it instead of re-walking shared
+// subgraphs. f and ¬f share a node but not an extraction.
+func (f *Factory) extract(e int32) F {
+	switch e {
 	case bddFalse:
 		return False
 	case bddTrue:
 		return True
 	}
 	s := f.bdd
-	if r := s.side[n].extract; r != 0 {
+	if r := s.side[e>>1].extract[e&1]; r != 0 {
 		return r
 	}
-	nd := s.nodes[n]
-	v := f.Var(f.order.varAt(nd.v))
-	hi := f.extract(nd.hi)
-	lo := f.extract(nd.lo)
+	elo, ehi := s.cofactors(e)
+	v := f.Var(f.order.varAt(s.nodes[e>>1].v))
+	hi := f.extract(ehi)
+	lo := f.extract(elo)
 	// ite(v, hi, lo) with the usual special cases to keep output short.
 	var r F
 	switch {
@@ -477,6 +467,6 @@ func (f *Factory) extract(n int32) F {
 	default:
 		r = f.Or(f.And(v, hi), f.And(f.Not(v), lo))
 	}
-	s.side[n].extract = r
+	s.side[e>>1].extract[e&1] = r
 	return r
 }

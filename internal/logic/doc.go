@@ -19,10 +19,13 @@
 // min-cost dynamic program answers them exactly, which is why this package
 // (plus package sat for model enumeration) is a faithful substitute for Z3.
 //
-// The kernel (bdd.go) keeps BDD nodes in one arena, interns them through
-// an open-addressed table probed inline, and memoizes apply in a
+// The kernel (bdd.go) has complement edges, so negation is free and
+// disjunction is the complement of a conjunction: one apply, one computed
+// cache. It keeps BDD nodes in one arena, interns them through an
+// open-addressed table probed inline, and memoizes apply in a
 // direct-mapped cache that overwrites on collision and is sized by the
-// node table alone. What the cache forgets is recomputed into nodes that
+// node table alone. What a formula comes out as (Simplify) is a function
+// of the boolean function alone, whichever edge denotes it. What the cache forgets is recomputed into nodes that
 // already exist, so no table size and no eviction changes a node id, a
 // Simplify output or an exported byte (DESIGN.md, "Solver kernel"). For
 // the same reason Recycle can empty a factory in place, keeping its

@@ -135,12 +135,14 @@ func (f *Factory) Recycle() {
 func (f *Factory) Recycles() uint64 { return f.recycles }
 
 // SolverNodes reports how many BDD decision nodes the factory's solver
-// space holds.
+// space holds. The kernel has complement edges, so a function and its
+// negation are one node: this counts nodes, not the functions they
+// denote (BDDSize counts those of one formula).
 func (f *Factory) SolverNodes() int {
 	if f.bdd == nil {
 		return 0
 	}
-	return len(f.bdd.nodes) - 2
+	return len(f.bdd.nodes) - 1
 }
 
 // NumNodes reports how many distinct formula nodes exist in the factory,
@@ -323,7 +325,7 @@ func (f *Factory) AndAllGuarded(guard, x, v F) F {
 	}
 	g, bx, bv := f.build(guard), f.build(x), f.build(v)
 	s := f.bdd
-	f.nodes[r].root = s.apply(opAnd, s.apply(opAnd, g, bx), bv) + 1
+	f.nodes[r].root = s.apply(s.apply(g, bx), bv) + 1
 	return r
 }
 

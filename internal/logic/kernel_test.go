@@ -198,6 +198,97 @@ func TestEvictionsChangeNothing(t *testing.T) {
 	}
 }
 
+// TestSimplifyDependsOnlyOnTheFunction pins what lets the kernel's
+// complement edges move no stored byte: Simplify's output is a function
+// of the boolean function alone, as a BDD without complement edges
+// extracts it from the node for that function. A reference extracts
+// from the truth table by the same Shannon recursion — top variable
+// first, hi cofactor before lo, the same special cases, memoized per
+// subfunction — in a second factory that never builds a BDD and is fed
+// the same constructor calls, so the two hand out the same formula ids
+// and Export must write the same bytes. Over the 2 000 formulas of
+// TestEvictionsChangeNothing it also checks that negation is the edge's
+// bit and that no interned node has a complemented hi edge.
+func TestSimplifyDependsOnlyOnTheFunction(t *testing.T) {
+	f, ref := NewFactory(), NewFactory()
+	memo := map[string]F{}
+	// extract is Factory.extract over a truth table, one byte per
+	// assignment; a table of 2^m cells ranges over the last m variables.
+	var extract func(c []byte) F
+	extract = func(c []byte) F {
+		// A function that does not depend on its first variable is the
+		// same function over the rest: the BDD branches past it.
+		for len(c) > 1 && bytes.Equal(c[:len(c)/2], c[len(c)/2:]) {
+			c = c[:len(c)/2]
+		}
+		if len(c) == 1 {
+			if c[0] == 1 {
+				return True
+			}
+			return False
+		}
+		if r, ok := memo[string(c)]; ok {
+			return r
+		}
+		v := ref.Var(Var(ttVars - bits.Len(uint(len(c))) + 1))
+		hi := extract(c[len(c)/2:])
+		lo := extract(c[:len(c)/2])
+		var r F
+		switch {
+		case hi == True && lo == False:
+			r = v
+		case hi == False && lo == True:
+			r = ref.Not(v)
+		case hi == True:
+			r = ref.Or(v, lo)
+		case lo == False:
+			r = ref.And(v, hi)
+		case hi == False:
+			r = ref.And(ref.Not(v), lo)
+		case lo == True:
+			r = ref.Or(ref.Not(v), hi)
+		default:
+			r = ref.Or(ref.And(v, hi), ref.And(ref.Not(v), lo))
+		}
+		memo[string(c)] = r
+		return r
+	}
+	rng := rand.New(rand.NewSource(23))
+	for n := 0; n < 2000; n++ {
+		xs, tt := tabledFormula(rng, []*Factory{f, ref})
+		cells := make([]byte, 1<<ttVars)
+		for idx := range cells {
+			if tt.at(idx) {
+				cells[idx] = 1
+			}
+		}
+		want := extract(cells)
+		if want != True && want != False && ref.Len(want) >= ref.Len(xs[1]) {
+			want = xs[1]
+		}
+		got, err := json.Marshal(f.Export(f.Simplify(xs[0])))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantBytes, err := json.Marshal(ref.Export(want))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, wantBytes) {
+			t.Fatalf("formula %d: Simplify exports\n%s\nthe truth table's extraction exports\n%s", n, got, wantBytes)
+		}
+		if r, nr := f.build(xs[0]), f.build(f.Not(xs[0])); nr != r^1 {
+			t.Fatalf("formula %d: ¬x builds to edge %d, x to %d; negation is the edge's bit", n, nr, r)
+		}
+		ref.Not(xs[1]) // the constructor call f just made, so ids stay in step
+	}
+	for id, nd := range f.bdd.nodes[1:] {
+		if nd.hi&1 != 0 {
+			t.Fatalf("node %d (level %d, lo %d, hi %d) has a complemented hi edge", id+1, nd.v, nd.lo, nd.hi)
+		}
+	}
+}
+
 // TestCacheDoublesInsideApply forces the tables to double in the middle
 // of one apply: the operands are small, their disjunction is not (pairs
 // x_i ∧ y_i with every x ordered before every y). The result stored after
@@ -217,16 +308,18 @@ func TestCacheDoublesInsideApply(t *testing.T) {
 	ra, rb := small.build(a), small.build(b)
 	s := small.bdd
 	before := len(s.unique)
-	r := s.apply(opOr, ra, rb)
+	// a ∨ b is ¬(¬a ∧ ¬b): the outermost apply conjoins the complements.
+	na, nb := ra^1, rb^1
+	r := s.apply(na, nb) ^ 1
 	if len(s.unique) < 4*before {
 		t.Fatalf("unique table went from %d to %d slots inside the apply; the test needs it to double at least twice", before, len(s.unique))
 	}
-	if ra > rb {
-		ra, rb = rb, ra
+	if na > nb {
+		na, nb = nb, na
 	}
-	key := opOr<<63 | uint64(ra)<<31 | uint64(rb)
-	if e := *s.cacheSlot(key); e.key != key || e.r != r {
-		t.Fatalf("the outermost apply's result is not in the current cache: slot holds %+v, want key %#x r %d", e, key, r)
+	key := uint64(na)<<32 | uint64(nb)
+	if e := *s.cacheSlot(key); e.key != key || e.r != r^1 {
+		t.Fatalf("the outermost apply's result is not in the current cache: slot holds %+v, want key %#x r %d", e, key, r^1)
 	}
 
 	x := small.Or(a, b)
@@ -477,10 +570,10 @@ func TestOrderChangesNoAnswer(t *testing.T) {
 	for i, f := range fs {
 		for v := Var(0); v < ttVars; v++ {
 			root := f.build(f.And(f.Var(ttVars+5), f.Var(v)))
-			top := f.bdd.nodes[root]
-			if want := f.order.levelOf(v); top.v != want || top.v >= ttVars || f.bdd.nodes[top.hi].v != ttVars+5 {
+			top := f.bdd.nodes[root>>1]
+			if want := f.order.levelOf(v); top.v != want || top.v >= ttVars || f.bdd.nodes[top.hi>>1].v != ttVars+5 {
 				t.Fatalf("%s order: a%d ∧ a%d branches on level %d then %d; want level %d (a%d) above the unordered a%d",
-					names[i], ttVars+5, v, top.v, f.bdd.nodes[top.hi].v, want, v, ttVars+5)
+					names[i], ttVars+5, v, top.v, f.bdd.nodes[top.hi>>1].v, want, v, ttVars+5)
 			}
 		}
 		if got := f.Simplify(f.And(f.Var(ttVars+5), f.Var(3))); f.String(got) != "a3 & a17" {
