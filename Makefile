@@ -46,13 +46,16 @@ race:
 # classes (internal/core, BenchmarkClassesAfterReset), the diff behind a
 # resweep after one policy edit of gen.Medium, against a baseline that
 # shares the untouched devices and against one re-parsed from its text
-# (internal/core, BenchmarkDiffOneDevice) and an executor's
+# (internal/core, BenchmarkDiffOneDevice), the publish of a resweep
+# that re-simulated one class, compiled from the previous snapshot on a
+# store of the classes-k2 shape (internal/qc,
+# BenchmarkCompileFromOneDirtyClass), and an executor's
 # class loop under the connection reuse rule (internal/dist,
 # BenchmarkConnectionClasses on the compile-k3 and classes-k2 shapes)
 # keep compiling and completing. Real measurements come from the
 # pipeline benchmark (benchmark/README.md).
 bench:
-	$(GO) test -bench=. -benchtime=1x -run='^$$' . ./internal/logic ./internal/igp ./internal/core ./internal/dist
+	$(GO) test -bench=. -benchtime=1x -run='^$$' . ./internal/logic ./internal/igp ./internal/core ./internal/qc ./internal/dist
 
 # benchmark-module builds, vets and smoke-tests the nested pipeline
 # benchmark (its own Go module, so the root `go test ./...` never sees

@@ -12,7 +12,9 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -537,8 +539,11 @@ func diffPolicies(oc, nc *config.Device, name string, cand []netaddr.Prefix, d *
 			d.add(DeltaItem{Kind: DeltaPolicyAdded, Device: name, AllPrefixes: true, Detail: pn})
 		default:
 			var affected []netaddr.Prefix
+			osigs, nsigs := termSigs(op), termSigs(np)
+			var ob, nb []byte
 			for _, p := range cand {
-				if relevantTermSig(op, p) != relevantTermSig(np, p) {
+				ob, nb = appendRelevantSig(ob[:0], op, osigs, p), appendRelevantSig(nb[:0], np, nsigs, p)
+				if !bytes.Equal(ob, nb) {
 					affected = append(affected, p)
 				}
 			}
@@ -550,18 +555,30 @@ func diffPolicies(oc, nc *config.Device, name string, cand []netaddr.Prefix, d *
 	}
 }
 
-// relevantTermSig serializes the terms of pol that can fire on a route
-// for prefix p, in evaluation order, with every prefix-independent match
-// and set field included literally.
-func relevantTermSig(pol *policy.RoutePolicy, p netaddr.Prefix) string {
+// termSigs formats every term of pol once (writeTermSig), in term order.
+func termSigs(pol *policy.RoutePolicy) []string {
+	sigs := make([]string, len(pol.Terms))
 	var b strings.Builder
-	for _, t := range pol.Terms {
+	for i, t := range pol.Terms {
+		b.Reset()
+		writeTermSig(&b, t)
+		sigs[i] = b.String()
+	}
+	return sigs
+}
+
+// appendRelevantSig appends to buf the signatures (sigs, from termSigs)
+// of the terms of pol that can fire on a route for prefix p, in
+// evaluation order, with every prefix-independent match and set field
+// included literally.
+func appendRelevantSig(buf []byte, pol *policy.RoutePolicy, sigs []string, p netaddr.Prefix) []byte {
+	for i, t := range pol.Terms {
 		if t.Match.PrefixList != nil && !t.Match.PrefixList.Permits(p) {
 			continue
 		}
-		writeTermSig(&b, t)
+		buf = append(buf, sigs[i]...)
 	}
-	return b.String()
+	return buf
 }
 
 // policySig serializes every term of pol, its prefix-list rules
@@ -624,7 +641,7 @@ func diffPrefixLists(oc, nc *config.Device, name string, cand []netaddr.Prefix, 
 		case ohas != nhas:
 			d.add(DeltaItem{Kind: DeltaPrefixListChanged, Device: name,
 				Detail: ln + " added/removed (inert unless a policy references it)"})
-		case fmt.Sprint(ol.Rules) != fmt.Sprint(nl.Rules):
+		case !slices.Equal(ol.Rules, nl.Rules):
 			var affected []netaddr.Prefix
 			for _, p := range cand {
 				if ol.Permits(p) != nl.Permits(p) {

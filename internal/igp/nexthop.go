@@ -81,6 +81,10 @@ type brancher struct {
 	dstLevel Level // the level of the destination's own label
 	arcs     [][]arc
 	trees    map[string]*spfTree
+	// sorted and key are spf's scratch for the memo key of a failed-link
+	// set (failedKey).
+	sorted []topo.LinkID
+	key    []byte
 	// mayBlock is whether any node can be level-blocked in an SPF toward
 	// dst: whether some arc refuses a level that a label can hold — the
 	// destination's own, or one an arc hands on — while it lets the other
@@ -190,8 +194,8 @@ func (t *spfTree) support(u topo.NodeID) []topo.LinkID {
 // its own level (arc.cross) and not past the largest path weight, as in
 // offersOver.
 func (b *brancher) spf(failed []topo.LinkID) *spfTree {
-	key := failedKey(failed)
-	if t, ok := b.trees[key]; ok {
+	b.failedKey(failed)
+	if t, ok := b.trees[string(b.key)]; ok {
 		return t
 	}
 	n := len(b.arcs)
@@ -238,7 +242,7 @@ func (b *brancher) spf(failed []topo.LinkID) *spfTree {
 			}
 		}
 	}
-	b.trees[key] = t
+	b.trees[string(b.key)] = t
 	return t
 }
 
@@ -311,13 +315,15 @@ func (b *brancher) pop() spfItem {
 	return top
 }
 
-// failedKey is the memo key of a failed-link set: its ids, sorted.
-func failedKey(failed []topo.LinkID) string {
-	s := slices.Clone(failed)
-	slices.Sort(s)
-	buf := make([]byte, 0, 4*len(s))
-	for _, l := range s {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(l))
+// failedKey sets b.key to the memo key of a failed-link set: its ids,
+// sorted. It reuses b's scratch, so a memo hit allocates nothing: a map
+// lookup by string(b.key) copies no bytes, and only the insert of a new
+// tree allocates the key string.
+func (b *brancher) failedKey(failed []topo.LinkID) {
+	b.sorted = append(b.sorted[:0], failed...)
+	slices.Sort(b.sorted)
+	b.key = b.key[:0]
+	for _, l := range b.sorted {
+		b.key = binary.LittleEndian.AppendUint32(b.key, uint32(l))
 	}
-	return string(buf)
 }

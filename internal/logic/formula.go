@@ -34,7 +34,11 @@ const (
 )
 
 type node struct {
-	k    kind
+	k kind
+	// up is the node's value with every variable true (all links up):
+	// Eval under an empty assignment, settled when the node is made from
+	// its operands' and read back in O(1). It fills padding after k.
+	up   bool
 	v    Var // kVar only
 	a, b F   // kNot uses a; kAnd/kOr use a,b
 	size int32
@@ -84,7 +88,7 @@ func NewFactoryOrdered(o *Order) *Factory {
 		nodes:  make([]node, 2, arenaRoom(tableSize(1024))),
 		intern: make([]F, tableSize(1024)),
 		order:  o,
-		base:   []node{{k: kConst, size: 1}, {k: kConst, size: 1}},
+		base:   []node{{k: kConst, size: 1}, {k: kConst, size: 1, up: true}},
 	}
 	copy(f.nodes, f.base)
 	return f
@@ -173,12 +177,28 @@ func (f *Factory) mk(key nodeKey, size int32) F {
 		i = (i + 1) & mask
 	}
 	id := F(len(f.nodes))
-	f.nodes = append(f.nodes, node{k: key.k, v: key.v, a: key.a, b: key.b, size: size})
+	f.nodes = append(f.nodes, node{k: key.k, up: f.upOf(key), v: key.v, a: key.a, b: key.b, size: size})
 	f.intern[i] = id
 	if len(f.nodes)*3 >= len(f.intern)*2 {
 		f.growIntern()
 	}
 	return id
+}
+
+// upOf is node.up of a node made from key: a variable is up, and an
+// operator applies to its operands' values.
+//
+//hoyan:hotpath
+func (f *Factory) upOf(key nodeKey) bool {
+	switch key.k {
+	case kNot:
+		return !f.nodes[key.a].up
+	case kAnd:
+		return f.nodes[key.a].up && f.nodes[key.b].up
+	case kOr:
+		return f.nodes[key.a].up || f.nodes[key.b].up
+	}
+	return true
 }
 
 // growIntern doubles the interning table and the arena's room. The table
@@ -398,8 +418,13 @@ func (f *Factory) Vars(x F) []Var {
 // are treated as true, matching the "all links up unless failed" convention.
 type Assignment map[Var]bool
 
-// Eval evaluates x under the assignment.
+// Eval evaluates x under the assignment. Under an empty one (nil: all
+// links up) it reads the value the node settled when it was made, in
+// O(1); otherwise it walks x.
 func (f *Factory) Eval(x F, asn Assignment) bool {
+	if len(asn) == 0 {
+		return f.nodes[x].up
+	}
 	switch x {
 	case False:
 		return false

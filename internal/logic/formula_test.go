@@ -344,3 +344,35 @@ func TestPropertyConjunctionIsMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestEvalAllUpMatchesWalk pins Eval's stored all-links-up value to the
+// walk it replaced under an empty assignment: every random formula reads
+// what the walk under an assignment setting each variable true gives, in
+// a fresh factory, after a Mark and Recycles, and through Import.
+func TestEvalAllUpMatchesWalk(t *testing.T) {
+	const nvars = 6
+	up := Assignment{}
+	for v := range nvars {
+		up[Var(v)] = true
+	}
+	rng := rand.New(rand.NewSource(5))
+	f := NewFactory()
+	base := randomFormula(f, rng, nvars, 5)
+	f.Mark()
+	other := NewFactory()
+	for i := range 400 {
+		x := randomFormula(f, rng, nvars, 6)
+		for _, y := range []F{x, f.Not(x), f.And(x, base), f.Or(f.Not(x), base), False, True} {
+			if got, want := f.Eval(y, nil), f.Eval(y, up); got != want {
+				t.Fatalf("formula %d: Eval(nil) %v, walk %v: %s", i, got, want, f.String(y))
+			}
+		}
+		z := f.Export(x).Import(other)[0]
+		if other.Eval(z, Assignment{}) != f.Eval(x, up) {
+			t.Fatalf("formula %d: imported Eval differs", i)
+		}
+		if i%50 == 49 {
+			f.Recycle()
+		}
+	}
+}

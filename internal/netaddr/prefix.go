@@ -71,8 +71,17 @@ func Mask(length uint8) uint32 {
 
 // String renders the prefix in CIDR notation.
 func (p Prefix) String() string {
-	return fmt.Sprintf("%d.%d.%d.%d/%d",
-		byte(p.Addr>>24), byte(p.Addr>>16), byte(p.Addr>>8), byte(p.Addr), p.Len)
+	var buf [len("255.255.255.255/32")]byte
+	b := buf[:0]
+	for shift := 24; shift >= 0; shift -= 8 {
+		b = strconv.AppendUint(b, uint64(byte(p.Addr>>shift)), 10)
+		if shift > 0 {
+			b = append(b, '.')
+		}
+	}
+	b = append(b, '/')
+	b = strconv.AppendUint(b, uint64(p.Len), 10)
+	return string(b)
 }
 
 // Contains reports whether the address a lies inside p.

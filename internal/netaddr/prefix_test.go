@@ -1,6 +1,7 @@
 package netaddr
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -145,5 +146,24 @@ func TestPropertyCoversMembership(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStringMatchesSprintf pins String's bytes to the fmt.Sprintf form it
+// replaced, on random prefixes (host bits and all), /0 and /32 included.
+func TestStringMatchesSprintf(t *testing.T) {
+	want := func(p Prefix) string {
+		return fmt.Sprintf("%d.%d.%d.%d/%d",
+			byte(p.Addr>>24), byte(p.Addr>>16), byte(p.Addr>>8), byte(p.Addr), p.Len)
+	}
+	ps := []Prefix{{}, {Addr: ^uint32(0), Len: 32}, {Addr: ^uint32(0)}, {Len: 32}, {Addr: 0x0a000100, Len: 24}}
+	rng := rand.New(rand.NewSource(7))
+	for range 10000 {
+		ps = append(ps, Prefix{Addr: rng.Uint32(), Len: uint8(rng.Intn(33))})
+	}
+	for _, p := range ps {
+		if got := p.String(); got != want(p) {
+			t.Fatalf("%#v: String %q, Sprintf %q", p, got, want(p))
+		}
 	}
 }

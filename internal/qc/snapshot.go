@@ -4,12 +4,12 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"time"
 
 	"hoyan"
+	"hoyan/internal/dist"
 	"hoyan/internal/logic"
 )
 
@@ -40,8 +40,17 @@ type Class struct {
 	// conds is the record condition set Progs were lowered from. A later
 	// compile reuses Progs for a record that carries this same pointer
 	// (CompileStoreFrom); holding it here is what keeps the address from
-	// being freed and handed to a different condition set.
-	conds *logic.Portable
+	// being freed and handed to a different condition set. verdicts is
+	// the record verdict slice Routers, MinFail, ReachUp, routerIdx and
+	// ClassMinFail were read from, held for the same reason.
+	conds    *logic.Portable
+	verdicts []dist.RouterSummary
+	// vars is the sorted union of Progs' variables, instrs and maxInstrs
+	// the total and the largest of their instruction counts: what the
+	// fold reads of the programs, computed once when they are lowered and
+	// carried with them to every later snapshot that takes them.
+	vars              []logic.Var
+	instrs, maxInstrs int
 }
 
 // Router resolves a router name to its root index.
@@ -123,9 +132,13 @@ func CompileStore(st *hoyan.ResultStore) (*Snapshot, error) {
 // takes prev's programs instead of compiling when prev holds the same
 // condition-set pointer (a resweep carries a replayed record's forward,
 // renamed to its new members at most), prev's link names equal st's in
-// LinkID order, and the root
-// count matches. Everything else — members, routers, verdicts, indexes,
-// stats — is rebuilt from st. prev may be nil.
+// LinkID order, and the root count matches. Such a held class costs the
+// fold O(members + its variables): the routers, verdicts and router
+// index are prev's too when the record carries the verdict slice prev
+// read them from (a replayed record shares its baseline's), and the
+// variable union and instruction counts travel with the programs.
+// Members and the prefix index are rebuilt from st, because a replayed
+// record can be renamed. prev may be nil.
 func CompileStoreFrom(prev *Snapshot, st *hoyan.ResultStore) (*Snapshot, error) {
 	start := time.Now()
 	snap := &Snapshot{
@@ -149,11 +162,11 @@ func CompileStoreFrom(prev *Snapshot, st *hoyan.ResultStore) (*Snapshot, error) 
 	// An empty link universe gives -1, under which every variable is
 	// refused: the impact index has no slot for one.
 	maxVar := logic.Var(len(st.Links) - 1)
-	var held map[*logic.Portable][]*Program
+	var held map[*logic.Portable]*Class
 	if prev != nil && slices.Equal(prev.linkNames, snap.linkNames) {
-		held = make(map[*logic.Portable][]*Program, len(prev.Classes))
+		held = make(map[*logic.Portable]*Class, len(prev.Classes))
 		for _, c := range prev.Classes {
-			held[c.conds] = c.Progs
+			held[c.conds] = c
 		}
 	}
 
@@ -163,7 +176,7 @@ func CompileStoreFrom(prev *Snapshot, st *hoyan.ResultStore) (*Snapshot, error) 
 	// resweep's dirty class) is lowered on this goroutine. Everything
 	// after is folded serially in class order, so the snapshot, and the
 	// error returned (the lowest class's), are what a serial loop gives.
-	progs := make([][]*Program, len(st.Classes))
+	classes := make([]*Class, len(st.Classes))
 	errs := make([]error, len(st.Classes))
 	var lower []int
 	for ci := range st.Classes {
@@ -171,18 +184,23 @@ func CompileStoreFrom(prev *Snapshot, st *hoyan.ResultStore) (*Snapshot, error) 
 		if !aligned(rec) {
 			continue
 		}
-		if p, ok := held[rec.Conds]; ok && len(p) == len(rec.Verdicts) {
-			progs[ci] = p
-			snap.Stats.Reused += len(p)
+		h, ok := held[rec.Conds]
+		if !ok || len(h.Progs) != len(rec.Verdicts) {
+			lower = append(lower, ci)
 			continue
 		}
-		lower = append(lower, ci)
+		cls := *h
+		if !sameVerdicts(h.verdicts, rec.Verdicts) {
+			cls.setVerdicts(rec)
+		}
+		classes[ci] = &cls
+		snap.Stats.Reused += len(cls.Progs)
 	}
 	workers := min(runtime.GOMAXPROCS(0), len(lower))
 	stripe := func(g int) {
 		for i := g; i < len(lower); i += workers {
 			ci := lower[i]
-			progs[ci], errs[ci] = lowerClass(ci, &st.Classes[ci], maxVar)
+			classes[ci], errs[ci] = lowerClass(ci, &st.Classes[ci], maxVar)
 		}
 	}
 	if workers <= 1 {
@@ -199,6 +217,8 @@ func CompileStoreFrom(prev *Snapshot, st *hoyan.ResultStore) (*Snapshot, error) 
 		wg.Wait()
 	}
 
+	// Each impact list is appended in class order, so it is sorted.
+	snap.Classes = make([]*Class, 0, len(st.Classes))
 	for ci := range st.Classes {
 		rec := &st.Classes[ci]
 		if !aligned(rec) {
@@ -207,31 +227,12 @@ func CompileStoreFrom(prev *Snapshot, st *hoyan.ResultStore) (*Snapshot, error) 
 		if errs[ci] != nil {
 			return nil, errs[ci]
 		}
-		sum, _ := rec.Report("")
-		cls := &Class{
-			Members:      append([]string(nil), rec.Members...),
-			ClassMinFail: sum.MinFailures,
-			Progs:        progs[ci],
-			routerIdx:    make(map[string]int, len(rec.Verdicts)),
-			conds:        rec.Conds,
-		}
-		classVars := map[logic.Var]bool{}
-		for ri, v := range rec.Verdicts {
-			prog := cls.Progs[ri]
-			cls.Routers = append(cls.Routers, v.Router)
-			cls.ReachUp = append(cls.ReachUp, v.Reachable)
-			cls.MinFail = append(cls.MinFail, v.MinFailures)
-			cls.routerIdx[v.Router] = ri
-			for _, lv := range prog.Vars() {
-				classVars[lv] = true
-			}
-			snap.Stats.Instrs += prog.NumInstrs()
-			if prog.NumInstrs() > snap.maxInstrs {
-				snap.maxInstrs = prog.NumInstrs()
-			}
-		}
+		cls := classes[ci]
+		cls.Members = slices.Clone(rec.Members)
 		snap.Stats.Programs += len(cls.Progs)
-		for v := range classVars {
+		snap.Stats.Instrs += cls.instrs
+		snap.maxInstrs = max(snap.maxInstrs, cls.maxInstrs)
+		for _, v := range cls.vars {
 			snap.impact[v] = append(snap.impact[v], ci)
 		}
 		for _, m := range cls.Members {
@@ -241,12 +242,6 @@ func CompileStoreFrom(prev *Snapshot, st *hoyan.ResultStore) (*Snapshot, error) 
 			snap.prefixClass[m] = ci
 		}
 		snap.Classes = append(snap.Classes, cls)
-	}
-	// Class indices were appended in class order per variable, so each
-	// impact list is already sorted; pin it anyway against future
-	// reorderings — the list feeds user-visible output.
-	for _, l := range snap.impact {
-		sort.Ints(l)
 	}
 	snap.Stats.Classes = len(snap.Classes)
 	snap.Stats.Prefixes = len(snap.prefixClass)
@@ -261,19 +256,54 @@ func aligned(rec *hoyan.ClassRecord) bool {
 	return rec.Conds != nil && rec.Conds.NumRoots() == len(rec.Verdicts)
 }
 
+// sameVerdicts reports whether a and b are one slice: a record's
+// verdicts, like its conditions, are never edited once it is captured or
+// decoded, so the same slice is the same answers.
+func sameVerdicts(a, b []dist.RouterSummary) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// setVerdicts makes rec's verdicts c's fixed answers.
+func (c *Class) setVerdicts(rec *hoyan.ClassRecord) {
+	n := len(rec.Verdicts)
+	c.verdicts = rec.Verdicts
+	c.Routers, c.MinFail, c.ReachUp = make([]string, n), make([]int, n), make([]bool, n)
+	c.routerIdx = make(map[string]int, n)
+	for ri, v := range rec.Verdicts {
+		c.Routers[ri], c.MinFail[ri], c.ReachUp[ri] = v.Router, v.MinFailures, v.Reachable
+		c.routerIdx[v.Router] = ri
+	}
+	sum, _ := rec.Report("")
+	c.ClassMinFail = sum.MinFailures
+}
+
 // lowerClass compiles record ci's roots to programs, one per verdict, on
-// one compiler whose work arrays every root reuses.
-func lowerClass(ci int, rec *hoyan.ClassRecord, maxVar logic.Var) ([]*Program, error) {
+// one compiler whose work arrays every root reuses, and returns its
+// class without members.
+func lowerClass(ci int, rec *hoyan.ClassRecord, maxVar logic.Var) (*Class, error) {
 	comp := newCompiler(rec.Conds, maxVar)
-	progs := make([]*Program, len(rec.Verdicts))
+	cls := &Class{Progs: make([]*Program, len(rec.Verdicts)), conds: rec.Conds}
+	// A compiled variable lies in [0, maxVar].
+	seen := make([]bool, maxVar+1)
 	for ri, v := range rec.Verdicts {
 		prog, err := comp.compile(ri)
 		if err != nil {
 			return nil, fmt.Errorf("qc: class %d router %s: %w", ci, v.Router, err)
 		}
-		progs[ri] = prog
+		cls.Progs[ri] = prog
+		cls.instrs += prog.NumInstrs()
+		cls.maxInstrs = max(cls.maxInstrs, prog.NumInstrs())
+		for _, lv := range prog.Vars() {
+			seen[lv] = true
+		}
 	}
-	return progs, nil
+	for lv, ok := range seen {
+		if ok {
+			cls.vars = append(cls.vars, logic.Var(lv))
+		}
+	}
+	cls.setVerdicts(rec)
+	return cls, nil
 }
 
 // ClassOf resolves a prefix to its compiled class.

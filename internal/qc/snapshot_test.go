@@ -183,6 +183,38 @@ func TestCompileFromMatchesCold(t *testing.T) {
 	}
 }
 
+// TestCompileFromReadsNewVerdicts pins the other half of a held class's
+// key: a record whose condition set prev holds but whose verdict slice
+// is another one takes prev's programs and nothing of prev's routers or
+// verdicts, and serves what a cold compile serves.
+func TestCompileFromReadsNewVerdicts(t *testing.T) {
+	w, err := gen.Generate(gen.Small())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, st, err := hoyan.NetworkFrom(w.Net, w.Snap).SweepBaseline(hoyan.Options{K: 2}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := mustCompile(t, nil, st)
+	next := *st
+	next.Classes = slices.Clone(st.Classes)
+	rec := &next.Classes[0]
+	rec.Verdicts = slices.Clone(rec.Verdicts)
+	for i := range rec.Verdicts {
+		v := &rec.Verdicts[i]
+		v.Reachable, v.MinFailures = !v.Reachable, (v.MinFailures+2)%(st.K+2)-1
+	}
+	snap := mustCompile(t, prev, &next)
+	if snap.Stats.Reused != prev.Stats.Programs {
+		t.Fatalf("reused %d of %d programs", snap.Stats.Reused, prev.Stats.Programs)
+	}
+	sameSnapshot(t, "new verdicts", snap, mustCompile(t, nil, &next))
+	if slices.Equal(snap.Classes[0].ReachUp, prev.Classes[0].ReachUp) {
+		t.Fatal("the edited verdicts were not served")
+	}
+}
+
 // compileAt runs CompileStoreFrom at the given GOMAXPROCS.
 func compileAt(t *testing.T, procs int, prev *Snapshot, st *hoyan.ResultStore) (*Snapshot, error) {
 	t.Helper()
@@ -277,5 +309,48 @@ func TestCompileStripedMatchesSerial(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkCompileFromOneDirtyClass is the publish of a resweep that
+// re-simulated one class: a store of the benchmark's classes-k2 shape (64
+// prefixes each a class of its own on 30 routers, K=2) with one record
+// replaced by a new condition set and verdict slice, compiled from the
+// previous snapshot, which holds every other record.
+func BenchmarkCompileFromOneDirtyClass(b *testing.B) {
+	w, err := gen.Generate(gen.Params{Seed: 1, Regions: 2, CoresPerRegion: 2, PEsPerRegion: 4,
+		MANsPerRegion: 1, PeersPerRegion: 8, PrefixesPerPeer: 4, ExtraCoreLinks: 1, WANAS: 64500, PolicyDiversity: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	_, st, err := hoyan.NetworkFrom(w.Net, w.Snap).SweepBaseline(hoyan.Options{K: 2}, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prev, err := CompileStore(st)
+	if err != nil {
+		b.Fatal(err)
+	}
+	next := *st
+	next.Classes = slices.Clone(st.Classes)
+	dirty := &next.Classes[len(next.Classes)/2]
+	wire, err := dirty.Conds.MarshalJSON()
+	if err != nil {
+		b.Fatal(err)
+	}
+	dirty.Conds = new(logic.Portable)
+	if err := dirty.Conds.UnmarshalJSON(wire); err != nil {
+		b.Fatal(err)
+	}
+	dirty.Verdicts = slices.Clone(dirty.Verdicts)
+	b.ReportAllocs()
+	for b.Loop() {
+		snap, err := CompileStoreFrom(prev, &next)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if want := prev.Stats.Programs - len(dirty.Verdicts); snap.Stats.Reused != want {
+			b.Fatalf("reused %d programs, want %d", snap.Stats.Reused, want)
+		}
 	}
 }

@@ -172,14 +172,13 @@ func (n *Network) planHash(reg *behavior.Registry, texts map[string]string) stri
 // keyed by it.
 func profilesKey(net *topo.Network, reg *behavior.Registry) string {
 	truth := behavior.TrueProfiles()
-	h, custom := sha256.New(), false
-	for _, node := range net.Nodes() {
-		p := reg.Get(node.Vendor)
-		custom = custom || p != truth.Get(node.Vendor)
-		fmt.Fprintf(h, "%+v\n", p)
-	}
-	if !custom {
+	nodes := net.Nodes()
+	if !slices.ContainsFunc(nodes, func(node *topo.Node) bool { return reg.Get(node.Vendor) != truth.Get(node.Vendor) }) {
 		return ""
+	}
+	h := sha256.New()
+	for _, node := range nodes {
+		fmt.Fprintf(h, "%+v\n", reg.Get(node.Vendor))
 	}
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
