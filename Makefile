@@ -113,8 +113,11 @@ chaos: determinism
 # resweep's diff rests on: Apply shares every device no update names, an
 # in-process baseline diffs like the same store loaded off disk (a link
 # added after capture included), two overlapping resweeps of the service
-# share devices while queries read them, and a topology a Verifier or a
-# caller holds is never edited in place (an edit copies it first). So
+# share devices while queries read them, a resweep assembles one model
+# that its commit's Verifier serves while /v1/route queries read the model
+# the next resweep diffs against, and neither a topology nor a
+# configuration map that a Verifier, a caller or a Clone holds is ever
+# edited in place (an edit copies it first). So
 # does the replay rule: a policy nothing attaches changes no scope and no
 # class, and a class replays the record of any member the edit left
 # alone, through splits and merges, as a cold sweep answers (gen.Small
@@ -125,7 +128,7 @@ determinism:
 	$(GO) test -race -count=10 -run 'TestRecycleIsFresh|TestRecycleToMarkIsFresh|TestImportRootsMatchesImport|TestSimplifyDependsOnlyOnTheFunction|TestEvictionsChangeNothing' ./internal/logic/
 	$(GO) test -race -count=10 -run 'TestVarOrder' ./internal/topo/
 	$(GO) test -race -count=10 -run 'TestSweepIndependentOfTopologyFileOrder|TestSaveMatchesMarshal|TestSaveTwiceSameBytes|TestCompileStripedMatchesSerial' . ./internal/qc/
-	$(GO) test -race -count=10 -run 'TestIncrementalInProcessMatchesLoaded|TestTopologyEditLeavesItsHolders|TestApplySharesUntouchedDevices|TestOverlappingResweepsPublish|TestReplayByMemberMatchesCold' . ./internal/config/ ./internal/httpapi/
+	$(GO) test -race -count=10 -run 'TestIncrementalInProcessMatchesLoaded|TestTopologyEditLeavesItsHolders|TestApplySharesUntouchedDevices|TestOverlappingResweepsPublish|TestResweepAssemblesOnce|TestReplayByMemberMatchesCold' . ./internal/config/ ./internal/httpapi/
 	$(GO) test -race -count=10 -run 'TestModelHashBytes' ./internal/dist/
 
 # scale-smoke bounds the paper-scale modular path: the modular plan over

@@ -52,8 +52,9 @@ func (v *Verifier) CheckIntents(intents []Intent) ([]Violation, error) {
 }
 
 // AuditConflicts finds prefixes announced by more than one origin — the
-// §7.2 IP-conflict audit. Only prefixes with a conflicting propagation
-// (some router selecting the "wrong" origin) are reported.
+// §7.2 IP-conflict audit. Every such prefix is reported, with its
+// announcers, whether or not any router selects a "wrong" origin: the
+// audit reads the model's originations and simulates nothing.
 func (v *Verifier) AuditConflicts() ([]Violation, error) {
 	var out []Violation
 	for _, p := range v.model.AnnouncedPrefixes() {

@@ -64,13 +64,18 @@ type Router struct {
 }
 
 // Network accumulates topology and configurations, then builds Verifiers.
+// Neither the topology nor the configuration map is edited while anything
+// else holds it: an edit copies it first.
 type Network struct {
 	net *topo.Network
 	// owned is set while n alone holds net; otherwise AddRouter and
 	// AddLink copy it first (NetworkFrom, Clone and models share it).
 	owned atomic.Bool
 	snap  config.Snapshot
-	errs  []error
+	// snapOwned is set while n alone holds snap; otherwise SetConfig and
+	// ApplyUpdate copy it first (NetworkFrom, Clone and tuners share it).
+	snapOwned atomic.Bool
+	errs      []error
 }
 
 // NewNetwork returns an empty network.
@@ -87,14 +92,37 @@ func (n *Network) topology() *topo.Network {
 	return n.net
 }
 
-// assemble builds the model of the network as it stands, failing with
-// the first error an edit deferred. The model holds the topology, so the
+// share marks the topology and the configuration map as held elsewhere
+// too, so that the next edit of either copies it first.
+func (n *Network) share() {
+	n.owned.Store(false)
+	n.snapOwned.Store(false)
+}
+
+// configs returns the configuration map for an edit, copied first
+// unless n alone holds it.
+func (n *Network) configs() config.Snapshot {
+	if !n.snapOwned.Swap(true) {
+		n.snap = maps.Clone(n.snap)
+	}
+	return n.snap
+}
+
+// assemble returns the model of the network as it stands, failing with
+// the first error an edit deferred: base's kept model when base (nil for
+// none) swept this very network under opts — its topology and every
+// node's device — else a new one. The model holds the topology, so the
 // next edit copies it.
-func (n *Network) assemble(reg *behavior.Registry) (*core.Model, error) {
+func (n *Network) assemble(opts Options, reg *behavior.Registry, base *ResultStore) (*core.Model, error) {
 	if len(n.errs) > 0 {
 		return nil, n.errs[0]
 	}
 	n.owned.Store(false)
+	if m := base.keptModel(); m != nil && m.Net == n.net &&
+		base.OptionsHash == optionsHash(opts, profilesKey(n.net, reg)) &&
+		!slices.ContainsFunc(n.net.Nodes(), func(node *topo.Node) bool { return !holds(m, node.Name, n.snap[node.Name]) }) {
+		return m, nil
+	}
 	return core.Assemble(n.net, n.snap, reg)
 }
 
@@ -132,7 +160,7 @@ func (n *Network) SetConfig(router, text string) {
 	if d.Hostname == "" {
 		d.Hostname = router
 	}
-	n.snap[router] = d
+	n.configs()[router] = d
 }
 
 // ApplyUpdate merges incremental command lines into a router's current
@@ -147,17 +175,17 @@ func (n *Network) ApplyUpdate(router string, lines ...string) error {
 	if err != nil {
 		return err
 	}
-	n.snap[router] = nd
+	n.configs()[router] = nd
 	return nil
 }
 
-// Clone copies the network for what-if update checking: the copy has
-// its own map of configurations, and shares the topology and the
-// devices, neither of which is edited in place (topo.Network,
-// config.Device): an edit of either network's topology copies it.
+// Clone copies the network for what-if update checking. The copy shares
+// the topology, the configuration map and the devices, none of which is
+// edited in place (topo.Network, config.Device): an edit of either
+// network's topology or configurations copies what it edits first.
 func (n *Network) Clone() *Network {
-	n.owned.Store(false)
-	return &Network{net: n.net, snap: maps.Clone(n.snap), errs: slices.Clone(n.errs)}
+	n.share()
+	return &Network{net: n.net, snap: n.snap, errs: slices.Clone(n.errs)}
 }
 
 // Options tunes verification.
@@ -182,13 +210,15 @@ type Options struct {
 	// baseline with SweepBaseline. A store still in the memory of the
 	// process that swept it keeps the model it swept (the diff skips
 	// whatever an edit left in place; a loaded store rebuilds its model
-	// once) and that sweep's IGP memo: the next Sweep, and the first query
-	// of a Verifier built with the store as its Baseline, start from it
-	// instead of re-running the IS-IS fixpoints whenever the network's
-	// IGP inputs are the ones it was built for. Such a Verifier's queries
-	// then run no fixpoint: a packet query's data plane resolves BGP next
-	// hops by SPF branching (igp.Engine.NextHops), which the memo does not
-	// hold.
+	// once) and that sweep's IGP memo. A Sweep or Verifier of the very
+	// network that model was assembled from (its topology and every
+	// device, under the same options hash) assembles none: it takes the
+	// kept model. The next Sweep, and the first query of a Verifier built
+	// with the store as its Baseline, start from the memo instead of
+	// re-running the IS-IS fixpoints whenever the network's IGP inputs are
+	// the ones it was built for. Such a Verifier's queries then run no
+	// fixpoint: a packet query's data plane resolves BGP next hops by SPF
+	// branching (igp.Engine.NextHops), which the memo does not hold.
 	Baseline *ResultStore
 	// Modular runs Sweep region by region (DESIGN.md, "Modular
 	// verification"): each prefix family is simulated in its home region
@@ -225,15 +255,17 @@ type Verifier struct {
 	fibs  map[netaddr.Prefix]*dataplane.FIB
 }
 
-// Verifier freezes the network and builds a verifier. It runs no IS-IS
-// fixpoint: its first query that simulates builds the one core.Shared it
-// answers from, starting from opts.Baseline's IGP memo when the store
-// carries one (core.SharedFrom reuses it only when it is valid for this
-// network). A network whose IS-IS fixpoint the step cap cuts off fails
-// that query, and every later one, with an error naming the destination.
+// Verifier freezes the network and builds a verifier. It answers from
+// opts.Baseline's kept model when the store swept this very network, and
+// otherwise assembles one. It runs no IS-IS fixpoint: its first query
+// that simulates builds the one core.Shared it answers from, starting
+// from opts.Baseline's IGP memo when the store carries one
+// (core.SharedFrom reuses it only when it is valid for this network). A
+// network whose IS-IS fixpoint the step cap cuts off fails that query,
+// and every later one, with an error naming the destination.
 func (n *Network) Verifier(opts Options) (*Verifier, error) {
 	opts, reg, copts := opts.resolve()
-	m, err := n.assemble(reg)
+	m, err := n.assemble(opts, reg, opts.Baseline)
 	if err != nil {
 		return nil, err
 	}
@@ -536,7 +568,8 @@ func LoadDirectory(dir string) (*Network, error) {
 // snapshot (the pair gen.LoadDir returns) into a Network, for callers —
 // the CLI and the HTTP service — that parse the on-disk format
 // themselves and then need Sweep/SweepBaseline/PlanIncremental. The
-// caller keeps net: an AddRouter or AddLink edits a copy of it.
+// caller keeps net and snap: an AddRouter or AddLink edits a copy of
+// the topology, a SetConfig or ApplyUpdate a copy of the map.
 func NetworkFrom(net *topo.Network, snap config.Snapshot) *Network {
 	return &Network{net: net, snap: snap}
 }

@@ -291,6 +291,12 @@ func TestTunerFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The tuner holds the network's map: a later edit copies it.
+	held := tn.v.Snap["dst"]
+	n.SetConfig("dst", "hostname dst\nrouter bgp 300\n")
+	if tn.v.Snap["dst"] != held {
+		t.Fatal("a SetConfig after NewTuner replaced the tuner's device")
+	}
 	ms, err := tn.Mismatches()
 	if err != nil || len(ms) == 0 {
 		t.Fatalf("expected mismatches, got %v err=%v", ms, err)

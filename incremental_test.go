@@ -33,19 +33,19 @@ func applyPerturbation(t *testing.T, n *Network, p gen.Perturbation) {
 
 // relinked rebuilds n's topology with every link passed through edit
 // (its new weight, or false to drop it) — the link edits Network's
-// add-only API has no call for. Node ids, and so the configs, carry over.
+// add-only API has no call for. Node ids carry over, so the new network
+// shares n's configuration map (NetworkFrom).
 func relinked(n *Network, edit func(l *topo.Link) (uint32, bool)) *Network {
-	out := NewNetwork()
+	net := topo.NewNetwork()
 	for _, node := range n.net.Nodes() {
-		out.net.MustAddNode(*node)
+		net.MustAddNode(*node)
 	}
 	for _, l := range n.net.Links() {
 		if w, ok := edit(l); ok {
-			out.net.MustAddLink(l.A, l.B, w)
+			net.MustAddLink(l.A, l.B, w)
 		}
 	}
-	out.snap = n.snap
-	return out
+	return NetworkFrom(net, n.snap)
 }
 
 // What a step of TestIncrementalMatchesCold expects of the IGP memo the
@@ -266,10 +266,12 @@ func TestIncrementalMatchesCold(t *testing.T) {
 // delta planned against the same store saved and loaded back (whose
 // devices are parsed, so Diff compares every one), and each step's report
 // must equal a cold sweep's. Reinstalling a device's own text is a new
-// object with equal content and diffs empty; an edit made through the
-// network's map after capture (a map another Network shares) shows up in
-// the next delta, and so does a link added through the network after
-// capture: the store's model keeps the topology it swept.
+// object with equal content and diffs empty. An edit made after capture
+// through another Network that shares n's map copies the map first: it
+// shows up in that Network's delta against the store, and n's map and
+// the store's devices stay as they were. A link added through the
+// network after capture shows up in the next delta: the store's model
+// keeps the topology it swept.
 func TestIncrementalInProcessMatchesLoaded(t *testing.T) {
 	params := gen.Small()
 	if !testing.Short() && !raceEnabled {
@@ -358,17 +360,31 @@ func TestIncrementalInProcessMatchesLoaded(t *testing.T) {
 		t.Fatalf("reinstalling %s's own text diffs non-empty:\n%s", pe, d)
 	}
 
-	// A Network sharing n's map (as relinked builds one): an edit of that
-	// map after the capture must not reach the store's devices.
+	// A Network sharing n's map (relinked builds one through NetworkFrom):
+	// its edit after the capture copies the map, so it is in its own delta
+	// against the store, not in n's, and reaches neither n's map nor the
+	// store's devices.
 	shared := relinked(n, func(l *topo.Link) (uint32, bool) { return l.Weight, true })
-	d := step("bgp: "+pe+" originates 198.18.0.0/24 through a shared map", func() {
-		bgp := fmt.Sprintf("router bgp %d", n.snap[pe].BGP.AS)
+	own := n.snap[pe]
+	d := step("bgp: "+pe+" originates 198.18.0.0/24 through a Network sharing the map", func() {
+		bgp := fmt.Sprintf("router bgp %d", own.BGP.AS)
 		if err := shared.ApplyUpdate(pe, bgp, " network 198.18.0.0/24"); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if !slices.ContainsFunc(d.Items, func(it core.DeltaItem) bool { return it.Device == pe }) {
-		t.Fatalf("an edit through the network's map after capture is missing from the delta:\n%s", d)
+	if !d.Empty() || n.snap[pe] != own || shared.snap[pe] == own {
+		t.Fatalf("an edit through a Network sharing n's map reached n: delta\n%s\nn's %s replaced: %v, the editor's: %v",
+			d, pe, n.snap[pe] != own, shared.snap[pe] != own)
+	}
+	if id := mustNode(t, n, pe); store.model.Configs[id] != own || store.Configs[pe] != config.Write(own) {
+		t.Fatalf("an edit through a Network sharing n's map reached the store's device %s", pe)
+	}
+	sp, err := shared.PlanIncremental(opts, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(sp.Delta.Items, func(it core.DeltaItem) bool { return it.Device == pe }) {
+		t.Fatalf("the edit through a Network sharing n's map is missing from its delta against the store:\n%s", sp.Delta)
 	}
 
 	a, b := w.PEs[0], w.PEs[len(w.PEs)-1]

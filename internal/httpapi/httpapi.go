@@ -27,8 +27,8 @@ type Service struct {
 	net  *topo.Network
 	snap config.Snapshot
 	// v answers the single-prefix questions (/v1/route, /v1/packet,
-	// /v1/equivalence, /v1/racing) and holds the served model; a resweep
-	// that commits config updates replaces it.
+	// /v1/equivalence, /v1/racing) and holds the served model; every
+	// resweep replaces it with one over the model it swept.
 	v *hoyan.Verifier
 	k int
 	// baseline is the result store the last /v1/resweep captured; the
@@ -37,10 +37,6 @@ type Service struct {
 	// lastInval summarizes the last resweep's invalidation decisions for
 	// the /v1/classes counters.
 	lastInval *core.InvalidationStats
-	// classes is the committed sweep's class count, a resweep's job size
-	// for admission; -1 until a resweep commits, and then computed from
-	// the served model.
-	classes int
 	// adm is the sweep-session registry: admission control, per-session
 	// job bounds, and the SIGTERM drain latch (see admission.go).
 	adm admission
@@ -58,7 +54,7 @@ func New(net *topo.Network, snap config.Snapshot, k int) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Service{net: net, snap: snap, v: v, k: k, classes: -1, query: &queryPlane{}}, nil
+	return &Service{net: net, snap: snap, v: v, k: k, query: &queryPlane{}}, nil
 }
 
 // Handler returns the HTTP mux:
@@ -327,15 +323,13 @@ func (s *Service) handleResweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Capture the served state under a brief lock; the class count is the
-	// session's queued-job size for admission.
+	// Capture the served state under a brief lock; the served model's
+	// class count (the partition its sweep computed, once a resweep has
+	// committed) is the session's queued-job size for admission.
 	s.mu.Lock()
 	snap := s.snap
 	baseline := s.baseline
-	jobs := s.classes
-	if jobs < 0 {
-		jobs = len(s.v.Model().Classes())
-	}
+	jobs := len(s.v.Model().Classes())
 	s.mu.Unlock()
 
 	si, err := s.adm.admit(jobs)
@@ -365,8 +359,10 @@ func (s *Service) handleResweep(w http.ResponseWriter, r *http.Request) {
 	if req.NoIncremental {
 		baseline = nil
 	}
+	// One network for the sweep and the commit's Verifier.
+	n := hoyan.NetworkFrom(s.net, snap)
 	opts := hoyan.Options{K: s.k, Baseline: baseline, AuditSample: req.AuditSample}
-	rep, store, err := hoyan.NetworkFrom(s.net, snap).SweepBaseline(opts, req.Workers)
+	rep, store, err := n.SweepBaseline(opts, req.Workers)
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
 		return
@@ -374,10 +370,12 @@ func (s *Service) handleResweep(w http.ResponseWriter, r *http.Request) {
 
 	// Commit: the swept snapshot becomes the served one (queries now see
 	// the updated configs) and the fresh store the next baseline. The
-	// verifier is rebuilt from the store even when no config changed: it
-	// then answers from the IGP memo the sweep just ran on instead of
-	// re-running the fixpoints on the first /v1/route.
-	v, err := hoyan.NetworkFrom(s.net, snap).Verifier(hoyan.Options{K: s.k, Baseline: store})
+	// Verifier is built over the store even when no config changed: it
+	// answers from the model the store keeps, the one the sweep assembled
+	// (so a POST assembles at most one model, and /v1/classes reads the
+	// partition the sweep computed), and from the IGP memo the sweep just
+	// ran on instead of re-running the fixpoints on the first /v1/route.
+	v, err := n.Verifier(hoyan.Options{K: s.k, Baseline: store})
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
 		return
@@ -385,7 +383,7 @@ func (s *Service) handleResweep(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	s.snap, s.v = snap, v
 	s.baseline = store
-	s.lastInval, s.classes = rep.Invalidation, rep.Classes
+	s.lastInval = rep.Invalidation
 	s.mu.Unlock()
 
 	// Auto-publish the committed store so /v1/query serves the state this

@@ -394,24 +394,36 @@ func newStoreShell(model *core.Model, opts Options, reg *behavior.Registry, text
 	return st
 }
 
+// keptModel is the model st keeps (nil for a nil store, or a loaded one
+// not yet diffed against), read under modelMu.
+func (st *ResultStore) keptModel() *core.Model {
+	if st == nil {
+		return nil
+	}
+	modelMu.Lock()
+	defer modelMu.Unlock()
+	return st.model
+}
+
+// holds reports whether model m was assembled with dev as the router
+// name's device: the one identity test between a network and a kept
+// model (Network.assemble, configTexts).
+func holds(m *core.Model, name string, dev *config.Device) bool {
+	id, ok := m.Resolve(name)
+	return ok && m.Configs[id] == dev
+}
+
 // configTexts writes every device of the network's snapshot once per
 // sweep, for the plan's model hash and the captured store: config.Write
 // of each device, except that a device the baseline store's model also
 // holds keeps the text that store wrote for it.
 func (n *Network) configTexts(base *ResultStore) map[string]string {
-	var kept *core.Model
-	if base != nil {
-		modelMu.Lock()
-		kept = base.model
-		modelMu.Unlock()
-	}
+	kept := base.keptModel()
 	texts := make(map[string]string, len(n.snap))
 	for name, dev := range n.snap {
-		if kept != nil {
-			if id, ok := kept.Resolve(name); ok && kept.Configs[id] == dev {
-				texts[name] = base.Configs[name]
-				continue
-			}
+		if kept != nil && holds(kept, name, dev) {
+			texts[name] = base.Configs[name]
+			continue
 		}
 		texts[name] = config.Write(dev)
 	}
@@ -587,7 +599,7 @@ type IncrementalPlan struct {
 // its own.
 func (n *Network) PlanIncremental(opts Options, store *ResultStore) (*IncrementalPlan, error) {
 	opts, reg, _ := opts.resolve()
-	model, err := n.assemble(reg)
+	model, err := n.assemble(opts, reg, store)
 	if err != nil {
 		return nil, err
 	}
@@ -639,7 +651,7 @@ func newReplayRule(delta *core.ModelDelta) *replayRule {
 func (r *replayRule) leaves(rec *ClassRecord, m string) bool {
 	return !r.named[m] &&
 		!slices.ContainsFunc(rec.TaintDevices, func(d string) bool { return r.devices[d] }) &&
-		!slices.ContainsFunc(rec.context(), func(p string) bool { return r.named[p] })
+		!slices.ContainsFunc(rec.Universe, func(p string) bool { return r.named[p] && !slices.Contains(rec.Members, p) })
 }
 
 // context is the record's universe minus its members: the prefixes whose

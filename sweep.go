@@ -126,8 +126,8 @@ func (n *Network) SweepBaseline(opts Options, workers int) (*SweepReport, *Resul
 // holds the whole-WAN taint set and conditions of one pass, and a region
 // pass sees one region.
 func (n *Network) SweepOver(opts Options, pool dist.Pool, journal *dist.Session, capture bool) (*SweepReport, *ResultStore, error) {
-	_, reg, _ := opts.resolve()
-	model, err := n.assemble(reg)
+	opts, reg, _ := opts.resolve()
+	model, err := n.assemble(opts, reg, opts.Baseline)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -133,9 +133,10 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 
 // TestSweepAssemblesModelOnce pins the assemble-once contract: a sweep
 // builds exactly one core.Model no matter how many workers run. An
-// incremental sweep against a store this process captured assembles no
-// other: the store keeps the model it swept. Against a store loaded off
-// disk it assembles the baseline once, on first use, and never again.
+// incremental sweep of the unchanged network against a store this
+// process captured assembles none: the store keeps the model it swept,
+// which is this network's. Against a store loaded off disk it assembles
+// its own model and the baseline once, on first use, and never again.
 func TestSweepAssemblesModelOnce(t *testing.T) {
 	n, _ := wanNetwork(t)
 	assembles := func(desc string, want int64, f func() error) {
@@ -153,7 +154,7 @@ func TestSweepAssemblesModelOnce(t *testing.T) {
 		_, store, err = n.SweepBaseline(Options{K: 2}, 4)
 		return err
 	})
-	assembles("an incremental Sweep against the in-process store", 1, func() error {
+	assembles("an incremental Sweep of the unchanged network against the in-process store", 0, func() error {
 		_, err := n.Sweep(Options{K: 2, Baseline: store}, 4)
 		return err
 	})

@@ -25,15 +25,13 @@ type Tuner struct {
 // registry (typically NaiveProfiles()). The registry is patched in place
 // as VSBs are discovered.
 func (n *Network) NewTuner(reg *behavior.Registry) (*Tuner, error) {
-	if len(n.errs) > 0 {
-		return nil, n.errs[0]
-	}
-	v, err := tuner.New(n.net, n.snap, reg, core.DefaultOptions())
+	m, err := n.assemble(Options{}, behavior.TrueProfiles(), nil)
 	if err != nil {
 		return nil, err
 	}
-	// The tuner holds the topology too, and assemble marks it shared.
-	m, err := n.assemble(behavior.TrueProfiles())
+	// The tuner holds the topology and the configuration map too.
+	n.share()
+	v, err := tuner.New(n.net, n.snap, reg, core.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}

@@ -1,9 +1,12 @@
 package hoyan
 
 import (
+	"fmt"
+	"maps"
 	"reflect"
 	"testing"
 
+	"hoyan/internal/config"
 	"hoyan/internal/gen"
 	"hoyan/internal/igp"
 )
@@ -56,12 +59,14 @@ func TestVerifierBuildsItsSharedOnFirstQuery(t *testing.T) {
 	}
 }
 
-// TestTopologyEditLeavesItsHolders pins the topology rule: a topology a
-// model or a caller holds is never edited in place. A Verifier built
+// TestTopologyEditLeavesItsHolders pins the sharing rule: a topology a
+// model or a caller holds is never edited in place, and neither is a
+// configuration map a caller or another Network holds. A Verifier built
 // before AddRouter and AddLink, and first queried after them, answers as
-// one queried before them; a Verifier built after them sees the edit;
-// and an edit of a Network wrapping a caller's topology (NetworkFrom)
-// leaves that topology as it was.
+// one queried before them; a Verifier built after them sees the edit; an
+// edit of a Network wrapping a caller's topology and map (NetworkFrom)
+// leaves both as they were; and after Clone, a config edit of either
+// network leaves the other's map as it was.
 func TestTopologyEditLeavesItsHolders(t *testing.T) {
 	n := figure4Net(t)
 	ref, err := n.Verifier(Options{K: 3})
@@ -108,5 +113,45 @@ func TestTopologyEditLeavesItsHolders(t *testing.T) {
 	if w.Net.NumLinks() != links || m.net.NumLinks() != links+1 {
 		t.Fatalf("AddLink after NetworkFrom: the caller's topology has %d links, the network's %d; want %d and %d",
 			w.Net.NumLinks(), m.net.NumLinks(), links, links+1)
+	}
+
+	pe := w.PEs[0]
+	caller := maps.Clone(w.Snap)
+	bgp := fmt.Sprintf("router bgp %d", caller[pe].BGP.AS)
+	originate := func(n *Network, p string) {
+		t.Helper()
+		if err := n.ApplyUpdate(pe, bgp, " network "+p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, edit := range map[string]func(*Network){
+		"SetConfig":   func(n *Network) { n.SetConfig(pe, config.Write(caller[pe])) },
+		"ApplyUpdate": func(n *Network) { originate(n, "198.18.0.0/24") },
+	} {
+		n := NetworkFrom(w.Net, w.Snap)
+		edit(n)
+		if !maps.Equal(w.Snap, caller) || n.snap[pe] == caller[pe] {
+			t.Fatalf("%s after NetworkFrom: the caller's %s replaced: %v, the network's: %v",
+				name, pe, w.Snap[pe] != caller[pe], n.snap[pe] != caller[pe])
+		}
+	}
+
+	a := NetworkFrom(w.Net, w.Snap)
+	originate(a, "198.18.0.0/24") // a now holds its own map
+	b := a.Clone()
+	for _, edit := range []struct {
+		name         string
+		edited, kept *Network
+	}{{"the clone", b, a}, {"the original", a, b}} {
+		held := maps.Clone(edit.kept.snap)
+		prev := edit.edited.snap[pe]
+		originate(edit.edited, "198.19.0.0/24")
+		if !maps.Equal(edit.kept.snap, held) || edit.edited.snap[pe] == prev {
+			t.Fatalf("ApplyUpdate of %s after Clone: the other's %s replaced: %v, its own: %v",
+				edit.name, pe, edit.kept.snap[pe] != held[pe], edit.edited.snap[pe] != prev)
+		}
+	}
+	if !maps.Equal(w.Snap, caller) {
+		t.Fatal("edits of a Network and its Clone replaced a device in NetworkFrom's caller's map")
 	}
 }
