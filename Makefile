@@ -93,7 +93,7 @@ chaos: determinism
 # computed cache evicts constantly makes the same nodes and Simplify
 # bytes as a roomy one. The recycling tests ride along:
 # a recycled factory (to the constants or to a marked base), a Reset
-# simulator (its data plane included) and a memo stripe that recycles
+# simulator (its data plane included) and a memo goroutine that recycles
 # its factory between destinations must each equal a fresh one. So does
 # the IGP fixpoint's byte pin against the map-based reference it replaced,
 # and the data plane's next-hop pin: SPF branching gives the first hop of
@@ -105,9 +105,17 @@ chaos: determinism
 # its sessions' conditions. So does the step-cap refusal: on a network
 # whose IS-IS fixpoint hits the cap, the Verifier and every simulator of
 # a Shared fail with the Shared's error instead of answering. The
-# publish's two striped loops ride along too: a Save that encodes class
-# records on GOMAXPROCS goroutines must write json.Marshal's bytes, and a
-# compile that lowers them so must equal the serial one, error included.
+# parallel phases ride along too. They take their items from one queue
+# (internal/work), which must run every index exactly once at every
+# worker count: which goroutine runs which item is up to the scheduler,
+# so only repeated runs under the race detector cover the interleavings.
+# Its callers are pinned to their serial answers: the memo above, a
+# Save that encodes class records on GOMAXPROCS goroutines must write
+# json.Marshal's bytes, and a compile that lowers them so must equal the
+# serial one, error included. Export's bytes are pinned to a map-based
+# reference exporter: its visited table is stamped per export and reused
+# across exports, Recycles and a wrap of the stamp counter, so a stale
+# stamp read as live would store a wrong index.
 # So does the store's reproducibility: two sweeps and saves of gen.Small
 # write byte-identical files. And the snapshot immutability contract a
 # resweep's diff rests on: Apply shares every device no update names, an
@@ -125,7 +133,8 @@ chaos: determinism
 # the devices are written by it or handed to it written.
 determinism:
 	$(GO) test -race -count=10 -run 'TestMemoBuildDeterministic|TestMemoReachMatchesEngine|TestPropagateMatchesReference|TestNextHopMatchesUncappedPathVector|TestStepCapRefusesEverySimulator|TestOrderShrinksSolver|TestResetRunEqualsFresh|TestResetDropsWhatFollowsTheBase|TestBaseImportsOnlySessionRoots|TestUnreferencedPolicyIsInert' ./internal/igp/ ./internal/core/
-	$(GO) test -race -count=10 -run 'TestRecycleIsFresh|TestRecycleToMarkIsFresh|TestImportRootsMatchesImport|TestSimplifyDependsOnlyOnTheFunction|TestEvictionsChangeNothing' ./internal/logic/
+	$(GO) test -race -count=10 -run 'TestRecycleIsFresh|TestRecycleToMarkIsFresh|TestImportRootsMatchesImport|TestExportMatchesReference|TestSimplifyDependsOnlyOnTheFunction|TestEvictionsChangeNothing' ./internal/logic/
+	$(GO) test -race -count=10 -run 'TestRunCoversEachIndexOnce' ./internal/work/
 	$(GO) test -race -count=10 -run 'TestVarOrder' ./internal/topo/
 	$(GO) test -race -count=10 -run 'TestSweepIndependentOfTopologyFileOrder|TestSaveMatchesMarshal|TestSaveTwiceSameBytes|TestCompileStripedMatchesSerial' . ./internal/qc/
 	$(GO) test -race -count=10 -run 'TestIncrementalInProcessMatchesLoaded|TestTopologyEditLeavesItsHolders|TestApplySharesUntouchedDevices|TestOverlappingResweepsPublish|TestResweepAssemblesOnce|TestReplayByMemberMatchesCold' . ./internal/config/ ./internal/httpapi/

@@ -70,7 +70,7 @@ type nodeISIS struct {
 	metrics   map[string]uint32
 }
 
-// Engine answers IS-IS questions in one logic.Factory: a memo stripe's
+// Engine answers IS-IS questions in one logic.Factory: a memo goroutine's
 // fixpoints (Build) and a simulator's next hops (NextHops), which it
 // memoizes per (destination, node). It is not safe for concurrent use
 // (create one per prefix simulation, like the factory itself). Core reads
@@ -85,7 +85,7 @@ type Engine struct {
 	spfs map[topo.NodeID]*brancher // per destination, the SPFs NextHops ran
 
 	// fp is the fixpoint's working state, built by the first propagate and
-	// reused by every later one (a memo stripe runs all its destinations
+	// reused by every later one (a memo goroutine runs all its destinations
 	// through one engine). An engine that propagates nothing never builds
 	// it.
 	fp *fixpoint

@@ -40,11 +40,11 @@ import (
 	"runtime"
 	"slices"
 	"strings"
-	"sync"
 
 	"hoyan/internal/config"
 	"hoyan/internal/logic"
 	"hoyan/internal/topo"
+	"hoyan/internal/work"
 )
 
 // Key fingerprints everything the IGP reads: two (network, configs,
@@ -124,17 +124,17 @@ func (m *Memo) NumDestinations() int { return len(m.dsts) }
 // propagated; otherwise it is ignored. Cold is have == nil.
 //
 // The missing destinations are propagated on up to `workers` goroutines
-// (<= 0 means GOMAXPROCS), each goroutine keeping one factory under the
-// network's variable order and recycling it before every destination
-// (logic.Factory.Recycle), so each destination's conditions are exported
-// from an empty universe, and one engine, whose fixpoint buffers carry
-// nothing from one destination to the next.
+// (<= 0 means GOMAXPROCS) that take them from one queue (internal/work):
+// a goroutine that finishes one takes the next, so none idles while
+// another still has a share to run. Each goroutine keeps one factory
+// under the network's variable order and recycles it before every
+// destination (logic.Factory.Recycle), so each destination's conditions
+// are exported from an empty universe, and one engine, whose fixpoint
+// buffers carry nothing from one destination to the next.
 // A destination's exported bytes therefore depend on it and on the
 // key's inputs alone — not on which goroutine ran it, what ran before it,
 // or what `have` already held — so the memo is byte-identical at every
-// parallelism and a partly carried memo equals a cold one. Destinations
-// are assigned statically (sorted, striped), never stolen, so the work
-// each goroutine does is reproducible too.
+// parallelism and a partly carried memo equals a cold one.
 //
 // A destination whose fixpoint hit the step cap is left out of the memo
 // and named in the error. The memo returned alongside holds every other
@@ -164,29 +164,19 @@ func Build(net *topo.Network, configs []*config.Device, opts Options,
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	workers = min(workers, len(missing))
 	cfg := isisConfigs(net, configs)
 	order := net.VarOrder()
 	built := make([]*logic.Portable, len(missing)) // nil where the cap cut the fixpoint off
-	stripe := func(g int) {
+	work.RunWith(len(missing), workers, nil, func() func(int) {
 		f := logic.NewFactoryOrdered(order)
-		e := newEngine(net, cfg, f, opts) // its fixpoint state is reused across the stripe
-		for i := g; i < len(missing); i += workers {
+		e := newEngine(net, cfg, f, opts) // its fixpoint state is reused across the goroutine's destinations
+		return func(i int) {
 			f.Recycle()
 			if e.propagate(missing[i]) {
 				built[i] = e.export(missing[i])
 			}
 		}
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			stripe(g)
-		}()
-	}
-	wg.Wait()
+	})
 	var cut []string
 	for i, dst := range missing {
 		if built[i] == nil {

@@ -50,7 +50,7 @@ func (e *Engine) NextHops(dst, u topo.NodeID) []Hop {
 			b = newBrancher(e, dst)
 			e.spfs[dst] = b
 		}
-		b.branch(u, nil, logic.True, &hops)
+		b.branch(u, b.failed[:0], logic.True, &hops)
 	}
 	e.hops[key] = hops
 	return hops
@@ -85,6 +85,14 @@ type brancher struct {
 	// set (failedKey).
 	sorted []topo.LinkID
 	key    []byte
+	// links and splits are branch's stacks: each branch appends its
+	// support links and its split conditions on entry and truncates them
+	// on return, so a deeper branch writes only past what its caller
+	// still reads. failed has room for K links, the deepest set branch
+	// passes down, so extending it by one copies nothing.
+	links  []topo.LinkID
+	splits []logic.F
+	failed []topo.LinkID
 	// mayBlock is whether any node can be level-blocked in an SPF toward
 	// dst: whether some arc refuses a level that a label can hold — the
 	// destination's own, or one an arc hands on — while it lets the other
@@ -102,7 +110,8 @@ type brancher struct {
 
 // newBrancher returns dst's brancher, before any SPF.
 func newBrancher(e *Engine, dst topo.NodeID) *brancher {
-	b := &brancher{e: e, dst: dst, dstLevel: L2, arcs: e.fixpointState().arcs, trees: map[string]*spfTree{}}
+	b := &brancher{e: e, dst: dst, dstLevel: L2, arcs: e.fixpointState().arcs, trees: map[string]*spfTree{},
+		failed: make([]topo.LinkID, 0, e.opts.K)}
 	if e.cfg[dst].level == 1 {
 		b.dstLevel = L1
 	}
@@ -147,14 +156,15 @@ func (a spfItem) less(b spfItem) bool {
 func (b *brancher) branch(u topo.NodeID, failed []topo.LinkID, cons logic.F, out *[]Hop) {
 	t := b.spf(failed)
 	f := b.e.f
-	links := t.support(u)
+	linksAt, splitsAt := len(b.links), len(b.splits)
+	b.links = t.support(b.links, u)
+	links := b.links[linksAt:]
 	deeper := len(failed) < b.e.opts.K
-	var splits []logic.F
 	acc := cons
 	for _, l := range links {
 		alive := f.Var(b.e.net.AliveVar(l))
 		if deeper {
-			splits = append(splits, f.And(acc, f.Not(alive)))
+			b.splits = append(b.splits, f.And(acc, f.Not(alive)))
 		}
 		acc = f.And(acc, alive)
 	}
@@ -165,21 +175,23 @@ func (b *brancher) branch(u topo.NodeID, failed []topo.LinkID, cons logic.F, out
 			*out = append(*out, Hop{Next: hop, Cond: acc})
 		}
 	}
-	for i, cond := range splits {
-		b.branch(u, append(failed[:len(failed):len(failed)], links[i]), cond, out)
+	for i, cond := range b.splits[splitsAt:] {
+		b.branch(u, append(failed, links[i]), cond, out)
 	}
+	b.links, b.splits = b.links[:linksAt], b.splits[:splitsAt]
 }
 
-// support returns u's support links: its path's, from u toward the
-// destination, then the blocked links off that path.
-func (t *spfTree) support(u topo.NodeID) []topo.LinkID {
-	var links []topo.LinkID
+// support appends u's support links to links and returns the result: its
+// path's, from u toward the destination, then the blocked links off that
+// path.
+func (t *spfTree) support(links []topo.LinkID, u topo.NodeID) []topo.LinkID {
+	from := len(links)
 	for v := u; t.next[v] != topo.NoNode; v = t.next[v] {
 		links = append(links, t.link[v])
 	}
 	onPath := len(links)
 	for _, l := range t.blocked {
-		if !slices.Contains(links[:onPath], l) {
+		if !slices.Contains(links[from:onPath], l) {
 			links = append(links, l)
 		}
 	}

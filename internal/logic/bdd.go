@@ -82,7 +82,7 @@ const (
 // computation, and this is only where that growth starts. One room for
 // every factory: a simulation's (where a smaller start allocates the
 // tables in between on top, 1.5 MB more per class past 2¹⁵ nodes) and an
-// IGP stripe's alike (EXPERIMENTS.md, "Factory recycling").
+// IGP memo goroutine's alike (EXPERIMENTS.md, "Factory recycling").
 const bddRoom = 1 << 15
 
 // newBDDSpace returns an empty space with room for initial nodes before

@@ -65,6 +65,18 @@ type Factory struct {
 	// two constants and baseVars is empty.
 	base     []node
 	baseVars []F
+
+	// seen is Export's table of the nodes it has stored, indexed by F and
+	// grown to len(nodes) by each Export. An entry is live only while its
+	// gen equals seenGen, which every Export advances, so neither an
+	// Export nor a Recycle (which hands the same ids out again) clears
+	// the table; only a wrap of the counter does.
+	seen    []exportSlot
+	seenGen uint32
+	// need and ids are ImportRoots' scratch, one entry per node of the
+	// Portable being imported.
+	need []bool
+	ids  []F
 }
 
 type nodeKey struct {

@@ -3,6 +3,7 @@ package logic
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strconv"
 )
 
@@ -30,46 +31,73 @@ type pnode struct {
 
 // Export encodes the formulas rooted at roots. Shared subterms are
 // stored once; the i-th exported root corresponds to the i-th formula
-// returned by Import.
+// returned by Import. Nodes are stored in the order a depth-first walk
+// from the roots, children first, first reaches them. The walk marks what
+// it has stored in the factory's export table (Factory.seen), so an
+// export allocates the Portable and nothing else once the table has
+// grown to the factory's size.
 func (f *Factory) Export(roots ...F) *Portable {
 	p := &Portable{nodes: make([]pnode, 2, 2+len(roots))}
 	p.nodes[False] = pnode{k: kConst}
 	p.nodes[True] = pnode{k: kConst}
-	memo := make(map[F]int32, 2*len(roots)+16)
-	memo[False] = 0
-	memo[True] = 1
-	var rec func(F) int32
-	rec = func(x F) int32 {
-		if id, ok := memo[x]; ok {
-			return id
-		}
-		n := f.nodes[x]
-		var nd pnode
-		switch n.k {
-		case kVar:
-			nd = pnode{k: kVar, v: n.v}
-		case kNot:
-			nd = pnode{k: kNot, a: rec(n.a)}
-		default: // kAnd, kOr
-			nd = pnode{k: n.k, a: rec(n.a), b: rec(n.b)}
-		}
-		id := int32(len(p.nodes))
-		p.nodes = append(p.nodes, nd)
-		memo[x] = id
-		return id
+	if f.seenGen++; f.seenGen == 0 {
+		clear(f.seen)
+		f.seenGen = 1
+	}
+	if n := len(f.nodes); len(f.seen) < n {
+		f.seen = append(f.seen, make([]exportSlot, n-len(f.seen))...)
 	}
 	p.roots = make([]int32, len(roots))
 	for i, r := range roots {
-		p.roots[i] = rec(r)
+		p.roots[i] = f.exportNode(p, r)
 	}
 	return p
+}
+
+// exportSlot is one node's entry in the export table: id is its index in
+// the Portable being built when gen is the factory's current seenGen, and
+// means nothing otherwise.
+type exportSlot struct {
+	gen uint32
+	id  int32
+}
+
+// exportNode returns x's index in p, storing x and whatever it reaches
+// that the current export has not stored yet.
+func (f *Factory) exportNode(p *Portable, x F) int32 {
+	if x <= True {
+		return int32(x)
+	}
+	if s := f.seen[x]; s.gen == f.seenGen {
+		return s.id
+	}
+	n := f.nodes[x]
+	var nd pnode
+	switch n.k {
+	case kVar:
+		nd = pnode{k: kVar, v: n.v}
+	case kNot:
+		nd = pnode{k: kNot, a: f.exportNode(p, n.a)}
+	default: // kAnd, kOr
+		nd = pnode{k: n.k, a: f.exportNode(p, n.a), b: f.exportNode(p, n.b)}
+	}
+	id := int32(len(p.nodes))
+	p.nodes = append(p.nodes, nd)
+	f.seen[x] = exportSlot{gen: f.seenGen, id: id}
+	return id
 }
 
 // NumRoots reports how many formulas the snapshot carries.
 func (p *Portable) NumRoots() int { return len(p.roots) }
 
-// NumNodes reports the size of the stored DAG including the constants.
-func (p *Portable) NumNodes() int { return len(p.nodes) }
+// NumNodes reports the size of the stored DAG including the constants;
+// a nil snapshot has none.
+func (p *Portable) NumNodes() int {
+	if p == nil {
+		return 0
+	}
+	return len(p.nodes)
+}
 
 // Root returns the node index of the i-th exported root.
 func (p *Portable) Root(i int) int { return int(p.roots[i]) }
@@ -111,11 +139,16 @@ func (p *Portable) Import(f *Factory) []F {
 // reach. Reconstruction goes through the ordinary constructors, so
 // hash-consing and the local simplifications apply: importing into the
 // factory that exported the snapshot yields formulas equivalent to the
-// originals, and importing twice is idempotent.
+// originals, and importing twice is idempotent. Its marks and the ids it
+// rebuilds go in the factory's scratch (Factory.need, Factory.ids), so
+// what it allocates is the slice it returns and the nodes it creates.
 func (p *Portable) ImportRoots(f *Factory, which []int) []F {
 	// Children precede their parents, so one backward sweep marks every
 	// node a named root reaches.
-	need := make([]bool, len(p.nodes))
+	f.need = slices.Grow(f.need[:0], len(p.nodes))[:len(p.nodes)]
+	f.ids = slices.Grow(f.ids[:0], len(p.nodes))[:len(p.nodes)]
+	need, ids := f.need, f.ids
+	clear(need)
 	for _, r := range which {
 		need[p.roots[r]] = true
 	}
@@ -130,7 +163,6 @@ func (p *Portable) ImportRoots(f *Factory, which []int) []F {
 			need[n.a], need[n.b] = true, true
 		}
 	}
-	ids := make([]F, len(p.nodes))
 	ids[False] = False
 	ids[True] = True
 	for i := 2; i < len(p.nodes); i++ {

@@ -5,12 +5,12 @@ import (
 	"runtime"
 	"slices"
 	"strings"
-	"sync"
 	"time"
 
 	"hoyan"
 	"hoyan/internal/dist"
 	"hoyan/internal/logic"
+	"hoyan/internal/work"
 )
 
 // Class is one behavior class compiled for serving: a program per
@@ -139,6 +139,12 @@ func CompileStore(st *hoyan.ResultStore) (*Snapshot, error) {
 // variable union and instruction counts travel with the programs.
 // Members and the prefix index are rebuilt from st, because a replayed
 // record can be renamed. prev may be nil.
+//
+// The classes prev does not hold are independent: up to GOMAXPROCS
+// goroutines take them from one queue (internal/work), largest
+// condition set first, each into its class's slot. Everything after is
+// folded serially in class order, so the snapshot, and the error
+// returned (the lowest class's), are what a serial loop gives.
 func CompileStoreFrom(prev *Snapshot, st *hoyan.ResultStore) (*Snapshot, error) {
 	start := time.Now()
 	snap := &Snapshot{
@@ -170,12 +176,8 @@ func CompileStoreFrom(prev *Snapshot, st *hoyan.ResultStore) (*Snapshot, error) 
 		}
 	}
 
-	// Lower the classes prev does not hold. Classes are independent, so
-	// min(GOMAXPROCS, classes to lower) goroutines take them, striped
-	// statically as igp.Build stripes destinations; one class (a
-	// resweep's dirty class) is lowered on this goroutine. Everything
-	// after is folded serially in class order, so the snapshot, and the
-	// error returned (the lowest class's), are what a serial loop gives.
+	// Lower the classes prev does not hold, on the queue; one class (a
+	// resweep's dirty class) is lowered on this goroutine.
 	classes := make([]*Class, len(st.Classes))
 	errs := make([]error, len(st.Classes))
 	var lower []int
@@ -196,26 +198,11 @@ func CompileStoreFrom(prev *Snapshot, st *hoyan.ResultStore) (*Snapshot, error) 
 		classes[ci] = &cls
 		snap.Stats.Reused += len(cls.Progs)
 	}
-	workers := min(runtime.GOMAXPROCS(0), len(lower))
-	stripe := func(g int) {
-		for i := g; i < len(lower); i += workers {
+	work.Run(len(lower), runtime.GOMAXPROCS(0), func(i int) int { return st.Classes[lower[i]].Conds.NumNodes() },
+		func(i int) {
 			ci := lower[i]
 			classes[ci], errs[ci] = lowerClass(ci, &st.Classes[ci], maxVar)
-		}
-	}
-	if workers <= 1 {
-		stripe(0)
-	} else {
-		var wg sync.WaitGroup
-		for g := range workers {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				stripe(g)
-			}()
-		}
-		wg.Wait()
-	}
+		})
 
 	// Each impact list is appended in class order, so it is sorted.
 	snap.Classes = make([]*Class, 0, len(st.Classes))

@@ -19,6 +19,7 @@ import (
 	"hoyan/internal/dist"
 	"hoyan/internal/igp"
 	"hoyan/internal/topo"
+	"hoyan/internal/work"
 )
 
 // ClassRecord is what one simulation of a behavior class's
@@ -200,8 +201,9 @@ func (st *ResultStore) Save(path string) error {
 // re-scans and compacts whatever a Marshaler returns, and on a store that
 // pass over the condition sets' integer quadruples cost more than writing
 // them, so the conditions come from Portable.AppendJSON as they are.
-// Records are independent: min(GOMAXPROCS, classes) goroutines encode
-// them, striped statically as igp.Build stripes destinations.
+// Records are independent: up to GOMAXPROCS goroutines take them from
+// one queue (internal/work), largest condition set first, and each
+// record's bytes go into its own slot.
 //
 // Conds is a record's last field and Classes the store's last persisted
 // one, which is what makes the pieces add up to json.Marshal's bytes.
@@ -219,18 +221,8 @@ func (st *ResultStore) encode() (head []byte, recs [][]byte, err error) {
 
 	recs = make([][]byte, len(st.Classes))
 	errs := make([]error, len(st.Classes))
-	workers := min(runtime.GOMAXPROCS(0), len(st.Classes))
-	var wg sync.WaitGroup
-	for g := range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := g; i < len(st.Classes); i += workers {
-				recs[i], errs[i] = encodeRecord(&st.Classes[i])
-			}
-		}()
-	}
-	wg.Wait()
+	work.Run(len(st.Classes), runtime.GOMAXPROCS(0), func(i int) int { return st.Classes[i].Conds.NumNodes() },
+		func(i int) { recs[i], errs[i] = encodeRecord(&st.Classes[i]) })
 	for i, err := range errs {
 		if err != nil {
 			return nil, nil, fmt.Errorf("class %d: %w", i, err)
