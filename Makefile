@@ -112,10 +112,15 @@ chaos: determinism
 # Its callers are pinned to their serial answers: the memo above, a
 # Save that encodes class records on GOMAXPROCS goroutines must write
 # json.Marshal's bytes, and a compile that lowers them so must equal the
-# serial one, error included. Export's bytes are pinned to a map-based
-# reference exporter: its visited table is stamped per export and reused
-# across exports, Recycles and a wrap of the stamp counter, so a stale
-# stamp read as live would store a wrong index.
+# serial one, error included. Export's bytes are a function of the
+# formulas alone: the same roots built in factories of other histories
+# (unrelated nodes first, operands swapped, a recycle to a Mark) export
+# the same bytes, and a replay series of gen.Small edits captures, 60
+# times over, the cold capture's bytes (that test repeats itself, so it
+# runs once). They are also pinned to a map-based reference exporter: its
+# table is stamped per export and reused across exports, Recycles and a
+# wrap of the stamp counter, so a stale stamp read as live would read a
+# wrong key or store a wrong index.
 # So does the store's reproducibility: two sweeps and saves of gen.Small
 # write byte-identical files. And the snapshot immutability contract a
 # resweep's diff rests on: Apply shares every device no update names, an
@@ -133,12 +138,13 @@ chaos: determinism
 # the devices are written by it or handed to it written.
 determinism:
 	$(GO) test -race -count=10 -run 'TestMemoBuildDeterministic|TestMemoReachMatchesEngine|TestPropagateMatchesReference|TestNextHopMatchesUncappedPathVector|TestStepCapRefusesEverySimulator|TestOrderShrinksSolver|TestResetRunEqualsFresh|TestResetDropsWhatFollowsTheBase|TestBaseImportsOnlySessionRoots|TestUnreferencedPolicyIsInert' ./internal/igp/ ./internal/core/
-	$(GO) test -race -count=10 -run 'TestRecycleIsFresh|TestRecycleToMarkIsFresh|TestImportRootsMatchesImport|TestExportMatchesReference|TestSimplifyDependsOnlyOnTheFunction|TestEvictionsChangeNothing' ./internal/logic/
+	$(GO) test -race -count=10 -run 'TestRecycleIsFresh|TestRecycleToMarkIsFresh|TestImportRootsMatchesImport|TestExportMatchesReference|TestExportIsCanonical|TestSimplifyDependsOnlyOnTheFunction|TestEvictionsChangeNothing' ./internal/logic/
 	$(GO) test -race -count=10 -run 'TestRunCoversEachIndexOnce' ./internal/work/
 	$(GO) test -race -count=10 -run 'TestVarOrder' ./internal/topo/
 	$(GO) test -race -count=10 -run 'TestSweepIndependentOfTopologyFileOrder|TestSaveMatchesMarshal|TestSaveTwiceSameBytes|TestCompileStripedMatchesSerial' . ./internal/qc/
 	$(GO) test -race -count=10 -run 'TestIncrementalInProcessMatchesLoaded|TestTopologyEditLeavesItsHolders|TestApplySharesUntouchedDevices|TestOverlappingResweepsPublish|TestResweepAssemblesOnce|TestReplayByMemberMatchesCold' . ./internal/config/ ./internal/httpapi/
 	$(GO) test -race -count=10 -run 'TestModelHashBytes' ./internal/dist/
+	$(GO) test -race -run 'TestCaptureBytesIndependentOfHistory' .
 
 # scale-smoke bounds the paper-scale modular path: the modular plan over
 # remote workers against the monolithic class run, under the race

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"hoyan/internal/behavior"
+	"hoyan/internal/config"
 	"hoyan/internal/igp"
 	"hoyan/internal/logic"
 	"hoyan/internal/netaddr"
@@ -105,12 +106,11 @@ type Entry struct {
 	Cond  logic.F
 }
 
-// session is one directed BGP session with its establishment condition.
+// session is one directed BGP session of the model with its
+// establishment condition.
 type session struct {
-	from, to topo.NodeID
-	cond     logic.F
-	ibgp     bool
-	viaIGP   bool // cond comes from the Shared's IGP memo (Simulator.buildBase)
+	Session
+	cond logic.F
 }
 
 // Simulator owns the per-shard mutable state: one formula factory, one
@@ -176,34 +176,51 @@ type runScratch struct {
 	taintNode []bool // per node
 }
 
-// forEachSession visits every configured BGP session both of whose ends
-// name each other, in the order NewSimulator numbers them. viaIGP marks an
-// iBGP session between two IS-IS speakers: its condition is the IS-IS
-// reachability of the endpoints, both ways.
-func (m *Model) forEachSession(visit func(from, to topo.NodeID, ibgp, viaIGP bool)) {
-	isis := func(id topo.NodeID) bool {
-		c := m.Configs[id]
-		return c.ISIS != nil && c.ISIS.Enabled
-	}
-	for _, node := range m.Net.Nodes() {
-		dev := m.Devices[node.ID]
-		if dev.Cfg.BGP == nil {
-			continue
+// Session is one directed BGP session of the model: it exists iff both
+// ends configure each other as neighbours, and is iBGP iff their devices
+// share an AS.
+type Session struct {
+	From, To topo.NodeID
+	IBGP     bool
+	// ViaIGP marks an iBGP session between two IS-IS speakers: its
+	// condition is the IS-IS reachability of the endpoints, both ways,
+	// read from the Shared's IGP memo (Simulator.buildBase).
+	ViaIGP bool
+	// FromN is From's neighbour entry for To; ToN is To's entry for From.
+	FromN, ToN *config.Neighbor
+}
+
+// Sessions returns every BGP session of the model in the order
+// simulators number them, computed once per Model like Classes. Callers
+// must not modify the slice.
+func (m *Model) Sessions() []Session {
+	m.sessionsOnce.Do(func() {
+		isis := func(id topo.NodeID) bool {
+			c := m.Configs[id]
+			return c.ISIS != nil && c.ISIS.Enabled
 		}
-		for _, n := range dev.Cfg.BGP.Neighbors {
-			peer, ok := m.Resolve(n.PeerName)
-			if !ok {
+		for _, node := range m.Net.Nodes() {
+			dev := m.Devices[node.ID]
+			if dev.Cfg.BGP == nil {
 				continue
 			}
-			peerDev := m.Devices[peer]
-			// The session requires both ends configured.
-			if _, ok := peerDev.Neighbor(node.Name); !ok {
-				continue
+			for _, n := range dev.Cfg.BGP.Neighbors {
+				peer, ok := m.Resolve(n.PeerName)
+				if !ok {
+					continue
+				}
+				peerDev := m.Devices[peer]
+				back, ok := peerDev.Neighbor(node.Name)
+				if !ok {
+					continue
+				}
+				ibgp := dev.SessionTypeTo(peerDev) == behavior.SessIBGP
+				m.sessions = append(m.sessions, Session{From: node.ID, To: peer, IBGP: ibgp,
+					ViaIGP: ibgp && isis(node.ID) && isis(peer), FromN: n, ToN: back})
 			}
-			ibgp := dev.SessionTypeTo(peerDev) == behavior.SessIBGP
-			visit(node.ID, peer, ibgp, ibgp && isis(node.ID) && isis(peer))
 		}
-	}
+	})
+	return m.sessions
 }
 
 // NewSimulator is NewShared(m, opts).NewSimulator(): a simulator with a
@@ -221,12 +238,11 @@ func newSimulator(sh *Shared, f *logic.Factory) *Simulator {
 		sessionsBy: make([][]int, m.Net.NumNodes()),
 		sessionsTo: make([][]int, m.Net.NumNodes()),
 	}
-	m.forEachSession(func(from, to topo.NodeID, ibgp, viaIGP bool) {
-		idx := len(s.sessions)
-		s.sessions = append(s.sessions, session{from: from, to: to, ibgp: ibgp, viaIGP: viaIGP})
-		s.sessionsBy[from] = append(s.sessionsBy[from], idx)
-		s.sessionsTo[to] = append(s.sessionsTo[to], idx)
-	})
+	for idx, se := range m.Sessions() {
+		s.sessions = append(s.sessions, session{Session: se})
+		s.sessionsBy[se.From] = append(s.sessionsBy[se.From], idx)
+		s.sessionsTo[se.To] = append(s.sessionsTo[se.To], idx)
+	}
 	s.maxSteps = stepsPerNodeSession * m.Net.NumNodes() * (len(s.sessions) + 1)
 	s.damping = dampAfter
 	s.reset(f)
@@ -243,8 +259,8 @@ func (s *Simulator) reset(f *logic.Factory) {
 	for i := range s.sessions {
 		se := &s.sessions[i]
 		se.cond = logic.False
-		if !se.viaIGP {
-			se.cond = s.directCond(se.from, se.to)
+		if !se.ViaIGP {
+			se.cond = s.directCond(se.From, se.To)
 		}
 	}
 	s.clearScratch()
@@ -272,10 +288,10 @@ func (s *Simulator) buildBase() error {
 	var dsts []topo.NodeID                  // in first-use order
 	srcs := map[topo.NodeID][]topo.NodeID{} // per destination, in session order
 	for _, se := range s.sessions {
-		if !se.viaIGP {
+		if !se.ViaIGP {
 			continue
 		}
-		for _, p := range [2]pair{{se.from, se.to}, {se.to, se.from}} {
+		for _, p := range [2]pair{{se.From, se.To}, {se.To, se.From}} {
 			if srcs[p.to] == nil {
 				dsts = append(dsts, p.to)
 			}
@@ -289,8 +305,8 @@ func (s *Simulator) buildBase() error {
 		}
 	}
 	for i := range s.sessions {
-		if se := &s.sessions[i]; se.viaIGP {
-			se.cond = s.F.And(reach[pair{se.from, se.to}], reach[pair{se.to, se.from}])
+		if se := &s.sessions[i]; se.ViaIGP {
+			se.cond = s.F.And(reach[pair{se.From, se.To}], reach[pair{se.To, se.From}])
 			s.F.SAT(se.cond)
 		}
 	}
@@ -538,7 +554,7 @@ func (s *Simulator) Run(prefix netaddr.Prefix) (*Result, error) {
 			}
 			sc.contrib[si] = es
 			s.taintSession(s.sessions[si])
-			to := int(s.sessions[si].to)
+			to := int(s.sessions[si].To)
 			if !sc.inQueue[to] {
 				sc.inQueue[to] = true
 				queue = append(queue, to)
@@ -565,7 +581,7 @@ func (s *Simulator) Run(prefix netaddr.Prefix) (*Result, error) {
 			}
 			se := s.sessions[si]
 			out, sent := s.announce(se, si, &res.Stats)
-			if s.outside(se.to) {
+			if s.outside(se.To) {
 				// A cut session: announced, delivered to no one; its wire
 				// view is what the region's CutSummary carries.
 				wire[si] = sent
@@ -578,9 +594,9 @@ func (s *Simulator) Run(prefix netaddr.Prefix) (*Result, error) {
 					continue
 				}
 				sc.contrib[si] = out
-				if !sc.inQueue[se.to] {
-					sc.inQueue[se.to] = true
-					queue = append(queue, int(se.to))
+				if !sc.inQueue[se.To] {
+					sc.inQueue[se.To] = true
+					queue = append(queue, int(se.To))
 				}
 			}
 			wire[si] = sent
@@ -659,7 +675,7 @@ func (r *Result) SessionUpdates(from, to topo.NodeID) ([]Entry, bool) {
 	found := false
 	var out []Entry
 	for si, se := range r.Sim.sessions {
-		if se.from == from && se.to == to {
+		if se.From == from && se.To == to {
 			found = true
 			out = append(out, r.sessionMsgs[si]...)
 		}
@@ -674,8 +690,8 @@ func (r *Result) SessionUpdates(from, to topo.NodeID) ([]Entry, bool) {
 // (post-egress) updates. Slots are visited in universe order, which is
 // sorted once per run — the per-call map-key sort is gone.
 func (s *Simulator) announce(se session, si int, stats *Stats) (out, sent []Entry) {
-	devU := s.M.Devices[se.from]
-	devV := s.M.Devices[se.to]
+	devU := s.M.Devices[se.From]
+	devV := s.M.Devices[se.To]
 	sessCond := se.cond
 	if sessCond == logic.False {
 		return nil, nil
@@ -914,7 +930,7 @@ func (s *Simulator) SessionList() ([]SessionInfo, error) {
 	}
 	out := make([]SessionInfo, 0, len(s.sessions))
 	for _, se := range s.sessions {
-		out = append(out, SessionInfo{From: se.from, To: se.to, IBGP: se.ibgp,
+		out = append(out, SessionInfo{From: se.From, To: se.To, IBGP: se.IBGP,
 			Possible: se.cond != logic.False && s.F.SAT(se.cond)})
 	}
 	return out, nil

@@ -51,6 +51,11 @@ type Model struct {
 	classesOnce sync.Once
 	classes     []PrefixClass
 
+	// sessionsOnce/sessions cache the BGP session table (Sessions),
+	// computed once on first use like origins.
+	sessionsOnce sync.Once
+	sessions     []Session
+
 	// partitionOnce/partition/partitionErr cache the region partition
 	// (partition.go), computed once on first use like origins.
 	partitionOnce sync.Once

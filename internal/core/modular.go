@@ -145,7 +145,7 @@ func (s *Simulator) importSummary(restr *restriction, sum *CutSummary) error {
 			return fmt.Errorf("core: modular: summary for %s names session %d of %d", sum.Prefix, msg.Sess, len(s.sessions))
 		}
 		se := &s.sessions[msg.Sess]
-		if from, to := s.M.Net.Node(se.from).Name, s.M.Net.Node(se.to).Name; from != msg.From || to != msg.To {
+		if from, to := s.M.Net.Node(se.From).Name, s.M.Net.Node(se.To).Name; from != msg.From || to != msg.To {
 			return fmt.Errorf("core: modular: summary session %d is %s->%s, expected %s->%s (model mismatch?)",
 				msg.Sess, msg.From, msg.To, from, to)
 		}
@@ -162,10 +162,10 @@ func (s *Simulator) importSummary(restr *restriction, sum *CutSummary) error {
 	conds := sum.Conds.Import(s.F)
 	for _, msg := range sum.Msgs {
 		se := &s.sessions[msg.Sess]
-		if restr.in[se.from] || !restr.in[se.to] {
+		if restr.in[se.From] || !restr.in[se.To] {
 			continue // not an inject session of this pass
 		}
-		devU, devV := s.M.Devices[se.from], s.M.Devices[se.to]
+		devU, devV := s.M.Devices[se.From], s.M.Devices[se.To]
 		ing := devV.ProcessIngress(msg.Route, devU)
 		if ing.Verdict != behavior.Pass {
 			continue
@@ -186,14 +186,14 @@ func (s *Simulator) captureSummary(res *Result, restr *restriction, prefix netad
 	var roots []logic.F
 	for si := range s.sessions {
 		se := &s.sessions[si]
-		if !restr.in[se.from] || restr.in[se.to] {
+		if !restr.in[se.From] || restr.in[se.To] {
 			continue // not a capture session of this pass
 		}
 		for _, e := range res.sessionMsgs[si] {
 			out.Msgs = append(out.Msgs, CutMsg{
 				Sess:  si,
-				From:  s.M.Net.Node(se.from).Name,
-				To:    s.M.Net.Node(se.to).Name,
+				From:  s.M.Net.Node(se.From).Name,
+				To:    s.M.Net.Node(se.To).Name,
 				Route: e.Route,
 				Cond:  len(roots),
 			})

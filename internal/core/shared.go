@@ -55,11 +55,11 @@ func SharedFrom(m *Model, opts Options, have *igp.Memo, workers int) *Shared {
 	sh := &Shared{M: m, Opts: opts}
 	m.Origins() // warm the origination cache before workers race to it
 	var dsts []topo.NodeID
-	m.forEachSession(func(from, to topo.NodeID, _, viaIGP bool) {
-		if viaIGP {
-			dsts = append(dsts, from, to)
+	for _, se := range m.Sessions() {
+		if se.ViaIGP {
+			dsts = append(dsts, se.From, se.To)
 		}
-	})
+	}
 	sh.memo, sh.memoErr = igp.Build(m.Net, m.Configs, igpOptions(opts), dsts, have, workers)
 	return sh
 }

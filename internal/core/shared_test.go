@@ -121,14 +121,14 @@ func TestBaseImportsOnlySessionRoots(t *testing.T) {
 			}
 			sessions := 0
 			for _, se := range only.sessions {
-				if !se.viaIGP {
+				if !se.ViaIGP {
 					continue
 				}
 				sessions++
 				f := only.F
-				f.And(memo.Reach(f, se.to, []topo.NodeID{se.from})[0], memo.Reach(f, se.from, []topo.NodeID{se.to})[0])
-				memo.Reach(every.F, se.to, nodes)
-				memo.Reach(every.F, se.from, nodes)
+				f.And(memo.Reach(f, se.To, []topo.NodeID{se.From})[0], memo.Reach(f, se.From, []topo.NodeID{se.To})[0])
+				memo.Reach(every.F, se.To, nodes)
+				memo.Reach(every.F, se.From, nodes)
 			}
 			if sessions == 0 {
 				t.Fatalf("%d routers K=%d: no session in the base", m.Net.NumNodes(), k)

@@ -46,6 +46,6 @@ func (s *Simulator) captureTaint() Taint {
 // taintSession marks both endpoints of a session over which family routes
 // were considered.
 func (s *Simulator) taintSession(se session) {
-	s.sc.taintNode[se.from] = true
-	s.sc.taintNode[se.to] = true
+	s.sc.taintNode[se.From] = true
+	s.sc.taintNode[se.To] = true
 }

@@ -225,7 +225,7 @@ func TestWireViewMatchesFinalPass(t *testing.T) {
 					got := res.sessionMsgs[si] // what SessionUpdates returns
 					if len(got) != len(want[si]) || (len(got) > 0 && !reflect.DeepEqual(got, want[si])) {
 						t.Fatalf("%s: session %s→%s: the fixpoint's wire view %v, the final pass %v",
-							cls.Rep, m.Net.Node(se.from).Name, m.Net.Node(se.to).Name, got, want[si])
+							cls.Rep, m.Net.Node(se.From).Name, m.Net.Node(se.To).Name, got, want[si])
 					}
 				}
 			}

@@ -57,10 +57,10 @@ type Request struct {
 	// and Summary nil and gets the captured summary back in the
 	// Response.
 	Summary *core.CutSummary `json:"summary,omitempty"`
-	// Record asks for the pass's Record. The export holds equivalent
-	// conditions on every executor, whether the pass kept its
-	// connection's factory or not (DESIGN.md, "Recycling"); their node
-	// order, and so their bytes, can follow the factory's history.
+	// Record asks for the pass's Record. The export is the same bytes on
+	// every executor, whether the pass kept its connection's factory or
+	// not (DESIGN.md, "Recycling"): an exported condition's bytes follow
+	// the formulas alone, not the factory's history.
 	Record bool `json:"record,omitempty"`
 }
 

@@ -144,12 +144,12 @@ func (e *Engine) Recycle() {
 	clear(e.spfs)
 }
 
-// propagations counts path-vector fixpoints run process-wide.
+// propagations counts the destinations Build computed process-wide.
 var propagations atomic.Int64
 
-// Propagations reports how many per-destination fixpoints have run in
+// Propagations reports how many memo destinations Build has computed in
 // this process. Tests use it to pin what a memo saves: a sweep whose
-// model reads the same IGP inputs as its baseline's runs none.
+// model reads the same IGP inputs as its baseline's computes none.
 func Propagations() int64 { return propagations.Load() }
 
 // maxStepsFactor scales the fixpoint's step cap; a variable so a test can
@@ -283,14 +283,12 @@ func endOf(net *topo.Network, l topo.LinkID, n topo.NodeID) int {
 //
 // Only work that can change the answer is done. A node's slots are merged,
 // not sorted. The guard chain is built once per dequeue, a candidate under
-// a dead guard gets no BDD and a live one is conjoined guard first, a
+// a dead guard gets no formula and a live one is conjoined guard first, a
 // neighbour's candidates are compared with its slot before any path is
 // copied, and a node whose ranked list is unchanged since it last
-// propagated does not propagate again. Every formula is still created in
-// the order a neighbour-by-neighbour loop creates it, so the exported
-// conditions are the same bytes (DESIGN.md, "Sweep engine").
+// propagated does not propagate again. What order the formulas are made
+// in decides no exported byte: Export's bytes follow the formulas alone.
 func (e *Engine) propagate(dst topo.NodeID) (complete bool) {
-	propagations.Add(1)
 	fp := e.fixpointState()
 	for i := range fp.slots {
 		fp.slots[i] = fp.slots[i][:0]
@@ -328,8 +326,17 @@ func (e *Engine) propagate(dst topo.NodeID) (complete bool) {
 		}
 		fp.sent[u] = append(fp.sent[u][:0], entries...)
 		fp.didSend[u] = true
-		for i, a := range fp.arcs[u] {
-			offers := e.offersOver(fp, entries, a, i == 0)
+		// guards[i] is notHigher before entry i, the same on every arc.
+		fp.guards, fp.dead = fp.guards[:0], len(entries)
+		for i := range entries {
+			g := logic.True
+			if i > 0 {
+				g = e.f.And(fp.guards[i-1], e.f.Not(entries[i-1].Cond))
+			}
+			fp.guards = append(fp.guards, g)
+		}
+		for _, a := range fp.arcs[u] {
+			offers := e.offersOver(fp, entries, a)
 			slot := &fp.slots[a.slot]
 			if e.sameOffers(*slot, entries, offers, a.to) {
 				continue
@@ -383,33 +390,19 @@ func (fp *fixpoint) assemble(n, dst topo.NodeID, self Entry) []Entry {
 
 // offersOver builds what u, holding the ranked entries, offers over arc a:
 // each entry that may cross, guarded by the negation of every entry
-// ranked above it (notHigher) and by a's link. The guard chain is the
-// same for every neighbour of u: first builds it, interleaved with the
-// candidates exactly as a per-neighbour loop would, and every later call
-// reads it back instead of rebuilding formulas that already exist.
+// ranked above it (fp.guards, built once per dequeue) and by a's link.
 //
 // The solver runs only where a candidate can survive. Once a guard is
 // dead — it needs more than K failures (Impossible without PruneOverK) —
 // so is every later one, since a conjunction needs at least the failures
 // of each conjunct, and so is every candidate under it: from the first
-// dead guard on, on every arc, a candidate's formula is still created, in
-// the same order, but gets no BDD. A live candidate's BDD is built guard
-// first (logic.Factory.AndAllGuarded), so the product of a guard and its
-// entry is paid once per dequeue, not once per arc.
-func (e *Engine) offersOver(fp *fixpoint, entries []Entry, a arc, first bool) []offer {
+// dead guard on, on every arc, no candidate is built. A live candidate's
+// BDD is built guard first (logic.Factory.AndAllGuarded), so the product
+// of a guard and its entry is paid once per dequeue, not once per arc.
+func (e *Engine) offersOver(fp *fixpoint, entries []Entry, a arc) []offer {
 	f := e.f
-	if first {
-		fp.guards = fp.guards[:0]
-		fp.dead = len(entries)
-	}
 	out := fp.offers[:0]
-	notHigher := logic.True
 	for i, ent := range entries {
-		if first {
-			fp.guards = append(fp.guards, notHigher)
-		} else {
-			notHigher = fp.guards[i]
-		}
 		lvl := a.cross[ent.Level-1]
 		weight := ent.Weight + a.weight
 		// An entry crosses unless its level may not, a.to is already on
@@ -417,23 +410,17 @@ func (e *Engine) offersOver(fp *fixpoint, entries []Entry, a arc, first bool) []
 		// weight holds: IS-IS uses no path past its largest path metric,
 		// and a wrapped weight would rank the way round first and leave
 		// the slot out of the order assemble's merge relies on.
-		live := lvl != 0 && !containsNode(ent.Path, a.to) && weight >= ent.Weight
-		var cond logic.F
-		if live {
-			alive := f.Var(e.net.AliveVar(a.link))
-			if i < fp.dead && e.deadGuard(notHigher) {
-				fp.dead = i
-			}
-			if live = i < fp.dead; live {
-				cond = f.AndAllGuarded(notHigher, ent.Cond, alive)
-			} else {
-				f.AndAll(notHigher, ent.Cond, alive) // created, as the bytes need, and pruned
-			}
+		if lvl == 0 || containsNode(ent.Path, a.to) || weight < ent.Weight {
+			continue
 		}
-		if first {
-			notHigher = f.And(notHigher, f.Not(ent.Cond))
+		if i < fp.dead && e.deadGuard(fp.guards[i]) {
+			fp.dead = i
 		}
-		if !live || f.Impossible(cond) || e.opts.PruneOverK && f.MinFalse(cond) > e.opts.K {
+		if i >= fp.dead {
+			break
+		}
+		cond := f.AndAllGuarded(fp.guards[i], ent.Cond, f.Var(e.net.AliveVar(a.link)))
+		if f.Impossible(cond) || e.opts.PruneOverK && f.MinFalse(cond) > e.opts.K {
 			continue
 		}
 		out = append(out, offer{from: i, cond: cond, weight: weight, level: lvl})

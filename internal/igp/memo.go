@@ -126,15 +126,17 @@ func (m *Memo) NumDestinations() int { return len(m.dsts) }
 // The missing destinations are propagated on up to `workers` goroutines
 // (<= 0 means GOMAXPROCS) that take them from one queue (internal/work):
 // a goroutine that finishes one takes the next, so none idles while
-// another still has a share to run. Each goroutine keeps one factory
-// under the network's variable order and recycles it before every
-// destination (logic.Factory.Recycle), so each destination's conditions
-// are exported from an empty universe, and one engine, whose fixpoint
-// buffers carry nothing from one destination to the next.
-// A destination's exported bytes therefore depend on it and on the
-// key's inputs alone — not on which goroutine ran it, what ran before it,
-// or what `have` already held — so the memo is byte-identical at every
-// parallelism and a partly carried memo equals a cold one.
+// another still has a share to run. Each goroutine keeps one engine,
+// whose fixpoint buffers carry nothing from one destination to the next,
+// and one factory under the network's variable order, which it recycles
+// before every destination (logic.Factory.Recycle): a destination's
+// solver work then starts from an empty computed cache and arena that
+// hold only what it needs, and the factory's memory is bounded by the
+// largest destination, not by all of them. A destination's exported
+// bytes depend on its conditions alone (logic.Factory.Export), and so on
+// it and on the key's inputs — not on which goroutine ran it, what ran
+// before it, or what `have` already held — so the memo is byte-identical
+// at every parallelism and a partly carried memo equals a cold one.
 //
 // A destination whose fixpoint hit the step cap is left out of the memo
 // and named in the error. The memo returned alongside holds every other
@@ -167,6 +169,7 @@ func Build(net *topo.Network, configs []*config.Device, opts Options,
 	cfg := isisConfigs(net, configs)
 	order := net.VarOrder()
 	built := make([]*logic.Portable, len(missing)) // nil where the cap cut the fixpoint off
+	propagations.Add(int64(len(missing)))
 	work.RunWith(len(missing), workers, nil, func() func(int) {
 		f := logic.NewFactoryOrdered(order)
 		e := newEngine(net, cfg, f, opts) // its fixpoint state is reused across the goroutine's destinations

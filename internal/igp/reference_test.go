@@ -229,13 +229,13 @@ func hasParallelLinks(net *topo.Network) bool {
 
 // TestPropagateMatchesReference pins the fixpoint to the map-based one it
 // replaced, byte for byte: every RIB's nodes, entries and exported
-// conditions, and the memo Build makes of them. Equal bytes need every formula created in the same order,
-// so this holds the guard chain built once per dequeue, the paths copied
-// only when they differ and the skipped unchanged nodes to creating
-// nothing the reference did not, the dead-guard prune to creating every
-// candidate it gives no BDD, and the merge to the sort's order. Run under
-// -race -count=10 by `make determinism`; gen.Medium is skipped there and
-// under -short.
+// conditions, and the memo Build makes of them. Export's bytes follow the
+// formulas, not the order they were made in, so this holds the guard
+// chain built once per dequeue, the dead-guard prune that builds no
+// candidate, the paths copied only when they differ, the skipped
+// unchanged nodes and the merge to the same formulas and entries as the
+// reference. Run under -race -count=10 by `make determinism`; gen.Medium
+// is skipped there and under -short.
 func TestPropagateMatchesReference(t *testing.T) {
 	type row struct {
 		name string

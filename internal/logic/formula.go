@@ -66,13 +66,16 @@ type Factory struct {
 	base     []node
 	baseVars []F
 
-	// seen is Export's table of the nodes it has stored, indexed by F and
-	// grown to len(nodes) by each Export. An entry is live only while its
-	// gen equals seenGen, which every Export advances, so neither an
-	// Export nor a Recycle (which hands the same ids out again) clears
-	// the table; only a wrap of the counter does.
+	// seen is Export's table of the nodes it has keyed and stored,
+	// indexed by F and grown to len(nodes) by each Export. An entry is
+	// live only while its gen equals seenGen, which every Export advances,
+	// so neither an Export nor a Recycle (which hands the same ids out
+	// again) clears the table; only a wrap of the counter does. keys holds
+	// the structural keys of the nodes the current Export reaches, one
+	// per node it keyed, where seen's entries point.
 	seen    []exportSlot
 	seenGen uint32
+	keys    []uint64
 	// need and ids are ImportRoots' scratch, one entry per node of the
 	// Portable being imported.
 	need []bool

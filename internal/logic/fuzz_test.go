@@ -10,8 +10,9 @@ import (
 // from arbitrary bytes must either be rejected by UnmarshalJSON or be a
 // fully valid snapshot — Import into a fresh factory never panics, and
 // the marshal → unmarshal → Import round-trip reproduces the same
-// formulas: Export numbers nodes in first-visit order whatever factory
-// holds them, so the two imports must re-export to identical bytes. A
+// formulas: Export's bytes are a function of the formulas alone, not of
+// the factory that holds them, so the two imports must re-export to
+// identical bytes. A
 // corrupted result store may lose data, but it must never crash a worker
 // or smuggle in a different formula. ImportRoots of a subset of the roots
 // picked by the input's bytes must return the formulas Import returns

@@ -31,10 +31,15 @@ type pnode struct {
 
 // Export encodes the formulas rooted at roots. Shared subterms are
 // stored once; the i-th exported root corresponds to the i-th formula
-// returned by Import. Nodes are stored in the order a depth-first walk
-// from the roots, children first, first reaches them. The walk marks what
-// it has stored in the factory's export table (Factory.seen), so an
-// export allocates the Portable and nothing else once the table has
+// returned by Import. The bytes are a function of the formulas alone, not
+// of the factory's ids: a first walk gives every node it reaches a
+// structural key (a hash of its kind, its variable and its children's
+// keys in key order), and the second stores nodes where a depth-first walk
+// from the roots, children first, first reaches them, an And or Or whose
+// operands are both new visiting its lower-key one first and storing its
+// operands in index order. Both walks keep their marks in the factory's
+// export table (Factory.seen) and the keys in its scratch (Factory.keys),
+// so an export allocates the Portable and nothing else once those have
 // grown to the factory's size.
 func (f *Factory) Export(roots ...F) *Portable {
 	p := &Portable{nodes: make([]pnode, 2, 2+len(roots))}
@@ -47,6 +52,10 @@ func (f *Factory) Export(roots ...F) *Portable {
 	if n := len(f.nodes); len(f.seen) < n {
 		f.seen = append(f.seen, make([]exportSlot, n-len(f.seen))...)
 	}
+	f.keys = f.keys[:0]
+	for _, r := range roots {
+		f.exportKey(r)
+	}
 	p.roots = make([]int32, len(roots))
 	for i, r := range roots {
 		p.roots[i] = f.exportNode(p, r)
@@ -54,36 +63,57 @@ func (f *Factory) Export(roots ...F) *Portable {
 	return p
 }
 
-// exportSlot is one node's entry in the export table: id is its index in
-// the Portable being built when gen is the factory's current seenGen, and
-// means nothing otherwise.
+// exportSlot is one node's entry in the export table, which means nothing
+// unless gen is the factory's current seenGen: id is the node's index in
+// the Portable being built once it is stored, and -1-i while it is only
+// keyed, its structural key being Factory.keys[i].
 type exportSlot struct {
 	gen uint32
 	id  int32
 }
 
+// exportKey returns x's structural key, keying x and whatever it reaches
+// that the current export has not keyed yet. An absent operand is False,
+// whose key is 0.
+func (f *Factory) exportKey(x F) uint64 {
+	if x <= True {
+		return uint64(x)
+	}
+	if s := f.seen[x]; s.gen == f.seenGen {
+		return f.keys[-1-s.id]
+	}
+	n := f.nodes[x]
+	a, b := f.exportKey(n.a), f.exportKey(n.b)
+	f.seen[x] = exportSlot{gen: f.seenGen, id: int32(-1 - len(f.keys))}
+	f.keys = append(f.keys, hash3(uint64(n.k)<<32|uint64(uint32(n.v)), min(a, b), max(a, b)))
+	return f.keys[len(f.keys)-1]
+}
+
 // exportNode returns x's index in p, storing x and whatever it reaches
-// that the current export has not stored yet.
+// that the current export has not stored yet. exportKey has keyed them.
 func (f *Factory) exportNode(p *Portable, x F) int32 {
 	if x <= True {
 		return int32(x)
 	}
-	if s := f.seen[x]; s.gen == f.seenGen {
-		return s.id
+	if id := f.seen[x].id; id > 0 {
+		return id
 	}
 	n := f.nodes[x]
-	var nd pnode
+	nd := pnode{k: n.k, v: n.v}
 	switch n.k {
-	case kVar:
-		nd = pnode{k: kVar, v: n.v}
 	case kNot:
-		nd = pnode{k: kNot, a: f.exportNode(p, n.a)}
-	default: // kAnd, kOr
-		nd = pnode{k: n.k, a: f.exportNode(p, n.a), b: f.exportNode(p, n.b)}
+		nd.a = f.exportNode(p, n.a)
+	case kAnd, kOr:
+		a, b := n.a, n.b
+		if ia, ib := f.seen[a].id, f.seen[b].id; ia < 0 && ib < 0 && f.keys[-1-ib] < f.keys[-1-ia] {
+			a, b = b, a
+		}
+		ia, ib := f.exportNode(p, a), f.exportNode(p, b)
+		nd.a, nd.b = min(ia, ib), max(ia, ib)
 	}
 	id := int32(len(p.nodes))
 	p.nodes = append(p.nodes, nd)
-	f.seen[x] = exportSlot{gen: f.seenGen, id: id}
+	f.seen[x].id = id
 	return id
 }
 

@@ -133,13 +133,17 @@ func TestPortableSharedSubDAG(t *testing.T) {
 			t.Fatalf("root 1 changed under %v", asn)
 		}
 	}
-	// The rebuilt roots must share their subterm in the new factory too
-	// (hash-consing makes structural sharing observable as pointer
-	// equality of the And node).
-	sh1 := dst.Shape(out[0])
-	sh2 := dst.Shape(out[1])
-	if sh1.A != sh2.A {
-		t.Fatalf("shared subterm duplicated on import: %d vs %d", sh1.A, sh2.A)
+	// The rebuilt roots must share their subterm in the new factory too:
+	// the import makes the ten nodes the snapshot stores and no copy, and
+	// hash-consing makes the subterm one node, an operand of both roots.
+	if n := dst.NumNodes(); n != 10 {
+		t.Fatalf("import made %d nodes, want 10 (shared subterm must be rebuilt once)", n)
+	}
+	sub := dst.And(dst.Var(0), dst.Var(1))
+	for i, r := range out {
+		if sh := dst.Shape(r); sh.A != sub && sh.B != sub {
+			t.Fatalf("root %d does not hold the shared subterm %d as an operand: %+v", i, sub, sh)
+		}
 	}
 }
 

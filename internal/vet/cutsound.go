@@ -526,7 +526,7 @@ func findCutExit(ix *index, home, imp string) *cutExit {
 		}
 		st := closureState{node: se.To}
 		if se.IBGP {
-			if se.clientOf() {
+			if se.ToN.RouteReflectorClient {
 				st.kind = kindClient
 			} else {
 				st.kind = kindNonClient
@@ -556,7 +556,7 @@ func findCutExit(ix *index, home, imp string) *cutExit {
 			}
 			next := closureState{node: se.To, ases: cur.ases}
 			if se.IBGP {
-				if se.clientOf() {
+				if se.ToN.RouteReflectorClient {
 					next.kind = kindClient
 				} else {
 					next.kind = kindNonClient

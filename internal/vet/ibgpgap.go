@@ -72,7 +72,7 @@ func ibgpReach(ix *index, origin topo.NodeID) map[topo.NodeID]bool {
 		if !se.IBGP {
 			continue
 		}
-		st := state{node: se.To, fromClient: se.clientOf()}
+		st := state{node: se.To, fromClient: se.ToN.RouteReflectorClient}
 		if !seen[st] {
 			seen[st] = true
 			queue = append(queue, st)
@@ -92,7 +92,7 @@ func ibgpReach(ix *index, origin topo.NodeID) map[topo.NodeID]bool {
 			if !cur.fromClient && !se.FromN.RouteReflectorClient {
 				continue
 			}
-			st := state{node: se.To, fromClient: se.clientOf()}
+			st := state{node: se.To, fromClient: se.ToN.RouteReflectorClient}
 			if !seen[st] {
 				seen[st] = true
 				queue = append(queue, st)

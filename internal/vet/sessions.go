@@ -3,29 +3,17 @@ package vet
 import (
 	"sort"
 
-	"hoyan/internal/config"
 	"hoyan/internal/core"
 	"hoyan/internal/topo"
 )
 
-// Session is one directed BGP session derived statically from the
-// configurations, by the same rule core.NewSimulator uses: the session
-// exists iff both ends configure each other as neighbors, and is iBGP
-// iff the devices share an AS. No simulator is built — the table is
-// pure config/topology provenance.
-type Session struct {
-	From, To topo.NodeID
-	IBGP     bool
-	// FromN is From's neighbor entry for To; ToN is To's entry for From.
-	FromN, ToN *config.Neighbor
-}
-
 // index is the shared static view the analyzers of one Run consult:
-// the session table with per-node adjacency, and the iBGP speaker sets
-// grouped by AS.
+// the model's session table (core.Model.Sessions: configuration and
+// topology provenance, no simulator is built) with per-node adjacency,
+// and the iBGP speaker sets grouped by AS.
 type index struct {
 	m        *core.Model
-	sessions []Session
+	sessions []core.Session
 	byFrom   [][]int // outgoing session indices per node
 	byTo     [][]int // incoming session indices per node
 
@@ -35,42 +23,23 @@ type index struct {
 	speakers  map[uint32][]topo.NodeID
 }
 
-// buildIndex derives the static session table. Node iteration order is
+// buildIndex indexes the model's session table. Node iteration order is
 // the deterministic topo order, so session indices are stable.
 func buildIndex(m *core.Model) *index {
 	ix := &index{
 		m:        m,
+		sessions: m.Sessions(),
 		byFrom:   make([][]int, m.Net.NumNodes()),
 		byTo:     make([][]int, m.Net.NumNodes()),
 		speakers: map[uint32][]topo.NodeID{},
 	}
+	for si, se := range ix.sessions {
+		ix.byFrom[se.From] = append(ix.byFrom[se.From], si)
+		ix.byTo[se.To] = append(ix.byTo[se.To], si)
+	}
 	for _, node := range m.Net.Nodes() {
-		cfg := m.Configs[node.ID]
-		if cfg.BGP == nil {
-			continue
-		}
-		ix.speakers[cfg.BGP.AS] = append(ix.speakers[cfg.BGP.AS], node.ID)
-		for _, n := range cfg.BGP.Neighbors {
-			peer, ok := m.Resolve(n.PeerName)
-			if !ok {
-				continue
-			}
-			peerCfg := m.Configs[peer]
-			if peerCfg.BGP == nil {
-				continue
-			}
-			back, ok := peerCfg.BGP.FindNeighbor(node.Name)
-			if !ok {
-				continue
-			}
-			si := len(ix.sessions)
-			ix.sessions = append(ix.sessions, Session{
-				From: node.ID, To: peer,
-				IBGP:  cfg.BGP.AS == peerCfg.BGP.AS,
-				FromN: n, ToN: back,
-			})
-			ix.byFrom[node.ID] = append(ix.byFrom[node.ID], si)
-			ix.byTo[peer] = append(ix.byTo[peer], si)
+		if cfg := m.Configs[node.ID]; cfg.BGP != nil {
+			ix.speakers[cfg.BGP.AS] = append(ix.speakers[cfg.BGP.AS], node.ID)
 		}
 	}
 	for as, ids := range ix.speakers {
@@ -87,8 +56,3 @@ func (ix *index) region(id topo.NodeID) string { return ix.m.Net.Node(id).Region
 
 // name returns a node's router name.
 func (ix *index) name(id topo.NodeID) string { return ix.m.Net.Node(id).Name }
-
-// clientOf reports whether the receiver of session s treats the sender
-// as a route-reflector client (the flag lives on the receiver's
-// neighbor entry for the sender).
-func (s *Session) clientOf() bool { return s.ToN.RouteReflectorClient }

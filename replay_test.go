@@ -1,7 +1,6 @@
 package hoyan
 
 import (
-	"encoding/json"
 	"fmt"
 	"path/filepath"
 	"slices"
@@ -11,7 +10,6 @@ import (
 	"hoyan/internal/core"
 	"hoyan/internal/dist"
 	"hoyan/internal/gen"
-	"hoyan/internal/logic"
 	"hoyan/internal/netaddr"
 )
 
@@ -48,6 +46,23 @@ func TestReplayByMemberMatchesCold(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCaptureBytesIndependentOfHistory pins a capture's bytes to the
+// network alone: replaySeries' edits of gen.Small at K=2, run 60 times
+// (5 under -short), each incremental capture byte-identical to the cold
+// one. The two sweeps run a class on executors whose factories hold
+// different histories (what they simulated before, and when); a record's
+// conditions must not show it (logic.Factory.Export). Run once under
+// -race by `make determinism`: the test repeats itself.
+func TestCaptureBytesIndependentOfHistory(t *testing.T) {
+	runs := 60
+	if testing.Short() {
+		runs = 5
+	}
+	for i := range runs {
+		t.Run(fmt.Sprint(i), func(t *testing.T) { replaySeries(t, gen.Small(), 2, false, 0) })
 	}
 }
 
@@ -143,8 +158,8 @@ func replaySeries(t *testing.T, params gen.Params, k int, loaded bool, audit flo
 			t.Fatalf("%s: cold sweep: %v", s.desc, err)
 		}
 		diffSweepReports(t, s.desc, cold, incr)
-		if why := storeDiff(n, next, coldStore); why != "" {
-			t.Fatalf("%s: the incremental capture differs from the cold one: %s", s.desc, why)
+		if storeBytes(t, next) != storeBytes(t, coldStore) {
+			t.Fatalf("%s: the incremental capture's bytes differ from the cold one's", s.desc)
 		}
 		inv := incr.Invalidation
 		if inv == nil || inv.FullInvalidation {
@@ -162,55 +177,4 @@ func replaySeries(t *testing.T, params gen.Params, k int, loaded bool, audit flo
 		}
 		store = next
 	}
-}
-
-// storeDiff compares two captures of n: byte for byte apart from each
-// record's conditions, which must be equivalent root by root. (Two passes
-// over one class can export equivalent conditions in different node
-// orders, depending on what their executor's factory ran before.)
-func storeDiff(n *Network, a, b *ResultStore) string {
-	if len(a.Classes) != len(b.Classes) {
-		return fmt.Sprintf("%d classes, want %d", len(a.Classes), len(b.Classes))
-	}
-	f := logic.NewFactoryOrdered(n.net.VarOrder())
-	strip := func(st *ResultStore) (*ResultStore, []*logic.Portable) {
-		out := *st
-		out.Classes = slices.Clone(st.Classes)
-		conds := make([]*logic.Portable, len(out.Classes))
-		for i := range out.Classes {
-			conds[i], out.Classes[i].Conds = out.Classes[i].Conds, nil
-		}
-		return &out, conds
-	}
-	sa, ca := strip(a)
-	sb, cb := strip(b)
-	ja, err := json.Marshal(sa)
-	if err != nil {
-		return err.Error()
-	}
-	jb, err := json.Marshal(sb)
-	if err != nil {
-		return err.Error()
-	}
-	if string(ja) != string(jb) {
-		return "the stores differ outside their conditions"
-	}
-	for i := range ca {
-		if (ca[i] == nil) != (cb[i] == nil) {
-			return fmt.Sprintf("class %v: conditions present in one store only", a.Classes[i].Members)
-		}
-		if ca[i] == nil {
-			continue
-		}
-		x, y := ca[i].Import(f), cb[i].Import(f)
-		if len(x) != len(y) {
-			return fmt.Sprintf("class %v: %d condition roots, want %d", a.Classes[i].Members, len(x), len(y))
-		}
-		for r := range x {
-			if !f.Equivalent(x[r], y[r]) {
-				return fmt.Sprintf("class %v: condition root %d is not equivalent", a.Classes[i].Members, r)
-			}
-		}
-	}
-	return ""
 }
