@@ -187,9 +187,10 @@ func ribsBy(t *testing.T, propagate func(*Engine, topo.NodeID) (map[topo.NodeID]
 // TestFixpointSkipsDecidedBDDs pins what the dead-guard and guard-first
 // rules save, as solver work: on gen.Medium at K=1 the fixpoint's
 // factories build at most half the BDD nodes the reference's build for
-// the same destinations, and export the same RIB bytes. Both rules build
-// 35 % of the reference's nodes; without the dead guard it is 82 %,
-// without the guard-first conjunction 39 %.
+// the same destinations, and export the same RIB bytes. At commit
+// 5b356f1 both rules build 203 576 nodes, 31.5 % of the reference's
+// 645 899; without the dead guard it is 521 225 (80.7 %), without the
+// guard-first conjunction 233 182 (36.1 %).
 func TestFixpointSkipsDecidedBDDs(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("gen.Medium through the reference fixpoint")
