@@ -136,8 +136,14 @@ chaos: determinism
 # alone, through splits and merges, as a cold sweep answers (gen.Small
 # under the race detector), and the model hash keeps its bytes whether
 # the devices are written by it or handed to it written.
+# So does the route value rule: routes share their attribute slices and
+# no mutator writes one in place, so two simulators of one Shared that
+# run every class at once over origin routes every slice mutator rewrites
+# (remove-private-as of both vendor kinds, community delete, add and
+# none, as-path prepend, local-as) must race with nothing and compute
+# the serial run's records byte for byte.
 determinism:
-	$(GO) test -race -count=10 -run 'TestMemoBuildDeterministic|TestMemoReachMatchesEngine|TestPropagateMatchesReference|TestNextHopMatchesUncappedPathVector|TestStepCapRefusesEverySimulator|TestOrderShrinksSolver|TestResetRunEqualsFresh|TestResetDropsWhatFollowsTheBase|TestBaseImportsOnlySessionRoots|TestUnreferencedPolicyIsInert' ./internal/igp/ ./internal/core/
+	$(GO) test -race -count=10 -run 'TestMemoBuildDeterministic|TestMemoReachMatchesEngine|TestPropagateMatchesReference|TestNextHopMatchesUncappedPathVector|TestStepCapRefusesEverySimulator|TestOrderShrinksSolver|TestResetRunEqualsFresh|TestResetDropsWhatFollowsTheBase|TestBaseImportsOnlySessionRoots|TestUnreferencedPolicyIsInert|TestConcurrentSimulatorsShareRoutes' ./internal/igp/ ./internal/core/
 	$(GO) test -race -count=10 -run 'TestRecycleIsFresh|TestRecycleToMarkIsFresh|TestImportRootsMatchesImport|TestExportMatchesReference|TestExportIsCanonical|TestSimplifyDependsOnlyOnTheFunction|TestEvictionsChangeNothing' ./internal/logic/
 	$(GO) test -race -count=10 -run 'TestRunCoversEachIndexOnce' ./internal/work/
 	$(GO) test -race -count=10 -run 'TestVarOrder' ./internal/topo/

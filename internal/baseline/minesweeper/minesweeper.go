@@ -145,16 +145,17 @@ func (v *Verifier) Encode(prefix netaddr.Prefix) (*Encoding, error) {
 				continue
 			}
 			peer := v.Model.Devices[peerID]
-			if _, ok := peer.Neighbor(node.Name); !ok {
+			back, ok := peer.Neighbor(node.Name)
+			if !ok {
 				continue
 			}
 			pr := probe
 			pr.OriginNode = node.ID
-			eg := dev.ProcessEgress(pr, peer)
+			eg := dev.ProcessEgress(pr, peer, nb)
 			if eg.Verdict != behavior.Pass {
 				continue
 			}
-			if ing := peer.ProcessIngress(eg.Route, dev); ing.Verdict != behavior.Pass {
+			if ing := peer.ProcessIngress(eg.Route, dev, back); ing.Verdict != behavior.Pass {
 				continue
 			}
 			var alive sat.Lit

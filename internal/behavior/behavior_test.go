@@ -1,6 +1,7 @@
 package behavior
 
 import (
+	"fmt"
 	"testing"
 
 	"hoyan/internal/config"
@@ -29,6 +30,13 @@ func pair(t *testing.T, prof1, prof2 Profile, extra1, extra2 string) (*Device, *
 	return d1, d2
 }
 
+// nb is d's neighbor entry for peer, nil when d configures none: what a
+// caller of the pipelines resolves once per session.
+func nb(d, peer *Device) *config.Neighbor {
+	n, _ := d.Neighbor(peer.Cfg.Hostname)
+	return n
+}
+
 func alphaProf() Profile { return TrueProfiles().Get(VendorAlpha) }
 func betaProf() Profile  { return TrueProfiles().Get(VendorBeta) }
 
@@ -48,7 +56,7 @@ func TestEgressPrependsASAndSetsNextHop(t *testing.T) {
 	r := route.New(netaddr.MustParse("10.0.1.0/24"), route.EBGP, d1.Node.ID)
 	r.Weight = 77
 	r.LocalPref = 500
-	res := d1.ProcessEgress(r, d2)
+	res := d1.ProcessEgress(r, d2, nb(d1, d2))
 	if res.Verdict != Pass {
 		t.Fatalf("verdict %v", res.Verdict)
 	}
@@ -72,12 +80,12 @@ func TestCommunityVSBOnEgress(t *testing.T) {
 	}
 	// alpha keeps communities.
 	d1, d2 := pair(t, alphaProf(), alphaProf(), "", "")
-	if res := d1.ProcessEgress(mk(), d2); !res.Route.HasCommunity(c) {
+	if res := d1.ProcessEgress(mk(), d2, nb(d1, d2)); !res.Route.HasCommunity(c) {
 		t.Fatal("alpha must keep communities")
 	}
 	// beta strips them (Figure 6's R2).
 	b1, b2 := pair(t, betaProf(), alphaProf(), "", "")
-	if res := b1.ProcessEgress(mk(), b2); res.Route.HasCommunity(c) {
+	if res := b1.ProcessEgress(mk(), b2, nb(b1, b2)); res.Route.HasCommunity(c) {
 		t.Fatal("beta must strip communities")
 	}
 }
@@ -86,22 +94,22 @@ func TestIngressASLoopVSB(t *testing.T) {
 	d1, d2 := pair(t, alphaProf(), alphaProf(), "", "")
 	r := route.New(netaddr.MustParse("10.0.1.0/24"), route.EBGP, d2.Node.ID)
 	r.ASPath = []uint32{100, 300} // contains r1's own AS
-	if res := d1.ProcessIngress(r, d2); res.Verdict != DropLoop || res.Stage != StageLoopCheck {
+	if res := d1.ProcessIngress(r, d2, nb(d1, d2)); res.Verdict != DropLoop || res.Stage != StageLoopCheck {
 		t.Fatalf("alpha (strict) must drop looped path, got %v", res.Verdict)
 	}
 	// beta allows one repetition.
 	b1, b2 := pair(t, betaProf(), alphaProf(), "", "")
-	if res := b1.ProcessIngress(withPath(route.New(netaddr.MustParse("10.0.1.0/24"), route.EBGP, b2.Node.ID), 200, 300), b2); res.Verdict != Pass {
+	if res := b1.ProcessIngress(withPath(route.New(netaddr.MustParse("10.0.1.0/24"), route.EBGP, b2.Node.ID), 200, 300), b2, nb(b1, b2)); res.Verdict != Pass {
 		t.Fatalf("beta must allow one repetition, got %v", res.Verdict)
 	}
 	// allowas-in 2 permits two repetitions even on alpha.
 	a1, a2 := pair(t, alphaProf(), alphaProf(), " neighbor r2 allowas-in 2\n", "")
 	rr := withPath(route.New(netaddr.MustParse("10.0.1.0/24"), route.EBGP, a2.Node.ID), 100, 100)
-	if res := a1.ProcessIngress(rr, a2); res.Verdict != Pass {
+	if res := a1.ProcessIngress(rr, a2, nb(a1, a2)); res.Verdict != Pass {
 		t.Fatalf("allowas-in 2 must pass, got %v", res.Verdict)
 	}
 	rr3 := withPath(route.New(netaddr.MustParse("10.0.1.0/24"), route.EBGP, a2.Node.ID), 100, 100, 100)
-	if res := a1.ProcessIngress(rr3, a2); res.Verdict != DropLoop {
+	if res := a1.ProcessIngress(rr3, a2, nb(a1, a2)); res.Verdict != DropLoop {
 		t.Fatal("three repetitions exceed allowas-in 2")
 	}
 }
@@ -120,18 +128,18 @@ func TestDefaultPolicyVSB(t *testing.T) {
 
 	// alpha: deny unmatched.
 	d1, d2 := pair(t, alphaProf(), alphaProf(), bind+polText, "")
-	res := d1.ProcessIngress(r, d2)
+	res := d1.ProcessIngress(r, d2, nb(d1, d2))
 	if res.Verdict != DropPolicy || !res.VendorDefaulted {
 		t.Fatalf("alpha default-deny, got %v defaulted=%v", res.Verdict, res.VendorDefaulted)
 	}
 	// beta: permit unmatched.
 	b1, b2 := pair(t, betaProf(), alphaProf(), bind+polText, "")
-	if res := b1.ProcessIngress(r, b2); res.Verdict != Pass {
+	if res := b1.ProcessIngress(r, b2, nb(b1, b2)); res.Verdict != Pass {
 		t.Fatalf("beta default-permit, got %v", res.Verdict)
 	}
 	// No policy bound at all: always permit, not vendor-defaulted.
 	n1, n2 := pair(t, alphaProf(), alphaProf(), "", "")
-	if res := n1.ProcessIngress(r, n2); res.Verdict != Pass || res.VendorDefaulted {
+	if res := n1.ProcessIngress(r, n2, nb(n1, n2)); res.Verdict != Pass || res.VendorDefaulted {
 		t.Fatal("unbound policy permits on all vendors")
 	}
 }
@@ -140,7 +148,7 @@ func TestIngressSetsProtocolAndPreference(t *testing.T) {
 	d1, d2 := pair(t, alphaProf(), alphaProf(), " neighbor r2 preference 30\n", "")
 	r := route.New(netaddr.MustParse("10.0.1.0/24"), route.EBGP, 0)
 	r.ASPath = []uint32{200}
-	res := d1.ProcessIngress(r, d2)
+	res := d1.ProcessIngress(r, d2, nb(d1, d2))
 	if res.Route.Protocol != route.EBGP || res.Route.AdminPref != 30 {
 		t.Fatalf("eBGP ingress %+v", res.Route)
 	}
@@ -149,7 +157,7 @@ func TestIngressSetsProtocolAndPreference(t *testing.T) {
 	}
 	// Process-wide preference applies when neighbor preference absent.
 	p1, p2 := pair(t, alphaProf(), alphaProf(), " preference 25\n", "")
-	if res := p1.ProcessIngress(r, p2); res.Route.AdminPref != 25 {
+	if res := p1.ProcessIngress(r, p2, nb(p1, p2)); res.Route.AdminPref != 25 {
 		t.Fatalf("process preference, got %d", res.Route.AdminPref)
 	}
 }
@@ -161,7 +169,7 @@ func TestIngressFromUnknownNeighbor(t *testing.T) {
 	cfg3, _ := config.Parse("hostname r3\nrouter bgp 300\n neighbor r1 remote-as 100")
 	d3 := New(net.Node(n3), cfg3, alphaProf())
 	r := route.New(netaddr.MustParse("10.0.1.0/24"), route.EBGP, 0)
-	if res := d1.ProcessIngress(r, d3); res.Verdict != DropNoNeighbor {
+	if res := d1.ProcessIngress(r, d3, nb(d1, d3)); res.Verdict != DropNoNeighbor {
 		t.Fatal("route from unconfigured peer must drop")
 	}
 }
@@ -174,18 +182,18 @@ func TestRemovePrivateASVSB(t *testing.T) {
 	}
 	// alpha removes all.
 	d1, d2 := pair(t, alphaProf(), alphaProf(), " neighbor r2 remove-private-as\n", "")
-	if res := d1.ProcessEgress(mk(), d2); res.Route.ASPathString() != "100-300" {
+	if res := d1.ProcessEgress(mk(), d2, nb(d1, d2)); res.Route.ASPathString() != "100-300" {
 		t.Fatalf("alpha remove-all: %q", res.Route.ASPathString())
 	}
 	// beta removes only the leading run (none here since path starts private...
 	// leading run is 64512, so removes it, keeps 64513).
 	b1, b2 := pair(t, betaProf(), alphaProf(), " neighbor r2 remove-private-as\n", "")
-	if res := b1.ProcessEgress(mk(), b2); res.Route.ASPathString() != "100-300-64513" {
+	if res := b1.ProcessEgress(mk(), b2, nb(b1, b2)); res.Route.ASPathString() != "100-300-64513" {
 		t.Fatalf("beta remove-leading (leading 64512 stripped, inner 64513 kept): %q", res.Route.ASPathString())
 	}
 	// Without remove-private-as configured, nothing is stripped.
 	c1, c2 := pair(t, alphaProf(), alphaProf(), "", "")
-	if res := c1.ProcessEgress(mk(), c2); res.Route.ASPathString() != "100-64512-300-64513" {
+	if res := c1.ProcessEgress(mk(), c2, nb(c1, c2)); res.Route.ASPathString() != "100-64512-300-64513" {
 		t.Fatalf("unconfigured: %q", res.Route.ASPathString())
 	}
 }
@@ -196,13 +204,13 @@ func TestLocalASVSB(t *testing.T) {
 	}
 	// Migrating router (AS 100, local-as 65001), alpha semantics: old only.
 	d1, d2 := pair(t, alphaProf(), alphaProf(), " local-as 65001\n", "")
-	if res := d1.ProcessEgress(mk(), d2); res.Route.ASPathString() != "65001" {
+	if res := d1.ProcessEgress(mk(), d2, nb(d1, d2)); res.Route.ASPathString() != "65001" {
 		t.Fatalf("alpha old-only: %q", res.Route.ASPathString())
 	}
 	// beta: both old and new — path longer by one, which changes best-path
 	// decisions downstream (the Table 2 impact).
 	b1, b2 := pair(t, betaProf(), alphaProf(), " local-as 65001\n", "")
-	if res := b1.ProcessEgress(mk(), b2); res.Route.ASPathString() != "65001-100" {
+	if res := b1.ProcessEgress(mk(), b2, nb(b1, b2)); res.Route.ASPathString() != "65001-100" {
 		t.Fatalf("beta old+new: %q", res.Route.ASPathString())
 	}
 }
@@ -221,12 +229,12 @@ func TestSelfNextHopVPNVSB(t *testing.T) {
 	r.NextHop = 7 // learned from some eBGP peer B
 	// alpha: next-hop preserved.
 	a1, a2 := mkPair(alphaProf())
-	if res := a1.ProcessEgress(r, a2); res.Verdict != Pass || res.Route.NextHop != 7 {
+	if res := a1.ProcessEgress(r, a2, nb(a1, a2)); res.Verdict != Pass || res.Route.NextHop != 7 {
 		t.Fatalf("alpha preserves next-hop, got %v nh=%d", res.Verdict, res.Route.NextHop)
 	}
 	// beta: self-next-hop on VPN sessions.
 	b1, b2 := mkPair(betaProf())
-	if res := b1.ProcessEgress(r, b2); res.Route.NextHop != b1.Node.ID {
+	if res := b1.ProcessEgress(r, b2, nb(b1, b2)); res.Route.NextHop != b1.Node.ID {
 		t.Fatalf("beta self-next-hop, nh=%d", res.Route.NextHop)
 	}
 }
@@ -250,24 +258,24 @@ func TestIBGPSplitHorizonAndRR(t *testing.T) {
 	r := route.New(netaddr.MustParse("10.0.1.0/24"), route.IBGP, n2)
 	r.Protocol = route.IBGP
 	r.FromNode = n2
-	if res := rr.ProcessEgress(r, c2); res.Verdict != Pass {
+	if res := rr.ProcessEgress(r, c2, nb(rr, c2)); res.Verdict != Pass {
 		t.Fatalf("client route must reflect to non-client, got %v", res.Verdict)
 	}
 	// iBGP route learned from non-client c2 → reflected to client c1.
 	r2 := route.New(netaddr.MustParse("10.0.2.0/24"), route.IBGP, n3)
 	r2.Protocol = route.IBGP
 	r2.FromNode = n3
-	if res := rr.ProcessEgress(r2, c1); res.Verdict != Pass {
+	if res := rr.ProcessEgress(r2, c1, nb(rr, c1)); res.Verdict != Pass {
 		t.Fatalf("non-client route must reflect to client, got %v", res.Verdict)
 	}
 	// Plain router (no clients): iBGP-learned not re-advertised over iBGP.
-	if res := c1.ProcessEgress(r2, rr); res.Verdict != DropPolicy {
+	if res := c1.ProcessEgress(r2, rr, nb(c1, rr)); res.Verdict != DropPolicy {
 		t.Fatalf("split horizon must drop, got %v", res.Verdict)
 	}
 	// eBGP-learned routes always advertise over iBGP.
 	r3 := route.New(netaddr.MustParse("10.0.3.0/24"), route.EBGP, n3)
 	r3.Protocol = route.EBGP
-	if res := c1.ProcessEgress(r3, rr); res.Verdict != Pass {
+	if res := c1.ProcessEgress(r3, rr, nb(c1, rr)); res.Verdict != Pass {
 		t.Fatalf("eBGP-learned must advertise over iBGP, got %v", res.Verdict)
 	}
 }
@@ -416,5 +424,116 @@ func TestVerdictString(t *testing.T) {
 	}
 	if Verdict(9).String() != "verdict(9)" {
 		t.Fatal("unknown verdict")
+	}
+}
+
+// TestPipelinesLeaveInputRoute pins the other half of the route value
+// rule: neither pipeline writes the route it is handed, so one origin
+// route can feed every simulator goroutine without a copy. The input's
+// slices have spare capacity, so an append in place would land in them;
+// after egress and ingress over eBGP and iBGP sessions whose policies
+// and neighbor options reach every mutator, under every profile the
+// verifier and the emulator use and with each VSB toggled, the input
+// must equal a deep copy saved before the call.
+func TestPipelinesLeaveInputRoute(t *testing.T) {
+	type namedProfile struct {
+		name string
+		prof Profile
+	}
+	var profiles []namedProfile
+	for _, reg := range []struct {
+		name string
+		reg  *Registry
+	}{{"true", TrueProfiles()}, {"naive", NaiveProfiles()}} {
+		for _, v := range reg.reg.Vendors() {
+			p := reg.reg.Get(v)
+			profiles = append(profiles, namedProfile{reg.name + "/" + v, p})
+			for _, vsb := range AllVSBs {
+				profiles = append(profiles, namedProfile{reg.name + "/" + v + "/" + string(vsb), p.With(vsb, !p.Get(vsb))})
+			}
+		}
+	}
+	policies := "route-policy OUT permit 10\n set community delete 1:2\n set community add 1:9\n set as-path prepend 100 100\n" +
+		"route-policy IN permit 10\n set community none\n set community add 2:2\n set as-path prepend 300\n set local-preference 300\n" +
+		"route-policy NONE permit 10\n match community 9:9\n"
+	sessions := []struct {
+		name           string
+		as1, as2       uint32
+		extra1, extra2 string
+	}{
+		{"ebgp-rewrite", 100, 200,
+			" local-as 65010\n neighbor r2 remove-private-as\n neighbor r2 route-policy OUT out\n" + policies,
+			" neighbor r1 route-policy IN in\n" + policies},
+		{"ebgp-default", 100, 200,
+			" neighbor r2 remove-private-as\n neighbor r2 route-policy NONE out\n" + policies,
+			" neighbor r1 route-policy NONE in\n" + policies},
+		{"ibgp", 100, 100,
+			" neighbor r2 next-hop-self\n neighbor r2 vpn\n neighbor r2 route-reflector-client\n neighbor r2 route-policy OUT out\n" + policies,
+			" neighbor r1 route-policy IN in\n" + policies},
+	}
+	input := func() route.Route {
+		r := route.New(netaddr.MustParse("10.0.1.0/24"), route.EBGP, 5)
+		r.ASPath = append(make([]uint32, 0, 16), 64512, 64513, 300, 64514)
+		r.Comms = append(make([]route.Community, 0, 16), route.MakeCommunity(1, 1), route.MakeCommunity(1, 2))
+		r.ExtComms = append(make([]uint64, 0, 8), 7)
+		r.FromNode = 5
+		return r
+	}
+	delivered := 0
+	for _, se := range sessions {
+		for _, np := range profiles {
+			name, prof := np.name, np.prof
+			net := topo.NewNetwork()
+			n1 := net.MustAddNode(topo.Node{Name: "r1", AS: se.as1})
+			n2 := net.MustAddNode(topo.Node{Name: "r2", AS: se.as2})
+			cfg1, err := config.Parse(fmt.Sprintf("hostname r1\nrouter bgp %d\n neighbor r2 remote-as %d\n%s", se.as1, se.as2, se.extra1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg2, err := config.Parse(fmt.Sprintf("hostname r2\nrouter bgp %d\n neighbor r1 remote-as %d\n%s", se.as2, se.as1, se.extra2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			d1, d2 := New(net.Node(n1), cfg1, prof), New(net.Node(n2), cfg2, prof)
+			r := input()
+			eg := d1.ProcessEgress(r, d2, nb(d1, d2))
+			unchanged(t, se.name+" egress "+name, r, input())
+			if eg.Verdict != Pass {
+				continue
+			}
+			sent := eg.Route
+			saved := sent
+			saved.ASPath = append([]uint32(nil), sent.ASPath...)
+			saved.Comms = append([]route.Community(nil), sent.Comms...)
+			saved.ExtComms = append([]uint64(nil), sent.ExtComms...)
+			if d2.ProcessIngress(sent, d1, nb(d2, d1)).Verdict == Pass {
+				delivered++
+			}
+			unchanged(t, se.name+" ingress "+name, sent, saved)
+		}
+	}
+	if delivered == 0 {
+		t.Fatal("no route crossed both pipelines: the test shows nothing")
+	}
+}
+
+// unchanged fails when r differs from want, or when anything was written
+// into the spare capacity of r's slices.
+func unchanged(t *testing.T, what string, r, want route.Route) {
+	t.Helper()
+	if d := route.DiffAttrs(r, want); d != "" || r.FromNode != want.FromNode || r.OriginNode != want.OriginNode {
+		t.Errorf("%s wrote its input route (%q): %v, want %v", what, d, r, want)
+	}
+	for _, a := range r.ASPath[len(r.ASPath):cap(r.ASPath)] {
+		if a != 0 {
+			t.Errorf("%s wrote past its input's AS path: %v", what, r.ASPath[:cap(r.ASPath)])
+			break
+		}
+	}
+	for _, c := range r.Comms[len(r.Comms):cap(r.Comms)] {
+		if c != 0 {
+			t.Errorf("%s wrote past its input's communities: %v", what, r.Comms[:cap(r.Comms)])
+			break
+		}
 	}
 }

@@ -141,14 +141,15 @@ type IngressResult struct {
 
 // ProcessIngress runs the control-plane ingress pipeline on a route
 // received from peer `from`: AS-loop check, ingress policy, attribute
-// normalization. It never mutates the input route.
-func (d *Device) ProcessIngress(r route.Route, from *Device) IngressResult {
-	n, ok := d.Neighbor(from.Cfg.Hostname)
-	if !ok {
+// normalization. n is this device's neighbor entry for `from`, resolved
+// once by the caller (core.Session.ToN); nil drops the route as
+// DropNoNeighbor. The input route is left as it was: the result may share
+// its slices, which no mutator writes in place (route.Route).
+func (d *Device) ProcessIngress(r route.Route, from *Device, n *config.Neighbor) IngressResult {
+	if n == nil {
 		return IngressResult{Verdict: DropNoNeighbor, Stage: StageIngressPolicy, TermSeq: -1}
 	}
 	st := d.SessionTypeTo(from)
-	r = r.Clone()
 
 	// AS-loop prevention (eBGP only): a path already containing our AS is
 	// dropped unless configuration (allowas-in) or the vendor's loop VSB
@@ -215,10 +216,11 @@ type EgressResult struct {
 // device advertises to peer `to`: advertisement eligibility, egress
 // policy, and the eBGP/iBGP rewrite (AS prepend with the local-AS VSB,
 // next-hop, community stripping per the community VSB, private-AS removal
-// per its VSB).
-func (d *Device) ProcessEgress(r route.Route, to *Device) EgressResult {
-	n, ok := d.Neighbor(to.Cfg.Hostname)
-	if !ok {
+// per its VSB). n is this device's neighbor entry for `to`, resolved once
+// by the caller (core.Session.FromN); nil drops the route as
+// DropNoNeighbor. Like ProcessIngress it leaves the input route as it was.
+func (d *Device) ProcessEgress(r route.Route, to *Device, n *config.Neighbor) EgressResult {
+	if n == nil {
 		return EgressResult{Verdict: DropNoNeighbor, Stage: StageEgressPolicy, TermSeq: -1}
 	}
 	st := d.SessionTypeTo(to)
@@ -235,7 +237,7 @@ func (d *Device) ProcessEgress(r route.Route, to *Device) EgressResult {
 	if err != nil {
 		return EgressResult{Verdict: DropPolicy, Stage: StageEgressPolicy, TermSeq: -1}
 	}
-	out, disp, seq := pol.Run(r.Clone(), d.Node.ID)
+	out, disp, seq := pol.Run(r, d.Node.ID)
 	switch disp {
 	case policy.Denied:
 		return EgressResult{Verdict: DropPolicy, Stage: StageEgressPolicy, TermSeq: seq}
@@ -243,7 +245,7 @@ func (d *Device) ProcessEgress(r route.Route, to *Device) EgressResult {
 		if pol != nil && !d.Prof.DefaultPolicyPermit {
 			return EgressResult{Verdict: DropPolicy, Stage: StageEgressPolicy, TermSeq: -1, VendorDefaulted: true}
 		}
-		out = r.Clone()
+		out = r
 	}
 
 	// Session rewrite.

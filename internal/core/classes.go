@@ -12,9 +12,11 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"hoyan/internal/netaddr"
+	"hoyan/internal/policy"
 )
 
 // PrefixClass is one behavior class of announced prefixes.
@@ -43,9 +45,10 @@ func (c PrefixClass) MemberStrings() []string {
 // are ordered by the trie order of their representatives.
 func (m *Model) Classes() []PrefixClass {
 	m.classesOnce.Do(func() {
+		fpr := m.newFingerprinter()
 		byFP := map[string]int{}
 		for _, p := range m.AnnouncedPrefixes() {
-			fp := m.fingerprint(p)
+			fp := fpr.fingerprint(p)
 			if i, ok := byFP[fp]; ok {
 				m.classes[i].Members = append(m.classes[i].Members, p)
 				continue
@@ -59,6 +62,63 @@ func (m *Model) Classes() []PrefixClass {
 	return m.classes
 }
 
+// fingerprinter holds the parts of every prefix's fingerprint that do not
+// depend on the prefix, rendered once per model, so that fingerprinting
+// each announced prefix costs only the work that depends on it.
+type fingerprinter struct {
+	m *Model
+	// origins and statics are, per node, the routes that may join a
+	// simulation, each with its rendered text.
+	origins [][]renderedRoute
+	statics [][]renderedRoute
+	// lists are the prefix lists of every attached policy's terms, in
+	// device, policy-name and term order: the fingerprint's permit bits.
+	lists []*policy.PrefixList
+}
+
+// renderedRoute is a route's prefix and the text the fingerprint writes
+// after its prefix token.
+type renderedRoute struct {
+	prefix netaddr.Prefix
+	text   string
+}
+
+func (m *Model) newFingerprinter() *fingerprinter {
+	origins := m.Origins()
+	f := &fingerprinter{
+		m:       m,
+		origins: make([][]renderedRoute, len(origins)),
+		statics: make([][]renderedRoute, len(m.Configs)),
+	}
+	for id, routes := range origins {
+		for _, r := range routes {
+			rr := r
+			rr.Prefix = netaddr.Prefix{}
+			f.origins[id] = append(f.origins[id], renderedRoute{r.Prefix, "=" + rr.String() + " "})
+		}
+	}
+	for id, cfg := range m.Configs {
+		for _, sr := range cfg.Statics {
+			f.statics[id] = append(f.statics[id], renderedRoute{sr.Prefix, fmt.Sprintf("=%s/%d ", sr.NextHop, sr.Preference)})
+		}
+		names := make([]string, 0, len(cfg.RoutePolicies))
+		for name := range cfg.RoutePolicies {
+			if cfg.PolicyInUse(name) {
+				names = append(names, name)
+			}
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			for _, t := range cfg.RoutePolicies[name].Terms {
+				if t.Match.PrefixList != nil {
+					f.lists = append(f.lists, t.Match.PrefixList)
+				}
+			}
+		}
+	}
+	return f
+}
+
 // fingerprint serializes every prefix-dependent feature of the model for
 // p. The prefix itself is written as the token "P" so that renaming a
 // class member to another member leaves the fingerprint unchanged; any
@@ -70,21 +130,22 @@ func (m *Model) Classes() []PrefixClass {
 // engine derives identically for every prefix: session conditions, IGP
 // shortest paths, communities, preferences, vendor profile bits that do
 // not branch on the prefix. See DESIGN.md for the soundness argument.
-func (m *Model) fingerprint(p netaddr.Prefix) string {
+func (f *fingerprinter) fingerprint(p netaddr.Prefix) string {
 	var b strings.Builder
 
 	// Aggregate coupling: the co-simulated family. For a prefix touched
 	// by any aggregate the family has extra members, written literally —
 	// which makes such prefixes effectively singleton classes, a safe
 	// over-approximation for the rare aggregate-coupled case.
-	family := m.PrefixFamily(p)
+	family := f.m.PrefixFamily(p)
 	b.WriteString("fam:")
 	for _, q := range family {
 		writePrefixToken(&b, q, p)
 		b.WriteByte(' ')
 	}
 	// The redistribute-default VSB branches on IsDefault.
-	fmt.Fprintf(&b, ";def:%v", p.IsDefault())
+	b.WriteString(";def:")
+	b.WriteString(strconv.FormatBool(p.IsDefault()))
 
 	overlapsFamily := func(q netaddr.Prefix) bool {
 		for _, fp := range family {
@@ -99,33 +160,32 @@ func (m *Model) fingerprint(p netaddr.Prefix) string {
 	// would join p's simulation, per node. Routes for p itself are
 	// tokenized; overlapping routes for other prefixes appear literally —
 	// they are shared context, identical in every member's simulation.
-	origins := m.Origins()
-	for id := 0; id < len(origins); id++ {
+	for id := range f.origins {
 		wroteNode := false
 		node := func() {
 			if !wroteNode {
-				fmt.Fprintf(&b, ";n%d:", id)
+				b.WriteString(";n")
+				b.WriteString(strconv.Itoa(id))
+				b.WriteByte(':')
 				wroteNode = true
 			}
 		}
-		for _, r := range origins[id] {
-			if !overlapsFamily(r.Prefix) {
+		for _, r := range f.origins[id] {
+			if !overlapsFamily(r.prefix) {
 				continue
 			}
 			node()
-			writePrefixToken(&b, r.Prefix, p)
-			rr := r
-			rr.Prefix = netaddr.Prefix{}
-			fmt.Fprintf(&b, "=%v ", rr)
+			writePrefixToken(&b, r.prefix, p)
+			b.WriteString(r.text)
 		}
-		for _, sr := range m.Configs[id].Statics {
-			if !overlapsFamily(sr.Prefix) {
+		for _, sr := range f.statics[id] {
+			if !overlapsFamily(sr.prefix) {
 				continue
 			}
 			node()
 			b.WriteString("st")
-			writePrefixToken(&b, sr.Prefix, p)
-			fmt.Fprintf(&b, "=%s/%d ", sr.NextHop, sr.Preference)
+			writePrefixToken(&b, sr.prefix, p)
+			b.WriteString(sr.text)
 		}
 	}
 
@@ -136,29 +196,11 @@ func (m *Model) fingerprint(p netaddr.Prefix) string {
 	// attached policies count (config.Device.PolicyInUse): a policy no
 	// neighbor or redistribution names is never evaluated.
 	b.WriteString(";pl:")
-	for id := 0; id < len(m.Configs); id++ {
-		cfg := m.Configs[id]
-		if len(cfg.RoutePolicies) == 0 {
-			continue
-		}
-		names := make([]string, 0, len(cfg.RoutePolicies))
-		for name := range cfg.RoutePolicies {
-			if cfg.PolicyInUse(name) {
-				names = append(names, name)
-			}
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			for _, t := range cfg.RoutePolicies[name].Terms {
-				if t.Match.PrefixList == nil {
-					continue
-				}
-				if t.Match.PrefixList.Permits(p) {
-					b.WriteByte('1')
-				} else {
-					b.WriteByte('0')
-				}
-			}
+	for _, pl := range f.lists {
+		if pl.Permits(p) {
+			b.WriteByte('1')
+		} else {
+			b.WriteByte('0')
 		}
 	}
 	return b.String()

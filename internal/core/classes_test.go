@@ -67,6 +67,7 @@ func TestClassesPartition(t *testing.T) {
 // fingerprint, and distinct classes have distinct fingerprints.
 func TestClassesSameFingerprintWithinClass(t *testing.T) {
 	m := modelFrom(t, gen.Small())
+	fpr := m.newFingerprinter()
 	fps := map[string]bool{}
 	for _, c := range m.Classes() {
 		if fps[c.Fingerprint] {
@@ -74,7 +75,7 @@ func TestClassesSameFingerprintWithinClass(t *testing.T) {
 		}
 		fps[c.Fingerprint] = true
 		for _, p := range c.Members {
-			if got := m.fingerprint(p); got != c.Fingerprint {
+			if got := fpr.fingerprint(p); got != c.Fingerprint {
 				t.Fatalf("member %s fingerprint differs from its class", p)
 			}
 		}

@@ -697,6 +697,12 @@ func (s *Simulator) announce(se session, si int, stats *Stats) (out, sent []Entr
 		return nil, nil
 	}
 	sc := &s.sc
+	// Each slot entry yields at most one update and one delivery, so the
+	// two lists are sized once, when their first entry comes.
+	bound := 0
+	for pi := range sc.prefixes {
+		bound += len(sc.slots[pi])
+	}
 	for pi := range sc.prefixes {
 		entries := sc.slots[pi]
 		if len(entries) == 0 {
@@ -711,7 +717,7 @@ func (s *Simulator) announce(se session, si int, stats *Stats) (out, sent []Entr
 			s.taintSession(se)
 			guard := s.F.And(notHigher, ent.Cond)
 			notHigher = s.F.And(notHigher, s.F.Not(ent.Cond))
-			eg := devU.ProcessEgress(ent.Route, devV)
+			eg := devU.ProcessEgress(ent.Route, devV, se.FromN)
 			if eg.Verdict != behavior.Pass {
 				stats.DroppedPolicy++
 				continue
@@ -725,8 +731,11 @@ func (s *Simulator) announce(se session, si int, stats *Stats) (out, sent []Entr
 				stats.DroppedOverK++
 				continue
 			}
+			if sent == nil {
+				sent = make([]Entry, 0, bound)
+			}
 			sent = append(sent, Entry{Route: eg.Route, Cond: cond})
-			ing := devV.ProcessIngress(eg.Route, devU)
+			ing := devV.ProcessIngress(eg.Route, devU, se.ToN)
 			if ing.Verdict != behavior.Pass {
 				stats.DroppedPolicy++
 				continue
@@ -734,6 +743,9 @@ func (s *Simulator) announce(se session, si int, stats *Stats) (out, sent []Entr
 			stats.observeCondLen(s.F.Len(cond))
 			if s.Opts.Simplify && s.F.Len(cond) > SimplifyThreshold {
 				cond = s.F.Simplify(cond)
+			}
+			if out == nil {
+				out = make([]Entry, 0, bound)
 			}
 			out = append(out, Entry{Route: ing.Route, Cond: cond})
 			stats.Delivered++

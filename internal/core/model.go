@@ -41,8 +41,9 @@ type Model struct {
 	Configs []*config.Device   // indexed by NodeID
 
 	// origins caches per-device OriginatedBGP results (read-only routes,
-	// indexed by NodeID). Computed once on first use; consumers must not
-	// mutate the returned routes (behavior pipelines Clone before edits).
+	// indexed by NodeID). Computed once on first use; every simulator
+	// goroutine reads the same routes, whose slices no mutator writes in
+	// place (route.Route).
 	originsOnce sync.Once
 	origins     [][]route.Route
 
@@ -112,7 +113,9 @@ func (m *Model) Resolve(name string) (topo.NodeID, bool) {
 
 // Origins returns the cached per-node BGP origination lists (network
 // statements and redistributed statics), computed once per Model. The
-// routes are shared read-only: callers must copy before mutating.
+// lists are shared read-only. A caller may rewrite its own copy of a
+// route with the route package's mutators, which never write a shared
+// slice in place (route.Route).
 func (m *Model) Origins() [][]route.Route {
 	m.originsOnce.Do(func() {
 		resolve := m.resolveFn()

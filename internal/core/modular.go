@@ -166,7 +166,7 @@ func (s *Simulator) importSummary(restr *restriction, sum *CutSummary) error {
 			continue // not an inject session of this pass
 		}
 		devU, devV := s.M.Devices[se.From], s.M.Devices[se.To]
-		ing := devV.ProcessIngress(msg.Route, devU)
+		ing := devV.ProcessIngress(msg.Route, devU, se.ToN)
 		if ing.Verdict != behavior.Pass {
 			continue
 		}

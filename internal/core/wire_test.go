@@ -89,9 +89,10 @@ func TestBadGadgetWireMatchesHeld(t *testing.T) {
 		for _, se := range sessions {
 			sent, _ := res.SessionUpdates(se.From, se.To)
 			devU, devV := m.Devices[se.From], m.Devices[se.To]
+			toN, _ := devV.Neighbor(devU.Cfg.Hostname)
 			var passed []Entry
 			for _, e := range sent {
-				ing := devV.ProcessIngress(e.Route, devU)
+				ing := devV.ProcessIngress(e.Route, devU, toN)
 				if ing.Verdict != behavior.Pass {
 					continue
 				}

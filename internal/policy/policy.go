@@ -143,8 +143,9 @@ type Set struct {
 	NextHopSelf bool
 }
 
-// Apply mutates r according to the set clauses; self is the node applying
-// the policy (for next-hop-self).
+// Apply rewrites r according to the set clauses; self is the node applying
+// the policy (for next-hop-self). Every clause that changes a slice of r
+// gives r a new one, so a route sharing r's slices is left as it was.
 func (s Set) Apply(r *route.Route, self topo.NodeID) {
 	if s.LocalPref != nil {
 		r.LocalPref = *s.LocalPref
@@ -198,10 +199,11 @@ type RoutePolicy struct {
 	Terms []Term
 }
 
-// Run evaluates the policy on a copy of r. It returns the (possibly
-// rewritten) route, the disposition, and the sequence number of the
-// deciding term (-1 when DefaultAction). The caller resolves DefaultAction
-// with the vendor profile.
+// Run evaluates the policy on r. It returns the (possibly rewritten)
+// route, the disposition, and the sequence number of the deciding term
+// (-1 when DefaultAction). r is a value whose slices the route package's
+// mutators never write in place, so the rewrite leaves the caller's route
+// as it was. The caller resolves DefaultAction with the vendor profile.
 func (p *RoutePolicy) Run(r route.Route, self topo.NodeID) (route.Route, Disposition, int) {
 	if p == nil {
 		return r, DefaultAction, -1
@@ -211,9 +213,8 @@ func (p *RoutePolicy) Run(r route.Route, self topo.NodeID) (route.Route, Disposi
 			if t.Action == Deny {
 				return r, Denied, t.Seq
 			}
-			out := r.Clone()
-			t.Set.Apply(&out, self)
-			return out, Permitted, t.Seq
+			t.Set.Apply(&r, self)
+			return r, Permitted, t.Seq
 		}
 	}
 	return r, DefaultAction, -1

@@ -195,6 +195,53 @@ func TestRunDoesNotMutateInput(t *testing.T) {
 	}
 }
 
+// TestSetClausesCopyOnWrite: every slice-changing set clause, applied
+// directly or through Run's permit, leaves a route sharing the rewritten
+// route's slices as it was, the spare capacity of its backing arrays
+// included — the rule that lets Run and the behavior pipelines skip a
+// deep copy.
+func TestSetClausesCopyOnWrite(t *testing.T) {
+	c1, c2, c3 := route.MakeCommunity(1, 1), route.MakeCommunity(2, 2), route.MakeCommunity(3, 3)
+	mk := func() route.Route {
+		r := route.New(netaddr.MustParse("10.0.0.0/8"), route.EBGP, 1)
+		r.ASPath = append(make([]uint32, 0, 16), 100, 200)
+		r.Comms = append(make([]route.Community, 0, 16), c1, c3)
+		return r
+	}
+	for _, tc := range []struct {
+		name string
+		set  Set
+	}{
+		{"ClearComms", Set{ClearComms: true}},
+		{"DelComms", Set{DelComms: []route.Community{c1}}},
+		{"DelCommsAbsent", Set{DelComms: []route.Community{c2}}},
+		{"AddComms", Set{AddComms: []route.Community{c2}}},
+		{"PrependAS", Set{PrependAS: []uint32{65000, 65000}}},
+		{"All", Set{ClearComms: true, DelComms: []route.Community{c1}, AddComms: []route.Community{c2}, PrependAS: []uint32{65000}}},
+	} {
+		orig := mk()
+		alias := orig
+		tc.set.Apply(&alias, 9)
+		pol := &RoutePolicy{Terms: []Term{{Seq: 10, Action: Permit, Set: tc.set}}}
+		if _, disp, _ := pol.Run(orig, 9); disp != Permitted {
+			t.Fatalf("%s: disposition %v", tc.name, disp)
+		}
+		if route.DiffAttrs(orig, mk()) != "" {
+			t.Errorf("%s wrote the route it shares slices with: %v %v", tc.name, orig, orig.Comms)
+		}
+		for _, x := range orig.ASPath[len(orig.ASPath):cap(orig.ASPath)] {
+			if x != 0 {
+				t.Errorf("%s wrote the path's spare capacity", tc.name)
+			}
+		}
+		for _, x := range orig.Comms[len(orig.Comms):cap(orig.Comms)] {
+			if x != 0 {
+				t.Errorf("%s wrote the communities' spare capacity", tc.name)
+			}
+		}
+	}
+}
+
 func TestACL(t *testing.T) {
 	dst := netaddr.MustParse("10.0.1.0/24")
 	a := &ACL{Name: "101", Rules: []ACLRule{

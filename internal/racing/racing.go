@@ -13,6 +13,7 @@ import (
 	"sort"
 
 	"hoyan/internal/behavior"
+	"hoyan/internal/config"
 	"hoyan/internal/core"
 	"hoyan/internal/logic"
 	"hoyan/internal/netaddr"
@@ -121,12 +122,21 @@ func Detect(sim *core.Simulator, prefix netaddr.Prefix, opts Options) (*Report, 
 	if err != nil {
 		return nil, err
 	}
-	bySender := map[topo.NodeID][]core.SessionInfo{}
+	// Each session's neighbor entries are resolved once, from the
+	// devices' configurations, for the pipelines below.
+	type hop struct {
+		to         topo.NodeID
+		fromN, toN *config.Neighbor
+	}
+	bySender := map[topo.NodeID][]hop{}
 	for _, se := range sessions {
 		if !se.Possible {
 			continue
 		}
-		bySender[se.From] = append(bySender[se.From], se)
+		devU, devV := m.Devices[se.From], m.Devices[se.To]
+		fromN, _ := devU.Neighbor(devV.Cfg.Hostname)
+		toN, _ := devV.Neighbor(devU.Cfg.Hostname)
+		bySender[se.From] = append(bySender[se.From], hop{se.To, fromN, toN})
 	}
 
 	// Flood without selection drops: every candidate is propagated over
@@ -139,21 +149,21 @@ func Detect(sim *core.Simulator, prefix netaddr.Prefix, opts Options) (*Report, 
 		if len(c.Path) >= opts.MaxPathLen {
 			continue
 		}
-		for _, se := range bySender[c.Node] {
-			devV := m.Devices[se.To]
-			if onPath(c.Path, se.To) {
+		for _, h := range bySender[c.Node] {
+			devV := m.Devices[h.to]
+			if onPath(c.Path, h.to) {
 				continue
 			}
-			eg := devU.ProcessEgress(c.Route, devV)
+			eg := devU.ProcessEgress(c.Route, devV, h.fromN)
 			if eg.Verdict != behavior.Pass {
 				continue
 			}
-			ing := devV.ProcessIngress(eg.Route, devU)
+			ing := devV.ProcessIngress(eg.Route, devU, h.toN)
 			if ing.Verdict != behavior.Pass {
 				continue
 			}
-			path := append(append([]topo.NodeID(nil), c.Path...), se.To)
-			id, err := add(Candidate{Node: se.To, Route: ing.Route, Pred: cid, Path: path})
+			path := append(append([]topo.NodeID(nil), c.Path...), h.to)
+			id, err := add(Candidate{Node: h.to, Route: ing.Route, Pred: cid, Path: path})
 			if err != nil {
 				return nil, err
 			}

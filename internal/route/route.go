@@ -7,6 +7,7 @@ package route
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -77,8 +78,13 @@ const (
 // IsPrivateAS reports whether an AS number is private.
 func IsPrivateAS(as uint32) bool { return as >= PrivateASMin && as <= PrivateASMax }
 
-// Route is one route announcement or RIB entry's attributes. Routes are
-// treated as values: Clone before mutating a route that is shared.
+// Route is one route announcement or RIB entry's attributes. A Route is a
+// plain value: copies share their ASPath, Comms and ExtComms slices, so
+// nothing writes those slices in place. Every mutator below that changes
+// one builds a new slice (copy on write), and a caller that edits a slice
+// by hand must do the same. One origin route reaches every simulator
+// goroutine, so a write in place would be a data race as well as a wrong
+// answer.
 type Route struct {
 	Prefix   netaddr.Prefix
 	Protocol Protocol
@@ -145,18 +151,13 @@ func DefaultAdminPref(p Protocol) uint32 {
 	}
 }
 
-// Clone deep-copies the route.
-func (r Route) Clone() Route {
-	r.ASPath = append([]uint32(nil), r.ASPath...)
-	r.Comms = append([]Community(nil), r.Comms...)
-	r.ExtComms = append([]uint64(nil), r.ExtComms...)
-	return r
-}
-
 // PrependAS adds an AS to the front of the path (the sender's AS when
-// crossing an eBGP session).
+// crossing an eBGP session), in a new slice.
 func (r *Route) PrependAS(as uint32) {
-	r.ASPath = append([]uint32{as}, r.ASPath...)
+	path := make([]uint32, len(r.ASPath)+1)
+	path[0] = as
+	copy(path[1:], r.ASPath)
+	r.ASPath = path
 }
 
 // HasASLoop reports whether as already appears in the path — standard BGP
@@ -184,9 +185,13 @@ func (r *Route) CountAS(as uint32) int {
 }
 
 // RemovePrivateAll removes every private AS number from the path — Vendor
-// A's semantics of remove-private-AS in the paper's §1 example.
+// A's semantics of remove-private-AS in the paper's §1 example. A path
+// with a private AS gets a new slice; one without keeps its own.
 func (r *Route) RemovePrivateAll() {
-	out := r.ASPath[:0]
+	if !slices.ContainsFunc(r.ASPath, IsPrivateAS) {
+		return
+	}
+	out := make([]uint32, 0, len(r.ASPath)-1)
 	for _, a := range r.ASPath {
 		if !IsPrivateAS(a) {
 			out = append(out, a)
@@ -196,7 +201,8 @@ func (r *Route) RemovePrivateAll() {
 }
 
 // RemovePrivateLeading removes private AS numbers only until the first
-// non-private one — Vendor B's semantics of remove-private-AS.
+// non-private one — Vendor B's semantics of remove-private-AS. It
+// reslices, so it writes no element.
 func (r *Route) RemovePrivateLeading() {
 	i := 0
 	for i < len(r.ASPath) && IsPrivateAS(r.ASPath[i]) {
@@ -215,18 +221,25 @@ func (r *Route) HasCommunity(c Community) bool {
 	return false
 }
 
-// AddCommunity appends c if absent, keeping the list sorted.
+// AddCommunity adds c if absent, keeping the list sorted, in a new slice.
 func (r *Route) AddCommunity(c Community) {
 	if r.HasCommunity(c) {
 		return
 	}
-	r.Comms = append(r.Comms, c)
-	sort.Slice(r.Comms, func(i, j int) bool { return r.Comms[i] < r.Comms[j] })
+	out := make([]Community, len(r.Comms)+1)
+	copy(out, r.Comms)
+	out[len(r.Comms)] = c
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	r.Comms = out
 }
 
-// DeleteCommunity removes c if present.
+// DeleteCommunity removes c if present, in a new slice; a route without
+// c keeps its own.
 func (r *Route) DeleteCommunity(c Community) {
-	out := r.Comms[:0]
+	if !r.HasCommunity(c) {
+		return
+	}
+	out := make([]Community, 0, len(r.Comms)-1)
 	for _, x := range r.Comms {
 		if x != c {
 			out = append(out, x)

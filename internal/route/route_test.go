@@ -50,16 +50,69 @@ func TestNewDefaults(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	r := New(netaddr.MustParse("10.0.0.0/8"), EBGP, 1)
-	r.ASPath = []uint32{100, 200}
-	r.Comms = []Community{MakeCommunity(1, 2)}
-	c := r.Clone()
-	c.ASPath[0] = 999
-	c.Comms[0] = 0
-	if r.ASPath[0] != 100 || r.Comms[0] != MakeCommunity(1, 2) {
-		t.Fatal("Clone must not share slices")
+// sharedRoute returns a route and a copy of it whose slices alias the
+// route's and have spare capacity, so that a mutator appending in place
+// would write into the route's backing arrays.
+func sharedRoute() (orig, alias Route) {
+	path := make([]uint32, 4, 16)
+	copy(path, []uint32{64512, 100, 64513, 200})
+	comms := make([]Community, 3, 16)
+	copy(comms, []Community{MakeCommunity(1, 1), MakeCommunity(1, 2), MakeCommunity(1, 3)})
+	ext := make([]uint64, 1, 8)
+	ext[0] = 7
+	orig = New(netaddr.MustParse("10.0.0.0/8"), EBGP, 1)
+	orig.ASPath, orig.Comms, orig.ExtComms = path, comms, ext
+	return orig, orig
+}
+
+// TestMutatorsCopyOnWrite pins the rule route values rest on: copies
+// share their slices, so no mutator writes a slice in place. Each mutator
+// runs on a copy whose slices alias another route's and have room to
+// append; the other route, and the backing arrays past its length, must
+// stay as they were.
+func TestMutatorsCopyOnWrite(t *testing.T) {
+	c12, c9 := MakeCommunity(1, 2), MakeCommunity(1, 9)
+	for _, m := range []struct {
+		name   string
+		mutate func(*Route)
+	}{
+		{"PrependAS", func(r *Route) { r.PrependAS(300) }},
+		{"RemovePrivateAll", (*Route).RemovePrivateAll},
+		{"RemovePrivateLeading", (*Route).RemovePrivateLeading},
+		{"AddCommunity", func(r *Route) { r.AddCommunity(MakeCommunity(0, 5)) }},
+		{"AddCommunityPresent", func(r *Route) { r.AddCommunity(c12) }},
+		{"DeleteCommunity", func(r *Route) { r.DeleteCommunity(c12) }},
+		{"DeleteCommunityAbsent", func(r *Route) { r.DeleteCommunity(c9) }},
+		{"ClearCommunities", (*Route).ClearCommunities},
+		{"ClearExtCommunities", (*Route).ClearExtCommunities},
+		{"DeleteThenAddCommunity", func(r *Route) { r.DeleteCommunity(c12); r.AddCommunity(c9) }},
+	} {
+		orig, alias := sharedRoute()
+		want, _ := sharedRoute()
+		m.mutate(&alias)
+		if DiffAttrs(orig, want) != "" {
+			t.Errorf("%s wrote the route it shares slices with: %v %v, want %v %v", m.name, orig, orig.Comms, want, want.Comms)
+		}
+		// An in-place append past the shared length is invisible to orig's
+		// length but not to the next append: the spare capacity must be
+		// untouched too.
+		if spare := orig.ASPath[:cap(orig.ASPath)][len(orig.ASPath):]; !allZero(spare) {
+			t.Errorf("%s wrote the path's spare capacity: %v", m.name, spare)
+		}
+		if spare := orig.Comms[:cap(orig.Comms)][len(orig.Comms):]; !allZero(spare) {
+			t.Errorf("%s wrote the communities' spare capacity: %v", m.name, spare)
+		}
 	}
+}
+
+func allZero[T comparable](s []T) bool {
+	var zero T
+	for _, x := range s {
+		if x != zero {
+			return false
+		}
+	}
+	return true
 }
 
 func TestASPathOps(t *testing.T) {
@@ -203,9 +256,9 @@ func TestFigure1WeightOverridesLocalPref(t *testing.T) {
 
 func TestSameAttrsAndDiff(t *testing.T) {
 	a := Route{Prefix: netaddr.MustParse("10.0.0.0/8"), ASPath: []uint32{1}, Comms: []Community{5}}
-	b := a.Clone()
+	b := a
 	if !SameAttrs(a, b) || DiffAttrs(a, b) != "" {
-		t.Fatal("clones must compare equal")
+		t.Fatal("copies must compare equal")
 	}
 	b.Comms = []Community{6}
 	if SameAttrs(a, b) {
@@ -214,17 +267,17 @@ func TestSameAttrsAndDiff(t *testing.T) {
 	if DiffAttrs(a, b) != "community" {
 		t.Fatalf("DiffAttrs = %q", DiffAttrs(a, b))
 	}
-	c := a.Clone()
+	c := a
 	c.NextHop = 9
 	if DiffAttrs(a, c) != "next-hop" {
 		t.Fatalf("DiffAttrs = %q", DiffAttrs(a, c))
 	}
-	d := a.Clone()
+	d := a
 	d.ASPath = []uint32{1, 2}
 	if DiffAttrs(a, d) != "as-path" {
 		t.Fatalf("DiffAttrs = %q (as-path length differs)", DiffAttrs(a, d))
 	}
-	e := a.Clone()
+	e := a
 	e.ExtComms = []uint64{3}
 	if DiffAttrs(a, e) != "ext-community" {
 		t.Fatalf("DiffAttrs = %q", DiffAttrs(a, e))

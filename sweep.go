@@ -222,8 +222,12 @@ func (n *Network) sweepClasses(opts Options, model *core.Model, classes []core.P
 		rep.Modular, plan.Regions, homes = planModular(model, classes)
 	}
 	// Audit selection comes up front from seeded sources, so the chosen
-	// prefixes do not depend on executor count or scheduling.
-	replayAudits, memberAudits := rand.New(rand.NewSource(2)), rand.New(rand.NewSource(1))
+	// prefixes do not depend on executor count or scheduling. A sweep
+	// that audits nothing seeds none.
+	var replayAudits, memberAudits *rand.Rand
+	if opts.AuditSample > 0 {
+		replayAudits, memberAudits = rand.New(rand.NewSource(2)), rand.New(rand.NewSource(1))
+	}
 	for i, cls := range classes {
 		c := &plan.Classes[i]
 		c.Members = cls.MemberStrings()
